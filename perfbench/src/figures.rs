@@ -16,12 +16,11 @@ use experiments::ch4::PolicySpec;
 use experiments::harness::{Scale, Table};
 use experiments::sweep::{SweepRunner, SweepScenario};
 use memtherm::prelude::*;
-use platform_emu::PolicyKind;
 
 use crate::check::{self, RefTable};
 use crate::json;
 use crate::trace::Tracer;
-use crate::{host, median, probes, timed_passes, timed_setup, Ctx, Report};
+use crate::{host, median, median_peak_rss, probes, timed_passes, timed_setup, Ctx, Report};
 
 /// The figures of one timed pass.
 pub const TIMED_FIGURES: [&str; 5] = ["fig4_2", "fig4_5_8", "fig4_3", "fig5_4", "fig5_6"];
@@ -85,52 +84,6 @@ fn figure_failures(tables: &[(&str, Result<Table, String>)], refs: &[(&str, Opti
         .collect()
 }
 
-/// Instructions of one batch: `copies` of every application of `mix`,
-/// scaled as `workloads::BatchJob` scales them.
-fn batch_instructions(mix: &WorkloadMix, copies: usize, scale: f64) -> f64 {
-    let per_round: u64 = mix.apps.iter().map(|a| ((a.instructions() as f64) * scale).max(1.0) as u64).sum();
-    (per_round * copies as u64) as f64
-}
-
-/// MEMSpot cells and batch instructions a timed figure runs at Quick scale,
-/// as fixed by its driver in `experiments::ch4` / `ch5`.
-fn figure_work(id: &str) -> (u64, f64) {
-    let scale = Scale::Quick;
-    let cfg = scale.memspot_config(CoolingConfig::aohs_1_5());
-    let ch4 = |mix: &WorkloadMix| batch_instructions(mix, cfg.copies_per_app, cfg.instruction_scale);
-    let platform =
-        |mix: &WorkloadMix| batch_instructions(mix, scale.platform_runs_per_app(), scale.platform_instruction_scale());
-    let mixes = scale.ch4_mixes();
-    let all_mixes: f64 = mixes.iter().map(ch4).sum();
-    match id {
-        // Two coolings × every mix × (No-limit + five release points).
-        "fig4_2" => (2 * mixes.len() as u64 * 6, 2.0 * 6.0 * all_mixes),
-        // W1 under four schemes.
-        "fig4_5_8" => (4, 4.0 * ch4(&mixes::w1())),
-        // Two coolings × every mix × (No-limit + seven schemes).
-        "fig4_3" => {
-            let policies = 1 + PolicySpec::figure_4_3_set().len() as u64;
-            (2 * mixes.len() as u64 * policies, 2.0 * policies as f64 * all_mixes)
-        }
-        // Five homogeneous four-copy mixes.
-        "fig5_4" => {
-            let apps = ["swim", "mgrid", "galgel", "apsi", "vpr"];
-            let instr = apps
-                .iter()
-                .map(|n| platform(&WorkloadMix::homogeneous(workloads::spec2000::by_name(n).expect("known app"), 4)))
-                .sum();
-            (apps.len() as u64, instr)
-        }
-        // Two servers × every mix × (No-limit + the Chapter 5 policies).
-        "fig5_6" => {
-            let policies = 1 + PolicyKind::ALL.len() as u64;
-            let instr: f64 = mixes.iter().map(platform).sum();
-            (2 * mixes.len() as u64 * policies, 2.0 * policies as f64 * instr)
-        }
-        other => unreachable!("{other} is not a timed figure"),
-    }
-}
-
 /// Four Quick-scale cells (W1 under No-limit and DTM-TS, both coolings)
 /// through the sweep engine on one thread: warms the allocator and code
 /// paths so the first timed pass does not pay for them.
@@ -160,13 +113,11 @@ pub fn run(ctx: &Ctx) -> Report {
     });
     let untraced = Tracer::off();
     let passes = timed_passes(ctx.seconds, || figure_pass(&untraced));
-    report.set("peak_rss_mb", host::peak_rss_mib());
+    report.set("peak_rss_mb", median_peak_rss(&passes));
 
-    let (cells, instructions) =
-        TIMED_FIGURES.iter().map(|id| figure_work(id)).fold((0u64, 0.0), |(c, i), (dc, di)| (c + dc, i + di));
-    let walls: Vec<f64> = passes.iter().map(|(w, _)| *w).collect();
-    for (_, pass) in &passes {
-        match pass {
+    let walls: Vec<f64> = passes.iter().map(|p| p.wall_s).collect();
+    for pass in &passes {
+        match &pass.result {
             Ok(tables) => report.checked(tables.len(), figure_failures(tables, &refs)),
             Err(e) => report.checked(TIMED_FIGURES.len(), vec![format!("pass panicked: {e}"); TIMED_FIGURES.len()]),
         }
@@ -174,11 +125,8 @@ pub fn run(ctx: &Ctx) -> Report {
     let wall_s = median(&walls);
     report.set("wall_s", wall_s);
     report.set("setup_s", setup_s);
-    report.set("cells_per_s", median(&walls.iter().map(|w| cells as f64 / w).collect::<Vec<_>>()));
-    report.set("sim_instr_per_s", median(&walls.iter().map(|w| instructions / w).collect::<Vec<_>>()));
     report.facts.push(("figures", json::array(TIMED_FIGURES.map(json::string))));
     report.facts.push(("pass_walls_s", json::array(walls.iter().map(|w| json::number(*w)))));
-    report.facts.push(("cells_per_pass", cells.to_string()));
 
     if ctx.tracer.enabled() {
         traced(ctx, &mut report, &refs, wall_s);
@@ -227,13 +175,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_timed_figure_has_a_reference_table_and_work() {
+    fn every_experiment_id_has_a_reference_table() {
         let refs = load_references();
-        for id in TIMED_FIGURES {
-            assert!(refs.iter().any(|(r, t)| *r == id && t.is_some()), "{id} has no reference table");
-            let (cells, instructions) = figure_work(id);
-            assert!(cells > 0 && instructions > 0.0);
-        }
+        assert!(TIMED_FIGURES.iter().all(|id| refs.iter().any(|(r, _)| r == id)));
         assert!(refs.iter().all(|(_, t)| t.is_some()), "every experiment id has a reference table");
     }
 

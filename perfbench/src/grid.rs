@@ -10,12 +10,15 @@
 //! pairings, and so the thermal behaviour of each mix, change with every
 //! seed.
 //!
-//! The pools hold the shuffles whose every cell of the workload ran to
-//! completion and matched its literal reference when the pools were built
-//! (`--screen`): about one cell in 350 of a threshold policy at the 10 ms
-//! cadence panics in the envelope tier's decision replay (an index one past
-//! its run-length table), and a benchmark input must not fail on the code it
-//! measures. Rebuild the pools with `--screen` once that is fixed.
+//! The pools hold the shuffles of a fixed candidate range whose every cell
+//! of the workload ran to completion and matched its literal reference when
+//! the pools were built: about one cell in 350 of a threshold policy at the
+//! 10 ms cadence panics in the envelope tier's decision replay (an index one
+//! past its run-length table), and a benchmark input must not fail on the
+//! code it measures. Once that is fixed, `--rebuild-pool <sweep>` screens
+//! the candidate range again and prints the new pool constant.
+
+use std::ops::Range;
 
 use experiments::ch4::PolicySpec;
 use experiments::sweep::SweepScenario;
@@ -37,8 +40,15 @@ pub const CADENCE_SHUFFLES: usize = 6;
 /// Shuffles per `design_sweep` grid (210 cells).
 pub const DESIGN_SHUFFLES: usize = 2;
 
-/// `cadence_sweep` shuffles that pass screening (66 of candidates 0..72),
-/// cheapest first as `--rank` orders them.
+/// Candidate shuffles of the `cadence_sweep` pool.
+pub const CADENCE_CANDIDATES: Range<u64> = 0..72;
+
+/// Candidate shuffles of the `design_sweep` pool, disjoint from
+/// [`CADENCE_CANDIDATES`].
+pub const DESIGN_CANDIDATES: Range<u64> = 1000..1048;
+
+/// `cadence_sweep` shuffles that pass screening (66 of
+/// [`CADENCE_CANDIDATES`]), cheapest first, as `--rebuild-pool` prints them.
 #[rustfmt::skip]
 pub const CADENCE_POOL: &[u64] = &[
     9, 40, 17, 45, 50, 41, 46, 36, 56, 55, 2, 58, 68, 26, 23, 18, 4, 32, 34, 48, 69, 38, 33, 42, 20,
@@ -46,8 +56,8 @@ pub const CADENCE_POOL: &[u64] = &[
     31, 13, 54, 71, 35, 59, 28, 70, 22, 52, 67, 11, 39, 30, 63, 64,
 ];
 
-/// `design_sweep` shuffles that pass screening (all of candidates
-/// 1000..1048), cheapest first as `--rank` orders them.
+/// `design_sweep` shuffles that pass screening (all of
+/// [`DESIGN_CANDIDATES`]), cheapest first, as `--rebuild-pool` prints them.
 #[rustfmt::skip]
 pub const DESIGN_POOL: &[u64] = &[
     1014, 1047, 1045, 1042, 1037, 1018, 1044, 1028, 1024, 1040, 1006, 1032, 1033, 1043, 1009, 1041,
@@ -242,8 +252,13 @@ mod tests {
     fn two_seeds_yield_different_mixes() {
         assert_ne!(app_names(&cadence_grid(1)), app_names(&cadence_grid(2)));
         assert_ne!(app_names(&design_grid(1)), app_names(&design_grid(2)));
-        // The two sweeps draw from disjoint pools.
-        assert!(CADENCE_POOL.iter().all(|id| !DESIGN_POOL.contains(id)));
+    }
+
+    #[test]
+    fn pools_lie_in_their_disjoint_candidate_ranges() {
+        assert!(CADENCE_POOL.iter().all(|id| CADENCE_CANDIDATES.contains(id)));
+        assert!(DESIGN_POOL.iter().all(|id| DESIGN_CANDIDATES.contains(id)));
+        assert!(CADENCE_CANDIDATES.end <= DESIGN_CANDIDATES.start);
     }
 
     #[test]

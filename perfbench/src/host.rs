@@ -50,9 +50,27 @@ pub fn cap_malloc_arenas() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 pub fn cap_malloc_arenas() {}
 
+/// Returns the free memory of glibc malloc's arenas to the kernel, so a
+/// later peak RSS counts live memory and not what earlier work left cached.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` only releases free pages of the C library's own
+    // heap; it takes a plain integer and is safe to call from any thread.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Other C libraries: nothing to trim.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+pub fn trim_heap() {}
+
 /// Restarts the kernel's peak-RSS (`VmHWM`) accounting of this process, so
-/// one workload never inherits another's peak. Returns whether the kernel
-/// accepted the reset.
+/// a pass never inherits an earlier pass's or workload's peak. Returns
+/// whether the kernel accepted the reset.
 pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }

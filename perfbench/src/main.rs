@@ -17,9 +17,8 @@
 //! every call into a layer and runs the per-layer probes; its spans go to
 //! `perfbench/out/` as JSON lines. `--write-reference` regenerates the
 //! figure tables the `paper_figures` output check compares against, and
-//! `--screen <cadence_sweep|design_sweep> --first <id> --count <n>` prints
-//! the candidate shuffles that may join a sweep's pool and `--rank <sweep>`
-//! prints the pool in cost order (see `grid`).
+//! `--rebuild-pool <cadence_sweep|design_sweep>` screens a sweep's candidate
+//! shuffles and prints its new pool constant (see `grid`).
 
 mod check;
 mod figures;
@@ -32,18 +31,19 @@ mod trace;
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use trace::Tracer;
 
 /// End-to-end metrics: name and unit. Reported by every untraced run.
-pub const END_TO_END: [(&str, &str); 5] =
-    [("wall_s", "s"), ("setup_s", "s"), ("cells_per_s", "1/s"), ("sim_instr_per_s", "1/s"), ("peak_rss_mb", "MiB")];
+pub const END_TO_END: [(&str, &str); 3] = [("wall_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MiB")];
 
 /// Per-layer metrics: name and unit. Reported by every traced run; a layer
 /// a workload never calls reports 0.
-pub const PER_LAYER: [(&str, &str); 44] = [
+pub const PER_LAYER: [(&str, &str); 40] = [
+    ("cells_per_s", "1/s"),
+    ("sim_instr_per_s", "1/s"),
     ("fig.percell_s", "s"),
     ("fig.matrix_s", "s"),
     ("fig.platform_s", "s"),
@@ -78,15 +78,9 @@ pub const PER_LAYER: [(&str, &str); 44] = [
     ("memspot.us_per_window", "us"),
     ("platform.run_ms", "ms"),
     ("self.experiments_s", "s"),
-    ("self.characterize_s", "s"),
-    ("self.charstore_s", "s"),
     ("self.diskcache_s", "s"),
-    ("self.batch_s", "s"),
-    ("self.memspot_s", "s"),
-    ("self.platform_s", "s"),
     ("trace.uncovered_share", "ratio"),
     ("trace.overhead_s", "s"),
-    ("trace.spans", "count"),
     ("host.nproc", "count"),
 ];
 
@@ -104,16 +98,22 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// A fresh, empty directory under the output directory.
+    /// A fresh, empty directory under this process's [`tmp_dir`].
     pub fn fresh_dir(&self, label: &str) -> PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = self.out_dir.join("tmp").join(format!("{}-{label}-{n}", std::process::id()));
+        let dir = tmp_dir(&self.out_dir).join(format!("{label}-{n}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create a temporary cache directory");
         dir
     }
+}
+
+/// This process's directory of temporary caches, `<out>/tmp/<pid>`; other
+/// benchmark processes may be using their own beside it.
+fn tmp_dir(out_dir: &Path) -> PathBuf {
+    out_dir.join("tmp").join(std::process::id().to_string())
 }
 
 /// What one workload run found: the checks and every metric it measured.
@@ -141,27 +141,18 @@ impl Report {
         self.failures.extend(failures);
     }
 
-    /// Sets the self time of every layer, and the uncovered share and the
-    /// tracing overhead of the traced pass (span `root`), from the tracer's
-    /// spans.
+    /// Sets the self time of each layer the traced pass (span `root`) calls,
+    /// its uncovered share and the tracing overhead. Only the pass's own
+    /// spans count: the probes report under their own metric names.
     pub fn set_trace_metrics(&mut self, tracer: &Tracer, root: usize, untraced_wall_s: f64) {
         let spans = tracer.spans();
-        let by_layer = trace::self_seconds_by_layer(&spans);
-        for (layer, metric) in [
-            ("experiments", "self.experiments_s"),
-            ("characterize", "self.characterize_s"),
-            ("charstore", "self.charstore_s"),
-            ("diskcache", "self.diskcache_s"),
-            ("batch", "self.batch_s"),
-            ("memspot", "self.memspot_s"),
-            ("platform", "self.platform_s"),
-        ] {
+        let by_layer = trace::self_seconds_by_layer(&spans, root);
+        for (layer, metric) in [("experiments", "self.experiments_s"), ("diskcache", "self.diskcache_s")] {
             self.set(metric, by_layer.get(layer).copied().unwrap_or(0.0));
         }
         self.set("trace.uncovered_share", trace::uncovered_share(&spans, root));
         self.set("trace.overhead_s", spans[root].seconds() - untraced_wall_s);
-        self.set("trace.spans", spans.len() as f64);
-        eprint!("{}", trace::self_time_table(&spans));
+        eprint!("{}", trace::self_time_table(&spans, root));
     }
 }
 
@@ -180,23 +171,43 @@ pub fn median(xs: &[f64]) -> f64 {
 /// measurement budget.
 const MIN_PASSES: usize = 2;
 
+/// One timed pass.
+#[derive(Debug)]
+pub struct Timed<T> {
+    /// Host time of the pass, seconds.
+    pub wall_s: f64,
+    /// High-water resident memory of the process during the pass, MiB.
+    pub peak_rss_mib: f64,
+    /// What the pass returned; `Err` with the message if it panicked.
+    pub result: Result<T, String>,
+}
+
 /// Runs `pass` back to back until the next pass would end after `seconds`
 /// (predicted from the longest pass so far), at least [`MIN_PASSES`] times.
-/// Returns each pass's wall time and result; a panicking pass yields `Err`.
-pub fn timed_passes<T>(seconds: f64, mut pass: impl FnMut() -> T) -> Vec<(f64, Result<T, String>)> {
+/// Before each pass, outside its time, malloc's free memory goes back to the
+/// kernel and the peak-RSS mark is reset, so each pass's peak starts from
+/// the memory that is live and not from what earlier passes left cached.
+pub fn timed_passes<T>(seconds: f64, mut pass: impl FnMut() -> T) -> Vec<Timed<T>> {
     let started = Instant::now();
     let mut out = Vec::new();
     let mut longest = 0.0f64;
     loop {
+        host::trim_heap();
+        host::reset_peak_rss();
         let t = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(&mut pass)).map_err(panic_message);
-        let wall = t.elapsed().as_secs_f64();
-        longest = longest.max(wall);
-        out.push((wall, result));
+        let wall_s = t.elapsed().as_secs_f64();
+        out.push(Timed { wall_s, peak_rss_mib: host::peak_rss_mib(), result });
+        longest = longest.max(wall_s);
         if out.len() >= MIN_PASSES && started.elapsed().as_secs_f64() + longest > seconds {
             return out;
         }
     }
+}
+
+/// Median of the passes' peak RSS, MiB.
+pub fn median_peak_rss(passes: &[Timed<impl Sized>]) -> f64 {
+    median(&passes.iter().map(|p| p.peak_rss_mib).collect::<Vec<_>>())
 }
 
 /// Times `reps` runs of `setup` and returns the median time and the last
@@ -228,10 +239,7 @@ struct Args {
     seconds: f64,
     trace: bool,
     write_reference: bool,
-    screen: Option<String>,
-    rank: Option<String>,
-    first: u64,
-    count: u64,
+    rebuild_pool: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -241,10 +249,7 @@ fn parse_args() -> Result<Args, String> {
         seconds: 10.0,
         trace: false,
         write_reference: false,
-        screen: None,
-        rank: None,
-        first: 0,
-        count: 64,
+        rebuild_pool: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -258,10 +263,7 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = value.parse().map_err(|e| format!("--seed {value}: {e}"))?,
             "--seconds" => args.seconds = value.parse().map_err(|e| format!("--seconds {value}: {e}"))?,
             "--trace" => args.trace = value == "1",
-            "--screen" => args.screen = Some(value),
-            "--rank" => args.rank = Some(value),
-            "--first" => args.first = value.parse().map_err(|e| format!("--first {value}: {e}"))?,
-            "--count" => args.count = value.parse().map_err(|e| format!("--count {value}: {e}"))?,
+            "--rebuild-pool" => args.rebuild_pool = Some(value),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -274,7 +276,6 @@ fn parse_args() -> Result<Args, String> {
 const WORKLOADS: [&str; 3] = ["paper_figures", "cadence_sweep", "design_sweep"];
 
 fn run_workload(name: &str, ctx: &Ctx) -> Report {
-    host::reset_peak_rss();
     let mut report = match name {
         "paper_figures" => figures::run(ctx),
         "cadence_sweep" => sweeps::run_cadence(ctx),
@@ -319,14 +320,14 @@ fn main() {
         }
         return;
     }
-    if let Some(workload) = &args.screen {
-        println!("{:?}", sweeps::screen(workload, args.first, args.count));
-        return;
-    }
-    if let Some(workload) = &args.rank {
-        let ranked = sweeps::rank(workload);
-        eprintln!("{ranked:?}");
-        println!("{:?}", ranked.iter().map(|(id, _)| *id).collect::<Vec<_>>());
+    if let Some(workload) = &args.rebuild_pool {
+        match sweeps::rebuild_pool(workload) {
+            Ok(constant) => println!("{constant}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
         return;
     }
     let names: Vec<&str> = match args.workload.as_str() {
@@ -355,7 +356,9 @@ fn main() {
             out_dir: out_dir.clone(),
         };
         let report = run_workload(name, &ctx);
-        let _ = std::fs::remove_dir_all(out_dir.join("tmp"));
+        let _ = std::fs::remove_dir_all(tmp_dir(&out_dir));
+        // Succeeds only when no other benchmark process still has a directory there.
+        let _ = std::fs::remove_dir(out_dir.join("tmp"));
         for failure in report.failures.iter().take(20) {
             eprintln!("[{name}] FAILED {failure}");
         }
@@ -425,6 +428,7 @@ mod tests {
             n += 1;
             assert!(n > 1, "first pass fails");
         });
-        assert!(failing[0].1.is_err() && failing[1].1.is_ok());
+        assert!(failing[0].result.is_err() && failing[1].result.is_ok());
+        assert!(failing.iter().all(|p| p.peak_rss_mib > 0.0));
     }
 }

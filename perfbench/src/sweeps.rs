@@ -12,6 +12,7 @@
 //! (`BatchOptions::literal()`) reference of the same grid, computed once per
 //! run outside timing.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -21,9 +22,11 @@ use experiments::harness::Scale;
 use experiments::sweep::{parallel_map, SweepOutcome, SweepRunner, SweepScenario};
 use memtherm::prelude::*;
 
-use crate::grid::{cadence_grid, cadence_grid_of, design_grid, design_grid_of, Grid, CADENCE_POOL, DESIGN_POOL};
+use crate::grid::{
+    cadence_grid, cadence_grid_of, design_grid, design_grid_of, Grid, CADENCE_CANDIDATES, DESIGN_CANDIDATES,
+};
 use crate::trace::Tracer;
-use crate::{check, figures, host, json, median, probes, timed_passes, timed_setup, Ctx, Report};
+use crate::{check, figures, host, json, median, median_peak_rss, probes, timed_passes, timed_setup, Ctx, Report};
 
 /// Set-up repetitions of `cadence_sweep` (each a cold cache fill).
 const CADENCE_SETUP_REPS: usize = 3;
@@ -144,14 +147,14 @@ fn run_sweep(ctx: &Ctx, grid: &Grid, setup_s: f64, pass: impl Fn(&Tracer) -> Pas
     let mut report = Report::default();
     let untraced = Tracer::off();
     let passes = timed_passes(ctx.seconds, || pass(&untraced));
-    report.set("peak_rss_mb", host::peak_rss_mib());
+    report.set("peak_rss_mb", median_peak_rss(&passes));
 
-    // The literal reference, outside timing, on every core, over the warm
-    // store of the last completed pass.
-    let warm = passes.iter().rev().find_map(|(_, p)| p.as_ref().ok()).map(|p| Arc::clone(&p.store));
+    // The literal reference, outside timing and untraced, on every core,
+    // over the warm store of the last completed pass.
+    let warm = passes.iter().rev().find_map(|p| p.result.as_ref().ok()).map(|p| Arc::clone(&p.store));
     let reference = sweep_on(
         host::nproc(),
-        &ctx.tracer,
+        &untraced,
         "SweepRunner::run (literal reference)",
         grid,
         warm.unwrap_or_else(|| Arc::new(CharStore::new())),
@@ -163,9 +166,10 @@ fn run_sweep(ctx: &Ctx, grid: &Grid, setup_s: f64, pass: impl Fn(&Tracer) -> Pas
     let mut cells_per_s = Vec::new();
     let mut instr_per_s = Vec::new();
     let mut pass_thread_s = Vec::new();
-    for (wall, pass) in &passes {
-        walls.push(*wall);
-        match pass {
+    for pass in &passes {
+        let wall = pass.wall_s;
+        walls.push(wall);
+        match &pass.result {
             Ok(p) => {
                 report.checked(
                     cells,
@@ -322,21 +326,33 @@ fn batch_probe(tracer: &Tracer, grid: &Grid, store: Arc<CharStore>) -> Vec<(MemS
     })
 }
 
-/// Screens candidate shuffles `first..first + count` for a sweep workload's
-/// pool: every scenario of a shuffle runs alone through the default fast
-/// path and the literal reference. Returns the ids whose cells all run to
-/// completion and match the reference.
-pub fn screen(workload: &str, first: u64, count: u64) -> Vec<u64> {
-    let ids: Vec<u64> = (first..first + count).collect();
+/// Rebuilds a sweep workload's pool from its fixed candidate range and
+/// returns it as the Rust constant `grid` keeps it. A candidate passes when
+/// every scenario of its shuffle, run alone, completes through the default
+/// fast path and matches the literal reference. The shuffles that pass are
+/// ordered by cost, cheapest first: the single-thread host time of the
+/// workload's pass over the shuffle alone (`cadence_sweep` over a filled
+/// store, `design_sweep` from an empty one), so the pool's strata hold
+/// shuffles of similar cost.
+pub fn rebuild_pool(workload: &str) -> Result<String, String> {
+    let (constant, candidates, grid_of): (&str, Range<u64>, fn(u64, &[u64]) -> Grid) = match workload {
+        "cadence_sweep" => ("CADENCE_POOL", CADENCE_CANDIDATES, cadence_grid_of),
+        "design_sweep" => ("DESIGN_POOL", DESIGN_CANDIDATES, design_grid_of),
+        other => return Err(format!("--rebuild-pool takes cadence_sweep or design_sweep, got {other:?}")),
+    };
+    let ids: Vec<u64> = candidates.collect();
     std::panic::set_hook(Box::new(|_| {}));
-    let passes = parallel_map(host::nproc(), &ids, |&id| {
-        let grid = if workload == "cadence_sweep" { cadence_grid_of(0, &[id]) } else { design_grid_of(0, &[id]) };
-        let ok = grid.scenarios.iter().all(scenario_passes);
-        eprintln!("shuffle {id}: {}", if ok { "passes" } else { "fails" });
-        ok
+    let costs = parallel_map(host::nproc(), &ids, |&id| {
+        let grid = grid_of(0, &[id]);
+        let passes = grid.scenarios.iter().all(scenario_passes);
+        eprintln!("shuffle {id}: {}", if passes { "passes" } else { "fails" });
+        passes.then(|| pass_cost(&grid))
     });
     let _ = std::panic::take_hook();
-    ids.into_iter().zip(passes).filter(|(_, ok)| *ok).map(|(id, _)| id).collect()
+    let mut ranked: Vec<(u64, f64)> = ids.into_iter().zip(costs).filter_map(|(id, cost)| Some((id, cost?))).collect();
+    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let pool: Vec<u64> = ranked.into_iter().map(|(id, _)| id).collect();
+    Ok(format!("pub const {constant}: &[u64] = &{pool:?};"))
 }
 
 fn scenario_passes(scenario: &SweepScenario) -> bool {
@@ -357,25 +373,13 @@ fn scenario_passes(scenario: &SweepScenario) -> bool {
     }
 }
 
-/// Orders a sweep workload's pool by cost, cheapest first: the
-/// single-thread host time of the workload's pass over each shuffle alone
-/// (`cadence_sweep` over a filled store, `design_sweep` from an empty one).
-/// The pools in `grid` are kept in this order so their strata hold shuffles
-/// of similar cost.
-pub fn rank(workload: &str) -> Vec<(u64, f64)> {
-    let cadence = workload == "cadence_sweep";
-    let pool = if cadence { CADENCE_POOL } else { DESIGN_POOL };
-    let costs = parallel_map(host::nproc(), pool, |&id| {
-        let grid = if cadence { cadence_grid_of(0, &[id]) } else { design_grid_of(0, &[id]) };
-        let store = Arc::new(CharStore::new());
-        if cadence {
-            fill_level1(&grid, &store, 1);
-        }
-        let t = Instant::now();
-        SweepRunner::with_threads(1).with_char_store(store).run(&grid.scenarios, quick);
-        t.elapsed().as_secs_f64()
-    });
-    let mut ranked: Vec<(u64, f64)> = pool.iter().copied().zip(costs).collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-    ranked
+/// Single-thread host time of one pass of `grid`'s workload, seconds.
+fn pass_cost(grid: &Grid) -> f64 {
+    let store = Arc::new(CharStore::new());
+    if grid.workload == "cadence_sweep" {
+        fill_level1(grid, &store, 1);
+    }
+    let t = Instant::now();
+    SweepRunner::with_threads(1).with_char_store(store).run(&grid.scenarios, quick);
+    t.elapsed().as_secs_f64()
 }

@@ -130,11 +130,19 @@ pub fn self_seconds(spans: &[Span]) -> Vec<f64> {
     own
 }
 
-/// Self time summed per layer.
-pub fn self_seconds_by_layer(spans: &[Span]) -> BTreeMap<&'static str, f64> {
+/// Self time summed per layer over span `root` and its descendants, so
+/// spans recorded outside it (probes, checks) do not count. The root's own
+/// layer gets the time no child covers.
+pub fn self_seconds_by_layer(spans: &[Span], root: usize) -> BTreeMap<&'static str, f64> {
+    let own = self_seconds(spans);
+    // Spans are recorded in start order, so a parent precedes its children.
+    let mut inside = vec![false; spans.len()];
     let mut by_layer = BTreeMap::new();
-    for (s, own) in spans.iter().zip(self_seconds(spans)) {
-        *by_layer.entry(s.layer).or_insert(0.0) += own;
+    for s in spans {
+        inside[s.id] = s.id == root || s.parent.is_some_and(|p| inside[p]);
+        if inside[s.id] {
+            *by_layer.entry(s.layer).or_insert(0.0) += own[s.id];
+        }
     }
     by_layer
 }
@@ -149,9 +157,9 @@ pub fn uncovered_share(spans: &[Span], root: usize) -> f64 {
     }
 }
 
-/// The per-layer self-time table, for humans.
-pub fn self_time_table(spans: &[Span]) -> String {
-    let by_layer = self_seconds_by_layer(spans);
+/// The per-layer self-time table of span `root`, for humans.
+pub fn self_time_table(spans: &[Span], root: usize) -> String {
+    let by_layer = self_seconds_by_layer(spans, root);
     let total: f64 = by_layer.values().sum();
     let mut out = format!("{:<14} {:>10} {:>7}\n", "layer", "self s", "share");
     for (layer, secs) in &by_layer {
@@ -180,10 +188,24 @@ mod tests {
         for (got, want) in own.iter().zip([2e-6, 4e-6, 3e-6, 1e-6]) {
             assert!((got - want).abs() < 1e-18, "{got} vs {want}");
         }
-        let by_layer = self_seconds_by_layer(&spans);
+        let by_layer = self_seconds_by_layer(&spans, 0);
         assert!((by_layer["experiments"] - 4e-6).abs() < 1e-18);
         assert!((by_layer.values().sum::<f64>() - 1e-5).abs() < 1e-18, "self times partition the root");
         assert!((uncovered_share(&spans, 0) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn self_time_by_layer_counts_only_the_root_subtree() {
+        let spans = vec![
+            span(0, None, "charstore", 0, 500),
+            span(1, None, "workload", 1_000, 10_000),
+            span(2, Some(1), "experiments", 1_000, 9_000),
+            span(3, None, "batch", 10_000, 20_000),
+        ];
+        let by_layer = self_seconds_by_layer(&spans, 1);
+        assert_eq!(by_layer.keys().copied().collect::<Vec<_>>(), ["experiments", "workload"]);
+        assert!((by_layer["experiments"] - 8e-6).abs() < 1e-18);
+        assert!((by_layer["workload"] - 1e-6).abs() < 1e-18);
     }
 
     #[test]
