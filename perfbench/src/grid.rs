@@ -5,18 +5,18 @@
 //! shuffle `id` is a Fisher-Yates shuffle of the 20 SPEC CPU2000 + CPU2006
 //! applications seeded with `id`, cut into five mixes of four, so every
 //! shuffle uses every application once. A grid is a few shuffles drawn by
-//! the seed from its workload's pool, one from each cost stratum of the
-//! pool; the host time of a pass then varies little between seeds while the
-//! pairings, and so the thermal behaviour of each mix, change with every
-//! seed.
+//! the seed from its workload's pool, one from each stratum of the pool.
 //!
-//! The pools hold the shuffles of a fixed candidate range whose every cell
-//! of the workload ran to completion and matched its literal reference when
+//! A pool holds the shuffles of a fixed candidate range whose single-thread
+//! pass cost lies closest to the median of the range, so the host time of a
+//! pass varies little between seeds while the pairings, and so the thermal
+//! behaviour of each mix, change with every seed. Every pooled shuffle also
+//! ran to completion and matched its literal reference in every cell when
 //! the pools were built: about one cell in 350 of a threshold policy at the
 //! 10 ms cadence panics in the envelope tier's decision replay (an index one
 //! past its run-length table), and a benchmark input must not fail on the
-//! code it measures. Once that is fixed, `--rebuild-pool <sweep>` screens
-//! the candidate range again and prints the new pool constant.
+//! code it measures. `--rebuild-pool <sweep>` screens and costs the
+//! candidate range again and prints the new pool constant.
 
 use std::ops::Range;
 
@@ -34,11 +34,23 @@ const MIX_WIDTH: usize = 4;
 /// Cadence of the paper's DTM decisions, seconds.
 pub const PAPER_CADENCE_S: f64 = 0.010;
 
-/// Shuffles per `cadence_sweep` grid (300 cells).
-pub const CADENCE_SHUFFLES: usize = 6;
+/// Shuffles per `cadence_sweep` grid (150 cells).
+pub const CADENCE_SHUFFLES: usize = 3;
 
-/// Shuffles per `design_sweep` grid (210 cells).
-pub const DESIGN_SHUFFLES: usize = 2;
+/// Shuffles per `design_sweep` grid (105 cells).
+pub const DESIGN_SHUFFLES: usize = 1;
+
+/// Shuffles kept in [`CADENCE_POOL`].
+pub const CADENCE_POOL_SIZE: usize = 24;
+
+/// Shuffles kept in [`DESIGN_POOL`].
+pub const DESIGN_POOL_SIZE: usize = 8;
+
+/// Worker threads of a sweep pass. On one, a pass costs the sum of its
+/// cells, which the pools balance across seeds; on two, a few heavy cells
+/// set a critical path that changes with the grid, and a pass that holds
+/// every core of a shared host is slowed by any other tenant.
+pub const SWEEP_THREADS: usize = 1;
 
 /// Candidate shuffles of the `cadence_sweep` pool.
 pub const CADENCE_CANDIDATES: Range<u64> = 0..72;
@@ -47,23 +59,24 @@ pub const CADENCE_CANDIDATES: Range<u64> = 0..72;
 /// [`CADENCE_CANDIDATES`].
 pub const DESIGN_CANDIDATES: Range<u64> = 1000..1048;
 
-/// `cadence_sweep` shuffles that pass screening (66 of
-/// [`CADENCE_CANDIDATES`]), cheapest first, as `--rebuild-pool` prints them.
+/// The [`CADENCE_POOL_SIZE`] `cadence_sweep` shuffles of
+/// [`CADENCE_CANDIDATES`] that pass screening and cost closest to the
+/// median, cheapest first, as `--rebuild-pool` prints them. When built, 66
+/// of the 72 candidates passed, costing 0.86-4.70 s with a median of
+/// 1.98 s; the pool spans 1.71-2.28 s.
 #[rustfmt::skip]
 pub const CADENCE_POOL: &[u64] = &[
-    9, 40, 17, 45, 50, 41, 46, 36, 56, 55, 2, 58, 68, 26, 23, 18, 4, 32, 34, 48, 69, 38, 33, 42, 20,
-    5, 15, 1, 29, 3, 12, 19, 62, 49, 0, 53, 24, 14, 44, 60, 51, 66, 16, 6, 8, 65, 10, 47, 43, 21,
-    31, 13, 54, 71, 35, 59, 28, 70, 22, 52, 67, 11, 39, 30, 63, 64,
+    51, 26, 23, 32, 33, 62, 69, 53, 14, 5, 66, 44, 20, 1, 3, 15, 12, 29, 19, 60, 47, 43, 59, 49,
 ];
 
-/// `design_sweep` shuffles that pass screening (all of
-/// [`DESIGN_CANDIDATES`]), cheapest first, as `--rebuild-pool` prints them.
+/// The [`DESIGN_POOL_SIZE`] `design_sweep` shuffles of
+/// [`DESIGN_CANDIDATES`] that pass screening and cost closest to the
+/// median, cheapest first, as `--rebuild-pool` prints them. When built, all
+/// 48 candidates passed, costing 4.73-11.63 s with a median of 8.30 s; the
+/// pool spans 8.18-8.59 s. A grid holds one shuffle, so the pool is kept
+/// narrower than [`CADENCE_POOL`], whose grids add three.
 #[rustfmt::skip]
-pub const DESIGN_POOL: &[u64] = &[
-    1014, 1047, 1045, 1042, 1037, 1018, 1044, 1028, 1024, 1040, 1006, 1032, 1033, 1043, 1009, 1041,
-    1038, 1029, 1026, 1011, 1019, 1035, 1025, 1013, 1022, 1021, 1036, 1046, 1017, 1002, 1031, 1015,
-    1020, 1034, 1012, 1023, 1039, 1007, 1030, 1001, 1000, 1008, 1027, 1005, 1016, 1004, 1003, 1010,
-];
+pub const DESIGN_POOL: &[u64] = &[1036, 1041, 1022, 1032, 1028, 1009, 1011, 1007];
 
 /// The pool mixes are drawn from: the 12 CPU2000 and 8 CPU2006 models.
 fn spec_apps() -> Vec<AppBehavior> {
@@ -107,8 +120,6 @@ pub struct Grid {
     pub seed: u64,
     /// The shuffles whose mixes the grid runs.
     pub shuffles: Vec<u64>,
-    /// Worker threads the workload's sweeps run on.
-    pub threads: usize,
     /// The scenarios, each one mix under one cooling and stack.
     pub scenarios: Vec<SweepScenario>,
 }
@@ -128,6 +139,19 @@ impl Grid {
             }
         }
         out
+    }
+
+    /// The grid cut into one grid per mix, in grid order.
+    pub fn by_mix(&self) -> Vec<Grid> {
+        self.mixes()
+            .iter()
+            .map(|mix| Grid {
+                workload: self.workload,
+                seed: self.seed,
+                shuffles: self.shuffles.clone(),
+                scenarios: self.scenarios.iter().filter(|s| s.mix.id == mix.id).cloned().collect(),
+            })
+            .collect()
     }
 
     /// JSON record of the grid: mixes with their applications, and the
@@ -166,7 +190,7 @@ impl Grid {
             json::string(self.workload),
             self.seed,
             self.shuffles,
-            self.threads,
+            SWEEP_THREADS,
             self.cells(),
             mixes.join(", "),
             scenarios.join(", ")
@@ -191,10 +215,7 @@ pub fn cadence_grid_of(seed: u64, shuffles: &[u64]) -> Grid {
             scenarios.push(SweepScenario::isolated(cooling, mix.clone(), specs.clone()).with_cadence(PAPER_CADENCE_S));
         }
     }
-    // One thread: a pass then costs the sum of its cells, which the pool's
-    // strata balance, not the longest chain of heavy cells one of two
-    // threads happens to claim.
-    Grid { workload: "cadence_sweep", seed, shuffles: shuffles.to_vec(), threads: 1, scenarios }
+    Grid { workload: "cadence_sweep", seed, shuffles: shuffles.to_vec(), scenarios }
 }
 
 /// The `cadence_sweep` grid of `seed`: [`CADENCE_SHUFFLES`] shuffles drawn
@@ -223,7 +244,7 @@ pub fn design_grid_of(seed: u64, shuffles: &[u64]) -> Grid {
             scenarios.push(SweepScenario::stacked(CoolingConfig::aohs_1_5(), stack, mix.clone(), specs.clone()));
         }
     }
-    Grid { workload: "design_sweep", seed, shuffles: shuffles.to_vec(), threads: crate::host::nproc(), scenarios }
+    Grid { workload: "design_sweep", seed, shuffles: shuffles.to_vec(), scenarios }
 }
 
 /// The `design_sweep` grid of `seed`: [`DESIGN_SHUFFLES`] shuffles drawn
@@ -292,7 +313,14 @@ mod tests {
         assert_eq!(cadence.cells(), CADENCE_SHUFFLES * 5 * 2 * 5);
         assert!(cadence.scenarios.iter().all(|s| s.dtm_interval_s == Some(PAPER_CADENCE_S)));
         let design = design_grid(3);
-        assert_eq!(design.cells(), 2 * 5 * 3 * 7);
+        assert_eq!(design.cells(), DESIGN_SHUFFLES * 5 * 3 * 7);
+        // The per-mix units, run in order, cover the grid's scenarios in
+        // grid order.
+        let label = |s: &SweepScenario| format!("{}/{}", s.mix.id, s.stack.label());
+        let units = design.by_mix();
+        assert_eq!(units.len(), design.mixes().len());
+        let rejoined: Vec<String> = units.iter().flat_map(|u| u.scenarios.iter().map(label)).collect();
+        assert_eq!(rejoined, design.scenarios.iter().map(label).collect::<Vec<_>>());
         assert!(design.scenarios.iter().all(|s| s.dtm_interval_s.is_none()));
         let json = design.to_json();
         assert!(json.contains("\"seed\": 3") && json.contains("DTM-MIG") && json.contains("3d-4h"));

@@ -26,23 +26,23 @@ pub fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Caps glibc malloc at one arena per core. With glibc's default of eight
-/// arenas per core, which threads happen to allocate first decides how many
-/// arenas a run creates, and the peak RSS of identical runs spreads by a
-/// third; with the cap it repeats to a few percent. Call before any thread
-/// starts.
+/// Caps glibc malloc at a single arena. With more arenas, which threads
+/// happen to allocate first decides how many arenas a run creates and what
+/// each holds: with glibc's default of eight per core the peak RSS of
+/// identical runs spread by a third, and with one per core `paper_figures`
+/// still read 43-58 MiB on a 2-core host; with one it repeats to within 1%.
+/// Call before any thread starts.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 pub fn cap_malloc_arenas() {
     extern "C" {
         fn mallopt(param: i32, value: i32) -> i32;
     }
     const M_ARENA_MAX: i32 = -8;
-    let arenas = i32::try_from(nproc()).unwrap_or(i32::MAX);
     // SAFETY: `mallopt` only sets a malloc tunable of the C library this
     // binary links against; it takes plain integers and is called before
     // the process starts any other thread.
     unsafe {
-        mallopt(M_ARENA_MAX, arenas);
+        mallopt(M_ARENA_MAX, 1);
     }
 }
 

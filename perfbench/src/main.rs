@@ -414,7 +414,9 @@ mod tests {
             let entry = format!("\"name\": \"{name}\", \"unit\": \"{unit}\"");
             assert!(spec.contains(&entry), "BENCHMARK.json lacks {entry}");
         }
-        assert_eq!(spec.matches("\"name\": ").count(), 3 + END_TO_END.len() + PER_LAYER.len());
+        let workloads = spec.matches("\"why\": ").count();
+        assert!(workloads >= 2 && spec.contains("\"name\": \"cadence_sweep\""));
+        assert_eq!(spec.matches("\"name\": ").count(), workloads + END_TO_END.len() + PER_LAYER.len());
     }
 
     #[test]

@@ -18,12 +18,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use experiments::ch4::MatrixRun;
 use experiments::harness::Scale;
 use experiments::sweep::{parallel_map, SweepOutcome, SweepRunner, SweepScenario};
 use memtherm::prelude::*;
 
 use crate::grid::{
-    cadence_grid, cadence_grid_of, design_grid, design_grid_of, Grid, CADENCE_CANDIDATES, DESIGN_CANDIDATES,
+    cadence_grid, cadence_grid_of, design_grid, design_grid_of, Grid, CADENCE_CANDIDATES, CADENCE_POOL_SIZE,
+    DESIGN_CANDIDATES, DESIGN_POOL_SIZE, SWEEP_THREADS,
 };
 use crate::trace::Tracer;
 use crate::{check, figures, host, json, median, median_peak_rss, probes, timed_passes, timed_setup, Ctx, Report};
@@ -43,10 +45,10 @@ fn level1_budget() -> u64 {
     quick(CoolingConfig::aohs_1_5()).characterization_budget
 }
 
-/// `SweepRunner::run` over `store` on the grid's threads, inside an
-/// `experiments` span.
+/// `SweepRunner::run` over `store` on [`SWEEP_THREADS`] worker threads,
+/// inside an `experiments` span.
 fn sweep(tracer: &Tracer, name: &str, grid: &Grid, store: Arc<CharStore>, options: BatchOptions) -> SweepOutcome {
-    sweep_on(grid.threads, tracer, name, grid, store, options)
+    sweep_on(SWEEP_THREADS, tracer, name, grid, store, options)
 }
 
 /// [`sweep`] on `threads` worker threads.
@@ -88,10 +90,46 @@ fn windows(outcome: &SweepOutcome) -> u64 {
     outcome.stepped_windows + outcome.fast_forwarded_windows
 }
 
-/// One timed pass: its outcome and the store it ran over.
-struct Pass {
+/// One unit of a timed pass: its host time, its outcome and the store it
+/// ran over.
+struct Unit {
+    wall_s: f64,
     outcome: SweepOutcome,
     store: Arc<CharStore>,
+}
+
+/// Runs `units` one after another through `run_unit`, timing each.
+fn run_units(
+    tracer: &Tracer,
+    units: &[Grid],
+    run_unit: &impl Fn(&Tracer, &Grid) -> (SweepOutcome, Arc<CharStore>),
+) -> Vec<Unit> {
+    units
+        .iter()
+        .map(|unit| {
+            let t = Instant::now();
+            let (outcome, store) = run_unit(tracer, unit);
+            Unit { wall_s: t.elapsed().as_secs_f64(), outcome, store }
+        })
+        .collect()
+}
+
+/// The cells of several sweeps in order, with their simulated windows and
+/// worker-thread seconds.
+struct Combined {
+    runs: Vec<MatrixRun>,
+    windows: u64,
+    thread_s: f64,
+}
+
+fn combine<'a>(outcomes: impl IntoIterator<Item = &'a SweepOutcome>) -> Combined {
+    let mut all = Combined { runs: Vec::new(), windows: 0, thread_s: 0.0 };
+    for outcome in outcomes {
+        all.runs.extend(outcome.runs.iter().cloned());
+        all.windows += windows(outcome);
+        all.thread_s += thread_s(outcome);
+    }
+    all
 }
 
 /// Runs the workload `cadence_sweep`.
@@ -108,18 +146,24 @@ pub fn run_cadence(ctx: &Ctx) -> Report {
         );
         cache
     });
-    let pass = |tracer: &Tracer| {
+    let run_unit = |tracer: &Tracer, unit: &Grid| {
         let store = open_disk_store(tracer, &cache);
-        let outcome = sweep(tracer, "SweepRunner::run", &grid, Arc::clone(&store), BatchOptions::default());
-        Pass { outcome, store }
+        let outcome = sweep(tracer, "SweepRunner::run", unit, Arc::clone(&store), BatchOptions::default());
+        (outcome, store)
     };
-    run_sweep(ctx, &grid, setup_s, pass)
+    // One unit: the whole grid. A pass takes 3-6 s on one thread of a shared
+    // 2-core Xeon, so a run times several.
+    run_sweep(ctx, &grid, std::slice::from_ref(&grid), setup_s, run_unit)
 }
 
 /// Characterizes the Table 4.3 ladder modes of every mix of `grid` into
-/// `store`, one mix per worker.
+/// `store`, one mix per worker, and the shutdown mode DTM-TS switches to
+/// (an idle point, but a store entry all the same), so a timed pass does no
+/// level-1 work.
 fn fill_level1(grid: &Grid, store: &Arc<CharStore>, workers: usize) {
-    let modes = probes::ladder_modes(&CpuConfig::paper_quad_core());
+    let cpu = CpuConfig::paper_quad_core();
+    let mut modes = probes::ladder_modes(&cpu);
+    modes.push(memtherm::sim::modes::scheme_mode(DtmScheme::Ts, EmergencyLevel::L5, &cpu));
     parallel_map(workers, &grid.mixes(), |mix| {
         probes::table(mix, level1_budget(), Arc::clone(store)).points(&modes);
     });
@@ -133,70 +177,94 @@ pub fn run_design(ctx: &Ctx) -> Report {
         figures::warm_up_cells();
         grid
     });
-    let pass = |tracer: &Tracer| {
+    let run_unit = |tracer: &Tracer, unit: &Grid| {
         let store = open_disk_store(tracer, &fresh_cache(ctx, "design-pass"));
-        let outcome = sweep(tracer, "SweepRunner::run", &grid, Arc::clone(&store), BatchOptions::default());
-        Pass { outcome, store }
+        let outcome = sweep(tracer, "SweepRunner::run", unit, Arc::clone(&store), BatchOptions::default());
+        (outcome, store)
     };
-    run_sweep(ctx, &grid, setup_s, pass)
+    // One unit per mix, each from its own empty store (the mixes share no
+    // level-1 points, so the work is the whole grid's). Cold
+    // characterization is memory-bound, and on a shared 2-core host single
+    // passes over the whole grid (5-9 s) spread by a third within one run;
+    // the median of each mix's unit damps the slow ones.
+    run_sweep(ctx, &grid, &grid.by_mix(), setup_s, run_unit)
 }
 
 /// Times the passes, checks them against the literal reference and, for a
-/// traced run, adds the traced pass and the probes.
-fn run_sweep(ctx: &Ctx, grid: &Grid, setup_s: f64, pass: impl Fn(&Tracer) -> Pass) -> Report {
+/// traced run, adds the traced pass and the probes. A pass runs `units`
+/// (the grid, or the grid cut into parts, in grid order) one after another
+/// through `run_unit`; `wall_s` is the sum over the units of each unit's
+/// median host time.
+fn run_sweep(
+    ctx: &Ctx,
+    grid: &Grid,
+    units: &[Grid],
+    setup_s: f64,
+    run_unit: impl Fn(&Tracer, &Grid) -> (SweepOutcome, Arc<CharStore>),
+) -> Report {
     let mut report = Report::default();
     let untraced = Tracer::off();
-    let passes = timed_passes(ctx.seconds, || pass(&untraced));
+    let passes = timed_passes(ctx.seconds, || run_units(&untraced, units, &run_unit));
     report.set("peak_rss_mb", median_peak_rss(&passes));
 
-    // The literal reference, outside timing and untraced, on every core,
-    // over the warm store of the last completed pass.
-    let warm = passes.iter().rev().find_map(|p| p.result.as_ref().ok()).map(|p| Arc::clone(&p.store));
-    let reference = sweep_on(
-        host::nproc(),
-        &untraced,
-        "SweepRunner::run (literal reference)",
-        grid,
-        warm.unwrap_or_else(|| Arc::new(CharStore::new())),
-        BatchOptions::literal(),
-    );
+    // The literal reference of each unit, outside timing and untraced, on
+    // every core, over the unit's warm store from the last completed pass.
+    let warm = passes.iter().rev().find_map(|p| p.result.as_ref().ok());
+    let references: Vec<SweepOutcome> = units
+        .iter()
+        .enumerate()
+        .map(|(u, unit)| {
+            let store = warm.map_or_else(|| Arc::new(CharStore::new()), |w| Arc::clone(&w[u].store));
+            let name = "SweepRunner::run (literal reference)";
+            sweep_on(host::nproc(), &untraced, name, unit, store, BatchOptions::literal())
+        })
+        .collect();
+    let reference = combine(&references);
 
     let cells = grid.cells();
     let mut walls = Vec::new();
+    let mut unit_walls = vec![Vec::new(); units.len()];
     let mut cells_per_s = Vec::new();
     let mut instr_per_s = Vec::new();
     let mut pass_thread_s = Vec::new();
+    let mut level1_points = Vec::new();
     for pass in &passes {
         let wall = pass.wall_s;
         walls.push(wall);
         match &pass.result {
-            Ok(p) => {
-                report.checked(
-                    cells,
-                    check::sweep_failures(&p.outcome.runs, windows(&p.outcome), &reference.runs, windows(&reference)),
-                );
-                let instructions: f64 = p.outcome.runs.iter().map(|r| r.result.total_instructions).sum();
-                cells_per_s.push(p.outcome.runs.len() as f64 / wall);
+            Ok(pass_units) => {
+                let got = combine(pass_units.iter().map(|u| &u.outcome));
+                report
+                    .checked(cells, check::sweep_failures(&got.runs, got.windows, &reference.runs, reference.windows));
+                let instructions: f64 = got.runs.iter().map(|r| r.result.total_instructions).sum();
+                cells_per_s.push(got.runs.len() as f64 / wall);
                 instr_per_s.push(instructions / wall);
-                pass_thread_s.push(thread_s(&p.outcome));
+                pass_thread_s.push(got.thread_s);
+                level1_points.push(pass_units.iter().map(|u| u.outcome.char_store_misses).sum::<u64>() as f64);
+                for (times, unit) in unit_walls.iter_mut().zip(pass_units) {
+                    times.push(unit.wall_s);
+                }
             }
             Err(e) => report.checked(cells, vec![format!("pass panicked: {e}"); cells]),
         }
     }
-    let wall_s = median(&walls);
+    let wall_s: f64 = unit_walls.iter().map(|times| median(times)).sum();
     report.set("wall_s", wall_s);
     report.set("setup_s", setup_s);
     report.set("cells_per_s", median(&cells_per_s));
     report.set("sim_instr_per_s", median(&instr_per_s));
     // Thread time over thread time, so the ratio does not depend on how many
     // threads each side ran on.
-    report.set("batch.literal_ratio", thread_s(&reference) / median(&pass_thread_s));
+    report.set("batch.literal_ratio", reference.thread_s / median(&pass_thread_s));
     report.facts.push(("grid", grid.to_json()));
-    report.facts.push(("sim_windows", windows(&reference).to_string()));
+    report.facts.push(("sim_windows", reference.windows.to_string()));
     report.facts.push(("pass_walls_s", json::array(walls.iter().map(|w| json::number(*w)))));
+    let unit_json = unit_walls.iter().map(|times| json::array(times.iter().map(|w| json::number(*w))));
+    report.facts.push(("unit_walls_s", json::array(unit_json)));
+    report.facts.push(("pass_level1_points", json::array(level1_points.into_iter().map(json::number))));
 
     if ctx.tracer.enabled() {
-        traced(ctx, &mut report, grid, &pass, &reference, wall_s);
+        traced(ctx, &mut report, grid, units, &run_unit, &reference, wall_s);
     }
     report
 }
@@ -206,23 +274,25 @@ fn traced(
     ctx: &Ctx,
     report: &mut Report,
     grid: &Grid,
-    pass: &impl Fn(&Tracer) -> Pass,
-    reference: &SweepOutcome,
+    units: &[Grid],
+    run_unit: &impl Fn(&Tracer, &Grid) -> (SweepOutcome, Arc<CharStore>),
+    reference: &Combined,
     untraced_wall_s: f64,
 ) {
     let tracer = &ctx.tracer;
     let root = tracer.spans().len();
-    let main = tracer.span("workload", "sweep pass", || pass(tracer));
-    let outcome = &main.outcome;
+    let main = tracer.span("workload", "sweep pass", || run_units(tracer, units, run_unit));
+    let outcome = combine(main.iter().map(|u| &u.outcome));
     let cells = grid.cells();
-    report.checked(cells, check::sweep_failures(&outcome.runs, windows(outcome), &reference.runs, windows(reference)));
-    let lookups = outcome.char_store_hits + outcome.char_store_misses;
+    report.checked(cells, check::sweep_failures(&outcome.runs, outcome.windows, &reference.runs, reference.windows));
+    let hits: u64 = main.iter().map(|u| u.outcome.char_store_hits).sum();
+    let misses: u64 = main.iter().map(|u| u.outcome.char_store_misses).sum();
     report.set("sweep.cells", cells as f64);
-    report.set("sweep.threads", outcome.threads as f64);
-    report.set("level1.points", outcome.char_store_misses as f64);
-    report.set("charstore.hits", outcome.char_store_hits as f64);
-    report.set("charstore.misses", outcome.char_store_misses as f64);
-    report.set("charstore.hit_ratio", if lookups > 0 { outcome.char_store_hits as f64 / lookups as f64 } else { 0.0 });
+    report.set("sweep.threads", main.iter().map(|u| u.outcome.threads).max().unwrap_or(0) as f64);
+    report.set("level1.points", misses as f64);
+    report.set("charstore.hits", hits as f64);
+    report.set("charstore.misses", misses as f64);
+    report.set("charstore.hit_ratio", if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 });
 
     // Cold passes without and with the disk cache, alternated, then warm
     // passes over a store a cold pass filled. Each is the best of two, so a
@@ -240,7 +310,7 @@ fn traced(
     let warm: Vec<SweepOutcome> =
         (0..2).map(|_| sweep(tracer, "SweepRunner::run (warm store)", grid, Arc::clone(&filled), options)).collect();
     for probe in cold.iter().chain(&cold_disk).chain(&warm) {
-        report.checked(cells, check::sweep_failures(&probe.runs, windows(probe), &reference.runs, windows(reference)));
+        report.checked(cells, check::sweep_failures(&probe.runs, windows(probe), &reference.runs, reference.windows));
     }
     let best = |runs: &[SweepOutcome]| -> SweepOutcome {
         runs.iter().min_by(|a, b| a.wall_clock_s.total_cmp(&b.wall_clock_s)).expect("two probe passes").clone()
@@ -267,8 +337,8 @@ fn traced(
     report.set("batch.ns_per_stepped_window", literal_ms * 1e6 / (warm.stepped_windows as f64).max(1.0));
 
     // The batch layer called directly, for the counters the sweep outcome
-    // does not carry (envelope fallbacks).
-    let batch = batch_probe(tracer, grid, Arc::clone(&main.store));
+    // does not carry (envelope fallbacks), over the store a cold probe filled.
+    let batch = batch_probe(tracer, grid, filled);
     let mut failures = Vec::new();
     for ((result, _), want) in batch.iter().zip(&reference.runs) {
         if let Some(why) = check::result_mismatch(result, &want.result) {
@@ -276,7 +346,7 @@ fn traced(
         }
     }
     let batch_windows: u64 = batch.iter().map(|(_, s)| s.stepped_windows + s.fast_forwarded_windows).sum();
-    if batch.len() != reference.runs.len() || batch_windows != windows(reference) {
+    if batch.len() != reference.runs.len() || batch_windows != reference.windows {
         failures.push(format!("batch probe: {batch_windows} windows over {} cells vs the reference", batch.len()));
     }
     report.checked(cells, failures);
@@ -326,32 +396,49 @@ fn batch_probe(tracer: &Tracer, grid: &Grid, store: Arc<CharStore>) -> Vec<(MemS
     })
 }
 
+/// Single-thread passes timed per candidate when a pool is rebuilt; their
+/// median is the candidate's cost.
+const COST_REPS: usize = 3;
+
 /// Rebuilds a sweep workload's pool from its fixed candidate range and
 /// returns it as the Rust constant `grid` keeps it. A candidate passes when
 /// every scenario of its shuffle, run alone, completes through the default
-/// fast path and matches the literal reference. The shuffles that pass are
-/// ordered by cost, cheapest first: the single-thread host time of the
-/// workload's pass over the shuffle alone (`cadence_sweep` over a filled
-/// store, `design_sweep` from an empty one), so the pool's strata hold
-/// shuffles of similar cost.
+/// fast path and matches the literal reference. Its cost is the
+/// single-thread host time of the workload's pass over the shuffle alone
+/// (`cadence_sweep` over a filled store, `design_sweep` from an empty one).
+/// The pool keeps the `pool_size` passing shuffles whose cost is closest to
+/// the median, cheapest first, so the grids of any two seeds cost about the
+/// same.
 pub fn rebuild_pool(workload: &str) -> Result<String, String> {
-    let (constant, candidates, grid_of): (&str, Range<u64>, fn(u64, &[u64]) -> Grid) = match workload {
-        "cadence_sweep" => ("CADENCE_POOL", CADENCE_CANDIDATES, cadence_grid_of),
-        "design_sweep" => ("DESIGN_POOL", DESIGN_CANDIDATES, design_grid_of),
+    type GridOf = fn(u64, &[u64]) -> Grid;
+    let (constant, candidates, pool_size, grid_of): (&str, Range<u64>, usize, GridOf) = match workload {
+        "cadence_sweep" => ("CADENCE_POOL", CADENCE_CANDIDATES, CADENCE_POOL_SIZE, cadence_grid_of),
+        "design_sweep" => ("DESIGN_POOL", DESIGN_CANDIDATES, DESIGN_POOL_SIZE, design_grid_of),
         other => return Err(format!("--rebuild-pool takes cadence_sweep or design_sweep, got {other:?}")),
     };
     let ids: Vec<u64> = candidates.collect();
     std::panic::set_hook(Box::new(|_| {}));
     let costs = parallel_map(host::nproc(), &ids, |&id| {
         let grid = grid_of(0, &[id]);
-        let passes = grid.scenarios.iter().all(scenario_passes);
-        eprintln!("shuffle {id}: {}", if passes { "passes" } else { "fails" });
-        passes.then(|| pass_cost(&grid))
+        if !grid.scenarios.iter().all(scenario_passes) {
+            eprintln!("shuffle {id}: fails");
+            return None;
+        }
+        let cost = median(&(0..COST_REPS).map(|_| pass_cost(&grid)).collect::<Vec<_>>());
+        eprintln!("shuffle {id}: passes, {cost:.3} s");
+        Some(cost)
     });
     let _ = std::panic::take_hook();
-    let mut ranked: Vec<(u64, f64)> = ids.into_iter().zip(costs).filter_map(|(id, cost)| Some((id, cost?))).collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let pool: Vec<u64> = ranked.into_iter().map(|(id, _)| id).collect();
+    let passing: Vec<(u64, f64)> = ids.into_iter().zip(costs).filter_map(|(id, cost)| Some((id, cost?))).collect();
+    let middle = median(&passing.iter().map(|(_, cost)| *cost).collect::<Vec<_>>());
+    let mut pool = passing;
+    pool.sort_by(|a, b| (a.1 - middle).abs().total_cmp(&(b.1 - middle).abs()));
+    pool.truncate(pool_size);
+    pool.sort_by(|a, b| a.1.total_cmp(&b.1));
+    if let (Some(first), Some(last)) = (pool.first(), pool.last()) {
+        eprintln!("pool of {}: {:.3}-{:.3} s around the median {middle:.3} s", pool.len(), first.1, last.1);
+    }
+    let pool: Vec<u64> = pool.into_iter().map(|(id, _)| id).collect();
     Ok(format!("pub const {constant}: &[u64] = &{pool:?};"))
 }
 
