@@ -46,11 +46,13 @@
 //!
 //! The default grid also carries one relay-cadence cell (DTM-ACG at
 //! dt = 5 s), where threshold decisions settle into an exactly periodic
-//! relay orbit: it keeps the verified limit-cycle tier exercised, and the
-//! grid-level `periodic_cycles` counter is gated > 0. A second cadence
-//! cell (DTM-BW at 10 ms under FDHS) slides along its throttle threshold
-//! so only the envelope tier's exact decision replay can fast-forward it:
-//! the default-options grid runs are gated `grid_envelope_cycles` > 0.
+//! relay orbit. A `relay` case reruns it alone under the default options
+//! and forced literal: the orbit must leave the lane through the envelope
+//! (`relay_envelope_cycles` > 0) within the 1e-9 bound and with the window
+//! count conserved. A second cadence cell (DTM-BW at 10 ms under FDHS)
+//! slides along its throttle threshold so only the envelope tier's exact
+//! decision replay can fast-forward it: the default-options grid runs are
+//! gated `grid_envelope_cycles` > 0.
 //!
 //! A `paper_cadence` case runs the paper's own operating point: a 16-cell
 //! pure-policy grid (all four policies, both coolings, six mixes) at
@@ -76,7 +78,7 @@ use std::sync::{Arc, Mutex};
 use cpu_model::{OperatingPoint, RunningMode};
 use experiments::ch4::PolicySpec;
 use experiments::harness::{bench_output_path, write_bench_json, BenchStats};
-use experiments::sweep::{SweepExecution, SweepRunner, SweepScenario};
+use experiments::sweep::{SweepExecution, SweepOutcome, SweepRunner, SweepScenario};
 use memtherm::dtm::no_limit::NoLimit;
 use memtherm::prelude::*;
 use memtherm::sim::characterize::{CharPoint, CharStoreKey, ModeKey};
@@ -90,30 +92,70 @@ fn grid() -> Vec<SweepScenario> {
             scenarios.push(SweepScenario::isolated(cooling, mix, specs.clone()));
         }
     }
-    // Relay-cadence cell: DTM-ACG driven at a 5 s decision interval under
-    // the weaker cooling behaves as a relay oscillator whose limit cycle
-    // the periodic fast-forward must capture (gated below:
-    // periodic_cycles > 0; the better-cooled scenarios never cross the
-    // thresholds at this cadence and settle steady instead).
-    scenarios.push(
-        SweepScenario::isolated(
-            CoolingConfig::aohs_1_5(),
-            workloads::mixes::w1(),
-            vec![PolicySpec::Acg { pid: false }],
-        )
-        .with_cadence(5.0),
-    );
+    scenarios.push(relay_scenario());
     // Envelope-cadence cell: DTM-BW at the paper's native 10 ms interval
     // under the stronger cooling slides along its throttle threshold — the
-    // plan flips every couple of windows, so neither the steady nor the
-    // periodic tier can engage and only the envelope tier's exact decision
-    // replay carries it analytically (gated below on the default-options
-    // grid: grid_envelope_cycles > 0).
+    // plan flips every couple of windows, so the steady tier cannot engage
+    // and only the envelope tier's exact decision replay carries it
+    // analytically (gated below on the default-options grid:
+    // grid_envelope_cycles > 0).
     scenarios.push(
         SweepScenario::isolated(CoolingConfig::fdhs_1_0(), workloads::mixes::w5(), vec![PolicySpec::Bw { pid: false }])
             .with_cadence(0.010),
     );
     scenarios
+}
+
+/// Relay-cadence cell: DTM-ACG driven at a 5 s decision interval under the
+/// weaker cooling behaves as a relay oscillator locked into an exact limit
+/// cycle, which the envelope must carry (gated in the `relay` case).
+fn relay_scenario() -> SweepScenario {
+    SweepScenario::isolated(CoolingConfig::aohs_1_5(), workloads::mixes::w1(), vec![PolicySpec::Acg { pid: false }])
+        .with_cadence(5.0)
+}
+
+/// Largest relative disagreement between two runs of the same grid over
+/// every reported scalar of every cell, including the per-position peaks
+/// (mode-residency fractions are compared absolutely).
+fn max_rel_err(runs: &SweepOutcome, reference: &SweepOutcome) -> f64 {
+    let rel_err = |a: f64, b: f64| -> f64 {
+        if a == b || (a.is_nan() && b.is_nan()) {
+            0.0
+        } else {
+            (a - b).abs() / b.abs().max(1e-12)
+        }
+    };
+    let mut max_err = 0.0f64;
+    for (e, l) in runs.runs.iter().zip(reference.runs.iter()) {
+        assert_eq!(e.result.completed, l.result.completed, "{}/{}/{}", e.cooling, e.workload, e.policy);
+        let pairs = [
+            (e.result.running_time_s, l.result.running_time_s),
+            (e.result.total_instructions, l.result.total_instructions),
+            (e.result.total_memory_bytes, l.result.total_memory_bytes),
+            (e.result.total_l2_misses, l.result.total_l2_misses),
+            (e.result.memory_energy_j, l.result.memory_energy_j),
+            (e.result.cpu_energy_j, l.result.cpu_energy_j),
+            (e.result.avg_memory_power_w, l.result.avg_memory_power_w),
+            (e.result.avg_cpu_power_w, l.result.avg_cpu_power_w),
+            (e.result.avg_ambient_c, l.result.avg_ambient_c),
+            (e.result.max_amb_c, l.result.max_amb_c),
+            (e.result.max_dram_c, l.result.max_dram_c),
+            (e.result.migrated_traffic_bytes, l.result.migrated_traffic_bytes),
+        ];
+        for (a, b) in pairs {
+            max_err = max_err.max(rel_err(a, b));
+        }
+        for (ep, lp) in e.result.position_peaks.iter().zip(l.result.position_peaks.iter()) {
+            for (a, b) in ep.layers_c.iter().zip(lp.layers_c.iter()) {
+                max_err = max_err.max(rel_err(*a, *b));
+            }
+        }
+        for (key, a) in &e.result.mode_residency {
+            let b = l.result.mode_residency.get(key).copied().unwrap_or(0.0);
+            max_err = max_err.max((a - b).abs());
+        }
+    }
+    max_err
 }
 
 fn main() {
@@ -158,16 +200,15 @@ fn main() {
         parallel.char_store_hits, parallel.char_store_misses
     );
 
-    // Batched-engine case: the tier-3 lockstep engine + steady-state
+    // Batched-engine case: the batched lockstep engine + steady-state
     // fast-forward against the per-cell engine, both on ONE worker and both
     // against the same pre-warmed shared `CharStore`, so the comparison
     // isolates exactly the window-loop work the batched engine restructures
     // (level-1 characterization is identical either way and excluded).
     // The exact-tier cases (batched, lane-parallel) run with the envelope
-    // tier off: they measure and gate the bit-identical / 1e-9 ladder — in
-    // particular the relay cell's verified limit cycles, which an envelope
-    // burst would otherwise absorb. The `paper_cadence` case below owns the
-    // envelope tier.
+    // tier off: they measure and gate the bit-identical layout tiers and
+    // the steady-state fast-forward. The `relay` and `paper_cadence` cases
+    // below own the envelope tier.
     let exact_ff = BatchOptions { envelope_tolerance: 0.0, ..BatchOptions::default() };
     let warm_store = Arc::new(CharStore::new());
     SweepRunner::with_threads(1)
@@ -233,6 +274,25 @@ fn main() {
          {lane_parallel_speedup:.2}x best-of-{PASSES} vs single-thread batched)",
         mean(&lane_ms),
         min(&lane_ms)
+    );
+
+    // Relay case: the relay-cadence cell alone, default options against
+    // forced literal on the warm store. Its exact limit cycle must leave
+    // the lane through the envelope — the one analytic tier for
+    // plan-changing orbits — within the 1e-9 bound and with the window
+    // count conserved.
+    let relay = [relay_scenario()];
+    let relay_env = SweepRunner::with_threads(1).with_char_store(Arc::clone(&warm_store)).run(&relay, make);
+    let relay_lit = SweepRunner::with_threads(1)
+        .with_char_store(Arc::clone(&warm_store))
+        .with_batch_options(BatchOptions::literal())
+        .run(&relay, make);
+    let relay_max_rel_err = max_rel_err(&relay_env, &relay_lit);
+    let relay_env_windows = relay_env.stepped_windows + relay_env.fast_forwarded_windows;
+    println!(
+        "sweep/relay                                  {} of {} windows fast-forwarded, {} envelope \
+         pseudo-cycles, max rel err {relay_max_rel_err:.2e}",
+        relay_env.fast_forwarded_windows, relay_env_windows, relay_env.envelope_cycles
     );
 
     // Store-contention case: the sharded store's hit path vs the
@@ -474,7 +534,7 @@ fn main() {
     for _ in 0..PASSES {
         let env = SweepRunner::with_threads(1).with_char_store(Arc::clone(&paper_store)).run(&paper_scenarios, make);
         paper_env_ms.push(env.wall_clock_s * 1e3);
-        if best_env.as_ref().is_none_or(|b: &experiments::sweep::SweepOutcome| env.wall_clock_s < b.wall_clock_s) {
+        if best_env.as_ref().is_none_or(|b: &SweepOutcome| env.wall_clock_s < b.wall_clock_s) {
             best_env = Some(env);
         }
         let lit = SweepRunner::with_threads(1)
@@ -487,45 +547,7 @@ fn main() {
     let env = best_env.expect("at least one envelope pass");
     let lit = last_lit.expect("at least one literal pass");
     let paper_cadence_speedup = min(&paper_lit_ms) / min(&paper_env_ms).max(1e-9);
-    // Relative agreement: every reported scalar of every cell, including the
-    // per-position peaks and the mode-residency fractions.
-    let rel_err = |a: f64, b: f64| -> f64 {
-        if a == b || (a.is_nan() && b.is_nan()) {
-            0.0
-        } else {
-            (a - b).abs() / b.abs().max(1e-12)
-        }
-    };
-    let mut envelope_max_rel_err = 0.0f64;
-    for (e, l) in env.runs.iter().zip(lit.runs.iter()) {
-        assert_eq!(e.result.completed, l.result.completed, "{}/{}/{}", e.cooling, e.workload, e.policy);
-        let pairs = [
-            (e.result.running_time_s, l.result.running_time_s),
-            (e.result.total_instructions, l.result.total_instructions),
-            (e.result.total_memory_bytes, l.result.total_memory_bytes),
-            (e.result.total_l2_misses, l.result.total_l2_misses),
-            (e.result.memory_energy_j, l.result.memory_energy_j),
-            (e.result.cpu_energy_j, l.result.cpu_energy_j),
-            (e.result.avg_memory_power_w, l.result.avg_memory_power_w),
-            (e.result.avg_cpu_power_w, l.result.avg_cpu_power_w),
-            (e.result.avg_ambient_c, l.result.avg_ambient_c),
-            (e.result.max_amb_c, l.result.max_amb_c),
-            (e.result.max_dram_c, l.result.max_dram_c),
-            (e.result.migrated_traffic_bytes, l.result.migrated_traffic_bytes),
-        ];
-        for (a, b) in pairs {
-            envelope_max_rel_err = envelope_max_rel_err.max(rel_err(a, b));
-        }
-        for (ep, lp) in e.result.position_peaks.iter().zip(l.result.position_peaks.iter()) {
-            for (a, b) in ep.layers_c.iter().zip(lp.layers_c.iter()) {
-                envelope_max_rel_err = envelope_max_rel_err.max(rel_err(*a, *b));
-            }
-        }
-        for (key, a) in &e.result.mode_residency {
-            let b = l.result.mode_residency.get(key).copied().unwrap_or(0.0);
-            envelope_max_rel_err = envelope_max_rel_err.max((a - b).abs());
-        }
-    }
+    let envelope_max_rel_err = max_rel_err(&env, &lit);
     // Exact window conservation: literal runs everything literally, so its
     // stepped count is the true window count of the grid.
     let env_windows = env.stepped_windows + env.fast_forwarded_windows;
@@ -619,14 +641,15 @@ fn main() {
         ("batched_vs_sequential_speedup", batched_vs_sequential_speedup),
         ("fast_forwarded_windows", batched.fast_forwarded_windows as f64),
         ("fast_forwarded_cells", batched.fast_forwarded_cells as f64),
-        ("periodic_cycles", batched.periodic_cycles as f64),
+        ("relay_envelope_cycles", relay_env.envelope_cycles as f64),
+        ("relay_max_rel_err", relay_max_rel_err),
         ("envelope_cycles", batched.envelope_cycles as f64),
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
         // Per-phase split of the default grid, both flavors: the warm
-        // batched run times the exact tiers (steady + periodic; envelope
-        // off), the default-options run times all tiers including the
-        // envelope cell, so a regression in either tier is attributable
-        // from the artifact alone.
+        // batched run times the steady tier (envelope off), the
+        // default-options run times both tiers including the envelope
+        // cells, so a regression in either tier is attributable from the
+        // artifact alone.
         ("batched_detector_ms", batched.detector_ns as f64 / 1e6),
         ("batched_verify_ms", batched.verify_ns as f64 / 1e6),
         ("batched_replay_ms", batched.replay_ns as f64 / 1e6),
@@ -710,10 +733,13 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if batched.periodic_cycles == 0 {
+    let relay_within_bound = relay_max_rel_err.partial_cmp(&1e-9) != Some(std::cmp::Ordering::Greater);
+    if relay_env.envelope_cycles == 0 || !relay_within_bound || relay_env_windows != relay_lit.stepped_windows {
         eprintln!(
-            "FAIL: the relay-cadence cell (DTM-ACG at a 5 s interval) must engage the periodic \
-             fast-forward, got 0 replayed limit cycles"
+            "FAIL: the relay-cadence cell (DTM-ACG at a 5 s interval) must leave the lane through \
+             the envelope within 1e-9 with its window count conserved: {} pseudo-cycles, max rel \
+             err {relay_max_rel_err:.3e}, {relay_env_windows} windows vs {} literal",
+            relay_env.envelope_cycles, relay_lit.stepped_windows
         );
         std::process::exit(1);
     }

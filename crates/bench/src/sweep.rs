@@ -33,9 +33,10 @@
 //! steps the whole chunk's scenes through shared lane matrices —
 //! optionally fanning the lanes across worker threads
 //! ([`SweepExecution::lane_parallel`]) — and fast-forwards cells
-//! analytically, both at a thermal steady state and through verified
-//! threshold-policy limit cycles ([`SweepOutcome::periodic_cycles`]
-//! counts the latter). Per-cell trajectories are independent of lane
+//! analytically, both at a thermal steady state and through the
+//! contraction-certified envelope that replays threshold-policy orbits
+//! ([`SweepOutcome::envelope_cycles`] counts the latter). Per-cell
+//! trajectories are independent of lane
 //! composition, so the grid results remain deterministic for any thread
 //! or chunk configuration.
 
@@ -174,8 +175,9 @@ pub struct SweepOutcome {
     pub fast_forwarded_windows: u64,
     /// Number of cells that engaged the fast-forward at least once.
     pub fast_forwarded_cells: usize,
-    /// Whole limit cycles replayed analytically by the periodic
-    /// fast-forward, summed over all cells.
+    /// Always 0: plan-changing orbits, exact limit cycles included, leave
+    /// the lane through the envelope and count in `envelope_cycles`. Kept
+    /// so existing readers of the field keep compiling.
     pub periodic_cycles: u64,
     /// Pseudo-cycles replayed by the envelope fast-forward (closed-form
     /// frozen-plan jumps plus band-confined slipping orbits), summed over
@@ -186,14 +188,14 @@ pub struct SweepOutcome {
     /// the exact simulated window count — conserved across every execution
     /// tier.
     pub stepped_windows: u64,
-    /// Wall-clock nanoseconds the cells spent in cycle/steadiness
-    /// detection, summed over all cells (sampled, extrapolated).
+    /// Wall-clock nanoseconds the cells spent in the orbit tracker that
+    /// arms the envelope, summed over all cells (sampled, extrapolated).
     pub detector_ns: u64,
-    /// Wall-clock nanoseconds spent verifying candidate cycles and fitting
-    /// envelope bands, summed over all cells.
+    /// Wall-clock nanoseconds spent fitting envelope bands and building
+    /// their certificates, summed over all cells.
     pub verify_ns: u64,
-    /// Wall-clock nanoseconds spent inside analytic replay (steady,
-    /// periodic and envelope fast-forward), summed over all cells.
+    /// Wall-clock nanoseconds spent inside analytic replay (steady-state
+    /// and envelope fast-forward), summed over all cells.
     pub replay_ns: u64,
 }
 
@@ -403,7 +405,6 @@ impl SweepRunner {
         let mut cell_wall_clock_s = Vec::with_capacity(timed.len());
         let mut fast_forwarded_windows = 0u64;
         let mut fast_forwarded_cells = 0usize;
-        let mut periodic_cycles = 0u64;
         let mut envelope_cycles = 0u64;
         let mut stepped_windows = 0u64;
         let mut detector_ns = 0u64;
@@ -414,7 +415,6 @@ impl SweepRunner {
             cell_wall_clock_s.push(secs);
             fast_forwarded_windows += stats.fast_forwarded_windows;
             fast_forwarded_cells += usize::from(stats.fast_forwarded_windows > 0);
-            periodic_cycles += stats.periodic_cycles;
             envelope_cycles += stats.envelope_cycles;
             stepped_windows += stats.stepped_windows;
             detector_ns += stats.detector_ns;
@@ -430,7 +430,7 @@ impl SweepRunner {
             char_store_misses: store.misses() - misses_before,
             fast_forwarded_windows,
             fast_forwarded_cells,
-            periodic_cycles,
+            periodic_cycles: 0,
             envelope_cycles,
             stepped_windows,
             detector_ns,

@@ -104,12 +104,6 @@ impl DtmPolicy for DtmCdvfs {
         }
         Some(scheme_mode(DtmScheme::Cdvfs, EmergencyLevel::from_index(key as usize), &self.cpu).into())
     }
-
-    fn decide_is_pure(&self) -> bool {
-        // Threshold selection is a pure function of the observed maxima;
-        // the PID variant integrates and is never pure.
-        !self.selector.uses_pid()
-    }
 }
 
 #[cfg(test)]

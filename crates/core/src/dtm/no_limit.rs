@@ -48,10 +48,6 @@ impl DtmPolicy for NoLimit {
     fn plan_for_key(&self, _key: u8) -> Option<ActuationPlan> {
         Some(self.mode.into())
     }
-
-    fn decide_is_pure(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -159,14 +159,14 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     /// per-axis: the device axes trace independent ranges, and inflating
     /// the narrow one by the wide one would refuse certifiable rectangles.
     ///
-    /// This generalizes [`DtmPolicy::is_steady_band`] from attesting a
-    /// single frozen plan to attesting a whole *plan sequence*: the batched
-    /// engine's envelope replay ([`crate::sim::batch`]) presents, for each
-    /// phase of a sliding-mode orbit, the exact observation rectangle the
-    /// λ-powered contraction envelope traces at that phase, and a `Some`
-    /// answer equal to the recorded phase plan proves every skipped decision
-    /// at that phase re-returns it — licensing closed-form segment jumps
-    /// across threshold chatter that no single frozen-plan band could cover.
+    /// This strengthens [`DtmPolicy::is_steady_band`], which only proves
+    /// the decision is *unchanging* over a band, into naming the decided
+    /// plan: the batched engine's envelope burst ([`crate::sim::batch`])
+    /// presents the exact observation rectangle a frozen-plan segment's
+    /// λ-powered contraction envelope traces, and a `Some` answer equal to
+    /// the frozen plan proves every skipped decision re-returns it —
+    /// licensing closed-form segment jumps right up to a threshold the
+    /// orbit chatters across.
     ///
     /// Implementations must only answer `Some` when decisions are pure
     /// (memoryless) over the rectangle; a wrong `Some` silently changes
@@ -195,9 +195,13 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     /// maxima — sliding-mode chatter whose plan sequence never settles into
     /// an exact period is replayed decision for decision at scalar cost.
     ///
-    /// Implementations must answer `Some` either for every input or for
-    /// none, keep keys below 16, and only answer at all when
-    /// [`DtmPolicy::decide_is_pure`] would be `true`; a wrong key silently
+    /// Answering at all is also the envelope tier's eligibility test, so
+    /// implementations must answer `Some` only when [`DtmPolicy::decide`]
+    /// is a *pure, memoryless* function of the device maxima: identical
+    /// maxima always yield identical plans and a decision never mutates
+    /// internal state. Latched or integrating controllers (DTM-TS
+    /// hysteresis, PID) must answer `None`. Answer `Some` either for every
+    /// input or for none, and keep keys below 16; a wrong key silently
     /// changes simulation results.
     fn decision_key(&self, max_amb_c: f64, max_dram_c: f64) -> Option<u8> {
         let _ = (max_amb_c, max_dram_c);
@@ -211,24 +215,6 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     fn plan_for_key(&self, key: u8) -> Option<ActuationPlan> {
         let _ = key;
         None
-    }
-
-    /// Whether [`DtmPolicy::decide`] is a *pure, memoryless* function of
-    /// its observation: identical observations always yield identical plans
-    /// and a decision never mutates internal state.
-    ///
-    /// This is the policy-side contract of the batched engine's
-    /// limit-cycle fast-forward ([`crate::sim::batch`]): a pure policy
-    /// caught in a periodic (mode, plan, temperature) cycle will replay the
-    /// same decision sequence every period, so whole cycles can be skipped
-    /// analytically without consulting it. Latched or integrating
-    /// controllers (DTM-TS hysteresis, PID) must answer `false` — their
-    /// next decision depends on history, not just the current observation.
-    ///
-    /// The conservative default is `false`; a wrong `true` silently changes
-    /// simulation results.
-    fn decide_is_pure(&self) -> bool {
-        false
     }
 }
 

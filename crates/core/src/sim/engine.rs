@@ -8,17 +8,21 @@
 //!    tool for a single run or when a policy needs bespoke instrumentation.
 //! 2. **Batched lockstep** ([`crate::sim::batch`]): many independent cells
 //!    share one row-major temperature matrix and advance in lockstep lanes,
-//!    turning the per-window RC update into contiguous row sweeps. Same
-//!    bits, better memory behavior; the sweep harness uses it by default.
-//! 3. **Lane-parallel stepping** (`BatchedSimEngine::run_with_workers`):
-//!    the lanes of tier 2 fanned across OS threads, with dominant lanes
-//!    split column-wise so every worker has work. Lanes never interact, so
-//!    this is still bit-identical to tier 1.
-//! 4. **Analytic fast-forward** (opt-in on the batched tiers): cells whose
-//!    temperatures have reached their RC fixed point under an unchanging
-//!    plan — or whose threshold policy has locked into a verified limit
-//!    cycle — are finished in closed form, within 1e-9 of literal stepping
-//!    rather than bit-identically.
+//!    turning the per-window RC update into contiguous row sweeps, and
+//!    `BatchedSimEngine::run_with_workers` fans the lanes across OS threads
+//!    (dominant lanes split column-wise so every worker has work). Lanes
+//!    never interact, so this is bit-identical to tier 1; the sweep harness
+//!    uses it by default.
+//! 3. **Steady-state fast-forward** (opt-in on the batched tier): cells
+//!    whose temperatures have reached their RC fixed point under an
+//!    unchanging plan are finished in closed form.
+//! 4. **Contraction-certified envelope** (opt-in on the batched tier):
+//!    plan-changing orbits of threshold policies — exact limit cycles,
+//!    slipping orbits, sliding-mode chatter — are replayed under
+//!    contraction certificates and exact decision replay.
+//!
+//! Both analytic tiers stay within 1e-9 of literal stepping rather than
+//! bit-identical.
 //!
 //! [`SimEngine`] owns the inner loop MEMSpot used to inline: every window it
 //! converts the current design point's per-DIMM traffic into per-position

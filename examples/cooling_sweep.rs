@@ -5,8 +5,8 @@
 //! three ways: per-cell stepping on one worker (the reference execution
 //! tier), batched lockstep + analytic fast-forward on one worker (the
 //! default tier — same results within 1e-9, printed with its speedup, how
-//! many windows were fast-forwarded and how many whole limit cycles the
-//! periodic detector replayed), the same batch with its lockstep lanes
+//! many windows were fast-forwarded and how many pseudo-cycles the
+//! envelope tier replayed), the same batch with its lockstep lanes
 //! fanned across all cores (`SweepExecution::lane_parallel`,
 //! bit-identical to the single-thread batched pass), and batched fanned
 //! across all cores at cell granularity. Each pass uses its own shared `CharStore`, so
@@ -76,12 +76,11 @@ fn main() {
     let batched_speedup = per_cell.wall_clock_s / sequential.wall_clock_s.max(1e-9);
     println!(
         "batched+FF (1 worker):      {:.2} s wall-clock  ({:.2}x vs per-cell, {} windows fast-forwarded \
-         across {} cells, {} whole limit cycles replayed analytically, {} envelope bursts)",
+         across {} cells, {} envelope pseudo-cycles)",
         sequential.wall_clock_s,
         batched_speedup,
         sequential.fast_forwarded_windows,
         sequential.fast_forwarded_cells,
-        sequential.periodic_cycles,
         sequential.envelope_cycles
     );
 
@@ -180,7 +179,6 @@ fn main() {
         ("batched_vs_percell_speedup", batched_speedup),
         ("fast_forwarded_windows", sequential.fast_forwarded_windows as f64),
         ("fast_forwarded_cells", sequential.fast_forwarded_cells as f64),
-        ("periodic_cycles", sequential.periodic_cycles as f64),
         ("envelope_cycles", sequential.envelope_cycles as f64),
         ("lane_workers", lane_workers as f64),
         ("lane_parallel_wall_ms", lane.wall_clock_s * 1e3),

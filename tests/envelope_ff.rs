@@ -363,3 +363,60 @@ fn literal_opt_out_disables_the_envelope_tier() {
     assert_eq!(lit[0].1.fast_forwarded_windows, 0);
     assert_eq!(lit[0].1.envelope_cycles, 0);
 }
+
+/// A mix of four SPEC models looked up by name (CPU2000 first, then
+/// CPU2006).
+fn spec_mix(apps: [&str; 4]) -> WorkloadMix {
+    let app = |name: &str| {
+        dram_thermal::workloads::spec2000::by_name(name)
+            .or_else(|| dram_thermal::workloads::spec2006::by_name(name))
+            .unwrap_or_else(|| panic!("unknown SPEC app {name}"))
+    };
+    WorkloadMix::new(apps.join("/"), apps.iter().map(|&a| app(a)).collect())
+}
+
+#[test]
+fn decision_replay_closes_a_run_that_exits_at_the_run_length_cap() {
+    // Quick-scale cells at the paper's 10 ms cadence whose decision replay
+    // logs a frozen run that flipped in and then reached the replay's
+    // run-length cap: the run counts its flip window too, so the logged
+    // length is one past the cap, and the λ-power tables that close the
+    // dominated rows must cover it. Each cell runs alone under the default
+    // options and must match its literal run within 1e-9 with the window
+    // count conserved exactly.
+    let cpu = CpuConfig::paper_quad_core();
+    let mem = FbdimmConfig::ddr2_667_paper();
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
+    let store = Arc::new(CharStore::new());
+    let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+    let cases: [([&str; 4], CoolingConfig, DtmScheme); 6] = [
+        (["lucas", "soplex", "omnetpp", "mgrid"], CoolingConfig::fdhs_1_0(), DtmScheme::Bw),
+        (["wrf", "milc", "galgel", "lucas"], CoolingConfig::fdhs_1_0(), DtmScheme::Acg),
+        (["swim", "wupwise", "milc", "mgrid"], CoolingConfig::fdhs_1_0(), DtmScheme::Cdvfs),
+        (["art", "apsi", "leslie3d", "libquantum"], CoolingConfig::aohs_1_5(), DtmScheme::Acg),
+        (["equake", "wupwise", "fma3d", "omnetpp"], CoolingConfig::aohs_1_5(), DtmScheme::Cdvfs),
+        (["equake", "omnetpp", "milc", "wupwise"], CoolingConfig::aohs_1_5(), DtmScheme::Cdvfs),
+    ];
+    for (apps, cooling, scheme) in cases {
+        let mut cfg = experiments::harness::Scale::Quick.memspot_config(cooling);
+        cfg.window_s = 0.010;
+        cfg.dtm_interval_s = 0.010;
+        let build = || {
+            let policy: Box<dyn DtmPolicy> = match scheme {
+                DtmScheme::Bw => Box::new(DtmBw::new(cpu.clone(), cfg.limits)),
+                DtmScheme::Acg => Box::new(DtmAcg::new(cpu.clone(), cfg.limits)),
+                _ => Box::new(DtmCdvfs::new(cpu.clone(), cfg.limits)),
+            };
+            vec![BatchCell::new(&cpu, &mem, cfg, spec_mix(apps), policy, Arc::clone(&store)).with_rotation_threads(1)]
+        };
+        let literal = engine.run(build(), &BatchOptions::literal());
+        let envelope = engine.run(build(), &BatchOptions::default());
+        let (lit, ls) = &literal[0];
+        let (ff, fs) = &envelope[0];
+        let label = format!("{} {} {scheme}", apps.join("/"), cooling.label());
+        assert!(fs.envelope_cycles > 0, "{label}: the envelope tier never engaged (stepped {})", fs.stepped_windows);
+        assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
+        assert_envelope_tolerance(ff, lit, &label);
+    }
+}

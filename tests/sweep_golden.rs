@@ -26,16 +26,15 @@ use memtherm::prelude::*;
 const GOLDEN_LITERAL: u64 = 0x074b_3d8e_3c14_cded;
 
 /// Digest of the grid under exact fast-forwarded execution (steady-state
-/// and periodic fast-forward enabled, envelope fast-forward disabled) —
-/// identical for every worker count, and equal to [`GOLDEN_LITERAL`]
-/// because both exact fast-forwards replay converged windows analytically
-/// rather than approximating them. The envelope tier is excluded here: it
-/// guarantees relative 1e-9 agreement, not bit-identity, so its results
-/// cannot be pinned by digest (`tests/envelope_ff.rs` owns its bound).
+/// fast-forward enabled, envelope fast-forward disabled) — identical for
+/// every worker count, and equal to [`GOLDEN_LITERAL`] on this grid. The
+/// envelope tier is excluded here: it guarantees relative 1e-9 agreement,
+/// not bit-identity, so its results cannot be pinned by digest
+/// (`tests/envelope_ff.rs` owns its bound).
 const GOLDEN_FAST_FORWARD: u64 = 0x074b_3d8e_3c14_cded;
 
-/// Default options minus the envelope tier: only the bit-exact analytic
-/// fast-forwards stay enabled.
+/// Default options minus the envelope tier: only the steady-state
+/// fast-forward stays enabled.
 fn exact_fast_forward() -> BatchOptions {
     BatchOptions { envelope_tolerance: 0.0, ..BatchOptions::default() }
 }
