@@ -54,6 +54,13 @@
 //! decision replay can fast-forward it: the default-options grid runs are
 //! gated `grid_envelope_cycles` > 0.
 //!
+//! A `ts_relay` case runs Figure 4.2's DTM-TS cell (W1 under AOHS_1.5,
+//! AMB TRP 106 °C) at the paper's 10 ms cadence, default options against
+//! forced literal, best-of-3 each. The latched shutdown relay enters the
+//! envelope through its decision-region certificate: gated on
+//! `ts_relay_envelope_cycles` > 0, every reported quantity within 1e-9,
+//! exact window conservation and a speedup of at least 10x over literal.
+//!
 //! A `paper_cadence` case runs the paper's own operating point: a 16-cell
 //! pure-policy grid (all four policies, both coolings, six mixes) at
 //! Lin et al.'s 10 ms DTM cadence, once with
@@ -112,6 +119,15 @@ fn grid() -> Vec<SweepScenario> {
 fn relay_scenario() -> SweepScenario {
     SweepScenario::isolated(CoolingConfig::aohs_1_5(), workloads::mixes::w1(), vec![PolicySpec::Acg { pid: false }])
         .with_cadence(5.0)
+}
+
+/// Figure 4.2's DTM-TS cell: W1 under AOHS_1.5 with the AMB release point
+/// swept down to 106 °C, at the paper's 10 ms cadence. The shutdown latch
+/// relays between TDP and TRP in phases thousands of windows long.
+fn ts_relay_scenario() -> SweepScenario {
+    SweepScenario::isolated(CoolingConfig::aohs_1_5(), workloads::mixes::w1(), vec![PolicySpec::Ts])
+        .with_limits(ThermalLimits::paper_fbdimm().with_amb_trp(106.0))
+        .with_cadence(0.010)
 }
 
 /// Largest relative disagreement between two runs of the same grid over
@@ -293,6 +309,38 @@ fn main() {
         "sweep/relay                                  {} of {} windows fast-forwarded, {} envelope \
          pseudo-cycles, max rel err {relay_max_rel_err:.2e}",
         relay_env.fast_forwarded_windows, relay_env_windows, relay_env.envelope_cycles
+    );
+
+    // DTM-TS relay case: Figure 4.2's shutdown relay at 10 ms, default
+    // options against forced literal on the warm store, best-of-3 each.
+    let ts_relay = [ts_relay_scenario()];
+    let mut ts_relay_env_ms = Vec::with_capacity(PASSES);
+    let mut ts_relay_lit_ms = Vec::with_capacity(PASSES);
+    let mut ts_relay_runs = None;
+    for _ in 0..PASSES {
+        let env = SweepRunner::with_threads(1).with_char_store(Arc::clone(&warm_store)).run(&ts_relay, make);
+        let lit = SweepRunner::with_threads(1)
+            .with_char_store(Arc::clone(&warm_store))
+            .with_batch_options(BatchOptions::literal())
+            .run(&ts_relay, make);
+        ts_relay_env_ms.push(env.wall_clock_s * 1e3);
+        ts_relay_lit_ms.push(lit.wall_clock_s * 1e3);
+        ts_relay_runs = Some((env, lit));
+    }
+    let (ts_relay_env, ts_relay_lit) = ts_relay_runs.expect("at least one DTM-TS relay pass");
+    let ts_relay_speedup = min(&ts_relay_lit_ms) / min(&ts_relay_env_ms).max(1e-9);
+    let ts_relay_max_rel_err = max_rel_err(&ts_relay_env, &ts_relay_lit);
+    let ts_relay_env_windows = ts_relay_env.stepped_windows + ts_relay_env.fast_forwarded_windows;
+    println!(
+        "sweep/ts_relay_envelope                      {:>10.3} ms/pass (min {:.3} ms, {ts_relay_speedup:.2}x \
+         best-of-{PASSES} vs literal {:.3} ms, {} of {} windows fast-forwarded, {} envelope pseudo-cycles, \
+         max rel err {ts_relay_max_rel_err:.2e})",
+        mean(&ts_relay_env_ms),
+        min(&ts_relay_env_ms),
+        min(&ts_relay_lit_ms),
+        ts_relay_env.fast_forwarded_windows,
+        ts_relay_env_windows,
+        ts_relay_env.envelope_cycles
     );
 
     // Store-contention case: the sharded store's hit path vs the
@@ -617,6 +665,18 @@ fn main() {
             min_ms: min(&contention_single_lock_ms),
             iters: PASSES,
         },
+        BenchStats {
+            label: "sweep/ts_relay_literal".to_string(),
+            mean_ms: mean(&ts_relay_lit_ms),
+            min_ms: min(&ts_relay_lit_ms),
+            iters: PASSES,
+        },
+        BenchStats {
+            label: "sweep/ts_relay_envelope".to_string(),
+            mean_ms: mean(&ts_relay_env_ms),
+            min_ms: min(&ts_relay_env_ms),
+            iters: PASSES,
+        },
         BenchStats { label: "sweep/stacked_3d_4h".to_string(), mean_ms: stacked_ms, min_ms: stacked_ms, iters: 1 },
         BenchStats { label: "sweep/spatial_dtm_4h".to_string(), mean_ms: spatial_ms, min_ms: spatial_ms, iters: 1 },
         BenchStats {
@@ -643,6 +703,9 @@ fn main() {
         ("fast_forwarded_cells", batched.fast_forwarded_cells as f64),
         ("relay_envelope_cycles", relay_env.envelope_cycles as f64),
         ("relay_max_rel_err", relay_max_rel_err),
+        ("ts_relay_speedup", ts_relay_speedup),
+        ("ts_relay_envelope_cycles", ts_relay_env.envelope_cycles as f64),
+        ("ts_relay_max_rel_err", ts_relay_max_rel_err),
         ("envelope_cycles", batched.envelope_cycles as f64),
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
         // Per-phase split of the default grid, both flavors: the warm
@@ -740,6 +803,21 @@ fn main() {
              the envelope within 1e-9 with its window count conserved: {} pseudo-cycles, max rel \
              err {relay_max_rel_err:.3e}, {relay_env_windows} windows vs {} literal",
             relay_env.envelope_cycles, relay_lit.stepped_windows
+        );
+        std::process::exit(1);
+    }
+    let ts_relay_within_bound = ts_relay_max_rel_err.partial_cmp(&1e-9) != Some(std::cmp::Ordering::Greater);
+    if ts_relay_env.envelope_cycles == 0
+        || !ts_relay_within_bound
+        || ts_relay_env_windows != ts_relay_lit.stepped_windows
+        || ts_relay_speedup < 10.0
+    {
+        eprintln!(
+            "FAIL: the DTM-TS relay cell (AOHS_1.5, AMB TRP 106 degC, 10 ms) must ride the envelope \
+             within 1e-9 with its window count conserved and at least 10x over literal: {} \
+             pseudo-cycles, max rel err {ts_relay_max_rel_err:.3e}, {ts_relay_env_windows} windows vs \
+             {} literal, {ts_relay_speedup:.2}x",
+            ts_relay_env.envelope_cycles, ts_relay_lit.stepped_windows
         );
         std::process::exit(1);
     }

@@ -133,6 +133,7 @@ pub fn run_matrix(
             mix,
             specs: all_specs.clone(),
             dtm_interval_s: None,
+            limits: None,
         })
         .collect();
     SweepRunner::new().run(&scenarios, |cooling| scale.memspot_config(cooling)).runs
@@ -202,37 +203,55 @@ pub fn tab4_4() -> Table {
     t
 }
 
+/// The TRP sweeps of Figure 4.2: per cooling, the device whose release
+/// point is swept and the swept values.
+fn fig4_2_cases() -> [(CoolingConfig, &'static str, [f64; 5]); 2] {
+    [
+        (CoolingConfig::fdhs_1_0(), "DRAM", [81.0, 82.0, 83.0, 84.0, 84.5]),
+        (CoolingConfig::aohs_1_5(), "AMB", [106.0, 107.0, 108.0, 109.0, 109.5]),
+    ]
+}
+
+/// One cooling's Figure 4.2 grid: per mix, the no-limit baseline followed
+/// by one DTM-TS cell per swept TRP (the TRP rides on the scenario's
+/// limits override).
+fn fig4_2_scenarios(scale: Scale, cooling: CoolingConfig, device: &str, trps: &[f64]) -> Vec<SweepScenario> {
+    let mut scenarios = Vec::new();
+    for mix in scale.ch4_mixes() {
+        scenarios.push(SweepScenario::isolated(cooling, mix.clone(), vec![PolicySpec::NoLimit]));
+        for &trp in trps {
+            let limits = if device == "DRAM" {
+                ThermalLimits::paper_fbdimm().with_dram_trp(trp)
+            } else {
+                ThermalLimits::paper_fbdimm().with_amb_trp(trp)
+            };
+            scenarios.push(SweepScenario::isolated(cooling, mix.clone(), vec![PolicySpec::Ts]).with_limits(limits));
+        }
+    }
+    scenarios
+}
+
 /// Figure 4.2: DTM-TS running time with varied thermal release point.
+/// Each cooling runs as one [`SweepRunner`] grid; a grid per cooling
+/// rather than one for both keeps the batched lanes, and so peak memory,
+/// at one cooling's width.
 pub fn fig4_2(scale: Scale) -> Table {
     let mut t = Table::new(
         "fig4_2",
         "Performance of DTM-TS with varied TRP (normalized running time vs no thermal limit)",
         &["cooling", "swept TRP degC", "workload", "normalized time"],
     );
-    let cases = [
-        (CoolingConfig::fdhs_1_0(), "DRAM", vec![81.0, 82.0, 83.0, 84.0, 84.5]),
-        (CoolingConfig::aohs_1_5(), "AMB", vec![106.0, 107.0, 108.0, 109.0, 109.5]),
-    ];
-    for (cooling, device, trps) in cases {
-        let cfg = scale.memspot_config(cooling);
-        let cpu = CpuConfig::paper_quad_core();
-        let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
-        for mix in scale.ch4_mixes() {
-            let mut nolimit = memtherm::dtm::NoLimit::new(&cpu);
-            let base = spot.run(&mix, &mut nolimit);
-            for &trp in &trps {
-                let limits = if device == "DRAM" {
-                    ThermalLimits::paper_fbdimm().with_dram_trp(trp)
-                } else {
-                    ThermalLimits::paper_fbdimm().with_amb_trp(trp)
-                };
-                let mut ts = DtmTs::new(cpu.clone(), limits);
-                let r = spot.run(&mix, &mut ts);
+    for (cooling, device, trps) in fig4_2_cases() {
+        let runs =
+            SweepRunner::new().run(&fig4_2_scenarios(scale, cooling, device, &trps), |c| scale.memspot_config(c)).runs;
+        for per_mix in runs.chunks(trps.len() + 1) {
+            let (base, ts) = per_mix.split_first().expect("every mix has a baseline cell");
+            for (r, trp) in ts.iter().zip(trps) {
                 t.push_row([
-                    cooling.label(),
+                    r.cooling.clone(),
                     format!("{device} {trp:.1}"),
-                    mix.id.clone(),
-                    f3(r.normalized_time(&base)),
+                    r.workload.clone(),
+                    f3(r.result.normalized_time(&base.result)),
                 ]);
             }
         }
@@ -493,6 +512,32 @@ mod tests {
         assert_eq!(PolicySpec::figure_4_3_set().len(), 7);
         assert_eq!(PolicySpec::threshold_set().len(), 4);
         assert_eq!(PolicySpec::spatial_set().len(), 5);
+    }
+
+    #[test]
+    fn fig4_2_grid_reproduces_the_per_cell_engine_bit_for_bit() {
+        // Under literal batching the Figure 4.2 grid must carry the exact
+        // bits of the serial per-cell loop the figure used to run: one
+        // `MemSpot` per cooling under the scale's limits, the swept TRP
+        // handed to the policy alone.
+        use memtherm::sim::batch::BatchOptions;
+        let scale = Scale::Smoke;
+        let cpu = CpuConfig::paper_quad_core();
+        for (cooling, device, trps) in fig4_2_cases() {
+            let scenarios = fig4_2_scenarios(scale, cooling, device, &trps);
+            let grid = SweepRunner::with_threads(2)
+                .with_batch_options(BatchOptions::literal())
+                .run(&scenarios, |c| scale.memspot_config(c));
+            let cfg = scale.memspot_config(cooling);
+            let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
+            let cells = scenarios.iter().flat_map(|s| s.specs.iter().map(move |spec| (s, spec)));
+            assert_eq!(cells.clone().count(), grid.runs.len());
+            for ((scenario, spec), got) in cells.zip(&grid.runs) {
+                let mut policy = spec.build(&cpu, scenario.limits.unwrap_or(cfg.limits));
+                let want = spot.run(&scenario.mix, policy.as_mut());
+                assert_eq!(got.result, want, "{}/{}/{} diverged", got.cooling, got.workload, got.policy);
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,10 @@ pub struct SweepScenario {
     /// 10 ms; relay-style policies are swept at multi-second cadences).
     /// `None` keeps the scale's default cadence.
     pub dtm_interval_s: Option<f64>,
+    /// Optional thermal-limits override (the TRP axis Figure 4.2 sweeps).
+    /// The scene reads only the TDPs, so a TRP override reaches the
+    /// policies alone. `None` keeps the scale's limits.
+    pub limits: Option<ThermalLimits>,
 }
 
 impl SweepScenario {
@@ -89,6 +93,7 @@ impl SweepScenario {
             mix,
             specs,
             dtm_interval_s: None,
+            limits: None,
         }
     }
 
@@ -102,6 +107,12 @@ impl SweepScenario {
     /// the DTM decision interval become `dt_s` seconds.
     pub fn with_cadence(mut self, dt_s: f64) -> Self {
         self.dtm_interval_s = Some(dt_s);
+        self
+    }
+
+    /// Overrides the scenario's thermal limits (TDPs and TRPs).
+    pub fn with_limits(mut self, limits: ThermalLimits) -> Self {
+        self.limits = Some(limits);
         self
     }
 
@@ -545,8 +556,8 @@ impl Default for SweepRunner {
 }
 
 /// The MEMSpot configuration a scenario's cells run under: the scale's base
-/// config with the scenario's stack, thermal-model and cadence overrides
-/// applied on top.
+/// config with the scenario's stack, thermal-model, cadence and limits
+/// overrides applied on top.
 fn scenario_config(
     scenario: &SweepScenario,
     make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
@@ -558,6 +569,9 @@ fn scenario_config(
     if let Some(dt) = scenario.dtm_interval_s {
         cfg.window_s = dt;
         cfg.dtm_interval_s = dt;
+    }
+    if let Some(limits) = scenario.limits {
+        cfg.limits = limits;
     }
     cfg
 }

@@ -168,9 +168,17 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     /// licensing closed-form segment jumps right up to a threshold the
     /// orbit chatters across.
     ///
-    /// Implementations must only answer `Some` when decisions are pure
-    /// (memoryless) over the rectangle; a wrong `Some` silently changes
-    /// simulation results.
+    /// The certificate speaks for the policy *as it is now*: implementations
+    /// must only answer `Some(plan)` when every [`DtmPolicy::decide`] at an
+    /// observation in the rectangle returns `plan` **and** leaves the
+    /// policy's internal state unchanged, so any number of skipped decisions
+    /// in the rectangle is the same as none. A latched controller can
+    /// answer for the rectangles where its latch cannot move (DTM-TS: below
+    /// both TDPs while running, unreleased while shut down); integrating
+    /// controllers (PID) answer `None`. Answering `Some` at a cell's
+    /// starting observation also admits a policy without a
+    /// [`DtmPolicy::decision_key`] to the envelope tier. A wrong `Some`
+    /// silently changes simulation results.
     fn plan_decided_by_region(
         &self,
         observation: &ThermalObservation,
@@ -195,14 +203,14 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     /// maxima — sliding-mode chatter whose plan sequence never settles into
     /// an exact period is replayed decision for decision at scalar cost.
     ///
-    /// Answering at all is also the envelope tier's eligibility test, so
-    /// implementations must answer `Some` only when [`DtmPolicy::decide`]
+    /// Implementations must answer `Some` only when [`DtmPolicy::decide`]
     /// is a *pure, memoryless* function of the device maxima: identical
     /// maxima always yield identical plans and a decision never mutates
     /// internal state. Latched or integrating controllers (DTM-TS
-    /// hysteresis, PID) must answer `None`. Answer `Some` either for every
-    /// input or for none, and keep keys below 16; a wrong key silently
-    /// changes simulation results.
+    /// hysteresis, PID) must answer `None`; a latched policy reaches the
+    /// envelope tier through [`DtmPolicy::plan_decided_by_region`] instead.
+    /// Answer `Some` either for every input or for none, and keep keys
+    /// below 16; a wrong key silently changes simulation results.
     fn decision_key(&self, max_amb_c: f64, max_dram_c: f64) -> Option<u8> {
         let _ = (max_amb_c, max_dram_c);
         None

@@ -21,26 +21,28 @@
 //! 3. **Steady-state fast-forward** — on top of tier 2, a cell whose plan
 //!    has latched and whose field sits within ε of its RC fixed point
 //!    finishes in closed form. It covers every cell the envelope cannot
-//!    take (field-observing policies, policies without a decision key,
+//!    take (field-observing policies, policies with neither a decision
+//!    key nor a decision-region certificate — the PID controllers — and
 //!    cells whose step differs from the DTM interval). Every reported
 //!    quantity stays within relative 1e-9 of literal stepping; window
 //!    counts, simulated time and job-completion windows stay *exact*.
 //! 4. **Contraction-certified envelope** — plan-changing orbits (limit
 //!    cycles, slipping orbits whose duty ratio is irrational at the paper's
-//!    10 ms cadence, sliding-mode threshold chatter) and long monotone
-//!    approaches to a distant fixed point are replayed under certificates
-//!    built on the RC map's contraction: frozen-plan segments licensed by
-//!    [`DtmPolicy::is_steady_band`] / [`DtmPolicy::plan_decided_by_region`]
-//!    over the exact traversed temperature range collapse to closed form
-//!    through λ-powered lo/hi maps of the exact two-exponential row
-//!    response, and chattering segments are *replayed decision for
-//!    decision* at scalar cost from the policy's pure decision key
-//!    ([`DtmPolicy::decision_key`]) with a dominance certificate covering
-//!    the non-binding rows. Every reported quantity stays within relative
-//!    1e-9 of literal stepping; window counts, simulated time and
-//!    completion windows stay *exact*, and a drift audit against the band
-//!    falls the cell back to literal stepping the moment confinement
-//!    fails. Opt-out via [`BatchOptions::envelope_tolerance`].
+//!    10 ms cadence, sliding-mode threshold chatter, the DTM-TS shutdown
+//!    relay) and long monotone approaches to a distant fixed point are
+//!    replayed under certificates built on the RC map's contraction:
+//!    frozen-plan segments licensed by [`DtmPolicy::is_steady_band`] /
+//!    [`DtmPolicy::plan_decided_by_region`] over the exact traversed
+//!    temperature range collapse to closed form through λ-powered lo/hi
+//!    maps of the exact two-exponential row response, and chattering
+//!    segments are *replayed decision for decision* at scalar cost from
+//!    the policy's pure decision key ([`DtmPolicy::decision_key`]) with a
+//!    dominance certificate covering the non-binding rows. Every reported
+//!    quantity stays within relative 1e-9 of literal stepping; window
+//!    counts, simulated time and completion windows stay *exact*, and a
+//!    drift audit against the band falls the cell back to literal stepping
+//!    the moment confinement fails. Opt-out via
+//!    [`BatchOptions::envelope_tolerance`].
 //!
 //! Opt out of every analytic tier at once with [`BatchOptions::literal`].
 //!
@@ -114,9 +116,16 @@
 //! Threshold-driven policies (DTM-ACG, DTM-CDVFS, DTM-BW) never reach a
 //! fixed plan: they chatter between adjacent emergency levels forever,
 //! either locked into an exact limit cycle or, at the paper's 10 ms
-//! cadence, slipping quasiperiodically. Two triggers arm the envelope for
-//! an eligible cell (fast-forward on, no temperature trace, a pure decision
-//! key, a step equal to the DTM interval):
+//! cadence, slipping quasiperiodically. DTM-TS relays between full speed
+//! and shutdown: its latch holds each phase until the TDP or the TRP is
+//! crossed, thousands of windows at 10 ms. A cell is eligible when
+//! fast-forward is on, it records no temperature trace, its step equals
+//! the DTM interval and its policy either has a pure decision key
+//! ([`DtmPolicy::decision_key`]) or certifies a decision region at the
+//! cell's starting observation ([`DtmPolicy::plan_decided_by_region`]).
+//! The second admits the latched DTM-TS relay, whose certificate speaks
+//! for its current latch state; PID controllers answer neither and stay
+//! off the tier. Two triggers arm the envelope for an eligible cell:
 //!
 //! - the **orbit tracker** fingerprints every decision (plan, ambient and
 //!   layer temperatures) and fires when the recent history repeats its
@@ -137,11 +146,14 @@
 //!   temperature range, and [`DtmPolicy::is_steady_band`] (single frozen
 //!   plan) or [`DtmPolicy::plan_decided_by_region`] (a decision-region
 //!   certificate naming the plan decided over the whole traced observation
-//!   rectangle) licenses collapsing the segment to its
-//!   endpoint with `rate × W` accounting. In-segment extremes come from
-//!   the closed-form interior extremum of the two-exponential (the two
-//!   modes pulling in opposite directions), so reported peaks are exact to
-//!   the same tolerance.
+//!   rectangle, with the policy's state left unchanged) licenses
+//!   collapsing the segment to its endpoint with `rate × W` accounting.
+//!   In-segment extremes come from the closed-form interior extremum of
+//!   the two-exponential (the two modes pulling in opposite directions),
+//!   so reported peaks are exact to the same tolerance. This is the only
+//!   analytic exit of an unkeyed (DTM-TS) burst: each shutdown or run
+//!   phase is jumped up to the threshold crossing that ends it, and the
+//!   burst steps and decides the crossing itself literally.
 //! - **Exact decision replay.** Sliding-mode chatter (DTM-BW hugging its
 //!   throttle threshold at 10 ms) flips plans every couple of windows, so
 //!   no frozen certificate can hold. For policies whose decisions are a
@@ -286,11 +298,13 @@ pub struct BatchOptions {
     /// contraction-certified envelope tier, `0.0` (or any non-positive
     /// value) disables it. The tier is also off under
     /// [`BatchOptions::literal`] and for every cell it cannot take: traced
-    /// cells, policies without a pure decision key
-    /// ([`DtmPolicy::decision_key`]) or that observe the spatial field, and
-    /// cells whose step differs from the DTM interval. Band width is not
-    /// gated: every eligible cell is replayed decision for decision, so the
-    /// band only backs the drift audit.
+    /// cells, policies with neither a pure decision key
+    /// ([`DtmPolicy::decision_key`]) nor a decision-region certificate at
+    /// the cell's starting observation
+    /// ([`DtmPolicy::plan_decided_by_region`]), policies that observe the
+    /// spatial field, and cells whose step differs from the DTM interval.
+    /// Band width is not gated: every burst decides literally or replays
+    /// keyed decisions exactly, so the band only backs the drift audit.
     pub envelope_tolerance: f64,
 }
 
@@ -573,8 +587,10 @@ struct CellState {
     /// Whether the envelope fast-forward may engage for this cell:
     /// fast-forward allowed, a positive
     /// [`BatchOptions::envelope_tolerance`], no temperature trace, a policy
-    /// with a pure decision key ([`DtmPolicy::decision_key`]) that reads
-    /// only the scalar maxima, and a step that equals the DTM interval
+    /// that reads only the scalar maxima and either has a pure decision key
+    /// ([`DtmPolicy::decision_key`]) or certifies a decision region at the
+    /// cell's starting observation ([`DtmPolicy::plan_decided_by_region`];
+    /// the latched DTM-TS relay), and a step that equals the DTM interval
     /// bitwise (so every window is exactly one decision and the replayed
     /// decision cadence is structurally identical to the stepped run).
     env_enabled: bool,
@@ -615,7 +631,8 @@ impl CellState {
         let env_enabled = options.fast_forward
             && options.envelope_tolerance > 0.0
             && !config.record_temp_trace
-            && policy.decision_key(f64::NAN, f64::NAN).is_some()
+            && (policy.decision_key(f64::NAN, f64::NAN).is_some()
+                || policy.plan_decided_by_region(&observation, 0.0, 0.0).is_some())
             && !policy.observes_field()
             && config.window_s.min(config.dtm_interval_s).to_bits() == config.dtm_interval_s.to_bits();
         CellState {
@@ -1638,10 +1655,11 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
 /// Slipping-orbit band: the orbit tracker's decision history (plus the
 /// cell's current temperatures) spans the orbit, and the band — inflated by
 /// half a span per side to absorb the slow slip — becomes the burst's audit
-/// certificate. Width is not gated: every envelope-eligible policy is keyed
-/// ([`DtmPolicy::decision_key`]) and replayed decision for decision by the
-/// burst's exact decision replay, so the band is only an audit backstop,
-/// never a bound on the replay error. Refuses a non-finite span.
+/// certificate. Width is not gated: a burst decides every window literally
+/// or replays keyed decisions ([`DtmPolicy::decision_key`]) exactly, and
+/// certifies every frozen jump over its own traced range, so the band is
+/// only an audit backstop, never a bound on the replay error. Refuses a
+/// non-finite span.
 fn env_band_slipping(lane: &Lane, j: usize, st: &CellState, period: usize) -> Option<EnvBand> {
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
@@ -1707,28 +1725,26 @@ fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState) -> Option<EnvBand>
 /// Exact range of the discrete two-exponential row response
 /// `f(k) = a·λ^k + b·λ_a^k` over `k ∈ {0, …, n}` — a row relaxing toward
 /// its stable while the shared ambient relaxes toward its own. Returns
-/// `(f(n), min, max)`. The response has at most one interior stationary
-/// point, so the discrete extremes sit at the endpoints or at the two
-/// integers bracketing it; `f(0)` is evaluated directly (never through
-/// `0 · ln λ`), so a fully-relaxed row cannot produce NaN.
-fn env_row_range(a: f64, b: f64, lambda: f64, lambda_a: f64, nf: f64) -> (f64, f64, f64) {
-    let f = |k: f64| {
-        if k <= 0.0 {
-            a + b
-        } else {
-            a * (k * lambda.ln()).exp() + b * (k * lambda_a.ln()).exp()
-        }
-    };
+/// `(f(n), min, max)`. The caller passes the logarithms `ln_l = ln λ` and
+/// `ln_a = ln λ_a` and the endpoint powers `pow_l = exp(n·ln_l)` and
+/// `pow_a = exp(n·ln_a)`, which depend only on the layer and the horizon,
+/// so a horizon costs two `exp` per layer instead of two `ln` and two
+/// `exp` per row. The response has at most one interior stationary point,
+/// so the discrete extremes sit at the endpoints or at the two integers
+/// bracketing it; `f(0)` is `a + b` directly (never through `0 · ln λ`),
+/// so a fully-relaxed row cannot produce NaN.
+fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, pow_a: f64, nf: f64) -> (f64, f64, f64) {
     let f0 = a + b;
-    let fe = f(nf);
+    let fe = if nf <= 0.0 { f0 } else { a * pow_l + b * pow_a };
     let (mut lo, mut hi) = if f0 <= fe { (f0, fe) } else { (fe, f0) };
-    if a != 0.0 && b != 0.0 && (a > 0.0) != (b > 0.0) && lambda > 0.0 && lambda_a > 0.0 {
-        let ratio = -(b * lambda_a.ln()) / (a * lambda.ln());
+    // `ln λ > −∞` is `λ > 0` (and refuses NaN the same way).
+    if a != 0.0 && b != 0.0 && (a > 0.0) != (b > 0.0) && ln_l > f64::NEG_INFINITY && ln_a > f64::NEG_INFINITY {
+        let ratio = -(b * ln_a) / (a * ln_l);
         if ratio > 0.0 {
-            let kstar = ratio.ln() / (lambda.ln() - lambda_a.ln());
+            let kstar = ratio.ln() / (ln_l - ln_a);
             if kstar > 0.0 && kstar < nf {
                 for k in [kstar.floor().max(1.0), kstar.ceil().min(nf)] {
-                    let v = f(k);
+                    let v = a * (k * ln_l).exp() + b * (k * ln_a).exp();
                     lo = lo.min(v);
                     hi = hi.max(v);
                 }
@@ -1813,6 +1829,10 @@ fn envelope_burst(
     let ambient_alpha = lane.ambient_alpha;
     let has_buffer = lane.has_buffer;
     let kinds: Vec<DeviceLayerKind> = st.scene.topology().layers().iter().map(|l| l.kind).collect();
+    // `ln λ` per layer and of the ambient for [`env_row_range`]: constant
+    // for the whole burst.
+    let ln_l: Vec<f64> = lane.layer_alphas.iter().map(|&al| (1.0 - al).ln()).collect();
+    let ln_a = (1.0 - ambient_alpha).ln();
     let shares_pos: Vec<bool> = (0..cores).map(|c| st.full_shares.get(c).copied().unwrap_or(0.0) > 0.0).collect();
 
     // Private column state (written back on fallback, synced on finalize).
@@ -1867,7 +1887,10 @@ fn envelope_burst(
     // from bitwise-literal binding-row and ambient scalars, while every
     // other row is reconstructed at segment close from the plan-occupancy
     // weights. `chatter_next` schedules the attempts (in burst windows).
-    let mut chatter_next: u64 = 2 * ENV_JUMP_MIN;
+    // Unkeyed policies (the latched DTM-TS relay) never replay: their
+    // bursts advance by literal windows and certified frozen jumps only.
+    let keyed = st.policy.decision_key(f64::NAN, f64::NAN).is_some();
+    let mut chatter_next: u64 = if keyed { 2 * ENV_JUMP_MIN } else { u64::MAX };
     // Dominance-certificate reuse across consecutive replay segments: the
     // forcing-gap half of the audit (per row, against the binding rows it
     // was derived for) depends only on the cached plan entries, not on the
@@ -2350,7 +2373,6 @@ fn envelope_burst(
                 if n == 0 {
                     continue;
                 }
-                let lambda = 1.0 - lane.layer_alphas[l];
                 let mut t: Vec<f64> = rl.iter().map(|&r| rows_t[r]).collect();
                 let mut pk: Vec<f64> = rl.iter().map(|&r| peaks[r]).collect();
                 let mut offs: Vec<f64> = vec![0.0; nent * n];
@@ -2446,7 +2468,9 @@ fn envelope_burst(
                             let tp = (t[j] - base - ofr * k1) / lp;
                             let a = (tp - s_r) - c;
                             if a != 0.0 && c != 0.0 && (a > 0.0) != (c > 0.0) && ambx + ofr > pk[j] {
-                                let (_, _, hi) = env_row_range(a, c, lambda, lambda_amb, len as f64);
+                                let nf = len as f64;
+                                let (pow_l, pow_a) = ((nf * ln_l[l]).exp(), (nf * ln_a).exp());
+                                let (_, _, hi) = env_row_range(a, c, ln_l[l], ln_a, pow_l, pow_a, nf);
                                 dirty |= s_r + hi > pk[j];
                                 pk[j] = pk[j].max(s_r + hi);
                             }
@@ -2604,26 +2628,30 @@ fn envelope_burst(
         }
         // The exact maxima ranges the trajectory traces over a trial
         // horizon, with the burst band audited per row; `None` refuses
-        // the horizon outright.
+        // the horizon outright. The λ-powers are computed once per layer
+        // (rows of layer `l` are `l, l + depth, …`); the per-kind maxima
+        // are order-independent, so the layer-major scan changes no bits.
         let range_for = |nf: f64| -> Option<(f64, f64, f64, f64)> {
             let (mut buf_lo, mut buf_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
             let (mut dram_lo, mut dram_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-            for r in 0..rows {
-                let l = r % depth;
-                let lambda = 1.0 - lane.layer_alphas[l];
-                let (t_end, lo_f, hi_f) = env_row_range(jump_a[r], jump_k[r], lambda, lambda_a, nf);
-                let (lo_r, hi_r) = (jump_s[r] + lo_f, jump_s[r] + hi_f);
-                if !(t_end.is_finite() && band.lo[r] <= lo_r && hi_r <= band.hi[r]) {
-                    return None;
-                }
-                match kinds[l] {
-                    DeviceLayerKind::Buffer => {
-                        buf_lo = buf_lo.max(lo_r);
-                        buf_hi = buf_hi.max(hi_r);
+            let pow_a = (nf * ln_a).exp();
+            for (l, &ln) in ln_l.iter().enumerate() {
+                let pow_l = (nf * ln).exp();
+                for r in (l..rows).step_by(depth) {
+                    let (t_end, lo_f, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, nf);
+                    let (lo_r, hi_r) = (jump_s[r] + lo_f, jump_s[r] + hi_f);
+                    if !(t_end.is_finite() && band.lo[r] <= lo_r && hi_r <= band.hi[r]) {
+                        return None;
                     }
-                    DeviceLayerKind::Dram => {
-                        dram_lo = dram_lo.max(lo_r);
-                        dram_hi = dram_hi.max(hi_r);
+                    match kinds[l] {
+                        DeviceLayerKind::Buffer => {
+                            buf_lo = buf_lo.max(lo_r);
+                            buf_hi = buf_hi.max(hi_r);
+                        }
+                        DeviceLayerKind::Dram => {
+                            dram_lo = dram_lo.max(lo_r);
+                            dram_hi = dram_hi.max(hi_r);
+                        }
                     }
                 }
             }
@@ -2785,22 +2813,24 @@ fn envelope_burst(
         cur_max_dram = f64::NEG_INFINITY;
         let mut peak_buf = f64::NEG_INFINITY;
         let mut peak_dram = f64::NEG_INFINITY;
-        for r in 0..rows {
-            let l = r % depth;
-            let lambda = 1.0 - lane.layer_alphas[l];
-            let (t_end, _, hi_f) = env_row_range(jump_a[r], jump_k[r], lambda, lambda_a, mf);
-            let t = jump_s[r] + t_end;
-            let hi = jump_s[r] + hi_f;
-            rows_t[r] = t;
-            peaks[r] = peaks[r].max(hi);
-            match kinds[l] {
-                DeviceLayerKind::Buffer => {
-                    cur_max_buf = cur_max_buf.max(t);
-                    peak_buf = peak_buf.max(hi);
-                }
-                DeviceLayerKind::Dram => {
-                    cur_max_dram = cur_max_dram.max(t);
-                    peak_dram = peak_dram.max(hi);
+        let pow_a = (mf * ln_a).exp();
+        for (l, &ln) in ln_l.iter().enumerate() {
+            let pow_l = (mf * ln).exp();
+            for r in (l..rows).step_by(depth) {
+                let (t_end, _, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, mf);
+                let t = jump_s[r] + t_end;
+                let hi = jump_s[r] + hi_f;
+                rows_t[r] = t;
+                peaks[r] = peaks[r].max(hi);
+                match kinds[l] {
+                    DeviceLayerKind::Buffer => {
+                        cur_max_buf = cur_max_buf.max(t);
+                        peak_buf = peak_buf.max(hi);
+                    }
+                    DeviceLayerKind::Dram => {
+                        cur_max_dram = cur_max_dram.max(t);
+                        peak_dram = peak_dram.max(hi);
+                    }
                 }
             }
         }
@@ -2999,6 +3029,75 @@ mod tests {
             assert_eq!(lane.temps.len(), lane.rows * lane.stride);
             assert_eq!(work.globals.len(), work.states.len());
         }
+    }
+
+    #[test]
+    fn row_range_from_layer_powers_is_bit_identical_to_the_per_row_formula() {
+        // The per-row form the jump licensing used before the λ-powers were
+        // hoisted to the layer: two `ln` and two `exp` per call.
+        fn per_row(a: f64, b: f64, lambda: f64, lambda_a: f64, nf: f64) -> (f64, f64, f64) {
+            let f = |k: f64| {
+                if k <= 0.0 {
+                    a + b
+                } else {
+                    a * (k * lambda.ln()).exp() + b * (k * lambda_a.ln()).exp()
+                }
+            };
+            let f0 = a + b;
+            let fe = f(nf);
+            let (mut lo, mut hi) = if f0 <= fe { (f0, fe) } else { (fe, f0) };
+            if a != 0.0 && b != 0.0 && (a > 0.0) != (b > 0.0) && lambda > 0.0 && lambda_a > 0.0 {
+                let ratio = -(b * lambda_a.ln()) / (a * lambda.ln());
+                if ratio > 0.0 {
+                    let kstar = ratio.ln() / (lambda.ln() - lambda_a.ln());
+                    if kstar > 0.0 && kstar < nf {
+                        for k in [kstar.floor().max(1.0), kstar.ceil().min(nf)] {
+                            let v = f(k);
+                            lo = lo.min(v);
+                            hi = hi.max(v);
+                        }
+                    }
+                }
+            }
+            (fe, lo, hi)
+        }
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let mut rng = workloads::rng::SmallRng::seed_from_u64(0xE4_2026);
+        let mut interior = 0;
+        for i in 0..200_000u64 {
+            let coef = |rng: &mut workloads::rng::SmallRng| match rng.gen_range(0..6u64) {
+                0 => 0.0,
+                1 => -rng.gen_range(1e-9..1e-3),
+                2 => rng.gen_range(1e-9..1e-3),
+                3 => -rng.gen_range(1e-3..40.0),
+                _ => rng.gen_range(1e-3..40.0),
+            };
+            let rate = |rng: &mut workloads::rng::SmallRng| match rng.gen_range(0..12u64) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => -0.0,
+                3 => rng.gen_range(0.0..0.5),
+                _ => 1.0 - rng.gen_range(1e-7..0.2),
+            };
+            let (a, b) = (coef(&mut rng), coef(&mut rng));
+            let (lambda, lambda_a) = (rate(&mut rng), rate(&mut rng));
+            let nf = match i % 4 {
+                0 => rng.gen_range(0..4u64),
+                1 => rng.gen_range(1..300u64),
+                _ => rng.gen_range(1..2_000_000u64),
+            } as f64;
+            let (ln_l, ln_a) = (lambda.ln(), lambda_a.ln());
+            let got = env_row_range(a, b, ln_l, ln_a, (nf * ln_l).exp(), (nf * ln_a).exp(), nf);
+            let want = per_row(a, b, lambda, lambda_a, nf);
+            assert!(
+                same(got.0, want.0) && same(got.1, want.1) && same(got.2, want.2),
+                "a={a:e} b={b:e} λ={lambda} λ_a={lambda_a} n={nf}: {got:?} vs {want:?}"
+            );
+            interior += usize::from(got.1 < got.0.min(a + b) || got.2 > got.0.max(a + b));
+        }
+        // The interior-extremum branch must be exercised, not just the
+        // endpoint shortcut.
+        assert!(interior > 1_000, "only {interior} samples peaked inside the horizon");
     }
 
     #[test]

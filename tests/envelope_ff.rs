@@ -5,7 +5,8 @@
 //! conserve the simulated window count exactly, and fall back to literal
 //! stepping — without losing accuracy — the moment a trajectory leaves its
 //! certified band. A dedicated sliding-mode DTM-BW cell pins the exact
-//! decision replay at the paper's native 10 ms cadence.
+//! decision replay at the paper's native 10 ms cadence, and two DTM-TS
+//! cells pin the shutdown relay's frozen-phase jumps at the same cadence.
 
 use std::sync::Arc;
 
@@ -41,14 +42,25 @@ fn base_config(cooling: CoolingConfig) -> MemSpotConfig {
     }
 }
 
-/// The envelope-eligible (pure, memoryless) policy pool. DTM-TS is added
-/// separately where coexistence with ineligible cells is under test.
-fn pure_policy(kind: u64, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmPolicy> {
-    match kind % 4 {
+/// The envelope-eligible policy pool: the pure threshold policies plus the
+/// latched DTM-TS relay with a random release point 0.5–4 °C below each
+/// TDP. A PID policy is added separately where coexistence with
+/// ineligible cells is under test.
+fn eligible_policy(rng: &mut Rng, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmPolicy> {
+    match rng.next() % 5 {
         0 => Box::new(NoLimit::new(cpu)),
         1 => Box::new(DtmAcg::new(cpu.clone(), limits)),
         2 => Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        _ => Box::new(DtmBw::new(cpu.clone(), limits)),
+        3 => Box::new(DtmBw::new(cpu.clone(), limits)),
+        _ => {
+            let below = 0.5 + (rng.next() % 8) as f64 * 0.5;
+            let limits = if rng.next().is_multiple_of(2) {
+                limits.with_amb_trp(limits.amb_tdp_c - below)
+            } else {
+                limits.with_dram_trp(limits.dram_tdp_c - below)
+            };
+            Box::new(DtmTs::new(cpu.clone(), limits))
+        }
     }
 }
 
@@ -111,8 +123,8 @@ fn assert_envelope_tolerance(ff: &MemSpotResult, lit: &MemSpotResult, label: &st
 
 #[test]
 fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
-    // Seeded sweep over {stack, cooling, mix, pure policy, cadence}: the
-    // envelope tier replays decisions literally and certifies every
+    // Seeded sweep over {stack, cooling, mix, eligible policy, cadence}:
+    // the envelope tier replays decisions literally and certifies every
     // closed-form jump against the policy over the exact traversed band,
     // so every reported quantity must stay within relative 1e-9 of literal
     // stepping, the window count must be conserved exactly — and across
@@ -139,13 +151,13 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
                 cfg.window_s = *rng.pick(&dts);
                 cfg.dtm_interval_s = cfg.window_s;
                 let mix = rng.pick(&mixes_pool).clone();
-                // One latched (envelope-ineligible) DTM-TS cell rides along:
-                // ineligible members of a lane must coexist with bursting
-                // neighbors without perturbing them.
+                // One PID (envelope-ineligible) cell rides along: ineligible
+                // members of a lane must coexist with bursting neighbors
+                // without perturbing them.
                 let policy: Box<dyn DtmPolicy> = if i == 5 {
-                    Box::new(DtmTs::new(cpu.clone(), cfg.limits))
+                    Box::new(DtmBw::with_pid(cpu.clone(), cfg.limits))
                 } else {
-                    pure_policy(rng.next(), &cpu, cfg.limits)
+                    eligible_policy(rng, &cpu, cfg.limits)
                 };
                 BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1)
             })
@@ -162,6 +174,10 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
     assert!(literal.iter().all(|(_, s)| s.fast_forwarded_windows == 0 && s.envelope_cycles == 0));
     let total_envelope: u64 = envelope.iter().map(|(_, s)| s.envelope_cycles).sum();
     assert!(total_envelope > 0, "no cell engaged the envelope tier; the property suite is vacuous");
+    assert!(
+        envelope.iter().any(|(r, s)| r.policy == "DTM-TS" && s.envelope_cycles > 0),
+        "no DTM-TS cell engaged the envelope tier"
+    );
     for (i, ((ff, fs), (lit, ls))) in envelope.iter().zip(&literal).enumerate() {
         assert_eq!(
             fs.stepped_windows + fs.fast_forwarded_windows,
@@ -418,5 +434,65 @@ fn decision_replay_closes_a_run_that_exits_at_the_run_length_cap() {
         assert!(fs.envelope_cycles > 0, "{label}: the envelope tier never engaged (stepped {})", fs.stepped_windows);
         assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
         assert_envelope_tolerance(ff, lit, &label);
+    }
+}
+
+#[test]
+fn ts_shutdown_relay_rides_the_envelope_at_paper_cadence() {
+    // DTM-TS at the paper's 10 ms cadence: the shutdown latch relays
+    // between its TDP and its release point in phases thousands of windows
+    // long. The latched relay has no decision key, so it enters the
+    // envelope through its decision-region certificate, and every shutdown
+    // and run phase must collapse to closed-form jumps: the envelope
+    // engages, under 1% of the windows are stepped, no band is violated,
+    // every reported scalar stays within 1e-9 of literal stepping and the
+    // window count is conserved exactly. Two cells: Figure 4.2's AOHS_1.5
+    // cell at an AMB TRP of 106 °C, and a rank pair (no buffer die, so
+    // the buffer axis is NaN and the DRAM alone latches and releases)
+    // under a 70 °C inlet, hot enough for its DRAM to reach the TDP.
+    let cpu = CpuConfig::paper_quad_core();
+    let mem = FbdimmConfig::ddr2_667_paper();
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
+    let store = Arc::new(CharStore::new());
+    let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+    let quick = |cooling| experiments::harness::Scale::Quick.memspot_config(cooling);
+    let fig4_2 = quick(CoolingConfig::aohs_1_5());
+    let mut rank_pair = quick(CoolingConfig::aohs_1_5()).with_stack(StackKind::RankPair);
+    rank_pair.ambient_override_c = Some(70.0);
+    let cases = [
+        ("fig4_2 AOHS_1.5 AMB TRP 106", fig4_2, fig4_2.limits.with_amb_trp(106.0)),
+        ("rank pair", rank_pair, rank_pair.limits),
+    ];
+    for (label, cfg, limits) in cases {
+        assert_eq!(cfg.window_s, 0.010);
+        assert_eq!(cfg.dtm_interval_s, 0.010);
+        let build = || {
+            vec![BatchCell::new(
+                &cpu,
+                &mem,
+                cfg,
+                mixes::w1(),
+                Box::new(DtmTs::new(cpu.clone(), limits)),
+                Arc::clone(&store),
+            )
+            .with_rotation_threads(1)]
+        };
+        let literal = engine.run(build(), &BatchOptions::literal());
+        let envelope = engine.run(build(), &BatchOptions::default());
+        let (lit, ls) = &literal[0];
+        let (ff, fs) = &envelope[0];
+        let off = lit.mode_residency.get("off").copied().unwrap_or(0.0);
+        assert!(off > 0.01 && off < 0.99, "{label}: the relay must cycle, but spent {off} of the run shut down");
+        assert!(fs.envelope_cycles > 0, "{label}: the envelope tier never engaged (stepped {})", fs.stepped_windows);
+        assert!(
+            fs.stepped_windows * 100 < ls.stepped_windows,
+            "{label}: stepped {} of {} windows literally",
+            fs.stepped_windows,
+            ls.stepped_windows
+        );
+        assert_eq!(fs.envelope_fallbacks, 0, "{label}: a band was violated");
+        assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
+        assert_envelope_tolerance(ff, lit, label);
     }
 }
