@@ -22,16 +22,6 @@
 //! direct `BatchedSimEngine` runs and gates the ratio at 2x — the cached
 //! Ψ-superposition matrices are what keep deep stacks affordable.
 //!
-//! A `store_contention` case measures the sharded `CharStore`'s hit path
-//! under read contention: 16 threads hammer 4 hot pre-inserted keys, once
-//! through `CharStore::get_or_compute` (per-shard mutexes + atomic stats)
-//! and once through a single `Mutex<HashMap>` baseline — the pre-sharding
-//! layout — recording ns/op for both plus the host core count
-//! (`store_contention_cores`). No gate, and on a sub-2-core runner the
-//! speedup metric is suppressed entirely (raw ns/op only): timesliced
-//! threads measure scheduler behavior, not lock contention, and a
-//! meaningless ratio in the artifact invites false trend alarms.
-//!
 //! A `stacked` case then runs 4-high 3D-stack cells through the same
 //! runner so `BENCH_sweep.json` tracks the stacked-scenario axis, and
 //! gates that the per-layer thermal field is actually resolved: the peak
@@ -79,16 +69,13 @@
 //!
 //! Run with: `cargo bench -p experiments --bench sweep`
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use cpu_model::{OperatingPoint, RunningMode};
 use experiments::ch4::PolicySpec;
 use experiments::harness::{bench_output_path, write_bench_json, BenchStats};
 use experiments::sweep::{SweepExecution, SweepOutcome, SweepRunner, SweepScenario};
 use memtherm::dtm::no_limit::NoLimit;
 use memtherm::prelude::*;
-use memtherm::sim::characterize::{CharPoint, CharStoreKey, ModeKey};
 
 fn grid() -> Vec<SweepScenario> {
     let specs =
@@ -343,93 +330,6 @@ fn main() {
         ts_relay_env.envelope_cycles
     );
 
-    // Store-contention case: the sharded store's hit path vs the
-    // pre-sharding single-lock layout, 16 threads over 4 hot keys. Every
-    // lookup is a hit (asserted below), so no characterization work is
-    // timed — only lock traffic plus the per-op fixed costs (the
-    // miss-capable `get_or_compute` API takes an owned key, so the
-    // sharded side pays a key clone per lookup that the bare-map
-    // baseline does not; on a 1-core host that fixed cost dominates and
-    // the ratio dips below 1x, while real contention only exists on
-    // multi-core hosts).
-    const CONTENTION_THREADS: usize = 16;
-    const CONTENTION_OPS: usize = 5_000;
-    let contention_point = |i: u64| CharPoint {
-        mode: RunningMode { active_cores: 4, op: OperatingPoint::new(3.2, 1.55), bandwidth_cap: None },
-        instr_rate_total: 1e9 + i as f64,
-        core_share: vec![0.25; 4],
-        read_gbps: 4.0,
-        write_gbps: 2.0,
-        dimm_traffic: Vec::new(),
-        ipc_ref_sum: 3.5,
-        l2_miss_rate: 0.25,
-        l2_misses_per_instr: 0.01,
-        bytes_per_instr: 1.5,
-    };
-    let hot_keys: Vec<CharStoreKey> = (0..4u64)
-        .map(|i| CharStoreKey {
-            mix_id: "bench-contention".to_string(),
-            mode: ModeKey { active_cores: 4, freq_mhz: 3200, cap_mbps: u32::MAX },
-            budget: 10_000 + i,
-            channels: 2,
-            dimms_per_channel: 4,
-            hw_fingerprint: 0xbeef_cafe,
-        })
-        .collect();
-    let hot = &hot_keys;
-    let run_contention = |lookup: &(dyn Fn(&CharStoreKey) -> Arc<CharPoint> + Sync)| -> Vec<f64> {
-        (0..PASSES)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                std::thread::scope(|scope| {
-                    for t in 0..CONTENTION_THREADS {
-                        scope.spawn(move || {
-                            for op in 0..CONTENTION_OPS {
-                                std::hint::black_box(lookup(&hot[(op + t) % hot.len()]));
-                            }
-                        });
-                    }
-                });
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect()
-    };
-    let contention_store = Arc::new(CharStore::new());
-    for (i, key) in hot_keys.iter().enumerate() {
-        contention_store.get_or_compute(key.clone(), || contention_point(i as u64));
-    }
-    let contention_sharded_ms = run_contention(&|key| {
-        contention_store.get_or_compute(key.clone(), || unreachable!("hot keys are pre-inserted"))
-    });
-    assert_eq!(contention_store.misses(), hot_keys.len() as u64, "contention case must never characterize");
-    let single_lock: Mutex<HashMap<CharStoreKey, Arc<CharPoint>>> = Mutex::new(
-        hot_keys.iter().enumerate().map(|(i, key)| (key.clone(), Arc::new(contention_point(i as u64)))).collect(),
-    );
-    let contention_single_lock_ms = run_contention(&|key| {
-        single_lock.lock().expect("baseline map lock").get(key).cloned().expect("hot keys are pre-inserted")
-    });
-    let contention_ops = (CONTENTION_THREADS * CONTENTION_OPS) as f64;
-    let sharded_ns_per_op = min(&contention_sharded_ms) * 1e6 / contention_ops;
-    let single_lock_ns_per_op = min(&contention_single_lock_ms) * 1e6 / contention_ops;
-    // On a sub-2-core host the 16 threads timeslice and the ratio measures
-    // the scheduler, not lock contention: record the raw ns/op and the core
-    // count, but suppress the speedup metric so the artifact never carries
-    // a number that cannot mean what its name says.
-    let store_contention_cores = lane_workers;
-    let store_contention_speedup =
-        (store_contention_cores >= 2).then(|| single_lock_ns_per_op / sharded_ns_per_op.max(1e-9));
-    let contention_ratio = match store_contention_speedup {
-        Some(s) => format!("{s:.2}x, "),
-        None => format!("speedup suppressed on {store_contention_cores} core, "),
-    };
-    println!(
-        "sweep/store_contention                       {:>10.1} ns/op sharded vs {:.1} ns/op single-lock \
-         ({contention_ratio}{CONTENTION_THREADS} threads x {} hot keys, best-of-{PASSES})",
-        sharded_ns_per_op,
-        single_lock_ns_per_op,
-        hot_keys.len()
-    );
-
     // Stacked window-cost case: the cached Ψ-superposition path must keep a
     // 4-high stack's literal per-window cost within 2x of the FBDIMM
     // identity-split path, despite stepping 2.5x the RC rows per position.
@@ -654,18 +554,6 @@ fn main() {
             iters: PASSES,
         },
         BenchStats {
-            label: "sweep/store_contention_sharded".to_string(),
-            mean_ms: mean(&contention_sharded_ms),
-            min_ms: min(&contention_sharded_ms),
-            iters: PASSES,
-        },
-        BenchStats {
-            label: "sweep/store_contention_single_lock".to_string(),
-            mean_ms: mean(&contention_single_lock_ms),
-            min_ms: min(&contention_single_lock_ms),
-            iters: PASSES,
-        },
-        BenchStats {
             label: "sweep/ts_relay_literal".to_string(),
             mean_ms: mean(&ts_relay_lit_ms),
             min_ms: min(&ts_relay_lit_ms),
@@ -692,7 +580,7 @@ fn main() {
             iters: PASSES,
         },
     ];
-    let mut metrics = vec![
+    let metrics = [
         ("cells", cells as f64),
         ("threads", parallel.threads as f64),
         ("speedup", speedup),
@@ -721,11 +609,6 @@ fn main() {
         ("grid_replay_ms", parallel.replay_ns as f64 / 1e6),
         ("lane_workers", lane_workers as f64),
         ("lane_parallel_speedup", lane_parallel_speedup),
-        ("store_contention_threads", CONTENTION_THREADS as f64),
-        ("store_contention_hot_keys", hot_keys.len() as f64),
-        ("store_contention_cores", store_contention_cores as f64),
-        ("store_contention_sharded_ns_per_op", sharded_ns_per_op),
-        ("store_contention_single_lock_ns_per_op", single_lock_ns_per_op),
         ("stacked_window_cost_ratio", stacked_window_cost_ratio),
         ("fbdimm_window_us", fbdimm_window_us),
         ("stacked_window_us", stacked_window_us),
@@ -745,9 +628,6 @@ fn main() {
         ("paper_cadence_replay_ms", replay_ms),
         ("paper_cadence_literal_step_ms", literal_ms),
     ];
-    if let Some(s) = store_contention_speedup {
-        metrics.push(("store_contention_speedup", s));
-    }
     let path = bench_output_path("BENCH_sweep.json");
     write_bench_json(&path, &stats, &metrics).expect("write BENCH_sweep.json");
     println!("wrote {}", path.display());

@@ -2,6 +2,7 @@
 //! simulator factories used by the Chapter 4 and Chapter 5 experiments.
 
 use memtherm::prelude::*;
+use memtherm::sim::escape_json;
 
 /// How much work an experiment run performs.
 ///
@@ -114,30 +115,15 @@ impl Table {
 
     /// Serializes the table to JSON.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn str_array(items: &[String]) -> String {
-            let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", esc(c))).collect();
+            let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", escape_json(c))).collect();
             format!("[{}]", cells.join(", "))
         }
         let rows: Vec<String> = self.rows.iter().map(|r| format!("    {}", str_array(r))).collect();
         format!(
             "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"headers\": {},\n  \"rows\": [\n{}\n  ]\n}}",
-            esc(&self.id),
-            esc(&self.title),
+            escape_json(&self.id),
+            escape_json(&self.title),
             str_array(&self.headers),
             rows.join(",\n")
         )
@@ -230,16 +216,6 @@ pub fn write_bench_json(
     stats: &[BenchStats],
     metrics: &[(&str, f64)],
 ) -> std::io::Result<()> {
-    fn esc(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
     fn num(x: f64) -> String {
         if x.is_finite() {
             // Shortest round-trip form: `{x}` prints the fewest digits that
@@ -257,14 +233,15 @@ pub fn write_bench_json(
         .map(|s| {
             format!(
                 "    {{\"label\": \"{}\", \"mean_ms\": {}, \"min_ms\": {}, \"iters\": {}}}",
-                esc(&s.label),
+                escape_json(&s.label),
                 num(s.mean_ms),
                 num(s.min_ms),
                 s.iters
             )
         })
         .collect();
-    let metric_lines: Vec<String> = metrics.iter().map(|(k, v)| format!("    \"{}\": {}", esc(k), num(*v))).collect();
+    let metric_lines: Vec<String> =
+        metrics.iter().map(|(k, v)| format!("    \"{}\": {}", escape_json(k), num(*v))).collect();
     let json = format!(
         "{{\n  \"benchmarks\": [\n{}\n  ],\n  \"metrics\": {{\n{}\n  }}\n}}\n",
         benches.join(",\n"),
@@ -341,6 +318,7 @@ mod tests {
         let stats = vec![
             BenchStats { label: "sweep/sequential".to_string(), mean_ms: 12.5, min_ms: 11.0, iters: 3 },
             BenchStats { label: "sweep/\"quoted\"".to_string(), mean_ms: 6.25, min_ms: 6.0, iters: 3 },
+            BenchStats { label: "a \"b\" c\\d\ne".to_string(), mean_ms: 1.0, min_ms: 1.0, iters: 1 },
         ];
         let path = std::env::temp_dir().join("bench_json_round_trip_test.json");
         write_bench_json(&path, &stats, &[("speedup", 2.0), ("threads", 4.0), ("rel_err", 3.25e-12)]).unwrap();
@@ -348,6 +326,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(body.contains("\"label\": \"sweep/sequential\""));
         assert!(body.contains("\\\"quoted\\\""));
+        // Quote, backslash and newline are escaped, so the label stays on
+        // one JSON line.
+        assert!(body.contains(r#""label": "a \"b\" c\\d\ne""#), "{body}");
         // Shortest-roundtrip serialization: no fixed-width padding, and
         // sub-1e-6 metrics survive instead of flushing to zero.
         assert!(body.contains("\"mean_ms\": 12.5"));

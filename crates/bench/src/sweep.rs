@@ -3,7 +3,7 @@
 //! A paper-style evaluation is a grid of {cooling configuration × thermal
 //! model × device stack × workload mix × DTM scheme} MEMSpot runs. Since the expensive
 //! level-1 characterizations live in a process-wide
-//! [`CharStore`](memtherm::sim::characterize::CharStore) — keyed by (mix,
+//! [`CharStore`] — keyed by (mix,
 //! mode, budget, geometry), *not* by cooling or policy — every grid cell is
 //! fully independent: [`SweepRunner`] therefore parallelizes at **cell**
 //! granularity (one {cooling, model, mix, policy} run per unit of work).
@@ -29,7 +29,7 @@
 //! Within each claimed chunk the runner picks an execution tier
 //! ([`SweepExecution`]): the per-cell [`MemSpot`] engine, or (the default)
 //! the batched lockstep engine
-//! ([`BatchedSimEngine`](memtherm::sim::batch::BatchedSimEngine)) which
+//! ([`BatchedSimEngine`]) which
 //! steps the whole chunk's scenes through shared lane matrices —
 //! optionally fanning the lanes across worker threads
 //! ([`SweepExecution::lane_parallel`]) — and fast-forwards cells
@@ -129,7 +129,7 @@ pub enum SweepExecution {
     /// fan across the runner's thread pool in claimed chunks.
     PerCell,
     /// Cells run through the
-    /// [`BatchedSimEngine`](memtherm::sim::batch::BatchedSimEngine): scenes
+    /// [`BatchedSimEngine`]: scenes
     /// step in lockstep over shared lane matrices and steady cells
     /// fast-forward (per [`SweepRunner::with_batch_options`]).
     Batched {
@@ -487,7 +487,7 @@ fn guided_partition<T>(items: &[T], workers: usize) -> Vec<&[T]> {
 }
 
 /// [`parallel_map`] with a chunked work queue: each cursor claim takes the
-/// deficit-aware [`guided_claim`] size, with `chunk` as the per-claim
+/// deficit-aware `guided_claim` size, with `chunk` as the per-claim
 /// ceiling. For grids far larger than the core count the wide early claims
 /// amortize the (already cheap) cursor traffic and keep cache locality,
 /// while the shrinking tail claims keep every worker busy to the end.

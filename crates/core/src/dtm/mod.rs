@@ -6,7 +6,7 @@
 //! Every DTM interval the simulator hands the active [`DtmPolicy`] a
 //! [`ThermalObservation`](crate::thermal::scene::ThermalObservation) — the
 //! full per-position, per-layer temperature field — and the policy answers
-//! with an [`ActuationPlan`](crate::dtm::plan::ActuationPlan). A plan
+//! with an [`ActuationPlan`]. A plan
 //! layers up to three actuators:
 //!
 //! * **Global running mode** — active cores, DVFS operating point and the

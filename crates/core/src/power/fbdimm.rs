@@ -4,7 +4,7 @@
 //! produced by the memory simulator: per-DIMM power for the thermal model,
 //! per-**layer** power for the stack-resolved scene (each position's
 //! buffer/DRAM breakdown splits over its
-//! [`StackTopology`](crate::thermal::params::StackTopology)'s layers),
+//! [`StackTopology`]'s layers),
 //! plan-transformed power for spatially resolved DTM
 //! ([`FbdimmPowerModel::scene_power_planned`] routes a traffic split
 //! through an [`ActuationPlan`]'s steering weights and per-channel service

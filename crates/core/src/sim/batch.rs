@@ -5,7 +5,7 @@
 //! the one below it under a stated guarantee — bit-for-bit for the layout
 //! tiers, a pinned relative tolerance for the analytic ones:
 //!
-//! 1. **Per-cell (literal)** — [`SimEngine`](crate::sim::SimEngine)
+//! 1. **Per-cell (literal)** — [`SimEngine`]
 //!    advances one (mix, policy, cooling) cell at a time; the reference
 //!    semantics everything else is measured against.
 //! 2. **Batched lockstep, optionally lane-parallel** —

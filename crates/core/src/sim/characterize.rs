@@ -16,24 +16,21 @@
 //!   independent of the cooling configuration and the DTM policy, so a sweep
 //!   grid that revisits the same mix under different cooling setups or
 //!   policies characterizes each design point exactly once per process.
-//!   Concurrent requests for the same key are deduplicated (losers block on
-//!   the winner's in-flight computation), and hit/miss counters expose how
-//!   much work the sharing saved. The store is sharded by a process-stable
-//!   key hash ([`key_hash`]) — [`STORE_SHARDS`] independent lock domains in
-//!   memory, [`crate::sim::diskcache::DISK_SHARDS`] cache files on disk —
-//!   so workers resolving different design points never contend on a lock
-//!   or a stats cache line (see the shard map diagram on [`CharStore`]).
+//!   It is one `Mutex<HashMap>` holding a per-key [`OnceLock`]: concurrent
+//!   requests for the same key are deduplicated (losers block on the
+//!   winner's in-flight computation, outside the map lock), and two atomic
+//!   hit/miss counters expose how much work the sharing saved.
 //! * [`CharStore::with_disk_cache`] extends the sharing **across
 //!   processes**: points already in the cache file load at startup (and
 //!   count as hits), and every point computed by this process is appended,
 //!   so repeated sweeps, examples and CI runs skip level-1 entirely once
-//!   the file is warm. The file is a versioned, line-delimited JSON format
-//!   (see [`crate::sim::diskcache`]); entries are keyed by the full
-//!   [`CharStoreKey`] — including the hardware fingerprint, so caches from
-//!   different hardware configurations coexist without aliasing — and a
-//!   format-version mismatch discards the file wholesale rather than
-//!   risking stale semantics. Floats round-trip bit-exactly: a reloaded
-//!   point is indistinguishable from a computed one.
+//!   the file is warm. The file is one versioned, line-delimited JSON file
+//!   at the path the caller gives (see `sim::diskcache`); entries are keyed
+//!   by the full [`CharStoreKey`] — including the hardware fingerprint, so
+//!   caches from different hardware configurations coexist without
+//!   aliasing — and a format-version mismatch discards the file wholesale
+//!   rather than risking stale semantics. Floats round-trip bit-exactly: a
+//!   reloaded point is indistinguishable from a computed one.
 //! * [`CharacterizationTable`] is the per-run view: it owns the `MulticoreSim`
 //!   that computes missing points, keeps a lock-free local cache of
 //!   `Arc<CharPoint>` handles for the modes it has already resolved, and
@@ -199,49 +196,6 @@ fn hardware_fingerprint(cpu: &CpuConfig, mem: &FbdimmConfig) -> u64 {
     hash
 }
 
-/// Number of in-memory shards in a [`CharStore`]. A power of two so the
-/// shard index is a mask of [`key_hash`]'s low bits.
-pub const STORE_SHARDS: usize = 16;
-
-/// Deterministic FNV-1a hash of a store key's canonical field encoding.
-///
-/// This hash routes a key to both its in-memory [`CharStore`] shard (low
-/// `log2(STORE_SHARDS)` bits) and its disk-cache shard file (low
-/// `log2(DISK_SHARDS)` bits, see [`crate::sim::diskcache`]), so it must be
-/// stable across processes and runs — `std`'s seeded `RandomState` would
-/// scatter one process's cache entries across another process's shard
-/// files. Fields are folded in declaration order with `0x1f` separators and
-/// little-endian integer encodings.
-pub fn key_hash(key: &CharStoreKey) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(key.mix_id.as_bytes());
-    eat(&[0x1f]);
-    eat(&(key.mode.active_cores as u64).to_le_bytes());
-    eat(&key.mode.freq_mhz.to_le_bytes());
-    eat(&key.mode.cap_mbps.to_le_bytes());
-    eat(&key.budget.to_le_bytes());
-    eat(&(key.channels as u64).to_le_bytes());
-    eat(&(key.dimms_per_channel as u64).to_le_bytes());
-    eat(&key.hw_fingerprint.to_le_bytes());
-    hash
-}
-
-/// One lock domain of the sharded [`CharStore`]: a key map plus the shard's
-/// own hit/miss counters, so neither lookups nor stat bumps on different
-/// shards ever touch the same cache line under contention.
-#[derive(Debug, Default)]
-struct StoreShard {
-    cells: Mutex<HashMap<CharStoreKey, Arc<OnceLock<Arc<CharPoint>>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 /// Thread-safe, process-wide store of level-1 characterization points.
 ///
 /// Sweep cells that revisit the same `(mix, mode, budget, geometry)` design
@@ -251,39 +205,15 @@ struct StoreShard {
 /// requests for one key are collapsed: a single caller computes while the
 /// others block on the entry's [`OnceLock`] and then share the result, so a
 /// design point is simulated at most once per process no matter how the
-/// sweep is parallelized.
-///
-/// The store is sharded so concurrent workers on *different* keys almost
-/// never contend — each key hashes to one of [`STORE_SHARDS`] independent
-/// lock domains, and the same hash routes disk persistence:
-///
-/// ```text
-///                     key_hash(key)          (FNV-1a, process-stable)
-///                          │
-///        ┌─ low 4 bits ────┤
-///        ▼                 └─ low 2 bits ─┐
-///  in-memory shard 0..16                  ▼
-///  ┌───────────────────────┐      disk shard 0..4
-///  │ Mutex<HashMap<K, …>>  │      cache.<shard>.jsonl
-///  │ hits / misses atomics │      (own lock + compaction)
-///  └───────────────────────┘
-/// ```
-///
-/// The per-key `OnceLock` in-flight dedup lives inside a shard's map, and
-/// the hit/miss counters are per-shard atomics folded on read — a
-/// read-mostly sweep bumps a shard-local counter instead of funneling every
-/// stat update through one cache line.
-#[derive(Debug)]
+/// sweep is parallelized. The map lock is held only to find or insert a
+/// key's cell, never while computing.
+#[derive(Debug, Default)]
 pub struct CharStore {
-    shards: Box<[StoreShard; STORE_SHARDS]>,
+    cells: Mutex<HashMap<CharStoreKey, Arc<OnceLock<Arc<CharPoint>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Optional disk backing: pre-loaded at construction, appended on miss.
     disk: Option<DiskCache>,
-}
-
-impl Default for CharStore {
-    fn default() -> Self {
-        CharStore { shards: Box::new(std::array::from_fn(|_| StoreShard::default())), disk: None }
-    }
 }
 
 impl CharStore {
@@ -292,19 +222,14 @@ impl CharStore {
         Self::default()
     }
 
-    /// The shard holding `key`.
-    fn shard(&self, key: &CharStoreKey) -> &StoreShard {
-        &self.shards[key_hash(key) as usize & (STORE_SHARDS - 1)]
-    }
-
     /// Creates a store backed by a results-cache file at `path`: every entry
     /// already on disk is served as a hit (zero level-1 work), and every
     /// point computed by this process is appended, so repeated sweeps,
     /// examples and CI runs skip level-1 entirely once the cache is warm.
-    /// The file is versioned ([`crate::sim::diskcache::FORMAT_VERSION`]) and
-    /// keyed by the full [`CharStoreKey`] including the hardware
-    /// fingerprint; a stale format version discards the file, while entries
-    /// from other hardware configurations simply never match.
+    /// The file is versioned and keyed by the full [`CharStoreKey`]
+    /// including the hardware fingerprint; a stale format version discards
+    /// the file, while entries from other hardware configurations simply
+    /// never match.
     ///
     /// # Errors
     ///
@@ -312,30 +237,24 @@ impl CharStore {
     /// file is not an error — it is created on first append).
     pub fn with_disk_cache(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let (disk, entries) = DiskCache::open(path)?;
-        let store = CharStore { disk: Some(disk), ..Self::default() };
-        for (key, point) in entries {
-            let mut cells = store.shard(&key).cells.lock().expect("CharStore lock poisoned");
-            let cell: &Arc<OnceLock<Arc<CharPoint>>> = cells.entry(key).or_default();
-            let _ = cell.set(Arc::new(point));
-        }
-        Ok(store)
-    }
-
-    /// Path of the disk cache backing this store, if any.
-    pub fn disk_cache_path(&self) -> Option<&std::path::Path> {
-        self.disk.as_ref().map(DiskCache::path)
+        let cells = entries.into_iter().map(|(key, point)| (key, Arc::new(OnceLock::from(Arc::new(point))))).collect();
+        Ok(CharStore { cells: Mutex::new(cells), disk: Some(disk), ..Self::default() })
     }
 
     /// Returns the point for `key`, running `compute` (at most once per key
     /// process-wide) if it is not stored yet. Freshly computed points are
     /// appended to the disk cache, when one is attached.
     pub fn get_or_compute(&self, key: CharStoreKey, compute: impl FnOnce() -> CharPoint) -> Arc<CharPoint> {
-        let shard = self.shard(&key);
+        // A hit holds the one map lock only for the lookup: no key clone and
+        // no cell refcount traffic inside it.
+        if let Some(point) = self.peek(&key) {
+            return point;
+        }
         let cell = {
-            let mut cells = shard.cells.lock().expect("CharStore lock poisoned");
+            let mut cells = self.cells.lock().expect("CharStore lock poisoned");
             Arc::clone(cells.entry(key.clone()).or_default())
         };
-        // The shard lock is released before computing: a miss on one key
+        // The map lock is released before computing: a miss on one key
         // never blocks progress on another. Racing callers of the *same* key
         // block here until the winner's computation lands.
         let mut computed = false;
@@ -344,12 +263,12 @@ impl CharStore {
             Arc::new(compute())
         }));
         if computed {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
             if let Some(disk) = &self.disk {
                 disk.append(&key, &point);
             }
         } else {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         point
     }
@@ -359,34 +278,26 @@ impl CharStore {
     /// counts as a hit; an absent or still-computing one is not counted at
     /// all.
     pub fn peek(&self, key: &CharStoreKey) -> Option<Arc<CharPoint>> {
-        let shard = self.shard(key);
-        let cells = shard.cells.lock().expect("CharStore lock poisoned");
-        let point = cells.get(key).and_then(|cell| cell.get()).cloned();
-        drop(cells);
+        let point = self.cells.lock().expect("CharStore lock poisoned").get(key).and_then(|cell| cell.get()).cloned();
         if point.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         point
     }
 
-    /// Number of lookups that found an already-computed point, folded over
-    /// all shards.
+    /// Number of lookups that found an already-computed point.
     pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to run the level-1 simulation, folded over
-    /// all shards.
+    /// Number of lookups that had to run the level-1 simulation.
     pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum()
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of design points stored, folded over all shards.
+    /// Number of design points stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.cells.lock().expect("CharStore lock poisoned").values().filter(|c| c.get().is_some()).count())
-            .sum()
+        self.cells.lock().expect("CharStore lock poisoned").values().filter(|c| c.get().is_some()).count()
     }
 
     /// Whether the store holds no completed design point.
@@ -869,8 +780,8 @@ mod tests {
         assert_eq!(store.hits(), 3);
     }
 
-    /// A synthetic key for store-sharding tests: `n` varies the budget so
-    /// distinct `n` produce distinct keys spread across shards.
+    /// A synthetic key for the multi-thread store tests: `n` varies the
+    /// budget so distinct `n` produce distinct keys.
     fn hammer_key(n: u64) -> CharStoreKey {
         CharStoreKey {
             mix_id: "W1".to_string(),
@@ -887,33 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn key_hash_is_deterministic_and_spreads_keys_over_shards() {
-        // The hash routes disk persistence, so it must be a pure function of
-        // the key's fields — recomputing it must never disagree.
-        for n in 0..64 {
-            assert_eq!(key_hash(&hammer_key(n)), key_hash(&hammer_key(n)));
-        }
-        let shards: std::collections::HashSet<usize> =
-            (0..64).map(|n| key_hash(&hammer_key(n)) as usize & (STORE_SHARDS - 1)).collect();
-        assert!(shards.len() >= STORE_SHARDS / 2, "64 keys hit at least half the shards (got {})", shards.len());
-        // Every key field must influence the hash.
-        let base = hammer_key(0);
-        let mut other = base.clone();
-        other.mix_id = "W2".to_string();
-        assert_ne!(key_hash(&base), key_hash(&other));
-        let mut other = base.clone();
-        other.mode.freq_mhz += 1;
-        assert_ne!(key_hash(&base), key_hash(&other));
-        let mut other = base.clone();
-        other.hw_fingerprint += 1;
-        assert_ne!(key_hash(&base), key_hash(&other));
-    }
-
-    #[test]
     fn stats_stay_exact_when_many_threads_hammer_many_keys() {
-        // N threads × K keys: the per-shard counters, folded on read, must
-        // account for exactly K misses and N·K−K hits — sharding the stats
-        // must not lose or double-count a single lookup.
+        // N threads × K keys: the counters must account for exactly K misses
+        // and N·K−K hits — concurrent lookups must not lose or double-count
+        // a single one.
         const THREADS: u64 = 8;
         const KEYS: u64 = 24;
         let store = Arc::new(CharStore::new());
@@ -937,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_hands_out_one_allocation_per_key_under_contention() {
+    fn store_hands_out_one_allocation_per_key_under_contention() {
         // Seeded multi-thread hammer: every thread resolves every key and
         // records the allocation it got; all threads must agree per key, and
         // peek must find every point afterwards.
@@ -1046,15 +934,6 @@ mod tests {
         std::env::temp_dir().join(unique)
     }
 
-    /// Removes a test cache's base file and shard files.
-    fn remove_cache_files(base: &std::path::Path) {
-        use crate::sim::diskcache::{shard_path, DISK_SHARDS};
-        let _ = std::fs::remove_file(base);
-        for shard in 0..DISK_SHARDS {
-            let _ = std::fs::remove_file(shard_path(base, shard));
-        }
-    }
-
     fn disk_table(path: &std::path::Path) -> (Arc<CharStore>, CharacterizationTable) {
         let store = Arc::new(CharStore::with_disk_cache(path).expect("open disk cache"));
         let table = CharacterizationTable::with_store(
@@ -1091,32 +970,27 @@ mod tests {
         }
         assert_eq!(store2.misses(), 0, "a warm disk cache serves every lookup");
         assert_eq!(store2.hits(), 3);
-        remove_cache_files(&path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn disk_cache_version_bump_invalidates_cleanly() {
-        use crate::sim::diskcache::{shard_path, DISK_SHARDS};
         let path = temp_cache_path("version");
         {
             let (store, mut table) = disk_table(&path);
             table.point(&RunningMode::full_speed(&CpuConfig::paper_quad_core()));
             assert_eq!(store.misses(), 1);
         }
-        // Rewrite every shard file's header with a bumped version; entries
-        // must be ignored.
+        // Rewrite the file's header with a bumped version; entries must be
+        // ignored.
         let bumped = format!(
             "{{\"format\": \"memtherm-char-cache\", \"version\": {}}}",
             crate::sim::diskcache::FORMAT_VERSION + 1
         );
-        for shard in 0..DISK_SHARDS {
-            let spath = shard_path(&path, shard);
-            if let Ok(body) = std::fs::read_to_string(&spath) {
-                let mut lines: Vec<&str> = body.lines().collect();
-                lines[0] = &bumped;
-                std::fs::write(&spath, lines.join("\n")).unwrap();
-            }
-        }
+        let body = std::fs::read_to_string(&path).expect("the cache file exists");
+        let mut lines: Vec<&str> = body.lines().collect();
+        lines[0] = &bumped;
+        std::fs::write(&path, lines.join("\n")).unwrap();
 
         let (store, mut table) = disk_table(&path);
         assert!(store.is_empty(), "a future format version must not be trusted");
@@ -1124,11 +998,11 @@ mod tests {
         assert_eq!(store.misses(), 1, "the point is recomputed");
         drop(table);
 
-        // The invalidated shard was rewritten: a third store sees the fresh
+        // The invalidated file was rewritten: a third store sees the fresh
         // entry under the current version again.
         let (store3, _) = disk_table(&path);
         assert_eq!(store3.len(), 1);
-        remove_cache_files(&path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1156,7 +1030,7 @@ mod tests {
         shrunk.point(&RunningMode::full_speed(&CpuConfig::paper_quad_core()));
         assert_eq!(store.misses(), 1, "different hardware must recompute, not reuse");
         assert_eq!(store.hits(), 0);
-        remove_cache_files(&path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,66 +1,44 @@
 //! Disk persistence for the level-1 characterization store.
 //!
 //! [`DiskCache`] backs a [`CharStore`](crate::sim::characterize::CharStore)
-//! with append-only, line-delimited JSON files so characterizations
-//! survive the process: repeated sweeps, examples and CI runs skip level-1
-//! entirely on a warm cache. The container builds offline (no serde), so
-//! both the writer and the reader are hand-rolled:
+//! with one append-only, line-delimited JSON file at the path the caller
+//! gives, so characterizations survive the process: repeated sweeps,
+//! examples and CI runs skip level-1 entirely on a warm cache. The
+//! workspace has no external dependencies (no serde), so both the writer
+//! and the reader are hand-rolled:
 //!
-//! * **File layout** — the cache is sharded across [`DISK_SHARDS`] files so
-//!   concurrent writers (threads *and* processes) persisting different keys
-//!   never contend on one lock. A cache opened at `cache.jsonl` owns:
-//!
-//!   ```text
-//!   cache.0.jsonl   cache.1.jsonl   cache.2.jsonl   cache.3.jsonl
-//!   cache.0.jsonl.lock  …                     (advisory lock siblings)
-//!   ```
-//!
-//!   A key's shard file is the low bits of the same process-stable
-//!   [`key_hash`](crate::sim::characterize::key_hash) that selects its
-//!   in-memory store shard ([`shard_index`]); each shard file has its own
-//!   header, advisory lock, compaction and entry cap. The base path itself
-//!   holds no data — it only names the family (and [`DiskCache::path`]
-//!   still reports it).
-//! * **Legacy migration** — caches written before the sharded layout were a
-//!   single file at the base path. Opening such a cache migrates it once:
-//!   under the base path's advisory lock, every valid entry is routed to
-//!   its shard file (appended after any entries already there) and the
-//!   legacy file is removed. A crash mid-migration at worst leaves
-//!   duplicates for the next load's dedup; a second process opening
-//!   concurrently finds the legacy file gone and skips the migration.
-//! * **Format** — line 1 of each shard file is a header `{"format":
-//!   "memtherm-char-cache", "version": N}`; every further line is one
-//!   `{"key": {...}, "point": {...}}` entry. Appending an entry is a single
-//!   `write` of one line, which keeps concurrent writers from different
-//!   threads safe behind the shard's mutex and makes a torn tail line
-//!   recoverable (it is simply skipped on the next load).
-//! * **Cross-process locking** — every append additionally takes the shard
+//! * **Format** — line 1 is a header `{"format": "memtherm-char-cache",
+//!   "version": N}`; every further line is one `{"key": {...}, "point":
+//!   {...}}` entry. Appending an entry is a single `write` of one line,
+//!   which keeps concurrent writers from different threads safe behind the
+//!   cache's mutex and makes a torn tail line recoverable: it is skipped on
+//!   the next load, and the next append first terminates it so the new
+//!   entry starts on a line of its own.
+//! * **Cross-process locking** — every append additionally takes the
 //!   file's advisory lock (a `<path>.lock` sibling created with
 //!   `O_CREAT|O_EXCL` semantics via `create_new`, retried in a bounded
 //!   sleep loop), so multiple *processes* sharing one cache serialize
-//!   their appends and their lazy header initialization per shard instead
-//!   of racing — and processes writing different shards proceed fully in
-//!   parallel. Stale locks left by a crashed holder are broken after 10 s;
-//!   if the lock cannot be acquired within the 2 s retry budget the append
-//!   proceeds unlocked — the cache is an accelerator and a wedged lock
-//!   file must not stall the simulation (the worst case is a torn line,
-//!   which the loader already skips).
+//!   their appends and their lazy header initialization instead of racing;
+//!   the header is re-checked under the lock, so a second process never
+//!   truncates the entries of the first. Stale locks left by a crashed
+//!   holder are broken after 10 s; if the lock cannot be acquired within
+//!   the 2 s retry budget the append proceeds unlocked — the cache is an
+//!   accelerator and a wedged lock file must not stall the simulation (the
+//!   worst case is a torn line, which the loader already skips).
 //! * **Compaction and capping** — concurrent writers legitimately append
 //!   duplicate keys (each process computes and persists the point it was
-//!   missing), so a shard file accumulates dead lines across warm runs. A
-//!   load deduplicates (first occurrence wins, mirroring the in-memory
-//!   store's first-write-wins insert) and rewrites the shard file
-//!   atomically (temporary sibling + rename) under its advisory lock when
-//!   either at least [`COMPACT_MIN_DEAD`] dead lines make up a quarter of
-//!   its entries, or the shard exceeds its entry cap
-//!   ([`SHARD_ENTRY_CAP`] by default, [`DiskCache::open_with_cap`] to
-//!   override) — capping evicts the oldest lines first, so a shard file
-//!   can no longer grow without bound.
+//!   missing), so the file accumulates dead lines across warm runs. A load
+//!   deduplicates (first occurrence wins, mirroring the in-memory store's
+//!   first-write-wins insert) and rewrites the file atomically (temporary
+//!   sibling + rename) under its advisory lock when either at least 8 dead
+//!   lines make up a quarter of its entries, or it holds more than
+//!   `ENTRY_CAP` (262,144) unique entries — capping evicts the oldest lines
+//!   first, so the file cannot grow without bound.
 //! * **Versioning** — a header whose format name or version does not match
-//!   [`FORMAT_VERSION`] invalidates that shard file: the load returns no
-//!   entries from it and the next append rewrites it from scratch. Entries
-//!   whose `hw_fingerprint` belongs to a different hardware configuration
-//!   are *not* special-cased — the fingerprint is part of the key, so they
+//!   [`FORMAT_VERSION`] invalidates the file: the load returns no entries
+//!   and the next append rewrites it from scratch. Entries whose
+//!   `hw_fingerprint` belongs to a different hardware configuration are
+//!   *not* special-cased — the fingerprint is part of the key, so they
 //!   coexist harmlessly and simply never match.
 //! * **Exactness** — floating-point fields are written with Rust's shortest
 //!   round-trip formatting (`{:?}`), so a reloaded [`CharPoint`] is
@@ -76,63 +54,33 @@ use std::time::{Duration, Instant};
 use cpu_model::{OperatingPoint, RunningMode};
 use fbdimm_sim::DimmTraffic;
 
-use crate::sim::characterize::{key_hash, CharPoint, CharStoreKey, ModeKey};
+use crate::sim::characterize::{CharPoint, CharStoreKey, ModeKey};
 
 /// Version of the on-disk format; bump on any incompatible layout change.
-pub const FORMAT_VERSION: u64 = 1;
+pub(crate) const FORMAT_VERSION: u64 = 1;
 
 /// Format name written into (and required of) the header line.
 const FORMAT_NAME: &str = "memtherm-char-cache";
 
-/// Number of shard files a cache is split across. A power of two so the
-/// shard index is a mask of the key hash's low bits.
-pub const DISK_SHARDS: usize = 4;
+/// Entry cap: a load that finds more unique entries evicts the oldest lines
+/// down to this bound and rewrites the file.
+const ENTRY_CAP: usize = 262_144;
 
-/// Default per-shard entry cap: a load that finds more unique entries
-/// evicts the oldest lines down to this bound and rewrites the shard file.
-pub const SHARD_ENTRY_CAP: usize = 65_536;
-
-/// Index of the shard file holding `key` — the low bits of the same
-/// process-stable [`key_hash`] that selects the key's in-memory
-/// [`CharStore`](crate::sim::characterize::CharStore) shard.
-pub fn shard_index(key: &CharStoreKey) -> usize {
-    key_hash(key) as usize & (DISK_SHARDS - 1)
-}
-
-/// Path of one shard's file: the base path with `.<shard>` inserted before
-/// the extension (`cache.jsonl` → `cache.2.jsonl`).
-pub fn shard_path(base: &Path, shard: usize) -> PathBuf {
-    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("cache");
-    match base.extension().and_then(|e| e.to_str()) {
-        Some(ext) => base.with_file_name(format!("{stem}.{shard}.{ext}")),
-        None => base.with_file_name(format!("{stem}.{shard}")),
-    }
-}
-
-/// The header line every shard file starts with.
+/// The header line the cache file starts with.
 fn header_line() -> String {
     format!("{{\"format\": \"{FORMAT_NAME}\", \"version\": {FORMAT_VERSION}}}\n")
 }
 
-/// One shard file of the cache: its own path, advisory lock and lazily
-/// opened append handle, so appends to different shards never serialize.
+/// Append-only disk backing of a characterization store: one JSONL file,
+/// its advisory lock sibling and a lazily opened append handle.
 #[derive(Debug)]
-struct DiskShard {
+pub(crate) struct DiskCache {
     path: PathBuf,
     /// Sibling lock file serializing appends across processes.
     lock_path: PathBuf,
     /// Open append handle; `None` until the first append. The flag records
     /// whether the existing file must be rewritten (missing or invalidated).
     writer: Mutex<(Option<File>, bool)>,
-}
-
-/// Append-only, sharded disk backing of a characterization store.
-#[derive(Debug)]
-pub struct DiskCache {
-    /// Base path the shard files derive from (see [`shard_path`]); holds no
-    /// data itself.
-    path: PathBuf,
-    shards: Vec<DiskShard>,
 }
 
 /// Held advisory lock: the `.lock` file exists while the guard lives and is
@@ -199,143 +147,48 @@ fn acquire_path_lock(path: &Path) -> Option<PathLock> {
 }
 
 impl DiskCache {
-    /// Opens a disk cache rooted at `path` and loads every valid entry from
-    /// its shard files, with the default per-shard entry cap
-    /// ([`SHARD_ENTRY_CAP`]).
+    /// Opens the cache file at `path` and loads every valid entry.
     ///
-    /// A legacy single-file cache at `path` itself is migrated into the
-    /// sharded layout first (see the module docs). Missing shard files
-    /// yield no entries; a shard whose header mismatches (older or newer
-    /// format version) discards that shard's contents and schedules the
-    /// file to be rewritten on the first append to it.
+    /// A missing file yields no entries; a file whose header mismatches
+    /// (older or newer format version) discards its contents and schedules
+    /// the file to be rewritten on the first append.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than files not existing.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Self, Vec<(CharStoreKey, CharPoint)>)> {
-        Self::open_with_cap(path, SHARD_ENTRY_CAP)
+    /// Propagates I/O errors other than the file not existing.
+    pub(crate) fn open(path: impl AsRef<Path>) -> std::io::Result<(Self, Vec<(CharStoreKey, CharPoint)>)> {
+        Self::open_capped(path.as_ref(), ENTRY_CAP)
     }
 
-    /// [`DiskCache::open`] with an explicit per-shard entry cap: a shard
-    /// file holding more than `cap` unique entries after dedup is rewritten
-    /// with only the newest `cap` lines kept (oldest evicted first).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than files not existing.
-    pub fn open_with_cap(
-        path: impl AsRef<Path>,
-        cap: usize,
-    ) -> std::io::Result<(Self, Vec<(CharStoreKey, CharPoint)>)> {
-        let base = path.as_ref().to_path_buf();
-        migrate_legacy(&base)?;
-        let mut shards = Vec::with_capacity(DISK_SHARDS);
-        let mut entries = Vec::new();
-        for i in 0..DISK_SHARDS {
-            let spath = shard_path(&base, i);
-            let lock_path = lock_path_for(&spath);
-            let (shard_entries, must_reset) = match std::fs::read_to_string(&spath) {
-                Ok(body) => {
-                    let mut lines = body.lines();
-                    if lines.next().map(header_is_current) == Some(true) {
-                        let raw: Vec<(CharStoreKey, CharPoint)> = lines.filter_map(parse_entry).collect();
-                        (compact_on_load(&spath, &lock_path, raw, cap), false)
-                    } else {
-                        (Vec::new(), true)
-                    }
+    /// [`DiskCache::open`] with an explicit entry cap: a file holding more
+    /// than `cap` unique entries after dedup is rewritten with only the
+    /// newest `cap` lines kept (oldest evicted first).
+    fn open_capped(path: &Path, cap: usize) -> std::io::Result<(Self, Vec<(CharStoreKey, CharPoint)>)> {
+        let lock_path = lock_path_for(path);
+        let (entries, must_reset) = match std::fs::read_to_string(path) {
+            Ok(body) => {
+                let mut lines = body.lines();
+                if lines.next().map(header_is_current) == Some(true) {
+                    let raw: Vec<(CharStoreKey, CharPoint)> = lines.filter_map(parse_entry).collect();
+                    (compact_on_load(path, &lock_path, raw, cap), false)
+                } else {
+                    (Vec::new(), true)
                 }
-                Err(e) if e.kind() == ErrorKind::NotFound => (Vec::new(), true),
-                Err(e) => return Err(e),
-            };
-            entries.extend(shard_entries);
-            shards.push(DiskShard { path: spath, lock_path, writer: Mutex::new((None, must_reset)) });
-        }
-        Ok((DiskCache { path: base, shards }, entries))
-    }
-
-    /// The base path the cache's shard files derive from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one computed entry to its shard file (see [`shard_index`]).
-    /// I/O failures are swallowed: the disk cache is an accelerator, and a
-    /// read-only or full filesystem must not break the simulation that
-    /// produced the point.
-    pub fn append(&self, key: &CharStoreKey, point: &CharPoint) {
-        self.shards[shard_index(key)].append(key, point);
-    }
-}
-
-/// One-time migration of a legacy single-file cache at `base` into the
-/// sharded layout: under the base path's advisory lock, every valid entry
-/// is appended to its shard file and the legacy file is removed. An invalid
-/// legacy file (foreign header) is simply removed — the legacy semantics
-/// already discarded it wholesale.
-fn migrate_legacy(base: &Path) -> std::io::Result<()> {
-    if !base.exists() {
-        return Ok(());
-    }
-    let _lock = acquire_path_lock(&lock_path_for(base));
-    let body = match std::fs::read_to_string(base) {
-        Ok(body) => body,
-        // Another process migrated between our existence check and the lock.
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let mut lines = body.lines();
-    if lines.next().map(header_is_current) == Some(true) {
-        let mut routed: Vec<Vec<(CharStoreKey, CharPoint)>> = (0..DISK_SHARDS).map(|_| Vec::new()).collect();
-        for (key, point) in lines.filter_map(parse_entry) {
-            let shard = shard_index(&key);
-            routed[shard].push((key, point));
-        }
-        for (shard, batch) in routed.iter().enumerate() {
-            if !batch.is_empty() {
-                migrate_batch_into(&shard_path(base, shard), batch)?;
             }
-        }
+            Err(e) if e.kind() == ErrorKind::NotFound => (Vec::new(), true),
+            Err(e) => return Err(e),
+        };
+        let cache = DiskCache { path: path.to_path_buf(), lock_path, writer: Mutex::new((None, must_reset)) };
+        Ok((cache, entries))
     }
-    std::fs::remove_file(base)
-}
 
-/// Appends a migration batch to the shard file at `path` under its advisory
-/// lock, creating the file with a header when it is missing or invalid. The
-/// whole file is rewritten through a temporary sibling + rename so a crash
-/// never leaves a half-written shard, and any existing entries keep their
-/// position (first-occurrence-wins dedup thus prefers them over migrated
-/// duplicates).
-fn migrate_batch_into(path: &Path, batch: &[(CharStoreKey, CharPoint)]) -> std::io::Result<()> {
-    let _lock = acquire_path_lock(&lock_path_for(path));
-    let mut body = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.lines().next().map(header_is_current) == Some(true) => {
-            let mut existing = existing;
-            // A torn tail becomes a complete (malformed, skipped-on-load)
-            // line instead of merging with the first migrated entry.
-            if !existing.ends_with('\n') {
-                existing.push('\n');
-            }
-            existing
-        }
-        _ => header_line(),
-    };
-    for (key, point) in batch {
-        body.push_str(&serialize_entry(key, point));
-    }
-    let tmp = path.with_extension(format!("migrate.{}", std::process::id()));
-    let written = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, path));
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
-}
-
-impl DiskShard {
-    /// Appends one entry, holding the shard's cross-process advisory lock
+    /// Appends one computed entry, holding the cross-process advisory lock
     /// around the write (and around the lazy header initialization, so two
-    /// processes racing to create the shard file cannot clobber each
-    /// other's entries).
-    fn append(&self, key: &CharStoreKey, point: &CharPoint) {
+    /// processes racing to create the file cannot clobber each other's
+    /// entries). I/O failures are swallowed: the disk cache is an
+    /// accelerator, and a read-only or full filesystem must not break the
+    /// simulation that produced the point.
+    pub(crate) fn append(&self, key: &CharStoreKey, point: &CharPoint) {
         let line = serialize_entry(key, point);
         let mut writer = self.writer.lock().expect("disk cache writer poisoned");
         // Degrading to an unlocked append on timeout is deliberate (see the
@@ -412,12 +265,11 @@ impl DiskShard {
 /// growing without bound across warm-cache runs.
 const COMPACT_MIN_DEAD: usize = 8;
 
-/// Deduplicates one shard's loaded entries (first occurrence wins, matching
-/// the in-memory store's first-write-wins semantics), evicts the oldest
-/// lines beyond the shard's entry cap, and — when enough dead lines have
-/// accumulated or an eviction happened — rewrites the shard file through a
-/// temporary sibling renamed into place under its cross-process advisory
-/// lock.
+/// Deduplicates the loaded entries (first occurrence wins, matching the
+/// in-memory store's first-write-wins semantics), evicts the oldest lines
+/// beyond the entry cap, and — when enough dead lines have accumulated or
+/// an eviction happened — rewrites the file through a temporary sibling
+/// renamed into place under its cross-process advisory lock.
 ///
 /// The rewrite is best-effort on two counts: failing to take the lock (or
 /// any I/O error) simply skips compaction until a later load, and a
@@ -489,7 +341,10 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn esc(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quote, backslash and
+/// the `\n`/`\r`/`\t` short forms, `\u00XX` for every other control
+/// character, everything else verbatim.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -533,7 +388,7 @@ fn serialize_entry(key: &CharStoreKey, point: &CharPoint) -> String {
             "\"instr_rate\": {}, \"core_share\": [{}], \"read_gbps\": {}, \"write_gbps\": {}, ",
             "\"dimms\": [{}], \"ipc_ref_sum\": {}, \"l2_miss_rate\": {}, \"l2_mpi\": {}, \"bpi\": {}}}}}\n"
         ),
-        esc(&key.mix_id),
+        escape_json(&key.mix_id),
         key.mode.active_cores,
         key.mode.freq_mhz,
         key.mode.cap_mbps,
@@ -565,8 +420,10 @@ fn parse_entry(line: &str) -> Option<(CharStoreKey, CharPoint)> {
         mix_id: key.get("mix")?.as_str()?.to_string(),
         mode: ModeKey {
             active_cores: key.get("cores")?.as_u64()? as usize,
-            freq_mhz: key.get("freq_mhz")?.as_u64()? as u32,
-            cap_mbps: key.get("cap_mbps")?.as_u64()? as u32,
+            // Checked narrowing: an out-of-range value is a malformed line,
+            // never a wrapped-around (and so wrong) key.
+            freq_mhz: u32::try_from(key.get("freq_mhz")?.as_u64()?).ok()?,
+            cap_mbps: u32::try_from(key.get("cap_mbps")?.as_u64()?).ok()?,
         },
         budget: key.get("budget")?.as_u64()?,
         channels: key.get("channels")?.as_u64()? as usize,
@@ -872,10 +729,12 @@ mod tests {
         let mut point = sample_point();
         point.bytes_per_instr = f64::INFINITY;
         point.ipc_ref_sum = f64::NEG_INFINITY;
+        point.l2_miss_rate = f64::NAN;
         let line = serialize_entry(&sample_key(), &point);
         let (_, p2) = parse_entry(line.trim_end()).expect("entry parses");
         assert!(p2.bytes_per_instr.is_infinite() && p2.bytes_per_instr > 0.0);
         assert!(p2.ipc_ref_sum.is_infinite() && p2.ipc_ref_sum < 0.0);
+        assert!(p2.l2_miss_rate.is_nan(), "NaN reloads as NaN");
     }
 
     #[test]
@@ -884,49 +743,44 @@ mod tests {
         assert!(parse_entry("{\"key\": {}}").is_none());
         assert!(parse_entry("{\"key\": {\"mix\": \"W1\"}, \"point\": 3}").is_none());
         assert!(parse_entry("{ truncated").is_none());
-    }
-
-    /// A key distinct from `of` (larger budget) that routes to the same
-    /// shard file, for tests exercising per-shard append behavior.
-    fn same_shard_key(of: &CharStoreKey) -> CharStoreKey {
-        let mut key = of.clone();
-        loop {
-            key.budget += 1;
-            if shard_index(&key) == shard_index(of) {
-                return key;
-            }
+        // Key fields past `u32::MAX` are malformed, not wrapped: 2^32 + 3200
+        // must not load as the 3200 MHz key, nor 2^32 as a 0 MB/s cap.
+        let valid = serialize_entry(&sample_key(), &sample_point());
+        for (field, out_of_range) in [("\"freq_mhz\": 3200", "4294970496"), ("\"cap_mbps\": 4294967295", "4294967296")]
+        {
+            assert!(valid.contains(field), "sample line carries {field}");
+            let name = field.split(':').next().unwrap();
+            let line = valid.replace(field, &format!("{name}: {out_of_range}"));
+            assert!(parse_entry(line.trim_end()).is_none(), "{name} {out_of_range} is skipped");
         }
     }
 
-    /// Removes a test cache's base file, shard files and lock siblings.
-    fn cleanup(base: &Path) {
-        let _ = std::fs::remove_file(lock_path_for(base));
-        let _ = std::fs::remove_file(base);
-        for shard in 0..DISK_SHARDS {
-            let path = shard_path(base, shard);
-            let _ = std::fs::remove_file(lock_path_for(&path));
-            let _ = std::fs::remove_file(&path);
-        }
+    /// A key distinct from `of` (one larger budget).
+    fn next_key(of: &CharStoreKey) -> CharStoreKey {
+        CharStoreKey { budget: of.budget + 1, ..of.clone() }
+    }
+
+    /// Removes a test cache file and its lock sibling.
+    fn cleanup(path: &Path) {
+        let _ = std::fs::remove_file(lock_path_for(path));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn append_after_torn_tail_starts_a_fresh_line() {
-        let base = temp_path("torn_tail");
-        // One shard file with a valid header + one valid entry + a torn
-        // (newline-less) tail.
+        let path = temp_path("torn_tail");
+        // A valid header + one valid entry + a torn (newline-less) tail.
         let key = sample_key();
-        let spath = shard_path(&base, shard_index(&key));
         let valid = serialize_entry(&key, &sample_point());
-        std::fs::write(&spath, format!("{}{valid}{{\"key\": {{\"mix", header_line())).unwrap();
-        let (cache, entries) = DiskCache::open(&base).unwrap();
+        std::fs::write(&path, format!("{}{valid}{{\"key\": {{\"mix", header_line())).unwrap();
+        let (cache, entries) = DiskCache::open(&path).unwrap();
         assert_eq!(entries.len(), 1, "torn tail is skipped, valid entry loads");
-        // Append to the SAME shard so the new line lands after the torn one.
-        cache.append(&same_shard_key(&key), &sample_point());
+        cache.append(&next_key(&key), &sample_point());
         drop(cache);
         // The appended entry must not have merged into the torn line.
-        let (_, entries) = DiskCache::open(&base).unwrap();
+        let (_, entries) = DiskCache::open(&path).unwrap();
         assert_eq!(entries.len(), 2, "appended entry survives a torn predecessor");
-        cleanup(&base);
+        cleanup(&path);
     }
 
     #[test]
@@ -950,25 +804,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_paths_insert_the_shard_index_before_the_extension() {
-        assert_eq!(shard_path(Path::new("/tmp/cache.jsonl"), 2), Path::new("/tmp/cache.2.jsonl"));
-        assert_eq!(shard_path(Path::new("cache.jsonl"), 0), Path::new("cache.0.jsonl"));
-        assert_eq!(shard_path(Path::new("/tmp/cache"), 3), Path::new("/tmp/cache.3"));
-    }
-
-    #[test]
     fn racing_header_initialization_does_not_clobber_a_foreign_writers_entries() {
         // The cross-process init race: two caches open the same missing
-        // shard file, the second to append must detect the now-valid header
-        // under the lock and append instead of truncating the first's
-        // entries. Both keys route to one shard so the race is on one file.
+        // file, the second to append must detect the now-valid header under
+        // the lock and append instead of truncating the first's entries.
         let path = temp_path("init_race");
         let (a, entries) = DiskCache::open(&path).unwrap();
         assert!(entries.is_empty());
         let (b, _) = DiskCache::open(&path).unwrap();
         let key = sample_key();
         b.append(&key, &sample_point());
-        a.append(&same_shard_key(&key), &sample_point());
+        a.append(&next_key(&key), &sample_point());
         let (_, entries) = DiskCache::open(&path).unwrap();
         assert_eq!(entries.len(), 2, "both writers' entries survive the init race");
         cleanup(&path);
@@ -982,8 +828,7 @@ mod tests {
 
     #[test]
     fn load_compacts_duplicate_riddled_files_keeping_the_first_write() {
-        let base = temp_path("compact");
-        let spath = shard_path(&base, shard_index(&sample_key()));
+        let path = temp_path("compact");
         let mut body = header_line();
         // Nine duplicates of one key (the first carries a distinguishable
         // point) plus three unique keys: 12 entries, 9 dead — over the
@@ -996,91 +841,43 @@ mod tests {
         }
         let mut key = sample_key();
         for _ in 1..=3u64 {
-            key = same_shard_key(&key);
+            key = next_key(&key);
             body.push_str(&serialize_entry(&key, &sample_point()));
         }
-        std::fs::write(&spath, body).unwrap();
+        std::fs::write(&path, body).unwrap();
 
-        let (_, entries) = DiskCache::open(&base).unwrap();
+        let (_, entries) = DiskCache::open(&path).unwrap();
         assert_eq!(entries.len(), 4, "duplicates are dropped from the loaded set");
         assert_eq!(entries[0].1.read_gbps, 42.0, "the FIRST write of a duplicated key wins");
 
-        let rewritten = std::fs::read_to_string(&spath).unwrap();
-        assert_eq!(rewritten.lines().count(), 5, "the shard is rewritten as header + 4 unique entries");
-        let (_, reloaded) = DiskCache::open(&base).unwrap();
-        assert_eq!(reloaded, entries, "the compacted shard round-trips");
-        cleanup(&base);
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(rewritten.lines().count(), 5, "the file is rewritten as header + 4 unique entries");
+        let (_, reloaded) = DiskCache::open(&path).unwrap();
+        assert_eq!(reloaded, entries, "the compacted file round-trips");
+        cleanup(&path);
     }
 
     #[test]
     fn load_leaves_files_below_the_dead_line_threshold_untouched() {
-        let base = temp_path("no_compact");
-        let spath = shard_path(&base, shard_index(&sample_key()));
+        let path = temp_path("no_compact");
         let mut body = header_line();
         // Two duplicates only: deduplicated in memory, but far below the
         // rewrite threshold.
         for _ in 0..3 {
             body.push_str(&serialize_entry(&sample_key(), &sample_point()));
         }
-        std::fs::write(&spath, &body).unwrap();
-        let (_, entries) = DiskCache::open(&base).unwrap();
+        std::fs::write(&path, &body).unwrap();
+        let (_, entries) = DiskCache::open(&path).unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(std::fs::read_to_string(&spath).unwrap(), body, "no rewrite below the threshold");
-        cleanup(&base);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), body, "no rewrite below the threshold");
+        cleanup(&path);
     }
 
     #[test]
-    fn legacy_single_file_cache_migrates_into_shards_once() {
-        let base = temp_path("migrate");
-        let mut body = header_line();
-        let mut keys = Vec::new();
-        let mut key = sample_key();
-        for i in 0..12u64 {
-            key.budget = 1000 + i;
-            keys.push(key.clone());
-            body.push_str(&serialize_entry(&key, &sample_point()));
-        }
-        std::fs::write(&base, body).unwrap();
-
-        let (_, entries) = DiskCache::open(&base).unwrap();
-        assert_eq!(entries.len(), 12, "every legacy entry survives the migration");
-        assert!(!base.exists(), "the legacy single file is consumed");
-        for key in &keys {
-            let spath = shard_path(&base, shard_index(key));
-            let shard_body = std::fs::read_to_string(&spath).expect("the key's shard file exists");
-            assert!(header_is_current(shard_body.lines().next().unwrap()), "migrated shards carry a header");
-            assert!(
-                shard_body.lines().skip(1).filter_map(parse_entry).any(|(k, _)| &k == key),
-                "each entry lands in its hash-routed shard file"
-            );
-        }
-        let populated = (0..DISK_SHARDS).filter(|&s| shard_path(&base, s).exists()).count();
-        assert!(populated >= 2, "12 keys spread over more than one shard (got {populated})");
-
-        // Reopening after the migration is a plain sharded load.
-        let (_, reloaded) = DiskCache::open(&base).unwrap();
-        assert_eq!(reloaded.len(), entries.len(), "the migrated cache round-trips");
-        for (key, point) in &entries {
-            assert!(reloaded.iter().any(|(k, p)| k == key && p == point), "entry preserved bit-exactly");
-        }
-        cleanup(&base);
-    }
-
-    #[test]
-    fn invalid_legacy_file_is_discarded_by_migration() {
-        let base = temp_path("migrate_invalid");
-        std::fs::write(&base, "{\"format\": \"something-else\", \"version\": 1}\njunk\n").unwrap();
-        let (_, entries) = DiskCache::open(&base).unwrap();
-        assert!(entries.is_empty(), "a foreign-format legacy file contributes nothing");
-        assert!(!base.exists(), "and is removed rather than re-inspected forever");
-        cleanup(&base);
-    }
-
-    #[test]
-    fn a_capped_shard_stays_capped_across_reloads() {
-        let base = temp_path("capped");
+    fn a_capped_cache_stays_capped_across_reloads() {
+        let path = temp_path("capped");
         const CAP: usize = 3;
-        let (cache, _) = DiskCache::open_with_cap(&base, CAP).unwrap();
+        let (cache, _) = DiskCache::open_capped(&path, CAP).unwrap();
         let mut key = sample_key();
         for i in 0..40u64 {
             key.budget = i;
@@ -1088,29 +885,17 @@ mod tests {
         }
         drop(cache);
 
-        let (_, entries) = DiskCache::open_with_cap(&base, CAP).unwrap();
-        assert!(
-            entries.len() <= CAP * DISK_SHARDS,
-            "every shard is capped on load ({} entries survive)",
-            entries.len()
-        );
-        assert_eq!(
-            entries.iter().map(|(k, _)| k.budget).max(),
-            Some(39),
-            "eviction drops the OLDEST lines — the newest entry of its shard survives"
-        );
-        for shard in 0..DISK_SHARDS {
-            let spath = shard_path(&base, shard);
-            if let Ok(body) = std::fs::read_to_string(&spath) {
-                let lines = body.lines().count();
-                assert!(lines <= CAP + 1, "shard {shard} rewritten to header + ≤{CAP} entries (got {lines} lines)");
-            }
-        }
-        // A further reload finds the shards already within cap and keeps
-        // them byte-identical.
-        let (_, reloaded) = DiskCache::open_with_cap(&base, CAP).unwrap();
+        let (_, entries) = DiskCache::open_capped(&path, CAP).unwrap();
+        let budgets: Vec<u64> = entries.iter().map(|(k, _)| k.budget).collect();
+        assert_eq!(budgets, [37, 38, 39], "eviction drops the OLDEST lines — the newest {CAP} survive in order");
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(body.lines().count(), CAP + 1, "the file is rewritten to header + {CAP} entries");
+        // A further reload finds the file already within cap and keeps it
+        // byte-identical.
+        let (_, reloaded) = DiskCache::open_capped(&path, CAP).unwrap();
         assert_eq!(reloaded, entries, "a capped cache is stable across reloads");
-        cleanup(&base);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), body, "no rewrite within the cap");
+        cleanup(&path);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! [`ThermalObservation`](crate::thermal::scene::ThermalObservation) — the
 //! full sensed per-position, per-layer temperature field with the hottest
 //! devices derived by arg-max — and receives an
-//! [`ActuationPlan`](crate::dtm::plan::ActuationPlan) back. Scalar plans
+//! [`ActuationPlan`] back. Scalar plans
 //! (global mode only) take the legacy code path bit-identically; spatial
 //! plans steer the design point's traffic across positions and throttle
 //! individual channels ([`ActuationPlan::apply_traffic_into`]), so

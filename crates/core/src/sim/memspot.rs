@@ -2,13 +2,13 @@
 //!
 //! MEMSpot replays a workload mix as a batch job over thousands of simulated
 //! seconds in small windows (10 ms by default). The window loop itself lives
-//! in [`SimEngine`](crate::sim::engine::SimEngine): every window it looks up
+//! in [`SimEngine`]: every window it looks up
 //! the level-1 characterization of the current running mode, advances batch
 //! progress, converts the per-DIMM memory traffic to per-position DRAM/AMB
 //! power (Eqs. 3.1–3.2), steps the stack-resolved
 //! [`DimmThermalScene`](crate::thermal::scene::DimmThermalScene)
 //! (Eqs. 3.3–3.6; the configured
-//! [`StackKind`](crate::thermal::params::StackKind) decides whether each
+//! [`StackKind`] decides whether each
 //! position is an FBDIMM pair, a DDR4/5 rank pair or a 3D stack) and
 //! integrates energy. Every DTM interval the active policy reads a
 //! [`ThermalObservation`](crate::thermal::scene::ThermalObservation) of the

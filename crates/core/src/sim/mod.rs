@@ -2,15 +2,15 @@
 
 pub mod batch;
 pub mod characterize;
-pub mod diskcache;
+pub(crate) mod diskcache;
 pub mod energy;
 pub mod engine;
 pub mod memspot;
 pub mod modes;
 
 pub use batch::{BatchCell, BatchOptions, BatchedSimEngine, CellRunStats};
-pub use characterize::{key_hash, CharPoint, CharStore, CharStoreKey, CharacterizationTable, ModeKey, STORE_SHARDS};
-pub use diskcache::{shard_index, shard_path, DiskCache, DISK_SHARDS};
+pub use characterize::{CharPoint, CharStore, CharStoreKey, CharacterizationTable, ModeKey};
+pub use diskcache::escape_json;
 pub use energy::EnergyAccumulator;
 pub use engine::SimEngine;
 pub use memspot::{MemSpot, MemSpotConfig, MemSpotResult, PositionPeak, TempSample};

@@ -9,7 +9,7 @@
 //!   breathing the same memory-ambient air, and the hottest device is
 //!   derived by arg-max instead of assumed.
 //! * **Across layers** — each position holds an ordered
-//!   [`StackTopology`](crate::thermal::params::StackTopology) of
+//!   [`StackTopology`] of
 //!   [`DeviceLayer`](crate::thermal::params::DeviceLayer) nodes: the legacy
 //!   AMB+DRAM pair, a DDR4/5-style rank pair with no buffer die, or a
 //!   CoMeT-style 3D stack whose dies couple vertically through TSV

@@ -1,21 +1,20 @@
 //! Cross-process disk-cache contract: two *processes* appending to one
-//! sharded results cache concurrently (each shard file serialized by its
-//! own `<path>.lock` advisory lock) must produce shard files every entry of
-//! which loads back.
+//! results-cache file concurrently (serialized by its `<path>.lock`
+//! advisory lock) must leave a file every entry of which loads back.
 //!
 //! The test re-executes its own test binary twice — once per writer role,
 //! selected by an environment variable — from two threads, waits for both
 //! children, then reopens the cache and verifies that all entries from both
-//! processes survived without corruption. Each role's keys are chosen to
-//! hammer **every** shard file, so the children race each other on all
-//! [`DISK_SHARDS`] locks and lazy header initializations, not just one.
+//! processes survived without corruption. Each child's output is captured
+//! (and shown only if it fails), so the two children's test-harness lines
+//! never interleave into the parent's report. No cache file exists when the
+//! children start, so they also race the lazy header initialization.
 
 use std::process::Command;
 use std::sync::Arc;
 
 use cpu_model::{OperatingPoint, RunningMode};
 use memtherm::sim::characterize::{CharPoint, CharStore, CharStoreKey, ModeKey};
-use memtherm::sim::diskcache::{shard_index, shard_path, DISK_SHARDS};
 
 const ROLE_ENV: &str = "MEMTHERM_XPROC_ROLE";
 const PATH_ENV: &str = "MEMTHERM_XPROC_PATH";
@@ -49,7 +48,7 @@ fn point_for(role: u64, i: u64) -> CharPoint {
 
 /// Child role: open the shared cache and append this role's entries through
 /// the normal `CharStore` miss path, yielding between appends so the two
-/// processes interleave at the shard locks.
+/// processes interleave at the file lock.
 fn run_child(role: u64, path: &str) {
     let store = CharStore::with_disk_cache(path).expect("child opens the shared cache");
     for i in 0..ENTRIES_PER_PROCESS {
@@ -72,28 +71,13 @@ fn two_processes_append_to_one_cache_without_corruption() {
     }
 
     let path = std::env::temp_dir().join(format!("memtherm_xproc_cache_{}.jsonl", std::process::id()));
-    let cleanup = |base: &std::path::Path| {
-        let _ = std::fs::remove_file(base);
-        for shard in 0..DISK_SHARDS {
-            let _ = std::fs::remove_file(shard_path(base, shard));
-        }
-    };
-    cleanup(&path);
-
-    // Each role's 60 budget-varied keys must exercise every shard file, so
-    // the two processes contend on all four locks.
-    for role in 0..2u64 {
-        let covered: std::collections::HashSet<usize> =
-            (0..ENTRIES_PER_PROCESS).map(|i| shard_index(&key_for(role, i))).collect();
-        assert_eq!(covered.len(), DISK_SHARDS, "role {role}'s keys hammer every one of the {DISK_SHARDS} shards");
-    }
+    let lock = path.with_file_name(format!("{}.lock", path.file_name().unwrap().to_string_lossy()));
+    let _ = std::fs::remove_file(&path);
 
     let exe = std::env::current_exe().expect("test binary path");
     let path_str = Arc::new(path.to_string_lossy().into_owned());
 
-    // Two threads each spawn one writer process; no shard file or header
-    // exists yet, so the children also race the lazy header initialization
-    // on every shard.
+    // Two threads each spawn one writer process.
     let children: Vec<_> = (0..2u64)
         .map(|role| {
             let exe = exe.clone();
@@ -109,18 +93,35 @@ fn two_processes_append_to_one_cache_without_corruption() {
                     ])
                     .env(ROLE_ENV, role.to_string())
                     .env(PATH_ENV, path.as_str())
-                    .status()
+                    .output()
                     .expect("spawn child test process")
             })
         })
         .collect();
     for child in children {
-        let status = child.join().expect("join spawner thread");
-        assert!(status.success(), "child writer failed: {status}");
+        let out = child.join().expect("join spawner thread");
+        assert!(
+            out.status.success(),
+            "child writer failed: {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
+    // The file starts with the current header, ends on a whole line, and
+    // its advisory lock did not outlive the writers.
+    let body = std::fs::read_to_string(&path).expect("the cache file exists");
+    assert_eq!(
+        body.lines().next(),
+        Some("{\"format\": \"memtherm-char-cache\", \"version\": 1}"),
+        "the file carries the current versioned header"
+    );
+    assert!(body.ends_with('\n'), "the file has no torn tail");
+    assert!(!lock.exists(), "the advisory lock is released");
+
     // Every entry from both processes must load back, and the values must
-    // round-trip exactly (no torn or interleaved lines in any shard).
+    // round-trip exactly (no torn or interleaved lines).
     let store = CharStore::with_disk_cache(path.as_path()).expect("reopen the shared cache");
     assert_eq!(
         store.len(),
@@ -132,22 +133,11 @@ fn two_processes_append_to_one_cache_without_corruption() {
         for i in 0..ENTRIES_PER_PROCESS {
             let expected = point_for(role, i);
             let got = store.get_or_compute(key_for(role, i), || panic!("entry (role {role}, {i}) missing"));
-            assert_eq!(*got, expected, "entry (role {role}, {i}) corrupted");
+            // `{:?}` prints each float's shortest round-trip form, so equal
+            // renderings mean equal bits (signed zeros included).
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "entry (role {role}, {i}) corrupted");
         }
     }
-    // Every shard file exists, starts with a current header, ends on a
-    // whole line, and its advisory lock did not outlive the writers.
-    for shard in 0..DISK_SHARDS {
-        let spath = shard_path(&path, shard);
-        let body = std::fs::read_to_string(&spath).unwrap_or_else(|_| panic!("shard {shard} file exists"));
-        let header = body.lines().next().expect("shard has a header line");
-        assert!(
-            header.contains("memtherm-char-cache") && header.contains("version"),
-            "shard {shard} carries the versioned header"
-        );
-        assert!(body.ends_with('\n'), "shard {shard} has no torn tail");
-        let lock = spath.with_file_name(format!("{}.lock", spath.file_name().unwrap().to_string_lossy()));
-        assert!(!lock.exists(), "shard {shard}'s advisory lock is released");
-    }
-    cleanup(&path);
+    assert_eq!(store.misses(), 0, "every lookup is served from the file");
+    let _ = std::fs::remove_file(&path);
 }

@@ -168,8 +168,9 @@ impl FbdimmConfig {
     /// One all-zero [`DimmTraffic`](crate::stats::DimmTraffic) entry per
     /// DIMM position, in (channel-major, chain-position) order — the
     /// canonical traffic split of an idle (or shut-off) memory subsystem,
-    /// shaped exactly like a live [`TrafficWindow::dimms`]
-    /// (crate::stats::TrafficWindow::dimms) so the power model can consume
+    /// shaped exactly like a live
+    /// [`TrafficWindow::dimms`](crate::stats::TrafficWindow::dimms) so the
+    /// power model can consume
     /// either without special cases.
     pub fn idle_dimm_traffic(&self) -> Vec<crate::stats::DimmTraffic> {
         (0..self.logical_channels)

@@ -13,10 +13,9 @@
 //! the printed wall-clock comparisons are fair while still showing the
 //! level-1 dedup (the same mix under two cooling configs characterizes
 //! once). A third pass then runs against a *disk-backed* store
-//! (`target/cooling_sweep_char_cache.<shard>.jsonl` — the base path fans
-//! out into one shard file per key-hash class): the first execution of
-//! the example populates the shards, and every rerun loads them and
-//! reports **0 level-1 misses** — the whole sweep skips the closed-loop
+//! (`target/cooling_sweep_char_cache.jsonl`): the first execution of the
+//! example populates the file, and every rerun loads it and reports
+//! **0 level-1 misses** — the whole sweep skips the closed-loop
 //! simulations.
 //! All passes are written to `BENCH_cooling_sweep.json` (a separate file
 //! from the sweep bench's gated `BENCH_sweep.json`, which this example

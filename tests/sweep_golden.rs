@@ -1,8 +1,9 @@
 //! Pre-refactor golden digests of the sweep grid.
 //!
 //! These digests were produced by the sweep stack *before* the
-//! contention-free scale-out refactor (sharded `CharStore`, sharded disk
-//! cache, column-split decision pass, deficit-aware scheduler) and pin the
+//! scale-out refactor (a split level-1 store and disk cache, since folded
+//! back into one map and one file; column-split decision pass,
+//! deficit-aware scheduler) and pin the
 //! bit-exact results of a Smoke-scale grid across every execution variant:
 //! {per-cell vs batched-literal} × {worker counts} × {chunked vs
 //! lane-parallel dispatch}. Any refactor of the store, the scheduler or the
