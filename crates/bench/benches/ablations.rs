@@ -61,7 +61,8 @@ fn main() {
             };
             cfg.dtm_interval_s = interval_ms / 1000.0;
             let mut spot = MemSpot::new(cfg);
-            let mut policy = DtmAcg::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+            let mut policy =
+                ThresholdPolicy::new(DtmScheme::Acg, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
             spot.run(&mixes::w1(), &mut policy).running_time_s
         });
     }
@@ -69,7 +70,8 @@ fn main() {
     // Raw policy decision rate on a fixed observation (the hot path of the
     // engine's DTM interval handling).
     bench_case("ablation_policy_decide/acg_1m_decisions", 5, || {
-        let mut policy = DtmAcg::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let mut policy =
+            ThresholdPolicy::new(DtmScheme::Acg, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
         let obs = ThermalObservation::from_hottest(109.2, 80.0);
         let mut cores = 0usize;
         for _ in 0..1_000_000 {

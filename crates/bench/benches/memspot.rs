@@ -37,13 +37,13 @@ fn main() {
 
     let mut spot = MemSpot::new(config());
     stats.push(bench_case("memspot_w1/dtm_acg_pid", 5, || {
-        let mut p = DtmAcg::with_pid(cpu.clone(), limits);
+        let mut p = ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits);
         spot.run(&mixes::w1(), &mut p).running_time_s
     }));
 
     let mut spot = MemSpot::new(config().with_integrated(None));
     stats.push(bench_case("memspot_w1/dtm_cdvfs_integrated", 5, || {
-        let mut p = DtmCdvfs::new(cpu.clone(), limits);
+        let mut p = ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits);
         spot.run(&mixes::w1(), &mut p).running_time_s
     }));
 

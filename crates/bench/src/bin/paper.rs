@@ -9,17 +9,34 @@
 //! `experiment-id` is one of the identifiers listed by `--list` (for example
 //! `fig4_3` or `tab3_2`). The optional scale (default `quick`) controls the
 //! batch sizes; `paper` uses the full batch sizes of the study and can take
-//! hours per figure.
-
-use std::io::Write;
+//! hours per figure. `--json <dir>` also writes each table to
+//! `<dir>/<id>.json`.
+//!
+//! Exit status: 0 on success, 1 when an experiment fails or a JSON file
+//! cannot be written, 2 on a malformed command line (an unknown scale or
+//! option, or `--json` without a directory).
 
 use experiments::harness::Scale;
 use experiments::{all_experiment_ids, run_experiment};
 
+const USAGE: &str = "usage: paper <experiment-id|all|--list> [smoke|quick|paper] [--json <dir>]";
+
+/// Prints `problem` and the usage line, and exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("error: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Prints `problem` and exits with status 1.
+fn fail(problem: &str) -> ! {
+    eprintln!("error: {problem}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!("usage: paper <experiment-id|all|--list> [smoke|quick|paper] [--json <dir>]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     if args[0] == "--list" {
@@ -29,8 +46,28 @@ fn main() {
         return;
     }
 
-    let scale = args.get(1).and_then(|s| Scale::parse(s)).unwrap_or(Scale::Quick);
-    let json_dir = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
+    let mut scale = None;
+    let mut json_dir = None;
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--json" {
+            match rest.next() {
+                Some(dir) => json_dir = Some(dir.clone()),
+                None => usage_error("--json needs a directory"),
+            }
+        } else if scale.is_none() && !arg.starts_with('-') {
+            scale = Some(Scale::parse(arg).unwrap_or_else(|| usage_error(&format!("unknown scale {arg:?}"))));
+        } else {
+            usage_error(&format!("unexpected argument {arg:?}"));
+        }
+    }
+    let scale = scale.unwrap_or(Scale::Quick);
+    if let Some(dir) = &json_dir {
+        // Fail before the experiments run, not after.
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create {dir}: {e}"));
+        }
+    }
 
     let ids: Vec<String> = if args[0] == "all" {
         all_experiment_ids().into_iter().map(String::from).collect()
@@ -45,18 +82,13 @@ fn main() {
                 println!("{table}");
                 eprintln!("[{}] finished in {:.1} s", id, started.elapsed().as_secs_f64());
                 if let Some(dir) = &json_dir {
-                    if std::fs::create_dir_all(dir).is_ok() {
-                        let path = format!("{dir}/{id}.json");
-                        if let Ok(mut f) = std::fs::File::create(&path) {
-                            let _ = f.write_all(table.to_json().as_bytes());
-                        }
+                    let path = format!("{dir}/{id}.json");
+                    if let Err(e) = std::fs::write(&path, table.to_json()) {
+                        fail(&format!("cannot write {path}: {e}"));
                     }
                 }
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&e.to_string()),
         }
     }
 }

@@ -82,12 +82,12 @@ impl PolicySpec {
         match self {
             PolicySpec::NoLimit => Box::new(memtherm::dtm::NoLimit::new(cpu)),
             PolicySpec::Ts => Box::new(DtmTs::new(cpu.clone(), limits)),
-            PolicySpec::Bw { pid: false } => Box::new(DtmBw::new(cpu.clone(), limits)),
-            PolicySpec::Bw { pid: true } => Box::new(DtmBw::with_pid(cpu.clone(), limits)),
-            PolicySpec::Acg { pid: false } => Box::new(DtmAcg::new(cpu.clone(), limits)),
-            PolicySpec::Acg { pid: true } => Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
-            PolicySpec::Cdvfs { pid: false } => Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-            PolicySpec::Cdvfs { pid: true } => Box::new(DtmCdvfs::with_pid(cpu.clone(), limits)),
+            PolicySpec::Bw { pid: false } => Box::new(ThresholdPolicy::new(DtmScheme::Bw, cpu, limits)),
+            PolicySpec::Bw { pid: true } => Box::new(ThresholdPolicy::with_pid(DtmScheme::Bw, cpu, limits)),
+            PolicySpec::Acg { pid: false } => Box::new(ThresholdPolicy::new(DtmScheme::Acg, cpu, limits)),
+            PolicySpec::Acg { pid: true } => Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, cpu, limits)),
+            PolicySpec::Cdvfs { pid: false } => Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, cpu, limits)),
+            PolicySpec::Cdvfs { pid: true } => Box::new(ThresholdPolicy::with_pid(DtmScheme::Cdvfs, cpu, limits)),
             PolicySpec::Cbw { pid: false } => Box::new(DtmCbw::new(cpu.clone(), limits)),
             PolicySpec::Cbw { pid: true } => Box::new(DtmCbw::with_pid(cpu.clone(), limits)),
             PolicySpec::Mig => Box::new(DtmMig::new(cpu.clone(), limits)),
@@ -326,9 +326,9 @@ pub fn fig4_5_8(scale: Scale) -> Table {
     );
     let schemes: Vec<(&str, Box<dyn DtmPolicy>)> = vec![
         ("DTM-TS", Box::new(DtmTs::new(cpu.clone(), limits))),
-        ("DTM-BW", Box::new(DtmBw::new(cpu.clone(), limits))),
-        ("DTM-ACG", Box::new(DtmAcg::new(cpu.clone(), limits))),
-        ("DTM-CDVFS", Box::new(DtmCdvfs::new(cpu.clone(), limits))),
+        ("DTM-BW", Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits))),
+        ("DTM-ACG", Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits))),
+        ("DTM-CDVFS", Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits))),
     ];
     for (name, mut policy) in schemes {
         let r = spot.run(&mix, policy.as_mut());

@@ -1,0 +1,62 @@
+//! The `paper` command line: malformed arguments and unwritable outputs
+//! fail loudly instead of running at the wrong scale or exiting 0.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn paper(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paper")).args(args).output().expect("run the paper binary")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A fresh directory under the test target's scratch space.
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("paper_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn a_misspelled_scale_is_rejected_with_usage() {
+    let out = paper(&["tab3_1", "smoek"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("unknown scale \"smoek\""), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("usage: paper"));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn json_without_a_directory_is_rejected_with_usage() {
+    let out = paper(&["tab3_1", "smoke", "--json"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--json needs a directory"), "stderr: {}", stderr(&out));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn an_unwritable_json_directory_fails_before_running() {
+    // A directory below a regular file cannot be created on any platform.
+    let file = scratch("unwritable").join("not_a_dir");
+    std::fs::write(&file, b"").unwrap();
+    let out = paper(&["tab3_1", "smoke", "--json", file.join("out").to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("cannot create"), "stderr: {}", stderr(&out));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn json_output_is_written_with_and_without_a_scale() {
+    for (args, name) in [(&["tab3_1", "smoke"][..], "smoke"), (&["tab3_1"][..], "default")] {
+        let dir = scratch(name);
+        let mut argv = args.to_vec();
+        argv.extend(["--json", dir.to_str().unwrap()]);
+        let out = paper(&argv);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {}", stderr(&out));
+        let json = std::fs::read_to_string(dir.join("tab3_1.json")).expect("tab3_1.json written");
+        assert!(json.starts_with('{'), "{json}");
+    }
+}

@@ -1,117 +1,14 @@
-//! DTM-CDVFS: coordinated dynamic voltage and frequency scaling
-//! (Section 4.2.2).
-//!
-//! The policy links the DRAM/AMB thermal emergency level directly to the
-//! frequency and voltage of *all* processor cores, proactively putting the
-//! processor into a power mode that matches the memory's thermal headroom.
+//! Unit tests of [`ThresholdPolicy`](crate::dtm::ThresholdPolicy) as DTM-CDVFS, coordinated DVFS (Section 4.2.2).
 
-use cpu_model::CpuConfig;
-
-use crate::dtm::emergency::EmergencyLevel;
-use crate::dtm::plan::ActuationPlan;
-use crate::dtm::policy::{DtmPolicy, DtmScheme};
-use crate::dtm::selector::LevelSelector;
-use crate::sim::modes::scheme_mode;
-use crate::thermal::params::ThermalLimits;
-use crate::thermal::scene::ThermalObservation;
-
-/// The coordinated DVFS policy.
-#[derive(Debug, Clone)]
-pub struct DtmCdvfs {
-    cpu: CpuConfig,
-    selector: LevelSelector,
-}
-
-impl DtmCdvfs {
-    /// Threshold-driven DTM-CDVFS.
-    pub fn new(cpu: CpuConfig, limits: ThermalLimits) -> Self {
-        DtmCdvfs { cpu, selector: LevelSelector::threshold(limits) }
-    }
-
-    /// PID-driven DTM-CDVFS.
-    pub fn with_pid(cpu: CpuConfig, limits: ThermalLimits) -> Self {
-        DtmCdvfs { cpu, selector: LevelSelector::pid(limits) }
-    }
-}
-
-impl DtmPolicy for DtmCdvfs {
-    fn decide(&mut self, observation: &ThermalObservation, dt_s: f64) -> ActuationPlan {
-        let level = self.selector.select(observation.max_amb_c, observation.max_dram_c, dt_s);
-        scheme_mode(DtmScheme::Cdvfs, level, &self.cpu).into()
-    }
-
-    fn scheme(&self) -> DtmScheme {
-        DtmScheme::Cdvfs
-    }
-
-    fn uses_pid(&self) -> bool {
-        self.selector.uses_pid()
-    }
-
-    fn reset(&mut self) {
-        self.selector.reset();
-    }
-
-    fn observes_field(&self) -> bool {
-        // Decisions read only the scalar device maxima.
-        false
-    }
-
-    fn is_steady(&self, observation: &ThermalObservation, _plan: &ActuationPlan, drift_c: f64) -> bool {
-        // The plan is a pure function of the emergency level, so the policy
-        // is steady exactly when threshold level selection is (PID variants
-        // carry integral state and are never steady).
-        self.selector.is_steady(observation.max_amb_c, observation.max_dram_c, drift_c)
-    }
-
-    fn is_steady_band(
-        &self,
-        observation: &ThermalObservation,
-        _plan: &ActuationPlan,
-        below_c: f64,
-        above_c: f64,
-    ) -> bool {
-        self.selector.is_steady_band(observation.max_amb_c, observation.max_dram_c, below_c, above_c)
-    }
-
-    fn plan_decided_by_region(
-        &self,
-        observation: &ThermalObservation,
-        amb_span_c: f64,
-        dram_span_c: f64,
-    ) -> Option<ActuationPlan> {
-        // The plan is a pure function of the emergency level, so the unique
-        // level of the rectangle (if any) names the unique plan.
-        self.selector
-            .region_level_rect(
-                observation.max_amb_c,
-                observation.max_dram_c,
-                observation.max_amb_c + amb_span_c,
-                observation.max_dram_c + dram_span_c,
-            )
-            .map(|level| scheme_mode(DtmScheme::Cdvfs, level, &self.cpu).into())
-    }
-
-    fn decision_key(&self, max_amb_c: f64, max_dram_c: f64) -> Option<u8> {
-        // The plan is a pure function of the emergency level, so the level
-        // index keys the decision (PID variants are stateful and refuse).
-        self.selector.pure_level(max_amb_c, max_dram_c).map(|level| level.index() as u8)
-    }
-
-    fn plan_for_key(&self, key: u8) -> Option<ActuationPlan> {
-        if self.selector.uses_pid() {
-            return None;
-        }
-        Some(scheme_mode(DtmScheme::Cdvfs, EmergencyLevel::from_index(key as usize), &self.cpu).into())
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use cpu_model::CpuConfig;
 
-    fn policy() -> DtmCdvfs {
-        DtmCdvfs::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm())
+    use crate::dtm::policy::{DtmPolicy, DtmScheme};
+    use crate::dtm::ThresholdPolicy;
+    use crate::thermal::params::ThermalLimits;
+
+    fn policy() -> ThresholdPolicy {
+        ThresholdPolicy::new(DtmScheme::Cdvfs, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm())
     }
 
     #[test]
@@ -146,7 +43,8 @@ mod tests {
 
     #[test]
     fn pid_variant_reports_itself() {
-        let p = DtmCdvfs::with_pid(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let p =
+            ThresholdPolicy::with_pid(DtmScheme::Cdvfs, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
         assert_eq!(p.name(), "DTM-CDVFS+PID");
     }
 }

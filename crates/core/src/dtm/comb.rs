@@ -1,64 +1,19 @@
-//! DTM-COMB: combined core gating and DVFS (Section 5.2.2).
-//!
-//! The policy proposed in the Chapter 5 case study: it both gates a subset
-//! of cores and scales the frequency/voltage of the remaining ones, reducing
-//! memory traffic (like DTM-ACG) and processor heat dissipation to the
-//! memory (like DTM-CDVFS).
+//! Unit tests of [`ThresholdPolicy`](crate::dtm::ThresholdPolicy) as DTM-COMB, the combined Chapter 5 policy (Section 5.2.2).
 
-use cpu_model::CpuConfig;
-
-use crate::dtm::plan::ActuationPlan;
-use crate::dtm::policy::{DtmPolicy, DtmScheme};
-use crate::dtm::selector::LevelSelector;
-use crate::sim::modes::scheme_mode;
-use crate::thermal::params::ThermalLimits;
-use crate::thermal::scene::ThermalObservation;
-
-/// The combined gating + DVFS policy.
-#[derive(Debug, Clone)]
-pub struct DtmComb {
-    cpu: CpuConfig,
-    selector: LevelSelector,
-}
-
-impl DtmComb {
-    /// Threshold-driven DTM-COMB.
-    pub fn new(cpu: CpuConfig, limits: ThermalLimits) -> Self {
-        DtmComb { cpu, selector: LevelSelector::threshold(limits) }
-    }
-
-    /// PID-driven DTM-COMB.
-    pub fn with_pid(cpu: CpuConfig, limits: ThermalLimits) -> Self {
-        DtmComb { cpu, selector: LevelSelector::pid(limits) }
-    }
-}
-
-impl DtmPolicy for DtmComb {
-    fn decide(&mut self, observation: &ThermalObservation, dt_s: f64) -> ActuationPlan {
-        let level = self.selector.select(observation.max_amb_c, observation.max_dram_c, dt_s);
-        scheme_mode(DtmScheme::Comb, level, &self.cpu).into()
-    }
-
-    fn scheme(&self) -> DtmScheme {
-        DtmScheme::Comb
-    }
-
-    fn uses_pid(&self) -> bool {
-        self.selector.uses_pid()
-    }
-
-    fn reset(&mut self) {
-        self.selector.reset();
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use cpu_model::CpuConfig;
+
+    use crate::dtm::policy::{DtmPolicy, DtmScheme};
+    use crate::dtm::ThresholdPolicy;
+    use crate::thermal::params::ThermalLimits;
+
+    fn policy() -> ThresholdPolicy {
+        ThresholdPolicy::new(DtmScheme::Comb, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm())
+    }
 
     #[test]
     fn combines_gating_and_frequency_scaling() {
-        let mut p = DtmComb::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let mut p = policy();
         let cool = p.decide_temps(100.0, 70.0, 1.0);
         assert_eq!((cool.active_cores, cool.op.freq_ghz), (4, 3.2));
         let warm = p.decide_temps(108.5, 70.0, 1.0);
@@ -71,13 +26,14 @@ mod tests {
 
     #[test]
     fn tdp_stops_everything() {
-        let mut p = DtmComb::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let mut p = policy();
         assert!(!p.decide_temps(112.0, 70.0, 1.0).makes_progress());
     }
 
     #[test]
     fn pid_variant_reports_itself() {
-        let p = DtmComb::with_pid(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let p =
+            ThresholdPolicy::with_pid(DtmScheme::Comb, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
         assert_eq!(p.name(), "DTM-COMB+PID");
         assert_eq!(p.scheme(), DtmScheme::Comb);
     }

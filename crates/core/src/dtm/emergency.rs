@@ -122,6 +122,12 @@ impl EmergencyThresholds {
         )
     }
 
+    /// A table with no boundaries: every temperature pair is level 1 (the
+    /// ladder of a policy with a single mode).
+    pub(crate) fn single_level() -> Self {
+        EmergencyThresholds { amb_bounds: Vec::new(), dram_bounds: Vec::new() }
+    }
+
     /// Number of levels this table defines (boundaries + 1).
     pub fn levels(&self) -> usize {
         self.amb_bounds.len() + 1

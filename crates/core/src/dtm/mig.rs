@@ -252,7 +252,11 @@ mod tests {
     #[test]
     fn global_failsafe_matches_dtm_bw() {
         let mut mig = policy();
-        let mut bw = crate::dtm::bw::DtmBw::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+        let mut bw = crate::dtm::ThresholdPolicy::new(
+            DtmScheme::Bw,
+            &CpuConfig::paper_quad_core(),
+            ThermalLimits::paper_fbdimm(),
+        );
         for temps in [(100.0, 70.0), (108.5, 70.0), (109.7, 70.0), (110.5, 70.0)] {
             assert_eq!(mig.decide_temps(temps.0, temps.1, 0.01), bw.decide_temps(temps.0, temps.1, 0.01));
         }

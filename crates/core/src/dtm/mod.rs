@@ -26,12 +26,18 @@
 //!
 //! The paper's global schemes all quantize the *hottest* device into a
 //! thermal emergency level ([`emergency`], [`selector`]) and map it to a
-//! running mode ([`crate::sim::modes::scheme_mode`]): thermal shutdown
-//! ([`DtmTs`]), bandwidth throttling ([`DtmBw`]), adaptive core gating
-//! ([`DtmAcg`]), coordinated DVFS ([`DtmCdvfs`]) and the combined Chapter 5
-//! policy ([`DtmComb`]), each optionally driven by the PID formal
-//! controller ([`pid`], Equation 4.1). [`NoLimit`] is the thermally
-//! unconstrained baseline.
+//! running mode ([`crate::sim::modes::scheme_mode`]). Bandwidth throttling
+//! (DTM-BW), adaptive core gating (DTM-ACG), coordinated DVFS (DTM-CDVFS)
+//! and the combined Chapter 5 policy (DTM-COMB) differ only in that map,
+//! so one type, [`ThresholdPolicy`], implements all four, each optionally
+//! driven by the PID formal controller ([`pid`], Equation 4.1). Thermal
+//! shutdown ([`DtmTs`]) is a latch that sets at a TDP and releases at the
+//! TRPs. [`NoLimit`] is the thermally unconstrained baseline.
+//!
+//! Every policy also describes its decision once, as data: a
+//! [`DecisionRule`] ([`rule`]). The batched engine derives all of its
+//! certificates from it, and debug builds check it against every literal
+//! decision.
 //!
 //! Two schemes exploit the resolved field that the scene provides and the
 //! global schemes ignore:
@@ -50,29 +56,35 @@
 //! processor-memory stacks; AL-DRAM (arXiv:1603.08454) motivates per-DIMM
 //! actuation from the strong position dependence of thermal headroom.
 
-pub mod acg;
-pub mod bw;
 pub mod cbw;
-pub mod cdvfs;
-pub mod comb;
 pub mod emergency;
 pub mod mig;
 pub mod no_limit;
 pub mod pid;
 pub mod plan;
 pub mod policy;
+pub mod rule;
 pub mod selector;
+pub mod threshold;
 pub mod ts;
 
-pub use acg::DtmAcg;
-pub use bw::DtmBw;
+// Unit tests of `ThresholdPolicy`, one module per level-ladder scheme.
+#[cfg(test)]
+mod acg;
+#[cfg(test)]
+mod bw;
+#[cfg(test)]
+mod cdvfs;
+#[cfg(test)]
+mod comb;
+
 pub use cbw::DtmCbw;
-pub use cdvfs::DtmCdvfs;
-pub use comb::DtmComb;
 pub use emergency::{EmergencyLevel, EmergencyThresholds};
 pub use mig::DtmMig;
 pub use no_limit::NoLimit;
 pub use pid::PidController;
 pub use plan::{ActuationPlan, PlanTrafficStats};
 pub use policy::{DtmPolicy, DtmScheme};
+pub use rule::DecisionRule;
+pub use threshold::ThresholdPolicy;
 pub use ts::DtmTs;

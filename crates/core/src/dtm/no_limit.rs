@@ -2,51 +2,42 @@
 
 use cpu_model::{CpuConfig, RunningMode};
 
+use crate::dtm::emergency::EmergencyThresholds;
 use crate::dtm::plan::ActuationPlan;
 use crate::dtm::policy::{DtmPolicy, DtmScheme};
+use crate::dtm::rule::DecisionRule;
 use crate::thermal::scene::ThermalObservation;
 
 /// A policy that never throttles, used as the normalization baseline of
 /// Figures 4.2–4.4 and 4.12 ("No-limit").
 #[derive(Debug, Clone)]
 pub struct NoLimit {
-    mode: RunningMode,
+    /// The one level every temperature falls in.
+    levels: EmergencyThresholds,
+    /// Its mode: full speed.
+    mode: [RunningMode; 1],
 }
 
 impl NoLimit {
     /// Creates the baseline policy for a processor configuration.
     pub fn new(cpu: &CpuConfig) -> Self {
-        NoLimit { mode: RunningMode::full_speed(cpu) }
+        NoLimit { levels: EmergencyThresholds::single_level(), mode: [RunningMode::full_speed(cpu)] }
     }
 }
 
 impl DtmPolicy for NoLimit {
     fn decide(&mut self, _observation: &ThermalObservation, _dt_s: f64) -> ActuationPlan {
-        self.mode.into()
+        self.mode[0].into()
     }
 
     fn scheme(&self) -> DtmScheme {
         DtmScheme::NoLimit
     }
 
-    fn observes_field(&self) -> bool {
-        // Decisions read only the scalar device maxima.
-        false
-    }
-
-    fn is_steady(&self, _observation: &ThermalObservation, _plan: &ActuationPlan, _drift_c: f64) -> bool {
-        // Stateless and constant: the full-speed plan is returned for every
-        // observation, so the fast-forward contract holds unconditionally.
-        true
-    }
-
-    fn decision_key(&self, _max_amb_c: f64, _max_dram_c: f64) -> Option<u8> {
-        // Constant plan: one key covers every observation.
-        Some(0)
-    }
-
-    fn plan_for_key(&self, _key: u8) -> Option<ActuationPlan> {
-        Some(self.mode.into())
+    fn decision_rule(&self) -> DecisionRule<'_> {
+        // The one-mode ladder: every observation keys to full speed and
+        // every rectangle is certified.
+        DecisionRule::Ladder { levels: &self.levels, modes: &self.mode }
     }
 }
 

@@ -1,10 +1,14 @@
-//! Shared emergency-level selection logic for the multi-level DTM schemes.
+//! Emergency-level selection for the multi-level DTM schemes.
 //!
-//! DTM-BW, DTM-ACG, DTM-CDVFS and DTM-COMB all quantize temperature into a
-//! thermal emergency level and map the level to a control decision. The
-//! quantization can be done either with the fixed thresholds of Table 4.3 or
-//! with the PID formal controller of Section 4.2.3; [`LevelSelector`]
-//! implements both so the policy types stay small.
+//! DTM-BW, DTM-ACG, DTM-CDVFS and DTM-COMB
+//! ([`ThresholdPolicy`](crate::dtm::threshold::ThresholdPolicy)), and the
+//! per-channel and fail-safe ladders of DTM-CBW and DTM-MIG, all quantize
+//! temperature into a thermal emergency level and map the level to a
+//! control decision. The quantization can be done either with the fixed
+//! thresholds of Table 4.3 or with the PID formal controller of Section
+//! 4.2.3; [`LevelSelector`] implements both. It only selects: what the
+//! batched engine may derive from threshold selection is the policy's
+//! [`DecisionRule`](crate::dtm::rule::DecisionRule).
 
 use crate::dtm::emergency::{EmergencyLevel, EmergencyThresholds};
 use crate::dtm::pid::PidController;
@@ -50,105 +54,17 @@ impl LevelSelector {
         &self.limits
     }
 
+    /// The Table 4.3 level boundaries of threshold selection.
+    pub(crate) fn thresholds(&self) -> &EmergencyThresholds {
+        &self.thresholds
+    }
+
     /// Resets controller state.
     pub fn reset(&mut self) {
         if let Some((amb, dram)) = &mut self.pid {
             amb.reset();
             dram.reset();
         }
-    }
-
-    /// Whether level selection is *steady* under a temperature drift bound:
-    /// every pair of temperatures within `drift_c` of the given ones maps to
-    /// the same emergency level. Only threshold selection can promise this —
-    /// it is a pure function of the temperatures (the Table 4.3 quantizer,
-    /// whose top boundary *is* the TDP fail-safe), so steadiness reduces to
-    /// both temperatures sitting clear of every boundary. PID selection
-    /// carries integral state that moves on every call and is never steady.
-    ///
-    /// `NaN` temperatures (absent devices) quantize to the lowest level on
-    /// both sides of the band and are therefore steady.
-    pub fn is_steady(&self, amb_temp_c: f64, dram_temp_c: f64, drift_c: f64) -> bool {
-        self.is_steady_band(amb_temp_c, dram_temp_c, drift_c, drift_c)
-    }
-
-    /// Asymmetric variant of [`LevelSelector::is_steady`]: steadiness over
-    /// the band `[t − below_c, t + above_c]` around each temperature rather
-    /// than a symmetric ball. A trajectory approaching its fixed point from
-    /// one side — or a slipping orbit hugging a threshold — traverses a
-    /// *directed* range, and demanding symmetric clearance would refuse
-    /// exactly the near-boundary cells the envelope fast-forward exists
-    /// for. Same contract otherwise: only threshold selection can promise
-    /// it, and `NaN` temperatures quantize to the lowest level on both
-    /// sides of the band.
-    pub fn is_steady_band(&self, amb_temp_c: f64, dram_temp_c: f64, below_c: f64, above_c: f64) -> bool {
-        self.region_level(amb_temp_c, dram_temp_c, below_c, above_c).is_some()
-    }
-
-    /// Decision-region certificate: the unique emergency level every
-    /// temperature pair in the rectangle
-    /// `[amb − below, amb + above] × [dram − below, dram + above]` selects,
-    /// or `None` if the rectangle straddles a boundary (or the selector is
-    /// PID-driven and therefore stateful). The Table 4.3 quantizer is
-    /// monotone in both temperatures and its top boundary *is* the TDP
-    /// fail-safe, so checking the two extreme corners decides the whole
-    /// rectangle. This is what lets the envelope replay attest an entire
-    /// *plan sequence*: each phase of a sliding-mode orbit presents the
-    /// rectangle its observations trace and gets back the one level — hence
-    /// the one plan — those observations can produce.
-    ///
-    /// `NaN` temperatures (absent devices) quantize to the lowest level at
-    /// both corners and never block the certificate.
-    pub fn region_level(
-        &self,
-        amb_temp_c: f64,
-        dram_temp_c: f64,
-        below_c: f64,
-        above_c: f64,
-    ) -> Option<EmergencyLevel> {
-        self.region_level_rect(amb_temp_c - below_c, dram_temp_c - below_c, amb_temp_c + above_c, dram_temp_c + above_c)
-    }
-
-    /// Corner form of [`LevelSelector::region_level`]: the unique level of
-    /// the explicit rectangle `[amb_lo, amb_hi] × [dram_lo, dram_hi]`, with
-    /// independent per-axis extents. The envelope replay traces each device
-    /// axis separately, and inflating the narrow axis by the wide axis's
-    /// span would push an otherwise-certifiable rectangle across a
-    /// boundary.
-    pub fn region_level_rect(
-        &self,
-        amb_lo_c: f64,
-        dram_lo_c: f64,
-        amb_hi_c: f64,
-        dram_hi_c: f64,
-    ) -> Option<EmergencyLevel> {
-        if self.uses_pid() {
-            return None;
-        }
-        let lo = self.thresholds.level(amb_lo_c, dram_lo_c);
-        let hi = self.thresholds.level(amb_hi_c, dram_hi_c);
-        if lo == hi {
-            Some(lo)
-        } else {
-            None
-        }
-    }
-
-    /// The emergency level [`LevelSelector::select`] would return for these
-    /// temperatures, as a pure function — or `None` when selection is
-    /// PID-driven and therefore stateful. Bit-for-bit the threshold path of
-    /// `select`, including the TDP fail-safe, without mutating the
-    /// selector: this is what lets the batched engine's exact decision
-    /// replay ([`crate::sim::batch`]) re-evaluate a decision per virtual
-    /// window without consulting (or perturbing) the policy object's state.
-    pub fn pure_level(&self, amb_temp_c: f64, dram_temp_c: f64) -> Option<EmergencyLevel> {
-        if self.uses_pid() {
-            return None;
-        }
-        if amb_temp_c >= self.limits.amb_tdp_c || dram_temp_c >= self.limits.dram_tdp_c {
-            return Some(EmergencyLevel::L5);
-        }
-        Some(self.thresholds.level(amb_temp_c, dram_temp_c))
     }
 
     /// Selects the emergency level for the next interval. An absent device
@@ -194,7 +110,51 @@ impl LevelSelector {
 
 #[cfg(test)]
 mod tests {
+    use cpu_model::CpuConfig;
+
     use super::*;
+    use crate::dtm::policy::DtmPolicy;
+    use crate::dtm::rule::tests::{certify, LADDERS};
+    use crate::dtm::threshold::ThresholdPolicy;
+    use crate::sim::modes::scheme_mode;
+
+    /// The level the Table 4.3 ladder certifies over the rectangle
+    /// `[amb_lo, amb_hi] × [dram_lo, dram_hi]`: every ladder scheme's
+    /// decision rule must certify that level's mode, held to `decide` at
+    /// sampled points, or all must refuse.
+    fn region_level_rect(amb_lo: f64, dram_lo: f64, amb_hi: f64, dram_hi: f64) -> Option<EmergencyLevel> {
+        let cpu = CpuConfig::paper_quad_core();
+        let levels = LADDERS.map(|scheme| {
+            let p = ThresholdPolicy::new(scheme, &cpu, ThermalLimits::paper_fbdimm());
+            let plan = certify(&p, (amb_lo, dram_lo), (amb_hi, dram_hi))?;
+            let level = EmergencyLevel::ALL[usize::from(p.decision_rule().key(amb_lo, dram_lo)?)];
+            assert_eq!(plan, scheme_mode(scheme, level, &cpu).into(), "{scheme}");
+            Some(level)
+        });
+        assert!(levels.iter().all(|l| *l == levels[0]), "{levels:?}");
+        levels[0]
+    }
+
+    /// [`region_level_rect`] over `[t − below, t + above]` on both axes.
+    fn region_level(amb_c: f64, dram_c: f64, below_c: f64, above_c: f64) -> Option<EmergencyLevel> {
+        region_level_rect(amb_c - below_c, dram_c - below_c, amb_c + above_c, dram_c + above_c)
+    }
+
+    fn steady_band(amb_c: f64, dram_c: f64, below_c: f64, above_c: f64) -> bool {
+        region_level(amb_c, dram_c, below_c, above_c).is_some()
+    }
+
+    fn steady(amb_c: f64, dram_c: f64, drift_c: f64) -> bool {
+        steady_band(amb_c, dram_c, drift_c, drift_c)
+    }
+
+    /// Whether any PID-driven ladder certifies the band around `(amb, dram)`.
+    fn pid_certifies(amb_c: f64, dram_c: f64, below_c: f64, above_c: f64) -> bool {
+        LADDERS.iter().any(|&scheme| {
+            let p = ThresholdPolicy::with_pid(scheme, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+            certify(&p, (amb_c - below_c, dram_c - below_c), (amb_c + above_c, dram_c + above_c)).is_some()
+        })
+    }
 
     #[test]
     fn threshold_selector_matches_table_4_3() {
@@ -234,58 +194,55 @@ mod tests {
 
     #[test]
     fn threshold_steadiness_requires_margin_from_every_boundary() {
-        let s = LevelSelector::threshold(ThermalLimits::paper_fbdimm());
         // Deep inside L1 / L2 with margin: steady.
-        assert!(s.is_steady(100.0, 70.0, 0.5));
-        assert!(s.is_steady(108.4, 70.0, 0.3));
+        assert!(steady(100.0, 70.0, 0.5));
+        assert!(steady(108.4, 70.0, 0.3));
         // A boundary inside the drift band: not steady.
-        assert!(!s.is_steady(107.9, 70.0, 0.2)); // AMB L1→L2 at 108.0
-        assert!(!s.is_steady(100.0, 84.9, 0.2)); // DRAM L4→L5 at 85.0
-                                                 // Absent devices (NaN) quantize to L1 on both sides of the band.
-        assert!(s.is_steady(f64::NAN, 70.0, 0.5));
+        assert!(!steady(107.9, 70.0, 0.2)); // AMB L1→L2 at 108.0
+        assert!(!steady(100.0, 84.9, 0.2)); // DRAM L4→L5 at 85.0
+
+        // Absent devices (NaN) quantize to L1 on both sides of the band.
+        assert!(steady(f64::NAN, 70.0, 0.5));
         // PID selection is never steady — its integral state moves.
-        assert!(!LevelSelector::pid(ThermalLimits::paper_fbdimm()).is_steady(100.0, 70.0, 0.5));
+        assert!(!pid_certifies(100.0, 70.0, 0.5, 0.5));
     }
 
     #[test]
     fn band_steadiness_is_directional() {
-        let s = LevelSelector::threshold(ThermalLimits::paper_fbdimm());
         // 107.9 °C with the AMB L1→L2 boundary at 108.0: a symmetric 0.2°
         // ball crosses it, but a downward band of the same reach does not.
-        assert!(!s.is_steady(107.9, 70.0, 0.2));
-        assert!(s.is_steady_band(107.9, 70.0, 0.2, 0.05));
-        assert!(!s.is_steady_band(107.9, 70.0, 0.05, 0.2));
+        assert!(!steady(107.9, 70.0, 0.2));
+        assert!(steady_band(107.9, 70.0, 0.2, 0.05));
+        assert!(!steady_band(107.9, 70.0, 0.05, 0.2));
         // The symmetric form is the band with equal arms.
-        assert_eq!(s.is_steady(107.9, 70.0, 0.2), s.is_steady_band(107.9, 70.0, 0.2, 0.2));
-        assert!(s.is_steady_band(f64::NAN, 70.0, 0.5, 0.5));
-        assert!(!LevelSelector::pid(ThermalLimits::paper_fbdimm()).is_steady_band(100.0, 70.0, 0.1, 0.1));
+        assert_eq!(steady(107.9, 70.0, 0.2), steady_band(107.9, 70.0, 0.2, 0.2));
+        assert!(steady_band(f64::NAN, 70.0, 0.5, 0.5));
+        assert!(!pid_certifies(100.0, 70.0, 0.1, 0.1));
     }
 
     #[test]
     fn region_level_returns_the_unique_level_of_the_rectangle() {
-        let s = LevelSelector::threshold(ThermalLimits::paper_fbdimm());
         // Deep inside L1: the rectangle decides L1.
-        assert_eq!(s.region_level(100.0, 70.0, 0.5, 0.5), Some(EmergencyLevel::L1));
+        assert_eq!(region_level(100.0, 70.0, 0.5, 0.5), Some(EmergencyLevel::L1));
         // Hugging the AMB L1→L2 boundary (108.0) from below: directional.
-        assert_eq!(s.region_level(107.9, 70.0, 0.2, 0.05), Some(EmergencyLevel::L1));
-        assert_eq!(s.region_level(107.9, 70.0, 0.05, 0.2), None);
+        assert_eq!(region_level(107.9, 70.0, 0.2, 0.05), Some(EmergencyLevel::L1));
+        assert_eq!(region_level(107.9, 70.0, 0.05, 0.2), None);
         // Just above it: L2 on both corners.
-        assert_eq!(s.region_level(108.3, 70.0, 0.2, 0.2), Some(EmergencyLevel::L2));
+        assert_eq!(region_level(108.3, 70.0, 0.2, 0.2), Some(EmergencyLevel::L2));
         // Absent AMB device (NaN) rests the certificate on the DRAM arm.
-        assert_eq!(s.region_level(f64::NAN, 70.0, 0.5, 0.5), Some(EmergencyLevel::L1));
+        assert_eq!(region_level(f64::NAN, 70.0, 0.5, 0.5), Some(EmergencyLevel::L1));
         // PID selection is stateful and never certifies a region.
-        assert_eq!(LevelSelector::pid(ThermalLimits::paper_fbdimm()).region_level(100.0, 70.0, 0.1, 0.1), None);
+        assert!(!pid_certifies(100.0, 70.0, 0.1, 0.1));
     }
 
     #[test]
     fn region_level_rect_keeps_the_axes_independent() {
-        let s = LevelSelector::threshold(ThermalLimits::paper_fbdimm());
         // A wide AMB extent with a hair-thin DRAM extent right below its
         // boundary: per-axis corners certify where a shared span would not.
-        assert_eq!(s.region_level_rect(100.0, 84.49, 107.0, 84.499), Some(EmergencyLevel::L3));
+        assert_eq!(region_level_rect(100.0, 84.49, 107.0, 84.499), Some(EmergencyLevel::L3));
         // The same rectangle nudged across the DRAM L3→L4 boundary fails.
-        assert_eq!(s.region_level_rect(100.0, 84.49, 107.0, 84.6), None);
-        assert_eq!(s.region_level_rect(f64::NAN, 70.0, f64::NAN, 70.5), Some(EmergencyLevel::L1));
+        assert_eq!(region_level_rect(100.0, 84.49, 107.0, 84.6), None);
+        assert_eq!(region_level_rect(f64::NAN, 70.0, f64::NAN, 70.5), Some(EmergencyLevel::L1));
     }
 
     #[test]

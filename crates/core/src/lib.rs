@@ -22,10 +22,14 @@
 //!   resistances ([`StackTopology`](crate::thermal::params::StackTopology)).
 //!   The hottest device is derived by arg-max over positions *and layers*
 //!   instead of being assumed.
-//! * **DTM schemes** ([`dtm`]): thermal shutdown (DTM-TS), bandwidth
+//! * **DTM schemes** ([`dtm`]): thermal shutdown (DTM-TS), and bandwidth
 //!   throttling (DTM-BW), adaptive core gating (DTM-ACG), coordinated DVFS
-//!   (DTM-CDVFS) and the combined policy (DTM-COMB), each optionally driven
-//!   by a PID formal controller (Eq. 4.1). Policies consume a
+//!   (DTM-CDVFS) and the combined policy (DTM-COMB) — one
+//!   [`ThresholdPolicy`](crate::dtm::threshold::ThresholdPolicy) over the
+//!   Table 4.3 emergency levels, optionally driven by a PID formal
+//!   controller (Eq. 4.1). Each policy describes its decision once as a
+//!   [`DecisionRule`](crate::dtm::rule::DecisionRule), from which the
+//!   batched engine derives its certificates. Policies consume a
 //!   [`ThermalObservation`](crate::thermal::scene::ThermalObservation) — the
 //!   sensed temperature field with per-position, per-layer resolution — and
 //!   answer with an [`ActuationPlan`](crate::dtm::plan::ActuationPlan):
@@ -93,7 +97,7 @@ pub mod prelude {
     pub use crate::dtm::pid::PidController;
     pub use crate::dtm::plan::{ActuationPlan, PlanTrafficStats};
     pub use crate::dtm::policy::{DtmPolicy, DtmScheme};
-    pub use crate::dtm::{acg::DtmAcg, bw::DtmBw, cbw::DtmCbw, cdvfs::DtmCdvfs, comb::DtmComb, mig::DtmMig, ts::DtmTs};
+    pub use crate::dtm::{cbw::DtmCbw, mig::DtmMig, threshold::ThresholdPolicy, ts::DtmTs};
     pub use crate::power::amb::AmbPowerModel;
     pub use crate::power::dram::DramPowerModel;
     pub use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};

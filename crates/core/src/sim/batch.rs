@@ -20,23 +20,23 @@
 //!    chunked lane's decision pass parallelizes exactly like its RC sweep.
 //! 3. **Steady-state fast-forward** — on top of tier 2, a cell whose plan
 //!    has latched and whose field sits within ε of its RC fixed point
-//!    finishes in closed form. It covers every cell the envelope cannot
-//!    take (field-observing policies, policies with neither a decision
-//!    key nor a decision-region certificate — the PID controllers — and
-//!    cells whose step differs from the DTM interval). Every reported
-//!    quantity stays within relative 1e-9 of literal stepping; window
-//!    counts, simulated time and job-completion windows stay *exact*.
+//!    finishes in closed form. Of the cells the envelope cannot take
+//!    (field-observing policies, the PID controllers, and cells whose step
+//!    differs from the DTM interval) it covers those whose decision rule
+//!    certifies regions. Every reported quantity stays within relative
+//!    1e-9 of literal stepping; window counts, simulated time and
+//!    job-completion windows stay *exact*.
 //! 4. **Contraction-certified envelope** — plan-changing orbits (limit
 //!    cycles, slipping orbits whose duty ratio is irrational at the paper's
 //!    10 ms cadence, sliding-mode threshold chatter, the DTM-TS shutdown
 //!    relay) and long monotone approaches to a distant fixed point are
 //!    replayed under certificates built on the RC map's contraction:
-//!    frozen-plan segments licensed by [`DtmPolicy::is_steady_band`] /
-//!    [`DtmPolicy::plan_decided_by_region`] over the exact traversed
+//!    frozen-plan segments licensed by the policy's decision-region
+//!    certificate ([`DecisionRule::region`]) over the exact traversed
 //!    temperature range collapse to closed form through λ-powered lo/hi
 //!    maps of the exact two-exponential row response, and chattering
 //!    segments are *replayed decision for decision* at scalar cost from
-//!    the policy's pure decision key ([`DtmPolicy::decision_key`]) with a
+//!    the policy's pure decision key ([`DecisionRule::key`]) with a
 //!    dominance certificate covering the non-binding rows. Every reported
 //!    quantity stays within relative 1e-9 of literal stepping; window
 //!    counts, simulated time and completion windows stay *exact*, and a
@@ -75,8 +75,8 @@
 //! each lane keeps its members' per-position powers in a
 //! `positions × cells` matrix rewritten per column on plan change — the RC
 //! sweep reads power rows contiguously instead of chasing each cell's
-//! window struct. And policies that declare they read only the scalar
-//! device maxima ([`DtmPolicy::observes_field`]) are observed straight
+//! window struct. And policies whose decision rule does not read the field
+//! ([`DecisionRule::reads_field`]) are observed straight
 //! from the sweep's running per-cell maxima (`f64::max` over a fixed node
 //! set is order-independent, so the bits match a full scene fold) instead
 //! of re-synthesizing the per-position field at every DTM interval.
@@ -91,9 +91,10 @@
 //!
 //! 1. the plan has been unchanged for [`BatchOptions::steady_decisions`]
 //!    consecutive decisions,
-//! 2. the policy itself guarantees steadiness under a 2ε temperature drift
-//!    ([`DtmPolicy::is_steady`]) — stateful controllers (PID) answer
-//!    `false` and are never fast-forwarded,
+//! 2. the policy's decision rule certifies the square of maxima within 2ε
+//!    of the current ones ([`DecisionRule::region`]) — stateful
+//!    controllers (PID) and field-reading policies certify nothing and are
+//!    never fast-forwarded,
 //! 3. the shared ambient node is (bitwise, for isolated scenes) at its own
 //!    fixed point, and
 //! 4. every layer temperature is within [`BatchOptions::steady_epsilon_c`]
@@ -113,19 +114,20 @@
 //!
 //! # Contraction-certified envelope fast-forward
 //!
-//! Threshold-driven policies (DTM-ACG, DTM-CDVFS, DTM-BW) never reach a
-//! fixed plan: they chatter between adjacent emergency levels forever,
-//! either locked into an exact limit cycle or, at the paper's 10 ms
-//! cadence, slipping quasiperiodically. DTM-TS relays between full speed
+//! Threshold-driven policies (DTM-BW, DTM-ACG, DTM-CDVFS, DTM-COMB) never
+//! reach a fixed plan: they chatter between adjacent emergency levels
+//! forever, either locked into an exact limit cycle or, at the paper's
+//! 10 ms cadence, slipping quasiperiodically. DTM-TS relays between full speed
 //! and shutdown: its latch holds each phase until the TDP or the TRP is
 //! crossed, thousands of windows at 10 ms. A cell is eligible when
 //! fast-forward is on, it records no temperature trace, its step equals
-//! the DTM interval and its policy either has a pure decision key
-//! ([`DtmPolicy::decision_key`]) or certifies a decision region at the
-//! cell's starting observation ([`DtmPolicy::plan_decided_by_region`]).
-//! The second admits the latched DTM-TS relay, whose certificate speaks
-//! for its current latch state; PID controllers answer neither and stay
-//! off the tier. Two triggers arm the envelope for an eligible cell:
+//! the DTM interval and its policy's decision rule
+//! ([`DtmPolicy::decision_rule`]) either keys decisions (a
+//! [`DecisionRule::Ladder`]) or certifies the cell's starting observation
+//! (the [`DecisionRule::Latch`] of the DTM-TS relay, whose certificate
+//! speaks for its current latch state). Field-reading and PID rules do
+//! neither and stay off the tier. Two triggers arm the envelope for an
+//! eligible cell:
 //!
 //! - the **orbit tracker** fingerprints every decision (plan, ambient and
 //!   layer temperatures) and fires when the recent history repeats its
@@ -143,22 +145,22 @@
 //!
 //! - **Frozen segment jumps.** While the plan holds still, the closed-form
 //!   lo/hi maps of every row's response bound the exact traversed
-//!   temperature range, and [`DtmPolicy::is_steady_band`] (single frozen
-//!   plan) or [`DtmPolicy::plan_decided_by_region`] (a decision-region
-//!   certificate naming the plan decided over the whole traced observation
-//!   rectangle, with the policy's state left unchanged) licenses
-//!   collapsing the segment to its endpoint with `rate × W` accounting.
+//!   temperature range, and the decision-region certificate
+//!   ([`DecisionRule::region`], naming the plan decided over the whole
+//!   traced rectangle of maxima, with the policy's state left unchanged)
+//!   licenses collapsing the segment to its endpoint with `rate × W`
+//!   accounting when it names the frozen plan.
 //!   In-segment extremes come from the closed-form interior extremum of
 //!   the two-exponential (the two modes pulling in opposite directions),
 //!   so reported peaks are exact to the same tolerance. This is the only
-//!   analytic exit of an unkeyed (DTM-TS) burst: each shutdown or run
+//!   analytic exit of a latch (DTM-TS) burst: each shutdown or run
 //!   phase is jumped up to the threshold crossing that ends it, and the
 //!   burst steps and decides the crossing itself literally.
 //! - **Exact decision replay.** Sliding-mode chatter (DTM-BW hugging its
 //!   throttle threshold at 10 ms) flips plans every couple of windows, so
 //!   no frozen certificate can hold. For policies whose decisions are a
-//!   pure function of the device maxima ([`DtmPolicy::decision_key`] /
-//!   [`DtmPolicy::plan_for_key`]), the replayer iterates only the
+//!   pure function of the device maxima ([`DecisionRule::key`] /
+//!   [`DecisionRule::plan_of_key`]), the replayer iterates only the
 //!   *binding* (hottest) row per device layer plus the ambient with
 //!   bitwise-literal recurrences, re-evaluates the decision key per
 //!   virtual window, and proves every other row stays dominated via a
@@ -175,6 +177,13 @@
 //! with nothing lost — the envelope tier only ever trades wall clock, not
 //! soundness. A refused band or a fallback backs both triggers off,
 //! doubling the wait with every failure.
+//!
+//! # Checked, not trusted
+//!
+//! Every certificate above comes from the one [`DecisionRule`] a policy
+//! describes itself with. Debug builds check that rule on every literal
+//! decision the engine makes: the rule taken before `decide` must predict
+//! the returned plan and, for a latch, the state it leaves.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -185,6 +194,8 @@ use workloads::{BatchJob, WorkloadMix};
 
 use crate::dtm::plan::{ActuationPlan, PlanTrafficStats};
 use crate::dtm::policy::DtmPolicy;
+#[cfg(doc)]
+use crate::dtm::rule::DecisionRule;
 use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};
 use crate::sim::characterize::{CharPoint, CharStore, CharacterizationTable, ModeKey};
 use crate::sim::energy::EnergyAccumulator;
@@ -231,8 +242,8 @@ const ENV_BACKOFF_DOUBLINGS: u32 = 6;
 /// than to license.
 const ENV_JUMP_MIN: u64 = 16;
 
-/// Key space of [`DtmPolicy::decision_key`]: the dense pure-decision keys
-/// the exact decision replay indexes its key → plan-entry table with.
+/// Key space of [`DecisionRule::key`]: the exact decision replay indexes
+/// its key → plan-entry table with keys below this.
 const REPLAY_KEYS: usize = 16;
 
 /// Frozen-plan run length at which the exact decision replay hands the
@@ -298,11 +309,9 @@ pub struct BatchOptions {
     /// contraction-certified envelope tier, `0.0` (or any non-positive
     /// value) disables it. The tier is also off under
     /// [`BatchOptions::literal`] and for every cell it cannot take: traced
-    /// cells, policies with neither a pure decision key
-    /// ([`DtmPolicy::decision_key`]) nor a decision-region certificate at
-    /// the cell's starting observation
-    /// ([`DtmPolicy::plan_decided_by_region`]), policies that observe the
-    /// spatial field, and cells whose step differs from the DTM interval.
+    /// cells, policies whose decision rule neither keys decisions nor
+    /// certifies the cell's starting observation (field-reading and PID
+    /// rules), and cells whose step differs from the DTM interval.
     /// Band width is not gated: every burst decides literally or replays
     /// keyed decisions exactly, so the band only backs the drift audit.
     pub envelope_tolerance: f64,
@@ -580,16 +589,15 @@ struct CellState {
     plan_streak: u32,
     ff_allowed: bool,
     /// Whether the policy reads the observation's spatial field
-    /// ([`DtmPolicy::observes_field`]); scalar policies get a cheap
+    /// ([`DecisionRule::reads_field`]); scalar policies get a cheap
     /// maxima-only observation straight from the lane's RC sweep.
     wants_field: bool,
     stats: CellRunStats,
     /// Whether the envelope fast-forward may engage for this cell:
     /// fast-forward allowed, a positive
-    /// [`BatchOptions::envelope_tolerance`], no temperature trace, a policy
-    /// that reads only the scalar maxima and either has a pure decision key
-    /// ([`DtmPolicy::decision_key`]) or certifies a decision region at the
-    /// cell's starting observation ([`DtmPolicy::plan_decided_by_region`];
+    /// [`BatchOptions::envelope_tolerance`], no temperature trace, a
+    /// decision rule that either keys decisions ([`DecisionRule::key`]) or
+    /// certifies the cell's starting observation ([`DecisionRule::region`];
     /// the latched DTM-TS relay), and a step that equals the DTM interval
     /// bitwise (so every window is exactly one decision and the replayed
     /// decision cadence is structurally identical to the stepped run).
@@ -628,13 +636,14 @@ impl CellState {
         let window = engine.window_power(&scene, &idle, &full_point, &full_point.dimm_traffic, &mode, progressing);
         let (max_amb, max_dram) = scene.max_temps_c();
         policy.reset();
+        let rule = policy.decision_rule();
+        let (amb, dram) = (observation.max_amb_c, observation.max_dram_c);
         let env_enabled = options.fast_forward
             && options.envelope_tolerance > 0.0
             && !config.record_temp_trace
-            && (policy.decision_key(f64::NAN, f64::NAN).is_some()
-                || policy.plan_decided_by_region(&observation, 0.0, 0.0).is_some())
-            && !policy.observes_field()
+            && (rule.key(f64::NAN, f64::NAN).is_some() || rule.region(amb, dram, amb, dram).is_some())
             && config.window_s.min(config.dtm_interval_s).to_bits() == config.dtm_interval_s.to_bits();
+        let wants_field = rule.reads_field();
         CellState {
             batch,
             energy: EnergyAccumulator::new(),
@@ -667,7 +676,7 @@ impl CellState {
             channel_throttle_s: vec![0.0; engine.mem.logical_channels],
             plan_streak: 0,
             ff_allowed: options.fast_forward && !config.record_temp_trace,
-            wants_field: policy.observes_field(),
+            wants_field,
             stats: CellRunStats::default(),
             env_enabled,
             orbit_history: VecDeque::new(),
@@ -988,12 +997,12 @@ fn member_pre(
                 // accumulators for this member (`f64::max` over the same
                 // node set), so the full per-position field synthesis is
                 // skipped. Spatial fields of the observation go stale and
-                // must not be read (`DtmPolicy::observes_field`).
+                // must not be read (`DecisionRule::reads_field`).
                 st.observation.max_amb_c = if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN };
                 st.observation.max_dram_c = lane.max_dram[j];
                 st.observation.ambient_c = st.scene.ambient_c();
             }
-            let new_plan = st.policy.decide(&st.observation, cfg.dtm_interval_s);
+            let new_plan = decide_checked(st.policy.as_mut(), &st.observation, cfg.dtm_interval_s);
             let plan_changed = new_plan != st.plan;
             if plan_changed {
                 st.plan_streak = 0;
@@ -1241,13 +1250,39 @@ fn lane_rc(lane: &mut Lane, states: &[CellState]) {
     }
 }
 
+/// One literal decision. Debug builds check the policy's decision rule
+/// against it: the rule taken before `decide` must predict the returned
+/// plan and, for a latch, the state the decision leaves. Every certificate
+/// the analytic tiers use comes from that rule, so every batched test run
+/// in debug checks the contract behind them.
+#[inline]
+fn decide_checked(policy: &mut dyn DtmPolicy, observation: &ThermalObservation, dt_s: f64) -> ActuationPlan {
+    #[cfg(debug_assertions)]
+    let predicted = policy.decision_rule().next(observation.max_amb_c, observation.max_dram_c);
+    let plan = policy.decide(observation, dt_s);
+    #[cfg(debug_assertions)]
+    if let Some(step) = predicted {
+        let (amb, dram) = (observation.max_amb_c, observation.max_dram_c);
+        assert_eq!(plan, step.plan, "{}: decision rule mispredicts the plan at ({amb}, {dram})", policy.name());
+        assert_eq!(
+            policy.decision_rule().latched(),
+            step.latched,
+            "{}: decision rule mispredicts the latch at ({amb}, {dram})",
+            policy.name()
+        );
+    }
+    plan
+}
+
 /// Whether the cell at lane column `j` satisfies every fast-forward
-/// condition: a provably steady policy, an ambient at its fixed point and
-/// every layer within ε of its RC fixed point (left in `st.fp` for the
-/// jump). The streak and trace conditions are checked by the caller.
+/// condition: a decision rule that certifies every maxima within the 2ε
+/// drift bound, an ambient at its fixed point and every layer within ε of
+/// its RC fixed point (left in `st.fp` for the jump). The streak and trace
+/// conditions are checked by the caller.
 fn ff_engages(lane: &Lane, j: usize, st: &mut CellState, options: &BatchOptions) -> bool {
-    let drift_c = 2.0 * options.steady_epsilon_c;
-    if !st.policy.is_steady(&st.observation, &st.plan, drift_c) {
+    let d = 2.0 * options.steady_epsilon_c;
+    let (amb, dram) = (st.observation.max_amb_c, st.observation.max_dram_c);
+    if st.policy.decision_rule().region(amb - d, dram - d, amb + d, dram + d).is_none() {
         return false;
     }
     let stable_ambient = st.scene.ambient_params().stable_ambient_c(st.window.v_ipc);
@@ -1262,7 +1297,7 @@ fn ff_engages(lane: &Lane, j: usize, st: &mut CellState, options: &BatchOptions)
 
 /// Replays the cell's remaining windows in closed form and finalizes it.
 ///
-/// The plan is frozen (guaranteed by [`DtmPolicy::is_steady`] under the 2ε
+/// The plan is frozen (certified by [`DecisionRule::region`] under the 2ε
 /// drift bound), so every remaining window carries the same power, zero DTM
 /// overhead and the same per-core retire rates. Batch completion is
 /// resolved event-by-event: windows in which no job copy can possibly
@@ -1656,7 +1691,7 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
 /// cell's current temperatures) spans the orbit, and the band — inflated by
 /// half a span per side to absorb the slow slip — becomes the burst's audit
 /// certificate. Width is not gated: a burst decides every window literally
-/// or replays keyed decisions ([`DtmPolicy::decision_key`]) exactly, and
+/// or replays keyed decisions ([`DecisionRule::key`]) exactly, and
 /// certifies every frozen jump over its own traced range, so the band is
 /// only an audit backstop, never a bound on the replay error. Refuses a
 /// non-finite span.
@@ -1698,7 +1733,7 @@ fn env_band_slipping(lane: &Lane, j: usize, st: &CellState, period: usize) -> Op
 /// the directed interval between the two (plus a small margin for plan
 /// flips near the end) confines the whole approach. Width is deliberately
 /// *not* gated by the tolerance — every segment jump carries its own
-/// [`DtmPolicy::is_steady_band`] certificate over the exact traversed
+/// [`DecisionRule::region`] certificate over the exact traversed
 /// range, and the audit catches real escapes.
 fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState) -> Option<EnvBand> {
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
@@ -1795,17 +1830,15 @@ fn env_finish(
 /// plan-flip window-power rebuilds (cached per plan entry), per-window
 /// residency map probes (per-entry accumulator, flushed on exit) and — for
 /// licensed jumps — the skipped windows' decisions, ambient steps and RC
-/// sweeps. Frozen-jump licensing ([`DtmPolicy::is_steady_band`] for a
-/// single frozen plan, [`DtmPolicy::plan_decided_by_region`] naming the
-/// decided plan, both over the exact traversed temperature
-/// rectangle — each row's two-exponential response to the frozen plan and
-/// the relaxing ambient, extremes included — plus a completion-safe retire
-/// cap) and the decision replay's certificates (bitwise-literal binding
-/// recurrences, per-entry forcing-gap dominance, plan-run-length
-/// occupancy accounting) pin every reported quantity within the envelope
-/// tier's 1e-9 relative claim; window counts, simulated time and job
-/// completion windows stay exact (literal repeated additions and exact
-/// integer retires throughout). An already-settled ambient (within
+/// sweeps. Frozen-jump licensing ([`DecisionRule::region`] naming the
+/// frozen plan over the exact traversed temperature rectangle — each row's
+/// two-exponential response to the frozen plan and the relaxing ambient,
+/// extremes included — plus a completion-safe retire cap) and the decision
+/// replay's certificates (bitwise-literal binding recurrences, per-entry
+/// forcing-gap dominance, plan-run-length occupancy accounting) pin every
+/// reported quantity within the envelope tier's 1e-9 relative claim;
+/// window counts, simulated time and job completion windows stay exact
+/// (literal repeated additions and exact integer retires throughout). An already-settled ambient (within
 /// [`AMBIENT_FF_EPS_C`]) degenerates to the frozen single-exponential
 /// form.
 // Negated comparisons refuse on NaN throughout.
@@ -1860,16 +1893,6 @@ fn envelope_burst(
     // never pay the license check per window; resets on plan change).
     let mut run: u64 = 0;
     let mut next_attempt: u64 = ENV_JUMP_MIN;
-    // Whether the policy can attest decision regions. When it can, frozen
-    // segment jumps are licensed *exclusively* through the per-axis region
-    // certificate: it proves the unique decision over the traced range is
-    // the frozen plan itself. The legacy shared-arm band query only proves
-    // the decision is *unchanging* over the range — if the trajectory
-    // crossed a boundary during the very window that scheduled the probe,
-    // the whole traced range sits on the far side, the level is perfectly
-    // unique, and the jump would freeze the stale plan across a flip the
-    // literal path takes immediately.
-    let supports_region = st.policy.plan_decided_by_region(&st.observation, 0.0, 0.0).is_some();
     // Run length at which a fresh frozen run arms its first probe. Starts
     // at [`ENV_JUMP_MIN`]; drops to 2 once a probe comes back
     // certificate-limited — the signature of sliding-mode chatter, where
@@ -1883,13 +1906,13 @@ fn envelope_burst(
     // probe threshold arrives with the frozen run still short, the burst
     // replays decisions *exactly* instead of certifying them away: a
     // policy whose decisions are keyed by the device maxima
-    // ([`DtmPolicy::decision_key`]) is re-evaluated per virtual window
+    // ([`DecisionRule::key`]) is re-evaluated per virtual window
     // from bitwise-literal binding-row and ambient scalars, while every
     // other row is reconstructed at segment close from the plan-occupancy
     // weights. `chatter_next` schedules the attempts (in burst windows).
     // Unkeyed policies (the latched DTM-TS relay) never replay: their
     // bursts advance by literal windows and certified frozen jumps only.
-    let keyed = st.policy.decision_key(f64::NAN, f64::NAN).is_some();
+    let keyed = st.policy.decision_rule().key(f64::NAN, f64::NAN).is_some();
     let mut chatter_next: u64 = if keyed { 2 * ENV_JUMP_MIN } else { u64::MAX };
     // Dominance-certificate reuse across consecutive replay segments: the
     // forcing-gap half of the audit (per row, against the binding rows it
@@ -1909,7 +1932,7 @@ fn envelope_burst(
         st.observation.max_amb_c = if has_buffer { cur_max_buf } else { f64::NAN };
         st.observation.max_dram_c = cur_max_dram;
         st.observation.ambient_c = st.scene.ambient_c();
-        let new_plan = st.policy.decide(&st.observation, dt);
+        let new_plan = decide_checked(st.policy.as_mut(), &st.observation, dt);
         let overheaded = new_plan != entries[cur].plan;
         if overheaded {
             st.plan_streak = 0;
@@ -2026,11 +2049,11 @@ fn envelope_burst(
         // in closed form when (1) the whole traversed temperature range —
         // the exact two-exponential response of each row to a frozen plan
         // and a relaxing ambient — stays inside the band, and (2) the
-        // policy certifies every skipped decision over that exact range
-        // ([`DtmPolicy::is_steady_band`]), so each skipped decision
-        // provably re-returns the frozen plan. The ambient node itself is
-        // advanced in closed form too, so warmup approaches are jumped
-        // long before the ambient settles.
+        // policy's decision rule certifies the frozen plan over that exact
+        // range ([`DecisionRule::region`]), so each skipped decision
+        // provably re-returns it. The ambient node itself is advanced in
+        // closed form too, so warmup approaches are jumped long before the
+        // ambient settles.
         let chatter_probe = env_windows >= chatter_next;
         if violation || (run < next_attempt && !chatter_probe) {
             continue;
@@ -2039,7 +2062,7 @@ fn envelope_burst(
         // probe (the run resets on every plan flip, and an orbit whose
         // duty ratio slips never repeats an exact plan period), so a
         // policy whose decisions are keyed by the device maxima
-        // ([`DtmPolicy::decision_key`]) is advanced by re-evaluating every
+        // ([`DecisionRule::key`]) is advanced by re-evaluating every
         // decision instead of certifying it away. Three scalars carry the
         // literal bits every decision reads — the binding (hottest) row of
         // each device kind and the shared ambient, iterated with exactly
@@ -2069,12 +2092,14 @@ fn envelope_burst(
                 chatter_next = u64::MAX;
                 continue;
             }
+            let rule = st.policy.decision_rule();
             let mut key_entry = [usize::MAX; REPLAY_KEYS];
             for (k, ke) in key_entry.iter_mut().enumerate() {
-                if let Some(p) = st.policy.plan_for_key(k as u8) {
-                    if let Some(i) = entries.iter().position(|e| e.plan == p) {
-                        *ke = i;
-                    }
+                let Some(p) = rule.plan_of_key(k as u8) else {
+                    break;
+                };
+                if let Some(i) = entries.iter().position(|e| e.plan == p) {
+                    *ke = i;
                 }
             }
             // Binding (hottest) rows per device kind.
@@ -2274,7 +2299,7 @@ fn envelope_burst(
                 if run_l >= REPLAY_RUN_EXIT as u64 || w >= w_cap {
                     break;
                 }
-                let Some(key) = st.policy.decision_key(t_buf, t_dram) else {
+                let Some(key) = rule.key(t_buf, t_dram) else {
                     break;
                 };
                 let ei = key_entry.get(key as usize).copied().unwrap_or(usize::MAX);
@@ -2657,46 +2682,27 @@ fn envelope_burst(
             }
             Some((buf_lo, buf_hi, dram_lo, dram_hi))
         };
-        // The frozen-plan attestations: the legacy shared-arm band query
-        // (kept for policies without decision-region support) and the
-        // per-axis region certificate — the device axes trace independent
-        // ranges, so a wide buffer swing no longer inflates the DRAM arm
-        // across a threshold it never approaches.
-        let steady_at = |rg: &(f64, f64, f64, f64), obs: &mut ThermalObservation| -> bool {
-            let (buf_lo, buf_hi, dram_lo, dram_hi) = *rg;
-            let (mut below, mut above) = (0.0f64, 0.0f64);
-            if has_buffer {
-                below = below.max((cur_max_buf - buf_lo).max(0.0));
-                above = above.max((buf_hi - cur_max_buf).max(0.0));
-            }
-            below = below.max((cur_max_dram - dram_lo).max(0.0)) + ENV_FP_GUARD_C;
-            above = above.max((dram_hi - cur_max_dram).max(0.0)) + ENV_FP_GUARD_C;
-            if !(below.is_finite() && above.is_finite()) {
-                return false;
-            }
-            obs.max_amb_c = if has_buffer { cur_max_buf } else { f64::NAN };
-            obs.max_dram_c = cur_max_dram;
-            obs.ambient_c = amb_c;
-            st.policy.is_steady_band(obs, &e.plan, below, above)
-        };
-        let region_at = |rg: &(f64, f64, f64, f64), obs: &mut ThermalObservation| -> bool {
+        // The frozen-plan attestation: the decision rule's per-axis region
+        // certificate, widened by the shadowing guard on both sides, must
+        // name the frozen plan itself. The device axes trace independent
+        // ranges, so a wide buffer swing does not inflate the DRAM range
+        // across a threshold it never approaches. Naming the plan (not
+        // just proving the decision unchanging over the range) matters: if
+        // the trajectory crossed a boundary during the very window that
+        // scheduled the probe, the whole traced range sits on the far side
+        // and a jump would freeze the stale plan across a flip the literal
+        // path takes immediately.
+        let rule = st.policy.decision_rule();
+        let region_at = |rg: &(f64, f64, f64, f64)| -> bool {
             let (buf_lo, buf_hi, dram_lo, dram_hi) = *rg;
             let dram_span = (dram_hi - dram_lo) + 2.0 * ENV_FP_GUARD_C;
             let amb_span = if has_buffer { (buf_hi - buf_lo) + 2.0 * ENV_FP_GUARD_C } else { 0.0 };
             if !(dram_span.is_finite() && amb_span.is_finite()) {
                 return false;
             }
-            obs.max_amb_c = if has_buffer { buf_lo - ENV_FP_GUARD_C } else { f64::NAN };
-            obs.max_dram_c = dram_lo - ENV_FP_GUARD_C;
-            obs.ambient_c = amb_c;
-            st.policy.plan_decided_by_region(obs, amb_span, dram_span).as_ref() == Some(&e.plan)
-        };
-        let attest = |rg: &(f64, f64, f64, f64), obs: &mut ThermalObservation| -> bool {
-            if supports_region {
-                region_at(rg, obs)
-            } else {
-                steady_at(rg, obs)
-            }
+            let amb_lo = if has_buffer { buf_lo - ENV_FP_GUARD_C } else { f64::NAN };
+            let dram_lo = dram_lo - ENV_FP_GUARD_C;
+            rule.region(amb_lo, dram_lo, amb_lo + amb_span, dram_lo + dram_span).as_ref() == Some(&e.plan)
         };
         // The licensed horizon: attested ranges nest as the horizon
         // shrinks, so licensing is monotone in n and binary search finds
@@ -2707,12 +2713,12 @@ fn envelope_burst(
         // and a monotone approach is jumped to its completion or wall cap.
         let mut n = n0;
         let ok = if match range_for(n0 as f64) {
-            Some(rg) => attest(&rg, &mut st.observation),
+            Some(rg) => region_at(&rg),
             None => false,
         } {
             if n0 < n_max {
                 let full = match range_for(n_max as f64) {
-                    Some(rg) => attest(&rg, &mut st.observation),
+                    Some(rg) => region_at(&rg),
                     None => false,
                 };
                 if full {
@@ -2722,7 +2728,7 @@ fn envelope_burst(
                     while hi - lo > 1 {
                         let mid = lo + (hi - lo) / 2;
                         let good = match range_for(mid as f64) {
-                            Some(rg) => attest(&rg, &mut st.observation),
+                            Some(rg) => region_at(&rg),
                             None => false,
                         };
                         if good {
@@ -2737,7 +2743,7 @@ fn envelope_burst(
             true
         } else if n0 > 1
             && match range_for(1.0) {
-                Some(rg) => attest(&rg, &mut st.observation),
+                Some(rg) => region_at(&rg),
                 None => false,
             }
         {
@@ -2747,7 +2753,7 @@ fn envelope_burst(
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
                 let good = match range_for(mid as f64) {
-                    Some(rg) => attest(&rg, &mut st.observation),
+                    Some(rg) => region_at(&rg),
                     None => false,
                 };
                 if good {
@@ -2875,8 +2881,9 @@ fn finalize(st: &mut CellState, engine: &SimEngine<'_>) -> (MemSpotResult, CellR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtm::acg::DtmAcg;
     use crate::dtm::no_limit::NoLimit;
+    use crate::dtm::policy::DtmScheme;
+    use crate::dtm::threshold::ThresholdPolicy;
     use crate::dtm::ts::DtmTs;
     use crate::thermal::params::{CoolingConfig, StackKind, ThermalLimits};
     use workloads::mixes;
@@ -2926,7 +2933,7 @@ mod tests {
         let policies: [Box<dyn DtmPolicy>; 3] = [
             Box::new(NoLimit::new(&cpu)),
             Box::new(DtmTs::new(cpu.clone(), limits)),
-            Box::new(DtmAcg::new(cpu.clone(), limits)),
+            Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
         ];
         let cells: Vec<BatchCell> = configs
             .iter()
@@ -2941,7 +2948,7 @@ mod tests {
         let expectations: [Box<dyn DtmPolicy>; 3] = [
             Box::new(NoLimit::new(&cpu)),
             Box::new(DtmTs::new(cpu.clone(), limits)),
-            Box::new(DtmAcg::new(cpu.clone(), limits)),
+            Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
         ];
         for ((config, mut policy), (got, stats)) in configs.iter().zip(expectations).zip(&batched) {
             let want =
@@ -2969,7 +2976,7 @@ mod tests {
             let policies: [Box<dyn DtmPolicy>; 3] = [
                 Box::new(NoLimit::new(&cpu)),
                 Box::new(DtmTs::new(cpu.clone(), limits)),
-                Box::new(DtmAcg::new(cpu.clone(), limits)),
+                Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
             ];
             policies
                 .into_iter()

@@ -486,7 +486,7 @@ impl MemSpot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtm::{DtmAcg, DtmBw, DtmCdvfs, DtmTs, NoLimit};
+    use crate::dtm::{DtmScheme, DtmTs, NoLimit, ThresholdPolicy};
     use workloads::mixes;
 
     fn spot() -> MemSpot {
@@ -551,7 +551,7 @@ mod tests {
         let cpu = spot.cpu_config().clone();
         let limits = ThermalLimits::paper_fbdimm();
         let mut ts = DtmTs::new(cpu.clone(), limits);
-        let mut acg = DtmAcg::new(cpu, limits);
+        let mut acg = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
         let rt = spot.run(&mixes::w1(), &mut ts);
         let ra = spot.run(&mixes::w1(), &mut acg);
         assert!(ra.completed && rt.completed);
@@ -569,7 +569,7 @@ mod tests {
     fn dtm_bw_keeps_temperature_stable_near_the_limit() {
         let mut spot = spot();
         let cpu = spot.cpu_config().clone();
-        let mut bw = DtmBw::new(cpu, ThermalLimits::paper_fbdimm());
+        let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, ThermalLimits::paper_fbdimm());
         let r = spot.run(&mixes::w1(), &mut bw);
         assert!(r.completed);
         assert!(r.max_amb_c < 110.5);
@@ -582,7 +582,7 @@ mod tests {
         let cpu = spot.cpu_config().clone();
         let limits = ThermalLimits::paper_fbdimm();
         let mut ts = DtmTs::new(cpu.clone(), limits);
-        let mut cdvfs = DtmCdvfs::new(cpu, limits);
+        let mut cdvfs = ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits);
         let rt = spot.run(&mixes::w1(), &mut ts);
         let rc = spot.run(&mixes::w1(), &mut cdvfs);
         assert!(rc.completed);
@@ -609,7 +609,7 @@ mod tests {
         cfg.record_temp_trace = true;
         let mut spot = MemSpot::new(cfg);
         let cpu = spot.cpu_config().clone();
-        let mut bw = DtmBw::new(cpu, ThermalLimits::paper_fbdimm());
+        let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, ThermalLimits::paper_fbdimm());
         let r = spot.run(&mixes::w1(), &mut bw);
         assert!(r.temp_trace.len() as f64 >= r.running_time_s.floor() - 1.0);
         assert!(r.temp_trace.windows(2).all(|w| w[0].time_s < w[1].time_s));
@@ -676,7 +676,7 @@ mod tests {
     fn mode_residency_sums_to_about_one() {
         let mut spot = spot();
         let cpu = spot.cpu_config().clone();
-        let mut acg = DtmAcg::new(cpu, ThermalLimits::paper_fbdimm());
+        let mut acg = ThresholdPolicy::new(DtmScheme::Acg, &cpu, ThermalLimits::paper_fbdimm());
         let r = spot.run(&mixes::w1(), &mut acg);
         let sum: f64 = r.mode_residency.values().sum();
         assert!((sum - 1.0).abs() < 0.01, "residency sum {sum}");

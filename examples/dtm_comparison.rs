@@ -22,11 +22,11 @@ fn main() {
     let mut policies: Vec<Box<dyn DtmPolicy>> = vec![
         Box::new(memtherm::dtm::NoLimit::new(&cpu)),
         Box::new(DtmTs::new(cpu.clone(), limits)),
-        Box::new(DtmBw::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::new(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::with_pid(cpu.clone(), limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Cdvfs, &cpu, limits)),
     ];
 
     println!("workload {} under {} ({} copies/app, scaled)", mix.id, cooling.label(), spot.config().copies_per_app);

@@ -31,10 +31,10 @@ fn main() {
     let mut spot = MemSpot::new(cfg);
 
     let mut variants: Vec<Box<dyn DtmPolicy>> = vec![
-        Box::new(DtmAcg::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::with_pid(cpu.clone(), limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Cdvfs, &cpu, limits)),
     ];
 
     println!("W1 under {}, AMB limit {:.0} degC (PID target 109.8 degC):\n", cooling.label(), limits.amb_tdp_c);

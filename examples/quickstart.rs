@@ -30,7 +30,7 @@ fn main() {
     // 3. The two-level simulator with a DTM policy: run the W1 workload mix
     //    (swim, mgrid, applu, galgel) under adaptive core gating.
     let mut spot = MemSpot::new(MemSpotConfig::tiny(CoolingConfig::aohs_1_5()));
-    let mut policy = DtmAcg::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+    let mut policy = ThresholdPolicy::new(DtmScheme::Acg, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
     let result = spot.run(&mixes::w1(), &mut policy);
     println!(
         "\nW1 under {}: {:.0} s batch time, max AMB {:.1} degC, memory energy {:.0} J, CPU energy {:.0} J",

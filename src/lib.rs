@@ -49,7 +49,7 @@
 //!
 //! // Simulate W1 under DTM-ACG on the paper's FBDIMM configuration.
 //! let mut spot = MemSpot::new(MemSpotConfig::tiny(CoolingConfig::aohs_1_5()));
-//! let mut policy = DtmAcg::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+//! let mut policy = ThresholdPolicy::new(DtmScheme::Acg, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
 //! let result = spot.run(&mixes::w1(), &mut policy);
 //! assert!(result.completed);
 //! assert!(result.max_amb_c <= 110.5);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dram_thermal::memtherm::dtm::{DtmAcg, DtmBw, DtmCdvfs, DtmTs, NoLimit};
+use dram_thermal::memtherm::dtm::{DtmTs, NoLimit};
 use dram_thermal::prelude::*;
 
 /// Tiny deterministic PRNG (xorshift64*) so the "random" batch composition
@@ -46,9 +46,9 @@ fn policy_for(kind: u64, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmP
     match kind % 5 {
         0 => Box::new(NoLimit::new(cpu)),
         1 => Box::new(DtmTs::new(cpu.clone(), limits)),
-        2 => Box::new(DtmAcg::new(cpu.clone(), limits)),
-        3 => Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        _ => Box::new(DtmBw::with_pid(cpu.clone(), limits)),
+        2 => Box::new(ThresholdPolicy::new(DtmScheme::Acg, cpu, limits)),
+        3 => Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, cpu, limits)),
+        _ => Box::new(ThresholdPolicy::with_pid(DtmScheme::Bw, cpu, limits)),
     }
 }
 
@@ -217,7 +217,7 @@ fn fast_forward_matches_literal_stepping_within_1e9() {
                 &mem,
                 long(CoolingConfig::aohs_1_5()),
                 mixes::w6(),
-                Box::new(DtmAcg::with_pid(cpu.clone(), ThermalLimits::paper_fbdimm())),
+                Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, ThermalLimits::paper_fbdimm())),
                 Arc::clone(&store),
             )
             .with_rotation_threads(1),
@@ -351,7 +351,7 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
                 &mem,
                 acg,
                 mixes::w1(),
-                Box::new(DtmAcg::new(cpu.clone(), acg.limits)),
+                Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, acg.limits)),
                 Arc::clone(&store),
             )
             .with_rotation_threads(1),
@@ -360,7 +360,7 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
                 &mem,
                 cdvfs,
                 mixes::w1(),
-                Box::new(DtmCdvfs::new(cpu.clone(), cdvfs.limits)),
+                Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, cdvfs.limits)),
                 Arc::clone(&store),
             )
             .with_rotation_threads(1),

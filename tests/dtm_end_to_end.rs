@@ -26,11 +26,11 @@ fn every_dtm_scheme_respects_the_thermal_limit_that_no_limit_violates() {
 
     let mut policies: Vec<Box<dyn DtmPolicy>> = vec![
         Box::new(DtmTs::new(cpu.clone(), limits)),
-        Box::new(DtmBw::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::new(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::with_pid(cpu.clone(), limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Cdvfs, &cpu, limits)),
     ];
     for policy in policies.iter_mut() {
         let r = run(policy.as_mut(), cooling, false);
@@ -49,7 +49,7 @@ fn the_proposed_schemes_beat_thermal_shutdown_on_w1() {
     let limits = ThermalLimits::paper_fbdimm();
 
     let mut ts = DtmTs::new(cpu.clone(), limits);
-    let mut acg = DtmAcg::new(cpu.clone(), limits);
+    let mut acg = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
     let rt = run(&mut ts, cooling, false);
     let ra = run(&mut acg, cooling, false);
     assert!(
@@ -70,13 +70,13 @@ fn cdvfs_gains_more_under_the_integrated_thermal_model() {
     let cpu = CpuConfig::paper_quad_core();
     let limits = ThermalLimits::paper_fbdimm();
 
-    let mut bw_iso = DtmBw::new(cpu.clone(), limits);
-    let mut cdvfs_iso = DtmCdvfs::new(cpu.clone(), limits);
+    let mut bw_iso = ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits);
+    let mut cdvfs_iso = ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits);
     let iso_ratio =
         run(&mut cdvfs_iso, cooling, false).running_time_s / run(&mut bw_iso, cooling, false).running_time_s;
 
-    let mut bw_int = DtmBw::new(cpu.clone(), limits);
-    let mut cdvfs_int = DtmCdvfs::new(cpu.clone(), limits);
+    let mut bw_int = ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits);
+    let mut cdvfs_int = ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits);
     let int_ratio = run(&mut cdvfs_int, cooling, true).running_time_s / run(&mut bw_int, cooling, true).running_time_s;
 
     assert!(
@@ -92,9 +92,9 @@ fn processor_energy_ordering_matches_figure_4_10() {
     let cpu = CpuConfig::paper_quad_core();
     let limits = ThermalLimits::paper_fbdimm();
 
-    let mut cdvfs = DtmCdvfs::new(cpu.clone(), limits);
-    let mut acg = DtmAcg::new(cpu.clone(), limits);
-    let mut bw = DtmBw::new(cpu.clone(), limits);
+    let mut cdvfs = ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits);
+    let mut acg = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
+    let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits);
 
     let e_cdvfs = run(&mut cdvfs, cooling, false).cpu_energy_j;
     let e_acg = run(&mut acg, cooling, false).cpu_energy_j;

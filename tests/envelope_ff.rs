@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dram_thermal::memtherm::dtm::{DtmAcg, DtmBw, DtmCdvfs, DtmTs, NoLimit};
+use dram_thermal::memtherm::dtm::{DtmTs, NoLimit};
 use dram_thermal::prelude::*;
 
 /// Tiny deterministic PRNG (xorshift64*) so the "random" cell pool is
@@ -49,9 +49,9 @@ fn base_config(cooling: CoolingConfig) -> MemSpotConfig {
 fn eligible_policy(rng: &mut Rng, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmPolicy> {
     match rng.next() % 5 {
         0 => Box::new(NoLimit::new(cpu)),
-        1 => Box::new(DtmAcg::new(cpu.clone(), limits)),
-        2 => Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        3 => Box::new(DtmBw::new(cpu.clone(), limits)),
+        1 => Box::new(ThresholdPolicy::new(DtmScheme::Acg, cpu, limits)),
+        2 => Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, cpu, limits)),
+        3 => Box::new(ThresholdPolicy::new(DtmScheme::Bw, cpu, limits)),
         _ => {
             let below = 0.5 + (rng.next() % 8) as f64 * 0.5;
             let limits = if rng.next().is_multiple_of(2) {
@@ -155,7 +155,7 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
                 // members of a lane must coexist with bursting neighbors
                 // without perturbing them.
                 let policy: Box<dyn DtmPolicy> = if i == 5 {
-                    Box::new(DtmBw::with_pid(cpu.clone(), cfg.limits))
+                    Box::new(ThresholdPolicy::with_pid(DtmScheme::Bw, &cpu, cfg.limits))
                 } else {
                     eligible_policy(rng, &cpu, cfg.limits)
                 };
@@ -220,7 +220,7 @@ fn a_drifting_trajectory_falls_back_to_literal_without_losing_accuracy() {
             &mem,
             cfg,
             mixes::w6(),
-            Box::new(DtmAcg::new(cpu.clone(), cfg.limits)),
+            Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, cfg.limits)),
             Arc::clone(&store),
         )
         .with_rotation_threads(1)]
@@ -272,7 +272,7 @@ fn sliding_mode_bw_chatter_replays_exactly_at_paper_cadence() {
             &mem,
             cfg,
             mixes::w5(),
-            Box::new(DtmBw::new(cpu.clone(), cfg.limits)),
+            Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, cfg.limits)),
             Arc::clone(&store),
         )
         .with_rotation_threads(1)]
@@ -330,7 +330,7 @@ fn a_refuted_contraction_certificate_falls_back_with_exact_window_conservation()
             &mem,
             cfg,
             mixes::w6(),
-            Box::new(DtmBw::new(cpu.clone(), cfg.limits)),
+            Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, cfg.limits)),
             Arc::clone(&store),
         )
         .with_rotation_threads(1)]
@@ -420,9 +420,9 @@ fn decision_replay_closes_a_run_that_exits_at_the_run_length_cap() {
         cfg.dtm_interval_s = 0.010;
         let build = || {
             let policy: Box<dyn DtmPolicy> = match scheme {
-                DtmScheme::Bw => Box::new(DtmBw::new(cpu.clone(), cfg.limits)),
-                DtmScheme::Acg => Box::new(DtmAcg::new(cpu.clone(), cfg.limits)),
-                _ => Box::new(DtmCdvfs::new(cpu.clone(), cfg.limits)),
+                DtmScheme::Bw => Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, cfg.limits)),
+                DtmScheme::Acg => Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, cfg.limits)),
+                _ => Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, cfg.limits)),
             };
             vec![BatchCell::new(&cpu, &mem, cfg, spec_mix(apps), policy, Arc::clone(&store)).with_rotation_threads(1)]
         };

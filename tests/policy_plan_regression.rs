@@ -196,10 +196,10 @@ fn threshold_policies_are_bit_identical_to_the_table_4_3_mirror() {
     let limits = ThermalLimits::paper_fbdimm();
     let mut policies: Vec<Box<dyn DtmPolicy>> = vec![
         Box::new(NoLimit::new(&cpu)),
-        Box::new(DtmBw::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::new(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        Box::new(DtmComb::new(cpu.clone(), limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Comb, &cpu, limits)),
     ];
     for policy in &mut policies {
         let scheme = policy.scheme();
@@ -238,10 +238,10 @@ fn pid_policies_are_bit_identical_to_the_equation_4_1_mirror() {
     let cpu = CpuConfig::paper_quad_core();
     let limits = ThermalLimits::paper_fbdimm();
     let mut cases: Vec<(Box<dyn DtmPolicy>, DtmScheme)> = vec![
-        (Box::new(DtmBw::with_pid(cpu.clone(), limits)), DtmScheme::Bw),
-        (Box::new(DtmAcg::with_pid(cpu.clone(), limits)), DtmScheme::Acg),
-        (Box::new(DtmCdvfs::with_pid(cpu.clone(), limits)), DtmScheme::Cdvfs),
-        (Box::new(DtmComb::with_pid(cpu.clone(), limits)), DtmScheme::Comb),
+        (Box::new(ThresholdPolicy::with_pid(DtmScheme::Bw, &cpu, limits)), DtmScheme::Bw),
+        (Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits)), DtmScheme::Acg),
+        (Box::new(ThresholdPolicy::with_pid(DtmScheme::Cdvfs, &cpu, limits)), DtmScheme::Cdvfs),
+        (Box::new(ThresholdPolicy::with_pid(DtmScheme::Comb, &cpu, limits)), DtmScheme::Comb),
     ];
     for (policy, scheme) in &mut cases {
         assert!(policy.uses_pid(), "{}", policy.name());
@@ -266,10 +266,10 @@ fn legacy_policies_emit_scalar_plans_even_over_a_resolved_field() {
     let mut policies: Vec<Box<dyn DtmPolicy>> = vec![
         Box::new(NoLimit::new(&cpu)),
         Box::new(DtmTs::new(cpu.clone(), limits)),
-        Box::new(DtmBw::new(cpu.clone(), limits)),
-        Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
-        Box::new(DtmCdvfs::new(cpu.clone(), limits)),
-        Box::new(DtmComb::new(cpu.clone(), limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits)),
+        Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits)),
+        Box::new(ThresholdPolicy::new(DtmScheme::Comb, &cpu, limits)),
         Box::new(PlatformPolicy::new(PolicyKind::Comb, Server::sr1500al()).with_ideal_sensor()),
     ];
     for temps in [(100.0, 70.0), (108.6, 83.2), (109.8, 84.9), (111.0, 86.0), (95.0, 70.0)] {

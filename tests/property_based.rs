@@ -230,8 +230,8 @@ fn acg_decisions_are_monotone() {
         let t2 = rng.gen_range(90.0..112.0);
         let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
         // Fresh policies: threshold decisions are stateless.
-        let mut cool = DtmAcg::new(cpu.clone(), limits);
-        let mut hot = DtmAcg::new(cpu.clone(), limits);
+        let mut cool = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
+        let mut hot = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
         let cores_cool = cool.decide_temps(lo, 70.0, 1.0).active_cores;
         let cores_hot = hot.decide_temps(hi, 70.0, 1.0).active_cores;
         assert!(cores_hot <= cores_cool);
@@ -240,7 +240,7 @@ fn acg_decisions_are_monotone() {
         let mem = FbdimmConfig::ddr2_667_paper();
         let mut scene = DimmThermalScene::isolated(&mem, CoolingConfig::aohs_1_5(), limits);
         scene.set_uniform_temps_c(hi, 70.0);
-        let mut from_field = DtmAcg::new(cpu, limits);
+        let mut from_field = ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits);
         assert_eq!(from_field.decide(&scene.observe(), 1.0).mode.active_cores, cores_hot);
     });
 }

@@ -126,7 +126,7 @@ fn memspot_results_carry_the_resolved_field_end_to_end() {
     // Full pipeline: a MEMSpot run's field maxima equal its reported maxima
     // and every non-hottest position stays at or below them.
     let mut spot = MemSpot::new(MemSpotConfig::tiny(CoolingConfig::aohs_1_5()));
-    let mut policy = DtmBw::new(CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+    let mut policy = ThresholdPolicy::new(DtmScheme::Bw, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
     let r = spot.run(&mixes::w1(), &mut policy);
     assert_eq!(r.position_peaks.len(), 8);
     for p in &r.position_peaks {

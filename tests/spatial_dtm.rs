@@ -62,7 +62,7 @@ fn cbw_keys_off_the_inner_die_on_4_high_stacks() {
     let limits = derated(77.0);
     let mut spot = spot_with_limits(StackKind::stacked4(), limits);
     let cpu = spot.cpu_config().clone();
-    let mut bw = DtmBw::new(cpu.clone(), limits);
+    let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits);
     let rb = spot.run(&mixes::w1(), &mut bw);
     let mut cbw = DtmCbw::new(cpu, limits);
     let rc = spot.run(&mixes::w1(), &mut cbw);
@@ -89,7 +89,7 @@ fn mig_migrates_traffic_and_flattens_the_field_vs_bw() {
     let limits = derated(77.0);
     let mut spot = spot_with_limits(StackKind::stacked4(), limits);
     let cpu = spot.cpu_config().clone();
-    let mut bw = DtmBw::new(cpu.clone(), limits);
+    let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits);
     let rb = spot.run(&mixes::w1(), &mut bw);
     let mut mig = DtmMig::new(cpu, limits);
     let rm = spot.run(&mixes::w1(), &mut mig);
@@ -115,7 +115,7 @@ fn scalar_policies_report_empty_spatial_actuation() {
     assert_eq!(r.migrated_traffic_bytes, 0.0);
     // A global cap counts as throttling every channel equally.
     let cpu = spot.cpu_config().clone();
-    let mut bw = DtmBw::new(cpu, ThermalLimits::paper_fbdimm());
+    let mut bw = ThresholdPolicy::new(DtmScheme::Bw, &cpu, ThermalLimits::paper_fbdimm());
     let r = spot.run(&mixes::w1(), &mut bw);
     assert_eq!(r.channel_throttle_residency.len(), 2);
     assert!(r.channel_throttle_residency[0] > 0.0, "BW throttles (globally): {:?}", r.channel_throttle_residency);

@@ -244,7 +244,7 @@ fn from_hottest_round_trips_bufferless_observations() {
     let mut ts = DtmTs::new(CpuConfig::paper_quad_core(), limits);
     assert!(!ts.decide_temps(f64::NAN, 85.2, 0.01).makes_progress(), "DRAM TDP shuts down");
     assert!(ts.decide_temps(f64::NAN, 83.5, 0.01).makes_progress(), "and releases without an AMB");
-    let mut bw = DtmBw::with_pid(CpuConfig::paper_quad_core(), limits);
+    let mut bw = ThresholdPolicy::with_pid(DtmScheme::Bw, &CpuConfig::paper_quad_core(), limits);
     let mut throttled = false;
     for _ in 0..50 {
         // Held just under the DRAM TDP the PID must throttle — the decision
