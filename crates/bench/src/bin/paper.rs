@@ -12,12 +12,24 @@
 //! hours per figure. `--json <dir>` also writes each table to
 //! `<dir>/<id>.json`.
 //!
+//! Every experiment of one invocation shares one level-1 characterization
+//! store, so `all` characterizes each design point once, whichever figure
+//! needs it first; the tables are the same as when each figure runs alone.
+//! After each experiment, stderr reports its wall time and how many level-1
+//! points it computed and how many it reused from the store. With `--json`
+//! the same numbers go to `<dir>/level1.jsonl`, one object per experiment:
+//! `{"id", "wall_s", "level1_computed", "level1_reused"}`.
+//!
 //! Exit status: 0 on success, 1 when an experiment fails or a JSON file
 //! cannot be written, 2 on a malformed command line (an unknown scale or
 //! option, or `--json` without a directory).
 
+use std::sync::Arc;
+
 use experiments::harness::Scale;
-use experiments::{all_experiment_ids, run_experiment};
+use experiments::{all_experiment_ids, run_experiment_in};
+use memtherm::sim::characterize::CharStore;
+use memtherm::sim::escape_json;
 
 const USAGE: &str = "usage: paper <experiment-id|all|--list> [smoke|quick|paper] [--json <dir>]";
 
@@ -75,20 +87,30 @@ fn main() {
         vec![args[0].clone()]
     };
 
+    let store = Arc::new(CharStore::new());
+    let mut level1_lines = Vec::new();
     for id in ids {
         let started = std::time::Instant::now();
-        match run_experiment(&id, scale) {
-            Ok(table) => {
-                println!("{table}");
-                eprintln!("[{}] finished in {:.1} s", id, started.elapsed().as_secs_f64());
-                if let Some(dir) = &json_dir {
-                    let path = format!("{dir}/{id}.json");
-                    if let Err(e) = std::fs::write(&path, table.to_json()) {
-                        fail(&format!("cannot write {path}: {e}"));
-                    }
-                }
-            }
-            Err(e) => fail(&e.to_string()),
+        let (hits_before, misses_before) = (store.hits(), store.misses());
+        let table = run_experiment_in(&id, scale, &store).unwrap_or_else(|e| fail(&e));
+        let wall_s = started.elapsed().as_secs_f64();
+        let (computed, reused) = (store.misses() - misses_before, store.hits() - hits_before);
+        println!("{table}");
+        eprintln!("[{id}] finished in {wall_s:.1} s; level-1: {computed} computed, {reused} reused");
+        if let Some(dir) = &json_dir {
+            write_or_fail(&format!("{dir}/{id}.json"), &table.to_json());
+            level1_lines.push(format!(
+                "{{\"id\": \"{}\", \"wall_s\": {wall_s}, \"level1_computed\": {computed}, \"level1_reused\": {reused}}}\n",
+                escape_json(&id)
+            ));
+            write_or_fail(&format!("{dir}/level1.jsonl"), &level1_lines.concat());
         }
+    }
+}
+
+/// Writes `contents` to `path`, or exits with status 1.
+fn write_or_fail(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(&format!("cannot write {path}: {e}"));
     }
 }

@@ -1,7 +1,10 @@
 //! Chapter 4 experiments: the simulation study of the DTM schemes.
 
+use std::sync::Arc;
+
 use memtherm::dtm::policy::DtmPolicy;
 use memtherm::prelude::*;
+use memtherm::sim::characterize::CharStore;
 use memtherm::sim::memspot::MemSpotResult;
 
 use crate::harness::{f1, f3, mean, Scale, Table};
@@ -111,14 +114,17 @@ pub struct MatrixRun {
 /// Runs every mix under every policy (plus the no-limit baseline) for one
 /// cooling configuration. Each mix becomes one [`SweepScenario`]; the
 /// [`SweepRunner`] fans the individual {mix, policy} cells across cores,
-/// and all cells of a mix share its level-1 characterization through the
-/// sweep's `CharStore`.
+/// and every cell reads its level-1 characterization from `store`. A
+/// figure passes the same store to each of its matrices, so a design point
+/// the first cooling (or interaction degree) characterized is reused by
+/// the next one instead of being recomputed.
 pub fn run_matrix(
     scale: Scale,
     cooling: CoolingConfig,
     integrated: bool,
     interaction_degree: Option<f64>,
     specs: &[PolicySpec],
+    store: &Arc<CharStore>,
 ) -> Vec<MatrixRun> {
     let mut all_specs = vec![PolicySpec::NoLimit];
     all_specs.extend_from_slice(specs);
@@ -136,7 +142,7 @@ pub fn run_matrix(
             limits: None,
         })
         .collect();
-    SweepRunner::new().run(&scenarios, |cooling| scale.memspot_config(cooling)).runs
+    SweepRunner::new().with_char_store(Arc::clone(store)).run(&scenarios, |cooling| scale.memspot_config(cooling)).runs
 }
 
 fn baseline<'a>(runs: &'a [MatrixRun], cooling: &str, workload: &str, policy: &str) -> Option<&'a MatrixRun> {
@@ -234,16 +240,19 @@ fn fig4_2_scenarios(scale: Scale, cooling: CoolingConfig, device: &str, trps: &[
 /// Figure 4.2: DTM-TS running time with varied thermal release point.
 /// Each cooling runs as one [`SweepRunner`] grid; a grid per cooling
 /// rather than one for both keeps the batched lanes, and so peak memory,
-/// at one cooling's width.
-pub fn fig4_2(scale: Scale) -> Table {
+/// at one cooling's width. Both grids read their level-1 points from
+/// `store`, so the second cooling reuses the first one's.
+pub fn fig4_2(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig4_2",
         "Performance of DTM-TS with varied TRP (normalized running time vs no thermal limit)",
         &["cooling", "swept TRP degC", "workload", "normalized time"],
     );
     for (cooling, device, trps) in fig4_2_cases() {
-        let runs =
-            SweepRunner::new().run(&fig4_2_scenarios(scale, cooling, device, &trps), |c| scale.memspot_config(c)).runs;
+        let runs = SweepRunner::new()
+            .with_char_store(Arc::clone(store))
+            .run(&fig4_2_scenarios(scale, cooling, device, &trps), |c| scale.memspot_config(c))
+            .runs;
         for per_mix in runs.chunks(trps.len() + 1) {
             let (base, ts) = per_mix.split_first().expect("every mix has a baseline cell");
             for (r, trp) in ts.iter().zip(trps) {
@@ -266,10 +275,11 @@ fn normalized_table(
     metric: impl Fn(&MemSpotResult, &MemSpotResult) -> f64,
     base_policy: &str,
     specs: &[PolicySpec],
+    store: &Arc<CharStore>,
 ) -> Table {
     let mut t = Table::new(id, title, &["cooling", "workload", "policy", "value"]);
     for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
-        let runs = run_matrix(scale, cooling, false, None, specs);
+        let runs = run_matrix(scale, cooling, false, None, specs, store);
         for r in &runs {
             if r.policy == base_policy {
                 continue;
@@ -285,7 +295,7 @@ fn normalized_table(
 
 /// Figure 4.3: normalized running time of all DTM schemes (± PID), both
 /// cooling configurations, isolated thermal model.
-pub fn fig4_3(scale: Scale) -> Table {
+pub fn fig4_3(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_table(
         "fig4_3",
         "Normalized running time for DTM schemes (vs no thermal limit)",
@@ -293,11 +303,12 @@ pub fn fig4_3(scale: Scale) -> Table {
         |r, b| r.normalized_time(b),
         "No-limit",
         &PolicySpec::figure_4_3_set(),
+        store,
     )
 }
 
 /// Figure 4.4: normalized total memory traffic of all DTM schemes.
-pub fn fig4_4(scale: Scale) -> Table {
+pub fn fig4_4(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_table(
         "fig4_4",
         "Normalized total memory traffic for DTM schemes (vs no thermal limit)",
@@ -305,18 +316,19 @@ pub fn fig4_4(scale: Scale) -> Table {
         |r, b| r.normalized_traffic(b),
         "No-limit",
         &PolicySpec::figure_4_3_set(),
+        store,
     )
 }
 
 /// Figures 4.5–4.8: AMB temperature traces of W1 under AOHS_1.5 for DTM-TS,
 /// DTM-BW, DTM-ACG and DTM-CDVFS (sampled every 10 s of the first 1000 s).
-pub fn fig4_5_8(scale: Scale) -> Table {
+pub fn fig4_5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
     let cooling = CoolingConfig::aohs_1_5();
     let mut cfg = scale.memspot_config(cooling);
     cfg.record_temp_trace = true;
     let cpu = CpuConfig::paper_quad_core();
     let limits = cfg.limits;
-    let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
+    let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
     let mix = mixes::w1();
 
     let mut t = Table::new(
@@ -346,7 +358,7 @@ pub fn fig4_5_8(scale: Scale) -> Table {
 }
 
 /// Figure 4.9: normalized FBDIMM energy consumption (vs DTM-TS).
-pub fn fig4_9(scale: Scale) -> Table {
+pub fn fig4_9(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_table(
         "fig4_9",
         "Normalized energy consumption of FBDIMM for DTM schemes (vs DTM-TS)",
@@ -354,11 +366,12 @@ pub fn fig4_9(scale: Scale) -> Table {
         |r, b| r.normalized_memory_energy(b),
         "DTM-TS",
         &PolicySpec::figure_4_3_set(),
+        store,
     )
 }
 
 /// Figure 4.10: normalized processor energy consumption (vs DTM-TS).
-pub fn fig4_10(scale: Scale) -> Table {
+pub fn fig4_10(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_table(
         "fig4_10",
         "Normalized energy consumption of processors for DTM schemes (vs DTM-TS)",
@@ -366,11 +379,15 @@ pub fn fig4_10(scale: Scale) -> Table {
         |r, b| r.normalized_cpu_energy(b),
         "DTM-TS",
         &PolicySpec::figure_4_3_set(),
+        store,
     )
 }
 
 /// Figure 4.11: average normalized running time for different DTM intervals.
-pub fn fig4_11(scale: Scale) -> Table {
+/// Its 32 simulators (4 intervals × 2 coolings × 4 policies) all read their
+/// level-1 points from `store`: the interval, the cooling and the policy
+/// change none of them.
+pub fn fig4_11(scale: Scale, store: &Arc<CharStore>) -> Table {
     let intervals_ms = [1.0, 10.0, 20.0, 100.0];
     let mut t = Table::new(
         "fig4_11",
@@ -386,7 +403,7 @@ pub fn fig4_11(scale: Scale) -> Table {
                 let mut cfg = scale.memspot_config(cooling);
                 cfg.dtm_interval_s = interval / 1000.0;
                 let limits = cfg.limits;
-                let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
+                let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
                 let times: Vec<f64> = scale
                     .ch4_mixes()
                     .iter()
@@ -409,14 +426,14 @@ pub fn fig4_11(scale: Scale) -> Table {
 
 /// Figure 4.12: normalized running time under the *integrated* thermal
 /// model.
-pub fn fig4_12(scale: Scale) -> Table {
+pub fn fig4_12(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig4_12",
         "Normalized running time for DTM schemes under the integrated thermal model",
         &["cooling", "workload", "policy", "normalized time"],
     );
     for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
-        let runs = run_matrix(scale, cooling, true, None, &PolicySpec::threshold_set());
+        let runs = run_matrix(scale, cooling, true, None, &PolicySpec::threshold_set(), store);
         for r in &runs {
             if r.policy == "No-limit" {
                 continue;
@@ -433,20 +450,20 @@ pub fn fig4_12(scale: Scale) -> Table {
     t
 }
 
-fn interaction_runs(scale: Scale, degree: f64) -> Vec<MatrixRun> {
-    run_matrix(scale, CoolingConfig::fdhs_1_0(), true, Some(degree), &PolicySpec::threshold_set())
+fn interaction_runs(scale: Scale, degree: f64, store: &Arc<CharStore>) -> Vec<MatrixRun> {
+    run_matrix(scale, CoolingConfig::fdhs_1_0(), true, Some(degree), &PolicySpec::threshold_set(), store)
 }
 
 /// Figure 4.13: average normalized running time for different degrees of
 /// CPU→memory thermal interaction.
-pub fn fig4_13(scale: Scale) -> Table {
+pub fn fig4_13(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig4_13",
         "Average normalized running time with different degrees of thermal interaction (FDHS_1.0)",
         &["interaction degree", "policy", "avg normalized time"],
     );
     for degree in [1.0, 1.5, 2.0] {
-        let runs = interaction_runs(scale, degree);
+        let runs = interaction_runs(scale, degree, store);
         for policy in ["DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"] {
             let values: Vec<f64> = runs
                 .iter()
@@ -463,14 +480,14 @@ pub fn fig4_13(scale: Scale) -> Table {
 
 /// Figure 4.14: average performance improvement of DTM-ACG and DTM-CDVFS
 /// over DTM-BW for different degrees of thermal interaction.
-pub fn fig4_14(scale: Scale) -> Table {
+pub fn fig4_14(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig4_14",
         "Average improvement of DTM-ACG / DTM-CDVFS over DTM-BW vs thermal-interaction degree (FDHS_1.0)",
         &["interaction degree", "policy", "improvement %"],
     );
     for degree in [1.0, 1.5, 2.0] {
-        let runs = interaction_runs(scale, degree);
+        let runs = interaction_runs(scale, degree, store);
         for policy in ["DTM-ACG", "DTM-CDVFS"] {
             let improvements: Vec<f64> = runs
                 .iter()
@@ -541,9 +558,35 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs a smoke-scale simulation matrix (~seconds in release); exercised by the Criterion benches"]
+    fn matrices_over_one_store_match_fresh_stores_and_share_points() {
+        // Both coolings of one matrix over one store, as `normalized_table`
+        // runs them: every result equals its fresh-store run, and the second
+        // cooling finds every level-1 point the first one computed. At Smoke
+        // scale FDHS_1.0 never leaves full speed, so AOHS_1.5 (which visits
+        // every running level FDHS_1.0 does, and more) runs first.
+        let scale = Scale::Smoke;
+        let specs = PolicySpec::threshold_set();
+        let store = Arc::new(CharStore::new());
+        let mut computed = Vec::new();
+        for cooling in [CoolingConfig::aohs_1_5(), CoolingConfig::fdhs_1_0()] {
+            let misses_before = store.misses();
+            let shared = run_matrix(scale, cooling, false, None, &specs, &store);
+            computed.push(store.misses() - misses_before);
+            let fresh = run_matrix(scale, cooling, false, None, &specs, &Arc::default());
+            assert_eq!(shared.len(), fresh.len());
+            for (a, b) in shared.iter().zip(&fresh) {
+                assert_eq!((&a.cooling, &a.workload, &a.policy), (&b.cooling, &b.workload, &b.policy));
+                assert_eq!(a.result, b.result, "{}/{}/{} diverged", a.cooling, a.workload, a.policy);
+            }
+        }
+        assert!(computed[0] > 0, "the first cooling characterizes its points");
+        assert_eq!(computed[1], 0, "the second cooling must reuse every point: {computed:?}");
+    }
+
+    #[test]
+    #[ignore = "runs a smoke-scale simulation matrix (~seconds in release); exercised by the `figures_ch4` bench"]
     fn fig4_3_smoke_produces_sane_normalized_times() {
-        let t = fig4_3(Scale::Smoke);
+        let t = fig4_3(Scale::Smoke, &Arc::default());
         assert!(!t.rows.is_empty());
         for row in &t.rows {
             let v: f64 = row[3].parse().unwrap();

@@ -1,12 +1,20 @@
 //! Chapter 5 experiments: the server-platform case study.
 
+use std::sync::Arc;
+
+use memtherm::sim::characterize::CharStore;
 use platform_emu::{Measurement, PlatformExperiment, PlatformPolicy, PolicyKind, Server, TimeSliceModel};
 use workloads::mixes;
 
 use crate::harness::{f1, f3, mean, Scale, Table};
 
-fn experiment(scale: Scale, server: Server) -> PlatformExperiment {
-    PlatformExperiment::with_scale(server, scale.platform_runs_per_app(), scale.platform_instruction_scale())
+fn experiment(scale: Scale, server: Server, store: &Arc<CharStore>) -> PlatformExperiment {
+    PlatformExperiment::with_store(
+        server,
+        scale.platform_runs_per_app(),
+        scale.platform_instruction_scale(),
+        Arc::clone(store),
+    )
 }
 
 fn ch5_mixes(scale: Scale) -> Vec<workloads::WorkloadMix> {
@@ -20,12 +28,14 @@ fn policy_runs(
     scale: Scale,
     server: Server,
     mixes_list: &[workloads::WorkloadMix],
+    store: &Arc<CharStore>,
 ) -> Vec<(String, String, Measurement)> {
-    // Fan the mixes across cores; each worker owns a private experiment
-    // (characterization tables are per-mix, so nothing is lost by splitting).
+    // Fan the mixes across cores; each worker owns an experiment over the
+    // shared store. Points are keyed per mix, so the workers never wait on
+    // each other, and a later call for the same server hardware reuses them.
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let groups = crate::sweep::parallel_map(threads, mixes_list, |mix| {
-        let mut exp = experiment(scale, server.clone());
+        let mut exp = experiment(scale, server.clone(), store);
         let mut out = Vec::new();
         let base = exp.run_no_limit(mix);
         out.push((mix.id.clone(), "No-limit".to_string(), base.measurement));
@@ -44,8 +54,8 @@ fn find<'a>(runs: &'a [(String, String, Measurement)], mix: &str, policy: &str) 
 
 /// Figure 5.4: AMB temperature of the first 500 s of homogeneous workloads
 /// on the SR1500AL (no DTM control).
-pub fn fig5_4(scale: Scale) -> Table {
-    let mut exp = experiment(scale, Server::sr1500al());
+pub fn fig5_4(scale: Scale, store: &Arc<CharStore>) -> Table {
+    let mut exp = experiment(scale, Server::sr1500al(), store);
     let apps = ["swim", "mgrid", "galgel", "apsi", "vpr"];
     let mut t = Table::new(
         "fig5_4",
@@ -64,8 +74,8 @@ pub fn fig5_4(scale: Scale) -> Table {
 
 /// Figure 5.5: average AMB temperature of homogeneous SPEC CPU2000 workloads
 /// on the PE1950 without DTM control.
-pub fn fig5_5(scale: Scale) -> Table {
-    let mut exp = experiment(scale, Server::pe1950());
+pub fn fig5_5(scale: Scale, store: &Arc<CharStore>) -> Table {
+    let mut exp = experiment(scale, Server::pe1950(), store);
     let mut t = Table::new(
         "fig5_5",
         "Average AMB temperature when memory is driven by homogeneous workloads on the PE1950 (no DTM)",
@@ -89,10 +99,11 @@ fn normalized_time_table(
     scale: Scale,
     servers: &[Server],
     mixes_list: &[workloads::WorkloadMix],
+    store: &Arc<CharStore>,
 ) -> Table {
     let mut t = Table::new(id, title, &["server", "workload", "policy", "normalized time"]);
     for server in servers {
-        let runs = policy_runs(scale, server.clone(), mixes_list);
+        let runs = policy_runs(scale, server.clone(), mixes_list, store);
         for (mix, policy, m) in &runs {
             if policy == "No-limit" {
                 continue;
@@ -105,38 +116,42 @@ fn normalized_time_table(
 }
 
 /// Figure 5.6: normalized running time of the SPEC CPU2000 workloads on both
-/// servers under the four software DTM policies.
-pub fn fig5_6(scale: Scale) -> Table {
+/// servers under the four software DTM policies. The servers share `store`;
+/// their memory differs (2 vs 4 DIMMs), so the store key's geometry and
+/// hardware fingerprint keep their points apart.
+pub fn fig5_6(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_time_table(
         "fig5_6",
         "Normalized running time of SPEC CPU2000 workloads (PE1950 and SR1500AL)",
         scale,
         &[Server::pe1950(), Server::sr1500al()],
         &ch5_mixes(scale),
+        store,
     )
 }
 
 /// Figure 5.7: normalized running time of the SPEC CPU2006 workloads on the
 /// PE1950.
-pub fn fig5_7(scale: Scale) -> Table {
+pub fn fig5_7(scale: Scale, store: &Arc<CharStore>) -> Table {
     normalized_time_table(
         "fig5_7",
         "Normalized running time of SPEC CPU2006 workloads on the PE1950",
         scale,
         &[Server::pe1950()],
         &[mixes::w11(), mixes::w12()],
+        store,
     )
 }
 
 /// Figure 5.8: normalized number of L2 cache misses (vs DTM-BW).
-pub fn fig5_8(scale: Scale) -> Table {
+pub fn fig5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig5_8",
         "Normalized numbers of L2 cache misses (vs DTM-BW)",
         &["server", "workload", "policy", "normalized L2 misses"],
     );
     for server in [Server::pe1950(), Server::sr1500al()] {
-        let runs = policy_runs(scale, server.clone(), &ch5_mixes(scale));
+        let runs = policy_runs(scale, server.clone(), &ch5_mixes(scale), store);
         for (mix, policy, m) in &runs {
             if policy == "No-limit" || policy == "DTM-BW" {
                 continue;
@@ -149,8 +164,8 @@ pub fn fig5_8(scale: Scale) -> Table {
 }
 
 /// Figure 5.9: measured memory inlet temperature per policy on the SR1500AL.
-pub fn fig5_9(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+pub fn fig5_9(scale: Scale, store: &Arc<CharStore>) -> Table {
+    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_9",
         "Measured memory inlet (CPU exhaust) temperature on the SR1500AL",
@@ -167,8 +182,8 @@ pub fn fig5_9(scale: Scale) -> Table {
 
 /// Figure 5.10: CPU power consumption per policy on the SR1500AL
 /// (normalized to DTM-BW).
-pub fn fig5_10(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+pub fn fig5_10(scale: Scale, store: &Arc<CharStore>) -> Table {
+    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_10",
         "CPU power consumption on the SR1500AL (normalized to DTM-BW)",
@@ -186,8 +201,8 @@ pub fn fig5_10(scale: Scale) -> Table {
 
 /// Figure 5.11: normalized CPU + memory energy per policy on the SR1500AL
 /// (vs DTM-BW).
-pub fn fig5_11(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+pub fn fig5_11(scale: Scale, store: &Arc<CharStore>) -> Table {
+    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_11",
         "Normalized energy consumption (CPU + memory) of DTM policies on the SR1500AL (vs DTM-BW)",
@@ -205,7 +220,7 @@ pub fn fig5_11(scale: Scale) -> Table {
 
 /// Figure 5.12: normalized running time on the SR1500AL at a room ambient of
 /// 26 °C with a 90 °C AMB TDP.
-pub fn fig5_12(scale: Scale) -> Table {
+pub fn fig5_12(scale: Scale, store: &Arc<CharStore>) -> Table {
     let server = Server::sr1500al().with_ambient_c(26.0).with_amb_tdp(90.0);
     normalized_time_table(
         "fig5_12",
@@ -213,19 +228,20 @@ pub fn fig5_12(scale: Scale) -> Table {
         scale,
         &[server],
         &ch5_mixes(scale),
+        store,
     )
 }
 
 /// Figure 5.13: DTM-ACG vs DTM-BW at two fixed processor frequencies on the
 /// SR1500AL.
-pub fn fig5_13(scale: Scale) -> Table {
+pub fn fig5_13(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig5_13",
         "DTM-ACG vs DTM-BW under two processor frequencies on the SR1500AL (normalized to DTM-BW at 3.0 GHz)",
         &["workload", "policy", "frequency GHz", "normalized time"],
     );
     let server = Server::sr1500al();
-    let mut exp = experiment(scale, server.clone());
+    let mut exp = experiment(scale, server.clone(), store);
     for mix in ch5_mixes(scale) {
         // Reference: DTM-BW at full frequency.
         let mut bw_fast = PlatformPolicy::new(PolicyKind::Bw, server.clone());
@@ -242,8 +258,10 @@ pub fn fig5_13(scale: Scale) -> Table {
 }
 
 /// Figure 5.14: average normalized running time on the PE1950 for AMB TDPs
-/// of 88, 90 and 92 °C.
-pub fn fig5_14(scale: Scale) -> Table {
+/// of 88, 90 and 92 °C. The TDP changes no level-1 point, so the three
+/// TDPs share `store`: a later TDP characterizes only the running modes an
+/// earlier one never visited.
+pub fn fig5_14(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut t = Table::new(
         "fig5_14",
         "Normalized running time averaged over all workloads on the PE1950 with different AMB TDPs",
@@ -251,7 +269,7 @@ pub fn fig5_14(scale: Scale) -> Table {
     );
     for tdp in [88.0, 90.0, 92.0] {
         let server = Server::pe1950().with_amb_tdp(tdp);
-        let runs = policy_runs(scale, server, &ch5_mixes(scale));
+        let runs = policy_runs(scale, server, &ch5_mixes(scale), store);
         for kind in PolicyKind::ALL {
             let policy = kind.to_string();
             let values: Vec<f64> = runs
@@ -300,9 +318,9 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs smoke-scale platform simulations (~seconds in release); exercised by the Criterion benches"]
+    #[ignore = "runs smoke-scale platform simulations (~seconds in release); exercised by the `figures_ch5` bench"]
     fn fig5_6_smoke_has_rows_for_both_servers() {
-        let t = fig5_6(Scale::Smoke);
+        let t = fig5_6(Scale::Smoke, &Arc::default());
         assert!(t.rows.iter().any(|r| r[0] == "PE1950"));
         assert!(t.rows.iter().any(|r| r[0] == "SR1500AL"));
     }

@@ -13,7 +13,7 @@ use memtherm::sim::escape_json;
 /// reasonable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smallest runs, used by the Criterion benches and CI.
+    /// Smallest runs, used by the [`bench_case`] benches and CI.
     Smoke,
     /// Default for the `paper` binary: minutes per figure.
     Quick,

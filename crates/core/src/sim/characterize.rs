@@ -9,13 +9,15 @@
 //! the most expensive unit of work in a scenario sweep — so the module is
 //! built around sharing them:
 //!
-//! * [`CharStore`] is the process-wide, thread-safe home of every computed
-//!   point, keyed by [`CharStoreKey`] (mix id, quantized [`ModeKey`],
-//!   characterization budget, memory geometry, hardware-config
-//!   fingerprint). The level-1 outcome is
-//!   independent of the cooling configuration and the DTM policy, so a sweep
-//!   grid that revisits the same mix under different cooling setups or
-//!   policies characterizes each design point exactly once per process.
+//! * [`CharStore`] is the thread-safe home of every computed point, keyed
+//!   by [`CharStoreKey`] (mix id, quantized [`ModeKey`], characterization
+//!   budget, memory geometry, hardware-config fingerprint). The level-1
+//!   outcome is independent of the cooling configuration and the DTM
+//!   policy, so everything that shares one store characterizes each design
+//!   point exactly once per store: a sweep grid revisiting a mix under
+//!   several coolings or policies, each paper figure (its grids, `MemSpot`s
+//!   and platform experiments all run over one store) and a whole `paper`
+//!   invocation, which hands one store to every figure it runs.
 //!   It is one `Mutex<HashMap>` holding a per-key [`OnceLock`]: concurrent
 //!   requests for the same key are deduplicated (losers block on the
 //!   winner's in-flight computation, outside the map lock), and two atomic
@@ -184,19 +186,24 @@ pub struct CharStoreKey {
     pub hw_fingerprint: u64,
 }
 
-/// FNV-1a fingerprint of the hardware configurations' canonical (`Debug`)
-/// rendering — cheap, collision-resistant enough for a per-process cache
-/// key, and automatically covers every field the configs grow.
-fn hardware_fingerprint(cpu: &CpuConfig, mem: &FbdimmConfig) -> u64 {
+/// FNV-1a fingerprint of a canonical (`Debug`) rendering — cheap,
+/// collision-resistant enough for a per-process key, and automatically
+/// covers every field the rendered types grow.
+fn fnv1a(rendering: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{cpu:?}\u{1f}{mem:?}").bytes() {
+    for byte in rendering.bytes() {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
 
-/// Thread-safe, process-wide store of level-1 characterization points.
+/// Fingerprint of the hardware configurations the level-1 run depends on.
+fn hardware_fingerprint(cpu: &CpuConfig, mem: &FbdimmConfig) -> u64 {
+    fnv1a(&format!("{cpu:?}\u{1f}{mem:?}"))
+}
+
+/// Thread-safe store of level-1 characterization points.
 ///
 /// Sweep cells that revisit the same `(mix, mode, budget, geometry)` design
 /// point — e.g. the same workload under two cooling configurations, or two
@@ -204,9 +211,20 @@ fn hardware_fingerprint(cpu: &CpuConfig, mem: &FbdimmConfig) -> u64 {
 /// instead of recomputing the closed-loop level-1 run. Concurrent first
 /// requests for one key are collapsed: a single caller computes while the
 /// others block on the entry's [`OnceLock`] and then share the result, so a
-/// design point is simulated at most once per process no matter how the
+/// design point is simulated at most once per store no matter how the
 /// sweep is parallelized. The map lock is held only to find or insert a
 /// key's cell, never while computing.
+///
+/// Who shares one: every cell of a sweep grid run over it, every `MemSpot`
+/// built with `MemSpot::with_store`, and every platform experiment built
+/// over it. A paper figure makes one store for all of its
+/// grids and simulators, and the `paper` command shares one across all the
+/// figures it runs.
+///
+/// The key names a mix only by its id. Debug builds therefore record a
+/// fingerprint of each id's application list and panic when one store sees
+/// the same id with a different list, which would otherwise silently share
+/// points between two different workloads.
 #[derive(Debug, Default)]
 pub struct CharStore {
     cells: Mutex<HashMap<CharStoreKey, Arc<OnceLock<Arc<CharPoint>>>>>,
@@ -214,6 +232,9 @@ pub struct CharStore {
     misses: AtomicU64,
     /// Optional disk backing: pre-loaded at construction, appended on miss.
     disk: Option<DiskCache>,
+    /// Fingerprint of the application list seen under each mix id.
+    #[cfg(debug_assertions)]
+    mixes: Mutex<HashMap<String, u64>>,
 }
 
 impl CharStore {
@@ -242,7 +263,7 @@ impl CharStore {
     }
 
     /// Returns the point for `key`, running `compute` (at most once per key
-    /// process-wide) if it is not stored yet. Freshly computed points are
+    /// and store) if it is not stored yet. Freshly computed points are
     /// appended to the disk cache, when one is attached.
     pub fn get_or_compute(&self, key: CharStoreKey, compute: impl FnOnce() -> CharPoint) -> Arc<CharPoint> {
         // A hit holds the one map lock only for the lookup: no key clone and
@@ -283,6 +304,18 @@ impl CharStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         point
+    }
+
+    /// Debug builds: records the application list `mix_id` names in this
+    /// store, and panics if the id was seen before with a different list.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn check_mix_identity(&self, mix_id: &str, apps: &[AppBehavior]) {
+        #[cfg(debug_assertions)]
+        {
+            let print = fnv1a(&format!("{apps:?}"));
+            let seen = *self.mixes.lock().expect("CharStore lock poisoned").entry(mix_id.to_string()).or_insert(print);
+            assert_eq!(seen, print, "CharStore: mix id {mix_id:?} names two different application lists");
+        }
     }
 
     /// Number of lookups that found an already-computed point.
@@ -349,9 +382,11 @@ impl CharacterizationTable {
         store: Arc<CharStore>,
     ) -> Self {
         let hw_fingerprint = hardware_fingerprint(&cpu, &mem);
+        let mix_id = mix_id.into();
+        store.check_mix_identity(&mix_id, &apps);
         CharacterizationTable {
             sim: MulticoreSim::new(cpu, mem),
-            mix_id: mix_id.into(),
+            mix_id,
             apps,
             budget,
             hw_fingerprint,
@@ -391,7 +426,7 @@ impl CharacterizationTable {
     }
 
     /// Returns the characterization of `mode`, simulating it on first use
-    /// (process-wide, when the backing store is shared).
+    /// (once per store: every table over the same store reuses it).
     ///
     /// For modes that gate some cores (DTM-ACG / DTM-COMB), the schemes
     /// rotate the gated cores round-robin among the applications for
@@ -1031,6 +1066,23 @@ mod tests {
         assert_eq!(store.misses(), 1, "different hardware must recompute, not reuse");
         assert_eq!(store.hits(), 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names two different application lists")]
+    fn one_mix_id_naming_two_app_lists_panics_in_debug_builds() {
+        let store = Arc::new(CharStore::new());
+        let (cpu, mem) = (CpuConfig::paper_quad_core(), FbdimmConfig::ddr2_667_paper());
+        let table =
+            |id: &str, apps| CharacterizationTable::with_store(cpu.clone(), mem, id, apps, 15_000, Arc::clone(&store));
+        // Reusing an id with the same list, or a list under its own id, is
+        // what sharing is for.
+        table("W1", mixes::w1().apps);
+        table("W1", mixes::w1().apps);
+        table("W8", mixes::w8().apps);
+        // One id for two different lists would silently share their points.
+        table("W1", mixes::w8().apps);
     }
 
     #[test]

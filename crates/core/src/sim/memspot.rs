@@ -405,15 +405,19 @@ impl MemSpot {
     }
 
     /// Creates a simulator with explicit hardware configurations and a
-    /// private characterization store.
+    /// private characterization store, so it recomputes every level-1 point
+    /// another simulator may already hold. Callers that run several
+    /// simulators over the same mixes (the paper figures, the platform
+    /// experiments) use [`MemSpot::with_store`] instead.
     pub fn with_hardware(cpu: CpuConfig, mem: FbdimmConfig, config: MemSpotConfig) -> Self {
         Self::with_store(cpu, mem, config, Arc::new(CharStore::new()))
     }
 
     /// Creates a simulator whose level-1 characterizations live in (and are
     /// shared through) an external [`CharStore`]. Sweep engines pass one
-    /// store to every cell so each design point is characterized once per
-    /// process.
+    /// store to every cell, and each paper figure passes one to every
+    /// simulator it builds, so each design point is characterized once per
+    /// store.
     ///
     /// # Panics
     ///

@@ -171,10 +171,33 @@ impl SlotRing {
     }
 }
 
+/// The link time one transaction occupies, fixed by the configuration and
+/// computed once per controller rather than once per transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkOccupancy {
+    /// Southbound: one read command frame.
+    command: Picos,
+    /// Southbound: one line of write data.
+    write: Picos,
+    /// Northbound: one line of read-return data.
+    read_return: Picos,
+}
+
+impl LinkOccupancy {
+    fn new(cfg: &FbdimmConfig) -> Self {
+        LinkOccupancy {
+            command: cfg.southbound_command_occupancy(),
+            write: cfg.southbound_write_occupancy(),
+            read_return: cfg.northbound_occupancy(),
+        }
+    }
+}
+
 /// The FBDIMM memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     cfg: FbdimmConfig,
+    occupancy: LinkOccupancy,
     channels: Vec<ChannelLinks>,
     banks: Vec<BankGroup>,
     throttle: ActivationThrottle,
@@ -216,6 +239,7 @@ impl MemoryController {
             next_id: 0,
             last_arrival: 0,
             last_finish: 0,
+            occupancy: LinkOccupancy::new(&cfg),
             cfg,
         }
     }
@@ -319,8 +343,8 @@ impl MemoryController {
 
         // Southbound link: command frame (and write data, if any).
         let sb_occupancy = match req.kind {
-            RequestKind::Read => self.cfg.southbound_command_occupancy(),
-            RequestKind::Write => self.cfg.southbound_write_occupancy(),
+            RequestKind::Read => self.occupancy.command,
+            RequestKind::Write => self.occupancy.write,
         };
         let sb_start = self.channels[loc.channel].southbound.reserve(start, sb_occupancy);
         let cmd_at_dimm = sb_start + sb_occupancy + southbound_latency(&self.cfg, loc.dimm);
@@ -332,7 +356,7 @@ impl MemoryController {
             RequestKind::Read => {
                 // Read data returns over the northbound link and passes back
                 // through the upstream AMBs.
-                let nb_occupancy = self.cfg.northbound_occupancy();
+                let nb_occupancy = self.occupancy.read_return;
                 let nb_start = self.channels[loc.channel].northbound.reserve(issue.data_done_at, nb_occupancy);
                 nb_start + nb_occupancy + northbound_latency(&self.cfg, loc.dimm)
             }
@@ -389,6 +413,16 @@ mod tests {
 
     fn controller() -> MemoryController {
         MemoryController::new(FbdimmConfig::ddr2_667_paper())
+    }
+
+    #[test]
+    fn link_occupancies_are_the_config_values() {
+        for cfg in [FbdimmConfig::ddr2_667_paper(), FbdimmConfig::server(2), FbdimmConfig::server(4)] {
+            let occupancy = MemoryController::new(cfg).occupancy;
+            assert_eq!(occupancy.command, cfg.southbound_command_occupancy());
+            assert_eq!(occupancy.write, cfg.southbound_write_occupancy());
+            assert_eq!(occupancy.read_return, cfg.northbound_occupancy());
+        }
     }
 
     #[test]

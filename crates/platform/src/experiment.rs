@@ -7,7 +7,10 @@
 //! strength) forms the level-2 plant, and the software DTM policies of
 //! Section 5.2.2 act on it once per second through noisy AMB sensors.
 
+use std::sync::Arc;
+
 use memtherm::dtm::no_limit::NoLimit;
+use memtherm::sim::characterize::CharStore;
 use memtherm::sim::memspot::{MemSpot, MemSpotConfig, MemSpotResult, TempSample};
 use workloads::{AppBehavior, WorkloadMix};
 
@@ -42,8 +45,19 @@ impl PlatformExperiment {
     }
 
     /// Creates the driver with an explicit batch size and instruction scale
-    /// (tests use small values; normalized results are preserved).
+    /// (tests use small values; normalized results are preserved) and a
+    /// private characterization store.
     pub fn with_scale(server: Server, runs_per_app: usize, instruction_scale: f64) -> Self {
+        Self::with_store(server, runs_per_app, instruction_scale, Arc::new(CharStore::new()))
+    }
+
+    /// Like [`PlatformExperiment::with_scale`], but the level-1
+    /// characterizations live in (and are shared through) `store`. Several
+    /// experiments over one store characterize each design point once: the
+    /// same server at different AMB TDPs or ambients shares every point,
+    /// while servers with different memory stay apart through the store
+    /// key's geometry and hardware fingerprint.
+    pub fn with_store(server: Server, runs_per_app: usize, instruction_scale: f64, store: Arc<CharStore>) -> Self {
         let mut cfg = MemSpotConfig::paper(server.cooling).with_integrated(Some(server.interaction_degree));
         cfg.limits = server.thermal_limits();
         cfg.ambient_override_c = Some(server.system_ambient_c);
@@ -53,7 +67,7 @@ impl PlatformExperiment {
         cfg.characterization_budget = 40_000;
         cfg.record_temp_trace = true;
         cfg.max_sim_time_s = 40_000.0;
-        let spot = MemSpot::with_hardware(server.cpu.clone(), server.mem, cfg);
+        let spot = MemSpot::with_store(server.cpu.clone(), server.mem, cfg, store);
         PlatformExperiment { server, spot, runs_per_app }
     }
 
@@ -122,6 +136,26 @@ mod tests {
         // hundred simulated seconds, enough for the servers to heat into
         // their emergency ranges.
         PlatformExperiment::with_scale(server, 1, 1.0)
+    }
+
+    #[test]
+    fn experiments_over_one_store_reproduce_private_runs_and_share_points() {
+        // The PE1950 at two AMB TDPs: the thermal limits differ, the level-1
+        // design points do not, so the second experiment computes none.
+        let store = Arc::new(CharStore::new());
+        let mix = mixes::w1();
+        let mut computed = Vec::new();
+        for tdp in [88.0, 92.0] {
+            let server = Server::pe1950().with_amb_tdp(tdp);
+            let misses_before = store.misses();
+            let mut shared = PlatformExperiment::with_store(server.clone(), 1, 1.0, Arc::clone(&store));
+            let mut private = small(server);
+            assert_eq!(shared.run_no_limit(&mix), private.run_no_limit(&mix));
+            assert_eq!(shared.run_policy(&mix, PolicyKind::Bw), private.run_policy(&mix, PolicyKind::Bw));
+            computed.push(store.misses() - misses_before);
+        }
+        assert!(computed[0] > 0, "the first experiment characterizes its points");
+        assert_eq!(computed[1], 0, "the second TDP must reuse every point: {computed:?}");
     }
 
     #[test]
