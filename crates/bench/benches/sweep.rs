@@ -62,6 +62,13 @@
 //! verify / replay / literal stepping) so FF regressions are attributable
 //! from the JSON artifact alone.
 //!
+//! A `pid_columns` case runs Figure 4.3's PID columns (DTM-BW, DTM-ACG
+//! and DTM-CDVFS with the PID controllers, both coolings, the Smoke mixes)
+//! at Smoke scale, default options against forced literal. The PID rules
+//! certify and key decisions wherever their controllers are memory-one:
+//! gated on every reported quantity within 1e-9, exact window counts and
+//! at least 40% fewer windows stepped in the lane than literal stepping.
+//!
 //! The batch size is a few times the `Smoke` scale: large enough that the
 //! parallelizable window loops dominate the (partly serialized, shared)
 //! level-1 characterizations, which keeps the speedup measurement stable on
@@ -72,7 +79,7 @@
 use std::sync::Arc;
 
 use experiments::ch4::PolicySpec;
-use experiments::harness::{bench_output_path, write_bench_json, BenchStats};
+use experiments::harness::{bench_output_path, write_bench_json, BenchStats, Scale};
 use experiments::sweep::{SweepExecution, SweepOutcome, SweepRunner, SweepScenario};
 use memtherm::dtm::no_limit::NoLimit;
 use memtherm::prelude::*;
@@ -330,6 +337,46 @@ fn main() {
         ts_relay_env.envelope_cycles
     );
 
+    // PID case: Figure 4.3's PID columns at Smoke scale, default options
+    // against forced literal on one warm store, best-of-3 each.
+    let pid_scenarios: Vec<SweepScenario> = [CoolingConfig::aohs_1_5(), CoolingConfig::fdhs_1_0()]
+        .into_iter()
+        .flat_map(|cooling| {
+            Scale::Smoke.ch4_mixes().into_iter().map(move |mix| {
+                let pid =
+                    vec![PolicySpec::Bw { pid: true }, PolicySpec::Acg { pid: true }, PolicySpec::Cdvfs { pid: true }];
+                SweepScenario::isolated(cooling, mix, pid)
+            })
+        })
+        .collect();
+    let pid_make = |cooling: CoolingConfig| Scale::Smoke.memspot_config(cooling);
+    let pid_store = Arc::new(CharStore::new());
+    let pid_runner = || SweepRunner::with_threads(1).with_char_store(Arc::clone(&pid_store));
+    pid_runner().run(&pid_scenarios, pid_make); // warm
+    let mut pid_env_ms = Vec::with_capacity(PASSES);
+    let mut pid_lit_ms = Vec::with_capacity(PASSES);
+    let mut pid_runs = None;
+    for _ in 0..PASSES {
+        let env = pid_runner().run(&pid_scenarios, pid_make);
+        let lit = pid_runner().with_batch_options(BatchOptions::literal()).run(&pid_scenarios, pid_make);
+        pid_env_ms.push(env.wall_clock_s * 1e3);
+        pid_lit_ms.push(lit.wall_clock_s * 1e3);
+        pid_runs = Some((env, lit));
+    }
+    let (pid_env, pid_lit) = pid_runs.expect("at least one PID pass");
+    let pid_max_rel_err = max_rel_err(&pid_env, &pid_lit);
+    let pid_env_windows = pid_env.stepped_windows + pid_env.fast_forwarded_windows;
+    println!(
+        "sweep/pid_columns_envelope                   {:>10.3} ms/pass (min {:.3} ms vs literal {:.3} ms, \
+         {} cells, {} of {} windows stepped, max rel err {pid_max_rel_err:.2e})",
+        mean(&pid_env_ms),
+        min(&pid_env_ms),
+        min(&pid_lit_ms),
+        pid_env.runs.len(),
+        pid_env.stepped_windows,
+        pid_lit.stepped_windows
+    );
+
     // Stacked window-cost case: the cached Ψ-superposition path must keep a
     // 4-high stack's literal per-window cost within 2x of the FBDIMM
     // identity-split path, despite stepping 2.5x the RC rows per position.
@@ -565,6 +612,18 @@ fn main() {
             min_ms: min(&ts_relay_env_ms),
             iters: PASSES,
         },
+        BenchStats {
+            label: "sweep/pid_columns_literal".to_string(),
+            mean_ms: mean(&pid_lit_ms),
+            min_ms: min(&pid_lit_ms),
+            iters: PASSES,
+        },
+        BenchStats {
+            label: "sweep/pid_columns_envelope".to_string(),
+            mean_ms: mean(&pid_env_ms),
+            min_ms: min(&pid_env_ms),
+            iters: PASSES,
+        },
         BenchStats { label: "sweep/stacked_3d_4h".to_string(), mean_ms: stacked_ms, min_ms: stacked_ms, iters: 1 },
         BenchStats { label: "sweep/spatial_dtm_4h".to_string(), mean_ms: spatial_ms, min_ms: spatial_ms, iters: 1 },
         BenchStats {
@@ -594,6 +653,12 @@ fn main() {
         ("ts_relay_speedup", ts_relay_speedup),
         ("ts_relay_envelope_cycles", ts_relay_env.envelope_cycles as f64),
         ("ts_relay_max_rel_err", ts_relay_max_rel_err),
+        ("pid_columns_cells", pid_env.runs.len() as f64),
+        ("pid_columns_stepped_windows", pid_env.stepped_windows as f64),
+        ("pid_columns_fast_forwarded_windows", pid_env.fast_forwarded_windows as f64),
+        ("pid_columns_literal_windows", pid_lit.stepped_windows as f64),
+        ("pid_columns_max_rel_err", pid_max_rel_err),
+        ("host_nproc", lane_workers as f64),
         ("envelope_cycles", batched.envelope_cycles as f64),
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
         // Per-phase split of the default grid, both flavors: the warm
@@ -698,6 +763,20 @@ fn main() {
              pseudo-cycles, max rel err {ts_relay_max_rel_err:.3e}, {ts_relay_env_windows} windows vs \
              {} literal, {ts_relay_speedup:.2}x",
             ts_relay_env.envelope_cycles, ts_relay_lit.stepped_windows
+        );
+        std::process::exit(1);
+    }
+    let pid_within_bound = pid_max_rel_err.partial_cmp(&1e-9) != Some(std::cmp::Ordering::Greater);
+    // At least 40% fewer stepped windows, as a count: 10 · stepped ≤ 6 · literal.
+    if !pid_within_bound
+        || pid_env_windows != pid_lit.stepped_windows
+        || 10 * pid_env.stepped_windows > 6 * pid_lit.stepped_windows
+    {
+        eprintln!(
+            "FAIL: Figure 4.3's PID columns at Smoke scale must stay within 1e-9 of literal stepping \
+             with their window count conserved and step at least 40% fewer windows: max rel err \
+             {pid_max_rel_err:.3e}, {pid_env_windows} windows vs {} literal, {} stepped",
+            pid_lit.stepped_windows, pid_env.stepped_windows
         );
         std::process::exit(1);
     }

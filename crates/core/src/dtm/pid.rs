@@ -71,6 +71,16 @@ impl PidController {
         self.last_output
     }
 
+    /// The accumulated integral `∫e dt` (°C·s).
+    pub fn integral(&self) -> f64 {
+        self.integral
+    }
+
+    /// The error of the previous sample, `None` before the first.
+    pub fn prev_error(&self) -> Option<f64> {
+        self.prev_error
+    }
+
     /// Updates the controller with a new temperature sample taken `dt_s`
     /// seconds after the previous one and returns the controller output
     /// `m(t)`. Larger outputs mean "run faster"; strongly negative outputs
@@ -205,6 +215,53 @@ mod tests {
             prev = level;
         }
         assert_eq!(pid.output_to_level(-1_000.0, 5), 4);
+    }
+
+    /// The invariant the batched engine's re-prime relies on: inside a
+    /// stationary state (integral off, or frozen by anti-windup at the same
+    /// integral) the controller remembers only its last sample, so two
+    /// controllers with different histories fed the same last two samples
+    /// end equal.
+    #[test]
+    fn the_last_two_samples_determine_a_stationary_controller() {
+        // Integral off: below the 109.0 °C enable threshold the integral is
+        // reset every step, whatever came before.
+        let mut wound = PidController::paper_amb();
+        for _ in 0..300 {
+            wound.update(109.6, 0.01);
+        }
+        let mut cool = PidController::paper_amb();
+        cool.update(95.0, 0.01);
+        assert_ne!(wound, cool);
+        for pid in [&mut wound, &mut cool] {
+            pid.update(107.3, 0.01);
+            pid.update(108.1, 0.01);
+        }
+        assert_eq!(wound, cool);
+
+        // Anti-windup frozen: wound up to saturation at 109.3 °C, then fed
+        // different cooler samples above the enable threshold, every one of
+        // which keeps the output pinned; the integral stays frozen, and the
+        // same last two samples leave both controllers equal.
+        let wind = |temps: &[f64]| {
+            let mut pid = PidController::paper_amb();
+            for _ in 0..300 {
+                pid.update(109.3, 0.01);
+            }
+            for &t in temps {
+                pid.update(t, 0.01);
+                assert_eq!(pid.last_output(), pid.output_max);
+            }
+            pid
+        };
+        let (mut a, mut b) = (wind(&[109.1, 109.2]), wind(&[109.05]));
+        assert_eq!(a.integral(), b.integral(), "the saturated integral is frozen");
+        assert_ne!(a, b);
+        for pid in [&mut a, &mut b] {
+            pid.update(109.15, 0.01);
+            pid.update(109.1, 0.01);
+        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -20,13 +20,15 @@ pub struct LevelSelector {
     thresholds: EmergencyThresholds,
     limits: ThermalLimits,
     pid: Option<(PidController, PidController)>,
+    /// The interval of the last selection, `None` before the first.
+    dt_s: Option<f64>,
 }
 
 impl LevelSelector {
     /// Threshold-based selection using Table 4.3 boundaries derived from the
     /// given limits.
     pub fn threshold(limits: ThermalLimits) -> Self {
-        LevelSelector { thresholds: EmergencyThresholds::table_4_3(&limits), limits, pid: None }
+        LevelSelector { thresholds: EmergencyThresholds::table_4_3(&limits), limits, pid: None, dt_s: None }
     }
 
     /// PID-based selection using the paper's AMB and DRAM controllers.
@@ -35,13 +37,19 @@ impl LevelSelector {
             thresholds: EmergencyThresholds::table_4_3(&limits),
             limits,
             pid: Some((PidController::paper_amb(), PidController::paper_dram())),
+            dt_s: None,
         }
     }
 
     /// PID-based selection with explicit controllers (used by the ablation
     /// benches that sweep the gains).
     pub fn pid_with(limits: ThermalLimits, amb: PidController, dram: PidController) -> Self {
-        LevelSelector { thresholds: EmergencyThresholds::table_4_3(&limits), limits, pid: Some((amb, dram)) }
+        LevelSelector {
+            thresholds: EmergencyThresholds::table_4_3(&limits),
+            limits,
+            pid: Some((amb, dram)),
+            dt_s: None,
+        }
     }
 
     /// Whether the selector uses the PID controllers.
@@ -59,8 +67,21 @@ impl LevelSelector {
         &self.thresholds
     }
 
+    /// The AMB and DRAM controllers of PID selection, `None` for threshold
+    /// selection.
+    pub(crate) fn controllers(&self) -> Option<(&PidController, &PidController)> {
+        self.pid.as_ref().map(|(amb, dram)| (amb, dram))
+    }
+
+    /// The interval of the last [`select`](LevelSelector::select), `None`
+    /// before the first (and after a reset).
+    pub(crate) fn last_dt_s(&self) -> Option<f64> {
+        self.dt_s
+    }
+
     /// Resets controller state.
     pub fn reset(&mut self) {
+        self.dt_s = None;
         if let Some((amb, dram)) = &mut self.pid {
             amb.reset();
             dram.reset();
@@ -72,6 +93,7 @@ impl LevelSelector {
     /// AMB): it never trips a threshold and is kept out of its PID
     /// controller, so the decision rests on the devices that exist.
     pub fn select(&mut self, amb_temp_c: f64, dram_temp_c: f64, dt_s: f64) -> EmergencyLevel {
+        self.dt_s = Some(dt_s);
         // Reaching a TDP always forces the highest emergency level, PID or
         // not: the chipset's fail-safe throttling stays in charge. (`NaN >=
         // tdp` is false, so absent devices cannot force it.)
@@ -127,7 +149,7 @@ mod tests {
         let levels = LADDERS.map(|scheme| {
             let p = ThresholdPolicy::new(scheme, &cpu, ThermalLimits::paper_fbdimm());
             let plan = certify(&p, (amb_lo, dram_lo), (amb_hi, dram_hi))?;
-            let level = EmergencyLevel::ALL[usize::from(p.decision_rule().key(amb_lo, dram_lo)?)];
+            let level = EmergencyLevel::ALL[usize::from(p.decision_rule().key(amb_lo, dram_lo, amb_lo, dram_lo)?)];
             assert_eq!(plan, scheme_mode(scheme, level, &cpu).into(), "{scheme}");
             Some(level)
         });
@@ -148,12 +170,18 @@ mod tests {
         steady_band(amb_c, dram_c, drift_c, drift_c)
     }
 
-    /// Whether any PID-driven ladder certifies the band around `(amb, dram)`.
-    fn pid_certifies(amb_c: f64, dram_c: f64, below_c: f64, above_c: f64) -> bool {
-        LADDERS.iter().any(|&scheme| {
-            let p = ThresholdPolicy::with_pid(scheme, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+    /// Whether the PID-driven ladders certify the band around `(amb, dram)`
+    /// after `decisions` decisions there; all must agree.
+    fn pid_certifies(amb_c: f64, dram_c: f64, below_c: f64, above_c: f64, decisions: usize) -> bool {
+        let answers = LADDERS.map(|scheme| {
+            let mut p = ThresholdPolicy::with_pid(scheme, &CpuConfig::paper_quad_core(), ThermalLimits::paper_fbdimm());
+            for _ in 0..decisions {
+                p.decide_temps(amb_c, dram_c, 0.01);
+            }
             certify(&p, (amb_c - below_c, dram_c - below_c), (amb_c + above_c, dram_c + above_c)).is_some()
-        })
+        });
+        assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+        answers[0]
     }
 
     #[test]
@@ -203,8 +231,11 @@ mod tests {
 
         // Absent devices (NaN) quantize to L1 on both sides of the band.
         assert!(steady(f64::NAN, 70.0, 0.5));
-        // PID selection is never steady — its integral state moves.
-        assert!(!pid_certifies(100.0, 70.0, 0.5, 0.5));
+        // PID selection certifies nothing before its first decision; below
+        // the enable thresholds its integral is off and it is steady.
+        assert!(!pid_certifies(100.0, 70.0, 0.5, 0.5, 0));
+        assert!(pid_certifies(100.0, 70.0, 0.5, 0.5, 1));
+        assert!(pid_certifies(f64::NAN, 70.0, 0.5, 0.5, 1));
     }
 
     #[test]
@@ -217,7 +248,9 @@ mod tests {
         // The symmetric form is the band with equal arms.
         assert_eq!(steady(107.9, 70.0, 0.2), steady_band(107.9, 70.0, 0.2, 0.2));
         assert!(steady_band(f64::NAN, 70.0, 0.5, 0.5));
-        assert!(!pid_certifies(100.0, 70.0, 0.1, 0.1));
+        // A band straddling a PID enable threshold moves the integral.
+        assert!(!pid_certifies(109.0, 70.0, 0.1, 0.1, 1));
+        assert!(!pid_certifies(100.0, 84.0, 0.1, 0.1, 1));
     }
 
     #[test]
@@ -231,8 +264,8 @@ mod tests {
         assert_eq!(region_level(108.3, 70.0, 0.2, 0.2), Some(EmergencyLevel::L2));
         // Absent AMB device (NaN) rests the certificate on the DRAM arm.
         assert_eq!(region_level(f64::NAN, 70.0, 0.5, 0.5), Some(EmergencyLevel::L1));
-        // PID selection is stateful and never certifies a region.
-        assert!(!pid_certifies(100.0, 70.0, 0.1, 0.1));
+        // A TDP inside the rectangle forces L5 and moves the PID integrals.
+        assert!(!pid_certifies(109.95, 70.0, 0.01, 0.1, 1));
     }
 
     #[test]

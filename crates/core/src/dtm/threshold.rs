@@ -88,10 +88,15 @@ impl DtmPolicy for ThresholdPolicy {
     }
 
     fn decision_rule(&self) -> DecisionRule<'_> {
-        if self.selector.uses_pid() {
-            DecisionRule::Maxima
-        } else {
-            DecisionRule::Ladder { levels: self.selector.thresholds(), modes: &self.ladder }
+        match self.selector.controllers() {
+            None => DecisionRule::Ladder { levels: self.selector.thresholds(), modes: &self.ladder },
+            Some((amb, dram)) => DecisionRule::Pid {
+                amb,
+                dram,
+                limits: self.selector.limits(),
+                modes: &self.ladder,
+                dt_s: self.selector.last_dt_s(),
+            },
         }
     }
 }

@@ -21,11 +21,11 @@
 //! 3. **Steady-state fast-forward** — on top of tier 2, a cell whose plan
 //!    has latched and whose field sits within ε of its RC fixed point
 //!    finishes in closed form. Of the cells the envelope cannot take
-//!    (field-observing policies, the PID controllers, and cells whose step
-//!    differs from the DTM interval) it covers those whose decision rule
-//!    certifies regions. Every reported quantity stays within relative
-//!    1e-9 of literal stepping; window counts, simulated time and
-//!    job-completion windows stay *exact*.
+//!    (field-observing policies and cells whose step differs from the DTM
+//!    interval) it covers those whose decision rule certifies regions.
+//!    Every reported quantity stays within relative 1e-9 of literal
+//!    stepping; window counts, simulated time and job-completion windows
+//!    stay *exact*.
 //! 4. **Contraction-certified envelope** — plan-changing orbits (limit
 //!    cycles, slipping orbits whose duty ratio is irrational at the paper's
 //!    10 ms cadence, sliding-mode threshold chatter, the DTM-TS shutdown
@@ -92,9 +92,9 @@
 //! 1. the plan has been unchanged for [`BatchOptions::steady_decisions`]
 //!    consecutive decisions,
 //! 2. the policy's decision rule certifies the square of maxima within 2ε
-//!    of the current ones ([`DecisionRule::region`]) — stateful
-//!    controllers (PID) and field-reading policies certify nothing and are
-//!    never fast-forwarded,
+//!    of the current ones ([`DecisionRule::region`]) — field-reading
+//!    policies certify nothing, and the PID controllers only while each is
+//!    memory-one (integral off, or frozen by anti-windup),
 //! 3. the shared ambient node is (bitwise, for isolated scenes) at its own
 //!    fixed point, and
 //! 4. every layer temperature is within [`BatchOptions::steady_epsilon_c`]
@@ -119,15 +119,16 @@
 //! forever, either locked into an exact limit cycle or, at the paper's
 //! 10 ms cadence, slipping quasiperiodically. DTM-TS relays between full speed
 //! and shutdown: its latch holds each phase until the TDP or the TRP is
-//! crossed, thousands of windows at 10 ms. A cell is eligible when
-//! fast-forward is on, it records no temperature trace, its step equals
-//! the DTM interval and its policy's decision rule
-//! ([`DtmPolicy::decision_rule`]) either keys decisions (a
-//! [`DecisionRule::Ladder`]) or certifies the cell's starting observation
-//! (the [`DecisionRule::Latch`] of the DTM-TS relay, whose certificate
-//! speaks for its current latch state). Field-reading and PID rules do
-//! neither and stay off the tier. Two triggers arm the envelope for an
-//! eligible cell:
+//! crossed, thousands of windows at 10 ms. The same schemes driven by the
+//! PID controllers hold a plan for thousands of windows while each
+//! controller is memory-one. A cell is eligible when fast-forward is on,
+//! it records no temperature trace, its step equals the DTM interval and
+//! its policy's decision rule ([`DtmPolicy::decision_rule`]) either keys
+//! decisions (a [`DecisionRule::Ladder`] or a [`DecisionRule::Pid`]) or
+//! certifies the cell's starting observation (the [`DecisionRule::Latch`]
+//! of the DTM-TS relay, whose certificate speaks for its current latch
+//! state). Field-reading rules do neither and stay off the tier. Two
+//! triggers arm the envelope for an eligible cell:
 //!
 //! - the **orbit tracker** fingerprints every decision (plan, ambient and
 //!   layer temperatures) and fires when the recent history repeats its
@@ -155,11 +156,16 @@
 //!   so reported peaks are exact to the same tolerance. This is the only
 //!   analytic exit of a latch (DTM-TS) burst: each shutdown or run
 //!   phase is jumped up to the threshold crossing that ends it, and the
-//!   burst steps and decides the crossing itself literally.
+//!   burst steps and decides the crossing itself literally. A policy that
+//!   integrates its observations ([`DecisionRule::integrates`], the PID
+//!   controllers) would carry the closed form's rounding in its integral
+//!   and flip a later near-tie decision, so its jumps skip only the
+//!   decisions and the accounting and keep the literal RC sweep.
 //! - **Exact decision replay.** Sliding-mode chatter (DTM-BW hugging its
 //!   throttle threshold at 10 ms) flips plans every couple of windows, so
 //!   no frozen certificate can hold. For policies whose decisions are a
-//!   pure function of the device maxima ([`DecisionRule::key`] /
+//!   pure function of the current (and, for a memory-one PID controller,
+//!   the previous) device maxima ([`DecisionRule::key`] /
 //!   [`DecisionRule::plan_of_key`]), the replayer iterates only the
 //!   *binding* (hottest) row per device layer plus the ambient with
 //!   bitwise-literal recurrences, re-evaluates the decision key per
@@ -170,6 +176,12 @@
 //!   the whole replayed span, and dominated rows are closed per plan-run
 //!   with the same two-exponential maps — decisions exact, windows and
 //!   completion boundaries conserved bit for bit, scalars within 1e-9.
+//!
+//! After either mechanism the burst **re-primes** the policy: it replays
+//! the maxima of the segment's last two skipped decisions through
+//! `decide`. A memory-one PID controller remembers nothing older, so this
+//! restores its state exactly as literal stepping would have left it; for
+//! ladders and the DTM-TS latch the calls are no-ops.
 //!
 //! A drift audit guards both mechanisms: every commit re-checks the
 //! reconstructed rows against the confinement band, and any violation
@@ -310,8 +322,8 @@ pub struct BatchOptions {
     /// value) disables it. The tier is also off under
     /// [`BatchOptions::literal`] and for every cell it cannot take: traced
     /// cells, policies whose decision rule neither keys decisions nor
-    /// certifies the cell's starting observation (field-reading and PID
-    /// rules), and cells whose step differs from the DTM interval.
+    /// certifies the cell's starting observation (field-reading rules), and
+    /// cells whose step differs from the DTM interval.
     /// Band width is not gated: every burst decides literally or replays
     /// keyed decisions exactly, so the band only backs the drift audit.
     pub envelope_tolerance: f64,
@@ -596,7 +608,7 @@ struct CellState {
     /// Whether the envelope fast-forward may engage for this cell:
     /// fast-forward allowed, a positive
     /// [`BatchOptions::envelope_tolerance`], no temperature trace, a
-    /// decision rule that either keys decisions ([`DecisionRule::key`]) or
+    /// decision rule that either keys decisions ([`DecisionRule::keys`]) or
     /// certifies the cell's starting observation ([`DecisionRule::region`];
     /// the latched DTM-TS relay), and a step that equals the DTM interval
     /// bitwise (so every window is exactly one decision and the replayed
@@ -641,7 +653,7 @@ impl CellState {
         let env_enabled = options.fast_forward
             && options.envelope_tolerance > 0.0
             && !config.record_temp_trace
-            && (rule.key(f64::NAN, f64::NAN).is_some() || rule.region(amb, dram, amb, dram).is_some())
+            && (rule.keys() || rule.region(amb, dram, amb, dram).is_some())
             && config.window_s.min(config.dtm_interval_s).to_bits() == config.dtm_interval_s.to_bits();
         let wants_field = rule.reads_field();
         CellState {
@@ -1270,6 +1282,25 @@ fn decide_checked(policy: &mut dyn DtmPolicy, observation: &ThermalObservation, 
             "{}: decision rule mispredicts the latch at ({amb}, {dram})",
             policy.name()
         );
+    }
+    plan
+}
+
+/// Re-primes the policy after an analytic segment skipped its decisions:
+/// replays the maxima of the segment's last two skipped decisions, oldest
+/// first (one if it skipped one), through `decide`. A memory-one PID
+/// controller remembers nothing older (its previous error and last output
+/// come from these two samples, its integral is 0 or frozen), so this
+/// leaves it exactly as literal stepping would; for ladders and the DTM-TS
+/// latch, whose certificates hold the state still, the calls are no-ops.
+/// The last replayed maxima stay in `st.observation`, where the next keyed
+/// decision reads them as the previous maxima. Returns the last plan.
+fn reprime(st: &mut CellState, skipped: &[(f64, f64)], dt_s: f64) -> Option<ActuationPlan> {
+    let mut plan = None;
+    for &(amb, dram) in skipped {
+        st.observation.max_amb_c = amb;
+        st.observation.max_dram_c = dram;
+        plan = Some(decide_checked(st.policy.as_mut(), &st.observation, dt_s));
     }
     plan
 }
@@ -1912,7 +1943,8 @@ fn envelope_burst(
     // weights. `chatter_next` schedules the attempts (in burst windows).
     // Unkeyed policies (the latched DTM-TS relay) never replay: their
     // bursts advance by literal windows and certified frozen jumps only.
-    let keyed = st.policy.decision_rule().key(f64::NAN, f64::NAN).is_some();
+    let keyed = st.policy.decision_rule().keys();
+    let integrates = st.policy.decision_rule().integrates();
     let mut chatter_next: u64 = if keyed { 2 * ENV_JUMP_MIN } else { u64::MAX };
     // Dominance-certificate reuse across consecutive replay segments: the
     // forcing-gap half of the audit (per row, against the binding rows it
@@ -2012,17 +2044,28 @@ fn envelope_burst(
         cur_max_buf = f64::NEG_INFINITY;
         cur_max_dram = f64::NEG_INFINITY;
         let mut in_band = true;
-        for r in 0..rows {
-            let l = r % depth;
-            let s = if identity_split { (amb + e.stab_a[r]) + e.stab_b[r] } else { amb + e.stab_a[r] };
-            let t = &mut rows_t[r];
-            *t += (s - *t) * lane.layer_alphas[l];
-            peaks[r] = peaks[r].max(*t);
-            match kinds[l] {
-                DeviceLayerKind::Buffer => cur_max_buf = cur_max_buf.max(*t),
-                DeviceLayerKind::Dram => cur_max_dram = cur_max_dram.max(*t),
+        // One position (`depth` consecutive rows) at a time, so a row's
+        // layer is its index in the chunk (no per-row modulo or bounds
+        // checks in the burst's hottest loop).
+        let layers = lane.layer_alphas.iter().zip(&kinds);
+        for ((((t, p), sa), sb), (lo, hi)) in rows_t
+            .chunks_exact_mut(depth)
+            .zip(peaks.chunks_exact_mut(depth))
+            .zip(e.stab_a.chunks_exact(depth))
+            .zip(e.stab_b.chunks_exact(depth))
+            .zip(band.lo.chunks_exact(depth).zip(band.hi.chunks_exact(depth)))
+        {
+            for (l, (&alpha, kind)) in layers.clone().enumerate() {
+                let s = if identity_split { (amb + sa[l]) + sb[l] } else { amb + sa[l] };
+                let t = &mut t[l];
+                *t += (s - *t) * alpha;
+                p[l] = p[l].max(*t);
+                match kind {
+                    DeviceLayerKind::Buffer => cur_max_buf = cur_max_buf.max(*t),
+                    DeviceLayerKind::Dram => cur_max_dram = cur_max_dram.max(*t),
+                }
+                in_band &= lo[l] <= *t && *t <= hi[l];
             }
-            in_band &= band.lo[r] <= *t && *t <= band.hi[r];
         }
         violation = !in_band;
         st.energy.add(e.window.mem_w, e.window.cpu_w, step);
@@ -2080,7 +2123,16 @@ fn envelope_burst(
         // a run costs O(1) per row — endpoint from the λ-power ladders,
         // in-run extremes via [`env_row_range`] only when the two modes
         // pull in opposite directions.
+        let now = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
         if run < next_attempt {
+            // A first key the rule refuses (a PID integral on the move)
+            // leaves nothing to replay: retry a few literal windows later,
+            // without paying for the tables below.
+            let rule = st.policy.decision_rule();
+            if rule.key(st.observation.max_amb_c, st.observation.max_dram_c, now.0, now.1).is_none() {
+                chatter_next = env_windows.saturating_add(ENV_JUMP_MIN);
+                continue;
+            }
             let vt = std::time::Instant::now();
             // Key → entry table over the plans materialized so far; an
             // unseen key suspends the replay at the window that needs it
@@ -2092,7 +2144,6 @@ fn envelope_burst(
                 chatter_next = u64::MAX;
                 continue;
             }
-            let rule = st.policy.decision_rule();
             let mut key_entry = [usize::MAX; REPLAY_KEYS];
             for (k, ke) in key_entry.iter_mut().enumerate() {
                 let Some(p) = rule.plan_of_key(k as u8) else {
@@ -2289,6 +2340,10 @@ fn envelope_burst(
             let mut finished = false;
             let mut viol = false;
             let mut amb_run0 = amb0;
+            // The maxima of the last two decisions, oldest first: the keys
+            // chain from the burst's last literal decision, and the
+            // re-prime replays the last two virtual ones.
+            let mut seen = [(st.observation.max_amb_c, st.observation.max_dram_c); 2];
             // The replay loop: per virtual window, the literal decision
             // (from the binding maxima), the literal ambient step, the
             // literal binding-row sweeps with their band audit, and the
@@ -2299,13 +2354,14 @@ fn envelope_burst(
                 if run_l >= REPLAY_RUN_EXIT as u64 || w >= w_cap {
                     break;
                 }
-                let Some(key) = rule.key(t_buf, t_dram) else {
+                let Some(key) = rule.key(seen[1].0, seen[1].1, t_buf, t_dram) else {
                     break;
                 };
                 let ei = key_entry.get(key as usize).copied().unwrap_or(usize::MAX);
                 if ei == usize::MAX {
                     break;
                 }
+                seen = [seen[1], (t_buf, t_dram)];
                 if ei != cur_l {
                     if run_len > 0 {
                         runs_log.push((cur_l as u32, run_len as u32, amb_run0));
@@ -2570,6 +2626,8 @@ fn envelope_burst(
             jumps += 1;
             cur = cur_l;
             run = run_l;
+            let _replanned = reprime(st, &seen[2 - w.min(2) as usize..], dt);
+            debug_assert_eq!(_replanned.as_ref(), Some(&entries[cur].plan), "re-prime left the replayed plan");
             st.plan_streak = if flipped {
                 run_l.min(u64::from(u32::MAX)) as u32
             } else {
@@ -2595,6 +2653,13 @@ fn envelope_burst(
             continue;
         }
         let e = &entries[cur];
+        // A rectangle certifies the frozen plan only if its starting point
+        // does, and the point costs one rule evaluation: refuse cheaply
+        // while, say, a PID integral is still moving.
+        if st.policy.decision_rule().region(now.0, now.1, now.0, now.1).as_ref() != Some(&e.plan) {
+            next_attempt = run.saturating_mul(2);
+            continue;
+        }
         let stable_ambient = st.scene.ambient_params().stable_ambient_c(e.window.v_ipc);
         let lambda_a = 1.0 - ambient_alpha;
         let amb_c = st.scene.ambient_c();
@@ -2778,10 +2843,9 @@ fn envelope_burst(
             arm = 2;
         }
         // Apply the jump: literal time/decision-clock additions (exact
-        // window counts), `rate × m` accounting, closed-form ambient
-        // (endpoint and running sum from the geometric series), and
-        // closed-form temperatures with each row's in-segment extremes —
-        // not just the endpoints — folded into peaks and maxima.
+        // window counts), `rate × m` accounting, then the temperatures —
+        // in closed form, or stepped literally for a policy that
+        // integrates its observations — and the re-prime.
         let mut m: u64 = 0;
         while m < n && st.time_s < max {
             st.time_s += step;
@@ -2809,39 +2873,117 @@ fn envelope_burst(
                 st.channel_throttle_s[channel] += step * mf;
             }
         }
-        if amb_static {
-            st.ambient_sum += amb_c * mf;
-        } else {
-            st.ambient_sum += st.scene.ambient_segment_moments(stable_ambient, a0, lambda_a, mf);
-        }
         st.ambient_samples += m;
-        cur_max_buf = f64::NEG_INFINITY;
-        cur_max_dram = f64::NEG_INFINITY;
-        let mut peak_buf = f64::NEG_INFINITY;
-        let mut peak_dram = f64::NEG_INFINITY;
-        let pow_a = (mf * ln_a).exp();
-        for (l, &ln) in ln_l.iter().enumerate() {
-            let pow_l = (mf * ln).exp();
-            for r in (l..rows).step_by(depth) {
-                let (t_end, _, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, mf);
-                let t = jump_s[r] + t_end;
-                let hi = jump_s[r] + hi_f;
-                rows_t[r] = t;
-                peaks[r] = peaks[r].max(hi);
-                match kinds[l] {
-                    DeviceLayerKind::Buffer => {
-                        cur_max_buf = cur_max_buf.max(t);
-                        peak_buf = peak_buf.max(hi);
+        // The maxima the skipped decisions saw at jump offsets m − 2 and
+        // m − 1, oldest first (offset 0 is the current maxima): the
+        // re-prime replays them.
+        let at_start = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
+        let mut seen = [at_start; 2];
+        if integrates {
+            // A policy that integrates its observations must keep seeing
+            // bit-exact maxima, so its skipped windows keep the literal
+            // ambient step and RC sweep (the burst window's float ops in a
+            // lean row loop); only the decisions, the accounting and the
+            // per-window maxima are skipped.
+            let alpha: Vec<f64> = (0..rows).map(|r| lane.layer_alphas[r % depth]).collect();
+            let mut high = vec![f64::NEG_INFINITY; rows];
+            let (sa, sb) = (&e.stab_a[..rows], &e.stab_b[..rows]);
+            let kind_max = |t: &[f64]| -> (f64, f64) {
+                let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+                for (r, &t) in t.iter().enumerate() {
+                    match kinds[r % depth] {
+                        DeviceLayerKind::Buffer => buf = buf.max(t),
+                        DeviceLayerKind::Dram => dram = dram.max(t),
                     }
-                    DeviceLayerKind::Dram => {
-                        cur_max_dram = cur_max_dram.max(t);
-                        peak_dram = peak_dram.max(hi);
+                }
+                (buf, dram)
+            };
+            for k in 1..=m {
+                let amb = st.scene.step_ambient(e.window.v_ipc, ambient_alpha);
+                st.ambient_sum += st.scene.ambient_c();
+                let rows = rows_t.iter_mut().zip(high.iter_mut()).zip(&alpha).enumerate();
+                if identity_split {
+                    for (r, ((t, h), &a)) in rows {
+                        *t += ((amb + sa[r]) + sb[r] - *t) * a;
+                        *h = h.max(*t);
+                    }
+                } else {
+                    for (r, ((t, h), &a)) in rows {
+                        *t += (amb + sa[r] - *t) * a;
+                        *h = h.max(*t);
+                    }
+                }
+                if k + 2 >= m && k < m {
+                    let (buf, dram) = kind_max(&rows_t);
+                    seen = [seen[1], (if has_buffer { buf } else { f64::NAN }, dram)];
+                }
+            }
+            for (p, &h) in peaks.iter_mut().zip(&high) {
+                *p = p.max(h);
+            }
+            let (buf, dram) = kind_max(&high);
+            st.max_amb = st.max_amb.max(if has_buffer { buf } else { f64::NAN });
+            st.max_dram = st.max_dram.max(dram);
+            (cur_max_buf, cur_max_dram) = kind_max(&rows_t);
+        } else {
+            let maxima_at = |k: u64| -> (f64, f64) {
+                if k == 0 {
+                    return at_start;
+                }
+                let kf = k as f64;
+                let pow_a = (kf * ln_a).exp();
+                let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+                for (l, &ln) in ln_l.iter().enumerate() {
+                    let pow_l = (kf * ln).exp();
+                    for r in (l..rows).step_by(depth) {
+                        let t = jump_s[r] + (jump_a[r] * pow_l + jump_k[r] * pow_a);
+                        match kinds[l] {
+                            DeviceLayerKind::Buffer => buf = buf.max(t),
+                            DeviceLayerKind::Dram => dram = dram.max(t),
+                        }
+                    }
+                }
+                (if has_buffer { buf } else { f64::NAN }, dram)
+            };
+            seen = [maxima_at(m.saturating_sub(2)), maxima_at(m - 1)];
+            // Closed form: the ambient's endpoint and running sum from the
+            // geometric series, each row's endpoint with its in-segment
+            // extremes folded into peaks and maxima.
+            if amb_static {
+                st.ambient_sum += amb_c * mf;
+            } else {
+                st.ambient_sum += st.scene.ambient_segment_moments(stable_ambient, a0, lambda_a, mf);
+            }
+            cur_max_buf = f64::NEG_INFINITY;
+            cur_max_dram = f64::NEG_INFINITY;
+            let mut peak_buf = f64::NEG_INFINITY;
+            let mut peak_dram = f64::NEG_INFINITY;
+            let pow_a = (mf * ln_a).exp();
+            for (l, &ln) in ln_l.iter().enumerate() {
+                let pow_l = (mf * ln).exp();
+                for r in (l..rows).step_by(depth) {
+                    let (t_end, _, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, mf);
+                    let t = jump_s[r] + t_end;
+                    let hi = jump_s[r] + hi_f;
+                    rows_t[r] = t;
+                    peaks[r] = peaks[r].max(hi);
+                    match kinds[l] {
+                        DeviceLayerKind::Buffer => {
+                            cur_max_buf = cur_max_buf.max(t);
+                            peak_buf = peak_buf.max(hi);
+                        }
+                        DeviceLayerKind::Dram => {
+                            cur_max_dram = cur_max_dram.max(t);
+                            peak_dram = peak_dram.max(hi);
+                        }
                     }
                 }
             }
+            st.max_amb = st.max_amb.max(if has_buffer { peak_buf } else { f64::NAN });
+            st.max_dram = st.max_dram.max(peak_dram);
         }
-        st.max_amb = st.max_amb.max(if has_buffer { peak_buf } else { f64::NAN });
-        st.max_dram = st.max_dram.max(peak_dram);
+        let _replanned = reprime(st, &seen[2 - m.min(2) as usize..], dt);
+        debug_assert_eq!(_replanned.as_ref(), Some(&e.plan), "re-prime left the frozen plan");
         entries[cur].residency_s += step * mf;
         st.plan_streak = st.plan_streak.saturating_add(m.min(u64::from(u32::MAX)) as u32);
         run += m;

@@ -5,12 +5,14 @@
 //! conserve the simulated window count exactly, and fall back to literal
 //! stepping — without losing accuracy — the moment a trajectory leaves its
 //! certified band. A dedicated sliding-mode DTM-BW cell pins the exact
-//! decision replay at the paper's native 10 ms cadence, and two DTM-TS
-//! cells pin the shutdown relay's frozen-phase jumps at the same cadence.
+//! decision replay at the paper's native 10 ms cadence, two DTM-TS cells
+//! pin the shutdown relay's frozen-phase jumps at the same cadence, and the
+//! random pool carries the PID-driven schemes, whose rules certify and key
+//! decisions wherever their controllers are memory-one.
 
 use std::sync::Arc;
 
-use dram_thermal::memtherm::dtm::{DtmTs, NoLimit};
+use dram_thermal::memtherm::dtm::{DtmCbw, DtmTs, NoLimit};
 use dram_thermal::prelude::*;
 
 /// Tiny deterministic PRNG (xorshift64*) so the "random" cell pool is
@@ -42,9 +44,10 @@ fn base_config(cooling: CoolingConfig) -> MemSpotConfig {
     }
 }
 
-/// The envelope-eligible policy pool: the pure threshold policies plus the
-/// latched DTM-TS relay with a random release point 0.5–4 °C below each
-/// TDP. A PID policy is added separately where coexistence with
+/// The envelope-eligible policy pool drawn per cell: the pure threshold
+/// policies plus the latched DTM-TS relay with a random release point
+/// 0.5–4 °C below each TDP. The PID policies join the pool as cells of
+/// their own, and a field-reading policy is added where coexistence with
 /// ineligible cells is under test.
 fn eligible_policy(rng: &mut Rng, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmPolicy> {
     match rng.next() % 5 {
@@ -144,24 +147,37 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
     let dts = [0.010, 0.100, 1.0];
 
     let build_cells = |rng: &mut Rng| {
-        (0..8u64)
+        let mut cells = (0..8u64)
             .map(|i| {
                 let stack = *rng.pick(&stacks);
                 let mut cfg = base_config(*rng.pick(&coolings)).with_stack(stack);
                 cfg.window_s = *rng.pick(&dts);
                 cfg.dtm_interval_s = cfg.window_s;
                 let mix = rng.pick(&mixes_pool).clone();
-                // One PID (envelope-ineligible) cell rides along: ineligible
-                // members of a lane must coexist with bursting neighbors
-                // without perturbing them.
+                // One field-reading (envelope-ineligible) DTM-CBW cell rides
+                // along: ineligible members of a lane must coexist with
+                // bursting neighbors without perturbing them.
                 let policy: Box<dyn DtmPolicy> = if i == 5 {
-                    Box::new(ThresholdPolicy::with_pid(DtmScheme::Bw, &cpu, cfg.limits))
+                    Box::new(DtmCbw::new(cpu.clone(), cfg.limits))
                 } else {
                     eligible_policy(rng, &cpu, cfg.limits)
                 };
                 BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1)
             })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        // The PID policies, after the draws above: all three schemes under
+        // both coolings, each on a drawn stack, mix and cadence.
+        for scheme in [DtmScheme::Bw, DtmScheme::Acg, DtmScheme::Cdvfs] {
+            for &cooling in &coolings {
+                let mut cfg = base_config(cooling).with_stack(*rng.pick(&stacks));
+                cfg.window_s = *rng.pick(&dts);
+                cfg.dtm_interval_s = cfg.window_s;
+                let mix = rng.pick(&mixes_pool).clone();
+                let policy = Box::new(ThresholdPolicy::with_pid(scheme, &cpu, cfg.limits));
+                cells.push(BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1));
+            }
+        }
+        cells
     };
 
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
@@ -177,6 +193,10 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
     assert!(
         envelope.iter().any(|(r, s)| r.policy == "DTM-TS" && s.envelope_cycles > 0),
         "no DTM-TS cell engaged the envelope tier"
+    );
+    assert!(
+        envelope.iter().any(|(r, s)| r.policy.ends_with("+PID") && s.envelope_cycles > 0),
+        "no PID cell engaged the envelope tier"
     );
     for (i, ((ff, fs), (lit, ls))) in envelope.iter().zip(&literal).enumerate() {
         assert_eq!(
