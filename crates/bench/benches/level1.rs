@@ -9,20 +9,27 @@
 //! * **cold / batch** — a fresh in-memory `CharStore` and table per pass,
 //!   resolved through [`CharacterizationTable::points`] (the production
 //!   path: independent design points fan out across cores, rotations of a
-//!   gated point across threads, warm cache images replayed as flat
-//!   `memcpy`s);
+//!   gated point across threads, every run warm-started from per-interval
+//!   cache templates);
 //! * **cold / sequential** — the same work resolved one `point()` at a time
 //!   on a single thread, isolating the single-thread engine improvements;
 //! * **disk-warm** — a `CharStore::with_disk_cache` store whose file was
 //!   populated by an earlier pass: every lookup is served from disk and the
 //!   closed loop never runs.
 //!
-//! Results go to `BENCH_level1.json` (uploaded by CI). The bench exits
-//! non-zero on a 2+-core host if the cold batch path drops below the gate
-//! multiple (default 1.2x, `LEVEL1_GATE_MIN_SPEEDUP` to override) of the
-//! recorded pre-PR baseline, or if the disk-warm path fails to beat cold by
-//! a wide margin (which would mean the cache is not actually skipping
-//! level-1 work). On the 2-core reference container, interleaved
+//! A Chapter 5 case repeats the cold batch path on the dual-socket Xeon 5160
+//! (two shared L2s) with `FbdimmConfig::server(4)`, W1 at full speed, with 2
+//! cores active and under a 4 GB/s cap. Both platforms also report the
+//! per-run warm-start time, [`MulticoreSim::warm_start`] alone on a reused
+//! simulator (median µs), beside the same measurement of the closed-form
+//! fill the per-interval templates replaced.
+//!
+//! Results go to `BENCH_level1.json` (uploaded by CI), with the host core
+//! count as `host_nproc`. The bench exits non-zero on a 2+-core host if the
+//! cold batch path drops below the gate multiple (default 1.2x,
+//! `LEVEL1_GATE_MIN_SPEEDUP` to override) of the recorded pre-PR baseline,
+//! or if the disk-warm path fails to beat cold by a wide margin (which would
+//! mean the cache is not actually skipping level-1 work). On the 2-core reference container, interleaved
 //! matched-window A/B runs of the pre- and post-PR binaries measure
 //! 1.8-2.1x cold-batch speedup (median ~1.9x, best 0.0225 s vs 0.0111 s
 //! for the three points) over the 133 points/s pre-PR baseline.
@@ -32,6 +39,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use cpu_model::MulticoreSim;
 use experiments::harness::{bench_output_path, write_bench_json, BenchStats};
 use memtherm::prelude::*;
 
@@ -40,12 +48,27 @@ use memtherm::prelude::*;
 /// reference container immediately before this overhaul.
 const PRE_PR_COLD_PPS_2CORE_REF: f64 = 133.0;
 
+/// Per-run warm-start time (µs, median) of the closed-form fill that wrote
+/// every survivor of every set one by one, measured the same way (W1, the
+/// fill of each reused scratch cache) on the 2-core reference container
+/// (host_nproc 2) just before the per-interval templates replaced it: the
+/// quad core's one L2, then the Xeon 5160's two. Replaying a stored warm
+/// image instead cost about 75 and 210 µs.
+const CLOSED_FORM_WARM_START_US_REF: [f64; 2] = [1245.0, 1234.0];
+
 const BUDGET: u64 = 40_000;
 const PASSES: usize = 24;
+const WARM_STARTS: usize = 200;
 
 fn modes(cpu: &CpuConfig) -> [RunningMode; 3] {
     let full = RunningMode::full_speed(cpu);
     [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(6.4)]
+}
+
+/// The Chapter 5 design points: full speed, 2 cores gated, 4 GB/s cap.
+fn ch5_modes(cpu: &CpuConfig) -> [RunningMode; 3] {
+    let full = RunningMode::full_speed(cpu);
+    [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(4.0)]
 }
 
 fn fresh_table(store: Arc<CharStore>) -> CharacterizationTable {
@@ -57,6 +80,33 @@ fn fresh_table(store: Arc<CharStore>) -> CharacterizationTable {
         BUDGET,
         store,
     )
+}
+
+fn ch5_table() -> CharacterizationTable {
+    CharacterizationTable::with_store(
+        CpuConfig::xeon_5160_dual_socket(),
+        FbdimmConfig::server(4),
+        "W1",
+        workloads::mixes::w1().apps,
+        BUDGET,
+        Arc::new(CharStore::new()),
+    )
+}
+
+/// Median time in µs of one W1 warm start on `cpu`, on a reused simulator.
+fn warm_start_us(cpu: CpuConfig, mem: FbdimmConfig) -> f64 {
+    let apps = workloads::mixes::w1().apps;
+    let refs: Vec<&workloads::AppBehavior> = apps.iter().collect();
+    let mut sim = MulticoreSim::new(cpu, mem);
+    let mut samples: Vec<f64> = (0..WARM_STARTS)
+        .map(|_| {
+            let start = Instant::now();
+            sim.warm_start(&refs);
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -108,6 +158,21 @@ fn main() {
     }
     std::fs::remove_file(&cache_path).ok();
 
+    // Chapter 5 cold batch path: the dual-socket server, two shared L2s.
+    let xeon = CpuConfig::xeon_5160_dual_socket();
+    let ch5_modes = ch5_modes(&xeon);
+    let ch5_s: Vec<f64> = (0..PASSES)
+        .map(|_| {
+            let mut table = ch5_table();
+            let start = Instant::now();
+            std::hint::black_box(table.points(&ch5_modes));
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+
+    let warm_start =
+        [warm_start_us(cpu.clone(), FbdimmConfig::ddr2_667_paper()), warm_start_us(xeon, FbdimmConfig::server(4))];
+
     let min = |xs: &[f64]| xs.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let pps = |best_s: f64| modes.len() as f64 / best_s.max(1e-12);
@@ -116,6 +181,7 @@ fn main() {
     let cold_seq_pps = pps(min(&cold_seq_s));
     let warm_pps = pps(min(&warm_s));
     let speedup_vs_pre_pr = cold_batch_pps / PRE_PR_COLD_PPS_2CORE_REF;
+    let ch5_pps = pps(min(&ch5_s));
 
     println!("level1 characterization: {} passes x {} points, budget {BUDGET}", PASSES, modes.len());
     println!(
@@ -131,6 +197,11 @@ fn main() {
         "level1/disk_warm        {:>10.1} points/s (best), {} misses over {} passes",
         warm_pps, warm_misses, PASSES
     );
+    println!("level1/ch5_cold_batch   {:>10.1} points/s (best) — Xeon 5160, server(4)", ch5_pps);
+    println!(
+        "level1/warm_start       {:>10.1} µs/run quad, {:.1} µs/run Xeon (median; closed form: {:.0}, {:.0})",
+        warm_start[0], warm_start[1], CLOSED_FORM_WARM_START_US_REF[0], CLOSED_FORM_WARM_START_US_REF[1]
+    );
 
     let to_stats = |label: &str, samples: &[f64]| BenchStats {
         label: label.to_string(),
@@ -142,6 +213,7 @@ fn main() {
         to_stats("level1/cold_batch", &cold_batch_s),
         to_stats("level1/cold_sequential", &cold_seq_s),
         to_stats("level1/disk_warm", &warm_s),
+        to_stats("level1/ch5_cold_batch", &ch5_s),
     ];
     let metrics = [
         ("points", modes.len() as f64),
@@ -153,6 +225,12 @@ fn main() {
         ("disk_warm_misses", warm_misses as f64),
         ("pre_pr_cold_pps_2core_ref", PRE_PR_COLD_PPS_2CORE_REF),
         ("cold_speedup_vs_pre_pr", speedup_vs_pre_pr),
+        ("ch5_cold_batch_points_per_sec", ch5_pps),
+        ("warm_start_us_per_run", warm_start[0]),
+        ("ch5_warm_start_us_per_run", warm_start[1]),
+        ("closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[0]),
+        ("ch5_closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[1]),
+        ("host_nproc", threads as f64),
     ];
     let path = bench_output_path("BENCH_level1.json");
     write_bench_json(&path, &stats, &metrics).expect("write BENCH_level1.json");

@@ -8,11 +8,12 @@
 //! statistics.
 //!
 //! The cache is touched on every demand access of the closed-loop level-1
-//! simulation *and* on every warm-start prefill line, so its storage is a
-//! single contiguous `sets × ways` buffer: one allocation, set lookup by
-//! power-of-two masking (with a division fallback for odd set counts), and a
-//! layout that clones with a straight `memcpy` — which is what makes the
-//! warm-state images of [`crate::multicore::MulticoreSim`] cheap to reuse.
+//! simulation, so its storage is two flat `sets × ways` arrays, a tag word
+//! (tag plus valid and dirty bits) and a 32-bit LRU stamp per way, with set
+//! lookup by power-of-two masking (a division fallback for odd set counts).
+//! Every run also starts from a warm-start prefill of tens of thousands of
+//! lines, which [`SetAssocCache::warm_fill_round_robin`] writes directly from
+//! one template per interval of sets instead of simulating it.
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,29 +91,38 @@ impl CacheStats {
     }
 }
 
-/// Valid bit of a way's metadata byte.
-const META_VALID: u8 = 0b01;
-/// Dirty bit of a way's metadata byte.
-const META_DIRTY: u8 = 0b10;
+/// Valid bit of a way's tag word.
+const VALID: u64 = 0b01;
+/// Dirty bit of a way's tag word.
+const DIRTY: u64 = 0b10;
+/// Tag words hold the tag above the two flag bits.
+const FLAG_BITS: u32 = 2;
 
 /// A set-associative, write-back, allocate-on-miss cache with LRU
 /// replacement, addressed by 64-byte line address.
 ///
-/// Storage is three contiguous `sets × ways` arrays in structure-of-arrays
+/// Storage is two contiguous `sets × ways` arrays in structure-of-arrays
 /// layout (set `s` occupies index range `s*assoc .. (s+1)*assoc` of each):
-/// the hit scan walks one cache-line-sized run of tags, the LRU scan one run
-/// of timestamps, and the valid/dirty bits live in a byte array an order of
-/// magnitude smaller than either. A power-of-two set count resolves the set
-/// index with a mask instead of a division.
+///
+/// * `tags` holds one word per way, `tag << 2 | DIRTY | VALID`, so the hit
+///   scan is one masked compare per way over one cache-line-sized run and
+///   an empty way is the all-zero word;
+/// * `lru` holds one `u32` last-use stamp per way, the value of the
+///   access clock at that way's last touch (larger = more recent).
+///
+/// The stamps are 32-bit, so the clock may count at most `u32::MAX`
+/// accesses between resets; [`Self::access`] asserts it. A level-1 run
+/// starts from a reset-and-filled cache, so its clock is the warm-start
+/// prefill plus at most two accesses (demand and prefetch) per budgeted
+/// demand access. A power-of-two set count resolves the set index with a
+/// mask instead of a division.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// Flat `sets × associativity` tag array.
+    /// Flat `sets × associativity` tag words (tag plus valid/dirty bits).
     tags: Vec<u64>,
-    /// Monotonic last-use timestamps (larger = more recent), same layout.
-    lru: Vec<u64>,
-    /// Per-way `META_VALID` / `META_DIRTY` bits, same layout.
-    meta: Vec<u8>,
+    /// Last-use clock stamps, same layout.
+    lru: Vec<u32>,
     /// Number of sets (`tags.len() / cfg.associativity`).
     sets: usize,
     /// `sets - 1` when the set count is a power of two, else 0.
@@ -120,7 +130,7 @@ pub struct SetAssocCache {
     /// `log2(sets)` when the set count is a power of two, else 0.
     set_shift: u32,
     stats: CacheStats,
-    clock: u64,
+    clock: u32,
 }
 
 impl SetAssocCache {
@@ -139,7 +149,6 @@ impl SetAssocCache {
             cfg,
             tags: vec![0; entries],
             lru: vec![0; entries],
-            meta: vec![0; entries],
             sets,
             set_mask,
             set_shift,
@@ -173,33 +182,44 @@ impl SetAssocCache {
         }
     }
 
+    /// The valid, clean tag word of `tag`. Only a cache of one or two sets
+    /// can see a tag too wide for the word, from a line address of 2^62 or
+    /// more.
+    #[inline]
+    fn tag_word(tag: u64) -> u64 {
+        assert!(tag < 1 << (64 - FLAG_BITS), "tag {tag:#x} does not fit a tag word");
+        tag << FLAG_BITS | VALID
+    }
+
     /// Accesses `line`; `is_write` marks the line dirty on hit or fill.
     /// Returns whether the access hit and, on a miss, any dirty victim whose
     /// write-back the caller must issue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access clock would pass `u32::MAX` (see the type docs),
+    /// or if a cache of one or two sets is given a line address of 2^62 or
+    /// more.
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        self.clock += 1;
+        self.clock = self.clock.checked_add(1).expect("cache clock exceeds the 32-bit LRU stamps");
         self.stats.accesses += 1;
         let (set_idx, tag) = self.index_and_tag(line);
-        let sets = self.sets as u64;
+        let word = Self::tag_word(tag);
+        let dirty = if is_write { DIRTY } else { 0 };
         let assoc = self.cfg.associativity;
         let base = set_idx * assoc;
-        let set_tags = &self.tags[base..base + assoc];
-        let set_meta = &self.meta[base..base + assoc];
+        let set_tags = &mut self.tags[base..base + assoc];
 
-        // Hit path: one scan over the (cache-line-sized) tag run.
-        for w in 0..assoc {
-            if set_meta[w] & META_VALID != 0 && set_tags[w] == tag {
-                self.lru[base + w] = self.clock;
-                if is_write {
-                    self.meta[base + w] |= META_DIRTY;
-                }
-                return AccessOutcome::Hit;
-            }
+        // Hit path: one masked compare per way over the tag run.
+        if let Some(w) = set_tags.iter().position(|&t| t & !DIRTY == word) {
+            set_tags[w] |= dirty;
+            self.lru[base + w] = self.clock;
+            return AccessOutcome::Hit;
         }
 
         // Miss: fill into the first invalid way or evict the LRU way.
         self.stats.misses += 1;
-        let victim = match set_meta.iter().position(|&m| m & META_VALID == 0) {
+        let victim = match set_tags.iter().position(|&t| t & VALID == 0) {
             Some(w) => w,
             None => {
                 let set_lru = &self.lru[base..base + assoc];
@@ -212,16 +232,15 @@ impl SetAssocCache {
                 best
             }
         };
-        let victim_meta = self.meta[base + victim];
-        let writeback = if victim_meta & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY {
+        let old = set_tags[victim];
+        let writeback = if old & (VALID | DIRTY) == VALID | DIRTY {
             self.stats.writebacks += 1;
-            Some(self.tags[base + victim] * sets + set_idx as u64)
+            Some((old >> FLAG_BITS) * self.sets as u64 + set_idx as u64)
         } else {
             None
         };
-        self.tags[base + victim] = tag;
+        set_tags[victim] = word | dirty;
         self.lru[base + victim] = self.clock;
-        self.meta[base + victim] = META_VALID | if is_write { META_DIRTY } else { 0 };
         AccessOutcome::Miss { writeback }
     }
 
@@ -230,7 +249,6 @@ impl SetAssocCache {
     pub fn flush(&mut self) {
         self.tags.fill(0);
         self.lru.fill(0);
-        self.meta.fill(0);
     }
 
     /// Resets the cache to its just-constructed state: empty contents, zero
@@ -241,32 +259,14 @@ impl SetAssocCache {
         self.clock = 0;
     }
 
-    /// Overwrites this cache's complete state (contents, LRU clock and
-    /// statistics) with `other`'s — three flat `copy_from_slice`s, with no
-    /// allocation. This is how warmed cache images are replayed into a
-    /// persistent scratch cache: copying into already-touched pages is much
-    /// cheaper than cloning a fresh multi-megabyte buffer every run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two caches have different geometries.
-    pub fn copy_state_from(&mut self, other: &SetAssocCache) {
-        assert_eq!(self.cfg, other.cfg, "cache geometry mismatch");
-        self.tags.copy_from_slice(&other.tags);
-        self.lru.copy_from_slice(&other.lru);
-        self.meta.copy_from_slice(&other.meta);
-        self.stats = other.stats;
-        self.clock = other.clock;
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
+        self.tags.iter().filter(|&&t| t & VALID != 0).count()
     }
 
-    /// Fills this (empty, just-reset) cache with the round-robin warm-start
-    /// prefill the level-1 simulator uses, producing *exactly* the state of
-    /// the equivalent access loop
+    /// Fills this cache with the round-robin warm-start prefill the level-1
+    /// simulator uses, producing *exactly* the state of the equivalent
+    /// access loop on a reset cache
     ///
     /// ```text
     /// for offset in 0..max_hot {
@@ -276,27 +276,39 @@ impl SetAssocCache {
     /// }
     /// ```
     ///
-    /// but constructed directly: since every prefilled line is distinct,
-    /// each access is a miss that fills ways round-robin per set, so the
-    /// final contents of a set are simply its last `associativity` arrivals
-    /// — which can be written once each, with their exact LRU timestamps,
-    /// without simulating the tens of thousands of earlier accesses that
-    /// would be overwritten anyway. The whole cache state (contents, LRU
-    /// clock, statistics) is defined by this call, so no prior reset is
-    /// needed — unfilled ways are written back to their empty state. Falls
-    /// back to reset plus the literal loop for geometries the closed form
-    /// does not cover (non-power-of-two set counts, bases that are not
-    /// set-aligned, or overlapping ranges).
+    /// but written directly. Every prefilled line is distinct, so every
+    /// access misses and fills the ways of its set round-robin: the final
+    /// contents of a set are its last `associativity` arrivals. With
+    /// set-aligned bases, offset `o = r·sets + s` of any entry lands in set
+    /// `s` in round `r`, and entry `j` (hot size `hot_j = q_j·sets + m_j`)
+    /// sends `q_j + 1` arrivals to the sets below `m_j` and `q_j` to the
+    /// rest. So the cuts `hot_j % sets` split the sets into at most
+    /// `entries + 1` intervals whose sets all see the same arrival pattern:
+    /// the same survivors in the same ways, each with the constant tag
+    /// `(base_j >> log2(sets)) + r` and an LRU stamp affine in the set index,
+    /// `a + b·s`, where `b` counts the entries still arriving in round `r`.
+    /// One template per interval is built from the survivors, then written
+    /// set by set.
+    ///
+    /// The whole cache state (contents, clock, statistics) is defined by
+    /// this call, so no prior reset is needed. Falls back to reset plus the
+    /// literal loop for geometries the templates do not cover
+    /// (non-power-of-two set counts, bases that are not set-aligned, or
+    /// overlapping ranges).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prefill is longer than `u32::MAX` accesses.
     pub fn warm_fill_round_robin(&mut self, entries: &[(u64, u64)]) {
         let sets = self.sets as u64;
         let assoc = self.cfg.associativity;
 
-        let closed_form_applies = self.set_mask != 0
+        let templates_apply = self.set_mask != 0
             && entries.iter().all(|&(base, _)| base % sets == 0)
             && entries.iter().enumerate().all(|(i, &(base, hot))| {
                 entries.iter().skip(i + 1).all(|&(b2, h2)| base + hot <= b2 || b2 + h2 <= base)
             });
-        if !closed_form_applies {
+        if !templates_apply {
             self.reset();
             for offset in 0..entries.iter().map(|&(_, hot)| hot).max().unwrap_or(0) {
                 for &(base, hot) in entries {
@@ -309,69 +321,70 @@ impl SetAssocCache {
         }
 
         let total: u64 = entries.iter().map(|&(_, hot)| hot).sum();
-        for s in 0..sets {
-            // Arrivals to set `s` are offsets o ≡ s (mod sets), entry-major
-            // within one offset. Count them, then materialize only the last
-            // `assoc` (the survivors), walking offsets downward.
-            let mut n_s: u64 = 0;
-            let mut o_max: u64 = 0;
-            for &(_, hot) in entries {
-                if hot > s {
-                    let k = (hot - 1 - s) / sets + 1;
-                    n_s += k;
-                    o_max = o_max.max(s + (k - 1) * sets);
-                }
+        let total = u32::try_from(total).expect("warm-start prefill exceeds the 32-bit LRU stamps");
+        let mut cuts: Vec<u64> = entries.iter().map(|&(_, hot)| hot % sets).chain([0, sets]).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        // Arrivals per entry in the current interval, and its template: per
+        // way the tag word and the stamp `a + b·s`. A way no arrival reaches
+        // stays empty (all zero).
+        let mut rounds = vec![0u64; entries.len()];
+        let (mut words, mut a, mut b) = (vec![0u64; assoc], vec![0u32; assoc], vec![0u32; assoc]);
+        for span in cuts.windows(2) {
+            let (lo, hi) = (span[0], span[1]);
+            for (k, &(_, hot)) in rounds.iter_mut().zip(entries) {
+                *k = hot / sets + u64::from(lo < hot % sets);
             }
-            let survivors = (n_s).min(assoc as u64);
-            // Ways beyond the arrival count stay (or return to) empty.
-            for w in (n_s.min(assoc as u64) as usize)..assoc {
-                let idx = (s as usize) * assoc + w;
-                self.tags[idx] = 0;
-                self.lru[idx] = 0;
-                self.meta[idx] = 0;
-            }
-            let mut m = n_s; // arrival ordinal within the set, walked downward
-            let mut o = o_max;
-            let mut placed = 0;
-            while placed < survivors {
-                for (i, &(base, hot)) in entries.iter().enumerate().rev() {
-                    if hot > o {
-                        if placed < survivors {
-                            // Way filled by arrival m (1-indexed): ways cycle
-                            // round-robin, so the m-th arrival lands in way
-                            // (m-1) % assoc; walking the top `assoc` ordinals
-                            // touches each way exactly once.
-                            let way = ((m - 1) % assoc as u64) as usize;
-                            // Exact clock of this access: all accesses at
-                            // earlier offsets, plus earlier entries at this
-                            // offset, plus one.
-                            let mut clock = 1;
-                            for (j, &(_, hot_j)) in entries.iter().enumerate() {
-                                clock += hot_j.min(o) + u64::from(j < i && hot_j > o);
-                            }
-                            let idx = (s as usize) * assoc + way;
-                            self.tags[idx] = (base + o) >> self.set_shift;
-                            self.lru[idx] = clock;
-                            self.meta[idx] = META_VALID;
-                            placed += 1;
-                        }
-                        m -= 1;
+            // Walk the arrivals backwards from the last one until every way
+            // holds its survivor: the m-th arrival (1-based) fills way
+            // (m - 1) % assoc, and the first `overwritten` ones do not last.
+            let arrivals: u64 = rounds.iter().sum();
+            let overwritten = arrivals.saturating_sub(assoc as u64);
+            words.fill(0);
+            a.fill(0);
+            b.fill(0);
+            let mut m = arrivals;
+            let mut r = rounds.iter().copied().max().unwrap_or(0);
+            while m > overwritten {
+                r -= 1;
+                // Clock of the round-r arrival of entry j in set s: one, plus
+                // every access at an earlier offset (`min(hot_k, r·sets + s)`
+                // per entry: affine in s for the entries still arriving in
+                // round r, `hot_k` for the rest), plus the entries before j
+                // arriving at the same offset. It never exceeds `total`.
+                let active = rounds.iter().filter(|&&k| r < k).count() as u64;
+                let done: u64 = entries.iter().zip(&rounds).filter(|&(_, &k)| r >= k).map(|(&(_, hot), _)| hot).sum();
+                let mut before = active;
+                for (&(base, _), _) in entries.iter().zip(&rounds).rev().filter(|&(_, &k)| r < k) {
+                    before -= 1;
+                    if m > overwritten {
+                        let way = ((m - 1) % assoc as u64) as usize;
+                        words[way] = Self::tag_word((base >> self.set_shift) + r);
+                        a[way] = (1 + active * r * sets + done + before) as u32;
+                        b[way] = active as u32;
                     }
+                    m -= 1;
                 }
-                if o < sets {
-                    break;
+            }
+            let rows = lo as usize * assoc..hi as usize * assoc;
+            let tag_rows = self.tags[rows.clone()].chunks_exact_mut(assoc);
+            let lru_rows = self.lru[rows].chunks_exact_mut(assoc);
+            for ((tags, lru), s) in tag_rows.zip(lru_rows).zip(lo as u32..) {
+                tags.copy_from_slice(&words);
+                for (stamp, (&a, &b)) in lru.iter_mut().zip(a.iter().zip(&b)) {
+                    *stamp = a + b * s;
                 }
-                o -= sets;
             }
         }
         self.clock = total;
-        self.stats = CacheStats { accesses: total, misses: total, writebacks: 0 };
+        self.stats = CacheStats { accesses: u64::from(total), misses: u64::from(total), writebacks: 0 };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::rng::SmallRng;
 
     fn small_cache() -> SetAssocCache {
         // 64 lines, 4-way, 16 sets.
@@ -513,6 +526,52 @@ mod tests {
         }
     }
 
+    /// A prefill hot size relative to the set count: below it, equal to
+    /// it, a multiple of it, or a multiple plus a remainder.
+    fn hot_size(rng: &mut SmallRng, sets: u64) -> u64 {
+        match rng.gen_range(0..4u64) {
+            0 => rng.gen_range(1..sets.max(2)),
+            1 => sets,
+            2 => sets * rng.gen_range(1..5u64),
+            _ => sets * rng.gen_range(1..4u64) + rng.gen_range(0..sets),
+        }
+    }
+
+    #[test]
+    fn template_fill_matches_literal_prefill_on_seeded_geometries() {
+        // Set counts 1..=8192 (powers of two, so the templates apply), 1- to
+        // 16-way, 1-4 entries of unequal hot sizes at random set-aligned
+        // bases, each cache dirtied before the fill, which must define its
+        // whole state. Odd cases split the entries over two caches the way
+        // the dual-socket servers interleave cores (0, 2 | 1, 3).
+        let mut rng = SmallRng::seed_from_u64(0x7E4D_F111);
+        for log_sets in 0..=13 {
+            let sets = 1u64 << log_sets;
+            for case in 0..6 {
+                let assoc = 1usize << rng.gen_range(0..5u64);
+                let cfg =
+                    CacheConfig { capacity_bytes: sets * assoc as u64 * 64, associativity: assoc, line_bytes: 64 };
+                let cores = rng.gen_range(1..5u64) as usize;
+                let entries: Vec<(u64, u64)> = (0..cores as u64)
+                    .map(|i| (((i + 1) << 34) + sets * rng.gen_range(0..1 << 16), hot_size(&mut rng, sets)))
+                    .collect();
+                let l2s = 1 + case % 2;
+                for l2 in 0..l2s {
+                    let mine: Vec<(u64, u64)> =
+                        entries.iter().enumerate().filter(|(i, _)| i % l2s == l2).map(|(_, &e)| e).collect();
+                    let mut filled = SetAssocCache::new(cfg);
+                    for _ in 0..rng.gen_range(0..200u64) {
+                        filled.access(rng.gen_range(0..1 << 20), rng.gen_bool(0.5));
+                    }
+                    filled.warm_fill_round_robin(&mine);
+                    let mut looped = SetAssocCache::new(cfg);
+                    loop_warm_fill(&mut looped, &mine);
+                    assert_eq!(filled, looped, "sets {sets}, {assoc}-way, case {case}, entries {mine:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn warm_fill_fully_overwrites_a_dirty_cache() {
         // The fill defines the complete state, so filling a cache full of
@@ -550,6 +609,21 @@ mod tests {
         let mut looped = SetAssocCache::new(cfg);
         loop_warm_fill(&mut looped, &entries);
         assert_eq!(direct, looped);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit LRU stamps")]
+    fn access_past_the_stamp_range_panics() {
+        let mut c = small_cache();
+        c.clock = u32::MAX;
+        c.access(1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a tag word")]
+    fn line_too_wide_for_the_tag_word_panics() {
+        let mut c = SetAssocCache::new(CacheConfig { capacity_bytes: 64, associativity: 1, line_bytes: 64 });
+        c.access(1 << 62, false);
     }
 
     #[test]

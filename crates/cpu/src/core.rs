@@ -95,7 +95,7 @@ impl CoreSim {
     pub fn next_demand(&mut self, freq_ghz: f64) -> workloads::StreamAccess {
         let access = self.stream.next_access();
         let exec_ns = access.gap_instructions as f64 / (self.app.base_ipc * freq_ghz).max(1e-6);
-        self.time_ps += (exec_ns * 1000.0).round() as Picos;
+        self.time_ps += round_to_picos(exec_ns * 1000.0);
         self.stats.instructions += access.gap_instructions;
         self.stats.l2_accesses += 1;
         access
@@ -169,6 +169,16 @@ impl CoreSim {
     }
 }
 
+/// `x.round() as Picos` without the libm call: truncate, then round half
+/// away from zero on the exactly computed fraction. Bit-identical for every
+/// `f64`, including negative, NaN and out-of-range inputs, which both forms
+/// saturate alike.
+#[inline]
+fn round_to_picos(x: f64) -> Picos {
+    let whole = x as Picos;
+    whole.saturating_add(Picos::from(x - whole as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +246,39 @@ mod tests {
         let fast = (0..n).filter(|_| c1.roll_speculative(1.0)).count();
         let slow = (0..n).filter(|_| c2.roll_speculative(0.25)).count();
         assert!(fast > slow, "fast {fast} vs slow {slow}");
+    }
+
+    #[test]
+    fn round_to_picos_matches_libm_round() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let edge = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            -0.4,
+            -2.5,
+            4503599627370495.5,
+            9007199254740993.0,
+            1.8446744073709552e19,
+            1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let random = (0..100_000).map(|i| {
+            let x = rng.gen_range(0.0..1e6);
+            if i % 2 == 0 {
+                x
+            } else {
+                x.floor() + 0.5
+            }
+        });
+        for x in edge.into_iter().chain(random) {
+            assert_eq!(round_to_picos(x), x.round() as Picos, "x = {x:e}");
+        }
     }
 
     #[test]

@@ -9,24 +9,23 @@
 //! carries exactly the per-design-point quantities the paper's second-level
 //! thermal simulator consumes.
 //!
-//! # Warm-state reuse
+//! # Warm start
 //!
 //! Every run starts from *warmed* shared caches: the active instances' hot
 //! regions are prefilled round-robin so measured miss rates reflect
-//! steady-state contention, not cold-start compulsory misses. That prefill
-//! (`hot_bytes/64` lines per instance — tens of thousands of cache accesses)
-//! depends only on the active instances' hot-region sizes in core order,
-//! *not* on the running mode, so the simulator computes each warmed cache
-//! image once and replays it for every subsequent run with the same key as
-//! a flat-buffer clone (a `memcpy`). A characterization table sweeping many
-//! modes of one mix therefore pays for each distinct prefill exactly once.
+//! steady-state contention, not cold-start compulsory misses. The prefill
+//! is `hot_bytes/64` lines per instance, tens of thousands of accesses, but
+//! no run simulates them: [`MulticoreSim::warm_start`] writes each cache's
+//! final state directly, one template per interval of sets
+//! ([`SetAssocCache::warm_fill_round_robin`]), into scratch caches the
+//! simulator keeps across runs. That costs about one pass of stores over
+//! each cache, no more than copying a stored warm image would, so nothing
+//! is stored between runs.
 //!
 //! The closed loop itself is allocation-free: the memory system runs in
 //! stats-only mode (no retained completion records), queue back-pressure
 //! lives in a fixed ring, and the next core to advance comes from a cached
 //! min/runner-up schedule instead of a per-access scan.
-
-use std::collections::HashMap;
 
 use fbdimm_sim::{FbdimmConfig, MemRequest, MemorySystem, Picos, RequestKind, TrafficWindow, PS_PER_SEC};
 use workloads::AppBehavior;
@@ -163,19 +162,10 @@ impl RunMeasurement {
     }
 }
 
-/// Retention state of one warm-start cache image.
-///
-/// Building a warm image from the closed form costs about as much as
-/// cloning one, so cloning on first use would double the cost of one-shot
-/// keys for nothing. A key is merely *marked* on first use; the image is
-/// cloned and kept when the key comes back, and from then on every run
-/// replays it with a flat `memcpy`.
-#[derive(Debug, Clone)]
-enum WarmImage {
-    /// Key used once so far; not worth an image clone yet.
-    SeenOnce,
-    /// Key reused: the warmed caches, replayed on every further run.
-    Stored(Vec<SetAssocCache>),
+/// First line of instance `i`'s footprint: a private 1 TB-aligned slice of
+/// the line address space, so footprints never alias.
+fn instance_base_line(i: usize) -> u64 {
+    (i as u64 + 1) << 34
 }
 
 /// The first-level (architecture) simulator.
@@ -183,15 +173,8 @@ enum WarmImage {
 pub struct MulticoreSim {
     cpu: CpuConfig,
     mem_cfg: FbdimmConfig,
-    /// Warmed shared-cache images, keyed by the active instances' hot-region
-    /// sizes in lines, in core order — the only inputs of the (mode
-    /// independent) warm-start prefill besides the fixed cache geometry.
-    /// Replaying an image into the scratch caches is a flat-buffer `memcpy`,
-    /// so repeat runs skip the prefill entirely; the image itself is only
-    /// retained from a key's second use onward (see [`WarmImage`]).
-    warm_images: HashMap<Vec<u64>, WarmImage>,
     /// Persistent shared-cache instances the closed loop runs against. Kept
-    /// across runs so a warm start is a copy into already-touched memory
+    /// across runs so a warm start writes into already-touched memory
     /// rather than a fresh multi-megabyte allocation per run.
     scratch_caches: Vec<SetAssocCache>,
 }
@@ -206,7 +189,7 @@ impl MulticoreSim {
         cpu.validate().expect("invalid CPU configuration");
         mem_cfg.validate().expect("invalid FBDIMM configuration");
         let scratch_caches = (0..cpu.l2_count).map(|_| SetAssocCache::new(cpu.l2)).collect();
-        MulticoreSim { cpu, mem_cfg, warm_images: HashMap::new(), scratch_caches }
+        MulticoreSim { cpu, mem_cfg, scratch_caches }
     }
 
     /// The processor configuration.
@@ -217,6 +200,28 @@ impl MulticoreSim {
     /// The memory configuration.
     pub fn memory_config(&self) -> &FbdimmConfig {
         &self.mem_cfg
+    }
+
+    /// Warm-starts the shared caches for a run of `apps`, one instance per
+    /// core in core order: each cache is left holding the hot regions of its
+    /// cores, prefilled round-robin in ascending core order (see the module
+    /// docs). [`Self::run_order`] calls this first; benchmarks time it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` has more instances than the processor has cores.
+    pub fn warm_start(&mut self, apps: &[&AppBehavior]) {
+        assert!(apps.len() <= self.cpu.cores, "more instances than cores");
+        for (cache_idx, scratch) in self.scratch_caches.iter_mut().enumerate() {
+            let entries: Vec<(u64, u64)> = apps
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| self.cpu.l2_of_core(i) == cache_idx)
+                .map(|(i, app)| (instance_base_line(i), (app.hot_bytes / 64).max(1)))
+                .collect();
+            scratch.warm_fill_round_robin(&entries);
+            scratch.reset_stats();
+        }
     }
 
     /// Runs one characterization: the first `mode.active_cores` applications
@@ -251,51 +256,10 @@ impl MulticoreSim {
         // controller in stats-only mode so nothing accumulates per access.
         memory.set_record_completions(false);
 
-        let mut cores: Vec<CoreSim> = (0..active)
-            .map(|i| {
-                // Give each instance a private 1 TB-aligned slice of the line
-                // address space so footprints never alias.
-                let base = (i as u64 + 1) << 34;
-                CoreSim::new(apps[i], i, base, 0xD0A0 + i as u64)
-            })
-            .collect();
-
-        // Warm start: begin from shared caches pre-filled with the active
-        // instances' hot regions (interleaved round-robin) so that measured
-        // miss rates reflect steady-state cache contention rather than
-        // cold-start compulsory misses. The prefill is independent of the
-        // running mode, so the warmed image is built (closed-form) once per
-        // distinct hot-region key; a key seen repeatedly gets its image
-        // retained so later runs replay it into the persistent scratch
-        // caches with a flat `memcpy`. Storing is deferred to the second
-        // use: one-shot keys (a rotation of a mix characterized once) never
-        // pay the multi-megabyte image clone.
-        let hot_lines: Vec<u64> = cores.iter().map(|c| (c.app().hot_bytes / 64).max(1)).collect();
-        match self.warm_images.get(&hot_lines) {
-            Some(WarmImage::Stored(images)) => {
-                for (scratch, image) in self.scratch_caches.iter_mut().zip(images.iter()) {
-                    scratch.copy_state_from(image);
-                }
-            }
-            seen => {
-                let store = matches!(seen, Some(WarmImage::SeenOnce));
-                for (cache_idx, scratch) in self.scratch_caches.iter_mut().enumerate() {
-                    // Entries of this shared cache, in core order — the
-                    // round-robin interleave restricted to one cache visits
-                    // its cores in ascending index order per offset.
-                    let entries: Vec<(u64, u64)> = cores
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| self.cpu.l2_of_core(*i) == cache_idx)
-                        .map(|(i, c)| (c.base_line, hot_lines[i]))
-                        .collect();
-                    scratch.warm_fill_round_robin(&entries);
-                    scratch.reset_stats();
-                }
-                let image = if store { WarmImage::Stored(self.scratch_caches.clone()) } else { WarmImage::SeenOnce };
-                self.warm_images.insert(hot_lines, image);
-            }
-        }
+        let mut cores: Vec<CoreSim> =
+            (0..active).map(|i| CoreSim::new(apps[i], i, instance_base_line(i), 0xD0A0 + i as u64)).collect();
+        self.warm_start(&apps[..active]);
+        let l2_of: Vec<usize> = (0..active).map(|i| self.cpu.l2_of_core(i)).collect();
         let caches = &mut self.scratch_caches;
 
         let freq = mode.op.freq_ghz;
@@ -317,7 +281,7 @@ impl MulticoreSim {
 
         while demand_issued < demand_access_budget {
             let idx = min_idx;
-            let cache_idx = self.cpu.l2_of_core(idx);
+            let cache_idx = l2_of[idx];
             let core = &mut cores[idx];
 
             let access = core.next_demand(freq);

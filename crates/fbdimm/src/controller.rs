@@ -129,29 +129,23 @@ impl SlotRing {
 
     /// Inserts a release time, keeping the ring sorted.
     ///
+    /// Finish times arrive nearly sorted, so the slot is found from the
+    /// tail: every later element shifts right by one, and `t` lands after
+    /// all elements `<= t`, exactly where a binary search for the first
+    /// element greater than `t` would put it.
+    ///
     /// # Panics
     ///
     /// Panics if the ring is full (the controller pops a slot before pushing
     /// whenever the queue is at capacity, so this cannot happen in use).
     fn push(&mut self, t: Picos) {
         assert!(self.len < self.capacity, "slot ring overflow");
-        // Binary search for the first element greater than `t`.
-        let (mut lo, mut hi) = (0, self.len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.at(mid) <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        // Shift the tail right by one (within the ring) and place `t`.
         let mut i = self.len;
-        while i > lo {
+        while i > 0 && self.at(i - 1) > t {
             self.slots[(self.head + i) & self.mask] = self.slots[(self.head + i - 1) & self.mask];
             i -= 1;
         }
-        self.slots[(self.head + lo) & self.mask] = t;
+        self.slots[(self.head + i) & self.mask] = t;
         self.len += 1;
     }
 

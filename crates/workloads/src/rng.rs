@@ -33,8 +33,9 @@ impl SmallRng {
 
     /// A uniform draw in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        // 53 random mantissa bits. They fit an `i64` exactly, and the signed
+        // conversion is one instruction where the unsigned one is several.
+        ((self.next_u64() >> 11) as i64) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform draw from a half-open range (`f64` or `u64`).

@@ -101,6 +101,10 @@ impl AccessStream {
     }
 
     /// Overrides the default phase model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the phase period is 2^63 instructions or longer.
     pub fn with_phase(mut self, phase: PhaseModel) -> Self {
         self.phase = phase;
         self.cache_phase_constants();
@@ -109,6 +113,8 @@ impl AccessStream {
 
     /// (Re)derives the per-access constants from the app and phase models.
     fn cache_phase_constants(&mut self) {
+        // `in_quiet_phase` converts the phase position through `i64`.
+        assert!(self.phase.period_instructions <= i64::MAX as u64, "phase period must be below 2^63 instructions");
         self.quiet_threshold = self.phase.duty * self.phase.period_instructions as f64;
         self.mean_gap_busy = 1000.0 / self.app.l2_apki.max(0.01);
         self.mean_gap_quiet = self.mean_gap_busy * self.phase.quiet_gap_factor;
@@ -138,7 +144,9 @@ impl AccessStream {
     }
 
     fn in_quiet_phase(&self) -> bool {
-        self.phase_pos as f64 > self.quiet_threshold
+        // `phase_pos` is below the phase period, which is below 2^63, so the
+        // signed conversion (one instruction) equals the unsigned one.
+        self.phase_pos as i64 as f64 > self.quiet_threshold
     }
 
     /// Produces the next demand access.
