@@ -24,6 +24,13 @@
 //! simulator (median µs), beside the same measurement of the closed-form
 //! fill the per-interval templates replaced.
 //!
+//! The closed loop's own cost is `ns_per_demand_access`: one thread runs 64
+//! characterizations at the 40k budget — the quad core on
+//! `ddr2_667_paper()` and the Xeon 5160 on `server(4)`, W1–W8, at full
+//! speed, with 2 cores active, at the lowest DVFS point and under a
+//! 6.4 GB/s cap — each platform on one reused simulator, and the best of
+//! several passes is divided by the 64 × 40k demand accesses.
+//!
 //! Results go to `BENCH_level1.json` (uploaded by CI), with the host core
 //! count as `host_nproc`. The bench exits non-zero on a 2+-core host if the
 //! cold batch path drops below the gate multiple (default 1.2x,
@@ -59,6 +66,8 @@ const CLOSED_FORM_WARM_START_US_REF: [f64; 2] = [1245.0, 1234.0];
 const BUDGET: u64 = 40_000;
 const PASSES: usize = 24;
 const WARM_STARTS: usize = 200;
+/// Passes of the single-thread closed-loop case (64 runs each).
+const CLOSED_LOOP_PASSES: usize = 7;
 
 fn modes(cpu: &CpuConfig) -> [RunningMode; 3] {
     let full = RunningMode::full_speed(cpu);
@@ -107,6 +116,37 @@ fn warm_start_us(cpu: CpuConfig, mem: FbdimmConfig) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Seconds per pass of the single-thread closed-loop case (see the module
+/// docs), one entry per pass.
+fn closed_loop_passes() -> Vec<f64> {
+    let platforms = [
+        (CpuConfig::paper_quad_core(), FbdimmConfig::ddr2_667_paper()),
+        (CpuConfig::xeon_5160_dual_socket(), FbdimmConfig::server(4)),
+    ];
+    let mixes = workloads::mixes::all_ch4_mixes();
+    let mut sims: Vec<MulticoreSim> = platforms.iter().map(|(cpu, mem)| MulticoreSim::new(cpu.clone(), *mem)).collect();
+    (0..CLOSED_LOOP_PASSES)
+        .map(|_| {
+            let start = Instant::now();
+            for ((cpu, _), sim) in platforms.iter().zip(&mut sims) {
+                let full = RunningMode::full_speed(cpu);
+                let modes = [
+                    full,
+                    full.with_active_cores(2),
+                    full.with_op(cpu.dvfs.bottom()),
+                    full.with_bandwidth_cap_gbps(6.4),
+                ];
+                for mix in &mixes {
+                    for mode in &modes {
+                        std::hint::black_box(sim.run(&mix.apps, mode, BUDGET));
+                    }
+                }
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .collect()
 }
 
 fn main() {
@@ -173,6 +213,8 @@ fn main() {
     let warm_start =
         [warm_start_us(cpu.clone(), FbdimmConfig::ddr2_667_paper()), warm_start_us(xeon, FbdimmConfig::server(4))];
 
+    let closed_loop_s = closed_loop_passes();
+
     let min = |xs: &[f64]| xs.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let pps = |best_s: f64| modes.len() as f64 / best_s.max(1e-12);
@@ -182,6 +224,7 @@ fn main() {
     let warm_pps = pps(min(&warm_s));
     let speedup_vs_pre_pr = cold_batch_pps / PRE_PR_COLD_PPS_2CORE_REF;
     let ch5_pps = pps(min(&ch5_s));
+    let ns_per_access = min(&closed_loop_s) * 1e9 / (64 * BUDGET) as f64;
 
     println!("level1 characterization: {} passes x {} points, budget {BUDGET}", PASSES, modes.len());
     println!(
@@ -202,18 +245,23 @@ fn main() {
         "level1/warm_start       {:>10.1} µs/run quad, {:.1} µs/run Xeon (median; closed form: {:.0}, {:.0})",
         warm_start[0], warm_start[1], CLOSED_FORM_WARM_START_US_REF[0], CLOSED_FORM_WARM_START_US_REF[1]
     );
+    println!(
+        "level1/closed_loop      {:>10.1} ns/demand access (best of {CLOSED_LOOP_PASSES}, one thread)",
+        ns_per_access
+    );
 
     let to_stats = |label: &str, samples: &[f64]| BenchStats {
         label: label.to_string(),
         mean_ms: mean(samples) * 1e3,
         min_ms: min(samples) * 1e3,
-        iters: PASSES,
+        iters: samples.len(),
     };
     let stats = [
         to_stats("level1/cold_batch", &cold_batch_s),
         to_stats("level1/cold_sequential", &cold_seq_s),
         to_stats("level1/disk_warm", &warm_s),
         to_stats("level1/ch5_cold_batch", &ch5_s),
+        to_stats("level1/closed_loop_64_runs", &closed_loop_s),
     ];
     let metrics = [
         ("points", modes.len() as f64),
@@ -230,6 +278,7 @@ fn main() {
         ("ch5_warm_start_us_per_run", warm_start[1]),
         ("closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[0]),
         ("ch5_closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[1]),
+        ("ns_per_demand_access", ns_per_access),
         ("host_nproc", threads as f64),
     ];
     let path = bench_output_path("BENCH_level1.json");

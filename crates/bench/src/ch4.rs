@@ -327,8 +327,6 @@ pub fn fig4_5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
     let mut cfg = scale.memspot_config(cooling);
     cfg.record_temp_trace = true;
     let cpu = CpuConfig::paper_quad_core();
-    let limits = cfg.limits;
-    let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
     let mix = mixes::w1();
 
     let mut t = Table::new(
@@ -336,14 +334,15 @@ pub fn fig4_5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
         "AMB temperature of W1 under AOHS_1.5 (first 1000 s, 10 s samples)",
         &["scheme", "time s", "AMB degC", "active cores", "freq GHz"],
     );
-    let schemes: Vec<(&str, Box<dyn DtmPolicy>)> = vec![
-        ("DTM-TS", Box::new(DtmTs::new(cpu.clone(), limits))),
-        ("DTM-BW", Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, limits))),
-        ("DTM-ACG", Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits))),
-        ("DTM-CDVFS", Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, limits))),
-    ];
-    for (name, mut policy) in schemes {
-        let r = spot.run(&mix, policy.as_mut());
+    // The four runs fan out across cores, each building its policy over its
+    // own MemSpot on the shared store; rows follow the fixed scheme order.
+    let names = ["DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"];
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let results = crate::sweep::parallel_map(threads, &PolicySpec::threshold_set(), |spec| {
+        let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
+        spot.run(&mix, spec.build(&cpu, cfg.limits).as_mut())
+    });
+    for (name, r) in names.into_iter().zip(results) {
         for sample in r.temp_trace.iter().filter(|s| s.time_s <= 1000.0).step_by(10) {
             t.push_row([
                 name.to_string(),

@@ -55,16 +55,20 @@ fn find<'a>(runs: &'a [(String, String, Measurement)], mix: &str, policy: &str) 
 /// Figure 5.4: AMB temperature of the first 500 s of homogeneous workloads
 /// on the SR1500AL (no DTM control).
 pub fn fig5_4(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let mut exp = experiment(scale, Server::sr1500al(), store);
     let apps = ["swim", "mgrid", "galgel", "apsi", "vpr"];
     let mut t = Table::new(
         "fig5_4",
         "AMB temperature curve for the first 500 s of homogeneous workloads on the SR1500AL",
         &["application", "time s", "AMB degC"],
     );
-    for name in apps {
+    // One experiment per application over the shared store, fanned across
+    // cores; rows follow the fixed application order.
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let curves = crate::sweep::parallel_map(threads, &apps, |name| {
         let app = workloads::spec2000::by_name(name).expect("known application");
-        let curve = exp.homogeneous_temperature_curve(&app, 500.0);
+        experiment(scale, Server::sr1500al(), store).homogeneous_temperature_curve(&app, 500.0)
+    });
+    for (name, curve) in apps.into_iter().zip(curves) {
         for sample in curve.iter().step_by(10) {
             t.push_row([name.to_string(), f1(sample.time_s), f1(sample.amb_c)]);
         }

@@ -210,16 +210,23 @@ impl SetAssocCache {
         let base = set_idx * assoc;
         let set_tags = &mut self.tags[base..base + assoc];
 
-        // Hit path: one masked compare per way over the tag run.
-        if let Some(w) = set_tags.iter().position(|&t| t & !DIRTY == word) {
-            set_tags[w] |= dirty;
-            self.lru[base + w] = self.clock;
-            return AccessOutcome::Hit;
+        // One pass over the tag run: a masked compare per way for the hit,
+        // noting the first invalid way for a miss's fill on the way.
+        let mut invalid = None;
+        for (w, &t) in set_tags.iter().enumerate() {
+            if t & !DIRTY == word {
+                set_tags[w] |= dirty;
+                self.lru[base + w] = self.clock;
+                return AccessOutcome::Hit;
+            }
+            if t & VALID == 0 && invalid.is_none() {
+                invalid = Some(w);
+            }
         }
 
         // Miss: fill into the first invalid way or evict the LRU way.
         self.stats.misses += 1;
-        let victim = match set_tags.iter().position(|&t| t & VALID == 0) {
+        let victim = match invalid {
             Some(w) => w,
             None => {
                 let set_lru = &self.lru[base..base + assoc];

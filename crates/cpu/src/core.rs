@@ -6,6 +6,12 @@
 //! number of outstanding misses (its memory-level parallelism) and stalls on
 //! dependent misses, so its achieved IPC emerges from memory latency and
 //! bandwidth rather than being assumed.
+//!
+//! The per-access work is kept to integer operations where that changes no
+//! bit: the dependent-miss and speculative-read coin flips are Bernoulli
+//! draws against thresholds computed once ([`SmallRng::bernoulli_threshold`]),
+//! and the compute time of a gap, `gap / (IPC·f)` rounded to picoseconds,
+//! is memoized per gap for the run's frequency.
 
 use workloads::rng::SmallRng;
 
@@ -50,27 +56,42 @@ pub struct CoreSim {
     app: AppBehavior,
     stream: AccessStream,
     rng: SmallRng,
+    /// Bernoulli threshold of the dependent-miss draw.
+    dependent_threshold: u64,
     /// Base line address offset isolating this instance's footprint.
     pub base_line: u64,
     /// Local time cursor of the core.
     pub time_ps: Picos,
     /// Completion times of outstanding (overlapped) misses.
     outstanding: Vec<Picos>,
+    /// Compute time in picoseconds of each gap up to the stream's maximum,
+    /// at the frequency whose bits are `memo_freq_bits`; 0 = not computed.
+    exec_memo: Vec<Picos>,
+    memo_freq_bits: u64,
     stats: CoreStats,
 }
+
+/// Most gaps [`CoreSim`] memoizes compute times for; longer gaps (none of
+/// the SPEC models has one) are computed every time.
+const EXEC_MEMO_GAPS: u64 = 1 << 12;
 
 impl CoreSim {
     /// Creates a core running one instance of `app`, with its footprint
     /// placed at `base_line` and all randomness derived from `seed`.
     pub fn new(app: &AppBehavior, core_id: usize, base_line: u64, seed: u64) -> Self {
+        let stream = AccessStream::new(app, seed);
+        let memo_len = stream.max_gap().min(EXEC_MEMO_GAPS) as usize + 1;
         CoreSim {
             core_id,
             app: app.clone(),
-            stream: AccessStream::new(app, seed),
+            stream,
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ core_id as u64),
+            dependent_threshold: SmallRng::bernoulli_threshold(app.dependent_fraction),
             base_line,
             time_ps: 0,
             outstanding: Vec::new(),
+            exec_memo: vec![0; memo_len],
+            memo_freq_bits: 0,
             stats: CoreStats::default(),
         }
     }
@@ -94,39 +115,53 @@ impl CoreSim {
     /// core's time by the compute phase preceding it (`gap / (IPC * f)`).
     pub fn next_demand(&mut self, freq_ghz: f64) -> workloads::StreamAccess {
         let access = self.stream.next_access();
-        let exec_ns = access.gap_instructions as f64 / (self.app.base_ipc * freq_ghz).max(1e-6);
-        self.time_ps += round_to_picos(exec_ns * 1000.0);
+        self.time_ps += self.exec_ps(access.gap_instructions, freq_ghz);
         self.stats.instructions += access.gap_instructions;
         self.stats.l2_accesses += 1;
         access
     }
 
+    /// The compute time of `gap` instructions at `freq_ghz`, rounded to
+    /// picoseconds. Gaps are small integers and a run keeps one frequency,
+    /// so the value is memoized per gap (the same expression, so the same
+    /// bits); a new frequency clears the memo.
+    #[inline]
+    fn exec_ps(&mut self, gap: u64, freq_ghz: f64) -> Picos {
+        let compute = || round_to_picos(gap as f64 / (self.app.base_ipc * freq_ghz).max(1e-6) * 1000.0);
+        if freq_ghz.to_bits() != self.memo_freq_bits {
+            self.exec_memo.fill(0);
+            self.memo_freq_bits = freq_ghz.to_bits();
+        }
+        match self.exec_memo.get(gap as usize) {
+            Some(&ps) if ps != 0 => ps,
+            Some(_) => {
+                let ps = compute();
+                self.exec_memo[gap as usize] = ps;
+                ps
+            }
+            None => compute(),
+        }
+    }
+
     /// Decides whether the miss that just occurred is a dependent
     /// (non-overlappable) miss.
     pub fn roll_dependent(&mut self) -> bool {
-        self.rng.gen_bool(self.app.dependent_fraction.clamp(0.0, 1.0))
+        self.rng.bernoulli(self.dependent_threshold)
+    }
+
+    /// The Bernoulli threshold of the per-access speculative-read draw at a
+    /// current-to-reference frequency ratio (prefetchers issue fewer useless
+    /// requests when the core runs slower). It is constant over a run, so
+    /// drivers compute it once and pass it to [`Self::roll_speculative`].
+    pub fn speculative_threshold(&self, freq_ratio: f64) -> u64 {
+        let p = (self.app.speculative_apki / self.app.l2_apki.max(1e-9)) * freq_ratio.clamp(0.0, 1.0);
+        SmallRng::bernoulli_threshold(p)
     }
 
     /// Decides whether a speculative/prefetch read accompanies this access,
-    /// given the current-to-reference frequency ratio (prefetchers issue
-    /// fewer useless requests when the core runs slower).
-    pub fn roll_speculative(&mut self, freq_ratio: f64) -> bool {
-        let p = self.speculative_probability(freq_ratio);
-        self.roll_speculative_p(p)
-    }
-
-    /// The per-access speculative-read probability at a frequency ratio —
-    /// constant over a run, so drivers precompute it once and use
-    /// [`Self::roll_speculative_p`] in the loop.
-    pub fn speculative_probability(&self, freq_ratio: f64) -> f64 {
-        let p = (self.app.speculative_apki / self.app.l2_apki.max(1e-9)) * freq_ratio.clamp(0.0, 1.0);
-        p.clamp(0.0, 1.0)
-    }
-
-    /// [`Self::roll_speculative`] with the probability precomputed via
-    /// [`Self::speculative_probability`].
-    pub fn roll_speculative_p(&mut self, p: f64) -> bool {
-        self.rng.gen_bool(p)
+    /// against a threshold from [`Self::speculative_threshold`].
+    pub fn roll_speculative(&mut self, threshold: u64) -> bool {
+        self.rng.bernoulli(threshold)
     }
 
     /// Ensures a miss slot is available, stalling the core until the oldest
@@ -211,6 +246,19 @@ mod tests {
     }
 
     #[test]
+    fn memoized_compute_time_matches_the_direct_expression() {
+        let app = spec2000::swim();
+        let mut c = CoreSim::new(&app, 0, 0, 3);
+        let max = c.stream.max_gap();
+        for freq in [3.2, 2.4, 3.2, 0.8, 0.0, f64::NAN] {
+            for gap in (0..=max + 2).chain([EXEC_MEMO_GAPS, EXEC_MEMO_GAPS + 1, 1 << 40]).chain(0..=max) {
+                let direct = (gap as f64 / (app.base_ipc * freq).max(1e-6) * 1000.0).round() as Picos;
+                assert_eq!(c.exec_ps(gap, freq), direct, "gap {gap} at {freq} GHz");
+            }
+        }
+    }
+
+    #[test]
     fn mlp_limit_forces_stall() {
         let mut c = core();
         for i in 0..8 {
@@ -243,8 +291,9 @@ mod tests {
         let mut c1 = CoreSim::new(&spec2000::swim(), 0, 0, 11);
         let mut c2 = CoreSim::new(&spec2000::swim(), 0, 0, 11);
         let n = 20_000;
-        let fast = (0..n).filter(|_| c1.roll_speculative(1.0)).count();
-        let slow = (0..n).filter(|_| c2.roll_speculative(0.25)).count();
+        let (t_fast, t_slow) = (c1.speculative_threshold(1.0), c2.speculative_threshold(0.25));
+        let fast = (0..n).filter(|_| c1.roll_speculative(t_fast)).count();
+        let slow = (0..n).filter(|_| c2.roll_speculative(t_slow)).count();
         assert!(fast > slow, "fast {fast} vs slow {slow}");
     }
 

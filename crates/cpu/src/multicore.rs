@@ -25,7 +25,16 @@
 //! The closed loop itself is allocation-free: the memory system runs in
 //! stats-only mode (no retained completion records), queue back-pressure
 //! lives in a fixed ring, and the next core to advance comes from a cached
-//! min/runner-up schedule instead of a per-access scan.
+//! min/runner-up schedule instead of a per-access scan. Per access it does
+//! no float division and no chain walk: the four coin flips (hot, write,
+//! dependent, speculative) compare integers against thresholds fixed per
+//! run, compute times come from a per-core memo, a cache access scans its
+//! set once, and the memory statistics record only a transaction's local
+//! traffic, the AMB bypass being derived when the window is taken. Every
+//! one of these is exact: `tests/golden_multicore.rs` and
+//! `tests/writeback_digest.rs` pin the measurements bit for bit.
+
+use std::hint::select_unpredictable;
 
 use fbdimm_sim::{FbdimmConfig, MemRequest, MemorySystem, Picos, RequestKind, TrafficWindow, PS_PER_SEC};
 use workloads::AppBehavior;
@@ -264,7 +273,7 @@ impl MulticoreSim {
 
         let freq = mode.op.freq_ghz;
         let freq_ratio = freq / self.cpu.reference_freq_ghz();
-        let spec_p: Vec<f64> = cores.iter().map(|c| c.speculative_probability(freq_ratio)).collect();
+        let spec_threshold: Vec<u64> = cores.iter().map(|c| c.speculative_threshold(freq_ratio)).collect();
         let mut last_arrival: Picos = 0;
         let mut demand_issued = 0u64;
 
@@ -318,7 +327,7 @@ impl MulticoreSim {
 
             // Speculative / prefetch traffic: a next-line read that does not
             // block the core.
-            if core.roll_speculative_p(spec_p[idx]) {
+            if core.roll_speculative(spec_threshold[idx]) {
                 let spec_line = core.absolute_line(access.line.wrapping_add(1));
                 if !caches[cache_idx].access(spec_line, false).is_hit() {
                     last_arrival = last_arrival.max(core.time_ps);
@@ -338,15 +347,14 @@ impl MulticoreSim {
                 let (mut best_t, mut best_i) = (Picos::MAX, 0usize);
                 let (mut second_t, mut second_i) = (Picos::MAX, usize::MAX);
                 for (i, &t) in times.iter().enumerate() {
-                    if t < best_t {
-                        second_t = best_t;
-                        second_i = best_i;
-                        best_t = t;
-                        best_i = i;
-                    } else if t < second_t {
-                        second_t = t;
-                        second_i = i;
-                    }
+                    // The clocks' order is data-dependent: select, not branch.
+                    let (below_best, below_second) = (t < best_t, t < second_t);
+                    (second_t, second_i) = select_unpredictable(
+                        below_best,
+                        (best_t, best_i),
+                        select_unpredictable(below_second, (t, i), (second_t, second_i)),
+                    );
+                    (best_t, best_i) = select_unpredictable(below_best, (t, i), (best_t, best_i));
                 }
                 min_idx = best_i;
                 runner_time = second_t;

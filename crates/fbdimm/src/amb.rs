@@ -6,6 +6,12 @@
 //! chain. This module tracks that split per DIMM position, and computes the
 //! AMB transport latency contribution to a memory transaction (the source of
 //! variable read latency in FBDIMM).
+//!
+//! A transaction is recorded once, as local traffic of its destination.
+//! Every AMB between the controller and the destination forwards it, so a
+//! position's bypass bytes are exactly the local bytes of the positions
+//! farther down its chain; [`AmbNetwork`] derives them as that suffix sum
+//! when its counters are read, instead of walking the chain per transaction.
 
 use crate::config::FbdimmConfig;
 use crate::time::Picos;
@@ -16,7 +22,8 @@ use crate::types::RequestKind;
 pub struct AmbCounters {
     /// Bytes of requests whose destination is this DIMM.
     pub local_bytes: u64,
-    /// Bytes of requests this AMB forwarded to DIMMs farther down the chain.
+    /// Bytes of requests this AMB forwarded to DIMMs farther down the chain
+    /// (derived by [`AmbNetwork`] from their local bytes).
     pub bypass_bytes: u64,
     /// Local read transactions.
     pub local_reads: u64,
@@ -33,16 +40,13 @@ impl AmbCounters {
             RequestKind::Write => self.local_writes += 1,
         }
     }
-
-    /// Adds a bypassed transaction of `bytes` bytes.
-    pub fn record_bypass(&mut self, bytes: u64) {
-        self.bypass_bytes += bytes;
-    }
 }
 
 /// Per-position AMB traffic accounting for the whole memory subsystem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmbNetwork {
+    /// Local traffic per position; `bypass_bytes` stays 0 here and is
+    /// derived when read.
     counters: Vec<AmbCounters>,
     dimms_per_channel: usize,
 }
@@ -61,32 +65,36 @@ impl AmbNetwork {
         channel * self.dimms_per_channel + dimm
     }
 
-    /// Records a transaction destined for `(channel, dimm)`. All AMBs between
-    /// the controller and the destination record it as bypass traffic; the
-    /// destination AMB records it as local traffic.
+    /// Records a transaction destined for `(channel, dimm)` as local traffic
+    /// of the destination AMB. Every AMB between the controller and the
+    /// destination bypasses it; the counters derive that on read.
     ///
     /// Bypass traffic is counted for both reads and writes: a read's return
     /// data traverses the same intermediate AMBs northbound as its command
     /// did southbound, and the paper's model charges each bypassed request
     /// once (Section 3.3).
     pub fn record_transaction(&mut self, channel: usize, dimm: usize, kind: RequestKind, bytes: u64) {
-        for upstream in 0..dimm {
-            let idx = self.position(channel, upstream);
-            self.counters[idx].record_bypass(bytes);
-        }
         let idx = self.position(channel, dimm);
         self.counters[idx].record_local(kind, bytes);
     }
 
-    /// Counters for a position.
-    pub fn counters(&self, channel: usize, dimm: usize) -> &AmbCounters {
-        &self.counters[self.position(channel, dimm)]
+    /// Counters for a position, its bypass bytes included.
+    pub fn counters(&self, channel: usize, dimm: usize) -> AmbCounters {
+        self.at(self.position(channel, dimm))
     }
 
     /// Iterates over all positions as `(channel, dimm, counters)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &AmbCounters)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, AmbCounters)> + '_ {
         let dpc = self.dimms_per_channel;
-        self.counters.iter().enumerate().map(move |(i, c)| (i / dpc, i % dpc, c))
+        (0..self.counters.len()).map(move |i| (i / dpc, i % dpc, self.at(i)))
+    }
+
+    /// Counters of flat position `idx`, with its bypass bytes summed from
+    /// the local bytes of the positions farther down its chain.
+    fn at(&self, idx: usize) -> AmbCounters {
+        let chain_end = (idx / self.dimms_per_channel + 1) * self.dimms_per_channel;
+        let bypass_bytes = self.counters[idx + 1..chain_end].iter().map(|c| c.local_bytes).sum();
+        AmbCounters { bypass_bytes, ..self.counters[idx] }
     }
 
     /// Resets all counters (used when taking a traffic window snapshot).
@@ -178,6 +186,40 @@ mod tests {
         assert!(net.iter().all(|(_, _, c)| c.local_bytes == 0 && c.bypass_bytes == 0));
         assert_eq!(net.len(), cfg.dimm_positions());
         assert!(!net.is_empty());
+    }
+
+    #[test]
+    fn derived_bypass_matches_a_per_transaction_chain_walk() {
+        use workloads::rng::SmallRng;
+        for (seed, cfg) in [cfg(), FbdimmConfig::server(2), FbdimmConfig::server(4)].into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(seed as u64);
+            let mut net = AmbNetwork::new(&cfg);
+            // The accounting the derivation replaced: every upstream AMB
+            // adds the bytes of each transaction to its bypass counter.
+            let mut walked = vec![AmbCounters::default(); cfg.dimm_positions()];
+            for i in 0..5_000 {
+                let channel = rng.gen_range(0..cfg.logical_channels as u64) as usize;
+                let dimm = rng.gen_range(0..cfg.dimms_per_channel as u64) as usize;
+                let kind = if rng.gen_bool(0.3) { RequestKind::Write } else { RequestKind::Read };
+                let bytes = 1 + rng.gen_range(0..256);
+                net.record_transaction(channel, dimm, kind, bytes);
+                for upstream in 0..dimm {
+                    walked[net.position(channel, upstream)].bypass_bytes += bytes;
+                }
+                walked[net.position(channel, dimm)].record_local(kind, bytes);
+                // Read mid-window, through both accessors.
+                if i % 97 == 0 {
+                    for (c, d, counters) in net.iter() {
+                        assert_eq!(counters, walked[net.position(c, d)]);
+                        assert_eq!(net.counters(c, d), counters);
+                    }
+                }
+                if i % 1_000 == 999 {
+                    net.reset();
+                    walked.fill(AmbCounters::default());
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,7 +126,9 @@ impl MemoryStats {
         }
     }
 
-    /// Records one completed transaction.
+    /// Records one completed transaction. The AMB network keeps only its
+    /// local traffic; the bypass of the positions it passed is derived when
+    /// a window is taken.
     pub fn record(&mut self, channel: usize, dimm: usize, kind: RequestKind, bytes: u64, latency_ps: Picos) {
         self.activations += 1;
         self.total_activations += 1;

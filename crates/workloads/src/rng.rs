@@ -4,6 +4,15 @@
 //! (access gaps, sensor noise, dependence draws), not cryptographic quality,
 //! so a SplitMix64 generator is plenty. The API mirrors the subset of the
 //! `rand` crate the substrates use, which keeps the call sites conventional.
+//!
+//! A Bernoulli draw is an integer compare. [`SmallRng::gen_bool`] is defined
+//! as `next_f64() < p` for `p` clamped to `[0, 1]`, and `next_f64()` is the
+//! top 53 bits `k` of an output times `2^-53`. That scaling is exact, so the
+//! test is `k < p·2^53`, and since `k` is an integer, `k < ceil(p·2^53)`:
+//! [`SmallRng::bernoulli_threshold`] computes that bound once and
+//! [`SmallRng::bernoulli`] draws against it, with the same outcome as the
+//! float test for every `p`, NaN (never true) included. The level-1 closed
+//! loop precomputes the thresholds of its per-access draws.
 
 use std::ops::Range;
 
@@ -17,18 +26,25 @@ impl SmallRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> Self {
         // One warm-up step decorrelates small, similar seeds.
-        let mut rng = SmallRng { state: seed.wrapping_add(0x9e37_79b9_7f4a_7c15) };
+        let mut rng = SmallRng { state: seed.wrapping_add(GAMMA) };
         rng.next_u64();
         rng
     }
 
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
+    }
+
+    /// The next raw output, consumed only if `advance`: otherwise the
+    /// generator is left as it was and the same output comes next. Lets a
+    /// caller compute a draw that only some outcomes use without branching.
+    #[inline]
+    pub(crate) fn next_u64_if(&mut self, advance: bool) -> u64 {
+        let state = self.state.wrapping_add(GAMMA);
+        self.state = std::hint::select_unpredictable(advance, state, self.state);
+        mix(state)
     }
 
     /// A uniform draw in `[0, 1)`.
@@ -43,10 +59,49 @@ impl SmallRng {
         range.sample(self)
     }
 
-    /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`): true
+    /// when `next_f64() < p`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        self.bernoulli(Self::bernoulli_threshold(p))
     }
+
+    /// The threshold of a Bernoulli draw with probability `p` (clamped to
+    /// `[0, 1]`; NaN gives 0, a draw that is never true): `ceil(p·2^53)`,
+    /// at most `2^53` (see the module docs).
+    pub fn bernoulli_threshold(p: f64) -> u64 {
+        // Scaling by 2^53 is exact; `as` truncates (NaN to 0), then the
+        // compare rounds up a fractional part.
+        let scaled = p.clamp(0.0, 1.0) * (1u64 << 53) as f64;
+        let whole = scaled as u64;
+        whole + u64::from((whole as f64) < scaled)
+    }
+
+    /// A Bernoulli draw against a threshold from
+    /// [`Self::bernoulli_threshold`]: the same outcome, from the same state,
+    /// as [`Self::gen_bool`] with that probability.
+    #[inline]
+    pub fn bernoulli(&mut self, threshold: u64) -> bool {
+        self.next_u64() >> 11 < threshold
+    }
+}
+
+/// SplitMix64's state increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output function of a state.
+#[inline]
+fn mix(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Maps a raw output onto `0..span` by multiply-shift, as
+/// [`SmallRng::gen_range`] does for `u64` ranges.
+#[inline]
+pub(crate) fn below(raw: u64, span: u64) -> u64 {
+    ((raw as u128 * span as u128) >> 64) as u64
 }
 
 /// Ranges [`SmallRng::gen_range`] can sample from.
@@ -65,10 +120,9 @@ impl SampleRange<f64> for Range<f64> {
 impl SampleRange<u64> for Range<u64> {
     fn sample(self, rng: &mut SmallRng) -> u64 {
         debug_assert!(self.start < self.end, "empty u64 range");
-        let span = self.end - self.start;
         // Multiply-shift rejection-free mapping; the bias is < 2^-64 * span,
         // irrelevant for simulation jitter.
-        self.start + ((rng.next_u64() as u128 * span as u128) >> 64) as u64
+        self.start + below(rng.next_u64(), self.end - self.start)
     }
 }
 
@@ -121,5 +175,73 @@ mod tests {
         assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    /// The float definition the threshold draw replaces.
+    fn float_draw(rng: &mut SmallRng, p: f64) -> bool {
+        rng.next_f64() < p.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn threshold_draw_equals_the_float_draw() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut edge = vec![
+            0.0,
+            -0.0,
+            1.0,
+            f64::NAN,
+            -f64::NAN,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0 - ulp,
+            1.0 - 2.0 * ulp,
+            0.5 + ulp,
+            1.5,
+            1e300,
+            f64::INFINITY,
+            -1e-300,
+            f64::NEG_INFINITY,
+        ];
+        // Exact multiples k·2^-53 and their float neighbours.
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) - 1, 1 << 52, (1 << 53) - 1] {
+            let p = k as f64 * ulp;
+            edge.extend([p, f64::from_bits(p.to_bits() - 1), f64::from_bits(p.to_bits() + 1)]);
+        }
+        let mut seeds = SmallRng::seed_from_u64(2024);
+        let random: Vec<f64> = (0..2_000).map(|_| seeds.next_f64()).collect();
+        for (i, &p) in edge.iter().chain(&random).enumerate() {
+            let t = SmallRng::bernoulli_threshold(p);
+            assert!(t <= 1 << 53, "p = {p:e}");
+            // The float test is monotone in k = u >> 11, so it equals
+            // `k < t` for every k when it does at the boundary.
+            let q = p.clamp(0.0, 1.0);
+            for k in [t.saturating_sub(1), t, t + 1].into_iter().filter(|&k| k < 1 << 53) {
+                assert_eq!((k as f64) * ulp < q, k < t, "p = {p:e}, k = {k}");
+            }
+            let seed = i as u64;
+            let (mut a, mut b, mut c) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            for _ in 0..64 {
+                let want = float_draw(&mut a, p);
+                assert_eq!(b.bernoulli(t), want, "p = {p:e}");
+                assert_eq!(c.gen_bool(p), want, "p = {p:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn next_u64_if_consumes_only_when_asked() {
+        let mut a = SmallRng::seed_from_u64(8);
+        let mut b = SmallRng::seed_from_u64(8);
+        for i in 0..1_000u64 {
+            let advance = i % 3 == 0;
+            let peeked = a.next_u64_if(advance);
+            let mut copy = b.clone();
+            assert_eq!(peeked, copy.next_u64());
+            if advance {
+                b.next_u64();
+            }
+            assert_eq!(a, b);
+        }
     }
 }

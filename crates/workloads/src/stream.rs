@@ -18,8 +18,19 @@
 //! A slow sinusoid-like *phase modulation* varies the access gap over the
 //! run, reproducing the program-phase-driven temperature drift the paper
 //! observes on real machines (Section 5.4.1).
+//!
+//! [`AccessStream::next_access`] runs once per access of the level-1 closed
+//! loop, so it costs no division, no int-to-float conversion and no branch
+//! on a random outcome: the phase test is an integer compare against the
+//! first quiet position, the gap jitter is one draw, the hot and write coin
+//! flips are integer Bernoulli draws against thresholds fixed at
+//! construction, and the hot line is computed for every access but its
+//! draw consumed only by hot ones (`SmallRng::next_u64_if`), the line and
+//! stream cursor being chosen by selects.
 
-use crate::rng::SmallRng;
+use std::hint::select_unpredictable;
+
+use crate::rng::{self, SmallRng};
 
 use crate::app::AppBehavior;
 
@@ -64,12 +75,17 @@ pub struct AccessStream {
     /// `instructions_so_far % phase.period_instructions`, maintained
     /// incrementally so the per-access phase check costs no division.
     phase_pos: u64,
-    /// `phase.duty * phase.period_instructions`, precomputed.
-    quiet_threshold: f64,
+    /// First phase position of the quiet phase: the least position whose
+    /// float value exceeds `phase.duty * phase.period_instructions`.
+    quiet_from: u64,
     /// Mean access gap (instructions) in the memory-intensive phase.
     mean_gap_busy: f64,
     /// Mean access gap in the quiet phase (`mean_gap_busy * quiet factor`).
     mean_gap_quiet: f64,
+    /// Bernoulli thresholds of the hot and write draws (see
+    /// [`SmallRng::bernoulli_threshold`]).
+    hot_threshold: u64,
+    write_threshold: u64,
     stream_cursor: u64,
     hot_lines: u64,
     stream_lines: u64,
@@ -88,9 +104,11 @@ impl AccessStream {
             phase: PhaseModel::default(),
             instructions_so_far: 0,
             phase_pos: 0,
-            quiet_threshold: 0.0,
+            quiet_from: 0,
             mean_gap_busy: 0.0,
             mean_gap_quiet: 0.0,
+            hot_threshold: SmallRng::bernoulli_threshold(app.hot_fraction),
+            write_threshold: SmallRng::bernoulli_threshold(app.write_fraction),
             stream_cursor: 0,
             hot_lines,
             stream_lines,
@@ -104,7 +122,8 @@ impl AccessStream {
     ///
     /// # Panics
     ///
-    /// Panics if the phase period is 2^63 instructions or longer.
+    /// Panics if the phase period is 2^63 instructions or longer, or if the
+    /// quiet gap factor allows gaps that long.
     pub fn with_phase(mut self, phase: PhaseModel) -> Self {
         self.phase = phase;
         self.cache_phase_constants();
@@ -113,11 +132,12 @@ impl AccessStream {
 
     /// (Re)derives the per-access constants from the app and phase models.
     fn cache_phase_constants(&mut self) {
-        // `in_quiet_phase` converts the phase position through `i64`.
+        // Phase positions and gaps are converted through `i64`.
         assert!(self.phase.period_instructions <= i64::MAX as u64, "phase period must be below 2^63 instructions");
-        self.quiet_threshold = self.phase.duty * self.phase.period_instructions as f64;
+        self.quiet_from = first_above(self.phase.duty * self.phase.period_instructions as f64);
         self.mean_gap_busy = 1000.0 / self.app.l2_apki.max(0.01);
         self.mean_gap_quiet = self.mean_gap_busy * self.phase.quiet_gap_factor;
+        assert!(self.max_gap() < 1 << 63, "access gaps must stay below 2^63 instructions");
         self.phase_pos = self.instructions_so_far % self.phase.period_instructions;
     }
 
@@ -133,6 +153,13 @@ impl AccessStream {
         self.hot_lines + self.stream_lines
     }
 
+    /// An upper bound on the gap of every access the stream produces under
+    /// its current phase model: the larger mean gap times the top of the
+    /// jitter range.
+    pub fn max_gap(&self) -> u64 {
+        (self.mean_gap_busy.max(self.mean_gap_quiet) * 1.5).max(1.0) as u64
+    }
+
     /// Instructions attributed to the accesses generated so far.
     pub fn instructions_generated(&self) -> u64 {
         self.instructions_so_far
@@ -143,32 +170,29 @@ impl AccessStream {
         self.accesses_generated
     }
 
-    fn in_quiet_phase(&self) -> bool {
-        // `phase_pos` is below the phase period, which is below 2^63, so the
-        // signed conversion (one instruction) equals the unsigned one.
-        self.phase_pos as i64 as f64 > self.quiet_threshold
-    }
-
     /// Produces the next demand access.
     pub fn next_access(&mut self) -> StreamAccess {
         // Mean gap between demand L2 accesses in instructions (precomputed
         // per phase — this runs once per access of the closed loop).
-        let mean_gap = if self.in_quiet_phase() { self.mean_gap_quiet } else { self.mean_gap_busy };
+        let mean_gap = if self.phase_pos >= self.quiet_from { self.mean_gap_quiet } else { self.mean_gap_busy };
         // Geometric-like jitter around the mean, bounded to keep the stream
-        // well behaved.
+        // well behaved. The gap is at least 1 and below 2^63 (asserted with
+        // the phase constants), so the signed conversion (one instruction)
+        // equals the unsigned one.
         let jitter: f64 = self.rng.gen_range(0.5..1.5);
-        let gap = (mean_gap * jitter).max(1.0) as u64;
+        let gap = (mean_gap * jitter).max(1.0) as i64 as u64;
 
-        let is_hot = self.rng.gen_bool(self.app.hot_fraction.clamp(0.0, 1.0));
-        let line = if is_hot {
-            self.rng.gen_range(0..self.hot_lines)
-        } else {
-            // Sequential walk through the streaming region, offset past the
-            // hot region.
-            self.stream_cursor = if self.stream_cursor + 1 == self.stream_lines { 0 } else { self.stream_cursor + 1 };
-            self.hot_lines + self.stream_cursor
-        };
-        let is_write = self.rng.gen_bool(self.app.write_fraction.clamp(0.0, 1.0));
+        let is_hot = self.rng.bernoulli(self.hot_threshold);
+        // A hot access draws a uniform line of the hot region; a streaming
+        // one walks sequentially through the streaming region, offset past
+        // the hot region. Both candidates are computed and selected, so the
+        // coin flip steers no branch: the hot draw is only consumed, and the
+        // cursor only advanced, by the access that uses it.
+        let hot_line = rng::below(self.rng.next_u64_if(is_hot), self.hot_lines);
+        let next_cursor = if self.stream_cursor + 1 == self.stream_lines { 0 } else { self.stream_cursor + 1 };
+        self.stream_cursor = select_unpredictable(is_hot, self.stream_cursor, next_cursor);
+        let line = select_unpredictable(is_hot, hot_line, self.hot_lines + next_cursor);
+        let is_write = self.rng.bernoulli(self.write_threshold);
 
         self.instructions_so_far += gap;
         self.phase_pos += gap;
@@ -178,6 +202,23 @@ impl AccessStream {
         self.accesses_generated += 1;
         StreamAccess { gap_instructions: gap, line, is_write, is_hot }
     }
+}
+
+/// The least `p` below 2^63 with `p as f64 > threshold`, or 2^63 if there
+/// is none (NaN, or a threshold at or past 2^63). The conversion is
+/// monotone, so `p >= first_above(t)` equals `p as f64 > t` for every `p`
+/// below 2^63, with no conversion per call.
+fn first_above(threshold: f64) -> u64 {
+    let (mut lo, mut hi) = (0u64, 1u64 << 63);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if mid as f64 > threshold {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -246,6 +287,45 @@ mod tests {
         let writes = (0..n).filter(|_| s.next_access().is_write).count();
         let frac = writes as f64 / n as f64;
         assert!((frac - app.write_fraction).abs() < 0.05, "write fraction {frac}");
+    }
+
+    #[test]
+    fn gaps_never_exceed_max_gap() {
+        let phase = PhaseModel { period_instructions: 100_000, duty: 0.5, quiet_gap_factor: 3.0 };
+        for app in spec2000::all().iter().chain(&crate::spec2006::all()) {
+            let mut s = AccessStream::new(app, 13).with_phase(phase);
+            let max = s.max_gap();
+            assert!((0..5_000).all(|_| s.next_access().gap_instructions <= max), "{}", app.name);
+        }
+    }
+
+    #[test]
+    fn first_above_matches_the_float_compare() {
+        let big = (1u64 << 53) as f64;
+        let thresholds = [
+            0.0,
+            -0.0,
+            -1.0,
+            0.5,
+            1.0,
+            7.5e9,
+            1.5e10,
+            big - 1.0,
+            big,
+            big + 2.0,
+            9.2e18,
+            1e30,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for t in thresholds {
+            let first = first_above(t);
+            for p in [first.saturating_sub(2), first.saturating_sub(1), first, first + 1, first + 2] {
+                if p < 1 << 63 {
+                    assert_eq!(p >= first, p as f64 > t, "threshold {t:e}, position {p}");
+                }
+            }
+        }
     }
 
     #[test]
