@@ -194,6 +194,14 @@ pub struct SweepOutcome {
     /// frozen-plan jumps plus band-confined slipping orbits), summed over
     /// all cells.
     pub envelope_cycles: u64,
+    /// Windows the envelope tier's exact decision replay carried, summed
+    /// over all cells ([`CellRunStats::replayed_windows`]; part of
+    /// `fast_forwarded_windows`).
+    pub replayed_windows: u64,
+    /// Windows envelope bursts stepped one at a time, summed over all cells
+    /// ([`CellRunStats::burst_stepped_windows`]; part of
+    /// `fast_forwarded_windows`).
+    pub burst_stepped_windows: u64,
     /// Windows advanced literally (stepped, not replayed analytically),
     /// summed over all cells. `stepped_windows + fast_forwarded_windows` is
     /// the exact simulated window count — conserved across every execution
@@ -418,6 +426,8 @@ impl SweepRunner {
         let mut fast_forwarded_cells = 0usize;
         let mut envelope_cycles = 0u64;
         let mut stepped_windows = 0u64;
+        let mut replayed_windows = 0u64;
+        let mut burst_stepped_windows = 0u64;
         let mut detector_ns = 0u64;
         let mut verify_ns = 0u64;
         let mut replay_ns = 0u64;
@@ -428,6 +438,8 @@ impl SweepRunner {
             fast_forwarded_cells += usize::from(stats.fast_forwarded_windows > 0);
             envelope_cycles += stats.envelope_cycles;
             stepped_windows += stats.stepped_windows;
+            replayed_windows += stats.replayed_windows;
+            burst_stepped_windows += stats.burst_stepped_windows;
             detector_ns += stats.detector_ns;
             verify_ns += stats.verify_ns;
             replay_ns += stats.replay_ns;
@@ -443,6 +455,8 @@ impl SweepRunner {
             fast_forwarded_cells,
             periodic_cycles: 0,
             envelope_cycles,
+            replayed_windows,
+            burst_stepped_windows,
             stepped_windows,
             detector_ns,
             verify_ns,

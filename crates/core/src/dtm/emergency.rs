@@ -90,25 +90,34 @@ impl std::fmt::Display for EmergencyLevel {
 /// AMB and DRAM boundary lists have the same length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmergencyThresholds {
-    amb_bounds: Vec<f64>,
-    dram_bounds: Vec<f64>,
+    /// The boundaries in fixed-width arrays padded with `+∞` past `bounds`,
+    /// so a level is a fixed-width count (decided every DTM interval, and
+    /// every virtual window of the batched engine's decision replay).
+    amb_bounds: [f64; MAX_BOUNDS],
+    dram_bounds: [f64; MAX_BOUNDS],
+    bounds: usize,
 }
+
+/// The most boundaries a table holds: one fewer than the emergency levels.
+const MAX_BOUNDS: usize = EmergencyLevel::ALL.len() - 1;
 
 impl EmergencyThresholds {
     /// Builds thresholds from explicit boundary lists (must be strictly
-    /// increasing and of equal, non-zero length).
+    /// increasing and of equal length, one to four boundaries each).
     ///
     /// # Panics
     ///
-    /// Panics if the lists are empty, of different lengths, or not strictly
-    /// increasing.
+    /// Panics if the lists are empty, longer than four (there are five
+    /// levels), of different lengths, or not strictly increasing.
     pub fn new(amb_bounds: Vec<f64>, dram_bounds: Vec<f64>) -> Self {
         assert!(!amb_bounds.is_empty(), "at least one boundary is required");
+        assert!(amb_bounds.len() <= MAX_BOUNDS, "at most {MAX_BOUNDS} boundaries (five levels)");
         assert_eq!(amb_bounds.len(), dram_bounds.len(), "boundary lists must have equal length");
         for b in [&amb_bounds, &dram_bounds] {
             assert!(b.windows(2).all(|w| w[0] < w[1]), "boundaries must be strictly increasing");
         }
-        EmergencyThresholds { amb_bounds, dram_bounds }
+        let pad = |b: &[f64]| std::array::from_fn(|i| b.get(i).copied().unwrap_or(f64::INFINITY));
+        EmergencyThresholds { amb_bounds: pad(&amb_bounds), dram_bounds: pad(&dram_bounds), bounds: amb_bounds.len() }
     }
 
     /// The Table 4.3 thresholds, expressed relative to the thermal design
@@ -125,27 +134,34 @@ impl EmergencyThresholds {
     /// A table with no boundaries: every temperature pair is level 1 (the
     /// ladder of a policy with a single mode).
     pub(crate) fn single_level() -> Self {
-        EmergencyThresholds { amb_bounds: Vec::new(), dram_bounds: Vec::new() }
+        EmergencyThresholds {
+            amb_bounds: [f64::INFINITY; MAX_BOUNDS],
+            dram_bounds: [f64::INFINITY; MAX_BOUNDS],
+            bounds: 0,
+        }
     }
 
     /// Number of levels this table defines (boundaries + 1).
     pub fn levels(&self) -> usize {
-        self.amb_bounds.len() + 1
+        self.bounds + 1
     }
 
-    fn level_of(bounds: &[f64], temp: f64) -> EmergencyLevel {
-        let idx = bounds.iter().filter(|&&b| temp >= b).count();
-        EmergencyLevel::from_index(idx)
+    /// The boundaries `temp` reaches. A `+∞` padding slot counts only for
+    /// `temp = +∞`, which reaches every boundary, hence the cap; a NaN
+    /// reaches none.
+    fn level_of(&self, bounds: &[f64; MAX_BOUNDS], temp: f64) -> EmergencyLevel {
+        let reached: usize = bounds.iter().map(|&b| usize::from(temp >= b)).sum();
+        EmergencyLevel::from_index(reached.min(self.bounds))
     }
 
     /// Emergency level implied by the AMB temperature alone.
     pub fn amb_level(&self, amb_temp_c: f64) -> EmergencyLevel {
-        Self::level_of(&self.amb_bounds, amb_temp_c)
+        self.level_of(&self.amb_bounds, amb_temp_c)
     }
 
     /// Emergency level implied by the DRAM temperature alone.
     pub fn dram_level(&self, dram_temp_c: f64) -> EmergencyLevel {
-        Self::level_of(&self.dram_bounds, dram_temp_c)
+        self.level_of(&self.dram_bounds, dram_temp_c)
     }
 
     /// Overall emergency level: the more severe of the two devices' levels.
@@ -228,6 +244,26 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_boundaries_are_rejected() {
         let _ = EmergencyThresholds::new(vec![108.0, 107.0], vec![83.0, 84.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 boundaries")]
+    fn more_boundaries_than_levels_are_rejected() {
+        let _ = EmergencyThresholds::new(vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn single_level_and_short_tables_count_only_their_boundaries() {
+        let single = EmergencyThresholds::single_level();
+        let short = EmergencyThresholds::new(vec![108.0], vec![83.0]);
+        for t in [f64::NEG_INFINITY, 0.0, 200.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(single.level(t, t), EmergencyLevel::L1, "{t}");
+        }
+        assert_eq!(short.level(107.9, 82.9), EmergencyLevel::L1);
+        assert_eq!(short.level(108.0, 0.0), EmergencyLevel::L2);
+        assert_eq!(short.level(f64::INFINITY, f64::INFINITY), EmergencyLevel::L2);
+        assert_eq!(short.level(f64::NAN, f64::NAN), EmergencyLevel::L1);
+        assert_eq!(short.levels(), 2);
     }
 
     #[test]

@@ -166,16 +166,18 @@
 //!   no frozen certificate can hold. For policies whose decisions are a
 //!   pure function of the current (and, for a memory-one PID controller,
 //!   the previous) device maxima ([`DecisionRule::key`] /
-//!   [`DecisionRule::plan_of_key`]), the replayer iterates only the
-//!   *binding* (hottest) row per device layer plus the ambient with
-//!   bitwise-literal recurrences, re-evaluates the decision key per
-//!   virtual window, and proves every other row stays dominated via a
-//!   per-entry forcing-gap certificate (convex-combination dominance with
-//!   a strict gap, bitwise twins folded into their binding row). Plan
-//!   run-length-encoded occupancy counts give closed-form accounting over
-//!   the whole replayed span, and dominated rows are closed per plan-run
-//!   with the same two-exponential maps — decisions exact, windows and
-//!   completion boundaries conserved bit for bit, scalars within 1e-9.
+//!   [`DecisionRule::plan_of_key`]), the replayer iterates the ambient and
+//!   a set of *literal* rows with bitwise-literal recurrences — the
+//!   binding (hottest) row of each device kind, plus every row the
+//!   dominance certificate cannot clear — and re-evaluates the decision
+//!   key per virtual window from the maxima over them. Every other row is
+//!   proved dominated by a per-entry forcing-gap certificate
+//!   (convex-combination dominance with a strict gap) or is a bitwise twin
+//!   folded into its binding row. Plan run-length-encoded occupancy counts
+//!   give closed-form accounting over the whole replayed span, and
+//!   dominated rows are closed per plan-run with the same two-exponential
+//!   maps — decisions exact, windows and completion boundaries conserved
+//!   bit for bit, scalars within 1e-9.
 //!
 //! After either mechanism the burst **re-primes** the policy: it replays
 //! the maxima of the segment's last two skipped decisions through
@@ -271,13 +273,13 @@ const REPLAY_RUN_EXIT: usize = 256;
 /// `REPLAY_RUN_EXIT + 1` windows.
 const REPLAY_POWERS: usize = REPLAY_RUN_EXIT + 2;
 
-/// Dominance margin (°C) of the exact decision replay: every non-binding
-/// row must provably stay at least this far below its device's binding
-/// (hottest) row over the whole replayed segment, so the binding scalar the
-/// replay iterates *is* the device maximum every virtual window. The
-/// convex-combination bound the audit uses is exact in real arithmetic;
-/// the margin only has to dominate the ~1e-13 °C accumulated rounding of
-/// the literal recurrences it stands in for.
+/// Dominance margin (°C) of the exact decision replay: a row the replay
+/// does not step must provably stay at least this far below its device's
+/// binding (hottest) row over the whole replayed segment, so the maximum
+/// over the rows the replay does step *is* the device maximum every
+/// virtual window. The convex-combination bound the audit uses is exact in
+/// real arithmetic; the margin only has to dominate the ~1e-13 °C
+/// accumulated rounding of the literal recurrences it stands in for.
 const REPLAY_GAP_C: f64 = 1e-9;
 
 /// Floating-point shadowing guard (°C) every contraction certificate keeps
@@ -359,6 +361,14 @@ pub struct CellRunStats {
     /// jumps plus (for slipping orbits) the replayed windows divided by the
     /// orbit's detected period. Zero whenever the envelope never engaged.
     pub envelope_cycles: u64,
+    /// Windows the envelope tier's exact decision replay decided and swept
+    /// as virtual windows (binding and literal rows only; a subset of
+    /// `fast_forwarded_windows`).
+    pub replayed_windows: u64,
+    /// Windows an envelope burst decided and swept one at a time, every row
+    /// literally, outside its closed-form jumps and its decision replay (a
+    /// subset of `fast_forwarded_windows`).
+    pub burst_stepped_windows: u64,
     /// Envelope bursts abandoned by the drift audit: the trajectory left
     /// its certified band and the cell fell back to literal lane stepping
     /// (with the replayed windows kept — they were themselves literal).
@@ -382,6 +392,8 @@ impl PartialEq for CellRunStats {
         self.stepped_windows == other.stepped_windows
             && self.fast_forwarded_windows == other.fast_forwarded_windows
             && self.envelope_cycles == other.envelope_cycles
+            && self.replayed_windows == other.replayed_windows
+            && self.burst_stepped_windows == other.burst_stepped_windows
             && self.envelope_fallbacks == other.envelope_fallbacks
     }
 }
@@ -1820,6 +1832,75 @@ fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, pow_a: f64, n
     (fe, lo, hi)
 }
 
+/// A row's part in one exact decision replay segment ([`replay_roles`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowRole {
+    /// The hottest row of its device kind at the segment start, iterated
+    /// as a scalar with the literal recurrence.
+    Binding,
+    /// A bitwise twin of its binding row (equal state, forcings and band):
+    /// it stays bitwise equal, so the binding scalar stands in for it.
+    Twin,
+    /// A row the dominance certificate cannot clear, stepped with the
+    /// literal recurrence every virtual window; each decision reads the
+    /// maximum over it and the binding row of its kind.
+    Literal,
+    /// Provably stays at least [`REPLAY_GAP_C`] below its binding row for
+    /// the whole segment, so no decision reads it; closed per plan run at
+    /// the segment close.
+    Dominated,
+}
+
+/// Assigns every row its [`RowRole`] for a replay segment. `binding` holds
+/// the binding rows `(buffer, dram)` (`usize::MAX` for an absent buffer
+/// layer) and `kinds` the device kind of each layer (rows are
+/// `position × depth + layer`). Per row, `audit` holds the forcing half of
+/// the dominance certificate: whether every plan entry forces the row at
+/// least [`REPLAY_GAP_C`] below its same-layer binding row, whether its
+/// forcings equal the binding row's bit for bit, and its highest forcing
+/// offset over the entries. A same-layer row is dominated when its forcing
+/// gap holds and it also starts that far below; a row on another layer of
+/// the same kind when its highest reachable temperature — its start or the
+/// ambient's highest value `amb.1` plus its highest offset — stays that far
+/// below the binding row's lowest, its start or `amb.0` plus the binding
+/// row's lowest offset `lo_off(binding)`. Every other row is literal.
+fn replay_roles(
+    kinds: &[DeviceLayerKind],
+    binding: (usize, usize),
+    rows_t: &[f64],
+    band: &EnvBand,
+    audit: &[(bool, bool, f64)],
+    amb: (f64, f64),
+    lo_off: impl Fn(usize) -> f64,
+) -> Vec<RowRole> {
+    let depth = kinds.len();
+    (0..rows_t.len())
+        .map(|r| {
+            let b = match kinds[r % depth] {
+                DeviceLayerKind::Buffer => binding.0,
+                DeviceLayerKind::Dram => binding.1,
+            };
+            let (gap_ok, twin_ok, hi_off) = audit[r];
+            if r == b {
+                return RowRole::Binding;
+            }
+            if twin_ok && rows_t[r] == rows_t[b] && band.lo[r] == band.lo[b] && band.hi[r] == band.hi[b] {
+                return RowRole::Twin;
+            }
+            let dominated = if r % depth == b % depth {
+                gap_ok && rows_t[r] - rows_t[b] <= -REPLAY_GAP_C
+            } else {
+                rows_t[r].max(amb.1 + hi_off) <= rows_t[b].min(amb.0 + lo_off(b)) - REPLAY_GAP_C
+            };
+            if dominated {
+                RowRole::Dominated
+            } else {
+                RowRole::Literal
+            }
+        })
+        .collect()
+}
+
 /// Flushes the burst's accumulators, syncs the scene and finalizes the
 /// departed cell.
 #[allow(clippy::too_many_arguments)]
@@ -1865,9 +1946,10 @@ fn env_finish(
 /// frozen plan over the exact traversed temperature rectangle — each row's
 /// two-exponential response to the frozen plan and the relaxing ambient,
 /// extremes included — plus a completion-safe retire cap) and the decision
-/// replay's certificates (bitwise-literal binding recurrences, per-entry
-/// forcing-gap dominance, plan-run-length occupancy accounting) pin every
-/// reported quantity within the envelope tier's 1e-9 relative claim;
+/// replay's certificates (bitwise-literal binding- and literal-row
+/// recurrences, per-entry forcing-gap dominance, plan-run-length occupancy
+/// accounting) pin every reported quantity within the envelope tier's 1e-9
+/// relative claim;
 /// window counts, simulated time and job completion windows stay exact
 /// (literal repeated additions and exact integer retires throughout). An already-settled ambient (within
 /// [`AMBIENT_FF_EPS_C`]) degenerates to the frozen single-exponential
@@ -1938,9 +2020,10 @@ fn envelope_burst(
     // replays decisions *exactly* instead of certifying them away: a
     // policy whose decisions are keyed by the device maxima
     // ([`DecisionRule::key`]) is re-evaluated per virtual window
-    // from bitwise-literal binding-row and ambient scalars, while every
-    // other row is reconstructed at segment close from the plan-occupancy
-    // weights. `chatter_next` schedules the attempts (in burst windows).
+    // from bitwise-literal binding-row, literal-row and ambient
+    // recurrences, while every dominated row is reconstructed at segment
+    // close from the plan-occupancy weights. `chatter_next` schedules the
+    // attempts (in burst windows).
     // Unkeyed policies (the latched DTM-TS relay) never replay: their
     // bursts advance by literal windows and certified frozen jumps only.
     let keyed = st.policy.decision_rule().keys();
@@ -1955,6 +2038,10 @@ fn envelope_burst(
     // forcings bitwise-equal to binding, max forcing over entries).
     let mut replay_audit_key = (usize::MAX, usize::MAX, usize::MAX);
     let mut replay_audit: Vec<(bool, bool, f64)> = Vec::new();
+    // The per-layer and ambient λ-power ladders of the replay close, built
+    // at the burst's first replay segment (they depend only on the lane).
+    let mut lam_tab: Vec<f64> = Vec::new();
+    let mut laa_tab: Vec<f64> = Vec::new();
 
     loop {
         // B: the window's pre-step — the envelope tier requires
@@ -2081,6 +2168,7 @@ fn envelope_burst(
         entries[cur].residency_s += step;
         st.time_s += step;
         env_windows += 1;
+        st.stats.burst_stepped_windows += 1;
 
         // A: the stepped loop's window-head condition.
         if st.batch.is_complete() || st.time_s >= max {
@@ -2106,23 +2194,25 @@ fn envelope_burst(
         // duty ratio slips never repeats an exact plan period), so a
         // policy whose decisions are keyed by the device maxima
         // ([`DecisionRule::key`]) is advanced by re-evaluating every
-        // decision instead of certifying it away. Three scalars carry the
-        // literal bits every decision reads — the binding (hottest) row of
-        // each device kind and the shared ambient, iterated with exactly
-        // the literal recurrences — while a dominance certificate proves
-        // every other row stays strictly below its binding row for the
-        // whole segment: each row is a convex combination of its start
-        // temperature and its per-window forcings, so a margin on the
-        // start gap and on every per-entry forcing gap bounds the entire
-        // trajectory without tracing it. Accounting collapses to
-        // plan-occupancy closed forms (per-entry window counts times the
-        // cached per-window amounts), and the dominated rows are
-        // reconstructed at segment close from the run log: within one plan
-        // run the ambient is a single exponential, so each row follows the
-        // exact two-exponential response `t = S_r + a·λ_l^k + c·λ_a^k` and
-        // a run costs O(1) per row — endpoint from the λ-power ladders,
-        // in-run extremes via [`env_row_range`] only when the two modes
-        // pull in opposite directions.
+        // decision instead of certifying it away. The literal rows carry
+        // the bits every decision reads — the shared ambient, the binding
+        // (hottest) row of each device kind as two scalars, and every row
+        // the dominance certificate cannot clear (say, a near-twin on
+        // another channel), each iterated with exactly the literal
+        // recurrence. The certificate proves every remaining row stays
+        // strictly below its binding row for the whole segment: each row
+        // is a convex combination of its start temperature and its
+        // per-window forcings, so a margin on the start gap and on every
+        // per-entry forcing gap bounds the entire trajectory without
+        // tracing it. Accounting collapses to plan-occupancy closed forms
+        // (per-entry window counts times the cached per-window amounts),
+        // and the dominated rows are reconstructed at segment close from
+        // the run log: within one plan run the ambient is a single
+        // exponential, so each row follows the exact two-exponential
+        // response `t = S_r + a·λ_l^k + c·λ_a^k` and a run costs O(1) per
+        // row — endpoint from the λ-power ladders, in-run extremes via
+        // [`env_row_range`] only when the two modes pull in opposite
+        // directions.
         let now = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
         if run < next_attempt {
             // A first key the rule refuses (a PID integral on the move)
@@ -2212,42 +2302,10 @@ fn envelope_burst(
             };
             let amb_min = stab_amb.iter().fold(amb0, |m, &s| m.min(s));
             let amb_max = stab_amb.iter().fold(amb0, |m, &s| m.max(s));
-            // Start-state half of the certificate. Roles for the close
-            // pass: 1 = binding, 2 = bitwise twin of its binding row
-            // (equal state, forcing and band — stays bitwise equal, so the
-            // binding scalar tracks it exactly), 0 = dominated, closed via
-            // occupancy weights.
-            let mut roles: Vec<u8> = vec![0; rows];
-            roles[b_dram] = 1;
-            if b_buf != usize::MAX {
-                roles[b_buf] = 1;
-            }
-            let mut sound = true;
-            for r in 0..rows {
-                if roles[r] == 1 {
-                    continue;
-                }
-                let b = match kinds[r % depth] {
-                    DeviceLayerKind::Buffer => b_buf,
-                    DeviceLayerKind::Dram => b_dram,
-                };
-                let (gap_ok, twin_ok, hi_off) = replay_audit[r];
-                if twin_ok && rows_t[r] == rows_t[b] && band.lo[r] == band.lo[b] && band.hi[r] == band.hi[b] {
-                    roles[r] = 2;
-                } else if r % depth == b % depth {
-                    sound &= gap_ok && rows_t[r] - rows_t[b] <= -REPLAY_GAP_C;
-                } else {
-                    let lo_off_b = entries.iter().map(|e| off(e, b)).fold(f64::INFINITY, f64::min);
-                    let hi_r = rows_t[r].max(amb_max + hi_off);
-                    let lo_b = rows_t[b].min(amb_min + lo_off_b);
-                    sound &= hi_r <= lo_b - REPLAY_GAP_C;
-                }
-            }
-            if !sound {
-                st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
-                chatter_next = env_windows.saturating_mul(2).max(env_windows.saturating_add(ENV_JUMP_MIN));
-                continue;
-            }
+            // Start-state half of the certificate, and each row's role.
+            let lo_off = |b: usize| entries.iter().map(|e| off(e, b)).fold(f64::INFINITY, f64::min);
+            let roles =
+                replay_roles(&kinds, (b_buf, b_dram), &rows_t, &band, &replay_audit, (amb_min, amb_max), lo_off);
             // Completion-safe cap: strictly fewer windows than the
             // earliest possible job-copy completion at the fastest cached
             // retire rate, so the bulk retires at segment close land
@@ -2288,22 +2346,11 @@ fn envelope_burst(
                 chatter_next = u64::MAX;
                 continue;
             }
-            let mut lam_tab: Vec<f64> = Vec::with_capacity(depth * REPLAY_POWERS);
-            for l in 0..depth {
-                let lambda = 1.0 - lane.layer_alphas[l];
-                let mut p = 1.0;
-                for _ in 0..REPLAY_POWERS {
-                    lam_tab.push(p);
-                    p *= lambda;
-                }
-            }
-            let mut laa_tab: Vec<f64> = Vec::with_capacity(REPLAY_POWERS);
-            {
-                let mut p = 1.0;
-                for _ in 0..REPLAY_POWERS {
-                    laa_tab.push(p);
-                    p *= lambda_amb;
-                }
+            if laa_tab.is_empty() {
+                let ladder =
+                    |lambda: f64| (0..REPLAY_POWERS).scan(1.0, move |p, _| Some(std::mem::replace(p, *p * lambda)));
+                lam_tab = lane.layer_alphas.iter().flat_map(|&al| ladder(1.0 - al)).collect();
+                laa_tab = ladder(lambda_amb).collect();
             }
             // Binding-scalar constants: everything a virtual window reads.
             let a_dram = lane.layer_alphas[b_dram % depth];
@@ -2318,6 +2365,18 @@ fn envelope_burst(
             } else {
                 (0.0, Vec::new(), Vec::new())
             };
+            // Literal rows: the same recurrence per row, with its forcings
+            // laid out entry-major so a virtual window reads one slice.
+            let lit_rows: Vec<usize> = (0..rows).filter(|&r| roles[r] == RowRole::Literal).collect();
+            let nl = lit_rows.len();
+            let mut lit_t: Vec<f64> = lit_rows.iter().map(|&r| rows_t[r]).collect();
+            let mut lit_peak: Vec<f64> = vec![f64::NEG_INFINITY; nl];
+            let lit_alpha: Vec<f64> = lit_rows.iter().map(|&r| lane.layer_alphas[r % depth]).collect();
+            let lit_buf: Vec<bool> = lit_rows.iter().map(|&r| kinds[r % depth] == DeviceLayerKind::Buffer).collect();
+            let lit_lo: Vec<f64> = lit_rows.iter().map(|&r| band.lo[r]).collect();
+            let lit_hi: Vec<f64> = lit_rows.iter().map(|&r| band.hi[r]).collect();
+            let lit_sa: Vec<f64> = entries.iter().flat_map(|e| lit_rows.iter().map(|&r| e.stab_a[r])).collect();
+            let lit_sb: Vec<f64> = entries.iter().flat_map(|e| lit_rows.iter().map(|&r| e.stab_b[r])).collect();
             st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
             // The run log: (entry, in-replay length, ambient at run entry)
             // per maximal constant-plan span — everything the close pass
@@ -2327,8 +2386,13 @@ fn envelope_burst(
             let mut counts_oh: Vec<u64> = vec![0; nent];
             let mut amb_l = amb0;
             let mut time_l = st.time_s;
-            let mut t_dram = cur_max_dram;
-            let mut t_buf = if has_buffer { cur_max_buf } else { f64::NAN };
+            let mut t_dram = rows_t[b_dram];
+            let mut t_buf = if has_buffer { rows_t[b_buf] } else { f64::NAN };
+            // The maxima each decision reads: over the binding and literal
+            // rows of each kind (the dominated rows stay below the binding
+            // row, and `f64::max` is order-independent, so these carry the
+            // bits of the literal fold over every row).
+            let mut obs = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
             let mut peak_dram = f64::NEG_INFINITY;
             let mut peak_buf = f64::NEG_INFINITY;
             let mut w: u64 = 0;
@@ -2345,23 +2409,23 @@ fn envelope_burst(
             // re-prime replays the last two virtual ones.
             let mut seen = [(st.observation.max_amb_c, st.observation.max_dram_c); 2];
             // The replay loop: per virtual window, the literal decision
-            // (from the binding maxima), the literal ambient step, the
-            // literal binding-row sweeps with their band audit, and the
-            // per-entry occupancy counts. A frozen run reaching
-            // [`REPLAY_RUN_EXIT`] hands back to the closed-form probe —
-            // a monotone approach is O(1) there, O(windows) here.
+            // (from the observed maxima), the literal ambient step, the
+            // literal binding- and literal-row sweeps with their band
+            // audit, and the per-entry occupancy counts. A frozen run
+            // reaching [`REPLAY_RUN_EXIT`] hands back to the closed-form
+            // probe — a monotone approach is O(1) there, O(windows) here.
             loop {
                 if run_l >= REPLAY_RUN_EXIT as u64 || w >= w_cap {
                     break;
                 }
-                let Some(key) = rule.key(seen[1].0, seen[1].1, t_buf, t_dram) else {
+                let Some(key) = rule.key(seen[1].0, seen[1].1, obs.0, obs.1) else {
                     break;
                 };
                 let ei = key_entry.get(key as usize).copied().unwrap_or(usize::MAX);
                 if ei == usize::MAX {
                     break;
                 }
-                seen = [seen[1], (t_buf, t_dram)];
+                seen = [seen[1], obs];
                 if ei != cur_l {
                     if run_len > 0 {
                         runs_log.push((cur_l as u32, run_len as u32, amb_run0));
@@ -2389,6 +2453,22 @@ fn envelope_burst(
                     peak_buf = peak_buf.max(t_buf);
                     in_band &= band.lo[b_buf] <= t_buf && t_buf <= band.hi[b_buf];
                 }
+                obs = (t_buf, t_dram);
+                if nl > 0 {
+                    let (sa, sb) = (&lit_sa[cur_l * nl..(cur_l + 1) * nl], &lit_sb[cur_l * nl..(cur_l + 1) * nl]);
+                    for i in 0..nl {
+                        let s = if identity_split { (amb_l + sa[i]) + sb[i] } else { amb_l + sa[i] };
+                        let t = &mut lit_t[i];
+                        *t += (s - *t) * lit_alpha[i];
+                        lit_peak[i] = lit_peak[i].max(*t);
+                        if lit_buf[i] {
+                            obs.0 = obs.0.max(*t);
+                        } else {
+                            obs.1 = obs.1.max(*t);
+                        }
+                        in_band &= lit_lo[i] <= *t && *t <= lit_hi[i];
+                    }
+                }
                 amb_sum += amb_l;
                 time_l += step;
                 w += 1;
@@ -2413,10 +2493,11 @@ fn envelope_burst(
             if run_len > 0 {
                 runs_log.push((cur_l as u32, run_len as u32, amb_run0));
             }
-            // Close the segment: exact binding/twin write-back, then each
-            // dominated row replayed run by run in closed form — within
-            // one run the ambient is a single exponential, so the row is
-            // the exact two-exponential `t(k) = S_r + a·λ_l^k + c·λ_a^k`
+            // Close the segment: exact binding, twin and literal-row
+            // write-back, then each dominated row replayed run by run in
+            // closed form — within one run the ambient is a single
+            // exponential, so the row is the exact two-exponential
+            // `t(k) = S_r + a·λ_l^k + c·λ_a^k`
             // with `c = α_l·A·λ_a/(λ_a − λ_l)` (A the ambient's offset
             // from its run target). Run endpoints come from the power
             // ladders; in-run extremes need [`env_row_range`] only when
@@ -2445,7 +2526,7 @@ fn envelope_burst(
             // path is cold.
             let mut lay_rows: Vec<Vec<usize>> = vec![Vec::new(); depth];
             for r in 0..rows {
-                if roles[r] == 0 {
+                if roles[r] == RowRole::Dominated {
                     lay_rows[r % depth].push(r);
                 }
             }
@@ -2563,25 +2644,27 @@ fn envelope_burst(
                     peaks[r] = pk[j];
                 }
             }
-            for r in 0..rows {
-                let new_t = match roles[r] {
-                    1 | 2 => match kinds[r % depth] {
-                        DeviceLayerKind::Dram => {
-                            peaks[r] = peaks[r].max(peak_dram);
-                            t_dram
-                        }
-                        DeviceLayerKind::Buffer => {
-                            peaks[r] = peaks[r].max(peak_buf);
-                            t_buf
-                        }
-                    },
-                    _ => rows_t[r],
-                };
-                rows_t[r] = new_t;
-                viol |= !(band.lo[r] <= new_t && new_t <= band.hi[r]);
+            // Each literal row keeps its own peak; the cell maxima fold in
+            // every peak the segment reached.
+            for ((&r, &t), &pk) in lit_rows.iter().zip(&lit_t).zip(&lit_peak) {
+                rows_t[r] = t;
+                peaks[r] = peaks[r].max(pk);
+                match kinds[r % depth] {
+                    DeviceLayerKind::Dram => st.max_dram = st.max_dram.max(pk),
+                    DeviceLayerKind::Buffer => st.max_amb = st.max_amb.max(pk),
+                }
             }
-            cur_max_dram = t_dram;
-            cur_max_buf = if has_buffer { t_buf } else { f64::NEG_INFINITY };
+            for r in 0..rows {
+                if matches!(roles[r], RowRole::Binding | RowRole::Twin) {
+                    (rows_t[r], peaks[r]) = match kinds[r % depth] {
+                        DeviceLayerKind::Dram => (t_dram, peaks[r].max(peak_dram)),
+                        DeviceLayerKind::Buffer => (t_buf, peaks[r].max(peak_buf)),
+                    };
+                }
+                viol |= !(band.lo[r] <= rows_t[r] && rows_t[r] <= band.hi[r]);
+            }
+            cur_max_dram = obs.1;
+            cur_max_buf = if has_buffer { obs.0 } else { f64::NEG_INFINITY };
             st.max_dram = st.max_dram.max(peak_dram);
             if has_buffer {
                 st.max_amb = st.max_amb.max(peak_buf);
@@ -2623,6 +2706,7 @@ fn envelope_burst(
                 }
             }
             env_windows += w;
+            st.stats.replayed_windows += w;
             jumps += 1;
             cur = cur_l;
             run = run_l;
@@ -3268,5 +3352,53 @@ mod tests {
         let mut groups = vec![vec![0, 1, 2]];
         split_groups(&mut groups, 16, 3);
         assert_eq!(groups.len(), 3);
+    }
+
+    #[test]
+    fn replay_row_roles_split_binding_twin_literal_and_dominated_rows() {
+        use DeviceLayerKind::{Buffer, Dram};
+        use RowRole::{Binding, Dominated, Literal, Twin};
+        // FBDIMM-like: four positions of (buffer, DRAM), rows `2·pos + l`.
+        // Audit per row: (forcing gap holds, forcings equal the binding
+        // row's, highest forcing offset); the offsets only matter across
+        // layers, so they are zero here.
+        let kinds = [Buffer, Dram];
+        // (buffer, DRAM) per position: the binding rows; a bitwise twin and
+        // a clear gap; a near-twin whose forcing gap fails and a start gap
+        // under the margin; twin forcings and state but a band of its own,
+        // and a clear gap.
+        let positions = [(108.0, 90.0), (108.0, 89.0), (107.957, 90.0 - 1e-10), (108.0, 80.0)];
+        let rows_t: Vec<f64> = positions.iter().flat_map(|&(buf, dram)| [buf, dram]).collect();
+        let audit = [
+            (false, true, 0.0),
+            (false, true, 0.0),
+            (false, true, 0.0),
+            (true, false, 0.0),
+            (false, false, 0.0),
+            (true, false, 0.0),
+            (false, true, 0.0),
+            (true, false, 0.0),
+        ];
+        let mut band = EnvBand { lo: vec![50.0; 8], hi: vec![120.0; 8], period: None };
+        band.hi[6] = 121.0;
+        let roles = replay_roles(&kinds, (0, 1), &rows_t, &band, &audit, (40.0, 45.0), |_| 0.0);
+        assert_eq!(roles, [Binding, Binding, Twin, Dominated, Literal, Literal, Literal, Dominated]);
+
+        // A DRAM row on another layer than its binding row is dominated
+        // only if its highest reachable temperature (its start, or the
+        // highest ambient plus its highest forcing offset) stays a margin
+        // below the binding row's lowest (its start, or the lowest ambient
+        // plus the binding row's lowest offset: 40 + 40 = 80 here).
+        let kinds = [Buffer, Dram, Dram];
+        let band = EnvBand { lo: vec![50.0; 3], hi: vec![120.0; 3], period: None };
+        let lo_off = |b: usize| {
+            assert_eq!(b, 1, "the cross-layer bound reads the binding row's offsets");
+            40.0
+        };
+        for (hi_off, want) in [(10.0, Dominated), (40.0, Literal)] {
+            let audit = [(false, true, 0.0), (false, true, 0.0), (false, false, hi_off)];
+            let roles = replay_roles(&kinds, (0, 1), &[100.0, 90.0, 70.0], &band, &audit, (40.0, 45.0), lo_off);
+            assert_eq!(roles, [Binding, Binding, want], "highest offset {hi_off}");
+        }
     }
 }

@@ -180,6 +180,7 @@ fn main() {
         ("fast_forwarded_cells", sequential.fast_forwarded_cells as f64),
         ("envelope_cycles", sequential.envelope_cycles as f64),
         ("lane_workers", lane_workers as f64),
+        ("host_nproc", lane_workers as f64),
         ("lane_parallel_wall_ms", lane.wall_clock_s * 1e3),
         ("lane_parallel_vs_batched_speedup", lane_speedup),
         ("char_store_hits", parallel.char_store_hits as f64),

@@ -516,3 +516,63 @@ fn ts_shutdown_relay_rides_the_envelope_at_paper_cadence() {
         assert_envelope_tolerance(ff, lit, label);
     }
 }
+
+#[test]
+fn decision_replay_steps_near_twin_rows_literally_instead_of_refusing() {
+    // Figure 4.3 cells at Quick scale whose replay the dominance
+    // certificate cannot clear: the AMB and DRAM rows of the first DIMM on
+    // each of the two channels run within a fraction of a degree of each
+    // other without being bitwise twins. The replay steps the second
+    // channel's rows with the literal recurrence and folds them into every
+    // decision's maxima. Under W1 with DTM-ACG those rows overtake the
+    // binding rows inside a segment, so a decision that left them out, or a
+    // peak credited to the wrong row, would show; under W6 with DTM-CDVFS
+    // they stay just below. Each cell must carry its chatter in the replay
+    // (a large share of the windows replayed, almost none stepped one at a
+    // time inside the burst), match its literal run within 1e-9 —
+    // per-position peaks included — and conserve the window count exactly.
+    let cpu = CpuConfig::paper_quad_core();
+    let mem = FbdimmConfig::ddr2_667_paper();
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
+    let store = Arc::new(CharStore::new());
+    let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+    let cases = [
+        (mixes::w1(), CoolingConfig::fdhs_1_0(), DtmScheme::Acg),
+        (mixes::w6(), CoolingConfig::fdhs_1_0(), DtmScheme::Cdvfs),
+    ];
+    for (mix, cooling, scheme) in cases {
+        let cfg = experiments::harness::Scale::Quick.memspot_config(cooling);
+        assert_eq!((cfg.window_s, cfg.dtm_interval_s), (0.010, 0.010));
+        let build = || {
+            vec![BatchCell::new(
+                &cpu,
+                &mem,
+                cfg,
+                mix.clone(),
+                Box::new(ThresholdPolicy::new(scheme, &cpu, cfg.limits)),
+                Arc::clone(&store),
+            )
+            .with_rotation_threads(1)]
+        };
+        let literal = engine.run(build(), &BatchOptions::literal());
+        let envelope = engine.run(build(), &BatchOptions::default());
+        let (lit, ls) = &literal[0];
+        let (ff, fs) = &envelope[0];
+        let label = format!("{} {} {scheme}", mix.id, cooling.label());
+        assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
+        assert!(
+            fs.replayed_windows * 3 > ls.stepped_windows,
+            "{label}: the decision replay carried only {} of {} windows",
+            fs.replayed_windows,
+            ls.stepped_windows
+        );
+        assert!(
+            fs.burst_stepped_windows * 100 < ls.stepped_windows,
+            "{label}: the bursts stepped {} of {} windows one at a time",
+            fs.burst_stepped_windows,
+            ls.stepped_windows
+        );
+        assert_envelope_tolerance(ff, lit, &label);
+    }
+}
