@@ -10,9 +10,9 @@
 //! up on small shared CI runners.
 //!
 //! A `batched` case then reruns the same grid on ONE worker against a
-//! pre-warmed shared `CharStore`, per-cell engine vs the batched lockstep
-//! engine with steady-state fast-forward, and gates the batched engine's
-//! best-of-3 speedup at 1.2x (`batched_vs_sequential_speedup`).
+//! pre-warmed shared `CharStore`, per-cell engine vs the literal batched
+//! lockstep engine, and gates the batched engine's best-of-3 speedup at
+//! 1.2x (`batched_vs_sequential_speedup`).
 //!
 //! A `lane_parallel` case reruns the warm grid as ONE batch whose lockstep
 //! lanes fan across all cores (`SweepExecution::lane_parallel`), gating the
@@ -111,10 +111,9 @@ fn grid() -> Vec<SweepScenario> {
     scenarios.push(relay_scenario());
     // Envelope-cadence cell: DTM-BW at the paper's native 10 ms interval
     // under the stronger cooling slides along its throttle threshold — the
-    // plan flips every couple of windows, so the steady tier cannot engage
-    // and only the envelope tier's exact decision replay carries it
-    // analytically (gated below on the default-options grid:
-    // grid_envelope_cycles > 0).
+    // plan flips every couple of windows, so only the envelope tier's exact
+    // decision replay carries it analytically (gated below on the
+    // default-options grid: grid_envelope_cycles > 0).
     scenarios.push(
         SweepScenario::isolated(CoolingConfig::fdhs_1_0(), workloads::mixes::w5(), vec![PolicySpec::Bw { pid: false }])
             .with_cadence(0.010),
@@ -253,16 +252,13 @@ fn main() {
         parallel.char_store_hits, parallel.char_store_misses
     );
 
-    // Batched-engine case: the batched lockstep engine + steady-state
-    // fast-forward against the per-cell engine, both on ONE worker and both
-    // against the same pre-warmed shared `CharStore`, so the comparison
-    // isolates exactly the window-loop work the batched engine restructures
-    // (level-1 characterization is identical either way and excluded).
-    // The exact-tier cases (batched, lane-parallel) run with the envelope
-    // tier off: they measure and gate the bit-identical layout tiers and
-    // the steady-state fast-forward. The `relay` and `paper_cadence` cases
-    // below own the envelope tier.
-    let exact_ff = BatchOptions { envelope_tolerance: 0.0, ..BatchOptions::default() };
+    // Batched-engine case: the literal batched lockstep engine against the
+    // per-cell engine, both on ONE worker and both against the same
+    // pre-warmed shared `CharStore`, so the comparison isolates exactly the
+    // window-loop work the batched engine restructures (level-1
+    // characterization is identical either way and excluded). The
+    // bit-identical cases (batched, lane-parallel) run with the envelope
+    // tier off; the `relay` and `paper_cadence` cases below own it.
     let warm_store = Arc::new(CharStore::new());
     SweepRunner::with_threads(1)
         .with_char_store(Arc::clone(&warm_store))
@@ -270,7 +266,6 @@ fn main() {
         .run(&scenarios, make);
     let mut percell_ms = Vec::with_capacity(PASSES);
     let mut batched_ms = Vec::with_capacity(PASSES);
-    let mut last_batched = None;
     for _ in 0..PASSES {
         percell_ms.push(
             SweepRunner::with_threads(1)
@@ -280,14 +275,15 @@ fn main() {
                 .wall_clock_s
                 * 1e3,
         );
-        let batched = SweepRunner::with_threads(1)
-            .with_char_store(Arc::clone(&warm_store))
-            .with_batch_options(exact_ff)
-            .run(&scenarios, make);
-        batched_ms.push(batched.wall_clock_s * 1e3);
-        last_batched = Some(batched);
+        batched_ms.push(
+            SweepRunner::with_threads(1)
+                .with_char_store(Arc::clone(&warm_store))
+                .with_batch_options(BatchOptions::literal())
+                .run(&scenarios, make)
+                .wall_clock_s
+                * 1e3,
+        );
     }
-    let batched = last_batched.expect("at least one batched pass");
     let batched_vs_sequential_speedup = min(&percell_ms) / min(&batched_ms).max(1e-9);
     println!(
         "sweep/warm_percell_1_worker                  {:>10.3} ms/pass (min {:.3} ms)",
@@ -296,11 +292,9 @@ fn main() {
     );
     println!(
         "sweep/warm_batched_1_worker                  {:>10.3} ms/pass (min {:.3} ms, \
-         {batched_vs_sequential_speedup:.2}x best-of-{PASSES} speedup, {} windows fast-forwarded across {} cells)",
+         {batched_vs_sequential_speedup:.2}x best-of-{PASSES} speedup)",
         mean(&batched_ms),
-        min(&batched_ms),
-        batched.fast_forwarded_windows,
-        batched.fast_forwarded_cells
+        min(&batched_ms)
     );
 
     // Lane-parallel case: the same warm grid, still one runner chunk (so
@@ -314,7 +308,7 @@ fn main() {
         lane_ms.push(
             SweepRunner::with_threads(1)
                 .with_char_store(Arc::clone(&warm_store))
-                .with_batch_options(exact_ff)
+                .with_batch_options(BatchOptions::literal())
                 .with_execution(SweepExecution::lane_parallel(lane_workers))
                 .run(&scenarios, make)
                 .wall_clock_s
@@ -754,8 +748,6 @@ fn main() {
         ("char_store_hits", parallel.char_store_hits as f64),
         ("char_store_misses", parallel.char_store_misses as f64),
         ("batched_vs_sequential_speedup", batched_vs_sequential_speedup),
-        ("fast_forwarded_windows", batched.fast_forwarded_windows as f64),
-        ("fast_forwarded_cells", batched.fast_forwarded_cells as f64),
         ("relay_envelope_cycles", relay_env.envelope_cycles as f64),
         ("relay_max_rel_err", relay_max_rel_err),
         ("ts_relay_speedup", ts_relay_speedup),
@@ -773,16 +765,9 @@ fn main() {
         ("chatter_columns_burst_stepped_before", CHATTER_BURST_STEPPED_BEFORE as f64),
         ("chatter_columns_max_rel_err", chatter_max_rel_err),
         ("host_nproc", lane_workers as f64),
-        ("envelope_cycles", batched.envelope_cycles as f64),
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
-        // Per-phase split of the default grid, both flavors: the warm
-        // batched run times the steady tier (envelope off), the
-        // default-options run times both tiers including the envelope
-        // cells, so a regression in either tier is attributable from the
-        // artifact alone.
-        ("batched_detector_ms", batched.detector_ns as f64 / 1e6),
-        ("batched_verify_ms", batched.verify_ns as f64 / 1e6),
-        ("batched_replay_ms", batched.replay_ns as f64 / 1e6),
+        // Per-phase split of the default-options grid, so a regression in
+        // the envelope tier is attributable from the artifact alone.
         ("grid_detector_ms", parallel.detector_ns as f64 / 1e6),
         ("grid_verify_ms", parallel.verify_ns as f64 / 1e6),
         ("grid_replay_ms", parallel.replay_ns as f64 / 1e6),

@@ -33,9 +33,9 @@
 //! steps the whole chunk's scenes through shared lane matrices —
 //! optionally fanning the lanes across worker threads
 //! ([`SweepExecution::lane_parallel`]) — and fast-forwards cells
-//! analytically, both at a thermal steady state and through the
-//! contraction-certified envelope that replays threshold-policy orbits
-//! ([`SweepOutcome::envelope_cycles`] counts the latter). Per-cell
+//! analytically through the contraction-certified envelope, which replays
+//! frozen plans and threshold-policy orbits
+//! ([`SweepOutcome::envelope_cycles`] counts its pseudo-cycles). Per-cell
 //! trajectories are independent of lane
 //! composition, so the grid results remain deterministic for any thread
 //! or chunk configuration.
@@ -130,8 +130,9 @@ pub enum SweepExecution {
     PerCell,
     /// Cells run through the
     /// [`BatchedSimEngine`]: scenes
-    /// step in lockstep over shared lane matrices and steady cells
-    /// fast-forward (per [`SweepRunner::with_batch_options`]).
+    /// step in lockstep over shared lane matrices and the envelope
+    /// fast-forwards the cells it can take (per
+    /// [`SweepRunner::with_batch_options`]).
     Batched {
         /// Lane-level worker threads inside the batched engine. With `1`
         /// the runner claims chunks of cells across its own thread pool and
@@ -181,8 +182,10 @@ pub struct SweepOutcome {
     pub char_store_hits: u64,
     /// Level-1 lookups that had to run the closed-loop simulation.
     pub char_store_misses: u64,
-    /// Windows replayed analytically by the steady-state fast-forward,
-    /// summed over all cells (always 0 under [`SweepExecution::PerCell`]).
+    /// Windows the envelope fast-forward carried outside the lane (its
+    /// jumps, decision replay and burst windows), summed over all cells
+    /// ([`CellRunStats::fast_forwarded_windows`]; always 0 under
+    /// [`SweepExecution::PerCell`]).
     pub fast_forwarded_windows: u64,
     /// Number of cells that engaged the fast-forward at least once.
     pub fast_forwarded_cells: usize,
@@ -213,8 +216,8 @@ pub struct SweepOutcome {
     /// Wall-clock nanoseconds spent fitting envelope bands and building
     /// their certificates, summed over all cells.
     pub verify_ns: u64,
-    /// Wall-clock nanoseconds spent inside analytic replay (steady-state
-    /// and envelope fast-forward), summed over all cells.
+    /// Wall-clock nanoseconds spent inside the envelope's analytic replay,
+    /// summed over all cells.
     pub replay_ns: u64,
 }
 
@@ -263,8 +266,8 @@ impl SweepRunner {
         self
     }
 
-    /// Sets the batched engine's options (fast-forward toggle, convergence
-    /// radius); ignored under [`SweepExecution::PerCell`]. Pass
+    /// Sets the batched engine's options (the fast-forward switch); ignored
+    /// under [`SweepExecution::PerCell`]. Pass
     /// [`BatchOptions::literal`] for results bit-identical to the per-cell
     /// engine.
     pub fn with_batch_options(mut self, options: BatchOptions) -> Self {
@@ -610,11 +613,11 @@ fn run_cell(
 }
 
 /// Runs one claimed chunk of cells through a single [`BatchedSimEngine`]:
-/// the chunk's scenes are grouped into lockstep lanes and cells that reach
-/// a steady state fast-forward (per `options`). With `lane_workers > 1`
-/// the engine fans the lanes across that many threads; results are
-/// bit-identical either way. Results come back in chunk order, one per
-/// cell, each with its execution counters.
+/// the chunk's scenes are grouped into lockstep lanes and the envelope
+/// fast-forwards the cells it can take (per `options`). With
+/// `lane_workers > 1` the engine fans the lanes across that many threads;
+/// results are bit-identical either way. Results come back in chunk order,
+/// one per cell, each with its execution counters.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk_batched(
     chunk: &[SweepCell],

@@ -12,7 +12,7 @@
 //! * [`DecisionRule::region`] — the one plan every decision in a rectangle
 //!   of device maxima returns while the policy's state stays put or, for
 //!   the PID controllers, stays memory-one (the certificate behind the
-//!   steady-state and frozen-segment jumps);
+//!   envelope's frozen-segment jumps);
 //! * [`DecisionRule::key`] and [`DecisionRule::plan_of_key`] — a dense key
 //!   of a decision that depends on nothing but the current and the previous
 //!   maxima, and the plan it stands for (the exact decision replay).

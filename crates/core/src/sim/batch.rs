@@ -1,9 +1,9 @@
 //! Batched execution of many level-2 runs: lockstep lanes, lane-parallel
-//! stepping, and analytic fast-forward (steady-state and envelope).
+//! stepping, and the contraction-certified envelope fast-forward.
 //!
-//! The sweep stack is a four-tier execution ladder. Each tier reproduces
+//! The sweep stack is a three-tier execution ladder. Each tier reproduces
 //! the one below it under a stated guarantee — bit-for-bit for the layout
-//! tiers, a pinned relative tolerance for the analytic ones:
+//! tier, a pinned relative tolerance for the analytic one:
 //!
 //! 1. **Per-cell (literal)** — [`SimEngine`]
 //!    advances one (mix, policy, cooling) cell at a time; the reference
@@ -18,20 +18,13 @@
 //!    per-window DTM/accounting pass runs post-step bookkeeping, decisions
 //!    and deferred column removals as separate column-disjoint phases, so a
 //!    chunked lane's decision pass parallelizes exactly like its RC sweep.
-//! 3. **Steady-state fast-forward** — on top of tier 2, a cell whose plan
-//!    has latched and whose field sits within ε of its RC fixed point
-//!    finishes in closed form. Of the cells the envelope cannot take
-//!    (field-observing policies and cells whose step differs from the DTM
-//!    interval) it covers those whose decision rule certifies regions.
-//!    Every reported quantity stays within relative 1e-9 of literal
-//!    stepping; window counts, simulated time and job-completion windows
-//!    stay *exact*.
-//! 4. **Contraction-certified envelope** — plan-changing orbits (limit
+//! 3. **Contraction-certified envelope** — plan-changing orbits (limit
 //!    cycles, slipping orbits whose duty ratio is irrational at the paper's
 //!    10 ms cadence, sliding-mode threshold chatter, the DTM-TS shutdown
-//!    relay) and long monotone approaches to a distant fixed point are
-//!    replayed under certificates built on the RC map's contraction:
-//!    frozen-plan segments licensed by the policy's decision-region
+//!    relay), long monotone approaches to a distant fixed point and plans
+//!    frozen at their fixed point are replayed under certificates built on
+//!    the RC map's contraction: frozen-plan segments licensed by the
+//!    policy's decision-region
 //!    certificate ([`DecisionRule::region`]) over the exact traversed
 //!    temperature range collapse to closed form through λ-powered lo/hi
 //!    maps of the exact two-exponential row response, and chattering
@@ -41,10 +34,11 @@
 //!    quantity stays within relative 1e-9 of literal stepping; window
 //!    counts, simulated time and completion windows stay *exact*, and a
 //!    drift audit against the band falls the cell back to literal stepping
-//!    the moment confinement fails. Opt-out via
-//!    [`BatchOptions::envelope_tolerance`].
+//!    the moment confinement fails. Cells the envelope cannot take
+//!    (field-observing policies, traced cells and cells whose step differs
+//!    from the DTM interval) step literally in tier 2.
 //!
-//! Opt out of every analytic tier at once with [`BatchOptions::literal`].
+//! [`BatchOptions::literal`] switches the envelope off, leaving tier 2.
 //!
 //! A design-space sweep runs hundreds of cells whose window loops are
 //! completely independent yet structurally identical. The
@@ -81,37 +75,6 @@
 //! set is order-independent, so the bits match a full scene fold) instead
 //! of re-synthesizing the per-position field at every DTM interval.
 //!
-//! # Steady-state fast-forward
-//!
-//! Long runs spend most of their windows in a fixed point: the actuation
-//! plan stops changing and every RC node sits within ε of the temperature
-//! it would converge to under the frozen window power. From there the
-//! remaining trajectory is closed-form. At each DTM decision the batched
-//! engine checks (all opt-in via [`BatchOptions::fast_forward`]):
-//!
-//! 1. the plan has been unchanged for [`BatchOptions::steady_decisions`]
-//!    consecutive decisions,
-//! 2. the policy's decision rule certifies the square of maxima within 2ε
-//!    of the current ones ([`DecisionRule::region`]) — field-reading
-//!    policies certify nothing, and the PID controllers only while each is
-//!    memory-one (integral off, or frozen by anti-windup),
-//! 3. the shared ambient node is (bitwise, for isolated scenes) at its own
-//!    fixed point, and
-//! 4. every layer temperature is within [`BatchOptions::steady_epsilon_c`]
-//!    of its RC fixed point ([`DimmThermalScene::fixed_point_into`]).
-//!
-//! When all four hold, the cell leaves the lane and its remaining windows
-//! are replayed analytically: time still advances by the literal repeated
-//! float additions (so `running_time_s` and the window **count** are
-//! bit-identical to the stepped run), batch completion events are resolved
-//! by bulk-retiring whole spans of windows in which no job can finish plus
-//! one literal window at each completion boundary (preserving the
-//! round-robin refill interleaving exactly), and the final temperatures
-//! follow `t_end = t* + (t0 − t*)·(1 − α)^W`. Accumulated quantities
-//! (energy, instructions, residency) use `rate × W` instead of `W` repeated
-//! additions and therefore agree with the literal run to relative 1e-9
-//! rather than bitwise; the golden suite pins both contracts.
-//!
 //! # Contraction-certified envelope fast-forward
 //!
 //! Threshold-driven policies (DTM-BW, DTM-ACG, DTM-CDVFS, DTM-COMB) never
@@ -134,8 +97,9 @@
 //!   layer temperatures) and fires when the recent history repeats its
 //!   plans with some period `k ≤ 16` while the ambient and temperatures
 //!   recur; and
-//! - the **frozen-approach trigger** fires when a plan has held for many
-//!   decisions while the steady-state fast-forward keeps refusing.
+//! - the **frozen-approach trigger** fires when a plan has held for 64
+//!   decisions, whether the temperatures are still sliding toward the
+//!   plan's fixed point or already sit at it.
 //!
 //! At the next decision the cell enters a private **burst** loop
 //! (decisions and the RC sweep bit-exact per window, lane overhead gone),
@@ -227,12 +191,10 @@ use crate::thermal::scene::{DimmThermalScene, ThermalObservation};
 /// consume the error budget.
 const AMBIENT_FF_EPS_C: f64 = 1e-10;
 
-/// Once a cell's plan streak reaches the steadiness threshold, the (fairly
-/// expensive) fixed-point convergence test runs only every this many further
-/// decisions. Engaging the fast-forward a few windows late merely steps a
-/// handful of extra literal windows — strictly *more* accurate — while the
-/// transient dies out, instead of recomputing the fixed point every window.
-const FF_CHECK_PERIOD: u32 = 8;
+/// Recurrence radius (°C) of the orbit tracker: a candidate period's layer
+/// temperatures must recur within this many degrees before it arms the
+/// envelope burst ([`cycle_track`]).
+const ORBIT_EPS_C: f64 = 0.05;
 
 /// Longest decision-sequence period the orbit tracker searches for. The
 /// paper's threshold policies oscillate between two adjacent emergency
@@ -299,50 +261,35 @@ const REPLAY_GAP_C: f64 = 1e-9;
 const ENV_FP_GUARD_C: f64 = 1e-7;
 
 /// How many consecutive unchanged decisions arm the frozen-approach
-/// envelope trigger: long enough that the steady-state fast-forward has had
-/// several engagement checks and keeps refusing (the temperatures are still
-/// far from their fixed point), short relative to the tens of thousands of
-/// windows a slow thermal transient spans at the paper's 10 ms cadence.
+/// envelope trigger: long enough that a plan about to flip again is left to
+/// the orbit tracker, short relative to the tens of thousands of windows a
+/// slow thermal transient spans at the paper's 10 ms cadence.
 const ENV_FROZEN_STREAK: u32 = 64;
 
-/// Tuning knobs of the batched execution tier.
+/// Options of the batched execution tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOptions {
-    /// Enables steady-state fast-forward. When `false` the batched engine
-    /// is purely a memory-layout transformation and every result is
-    /// bit-identical to [`SimEngine::run`].
+    /// Enables the contraction-certified envelope fast-forward. When
+    /// `false` the batched engine is purely a memory-layout transformation
+    /// and every result is bit-identical to [`SimEngine::run`]. Even when
+    /// `true` the envelope skips every cell it cannot take: traced cells,
+    /// policies whose decision rule neither keys decisions nor certifies
+    /// the cell's starting observation (field-reading rules), and cells
+    /// whose step differs from the DTM interval.
     pub fast_forward: bool,
-    /// Convergence radius ε: every layer must be within this many degrees
-    /// of its RC fixed point before a cell may fast-forward. Policies are
-    /// consulted with a `2ε` drift bound.
-    pub steady_epsilon_c: f64,
-    /// Number of consecutive DTM decisions that must return an unchanged
-    /// plan before a cell is considered for fast-forward.
-    pub steady_decisions: u32,
-    /// Envelope fast-forward switch: any positive value enables the
-    /// contraction-certified envelope tier, `0.0` (or any non-positive
-    /// value) disables it. The tier is also off under
-    /// [`BatchOptions::literal`] and for every cell it cannot take: traced
-    /// cells, policies whose decision rule neither keys decisions nor
-    /// certifies the cell's starting observation (field-reading rules), and
-    /// cells whose step differs from the DTM interval.
-    /// Band width is not gated: every burst decides literally or replays
-    /// keyed decisions exactly, so the band only backs the drift audit.
-    pub envelope_tolerance: f64,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions { fast_forward: true, steady_epsilon_c: 0.05, steady_decisions: 3, envelope_tolerance: 0.05 }
+        BatchOptions { fast_forward: true }
     }
 }
 
 impl BatchOptions {
-    /// Literal batched execution: lockstep lanes, no fast-forward (steady
-    /// or envelope). Every cell's result carries identical bits to
-    /// a per-cell run.
+    /// Literal batched execution: lockstep lanes, no fast-forward. Every
+    /// cell's result carries identical bits to a per-cell run.
     pub fn literal() -> Self {
-        BatchOptions { fast_forward: false, envelope_tolerance: 0.0, ..Default::default() }
+        BatchOptions { fast_forward: false }
     }
 }
 
@@ -353,9 +300,10 @@ impl BatchOptions {
 pub struct CellRunStats {
     /// Windows executed literally (stepped through the lane RC loop).
     pub stepped_windows: u64,
-    /// Windows replayed analytically by a fast-forward (steady-state or
-    /// envelope), counted toward the same conservation identity as stepped
-    /// windows: `stepped + fast_forwarded` equals the literal window count.
+    /// Windows the envelope fast-forward carried outside the lane (its
+    /// jumps, its decision replay and its burst windows), counted toward
+    /// the same conservation identity as stepped windows:
+    /// `stepped + fast_forwarded` equals the literal window count.
     pub fast_forwarded_windows: u64,
     /// Pseudo-cycles replayed by the envelope tier: closed-form segment
     /// jumps plus (for slipping orbits) the replayed windows divided by the
@@ -380,8 +328,8 @@ pub struct CellRunStats {
     /// Wall-clock nanoseconds spent building envelope bands and
     /// certificates (excluded from `==`).
     pub verify_ns: u64,
-    /// Wall-clock nanoseconds spent inside analytic replays (steady-state
-    /// and envelope fast-forwards; excluded from `==`).
+    /// Wall-clock nanoseconds spent inside the envelope's analytic replays
+    /// (excluded from `==`).
     pub replay_ns: u64,
 }
 
@@ -514,7 +462,7 @@ impl<'a> BatchedSimEngine<'a> {
         let mut works = lane_works(states, groups);
         if workers <= 1 || works.len() <= 1 {
             for work in &mut works {
-                run_lane_work(work, &engines, options);
+                run_lane_work(work, &engines);
             }
         } else {
             // The parallel_map idiom from the sweep runner: an atomic cursor
@@ -533,7 +481,7 @@ impl<'a> BatchedSimEngine<'a> {
                             break;
                         }
                         let mut work = tasks[i].lock().expect("lane worker panicked");
-                        run_lane_work(&mut work, engines_ref, options);
+                        run_lane_work(&mut work, engines_ref);
                     });
                 }
             });
@@ -563,12 +511,12 @@ struct LaneWork {
 }
 
 /// Steps one lane to completion (the whole single-lane execution loop).
-fn run_lane_work(work: &mut LaneWork, engines: &[SimEngine<'_>], options: &BatchOptions) {
+fn run_lane_work(work: &mut LaneWork, engines: &[SimEngine<'_>]) {
     let LaneWork { globals, lane, states, results } = work;
-    lane_pre(lane, globals, engines, states, options, results);
+    lane_pre(lane, globals, engines, states, results);
     while !lane.members.is_empty() {
         lane_rc(lane, states);
-        lane_post_pre(lane, globals, engines, states, options, results);
+        lane_post_pre(lane, globals, engines, states, results);
     }
 }
 
@@ -611,15 +559,13 @@ struct CellState {
     trace: Vec<TempSample>,
     channel_throttle_s: Vec<f64>,
     plan_streak: u32,
-    ff_allowed: bool,
     /// Whether the policy reads the observation's spatial field
     /// ([`DecisionRule::reads_field`]); scalar policies get a cheap
     /// maxima-only observation straight from the lane's RC sweep.
     wants_field: bool,
     stats: CellRunStats,
     /// Whether the envelope fast-forward may engage for this cell:
-    /// fast-forward allowed, a positive
-    /// [`BatchOptions::envelope_tolerance`], no temperature trace, a
+    /// [`BatchOptions::fast_forward`] on, no temperature trace, a
     /// decision rule that either keys decisions ([`DecisionRule::keys`]) or
     /// certifies the cell's starting observation ([`DecisionRule::region`];
     /// the latched DTM-TS relay), and a step that equals the DTM interval
@@ -638,7 +584,7 @@ struct CellState {
     /// Refused or fallen-back engagements so far (saturating) — sets the
     /// next backoff's doubling exponent.
     env_fails: u32,
-    /// Fixed-point scratch for the fast-forward engagement check.
+    /// Fixed-point scratch for the frozen-approach band.
     fp: Vec<f64>,
     /// Column scratch for syncing lane columns back into the scene.
     col_scratch: Vec<f64>,
@@ -663,7 +609,6 @@ impl CellState {
         let rule = policy.decision_rule();
         let (amb, dram) = (observation.max_amb_c, observation.max_dram_c);
         let env_enabled = options.fast_forward
-            && options.envelope_tolerance > 0.0
             && !config.record_temp_trace
             && (rule.keys() || rule.region(amb, dram, amb, dram).is_some())
             && config.window_s.min(config.dtm_interval_s).to_bits() == config.dtm_interval_s.to_bits();
@@ -699,7 +644,6 @@ impl CellState {
             trace: Vec::new(),
             channel_throttle_s: vec![0.0; engine.mem.logical_channels],
             plan_streak: 0,
-            ff_allowed: options.fast_forward && !config.record_temp_trace,
             wants_field,
             stats: CellRunStats::default(),
             env_enabled,
@@ -969,7 +913,6 @@ fn member_pre(
     globals: &[usize],
     engines: &[SimEngine<'_>],
     states: &mut [CellState],
-    options: &BatchOptions,
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) -> bool {
     let cell = lane.members[j];
@@ -1061,19 +1004,10 @@ fn member_pre(
                 lane.write_power_column(j, &st.window.positions, st.scene.topology());
             } else {
                 st.plan_streak = st.plan_streak.saturating_add(1);
-                if st.ff_allowed
-                    && st.plan_streak >= options.steady_decisions
-                    && (st.plan_streak - options.steady_decisions).is_multiple_of(FF_CHECK_PERIOD)
-                    && ff_engages(lane, j, st, options)
-                {
-                    results[cell] = Some(fast_forward(lane, j, st, engine));
-                    return false;
-                }
-                // Frozen-approach envelope trigger: the plan has been
-                // frozen far longer than the steady-state engagement needs,
-                // yet the fast-forward keeps refusing — the temperatures
-                // are still sliding toward a distant fixed point. Arm the
-                // envelope burst for the next decision.
+                // Frozen-approach envelope trigger: the plan has held long
+                // enough that the temperatures are sliding toward (or sit
+                // at) its fixed point. Arm the envelope burst for the next
+                // decision.
                 if st.env_enabled && st.env_backoff == 0 && st.plan_streak >= ENV_FROZEN_STREAK {
                     st.env_pending = Some(EnvTrigger::Frozen);
                 }
@@ -1083,10 +1017,10 @@ fn member_pre(
                 // per-window clock read would cost more than the tracking.
                 if st.stats.stepped_windows.is_multiple_of(64) {
                     let dt0 = std::time::Instant::now();
-                    cycle_track(lane, j, st, plan_changed, options);
+                    cycle_track(lane, j, st, plan_changed);
                     st.stats.detector_ns += 64 * dt0.elapsed().as_nanos() as u64;
                 } else {
-                    cycle_track(lane, j, st, plan_changed, options);
+                    cycle_track(lane, j, st, plan_changed);
                 }
             }
             st.next_dtm_s += cfg.dtm_interval_s;
@@ -1163,12 +1097,11 @@ fn lane_pre(
     globals: &[usize],
     engines: &[SimEngine<'_>],
     states: &mut [CellState],
-    options: &BatchOptions,
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
     let mut departed = Vec::new();
     for j in 0..lane.members.len() {
-        if !member_pre(lane, j, globals, engines, states, options, results) {
+        if !member_pre(lane, j, globals, engines, states, results) {
             departed.push(j);
         }
     }
@@ -1189,13 +1122,12 @@ fn lane_post_pre(
     globals: &[usize],
     engines: &[SimEngine<'_>],
     states: &mut [CellState],
-    options: &BatchOptions,
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
     for j in 0..lane.members.len() {
         member_post(lane, j, globals, engines, states);
     }
-    lane_pre(lane, globals, engines, states, options, results);
+    lane_pre(lane, globals, engines, states, results);
 }
 
 /// The fused RC update over a whole lane — position-major contiguous
@@ -1317,156 +1249,6 @@ fn reprime(st: &mut CellState, skipped: &[(f64, f64)], dt_s: f64) -> Option<Actu
     plan
 }
 
-/// Whether the cell at lane column `j` satisfies every fast-forward
-/// condition: a decision rule that certifies every maxima within the 2ε
-/// drift bound, an ambient at its fixed point and every layer within ε of
-/// its RC fixed point (left in `st.fp` for the jump). The streak and trace
-/// conditions are checked by the caller.
-fn ff_engages(lane: &Lane, j: usize, st: &mut CellState, options: &BatchOptions) -> bool {
-    let d = 2.0 * options.steady_epsilon_c;
-    let (amb, dram) = (st.observation.max_amb_c, st.observation.max_dram_c);
-    if st.policy.decision_rule().region(amb - d, dram - d, amb + d, dram + d).is_none() {
-        return false;
-    }
-    let stable_ambient = st.scene.ambient_params().stable_ambient_c(st.window.v_ipc);
-    // `!(x <= eps)` deliberately refuses to fast-forward on NaN.
-    let ambient_settled = (st.scene.ambient_c() - stable_ambient).abs() <= AMBIENT_FF_EPS_C;
-    if !ambient_settled {
-        return false;
-    }
-    st.scene.fixed_point_into(&st.window.positions, st.window.v_ipc, &mut st.fp);
-    (0..lane.rows).all(|r| (lane.temps[r * lane.stride + j] - st.fp[r]).abs() <= options.steady_epsilon_c)
-}
-
-/// Replays the cell's remaining windows in closed form and finalizes it.
-///
-/// The plan is frozen (certified by [`DecisionRule::region`] under the 2ε
-/// drift bound), so every remaining window carries the same power, zero DTM
-/// overhead and the same per-core retire rates. Batch completion is
-/// resolved event-by-event: windows in which no job copy can possibly
-/// finish are bulk-retired in one call per core (pure subtraction — order
-/// cannot matter), and each window in which a copy *does* finish is retired
-/// literally, core by core, so the round-robin refill from the pending
-/// queue interleaves exactly as in the stepped run. Simulated time advances
-/// by the literal repeated additions throughout, keeping `running_time_s`
-/// and the total window count bit-identical.
-fn fast_forward(lane: &Lane, j: usize, st: &mut CellState, engine: &SimEngine<'_>) -> (MemSpotResult, CellRunStats) {
-    let started = std::time::Instant::now();
-    let cfg = engine.config;
-    let cores = engine.cpu.cores;
-    let step = st.step_s;
-    let instr = st.point.instr_rate_total * st.plan_stats.service_scale * step;
-    let bytes = st.point.total_gbps() * st.plan_stats.service_scale * 1e9 * step;
-    let misses = st.point.l2_misses_per_instr * instr;
-    let migrated = st.plan_stats.migrated_gbps * 1e9 * step;
-    let rates: Vec<u64> = (0..cores)
-        .map(|core| {
-            let share = st.full_shares.get(core).copied().unwrap_or(0.0);
-            if share > 0.0 {
-                (instr * share) as u64
-            } else {
-                0
-            }
-        })
-        .collect();
-    let shares_positive: Vec<bool> =
-        (0..cores).map(|core| st.full_shares.get(core).copied().unwrap_or(0.0) > 0.0).collect();
-
-    let mut w_total: u64 = 0;
-    while !st.batch.is_complete() && st.time_s < cfg.max_sim_time_s {
-        // Windows until the earliest possible job-copy completion (none if
-        // the cell makes no progress or no core retires instructions).
-        let target: Option<u64> = if st.progressing {
-            (0..cores)
-                .filter(|&core| rates[core] > 0)
-                .filter_map(|core| st.batch.slot(core).map(|s| s.remaining_instructions.div_ceil(rates[core]).max(1)))
-                .min()
-        } else {
-            None
-        };
-        let mut m: u64 = 0;
-        match target {
-            Some(t) => {
-                while m < t && st.time_s < cfg.max_sim_time_s {
-                    st.time_s += step;
-                    m += 1;
-                }
-            }
-            None => {
-                while st.time_s < cfg.max_sim_time_s {
-                    st.time_s += step;
-                    m += 1;
-                }
-            }
-        }
-        if m == 0 {
-            break;
-        }
-        let mf = m as f64;
-        if st.progressing {
-            st.total_instructions += instr * mf;
-            st.total_bytes += bytes * mf;
-            st.total_misses += misses * mf;
-            st.migrated_bytes += migrated * mf;
-            if target == Some(m) {
-                // `m - 1` completion-free windows in bulk, then the
-                // completion window itself replayed literally.
-                if m > 1 {
-                    for core in 0..cores {
-                        if shares_positive[core] {
-                            st.batch.retire(core, rates[core] * (m - 1));
-                        }
-                    }
-                }
-                for core in 0..cores {
-                    if shares_positive[core] {
-                        st.batch.retire(core, rates[core]);
-                    }
-                }
-            } else {
-                for core in 0..cores {
-                    if shares_positive[core] {
-                        st.batch.retire(core, rates[core] * m);
-                    }
-                }
-            }
-        }
-        st.energy.add(st.window.mem_w, st.window.cpu_w, step * mf);
-        *st.residency.entry(st.mode_key).or_insert(0.0) += step * mf;
-        for (channel, throttled_s) in st.channel_throttle_s.iter_mut().enumerate() {
-            if st.plan.throttles_channel(channel) {
-                *throttled_s += step * mf;
-            }
-        }
-        st.ambient_sum += st.scene.ambient_c() * mf;
-        st.ambient_samples += m;
-        w_total += m;
-    }
-
-    // Closed-form end state: each layer decays geometrically toward its
-    // fixed point, `t_end = t* + (t0 − t*)·λ^W` with `λ = 1 − α` (computed
-    // as `exp(W·ln λ)`; `λ = 0` yields `exp(−∞) = 0`, i.e. exactly the
-    // fixed point). Trajectories are monotone, so the running maxima and
-    // peaks only need the endpoint folded in — `t0` already contributed
-    // when its window stepped.
-    st.col_scratch.clear();
-    for r in 0..lane.rows {
-        let t0 = lane.temps[r * lane.stride + j];
-        let lambda = 1.0 - lane.layer_alphas[r % lane.depth];
-        let decay = if w_total == 0 { 1.0 } else { (w_total as f64 * lambda.ln()).exp() };
-        st.col_scratch.push(st.fp[r] + (t0 - st.fp[r]) * decay);
-    }
-    st.scene.set_layer_temps(&st.col_scratch);
-    let peaks_end: Vec<f64> = (0..lane.rows).map(|r| lane.peaks[r * lane.stride + j].max(st.col_scratch[r])).collect();
-    st.scene.set_layer_peaks(&peaks_end);
-    let (amb_now, dram_now) = st.scene.max_temps_c();
-    st.max_amb = st.max_amb.max(amb_now);
-    st.max_dram = st.max_dram.max(dram_now);
-    st.stats.fast_forwarded_windows = w_total;
-    st.stats.replay_ns += started.elapsed().as_nanos() as u64;
-    finalize(st, engine)
-}
-
 /// What the orbit tracker remembers about one DTM decision.
 #[derive(Debug)]
 struct DecisionSnap {
@@ -1475,8 +1257,8 @@ struct DecisionSnap {
     temps: Vec<f64>,
     /// The scene ambient at decision time. Candidates demand its recurrence
     /// within [`AMBIENT_FF_EPS_C`], so a slowly drifting orbit — whose
-    /// layer temperatures recur within ε over any short lag — never arms
-    /// the burst.
+    /// layer temperatures recur within [`ORBIT_EPS_C`] over any short
+    /// lag — never arms the burst.
     ambient: f64,
 }
 
@@ -1488,20 +1270,20 @@ enum EnvTrigger {
     /// The orbit tracker found a period-`k` plan recurrence whose ambient
     /// and temperatures recur ([`cycle_track`]).
     Slipping(usize),
-    /// The plan has been frozen for [`ENV_FROZEN_STREAK`] decisions while
-    /// the steady-state fast-forward keeps refusing.
+    /// The plan has been frozen for [`ENV_FROZEN_STREAK`] decisions.
     Frozen,
 }
 
 /// Pushes one decision snapshot and, when the recent history shows a
 /// period-`k` plan sequence whose ambient recurs within
-/// [`AMBIENT_FF_EPS_C`] and whose temperatures recur within ε, arms the
-/// envelope burst for the next decision. Runs at every DTM decision of an
-/// envelope-eligible cell (after the decision, before the window steps).
+/// [`AMBIENT_FF_EPS_C`] and whose temperatures recur within
+/// [`ORBIT_EPS_C`], arms the envelope burst for the next decision. Runs at
+/// every DTM decision of an envelope-eligible cell (after the decision,
+/// before the window steps).
 // The negated comparison is load-bearing: `!(x <= eps)` refuses on NaN
 // where `x > eps` would accept it.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool, options: &BatchOptions) {
+fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool) {
     let streak = st.plan_streak as usize;
     let history = &mut st.orbit_history;
     // A plan frozen for the full history depth cannot take part in any
@@ -1542,8 +1324,8 @@ fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool, options
             break;
         }
         // The last 2k decisions must repeat with period k, actually change
-        // the plan at least once (a frozen plan is the steady-state
-        // fast-forward's domain), and land on recurring temperatures. The
+        // the plan at least once (a frozen plan is the frozen-approach
+        // trigger's domain), and land on recurring temperatures. The
         // change requirement is the O(1) `plan_streak` test — the last
         // change must fall inside the candidate's two repetitions — and
         // filters before any plan is compared.
@@ -1561,7 +1343,7 @@ fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool, options
         }
         let now = &h[n - 1].temps;
         let then = &h[n - 1 - k].temps;
-        if !now.iter().zip(then).all(|(a, b)| (a - b).abs() <= options.steady_epsilon_c) {
+        if !now.iter().zip(then).all(|(a, b)| (a - b).abs() <= ORBIT_EPS_C) {
             continue;
         }
         st.env_pending = Some(EnvTrigger::Slipping(k));
@@ -3188,13 +2970,12 @@ mod tests {
     #[test]
     fn chunked_decision_pass_is_bit_identical_to_the_single_worker_pass() {
         // At one worker the three cells share one lane and leave it at
-        // different windows (completion vs steady-state fast-forward), so
-        // the deferred descending removals swap columns under the
-        // survivors; at 3 workers the lane is split into single-column
-        // chunks whose decision passes never swap. Both must agree bit for
-        // bit. Results are compared on their Debug rendering: Rust formats
-        // `f64` shortest-roundtrip, so equal strings mean equal bit
-        // patterns in every float field.
+        // different windows (asserted below), so the deferred descending
+        // removals swap columns under the survivors; at 3 workers the lane
+        // is split into single-column chunks whose decision passes never
+        // swap. Both must agree bit for bit. Results are compared on their
+        // Debug rendering: Rust formats `f64` shortest-roundtrip, so equal
+        // strings mean equal bit patterns in every float field.
         let (cpu, mem, power, cpu_power) = hardware();
         let store = Arc::new(CharStore::new());
         let limits = ThermalLimits::paper_fbdimm();
@@ -3204,10 +2985,20 @@ mod tests {
                 Box::new(DtmTs::new(cpu.clone(), limits)),
                 Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
             ];
+            // No-limit leaves through the envelope's frozen trigger. The
+            // other two record traces, which keep them stepping in the lane
+            // until they complete, and DTM-ACG runs fewer copies, so it
+            // completes first.
+            let tiny = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
+            let configs = [
+                tiny,
+                MemSpotConfig { record_temp_trace: true, ..tiny },
+                MemSpotConfig { record_temp_trace: true, copies_per_app: 2, ..tiny },
+            ];
             policies
                 .into_iter()
-                .map(|policy| {
-                    let config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
+                .zip(configs)
+                .map(|(policy, config)| {
                     BatchCell::new(&cpu, &mem, config, mixes::w1(), policy, Arc::clone(&store)).with_rotation_threads(1)
                 })
                 .collect()
@@ -3226,6 +3017,14 @@ mod tests {
                 );
                 assert_eq!(got_stats, want_stats, "chunked pass took a different path");
             }
+            // Every cell starts in the lane at window 0, so its stepped
+            // window count is the lane window it left at.
+            let left_at: Vec<u64> = single.iter().map(|(_, stats)| stats.stepped_windows).collect();
+            assert!(
+                left_at[0] != left_at[1] && left_at[1] != left_at[2] && left_at[0] != left_at[2],
+                "the cells must leave the lane at different windows (fast_forward={}), left at {left_at:?}",
+                options.fast_forward
+            );
         }
     }
 

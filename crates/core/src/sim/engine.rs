@@ -1,6 +1,6 @@
 //! The window-stepping core of the second-level simulator.
 //!
-//! This is the first of the simulator's four execution tiers:
+//! This is the first of the simulator's three execution tiers:
 //!
 //! 1. **Per-cell stepping** (this module): one [`SimEngine`] advances one
 //!    design point window by window. It is the reference semantics — every
@@ -13,16 +13,11 @@
 //!    (dominant lanes split column-wise so every worker has work). Lanes
 //!    never interact, so this is bit-identical to tier 1; the sweep harness
 //!    uses it by default.
-//! 3. **Steady-state fast-forward** (opt-in on the batched tier): cells
-//!    whose temperatures have reached their RC fixed point under an
-//!    unchanging plan are finished in closed form.
-//! 4. **Contraction-certified envelope** (opt-in on the batched tier):
-//!    plan-changing orbits of threshold policies — exact limit cycles,
-//!    slipping orbits, sliding-mode chatter — are replayed under
-//!    contraction certificates and exact decision replay.
-//!
-//! Both analytic tiers stay within 1e-9 of literal stepping rather than
-//! bit-identical.
+//! 3. **Contraction-certified envelope** (opt-in on the batched tier):
+//!    frozen plans and the plan-changing orbits of threshold policies —
+//!    exact limit cycles, slipping orbits, sliding-mode chatter — are
+//!    replayed under contraction certificates and exact decision replay.
+//!    It stays within 1e-9 of literal stepping rather than bit-identical.
 //!
 //! [`SimEngine`] owns the inner loop MEMSpot used to inline: every window it
 //! converts the current design point's per-DIMM traffic into per-position

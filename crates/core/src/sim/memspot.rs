@@ -23,7 +23,7 @@
 //! `MemSpot` is also the entry to the slowest of three execution tiers:
 //! per-cell stepping here, lockstep batching of many cells in
 //! [`BatchedSimEngine`](crate::sim::batch::BatchedSimEngine) (bit-identical,
-//! faster), and the batched tier's opt-in steady-state fast-forward (within
+//! faster), and the batched tier's opt-in envelope fast-forward (within
 //! 1e-9, fastest). Use `MemSpot` for one run; hand a whole grid of cells to
 //! the batched engine.
 

@@ -374,11 +374,8 @@ fn a_refuted_contraction_certificate_falls_back_with_exact_window_conservation()
 
 #[test]
 fn literal_opt_out_disables_the_envelope_tier() {
-    // `BatchOptions::literal()` and a non-positive tolerance must both keep
-    // the envelope tier off — the opt-out composes with the existing
-    // literal switch rather than riding only on `fast_forward`.
-    let opts = BatchOptions::literal();
-    assert!(opts.envelope_tolerance <= 0.0, "literal() must zero the envelope tolerance");
+    // The same No-limit cell takes the envelope under the default options
+    // and never leaves the lane under `BatchOptions::literal()`.
     let cpu = CpuConfig::paper_quad_core();
     let mem = FbdimmConfig::ddr2_667_paper();
     let power = FbdimmPowerModel::paper_defaults();
@@ -390,14 +387,12 @@ fn literal_opt_out_disables_the_envelope_tier() {
             .with_rotation_threads(1)]
     };
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
-    // Exact fast-forwards on, envelope off: the cell may steady-FF but must
-    // never report envelope activity.
-    let exact = engine.run(build(), &BatchOptions { envelope_tolerance: 0.0, ..BatchOptions::default() });
-    assert_eq!(exact[0].1.envelope_cycles, 0);
-    assert_eq!(exact[0].1.envelope_fallbacks, 0);
     let lit = engine.run(build(), &BatchOptions::literal());
     assert_eq!(lit[0].1.fast_forwarded_windows, 0);
     assert_eq!(lit[0].1.envelope_cycles, 0);
+    let ff = engine.run(build(), &BatchOptions::default());
+    assert!(ff[0].1.envelope_cycles > 0, "the default options must engage the envelope on this cell");
+    assert!(ff[0].1.fast_forwarded_windows > 0);
 }
 
 /// A mix of four SPEC models looked up by name (CPU2000 first, then
