@@ -7,15 +7,22 @@
 //! bandwidth-capped (6.4 GB/s) design points — in three configurations:
 //!
 //! * **cold / batch** — a fresh in-memory `CharStore` and table per pass,
-//!   resolved through [`CharacterizationTable::points`] (the production
-//!   path: independent design points fan out across cores, rotations of a
-//!   gated point across threads, every run warm-started from per-interval
-//!   cache templates);
+//!   resolved through [`CharacterizationTable::points`] with one thread per
+//!   core (independent design points fan out across cores, every run
+//!   warm-started from per-interval cache templates);
 //! * **cold / sequential** — the same work resolved one `point()` at a time
-//!   on a single thread, isolating the single-thread engine improvements;
+//!   by a table with the default single thread, isolating the
+//!   single-thread engine;
 //! * **disk-warm** — a `CharStore::with_disk_cache` store whose file was
 //!   populated by an earlier pass: every lookup is served from disk and the
 //!   closed loop never runs.
+//!
+//! The **ladder fill** resolves W1 over the Table 4.3 ladder (full speed and
+//! every progress-making mode of DTM-TS, DTM-BW, DTM-ACG and DTM-CDVFS: ten
+//! design points) on a fresh store with the default single thread, the way
+//! each worker of a figure fills its mix, and reports the points simulated,
+//! the points derived from their uncapped sibling (DTM-BW's 19.2 and
+//! 12.8 GB/s rungs never bind on W1) and points per second.
 //!
 //! A Chapter 5 case repeats the cold batch path on the dual-socket Xeon 5160
 //! (two shared L2s) with `FbdimmConfig::server(4)`, W1 at full speed, with 2
@@ -78,6 +85,22 @@ fn modes(cpu: &CpuConfig) -> [RunningMode; 3] {
 fn ch5_modes(cpu: &CpuConfig) -> [RunningMode; 3] {
     let full = RunningMode::full_speed(cpu);
     [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(4.0)]
+}
+
+/// The Table 4.3 ladder: full speed and every progress-making mode of the
+/// DTM-TS, DTM-BW, DTM-ACG and DTM-CDVFS ladders, each once.
+fn ladder_modes(cpu: &CpuConfig) -> Vec<RunningMode> {
+    let mut modes = vec![RunningMode::full_speed(cpu)];
+    for scheme in [DtmScheme::Ts, DtmScheme::Bw, DtmScheme::Acg, DtmScheme::Cdvfs] {
+        for level in EmergencyLevel::ALL {
+            let mode = scheme_mode(scheme, level, cpu);
+            let key = ModeKey::from_mode(&mode);
+            if key.makes_progress() && !modes.iter().any(|m| ModeKey::from_mode(m) == key) {
+                modes.push(mode);
+            }
+        }
+    }
+    modes
 }
 
 fn fresh_table(store: Arc<CharStore>) -> CharacterizationTable {
@@ -158,7 +181,7 @@ fn main() {
     let mut cold_batch_s = Vec::with_capacity(PASSES);
     let mut reference = None;
     for _ in 0..PASSES {
-        let mut table = fresh_table(Arc::new(CharStore::new()));
+        let mut table = fresh_table(Arc::new(CharStore::new())).with_rotation_threads(threads);
         let start = Instant::now();
         let points = table.points(&modes);
         cold_batch_s.push(start.elapsed().as_secs_f64());
@@ -169,7 +192,7 @@ fn main() {
     // Cold, sequential path (single-thread engine, one point at a time).
     let mut cold_seq_s = Vec::with_capacity(PASSES);
     for _ in 0..PASSES {
-        let mut table = fresh_table(Arc::new(CharStore::new())).with_rotation_threads(1);
+        let mut table = fresh_table(Arc::new(CharStore::new()));
         let start = Instant::now();
         for mode in &modes {
             std::hint::black_box(table.point(mode));
@@ -182,7 +205,9 @@ fn main() {
     // round trip.
     let cache_path = std::env::temp_dir().join(format!("bench_level1_char_cache_{}.jsonl", std::process::id()));
     std::fs::remove_file(&cache_path).ok();
-    fresh_table(Arc::new(CharStore::with_disk_cache(&cache_path).expect("open disk cache"))).points(&modes);
+    fresh_table(Arc::new(CharStore::with_disk_cache(&cache_path).expect("open disk cache")))
+        .with_rotation_threads(threads)
+        .points(&modes);
     let mut warm_s = Vec::with_capacity(PASSES);
     let mut warm_misses = 0u64;
     for _ in 0..PASSES {
@@ -203,12 +228,25 @@ fn main() {
     let ch5_modes = ch5_modes(&xeon);
     let ch5_s: Vec<f64> = (0..PASSES)
         .map(|_| {
-            let mut table = ch5_table();
+            let mut table = ch5_table().with_rotation_threads(threads);
             let start = Instant::now();
             std::hint::black_box(table.points(&ch5_modes));
             start.elapsed().as_secs_f64()
         })
         .collect();
+
+    // Ladder fill: one thread, fresh store per pass.
+    let ladder = ladder_modes(&cpu);
+    let mut ladder_s = Vec::with_capacity(PASSES);
+    let (mut ladder_computed, mut ladder_derived) = (0, 0);
+    for _ in 0..PASSES {
+        let store = Arc::new(CharStore::new());
+        let mut table = fresh_table(Arc::clone(&store));
+        let start = Instant::now();
+        std::hint::black_box(table.points(&ladder));
+        ladder_s.push(start.elapsed().as_secs_f64());
+        (ladder_computed, ladder_derived) = (store.misses() - store.derived(), store.derived());
+    }
 
     let warm_start =
         [warm_start_us(cpu.clone(), FbdimmConfig::ddr2_667_paper()), warm_start_us(xeon, FbdimmConfig::server(4))];
@@ -225,6 +263,7 @@ fn main() {
     let speedup_vs_pre_pr = cold_batch_pps / PRE_PR_COLD_PPS_2CORE_REF;
     let ch5_pps = pps(min(&ch5_s));
     let ns_per_access = min(&closed_loop_s) * 1e9 / (64 * BUDGET) as f64;
+    let ladder_pps = ladder.len() as f64 / min(&ladder_s).max(1e-12);
 
     println!("level1 characterization: {} passes x {} points, budget {BUDGET}", PASSES, modes.len());
     println!(
@@ -239,6 +278,11 @@ fn main() {
     println!(
         "level1/disk_warm        {:>10.1} points/s (best), {} misses over {} passes",
         warm_pps, warm_misses, PASSES
+    );
+    println!(
+        "level1/ladder_fill      {:>10.1} points/s (best) — {} points: {ladder_computed} simulated, {ladder_derived} derived",
+        ladder_pps,
+        ladder.len()
     );
     println!("level1/ch5_cold_batch   {:>10.1} points/s (best) — Xeon 5160, server(4)", ch5_pps);
     println!(
@@ -260,6 +304,7 @@ fn main() {
         to_stats("level1/cold_batch", &cold_batch_s),
         to_stats("level1/cold_sequential", &cold_seq_s),
         to_stats("level1/disk_warm", &warm_s),
+        to_stats("level1/ladder_fill", &ladder_s),
         to_stats("level1/ch5_cold_batch", &ch5_s),
         to_stats("level1/closed_loop_64_runs", &closed_loop_s),
     ];
@@ -273,6 +318,10 @@ fn main() {
         ("disk_warm_misses", warm_misses as f64),
         ("pre_pr_cold_pps_2core_ref", PRE_PR_COLD_PPS_2CORE_REF),
         ("cold_speedup_vs_pre_pr", speedup_vs_pre_pr),
+        ("ladder_fill_points", ladder.len() as f64),
+        ("ladder_fill_computed", ladder_computed as f64),
+        ("ladder_fill_derived", ladder_derived as f64),
+        ("ladder_fill_points_per_sec", ladder_pps),
         ("ch5_cold_batch_points_per_sec", ch5_pps),
         ("warm_start_us_per_run", warm_start[0]),
         ("ch5_warm_start_us_per_run", warm_start[1]),

@@ -463,10 +463,7 @@ fn main() {
         let cfg = make(CoolingConfig::aohs_1_5()).with_stack(stack);
         [Box::new(NoLimit::new(&cpu)) as Box<dyn DtmPolicy>, Box::new(DtmTs::new(cpu.clone(), cfg.limits))]
             .into_iter()
-            .map(|policy| {
-                BatchCell::new(&cpu, &mem, cfg, workloads::mixes::w1(), policy, Arc::clone(&window_store))
-                    .with_rotation_threads(1)
-            })
+            .map(|policy| BatchCell::new(&cpu, &mem, cfg, workloads::mixes::w1(), policy, Arc::clone(&window_store)))
             .collect()
     };
     // Per-window wall, CPU and run-queue-wait microseconds of the pass

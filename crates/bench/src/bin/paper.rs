@@ -16,9 +16,11 @@
 //! store, so `all` characterizes each design point once, whichever figure
 //! needs it first; the tables are the same as when each figure runs alone.
 //! After each experiment, stderr reports its wall time and how many level-1
-//! points it computed and how many it reused from the store. With `--json`
-//! the same numbers go to `<dir>/level1.jsonl`, one object per experiment:
-//! `{"id", "wall_s", "level1_computed", "level1_reused"}`.
+//! points it computed (closed loops run), how many it derived from a stored
+//! uncapped sibling whose run never reached the cap, and how many it reused
+//! from the store. With `--json` the same numbers go to
+//! `<dir>/level1.jsonl`, one object per experiment:
+//! `{"id", "wall_s", "level1_computed", "level1_derived", "level1_reused"}`.
 //!
 //! Exit status: 0 on success, 1 when an experiment fails or a JSON file
 //! cannot be written, 2 on a malformed command line (an unknown scale or
@@ -91,17 +93,25 @@ fn main() {
     let mut level1_lines = Vec::new();
     for id in ids {
         let started = std::time::Instant::now();
-        let (hits_before, misses_before) = (store.hits(), store.misses());
+        let (hits_before, misses_before, derived_before) = (store.hits(), store.misses(), store.derived());
         let table = run_experiment_in(&id, scale, &store).unwrap_or_else(|e| fail(&e));
         let wall_s = started.elapsed().as_secs_f64();
-        let (computed, reused) = (store.misses() - misses_before, store.hits() - hits_before);
+        let derived = store.derived() - derived_before;
+        let (computed, reused) = (store.misses() - misses_before - derived, store.hits() - hits_before);
         println!("{table}");
-        eprintln!("[{id}] finished in {wall_s:.1} s; level-1: {computed} computed, {reused} reused");
+        eprintln!("[{id}] finished in {wall_s:.1} s; level-1: {computed} computed, {derived} derived, {reused} reused");
         if let Some(dir) = &json_dir {
             write_or_fail(&format!("{dir}/{id}.json"), &table.to_json());
             level1_lines.push(format!(
-                "{{\"id\": \"{}\", \"wall_s\": {wall_s}, \"level1_computed\": {computed}, \"level1_reused\": {reused}}}\n",
-                escape_json(&id)
+                concat!(
+                    "{{\"id\": \"{}\", \"wall_s\": {}, \"level1_computed\": {}, \"level1_derived\": {}, ",
+                    "\"level1_reused\": {}}}\n"
+                ),
+                escape_json(&id),
+                wall_s,
+                computed,
+                derived,
+                reused
             ));
             write_or_fail(&format!("{dir}/level1.jsonl"), &level1_lines.concat());
         }

@@ -24,17 +24,23 @@ fn ch5_mixes(scale: Scale) -> Vec<workloads::WorkloadMix> {
     }
 }
 
+/// Every mix of `mixes_list` on every server under No-limit and the four
+/// policies; one run list per server, in server order. All (server, mix)
+/// pairs form one queue fanned across cores, so a figure with two servers
+/// keeps both cores busy to its end. Each pair owns an experiment over the
+/// shared store and runs its level-1 points on its own thread. Points are
+/// keyed per mix and hardware, so pairs rarely wait on each other, and a
+/// later call for the same server hardware reuses them.
 fn policy_runs(
     scale: Scale,
-    server: Server,
+    servers: &[Server],
     mixes_list: &[workloads::WorkloadMix],
     store: &Arc<CharStore>,
-) -> Vec<(String, String, Measurement)> {
-    // Fan the mixes across cores; each worker owns an experiment over the
-    // shared store. Points are keyed per mix, so the workers never wait on
-    // each other, and a later call for the same server hardware reuses them.
+) -> Vec<Vec<(String, String, Measurement)>> {
+    let pairs: Vec<(&Server, &workloads::WorkloadMix)> =
+        servers.iter().flat_map(|server| mixes_list.iter().map(move |mix| (server, mix))).collect();
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let groups = crate::sweep::parallel_map(threads, mixes_list, |mix| {
+    let groups = crate::sweep::parallel_map(threads, &pairs, |&(server, mix)| {
         let mut exp = experiment(scale, server.clone(), store);
         let mut out = Vec::new();
         let base = exp.run_no_limit(mix);
@@ -45,7 +51,18 @@ fn policy_runs(
         }
         out
     });
-    groups.into_iter().flatten().collect()
+    let mut groups = groups.into_iter();
+    servers.iter().map(|_| groups.by_ref().take(mixes_list.len()).flatten().collect()).collect()
+}
+
+/// [`policy_runs`] on one server.
+fn server_runs(
+    scale: Scale,
+    server: Server,
+    mixes_list: &[workloads::WorkloadMix],
+    store: &Arc<CharStore>,
+) -> Vec<(String, String, Measurement)> {
+    policy_runs(scale, &[server], mixes_list, store).swap_remove(0)
 }
 
 fn find<'a>(runs: &'a [(String, String, Measurement)], mix: &str, policy: &str) -> Option<&'a Measurement> {
@@ -79,7 +96,6 @@ pub fn fig5_4(scale: Scale, store: &Arc<CharStore>) -> Table {
 /// Figure 5.5: average AMB temperature of homogeneous SPEC CPU2000 workloads
 /// on the PE1950 without DTM control.
 pub fn fig5_5(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let mut exp = experiment(scale, Server::pe1950(), store);
     let mut t = Table::new(
         "fig5_5",
         "Average AMB temperature when memory is driven by homogeneous workloads on the PE1950 (no DTM)",
@@ -89,9 +105,14 @@ pub fn fig5_5(scale: Scale, store: &Arc<CharStore>) -> Table {
         Scale::Smoke => vec!["swim", "galgel", "vpr"],
         _ => workloads::spec2000::all().iter().map(|a| a.name).collect(),
     };
-    for name in apps {
+    // One experiment per application over the shared store, fanned across
+    // cores; rows follow the fixed application order.
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let averages = crate::sweep::parallel_map(threads, &apps, |name| {
         let app = workloads::spec2000::by_name(name).expect("known application");
-        let avg = exp.homogeneous_average_amb(&app);
+        experiment(scale, Server::pe1950(), store).homogeneous_average_amb(&app)
+    });
+    for (name, avg) in apps.into_iter().zip(averages) {
         t.push_row([name.to_string(), f1(avg)]);
     }
     t
@@ -106,8 +127,7 @@ fn normalized_time_table(
     store: &Arc<CharStore>,
 ) -> Table {
     let mut t = Table::new(id, title, &["server", "workload", "policy", "normalized time"]);
-    for server in servers {
-        let runs = policy_runs(scale, server.clone(), mixes_list, store);
+    for (server, runs) in servers.iter().zip(policy_runs(scale, servers, mixes_list, store)) {
         for (mix, policy, m) in &runs {
             if policy == "No-limit" {
                 continue;
@@ -154,8 +174,8 @@ pub fn fig5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
         "Normalized numbers of L2 cache misses (vs DTM-BW)",
         &["server", "workload", "policy", "normalized L2 misses"],
     );
-    for server in [Server::pe1950(), Server::sr1500al()] {
-        let runs = policy_runs(scale, server.clone(), &ch5_mixes(scale), store);
+    let servers = [Server::pe1950(), Server::sr1500al()];
+    for (server, runs) in servers.iter().zip(policy_runs(scale, &servers, &ch5_mixes(scale), store)) {
         for (mix, policy, m) in &runs {
             if policy == "No-limit" || policy == "DTM-BW" {
                 continue;
@@ -169,7 +189,7 @@ pub fn fig5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
 
 /// Figure 5.9: measured memory inlet temperature per policy on the SR1500AL.
 pub fn fig5_9(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
+    let runs = server_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_9",
         "Measured memory inlet (CPU exhaust) temperature on the SR1500AL",
@@ -187,7 +207,7 @@ pub fn fig5_9(scale: Scale, store: &Arc<CharStore>) -> Table {
 /// Figure 5.10: CPU power consumption per policy on the SR1500AL
 /// (normalized to DTM-BW).
 pub fn fig5_10(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
+    let runs = server_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_10",
         "CPU power consumption on the SR1500AL (normalized to DTM-BW)",
@@ -206,7 +226,7 @@ pub fn fig5_10(scale: Scale, store: &Arc<CharStore>) -> Table {
 /// Figure 5.11: normalized CPU + memory energy per policy on the SR1500AL
 /// (vs DTM-BW).
 pub fn fig5_11(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
+    let runs = server_runs(scale, Server::sr1500al(), &ch5_mixes(scale), store);
     let mut t = Table::new(
         "fig5_11",
         "Normalized energy consumption (CPU + memory) of DTM policies on the SR1500AL (vs DTM-BW)",
@@ -245,18 +265,26 @@ pub fn fig5_13(scale: Scale, store: &Arc<CharStore>) -> Table {
         &["workload", "policy", "frequency GHz", "normalized time"],
     );
     let server = Server::sr1500al();
-    let mut exp = experiment(scale, server.clone(), store);
-    for mix in ch5_mixes(scale) {
+    // One experiment per mix over the shared store, fanned across cores;
+    // rows follow the mix order.
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let per_mix = crate::sweep::parallel_map(threads, &ch5_mixes(scale), |mix| {
+        let mut exp = experiment(scale, server.clone(), store);
         // Reference: DTM-BW at full frequency.
         let mut bw_fast = PlatformPolicy::new(PolicyKind::Bw, server.clone());
-        let reference = exp.run_with(&mix, &mut bw_fast).measurement;
+        let reference = exp.run_with(mix, &mut bw_fast).measurement;
+        let mut rows = Vec::new();
         for (kind, label) in [(PolicyKind::Bw, "DTM-BW"), (PolicyKind::Acg, "DTM-ACG")] {
             for (freq_idx, freq_label) in [(0usize, 3.0f64), (3, 2.0)] {
                 let mut policy = PlatformPolicy::new(kind, server.clone()).with_fixed_frequency_index(freq_idx);
-                let m = exp.run_with(&mix, &mut policy).measurement;
-                t.push_row([mix.id.clone(), label.to_string(), f1(freq_label), f3(m.normalized_time(&reference))]);
+                let m = exp.run_with(mix, &mut policy).measurement;
+                rows.push([mix.id.clone(), label.to_string(), f1(freq_label), f3(m.normalized_time(&reference))]);
             }
         }
+        rows
+    });
+    for row in per_mix.into_iter().flatten() {
+        t.push_row(row);
     }
     t
 }
@@ -271,9 +299,9 @@ pub fn fig5_14(scale: Scale, store: &Arc<CharStore>) -> Table {
         "Normalized running time averaged over all workloads on the PE1950 with different AMB TDPs",
         &["AMB TDP degC", "policy", "avg normalized time"],
     );
-    for tdp in [88.0, 90.0, 92.0] {
-        let server = Server::pe1950().with_amb_tdp(tdp);
-        let runs = policy_runs(scale, server, &ch5_mixes(scale), store);
+    let tdps = [88.0, 90.0, 92.0];
+    let servers = tdps.map(|tdp| Server::pe1950().with_amb_tdp(tdp));
+    for (tdp, runs) in tdps.into_iter().zip(policy_runs(scale, &servers, &ch5_mixes(scale), store)) {
         for kind in PolicyKind::ALL {
             let policy = kind.to_string();
             let values: Vec<f64> = runs

@@ -604,9 +604,6 @@ fn run_cell(
     let cfg = scenario_config(scenario, make_config);
     let limits = cfg.limits;
     let mut spot = MemSpot::with_store(cpu.clone(), mem, cfg, Arc::clone(store));
-    // The sweep already runs one cell per core; rotation-averaged level-1
-    // points must not fan out further (results are identical either way).
-    spot.set_level1_rotation_threads(1);
     let mut policy = cell.spec.build(cpu, limits);
     let result = spot.run(&scenario.mix, policy.as_mut());
     MatrixRun { cooling: scenario.cooling.label(), workload: scenario.mix.id.clone(), policy: policy.name(), result }
@@ -637,11 +634,7 @@ fn run_chunk_batched(
         let cfg = scenario_config(scenario, make_config);
         let policy = cell.spec.build(cpu, cfg.limits);
         labels.push((scenario.cooling.label(), scenario.mix.id.clone(), policy.name()));
-        batch.push(
-            BatchCell::new(cpu, &mem, cfg, scenario.mix.clone(), policy, Arc::clone(store))
-                // One cell per worker already; see `run_cell`.
-                .with_rotation_threads(1),
-        );
+        batch.push(BatchCell::new(cpu, &mem, cfg, scenario.mix.clone(), policy, Arc::clone(store)));
     }
     let engine = BatchedSimEngine::new(cpu, &mem, power, cpu_power);
     engine

@@ -75,10 +75,14 @@ fn each_figure_reports_its_level1_work_on_stderr_and_in_level1_jsonl() {
     assert_eq!(records.len(), 1, "one object per figure: {jsonl}");
     let record = records[0];
     assert!(record.starts_with("{\"id\": \"fig4_2\", \"wall_s\": "), "{record}");
-    for field in ["\"level1_computed\": ", "\"level1_reused\": "] {
+    for field in ["\"level1_computed\": ", "\"level1_derived\": ", "\"level1_reused\": "] {
         assert!(record.contains(field), "{field} missing: {record}");
     }
     let computed = record.split("\"level1_computed\": ").nth(1).and_then(|r| r.split(',').next()).unwrap();
     assert!(computed.parse::<u64>().unwrap() > 0, "a cold run computes points: {record}");
-    assert!(line.contains(&format!("level-1: {computed} computed")), "stderr and JSON disagree: {line} vs {record}");
+    let derived = record.split("\"level1_derived\": ").nth(1).and_then(|r| r.split(',').next()).unwrap();
+    assert!(
+        line.contains(&format!("level-1: {computed} computed, {derived} derived, ")),
+        "stderr and JSON disagree: {line} vs {record}"
+    );
 }

@@ -235,6 +235,165 @@ const REPLAY_RUN_EXIT: usize = 256;
 /// `REPLAY_RUN_EXIT + 1` windows.
 const REPLAY_POWERS: usize = REPLAY_RUN_EXIT + 2;
 
+/// Logged runs the exact decision replay buffers before it closes its
+/// dominated rows over them ([`DominatedLayer::close`]): at 16 bytes a run
+/// this bounds the run log to 64 KiB, however long the segment.
+const REPLAY_LOG_CHUNK: usize = 4_096;
+
+/// One layer's dominated rows in the exact decision replay's close: their
+/// temperatures and peaks, their per-entry forcing offsets (entry-major)
+/// and two run-level peak certificates. The state carries from one chunk
+/// of the run log to the next, so closing the log chunk by chunk performs
+/// exactly the arithmetic of closing it whole.
+struct DominatedLayer {
+    /// Layer index within the stack.
+    layer: usize,
+    /// The layer's dominated rows, ascending.
+    rows: Vec<usize>,
+    /// Each row's temperature after the runs closed so far.
+    t: Vec<f64>,
+    /// Each row's peak after the runs closed so far.
+    pk: Vec<f64>,
+    /// Forcing offset of row `j` under entry `e` at `e * rows.len() + j`.
+    offs: Vec<f64>,
+    /// `pkm[e]` under-approximates `min_r (pk_r − off_er)`: when a run's
+    /// `ambx` sits below it, every in-run value of every row (bounded by
+    /// `max(t, ambx + off_r)` with the `t ≤ pk` invariant) stays under the
+    /// recorded peaks, so the run needs only the endpoint map. `pk` only
+    /// grows, so a stale `pkm` is conservative.
+    pkm: Vec<f64>,
+    /// `pkx[e]` over-approximates `max_r (pk_r − off_er)`: when the run's
+    /// ambient mode falls (`c < 0`) and `pkx[e] < S_amb,e + c`, every row
+    /// starts below its two-exponential target with both modes pulling the
+    /// same way — no interior extreme exists and the in-run max is the
+    /// endpoint. Refreshed whenever a peak moved before it is trusted again.
+    pkx: Vec<f64>,
+    /// Whether a peak moved since the certificates were last refreshed.
+    dirty: bool,
+    /// The per-layer constant `α_l·λ_a/(λ_a − λ_l)` of the ambient mode's
+    /// coefficient `c` (the division hoisted out of the run loop).
+    q: f64,
+}
+
+impl DominatedLayer {
+    /// The close state of layer `layer`'s dominated rows `rows`, starting
+    /// from their temperatures and peaks in `rows_t` and `peaks`.
+    fn new(layer: usize, rows: Vec<usize>, rows_t: &[f64], peaks: &[f64], offs: Vec<f64>, q: f64, nent: usize) -> Self {
+        let t: Vec<f64> = rows.iter().map(|&r| rows_t[r]).collect();
+        let pk: Vec<f64> = rows.iter().map(|&r| peaks[r]).collect();
+        let (mut pkm, mut pkx) = (vec![f64::NEG_INFINITY; nent], vec![f64::INFINITY; nent]);
+        refresh_certificates(&mut pkm, &mut pkx, &pk, &offs);
+        DominatedLayer { layer, rows, t, pk, offs, pkm, pkx, dirty: false, q }
+    }
+
+    /// Replays the rows over `runs` (entry, length, ambient at run entry)
+    /// in closed form. Within one run the ambient is a single exponential,
+    /// so a row is the exact two-exponential
+    /// `t(k) = S_r + a·λ_l^k + c·λ_a^k` with `c = α_l·A·λ_a/(λ_a − λ_l)`
+    /// (A the ambient's offset from its run target). The row endpoint map
+    /// is affine with shared coefficients per run —
+    /// `t' = t·λ_l^n + base + off_r·(1 − λ_l^n)`, the powers read from the
+    /// layer's ladder `lam` and the ambient's `laa` — so a row costs two
+    /// multiplies per run, and `ambx` (the run's highest possible forcing
+    /// ambient) pre-filters the in-run extremum search: any in-run value is
+    /// bounded by `max(t_start, ambx + off_r)`.
+    ///
+    /// The rows are scanned run-major with the rows in the inner loop: each
+    /// row's endpoint recurrence is a serial dependency chain over tens of
+    /// thousands of runs, so keeping the rows innermost interleaves the
+    /// chains instead of serializing on one. The in-run extremum search
+    /// ([`env_row_range`]) stays out of the hot loop: an interior extreme
+    /// needs the row mode and the ambient mode pulling in opposite
+    /// directions AND a forcing ceiling above the recorded peak — chatter
+    /// runs chase the same plan flip, so the slow path is cold.
+    fn close(&mut self, runs: &[(u32, u32, f64)], stab_amb: &[f64], lam: &[f64], laa: &[f64], ln_l: f64, ln_a: f64) {
+        let n = self.rows.len();
+        let q = self.q;
+        // The state lives in locals for the loop, as one pass would keep it.
+        let DominatedLayer { t, pk, offs, pkm, pkx, dirty: dirty_out, .. } = self;
+        let (t, pk, offs, pkm, pkx) = (&mut t[..], &mut pk[..], &offs[..], &mut pkm[..], &mut pkx[..]);
+        let mut dirty = *dirty_out;
+        for &(ei, len, amb0r) in runs {
+            let s_amb_e = stab_amb[ei as usize];
+            let lp = lam[len as usize];
+            let k1 = 1.0 - lp;
+            let c = (amb0r - s_amb_e) * q;
+            let base = s_amb_e * k1 + c * (laa[len as usize] - lp);
+            let ambx = amb0r.max(s_amb_e);
+            let ob = &offs[ei as usize * n..(ei as usize + 1) * n];
+            if ambx <= pkm[ei as usize] {
+                for j in 0..n {
+                    t[j] = t[j] * lp + base + ob[j] * k1;
+                }
+                continue;
+            }
+            if dirty {
+                refresh_certificates(pkm, pkx, pk, offs);
+                dirty = false;
+            }
+            if c < 0.0 && pkx[ei as usize] < s_amb_e + c {
+                // Endpoint-only body: peaks can move, extremes not.
+                for j in 0..n {
+                    let tn = t[j] * lp + base + ob[j] * k1;
+                    dirty |= tn > pk[j];
+                    pk[j] = pk[j].max(tn);
+                    t[j] = tn;
+                }
+                continue;
+            }
+            let mut hot = false;
+            for j in 0..n {
+                let ofr = ob[j];
+                let tn = t[j] * lp + base + ofr * k1;
+                let pkn = pk[j].max(tn);
+                let a = (t[j] - s_amb_e - ofr) - c;
+                hot |= ((a > 0.0) != (c > 0.0)) & (a != 0.0) & (c != 0.0) & (ambx + ofr > pkn);
+                dirty |= tn > pk[j];
+                t[j] = tn;
+                pk[j] = pkn;
+            }
+            if hot {
+                // Cold path: some row may peak inside the run. Recover each
+                // row's run-entry state by inverting the affine endpoint
+                // map (λ^len > 0; the ~1 ulp inversion slop only feeds the
+                // peak bound, which tolerates far more than the 1e-9
+                // guarantee).
+                for j in 0..n {
+                    let ofr = ob[j];
+                    let s_r = s_amb_e + ofr;
+                    let tp = (t[j] - base - ofr * k1) / lp;
+                    let a = (tp - s_r) - c;
+                    if a != 0.0 && c != 0.0 && (a > 0.0) != (c > 0.0) && ambx + ofr > pk[j] {
+                        let nf = len as f64;
+                        let (pow_l, pow_a) = ((nf * ln_l).exp(), (nf * ln_a).exp());
+                        let (_, _, hi) = env_row_range(a, c, ln_l, ln_a, pow_l, pow_a, nf);
+                        dirty |= s_r + hi > pk[j];
+                        pk[j] = pk[j].max(s_r + hi);
+                    }
+                }
+            }
+        }
+        *dirty_out = dirty;
+    }
+}
+
+/// Recomputes a layer's two peak certificates (see [`DominatedLayer`]) from
+/// its rows' peaks `pk` and entry-major forcing offsets `offs`.
+fn refresh_certificates(pkm: &mut [f64], pkx: &mut [f64], pk: &[f64], offs: &[f64]) {
+    let n = pk.len();
+    for (e, (pkm, pkx)) in pkm.iter_mut().zip(pkx.iter_mut()).enumerate() {
+        let ob = &offs[e * n..(e + 1) * n];
+        let mut m = f64::INFINITY;
+        let mut x = f64::NEG_INFINITY;
+        for (&p, &o) in pk.iter().zip(ob) {
+            m = m.min(p - o);
+            x = x.max(p - o);
+        }
+        *pkm = m;
+        *pkx = x;
+    }
+}
+
 /// Dominance margin (°C) of the exact decision replay: a row the replay
 /// does not step must provably stay at least this far below its device's
 /// binding (hottest) row over the whole replayed segment, so the maximum
@@ -386,8 +545,9 @@ impl BatchCell {
         BatchCell { config, mix, policy, table }
     }
 
-    /// Caps the level-1 rotation-averaging thread count (sweep engines pass
-    /// 1 so cell-level parallelism composes deterministically).
+    /// Sets the level-1 thread count of the cell's characterization table
+    /// ([`CharacterizationTable::with_rotation_threads`]; default 1, which
+    /// is what engines that already run cells in parallel want).
     pub fn with_rotation_threads(mut self, threads: usize) -> Self {
         self.table = self.table.with_rotation_threads(threads);
         self
@@ -2163,7 +2323,34 @@ fn envelope_burst(
             // The run log: (entry, in-replay length, ambient at run entry)
             // per maximal constant-plan span — everything the close pass
             // needs to replay a dominated row run by run in closed form.
-            let mut runs_log: Vec<(u32, u32, f64)> = Vec::new();
+            // The dominated rows are closed over every [`REPLAY_LOG_CHUNK`]
+            // logged runs, so the log stays bounded however long the
+            // segment runs; each layer's close state carries across chunks.
+            let mut runs_log: Vec<(u32, u32, f64)> = Vec::with_capacity(REPLAY_LOG_CHUNK);
+            // Built at the first close: `rows_t` and `peaks` hold the
+            // segment's start state until the final write-back.
+            let mut dominated: Option<Vec<DominatedLayer>> = None;
+            let close_runs = |dominated: &mut Option<Vec<DominatedLayer>>, runs_log: &mut Vec<(u32, u32, f64)>| {
+                let layers = dominated.get_or_insert_with(|| {
+                    (0..depth)
+                        .filter_map(|l| {
+                            let rl: Vec<usize> =
+                                (l..rows).step_by(depth).filter(|&r| roles[r] == RowRole::Dominated).collect();
+                            if rl.is_empty() {
+                                return None;
+                            }
+                            let q = lane.layer_alphas[l] * lambda_amb / (lambda_amb - (1.0 - lane.layer_alphas[l]));
+                            let offs = entries.iter().flat_map(|e| rl.iter().map(|&r| off(e, r))).collect();
+                            Some(DominatedLayer::new(l, rl, &rows_t, &peaks, offs, q, nent))
+                        })
+                        .collect()
+                });
+                for layer in layers.iter_mut() {
+                    let lt = &lam_tab[layer.layer * REPLAY_POWERS..(layer.layer + 1) * REPLAY_POWERS];
+                    layer.close(runs_log, &stab_amb, lt, &laa_tab, ln_l[layer.layer], ln_a);
+                }
+                runs_log.clear();
+            };
             let mut counts: Vec<u64> = vec![0; nent];
             let mut counts_oh: Vec<u64> = vec![0; nent];
             let mut amb_l = amb0;
@@ -2211,6 +2398,9 @@ fn envelope_burst(
                 if ei != cur_l {
                     if run_len > 0 {
                         runs_log.push((cur_l as u32, run_len as u32, amb_run0));
+                        if runs_log.len() == REPLAY_LOG_CHUNK {
+                            close_runs(&mut dominated, &mut runs_log);
+                        }
                     }
                     amb_run0 = amb_l;
                     run_len = 1;
@@ -2277,153 +2467,14 @@ fn envelope_burst(
             }
             // Close the segment: exact binding, twin and literal-row
             // write-back, then each dominated row replayed run by run in
-            // closed form — within one run the ambient is a single
-            // exponential, so the row is the exact two-exponential
-            // `t(k) = S_r + a·λ_l^k + c·λ_a^k`
-            // with `c = α_l·A·λ_a/(λ_a − λ_l)` (A the ambient's offset
-            // from its run target). Run endpoints come from the power
-            // ladders; in-run extremes need [`env_row_range`] only when
-            // the modes pull in opposite directions (rare — the ambient
-            // and the row usually chase the same plan flip), so a run is
-            // O(1) per row against O(len) literal windows. The close also
-            // audits every reconstructed row against the band.
-            // Per-run constants. The row endpoint map is affine with
-            // shared coefficients per (run, layer) — `t' = t·λ_l^n +
-            // base_{l} + off_r·(1 − λ_l^n)` — so a dominated row costs two
-            // multiplies per run, and `ambx` (the run's highest possible
-            // forcing ambient) pre-filters the in-run extremum search: any
-            // in-run value is bounded by `max(t_start, ambx + off_r)`.
-            // The dominated rows, scanned run-major with the rows in the
-            // inner loop: each row's endpoint recurrence is a serial
-            // dependency chain over tens of thousands of runs, so keeping
-            // the rows innermost interleaves the chains (one independent
-            // chain per row) instead of serializing on one. Rows are
-            // grouped per layer so the affine coefficients are scalar
-            // constants inside the inner loop. The in-run extremum search
-            // stays out of the hot loop: an interior extreme needs the row
-            // mode and the ambient mode pulling in opposite directions AND
-            // a forcing ceiling (`ambx + off_r`, which bounds any in-run
-            // value together with the running peak) above the recorded
-            // peak — chatter runs chase the same plan flip, so the slow
-            // path is cold.
-            let mut lay_rows: Vec<Vec<usize>> = vec![Vec::new(); depth];
-            for r in 0..rows {
-                if roles[r] == RowRole::Dominated {
-                    lay_rows[r % depth].push(r);
-                }
-            }
-            for (l, rl) in lay_rows.iter().enumerate() {
-                let n = rl.len();
-                if n == 0 {
-                    continue;
-                }
-                let mut t: Vec<f64> = rl.iter().map(|&r| rows_t[r]).collect();
-                let mut pk: Vec<f64> = rl.iter().map(|&r| peaks[r]).collect();
-                let mut offs: Vec<f64> = vec![0.0; nent * n];
-                for (e2, e) in entries.iter().enumerate() {
-                    for (j, &r) in rl.iter().enumerate() {
-                        offs[e2 * n + j] = off(e, r);
-                    }
-                }
-                // Two run-level certificates keep per-row work minimal.
-                // `pkm[e]` under-approximates `min_r (pk_r − off_er)`: when
-                // a run's `ambx` sits below it, every in-run value of every
-                // row (bounded by `max(t, ambx + off_r)` with the `t ≤ pk`
-                // invariant) stays under the recorded peaks, so the run
-                // needs only the endpoint map. `pkM[e]` over-approximates
-                // `max_r (pk_r − off_er)`: when the run's ambient mode
-                // falls (`c < 0`) and `pkM[e] < S_amb,e + c`, every row
-                // starts below its two-exponential target with both modes
-                // pulling the same way — no interior extreme exists and the
-                // in-run max is the endpoint. `pk` only grows, so a stale
-                // `pkm` is conservative, while `pkM` is refreshed whenever
-                // a peak moved before it is trusted again.
-                let mut pkm: Vec<f64> = vec![f64::NEG_INFINITY; nent];
-                let mut pkx: Vec<f64> = vec![f64::INFINITY; nent];
-                let refresh_pkm = |pkm: &mut Vec<f64>, pkx: &mut Vec<f64>, pk: &[f64], offs: &[f64]| {
-                    for e2 in 0..nent {
-                        let ob = &offs[e2 * n..(e2 + 1) * n];
-                        let mut m = f64::INFINITY;
-                        let mut x = f64::NEG_INFINITY;
-                        for j in 0..n {
-                            m = m.min(pk[j] - ob[j]);
-                            x = x.max(pk[j] - ob[j]);
-                        }
-                        pkm[e2] = m;
-                        pkx[e2] = x;
-                    }
-                };
-                refresh_pkm(&mut pkm, &mut pkx, &pk, &offs);
-                let mut dirty = false;
-                // The per-run affine coefficients are recomputed inline
-                // from the λ-power ladders (the division in `c` hoists to
-                // the per-layer constant `q`) — cheaper than building and
-                // re-streaming megabytes of per-run coefficient arrays.
-                let q = lane.layer_alphas[l] * lambda_amb / (lambda_amb - (1.0 - lane.layer_alphas[l]));
-                let lt = &lam_tab[l * REPLAY_POWERS..(l + 1) * REPLAY_POWERS];
-                for &(ei, len, amb0r) in runs_log.iter() {
-                    let s_amb_e = stab_amb[ei as usize];
-                    let lp = lt[len as usize];
-                    let k1 = 1.0 - lp;
-                    let c = (amb0r - s_amb_e) * q;
-                    let base = s_amb_e * k1 + c * (laa_tab[len as usize] - lp);
-                    let ambx = amb0r.max(s_amb_e);
-                    let ob = &offs[ei as usize * n..(ei as usize + 1) * n];
-                    if ambx <= pkm[ei as usize] {
-                        for j in 0..n {
-                            t[j] = t[j] * lp + base + ob[j] * k1;
-                        }
-                        continue;
-                    }
-                    if dirty {
-                        refresh_pkm(&mut pkm, &mut pkx, &pk, &offs);
-                        dirty = false;
-                    }
-                    if c < 0.0 && pkx[ei as usize] < s_amb_e + c {
-                        // Endpoint-only body: peaks can move, extremes not.
-                        for j in 0..n {
-                            let tn = t[j] * lp + base + ob[j] * k1;
-                            dirty |= tn > pk[j];
-                            pk[j] = pk[j].max(tn);
-                            t[j] = tn;
-                        }
-                        continue;
-                    }
-                    let mut hot = false;
-                    for j in 0..n {
-                        let ofr = ob[j];
-                        let tn = t[j] * lp + base + ofr * k1;
-                        let pkn = pk[j].max(tn);
-                        let a = (t[j] - s_amb_e - ofr) - c;
-                        hot |= ((a > 0.0) != (c > 0.0)) & (a != 0.0) & (c != 0.0) & (ambx + ofr > pkn);
-                        dirty |= tn > pk[j];
-                        t[j] = tn;
-                        pk[j] = pkn;
-                    }
-                    if hot {
-                        // Cold path: some row may peak inside the run.
-                        // Recover each row's run-entry state by inverting
-                        // the affine endpoint map (λ^len > 0; the ~1 ulp
-                        // inversion slop only feeds the peak bound, which
-                        // tolerates far more than the 1e-9 guarantee).
-                        for j in 0..n {
-                            let ofr = ob[j];
-                            let s_r = s_amb_e + ofr;
-                            let tp = (t[j] - base - ofr * k1) / lp;
-                            let a = (tp - s_r) - c;
-                            if a != 0.0 && c != 0.0 && (a > 0.0) != (c > 0.0) && ambx + ofr > pk[j] {
-                                let nf = len as f64;
-                                let (pow_l, pow_a) = ((nf * ln_l[l]).exp(), (nf * ln_a).exp());
-                                let (_, _, hi) = env_row_range(a, c, ln_l[l], ln_a, pow_l, pow_a, nf);
-                                dirty |= s_r + hi > pk[j];
-                                pk[j] = pk[j].max(s_r + hi);
-                            }
-                        }
-                    }
-                }
-                for (j, &r) in rl.iter().enumerate() {
-                    rows_t[r] = t[j];
-                    peaks[r] = pk[j];
+            // closed form over the runs still in the log
+            // ([`DominatedLayer::close`]). The close also audits every
+            // reconstructed row against the band.
+            close_runs(&mut dominated, &mut runs_log);
+            for layer in dominated.iter().flatten() {
+                for (j, &r) in layer.rows.iter().enumerate() {
+                    rows_t[r] = layer.t[j];
+                    peaks[r] = layer.pk[j];
                 }
             }
             // Each literal row keeps its own peak; the cell maxima fold in
@@ -2923,8 +2974,7 @@ mod tests {
             mix.apps.clone(),
             config.characterization_budget,
             store,
-        )
-        .with_rotation_threads(1);
+        );
         SimEngine::new(cpu, mem, power, cpu_power, config).run(&mut table, mix, policy)
     }
 
@@ -2946,9 +2996,7 @@ mod tests {
         let cells: Vec<BatchCell> = configs
             .iter()
             .zip(policies)
-            .map(|(config, policy)| {
-                BatchCell::new(&cpu, &mem, *config, mixes::w1(), policy, Arc::clone(&store)).with_rotation_threads(1)
-            })
+            .map(|(config, policy)| BatchCell::new(&cpu, &mem, *config, mixes::w1(), policy, Arc::clone(&store)))
             .collect();
         let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
         let batched = engine.run(cells, &BatchOptions::literal());
@@ -2998,9 +3046,7 @@ mod tests {
             policies
                 .into_iter()
                 .zip(configs)
-                .map(|(policy, config)| {
-                    BatchCell::new(&cpu, &mem, config, mixes::w1(), policy, Arc::clone(&store)).with_rotation_threads(1)
-                })
+                .map(|(policy, config)| BatchCell::new(&cpu, &mem, config, mixes::w1(), policy, Arc::clone(&store)))
                 .collect()
         };
         let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);

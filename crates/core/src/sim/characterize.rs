@@ -40,17 +40,34 @@
 //!   `Arc<CharPoint>` — a cache hit never deep-clones the point's inner
 //!   vectors. This is the analogue of the paper's `Wi × D` trace set.
 //!   [`CharacterizationTable::points`] resolves a whole batch of modes at
-//!   once, fanning the distinct missing design points (and, for a single
-//!   gated point, its application rotations) across cores — closed-loop
-//!   runs are independent and deterministic, so the parallelism changes
-//!   wall-clock only, never a result.
+//!   once. A table runs its closed loops on the calling thread unless
+//!   [`CharacterizationTable::with_rotation_threads`] gives it more: the
+//!   figures, sweeps and platform experiments already run one table per
+//!   worker, so level-1 is parallelized there and nowhere below. Given
+//!   threads, a batch fans its distinct missing design points across them
+//!   — closed-loop runs are independent and deterministic, so the
+//!   parallelism changes wall-clock only, never a result.
+//! * **Derived capped points.** A bandwidth cap delays a request only when
+//!   its 10 µs throttle window has already granted the cap's per-window
+//!   activation limit, and every point records the most activations any of
+//!   its windows granted ([`CharPoint::peak_window_activations`]). So when
+//!   the uncapped sibling of a capped mode is already stored and its peak
+//!   is at most the cap's limit
+//!   ([`MemoryController::activation_limit`]), the capped run would be the
+//!   uncapped run step for step: the table stores a clone of the sibling
+//!   with the capped `mode` instead of simulating it. This is exact, not
+//!   an approximation — on the paper quad core no Chapter 4 mix reaches
+//!   DTM-BW's 19.2 or 12.8 GB/s rungs. A derived point counts as a store
+//!   miss like a simulated one and is also counted by
+//!   [`CharStore::derived`]; [`CharacterizationTable::points`] resolves a
+//!   batch's uncapped modes before its capped ones so the batch can derive.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cpu_model::{CpuConfig, MulticoreSim, RunMeasurement, RunningMode};
-use fbdimm_sim::{DimmTraffic, FbdimmConfig};
+use fbdimm_sim::{DimmTraffic, FbdimmConfig, MemoryController};
 use workloads::AppBehavior;
 
 use crate::sim::diskcache::DiskCache;
@@ -79,11 +96,18 @@ pub struct CharPoint {
     pub l2_misses_per_instr: f64,
     /// Memory traffic per committed instruction, bytes.
     pub bytes_per_instr: f64,
+    /// The most row activations any 10 µs throttle window granted during
+    /// the run (the maximum over the runs of a rotation-averaged point; 0
+    /// for an idle point). A bandwidth cap allowing at least this many per
+    /// window would have delayed nothing (see the module docs).
+    pub peak_window_activations: u64,
 }
 
 impl CharPoint {
-    /// Derives a point from a raw first-level measurement.
-    pub fn from_measurement(m: &RunMeasurement) -> Self {
+    /// Derives a point from a raw first-level measurement and the run's
+    /// per-window activation peak
+    /// ([`MulticoreSim::last_run_peak_activations`]).
+    pub fn from_measurement(m: &RunMeasurement, peak_window_activations: u64) -> Self {
         let total_instr: u64 = m.cores.iter().map(|c| c.instructions).sum();
         let total_misses: u64 = m.cores.iter().map(|c| c.l2_misses).sum();
         let secs = m.elapsed_secs().max(1e-12);
@@ -103,6 +127,7 @@ impl CharPoint {
             l2_miss_rate: m.l2_miss_rate(),
             l2_misses_per_instr: if total_instr == 0 { 0.0 } else { total_misses as f64 / total_instr as f64 },
             bytes_per_instr: m.bytes_per_instruction(),
+            peak_window_activations,
         }
     }
 
@@ -125,6 +150,7 @@ impl CharPoint {
             l2_miss_rate: 0.0,
             l2_misses_per_instr: 0.0,
             bytes_per_instr: 0.0,
+            peak_window_activations: 0,
         }
     }
 }
@@ -230,6 +256,7 @@ pub struct CharStore {
     cells: Mutex<HashMap<CharStoreKey, Arc<OnceLock<Arc<CharPoint>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    derived: AtomicU64,
     /// Optional disk backing: pre-loaded at construction, appended on miss.
     disk: Option<DiskCache>,
     /// Fingerprint of the application list seen under each mix id.
@@ -299,11 +326,17 @@ impl CharStore {
     /// counts as a hit; an absent or still-computing one is not counted at
     /// all.
     pub fn peek(&self, key: &CharStoreKey) -> Option<Arc<CharPoint>> {
-        let point = self.cells.lock().expect("CharStore lock poisoned").get(key).and_then(|cell| cell.get()).cloned();
+        let point = self.stored(key);
         if point.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         point
+    }
+
+    /// [`Self::peek`] without counting: the sibling lookup of a derived
+    /// point is not a lookup of the point itself.
+    fn stored(&self, key: &CharStoreKey) -> Option<Arc<CharPoint>> {
+        self.cells.lock().expect("CharStore lock poisoned").get(key).and_then(|cell| cell.get()).cloned()
     }
 
     /// Debug builds: records the application list `mix_id` names in this
@@ -323,9 +356,18 @@ impl CharStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to run the level-1 simulation.
+    /// Number of lookups that had to produce a new point: simulated, or
+    /// derived from a stored uncapped sibling (counted again by
+    /// [`Self::derived`]). `misses() - derived()` closed loops ran.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Number of misses served by deriving a capped point from its stored
+    /// uncapped sibling instead of running the closed loop (see the module
+    /// docs).
+    pub fn derived(&self) -> u64 {
+        self.derived.load(Ordering::Relaxed)
     }
 
     /// Number of design points stored.
@@ -354,11 +396,11 @@ pub struct CharacterizationTable {
     hw_fingerprint: u64,
     store: Arc<CharStore>,
     local: HashMap<ModeKey, Arc<CharPoint>>,
-    /// Worker threads for rotation-averaged (core-gated) design points; the
-    /// rotations are independent deterministic simulations, so fanning them
-    /// out changes wall-clock only, never results. Set to 1 inside engines
-    /// that already parallelize at a coarser granularity.
-    rotation_threads: usize,
+    /// Worker threads a batch ([`Self::points`]) fans its missing design
+    /// points across; 1 (the default) runs every closed loop on the calling
+    /// thread. The runs are independent deterministic simulations, so
+    /// fanning them out changes wall-clock only, never results.
+    threads: usize,
 }
 
 impl CharacterizationTable {
@@ -392,16 +434,16 @@ impl CharacterizationTable {
             hw_fingerprint,
             store,
             local: HashMap::new(),
-            rotation_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            threads: 1,
         }
     }
 
-    /// Sets the number of worker threads used for rotation-averaged design
-    /// points (minimum 1). Results are bit-identical for any value; engines
-    /// that already fan out at cell granularity pass 1 to avoid
-    /// oversubscription.
+    /// Sets the number of worker threads a batch ([`Self::points`]) fans
+    /// its missing design points across (default and minimum 1). Results
+    /// are bit-identical for any value; callers that already run one table
+    /// per core keep the default.
     pub fn with_rotation_threads(mut self, threads: usize) -> Self {
-        self.rotation_threads = threads.max(1);
+        self.threads = threads.max(1);
         self
     }
 
@@ -439,87 +481,111 @@ impl CharacterizationTable {
             return Arc::clone(p);
         }
         let store_key = self.store_key(key);
+        let sibling = self.sibling_key(mode);
         let store = Arc::clone(&self.store);
         let sim = &mut self.sim;
         let apps = &self.apps;
         let budget = self.budget;
-        let threads = self.rotation_threads;
-        let point = store.get_or_compute(store_key, || compute_point(sim, apps, budget, threads, mode));
+        let point = store.get_or_compute(store_key, || {
+            let mem = *sim.memory_config();
+            derive_capped(&store, sibling.as_ref(), &mem, mode)
+                .unwrap_or_else(|| compute_point(sim, apps, budget, mode))
+        });
         self.local.insert(key, Arc::clone(&point));
         point
     }
 
-    /// Resolves a whole batch of modes, computing the distinct *missing*
-    /// design points concurrently (they are independent closed-loop runs, so
-    /// the results are bit-identical to resolving them one at a time).
-    /// Grid engines and benches use this to characterize a mode lattice at
-    /// full hardware parallelism. Each finished point is registered through
-    /// the shared store (and appended to its disk cache, when present);
-    /// points another table or an earlier process already computed are
-    /// adopted up front and never scheduled.
+    /// Resolves a whole batch of modes. With more than one thread (see
+    /// [`Self::with_rotation_threads`]) the distinct *missing* design points
+    /// are computed concurrently; they are independent closed-loop runs, so
+    /// the results are bit-identical to resolving them one at a time. The
+    /// batch's uncapped modes resolve before its capped ones, so a capped
+    /// mode whose cap never binds is derived from its sibling (see the
+    /// module docs). Each finished point is registered through the shared
+    /// store (and appended to its disk cache, when present); points another
+    /// table or an earlier process already computed are adopted up front
+    /// and never scheduled.
     pub fn points(&mut self, modes: &[RunningMode]) -> Vec<Arc<CharPoint>> {
-        let mut missing: Vec<RunningMode> = Vec::new();
-        let mut missing_keys: Vec<ModeKey> = Vec::new();
-        for mode in modes {
-            let key = ModeKey::from_mode(mode);
-            if !self.local.contains_key(&key) && !missing_keys.contains(&key) {
-                // Adopt points already present in the (possibly disk-backed)
-                // shared store instead of scheduling work for them.
-                if let Some(point) = self.store.peek(&self.store_key(key)) {
-                    self.local.insert(key, point);
-                    continue;
-                }
-                missing_keys.push(key);
-                missing.push(*mode);
-            }
-        }
-        if self.rotation_threads > 1 && missing.len() > 1 {
-            let cpu = self.sim.cpu_config().clone();
-            let mem = *self.sim.memory_config();
-            let apps = &self.apps;
-            let budget = self.budget;
-            let store = &self.store;
-            // A few threads per core, timesliced by the OS: design points
-            // differ widely in cost (a gated point is several rotation
-            // runs), and on small shared hosts letting many points progress
-            // concurrently rebalances around stalls better than a static
-            // assignment of points to workers. The worker count is capped so
-            // a large mode lattice cannot spawn hundreds of threads (and
-            // simulators) at once; surplus points queue behind a shared
-            // cursor. Rotations inside a worker stay sequential — the
-            // point-level workers already cover the cores.
-            let workers = missing.len().min(self.rotation_threads.saturating_mul(4));
-            let jobs: Vec<(RunningMode, CharStoreKey)> =
-                missing.iter().zip(missing_keys.iter()).map(|(m, k)| (*m, self.store_key(*k))).collect();
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let resolved: Vec<Vec<(ModeKey, Arc<CharPoint>)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let cpu = cpu.clone();
-                        let (jobs, cursor) = (&jobs, &cursor);
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            let mut sim: Option<MulticoreSim> = None;
-                            loop {
-                                let j = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some((mode, store_key)) = jobs.get(j) else { break };
-                                let point = store.get_or_compute(store_key.clone(), || {
-                                    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), mem));
-                                    compute_point(sim, apps, budget, 1, mode)
-                                });
-                                done.push((ModeKey::from_mode(mode), point));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("batch point worker panicked")).collect()
-            });
-            for (key, point) in resolved.into_iter().flatten() {
-                self.local.insert(key, point);
-            }
+        let (capped, uncapped): (Vec<RunningMode>, Vec<RunningMode>) = modes.iter().partition(|mode| is_capped(mode));
+        for wave in [uncapped, capped] {
+            self.resolve_missing(&wave);
         }
         modes.iter().map(|mode| self.point(mode)).collect()
+    }
+
+    /// Resolves the modes of `modes` the table does not hold yet, fanning
+    /// them across the table's threads when there are several.
+    fn resolve_missing(&mut self, modes: &[RunningMode]) {
+        let mut jobs: Vec<(RunningMode, CharStoreKey, Option<CharStoreKey>)> = Vec::new();
+        for mode in modes {
+            let key = ModeKey::from_mode(mode);
+            if self.local.contains_key(&key) || jobs.iter().any(|(m, ..)| ModeKey::from_mode(m) == key) {
+                continue;
+            }
+            // Adopt points already present in the (possibly disk-backed)
+            // shared store instead of scheduling work for them.
+            let store_key = self.store_key(key);
+            if let Some(point) = self.store.peek(&store_key) {
+                self.local.insert(key, point);
+                continue;
+            }
+            jobs.push((*mode, store_key, self.sibling_key(mode)));
+        }
+        if self.threads == 1 || jobs.len() < 2 {
+            for (mode, ..) in &jobs {
+                self.point(mode);
+            }
+            return;
+        }
+        let cpu = self.sim.cpu_config().clone();
+        let mem = *self.sim.memory_config();
+        let apps = &self.apps;
+        let budget = self.budget;
+        let store = &self.store;
+        // A few threads per core, timesliced by the OS: design points
+        // differ widely in cost (a gated point is several rotation runs),
+        // and on small shared hosts letting many points progress
+        // concurrently rebalances around stalls better than a static
+        // assignment of points to workers. The worker count is capped so a
+        // large mode lattice cannot spawn hundreds of threads (and
+        // simulators) at once; surplus points queue behind a shared cursor.
+        let workers = jobs.len().min(self.threads.saturating_mul(4));
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        let resolved: Vec<Vec<(ModeKey, Arc<CharPoint>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let cpu = cpu.clone();
+                    let (jobs, cursor) = (&jobs, &cursor);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        let mut sim: Option<MulticoreSim> = None;
+                        loop {
+                            let j = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some((mode, store_key, sibling)) = jobs.get(j) else { break };
+                            let point = store.get_or_compute(store_key.clone(), || {
+                                derive_capped(store, sibling.as_ref(), &mem, mode).unwrap_or_else(|| {
+                                    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), mem));
+                                    compute_point(sim, apps, budget, mode)
+                                })
+                            });
+                            done.push((ModeKey::from_mode(mode), point));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("batch point worker panicked")).collect()
+        });
+        for (key, point) in resolved.into_iter().flatten() {
+            self.local.insert(key, point);
+        }
+    }
+
+    /// Store key of the uncapped sibling of a capped mode that makes
+    /// progress — the point a capped point may be derived from — or `None`
+    /// for any other mode.
+    fn sibling_key(&self, mode: &RunningMode) -> Option<CharStoreKey> {
+        is_capped(mode).then(|| self.store_key(ModeKey::from_mode(&RunningMode { bandwidth_cap: None, ..*mode })))
     }
 
     fn store_key(&self, key: ModeKey) -> CharStoreKey {
@@ -534,22 +600,42 @@ impl CharacterizationTable {
     }
 }
 
-/// Computes one design point on `sim` (`rotation_threads` only affects
-/// wall-clock, never results).
-fn compute_point(
-    sim: &mut MulticoreSim,
-    apps: &[AppBehavior],
-    budget: u64,
-    rotation_threads: usize,
+/// Whether `mode` is capped and makes progress: a mode whose point may be
+/// derived from its uncapped sibling.
+fn is_capped(mode: &RunningMode) -> bool {
+    mode.makes_progress() && mode.bandwidth_cap.is_some()
+}
+
+/// The point of capped `mode` derived from its stored uncapped sibling
+/// (`sibling` names its key), when the sibling's per-window activation peak
+/// stays within the cap's limit on `mem`: the capped run is then the
+/// uncapped run, so the point is the sibling's with `mode` set. Counts the
+/// derivation in `store`. `None` when there is no sibling key, the sibling
+/// is not stored (or still computing), or the cap would bind.
+fn derive_capped(
+    store: &CharStore,
+    sibling: Option<&CharStoreKey>,
+    mem: &FbdimmConfig,
     mode: &RunningMode,
-) -> CharPoint {
+) -> Option<CharPoint> {
+    let limit = MemoryController::activation_limit(mem, mode.bandwidth_cap)?;
+    let sibling = store.stored(sibling?)?;
+    if sibling.peak_window_activations > limit {
+        return None;
+    }
+    store.derived.fetch_add(1, Ordering::Relaxed);
+    Some(CharPoint { mode: *mode, ..CharPoint::clone(&sibling) })
+}
+
+/// Computes one design point on `sim`.
+fn compute_point(sim: &mut MulticoreSim, apps: &[AppBehavior], budget: u64, mode: &RunningMode) -> CharPoint {
     if mode.makes_progress() {
         let active = mode.active_cores.min(apps.len()).min(sim.cpu_config().cores);
         if active < apps.len() {
-            rotation_averaged_point(sim, apps, budget, rotation_threads, mode)
+            rotation_averaged_point(sim, apps, budget, mode)
         } else {
             let m = sim.run(apps, mode, budget);
-            CharPoint::from_measurement(&m)
+            CharPoint::from_measurement(&m, sim.last_run_peak_activations())
         }
     } else {
         CharPoint::idle(*mode, sim.cpu_config().cores, sim.memory_config())
@@ -557,70 +643,31 @@ fn compute_point(
 }
 
 /// Characterizes a core-gated mode as the average over all cyclic rotations
-/// of the application list (Section 4.3.1 fairness).
+/// of the application list (Section 4.3.1 fairness). Applications are
+/// handed to the simulator by reference — the rotated orders borrow from
+/// `apps` instead of cloning the behaviour models once per rotation.
 fn rotation_averaged_point(
     sim: &mut MulticoreSim,
     apps: &[AppBehavior],
     table_budget: u64,
-    rotation_threads: usize,
     mode: &RunningMode,
 ) -> CharPoint {
     let n = apps.len();
     let rotations = n.max(1);
     let cores = sim.cpu_config().cores;
     let budget = (table_budget / rotations as u64).max(1_000);
-
-    // Each rotation is an independent, deterministic closed-loop run (fresh
-    // memory system and cores per run), so the rotations fan out across
-    // threads; the results are folded *in rotation order* below, which keeps
-    // every floating-point sum identical to a sequential pass. Applications
-    // are handed to the simulator by reference — the rotated orders borrow
-    // from `apps` instead of cloning the behaviour models once per rotation.
-    let points: Vec<CharPoint> = if rotation_threads > 1 && rotations > 1 {
-        let cpu = sim.cpu_config().clone();
-        let mem = *sim.memory_config();
-        let workers = rotation_threads.min(rotations);
-        let mut slots: Vec<Option<CharPoint>> = (0..rotations).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cpu = cpu.clone();
-                    scope.spawn(move || {
-                        // One simulator per worker, reused across its
-                        // rotations.
-                        let mut sim = MulticoreSim::new(cpu, mem);
-                        (w..rotations)
-                            .step_by(workers)
-                            .map(|offset| {
-                                let rotated: Vec<&AppBehavior> = (0..n).map(|i| &apps[(offset + i) % n]).collect();
-                                (offset, CharPoint::from_measurement(&sim.run_order(&rotated, mode, budget)))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (offset, point) in handle.join().expect("rotation worker panicked") {
-                    slots[offset] = Some(point);
-                }
-            }
-        });
-        slots.into_iter().map(|p| p.expect("every rotation computed")).collect()
-    } else {
-        let mut points = Vec::with_capacity(rotations);
-        for offset in 0..rotations {
+    let points = (0..rotations)
+        .map(|offset| {
             let rotated: Vec<&AppBehavior> = (0..n).map(|i| &apps[(offset + i) % n]).collect();
             let m = sim.run_order(&rotated, mode, budget);
-            points.push(CharPoint::from_measurement(&m));
-        }
-        points
-    };
+            CharPoint::from_measurement(&m, sim.last_run_peak_activations())
+        })
+        .collect();
     fold_rotations(points, cores, n, mode)
 }
 
-/// Folds per-rotation measurements into one averaged design point. The fold
-/// runs in rotation order with fixed arithmetic, so the result is identical
-/// however the rotations were scheduled.
+/// Folds per-rotation measurements, in rotation order, into one averaged
+/// design point.
 fn fold_rotations(points: Vec<CharPoint>, cores: usize, n: usize, mode: &RunningMode) -> CharPoint {
     let rotations = points.len().max(1);
     let mut acc: Option<CharPoint> = None;
@@ -642,6 +689,7 @@ fn fold_rotations(points: Vec<CharPoint>, cores: usize, n: usize, mode: &Running
                 a.l2_miss_rate += p.l2_miss_rate;
                 a.l2_misses_per_instr += p.l2_misses_per_instr;
                 a.bytes_per_instr += p.bytes_per_instr;
+                a.peak_window_activations = a.peak_window_activations.max(p.peak_window_activations);
                 for (d, pd) in a.dimm_traffic.iter_mut().zip(p.dimm_traffic.iter()) {
                     d.local_gbps += pd.local_gbps;
                     d.bypass_gbps += pd.bypass_gbps;
@@ -935,7 +983,7 @@ mod tests {
         let modes = [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(6.4)];
         let mut sequential = table();
         let expected: Vec<_> = modes.iter().map(|m| sequential.point(m)).collect();
-        let mut batched = table();
+        let mut batched = table().with_rotation_threads(4);
         let got = batched.points(&modes);
         for (a, b) in expected.iter().zip(got.iter()) {
             assert_eq!(**a, **b, "parallel batch resolution must be bit-identical");
@@ -946,6 +994,61 @@ mod tests {
         for (a, b) in got.iter().zip(again.iter()) {
             assert!(Arc::ptr_eq(a, b));
         }
+    }
+
+    /// The quick-scale characterization budget (`MemSpotConfig::quick`).
+    const QUICK_BUDGET: u64 = 60_000;
+
+    fn ch4_table(mix: &workloads::WorkloadMix, store: &Arc<CharStore>) -> CharacterizationTable {
+        CharacterizationTable::with_store(
+            CpuConfig::paper_quad_core(),
+            FbdimmConfig::ddr2_667_paper(),
+            mix.id.clone(),
+            mix.apps.clone(),
+            QUICK_BUDGET,
+            Arc::clone(store),
+        )
+    }
+
+    #[test]
+    fn capped_points_that_never_bind_are_derived_and_equal_computed_ones() {
+        // DTM-BW's Table 4.3 caps: 19.2 and 12.8 GB/s never bind on the
+        // paper quad core, 6.4 GB/s does.
+        let cpu = CpuConfig::paper_quad_core();
+        let full = RunningMode::full_speed(&cpu);
+        let [l2, l3, l4] = [19.2, 12.8, 6.4].map(|gbps| full.with_bandwidth_cap_gbps(gbps));
+        let path = temp_cache_path("derive");
+        let (shared, cached) = (Arc::new(CharStore::new()), Arc::new(CharStore::with_disk_cache(&path).unwrap()));
+        for mix in &mixes::all_ch4_mixes()[..8] {
+            let derived_before = shared.derived();
+            let mut table = ch4_table(mix, &shared);
+            let got = table.points(&[l2, l3, l4, full]);
+            assert_eq!(shared.derived() - derived_before, 2, "{}: the 19.2 and 12.8 GB/s points derive", mix.id);
+            for (mode, point) in [l2, l3, l4].iter().zip(&got) {
+                // A fresh store holds no sibling, so this one simulates.
+                let fresh = ch4_table(mix, &Arc::new(CharStore::new())).point(mode);
+                assert_eq!(
+                    **point, *fresh,
+                    "{} at {:?}: derived and simulated points differ",
+                    mix.id, mode.bandwidth_cap
+                );
+            }
+            assert_ne!(got[2].read_gbps, got[3].read_gbps, "{}: 6.4 GB/s must bind, so it is simulated", mix.id);
+            assert!(got[3].peak_window_activations > 0);
+            // Only the uncapped point goes to disk here.
+            ch4_table(mix, &cached).point(&full);
+        }
+        assert_eq!(cached.derived(), 0);
+        // A store reopened from the disk cache derives from the loaded
+        // siblings, with no closed loop for the derivable caps.
+        drop(cached);
+        let reopened = Arc::new(CharStore::with_disk_cache(&path).unwrap());
+        for mix in &mixes::all_ch4_mixes()[..8] {
+            let point = ch4_table(mix, &reopened).point(&l2);
+            assert_eq!(*point, *ch4_table(mix, &shared).point(&l2), "{}", mix.id);
+        }
+        assert_eq!((reopened.misses(), reopened.derived()), (8, 8));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

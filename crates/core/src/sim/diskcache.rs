@@ -39,7 +39,10 @@
 //!   and the next append rewrites it from scratch. Entries whose
 //!   `hw_fingerprint` belongs to a different hardware configuration are
 //!   *not* special-cased — the fingerprint is part of the key, so they
-//!   coexist harmlessly and simply never match.
+//!   coexist harmlessly and simply never match. Version 2 added each
+//!   point's per-window activation peak (`"peak"`), which capped points are
+//!   derived from; a version-1 file has none, so it is discarded and the
+//!   cache goes cold once.
 //! * **Exactness** — floating-point fields are written with Rust's shortest
 //!   round-trip formatting (`{:?}`), so a reloaded [`CharPoint`] is
 //!   bit-identical to the computed one; malformed or truncated lines are
@@ -57,7 +60,7 @@ use fbdimm_sim::DimmTraffic;
 use crate::sim::characterize::{CharPoint, CharStoreKey, ModeKey};
 
 /// Version of the on-disk format; bump on any incompatible layout change.
-pub(crate) const FORMAT_VERSION: u64 = 1;
+pub(crate) const FORMAT_VERSION: u64 = 2;
 
 /// Format name written into (and required of) the header line.
 const FORMAT_NAME: &str = "memtherm-char-cache";
@@ -386,7 +389,7 @@ fn serialize_entry(key: &CharStoreKey, point: &CharPoint) -> String {
             "\"channels\": {}, \"dimms_per_channel\": {}, \"hw\": {}}}, ",
             "\"point\": {{\"active_cores\": {}, \"freq_ghz\": {}, \"voltage\": {}, \"cap\": {}, ",
             "\"instr_rate\": {}, \"core_share\": [{}], \"read_gbps\": {}, \"write_gbps\": {}, ",
-            "\"dimms\": [{}], \"ipc_ref_sum\": {}, \"l2_miss_rate\": {}, \"l2_mpi\": {}, \"bpi\": {}}}}}\n"
+            "\"dimms\": [{}], \"ipc_ref_sum\": {}, \"l2_miss_rate\": {}, \"l2_mpi\": {}, \"bpi\": {}, \"peak\": {}}}}}\n"
         ),
         escape_json(&key.mix_id),
         key.mode.active_cores,
@@ -409,6 +412,7 @@ fn serialize_entry(key: &CharStoreKey, point: &CharPoint) -> String {
         fmt_f64(point.l2_miss_rate),
         fmt_f64(point.l2_misses_per_instr),
         fmt_f64(point.bytes_per_instr),
+        point.peak_window_activations,
     )
 }
 
@@ -469,6 +473,7 @@ fn key_sibling_point(entry: &Json) -> Option<CharPoint> {
         l2_miss_rate: p.get("l2_miss_rate")?.as_f64()?,
         l2_misses_per_instr: p.get("l2_mpi")?.as_f64()?,
         bytes_per_instr: p.get("bpi")?.as_f64()?,
+        peak_window_activations: p.get("peak")?.as_u64()?,
     })
 }
 
@@ -701,6 +706,7 @@ mod tests {
             l2_miss_rate: 0.7182818284590452,
             l2_misses_per_instr: 0.0141421356,
             bytes_per_instr: 9.869604401,
+            peak_window_activations: 1_729,
         }
     }
 

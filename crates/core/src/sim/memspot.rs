@@ -392,9 +392,6 @@ pub struct MemSpot {
     /// Per-mix table views over the store, kept across policy runs so their
     /// local caches stay warm (keyed by mix identifier).
     tables: HashMap<String, CharacterizationTable>,
-    /// Rotation-averaging thread count handed to new tables (`None` = all
-    /// cores). Sweep engines that parallelize at cell granularity set 1.
-    level1_rotation_threads: Option<usize>,
 }
 
 impl MemSpot {
@@ -432,15 +429,7 @@ impl MemSpot {
             config,
             store,
             tables: HashMap::new(),
-            level1_rotation_threads: None,
         }
-    }
-
-    /// Limits the thread count used for rotation-averaged level-1 points
-    /// (results are bit-identical for any value). Engines that already run
-    /// one simulator per core — e.g. cell-granular sweeps — pass 1.
-    pub fn set_level1_rotation_threads(&mut self, threads: usize) {
-        self.level1_rotation_threads = Some(threads.max(1));
     }
 
     /// The MEMSpot configuration.
@@ -467,18 +456,14 @@ impl MemSpot {
     /// takes `&mut self`.
     pub fn run(&mut self, mix: &WorkloadMix, policy: &mut dyn DtmPolicy) -> MemSpotResult {
         let mut table = self.tables.remove(&mix.id).unwrap_or_else(|| {
-            let table = CharacterizationTable::with_store(
+            CharacterizationTable::with_store(
                 self.cpu.clone(),
                 self.mem,
                 mix.id.clone(),
                 mix.apps.clone(),
                 self.config.characterization_budget,
                 Arc::clone(&self.store),
-            );
-            match self.level1_rotation_threads {
-                Some(threads) => table.with_rotation_threads(threads),
-                None => table,
-            }
+            )
         });
         let engine = SimEngine::new(&self.cpu, &self.mem, &self.power, &self.cpu_power, &self.config);
         let result = engine.run(&mut table, mix, policy);

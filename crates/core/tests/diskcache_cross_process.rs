@@ -43,6 +43,7 @@ fn point_for(role: u64, i: u64) -> CharPoint {
         l2_miss_rate: 0.25,
         l2_misses_per_instr: 0.01,
         bytes_per_instr: 1.5,
+        peak_window_activations: role * 1000 + i,
     }
 }
 
@@ -114,7 +115,7 @@ fn two_processes_append_to_one_cache_without_corruption() {
     let body = std::fs::read_to_string(&path).expect("the cache file exists");
     assert_eq!(
         body.lines().next(),
-        Some("{\"format\": \"memtherm-char-cache\", \"version\": 1}"),
+        Some("{\"format\": \"memtherm-char-cache\", \"version\": 2}"),
         "the file carries the current versioned header"
     );
     assert!(body.ends_with('\n'), "the file has no torn tail");

@@ -186,6 +186,9 @@ pub struct MulticoreSim {
     /// across runs so a warm start writes into already-touched memory
     /// rather than a fresh multi-megabyte allocation per run.
     scratch_caches: Vec<SetAssocCache>,
+    /// The most row activations any throttle window granted in the last
+    /// run (0 after an idle run); see [`Self::last_run_peak_activations`].
+    last_peak_activations: u64,
 }
 
 impl MulticoreSim {
@@ -198,7 +201,7 @@ impl MulticoreSim {
         cpu.validate().expect("invalid CPU configuration");
         mem_cfg.validate().expect("invalid FBDIMM configuration");
         let scratch_caches = (0..cpu.l2_count).map(|_| SetAssocCache::new(cpu.l2)).collect();
-        MulticoreSim { cpu, mem_cfg, scratch_caches }
+        MulticoreSim { cpu, mem_cfg, scratch_caches, last_peak_activations: 0 }
     }
 
     /// The processor configuration.
@@ -209,6 +212,17 @@ impl MulticoreSim {
     /// The memory configuration.
     pub fn memory_config(&self) -> &FbdimmConfig {
         &self.mem_cfg
+    }
+
+    /// The most row activations any 10 µs throttle window granted in the
+    /// last run ([`fbdimm_sim::MemoryController::peak_activations_per_window`]),
+    /// 0 after an idle run. A bandwidth cap whose per-window limit is at
+    /// least this would have delayed no request of the run, so that run
+    /// under the cap is the same run. Kept beside the measurement rather
+    /// than in it, so [`RunMeasurement`] stays exactly what the second level
+    /// consumes.
+    pub fn last_run_peak_activations(&self) -> u64 {
+        self.last_peak_activations
     }
 
     /// Warm-starts the shared caches for a run of `apps`, one instance per
@@ -256,6 +270,7 @@ impl MulticoreSim {
     ) -> RunMeasurement {
         let active = mode.active_cores.min(apps.len()).min(self.cpu.cores);
         if active == 0 || !mode.makes_progress() {
+            self.last_peak_activations = 0;
             return RunMeasurement::idle(*mode, &self.cpu, &self.mem_cfg);
         }
 
@@ -364,6 +379,7 @@ impl MulticoreSim {
 
         let elapsed = cores.iter().map(|c| c.time_ps).max().unwrap_or(1).max(1);
         let traffic = memory.take_window(elapsed);
+        self.last_peak_activations = memory.controller().peak_activations_per_window();
 
         let mut per_core = vec![CoreStats::default(); self.cpu.cores];
         for core in &cores {

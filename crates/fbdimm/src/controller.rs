@@ -187,6 +187,12 @@ impl LinkOccupancy {
     }
 }
 
+/// Accounting window of the controller's activation throttle. A
+/// fine-grained (10 us) window makes the activation cap behave as a
+/// sustained-rate limit, which is how the DTM-BW bandwidth limits of
+/// Table 4.3 are meant to act.
+const THROTTLE_WINDOW_PS: Picos = 10 * PS_PER_US;
+
 /// The FBDIMM memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
@@ -222,10 +228,7 @@ impl MemoryController {
         MemoryController {
             channels: vec![ChannelLinks::new(); cfg.logical_channels],
             banks: (0..positions).map(|_| BankGroup::new(cfg.banks_per_dimm)).collect(),
-            // A fine-grained (10 us) accounting window makes the activation
-            // cap behave as a sustained-rate limit, which is how the DTM-BW
-            // bandwidth limits of Table 4.3 are meant to act.
-            throttle: ActivationThrottle::unlimited(10 * PS_PER_US),
+            throttle: ActivationThrottle::unlimited(THROTTLE_WINDOW_PS),
             stats: MemoryStats::new(&cfg),
             queue_slots: SlotRing::new(cfg.queue_entries),
             completions: Vec::new(),
@@ -259,15 +262,26 @@ impl MemoryController {
     /// removes the cap with `None`. A cap of `Some(0.0)` shuts the memory
     /// subsystem off entirely.
     pub fn set_bandwidth_cap(&mut self, cap_bytes_per_sec: Option<f64>) {
+        self.throttle.set_limit(Self::activation_limit(&self.cfg, cap_bytes_per_sec));
+    }
+
+    /// The per-window activation limit [`Self::set_bandwidth_cap`] applies
+    /// for `cap_bytes_per_sec` on a controller built from `cfg`: `None`
+    /// for no cap, `Some(0)` for a shut-off subsystem.
+    pub fn activation_limit(cfg: &FbdimmConfig, cap_bytes_per_sec: Option<f64>) -> Option<u64> {
         match cap_bytes_per_sec {
-            None => self.throttle.set_limit(None),
-            Some(cap) if cap <= 0.0 => self.throttle.set_limit(Some(0)),
-            Some(cap) => {
-                let replacement =
-                    ActivationThrottle::from_bandwidth_cap(self.throttle.window_ps(), cap, self.cfg.line_bytes);
-                self.throttle.set_limit(replacement.limit());
-            }
+            None => None,
+            Some(cap) if cap <= 0.0 => Some(0),
+            Some(cap) => ActivationThrottle::from_bandwidth_cap(THROTTLE_WINDOW_PS, cap, cfg.line_bytes).limit(),
         }
+    }
+
+    /// The most row activations any throttle window has granted so far
+    /// ([`ActivationThrottle::peak_per_window`]); a cap whose
+    /// [`Self::activation_limit`] is at least this would have delayed none
+    /// of them.
+    pub fn peak_activations_per_window(&self) -> u64 {
+        self.throttle.peak_per_window()
     }
 
     /// Returns `true` if the subsystem is currently shut off.
@@ -499,6 +513,47 @@ mod tests {
         let gbps = (n * cfg.line_bytes) as f64 / 1e9 / (finish as f64 / PS_PER_SEC as f64);
         assert!(gbps <= 6.5, "capped throughput {gbps:.2} GB/s");
         assert!(gbps > 5.0, "capped throughput {gbps:.2} GB/s suspiciously low");
+    }
+
+    /// Runs a seeded stream of bursty reads and writes under `cap` and
+    /// returns every completion and the throttle's per-window peak.
+    fn seeded_schedule(seed: u64, cap: Option<f64>) -> (Vec<Completion>, u64) {
+        let mut mc = MemoryController::new(FbdimmConfig::ddr2_667_paper());
+        mc.set_bandwidth_cap(cap);
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut arrival: Picos = 0;
+        for _ in 0..20_000 {
+            // Mostly back-to-back bursts, now and then an idle gap of up to
+            // a few throttle windows.
+            let r = next();
+            arrival += if r % 16 == 0 { r % (40 * PS_PER_US) } else { r % 2_000 };
+            let kind = if next() % 4 == 0 { RequestKind::Write } else { RequestKind::Read };
+            mc.enqueue(MemRequest::at(next() % (1 << 20), kind, 0, arrival)).unwrap();
+        }
+        (mc.drain_completions(), mc.peak_activations_per_window())
+    }
+
+    #[test]
+    fn a_cap_at_the_unlimited_peak_changes_no_completion() {
+        let cfg = FbdimmConfig::ddr2_667_paper();
+        for seed in [1, 7, 42, 1_234_567] {
+            let (free, peak) = seeded_schedule(seed, None);
+            assert!(peak > 1, "seed {seed}: the stream must fill some window");
+            // The byte cap whose per-window limit is exactly the peak.
+            let cap = (peak as f64 + 0.5) * cfg.line_bytes as f64 / (THROTTLE_WINDOW_PS as f64 / PS_PER_SEC as f64);
+            assert_eq!(MemoryController::activation_limit(&cfg, Some(cap)), Some(peak));
+            let (capped, capped_peak) = seeded_schedule(seed, Some(cap));
+            assert_eq!(capped, free, "seed {seed}: a limit of {peak} must change no completion");
+            assert_eq!(capped_peak, peak);
+        }
     }
 
     #[test]

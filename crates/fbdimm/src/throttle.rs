@@ -6,6 +6,20 @@
 //! exactly one activation, so an activation cap is equivalent to a byte
 //! bandwidth cap, which is how the DTM schemes express their limits
 //! (Table 4.3: "no limit", 19.2 GB/s, 12.8 GB/s, 6.4 GB/s, off).
+//!
+//! # Peak accounting
+//!
+//! The window state machine runs on every reservation, limited or not, and
+//! records the most activations any window granted
+//! ([`ActivationThrottle::peak_per_window`]). A limit delays a request only
+//! when its window has already granted `max_per_window` activations, so a
+//! run whose unlimited peak is at most a limit `L` would have been granted
+//! every activation at the same time under `L`: the limited run is the
+//! unlimited one, request for request. Level-1 characterization uses this
+//! to derive a capped design point from its uncapped sibling instead of
+//! simulating it. Because the window counts activations even while
+//! unlimited, a limit set mid-run applies to the activations its current
+//! window has already granted.
 
 use crate::time::{Picos, PS_PER_SEC};
 
@@ -21,12 +35,14 @@ pub struct ActivationThrottle {
     window_start: Picos,
     /// Activations granted in the current window.
     used: u64,
+    /// Most activations any window has granted so far.
+    peak: u64,
 }
 
 impl ActivationThrottle {
     /// Creates an unlimited throttle with the given accounting window.
     pub fn unlimited(window_ps: Picos) -> Self {
-        ActivationThrottle { window_ps: window_ps.max(1), max_per_window: None, window_start: 0, used: 0 }
+        ActivationThrottle { window_ps: window_ps.max(1), max_per_window: None, window_start: 0, used: 0, peak: 0 }
     }
 
     /// Creates a throttle that permits `max_per_window` activations per
@@ -37,6 +53,7 @@ impl ActivationThrottle {
             max_per_window: Some(max_per_window),
             window_start: 0,
             used: 0,
+            peak: 0,
         }
     }
 
@@ -64,6 +81,13 @@ impl ActivationThrottle {
         self.window_ps
     }
 
+    /// The most activations any accounting window has granted so far
+    /// (see the module docs): with no limit, the smallest limit that would
+    /// have delayed nothing.
+    pub fn peak_per_window(&self) -> u64 {
+        self.peak
+    }
+
     /// Returns `true` if the throttle currently blocks all traffic.
     pub fn is_shut_off(&self) -> bool {
         self.max_per_window == Some(0)
@@ -78,23 +102,25 @@ impl ActivationThrottle {
     /// check [`ActivationThrottle::is_shut_off`] first, because a shut-off
     /// memory system has no meaningful "next allowed" time.
     pub fn reserve(&mut self, earliest: Picos) -> Picos {
-        let Some(max) = self.max_per_window else {
-            return earliest;
-        };
-        assert!(max > 0, "reserve() called on a fully shut-off throttle");
+        assert!(self.max_per_window != Some(0), "reserve() called on a fully shut-off throttle");
 
         // Advance the window so that `earliest` falls inside it.
         self.roll_to(earliest);
-        if self.used < max {
-            self.used += 1;
-            return earliest;
-        }
-        // Window exhausted: the activation slides to the start of the next
-        // window (and consumes a slot there).
-        let next_window = self.window_start + self.window_ps;
-        self.window_start = next_window;
-        self.used = 1;
-        next_window
+        let granted = match self.max_per_window {
+            // Window exhausted: the activation slides to the start of the
+            // next window (and consumes a slot there).
+            Some(max) if self.used >= max => {
+                self.window_start += self.window_ps;
+                self.used = 1;
+                self.window_start
+            }
+            _ => {
+                self.used += 1;
+                earliest
+            }
+        };
+        self.peak = self.peak.max(self.used);
+        granted
     }
 
     fn roll_to(&mut self, t: Picos) {
@@ -159,6 +185,47 @@ mod tests {
         }
         // Completing n activations must take at least (n / 100 - 1) windows.
         assert!(t >= (n / 100 - 1) * window);
+    }
+
+    /// A seeded stream of non-decreasing request times: back-to-back
+    /// bursts with now and then an idle gap of a few windows.
+    fn seeded_times(seed: u64, window: Picos) -> Vec<Picos> {
+        let mut state = seed;
+        let mut t = 0;
+        (0..5_000)
+            .map(|_| {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                t += if z.is_multiple_of(32) { z % (3 * window) } else { z % (window / 20) };
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_limit_at_the_unlimited_peak_delays_nothing_and_one_below_does() {
+        let window = 1_000_000;
+        for seed in [3, 11, 2024, 987_654_321] {
+            let times = seeded_times(seed, window);
+            let mut free = ActivationThrottle::unlimited(window);
+            for &t in &times {
+                assert_eq!(free.reserve(t), t);
+            }
+            let peak = free.peak_per_window();
+            assert!(peak > 1, "seed {seed}: the stream must fill some window");
+            let mut at_peak = ActivationThrottle::with_limit(window, peak);
+            for &t in &times {
+                assert_eq!(at_peak.reserve(t), t, "seed {seed}: a limit of {peak} delayed a request");
+            }
+            assert_eq!(at_peak.peak_per_window(), peak);
+            let mut below = ActivationThrottle::with_limit(window, peak - 1);
+            let delayed = times.iter().filter(|&&t| below.reserve(t) > t).count();
+            assert!(delayed > 0, "seed {seed}: a limit of {} delayed nothing", peak - 1);
+        }
     }
 
     #[test]

@@ -65,7 +65,6 @@ impl PlatformExperiment {
         cfg.copies_per_app = runs_per_app;
         cfg.instruction_scale = instruction_scale;
         cfg.characterization_budget = 40_000;
-        cfg.record_temp_trace = true;
         cfg.max_sim_time_s = 40_000.0;
         let spot = MemSpot::with_store(server.cpu.clone(), server.mem, cfg, store);
         PlatformExperiment { server, spot, runs_per_app }
@@ -106,10 +105,19 @@ impl PlatformExperiment {
     /// Runs four copies of one application with no DTM control and returns
     /// the AMB temperature trace of the first `duration_s` seconds — the
     /// experiment behind Figures 5.4 and 5.5.
+    ///
+    /// The only run that records a temperature trace: it runs on a
+    /// simulator of its own, over the same store, with trace recording on.
+    /// (A homogeneous mix is never run twice, so a table kept in the
+    /// experiment's simulator would not be reused anyway.)
     pub fn homogeneous_temperature_curve(&mut self, app: &AppBehavior, duration_s: f64) -> Vec<TempSample> {
         let mix = WorkloadMix::homogeneous(app.clone(), self.server.cpu.cores);
-        let run = self.run_no_limit(&mix);
-        run.result.temp_trace.into_iter().filter(|s| s.time_s <= duration_s).collect()
+        let mut cfg = *self.spot.config();
+        cfg.record_temp_trace = true;
+        let mut spot =
+            MemSpot::with_store(self.server.cpu.clone(), self.server.mem, cfg, Arc::clone(self.spot.char_store()));
+        let result = spot.run(&mix, &mut NoLimit::new(&self.server.cpu));
+        result.temp_trace.into_iter().filter(|s| s.time_s <= duration_s).collect()
     }
 
     /// Average AMB temperature over a homogeneous run of one application

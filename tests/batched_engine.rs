@@ -63,7 +63,6 @@ fn run_per_cell(
         .into_iter()
         .map(|cell| {
             let mut spot = MemSpot::with_store(cpu.clone(), mem, cell.config, Arc::clone(store));
-            spot.set_level1_rotation_threads(1);
             let mut policy = cell.policy;
             spot.run(&cell.mix, policy.as_mut())
         })
@@ -99,7 +98,7 @@ fn literal_batched_is_bit_identical_to_the_per_cell_engine_across_random_batches
                 cfg.dtm_interval_s = cfg.window_s;
                 let mix = rng.pick(&mixes_pool).clone();
                 let policy = policy_for(i ^ (rng.next() % 2), &cpu, cfg.limits);
-                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1)
+                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store))
             })
             .collect::<Vec<_>>()
     };
@@ -201,8 +200,7 @@ fn fast_forward_matches_literal_stepping_within_1e9() {
                 mixes::w1(),
                 Box::new(NoLimit::new(&cpu)),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1),
+            ),
             BatchCell::new(
                 &cpu,
                 &mem,
@@ -210,8 +208,7 @@ fn fast_forward_matches_literal_stepping_within_1e9() {
                 mixes::w1(),
                 Box::new(DtmTs::new(cpu.clone(), ThermalLimits::paper_fbdimm())),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1),
+            ),
             BatchCell::new(
                 &cpu,
                 &mem,
@@ -219,8 +216,7 @@ fn fast_forward_matches_literal_stepping_within_1e9() {
                 mixes::w6(),
                 Box::new(ThresholdPolicy::with_pid(DtmScheme::Acg, &cpu, ThermalLimits::paper_fbdimm())),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1),
+            ),
         ]
     };
 
@@ -284,7 +280,7 @@ fn lane_parallel_stepping_is_bit_identical_across_worker_counts() {
                 cfg.dtm_interval_s = cfg.window_s;
                 let mix = rng.pick(&mixes_pool).clone();
                 let policy = policy_for(i ^ (rng.next() % 2), &cpu, cfg.limits);
-                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1)
+                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store))
             })
             .collect::<Vec<_>>()
     };
@@ -293,7 +289,7 @@ fn lane_parallel_stepping_is_bit_identical_across_worker_counts() {
             .map(|i| {
                 let cfg = base_config(CoolingConfig::aohs_1_5());
                 let policy = policy_for(i, &cpu, cfg.limits);
-                BatchCell::new(&cpu, &mem, cfg, mixes::w1(), policy, Arc::clone(&store)).with_rotation_threads(1)
+                BatchCell::new(&cpu, &mem, cfg, mixes::w1(), policy, Arc::clone(&store))
             })
             .collect::<Vec<_>>()
     };
@@ -359,8 +355,7 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
                 mixes::w1(),
                 Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, acg.limits)),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1),
+            ),
             BatchCell::new(
                 &cpu,
                 &mem,
@@ -368,8 +363,7 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
                 mixes::w1(),
                 Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, cdvfs.limits)),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1),
+            ),
         ]
     };
 

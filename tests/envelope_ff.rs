@@ -162,7 +162,7 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
                 } else {
                     eligible_policy(rng, &cpu, cfg.limits)
                 };
-                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1)
+                BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store))
             })
             .collect::<Vec<_>>();
         // The PID policies, after the draws above: all three schemes under
@@ -174,7 +174,7 @@ fn envelope_execution_matches_literal_within_1e9_across_random_cells() {
                 cfg.dtm_interval_s = cfg.window_s;
                 let mix = rng.pick(&mixes_pool).clone();
                 let policy = Box::new(ThresholdPolicy::with_pid(scheme, &cpu, cfg.limits));
-                cells.push(BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)).with_rotation_threads(1));
+                cells.push(BatchCell::new(&cpu, &mem, cfg, mix, policy, Arc::clone(&store)));
             }
         }
         cells
@@ -242,8 +242,7 @@ fn a_drifting_trajectory_falls_back_to_literal_without_losing_accuracy() {
             mixes::w6(),
             Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, cfg.limits)),
             Arc::clone(&store),
-        )
-        .with_rotation_threads(1)]
+        )]
     };
 
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
@@ -294,8 +293,7 @@ fn sliding_mode_bw_chatter_replays_exactly_at_paper_cadence() {
             mixes::w5(),
             Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, cfg.limits)),
             Arc::clone(&store),
-        )
-        .with_rotation_threads(1)]
+        )]
     };
 
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
@@ -352,8 +350,7 @@ fn a_refuted_contraction_certificate_falls_back_with_exact_window_conservation()
             mixes::w6(),
             Box::new(ThresholdPolicy::new(DtmScheme::Bw, &cpu, cfg.limits)),
             Arc::clone(&store),
-        )
-        .with_rotation_threads(1)]
+        )]
     };
 
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
@@ -382,10 +379,7 @@ fn literal_opt_out_disables_the_envelope_tier() {
     let cpu_power = PaperCpuPower::new();
     let store = Arc::new(CharStore::new());
     let cfg = base_config(CoolingConfig::aohs_1_5());
-    let build = || {
-        vec![BatchCell::new(&cpu, &mem, cfg, mixes::w1(), Box::new(NoLimit::new(&cpu)), Arc::clone(&store))
-            .with_rotation_threads(1)]
-    };
+    let build = || vec![BatchCell::new(&cpu, &mem, cfg, mixes::w1(), Box::new(NoLimit::new(&cpu)), Arc::clone(&store))];
     let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
     let lit = engine.run(build(), &BatchOptions::literal());
     assert_eq!(lit[0].1.fast_forwarded_windows, 0);
@@ -439,7 +433,7 @@ fn decision_replay_closes_a_run_that_exits_at_the_run_length_cap() {
                 DtmScheme::Acg => Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, cfg.limits)),
                 _ => Box::new(ThresholdPolicy::new(DtmScheme::Cdvfs, &cpu, cfg.limits)),
             };
-            vec![BatchCell::new(&cpu, &mem, cfg, spec_mix(apps), policy, Arc::clone(&store)).with_rotation_threads(1)]
+            vec![BatchCell::new(&cpu, &mem, cfg, spec_mix(apps), policy, Arc::clone(&store))]
         };
         let literal = engine.run(build(), &BatchOptions::literal());
         let envelope = engine.run(build(), &BatchOptions::default());
@@ -447,6 +441,45 @@ fn decision_replay_closes_a_run_that_exits_at_the_run_length_cap() {
         let (ff, fs) = &envelope[0];
         let label = format!("{} {} {scheme}", apps.join("/"), cooling.label());
         assert!(fs.envelope_cycles > 0, "{label}: the envelope tier never engaged (stepped {})", fs.stepped_windows);
+        assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
+        assert_envelope_tolerance(ff, lit, &label);
+    }
+}
+
+#[test]
+fn decision_replay_closes_a_long_run_log_chunk_by_chunk() {
+    // Quick-scale cells at the paper's 10 ms cadence whose replay segments
+    // log tens of thousands of runs: the replay closes its dominated rows
+    // over every 4,096 logged runs, carrying each row's temperature, peak
+    // and certificates across chunks (8 and 21 chunk closes when this test
+    // was written). Dropping a chunk instead of closing it moves these
+    // cells' results far past 1e-9; closing chunk by chunk must not move
+    // them at all, so each cell still matches its literal run within 1e-9
+    // with the window count conserved exactly.
+    let cpu = CpuConfig::paper_quad_core();
+    let mem = FbdimmConfig::ddr2_667_paper();
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
+    let store = Arc::new(CharStore::new());
+    let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+    let cases: [([&str; 4], CoolingConfig, DtmScheme); 2] = [
+        (["apsi", "lucas", "wrf", "vpr"], CoolingConfig::fdhs_1_0(), DtmScheme::Acg),
+        (["fma3d", "soplex", "GemsFDTD", "leslie3d"], CoolingConfig::aohs_1_5(), DtmScheme::Bw),
+    ];
+    for (apps, cooling, scheme) in cases {
+        let mut cfg = experiments::harness::Scale::Quick.memspot_config(cooling);
+        cfg.window_s = 0.010;
+        cfg.dtm_interval_s = 0.010;
+        let build = || {
+            let policy = Box::new(ThresholdPolicy::new(scheme, &cpu, cfg.limits));
+            vec![BatchCell::new(&cpu, &mem, cfg, spec_mix(apps), policy, Arc::clone(&store))]
+        };
+        let literal = engine.run(build(), &BatchOptions::literal());
+        let envelope = engine.run(build(), &BatchOptions::default());
+        let (lit, ls) = &literal[0];
+        let (ff, fs) = &envelope[0];
+        let label = format!("{} {} {scheme}", apps.join("/"), cooling.label());
+        assert!(fs.replayed_windows > 50_000, "{label}: only {} windows replayed", fs.replayed_windows);
         assert_eq!(fs.stepped_windows + fs.fast_forwarded_windows, ls.stepped_windows, "{label}: window count drifted");
         assert_envelope_tolerance(ff, lit, &label);
     }
@@ -490,8 +523,7 @@ fn ts_shutdown_relay_rides_the_envelope_at_paper_cadence() {
                 mixes::w1(),
                 Box::new(DtmTs::new(cpu.clone(), limits)),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1)]
+            )]
         };
         let literal = engine.run(build(), &BatchOptions::literal());
         let envelope = engine.run(build(), &BatchOptions::default());
@@ -547,8 +579,7 @@ fn decision_replay_steps_near_twin_rows_literally_instead_of_refusing() {
                 mix.clone(),
                 Box::new(ThresholdPolicy::new(scheme, &cpu, cfg.limits)),
                 Arc::clone(&store),
-            )
-            .with_rotation_threads(1)]
+            )]
         };
         let literal = engine.run(build(), &BatchOptions::literal());
         let envelope = engine.run(build(), &BatchOptions::default());
