@@ -201,6 +201,9 @@ pub struct SweepOutcome {
     /// over all cells ([`CellRunStats::replayed_windows`]; part of
     /// `fast_forwarded_windows`).
     pub replayed_windows: u64,
+    /// Constant-plan runs the exact decision replay logged, summed over all
+    /// cells ([`CellRunStats::replay_runs`]).
+    pub replay_runs: u64,
     /// Windows envelope bursts stepped one at a time, summed over all cells
     /// ([`CellRunStats::burst_stepped_windows`]; part of
     /// `fast_forwarded_windows`).
@@ -430,6 +433,7 @@ impl SweepRunner {
         let mut envelope_cycles = 0u64;
         let mut stepped_windows = 0u64;
         let mut replayed_windows = 0u64;
+        let mut replay_runs = 0u64;
         let mut burst_stepped_windows = 0u64;
         let mut detector_ns = 0u64;
         let mut verify_ns = 0u64;
@@ -442,6 +446,7 @@ impl SweepRunner {
             envelope_cycles += stats.envelope_cycles;
             stepped_windows += stats.stepped_windows;
             replayed_windows += stats.replayed_windows;
+            replay_runs += stats.replay_runs;
             burst_stepped_windows += stats.burst_stepped_windows;
             detector_ns += stats.detector_ns;
             verify_ns += stats.verify_ns;
@@ -459,6 +464,7 @@ impl SweepRunner {
             periodic_cycles: 0,
             envelope_cycles,
             replayed_windows,
+            replay_runs,
             burst_stepped_windows,
             stepped_windows,
             detector_ns,

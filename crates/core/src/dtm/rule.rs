@@ -315,20 +315,9 @@ impl DecisionRule<'_> {
     /// decisions in between. `None` for latches and field rules.
     pub fn key(&self, prev_amb_c: f64, prev_dram_c: f64, max_amb_c: f64, max_dram_c: f64) -> Option<u8> {
         match *self {
-            DecisionRule::Ladder { levels, .. } => Some(levels.level(max_amb_c, max_dram_c).index() as u8),
+            DecisionRule::Ladder { levels, .. } => Some(ladder_key(levels, (max_amb_c, max_dram_c))),
             DecisionRule::Pid { amb, dram, limits, dt_s, .. } => {
-                if max_amb_c >= limits.amb_tdp_c || max_dram_c >= limits.dram_tdp_c {
-                    return None;
-                }
-                let dt = dt_s?;
-                let level = |c: &PidController, prev: f64, t: f64| -> Option<usize> {
-                    if t.is_nan() {
-                        return Some(0);
-                    }
-                    pid_step(c, t, c.target_c - prev, prev >= c.integral_enable_c, dt)
-                };
-                let level = level(amb, prev_amb_c, max_amb_c)?.max(level(dram, prev_dram_c, max_dram_c)?);
-                Some(level as u8)
+                pid_key(amb, dram, limits, dt_s?, (prev_amb_c, prev_dram_c), (max_amb_c, max_dram_c))
             }
             _ => None,
         }
@@ -344,6 +333,38 @@ impl DecisionRule<'_> {
             _ => None,
         }
     }
+}
+
+/// [`DecisionRule::key`] of a [`DecisionRule::Ladder`] over `levels` at
+/// maxima `(amb, dram)`. The exact decision replay calls it directly, so
+/// its per-window loop does not dispatch on the rule.
+pub(crate) fn ladder_key(levels: &EmergencyThresholds, (max_amb_c, max_dram_c): (f64, f64)) -> u8 {
+    levels.level(max_amb_c, max_dram_c).index() as u8
+}
+
+/// [`DecisionRule::key`] of a [`DecisionRule::Pid`] whose last decision was
+/// at DTM interval `dt_s`, at maxima `now` following maxima `prev` (both
+/// `(amb, dram)`). The exact decision replay calls it directly, so its
+/// per-window loop does not dispatch on the rule.
+pub(crate) fn pid_key(
+    amb: &PidController,
+    dram: &PidController,
+    limits: &ThermalLimits,
+    dt_s: f64,
+    prev: (f64, f64),
+    now: (f64, f64),
+) -> Option<u8> {
+    if now.0 >= limits.amb_tdp_c || now.1 >= limits.dram_tdp_c {
+        return None;
+    }
+    let level = |c: &PidController, prev: f64, t: f64| -> Option<usize> {
+        if t.is_nan() {
+            return Some(0);
+        }
+        pid_step(c, t, c.target_c - prev, prev >= c.integral_enable_c, dt_s)
+    };
+    let level = level(amb, prev.0, now.0)?.max(level(dram, prev.1, now.1)?);
+    Some(level as u8)
 }
 
 #[cfg(test)]

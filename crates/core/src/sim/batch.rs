@@ -143,6 +143,34 @@
 //!   maps — decisions exact, windows and completion boundaries conserved
 //!   bit for bit, scalars within 1e-9.
 //!
+//! # The replay stage
+//!
+//! The exact decision replay is a stage of its own, `sim::replay`: the
+//! burst sets a segment up (key table, binding rows, dominance certificate,
+//! completion-safe cap) and books what the stage hands back (occupancy
+//! counts, clocks, the re-prime); the stage runs the virtual-window loop,
+//! keeps the run log and closes it. The loop is generic over its key
+//! function and instantiated once per keyed rule kind with the rule's own
+//! key code, so the per-window loop never dispatches on the rule. Debug
+//! builds hold every 64th replayed window of a ladder rule (by the burst's
+//! window count) to [`DecisionRule::next`] and to the key table. The
+//! segment's clocks are carried in the loop as the same sequence of
+//! additions literal stepping makes.
+//!
+//! Most runs of sliding-mode chatter last one or two windows, and the
+//! close gives both an exact body of its own before the general one:
+//!
+//! - a **one-window run** has no interior window: its only in-run value is
+//!   its endpoint, so it folds the endpoint alone into the peak — what the
+//!   interior-extremum search computes for `n = 1` in real arithmetic;
+//! - a **two-window run** has exactly one interior value,
+//!   `t(1) = t·λ_l + base₁ + off·(1 − λ_l)` from the first rungs of the
+//!   λ-power ladders, folded into the peak beside the endpoint, which is
+//!   computed from `t(0)` exactly as for any run, so the row temperature
+//!   keeps its bits.
+//!
+//! Runs of three or more windows keep the general body and its cold path.
+//!
 //! After either mechanism the burst **re-primes** the policy: it replays
 //! the maxima of the segment's last two skipped decisions through
 //! `decide`. A memory-one PID controller remembers nothing older, so this
@@ -172,13 +200,13 @@ use workloads::{BatchJob, WorkloadMix};
 
 use crate::dtm::plan::{ActuationPlan, PlanTrafficStats};
 use crate::dtm::policy::DtmPolicy;
-#[cfg(doc)]
-use crate::dtm::rule::DecisionRule;
+use crate::dtm::rule::{self, DecisionRule};
 use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};
 use crate::sim::characterize::{CharPoint, CharStore, CharacterizationTable, ModeKey};
 use crate::sim::energy::EnergyAccumulator;
 use crate::sim::engine::{assemble_result, RunTotals, SimEngine, WindowPower};
 use crate::sim::memspot::{MemSpotConfig, MemSpotResult, TempSample};
+use crate::sim::replay::{self, Forcing, REPLAY_KEYS, REPLAY_RUN_EXIT};
 use crate::thermal::params::{DeviceLayerKind, StackTopology};
 use crate::thermal::rc::ThermalNode;
 use crate::thermal::scene::{DimmThermalScene, ThermalObservation};
@@ -217,191 +245,6 @@ const ENV_BACKOFF_DOUBLINGS: u32 = 6;
 /// probes for a closed-form segment jump. Shorter runs are cheaper to step
 /// than to license.
 const ENV_JUMP_MIN: u64 = 16;
-
-/// Key space of [`DecisionRule::key`]: the exact decision replay indexes
-/// its key → plan-entry table with keys below this.
-const REPLAY_KEYS: usize = 16;
-
-/// Frozen-plan run length at which the exact decision replay hands the
-/// segment back to the closed-form probe: a run this long is no longer
-/// sliding-mode chatter but a monotone approach, which the frozen-plan
-/// contraction jump advances in O(1) instead of O(windows).
-const REPLAY_RUN_EXIT: usize = 256;
-
-/// Entries of the decision replay's λ-power tables: powers 0 through the
-/// longest run the replay can log. A run that flips in logs its flip window
-/// too, but the frozen-run length that stops the replay at
-/// [`REPLAY_RUN_EXIT`] does not count it, so such a run logs up to
-/// `REPLAY_RUN_EXIT + 1` windows.
-const REPLAY_POWERS: usize = REPLAY_RUN_EXIT + 2;
-
-/// Logged runs the exact decision replay buffers before it closes its
-/// dominated rows over them ([`DominatedLayer::close`]): at 16 bytes a run
-/// this bounds the run log to 64 KiB, however long the segment.
-const REPLAY_LOG_CHUNK: usize = 4_096;
-
-/// One layer's dominated rows in the exact decision replay's close: their
-/// temperatures and peaks, their per-entry forcing offsets (entry-major)
-/// and two run-level peak certificates. The state carries from one chunk
-/// of the run log to the next, so closing the log chunk by chunk performs
-/// exactly the arithmetic of closing it whole.
-struct DominatedLayer {
-    /// Layer index within the stack.
-    layer: usize,
-    /// The layer's dominated rows, ascending.
-    rows: Vec<usize>,
-    /// Each row's temperature after the runs closed so far.
-    t: Vec<f64>,
-    /// Each row's peak after the runs closed so far.
-    pk: Vec<f64>,
-    /// Forcing offset of row `j` under entry `e` at `e * rows.len() + j`.
-    offs: Vec<f64>,
-    /// `pkm[e]` under-approximates `min_r (pk_r − off_er)`: when a run's
-    /// `ambx` sits below it, every in-run value of every row (bounded by
-    /// `max(t, ambx + off_r)` with the `t ≤ pk` invariant) stays under the
-    /// recorded peaks, so the run needs only the endpoint map. `pk` only
-    /// grows, so a stale `pkm` is conservative.
-    pkm: Vec<f64>,
-    /// `pkx[e]` over-approximates `max_r (pk_r − off_er)`: when the run's
-    /// ambient mode falls (`c < 0`) and `pkx[e] < S_amb,e + c`, every row
-    /// starts below its two-exponential target with both modes pulling the
-    /// same way — no interior extreme exists and the in-run max is the
-    /// endpoint. Refreshed whenever a peak moved before it is trusted again.
-    pkx: Vec<f64>,
-    /// Whether a peak moved since the certificates were last refreshed.
-    dirty: bool,
-    /// The per-layer constant `α_l·λ_a/(λ_a − λ_l)` of the ambient mode's
-    /// coefficient `c` (the division hoisted out of the run loop).
-    q: f64,
-}
-
-impl DominatedLayer {
-    /// The close state of layer `layer`'s dominated rows `rows`, starting
-    /// from their temperatures and peaks in `rows_t` and `peaks`.
-    fn new(layer: usize, rows: Vec<usize>, rows_t: &[f64], peaks: &[f64], offs: Vec<f64>, q: f64, nent: usize) -> Self {
-        let t: Vec<f64> = rows.iter().map(|&r| rows_t[r]).collect();
-        let pk: Vec<f64> = rows.iter().map(|&r| peaks[r]).collect();
-        let (mut pkm, mut pkx) = (vec![f64::NEG_INFINITY; nent], vec![f64::INFINITY; nent]);
-        refresh_certificates(&mut pkm, &mut pkx, &pk, &offs);
-        DominatedLayer { layer, rows, t, pk, offs, pkm, pkx, dirty: false, q }
-    }
-
-    /// Replays the rows over `runs` (entry, length, ambient at run entry)
-    /// in closed form. Within one run the ambient is a single exponential,
-    /// so a row is the exact two-exponential
-    /// `t(k) = S_r + a·λ_l^k + c·λ_a^k` with `c = α_l·A·λ_a/(λ_a − λ_l)`
-    /// (A the ambient's offset from its run target). The row endpoint map
-    /// is affine with shared coefficients per run —
-    /// `t' = t·λ_l^n + base + off_r·(1 − λ_l^n)`, the powers read from the
-    /// layer's ladder `lam` and the ambient's `laa` — so a row costs two
-    /// multiplies per run, and `ambx` (the run's highest possible forcing
-    /// ambient) pre-filters the in-run extremum search: any in-run value is
-    /// bounded by `max(t_start, ambx + off_r)`.
-    ///
-    /// The rows are scanned run-major with the rows in the inner loop: each
-    /// row's endpoint recurrence is a serial dependency chain over tens of
-    /// thousands of runs, so keeping the rows innermost interleaves the
-    /// chains instead of serializing on one. The in-run extremum search
-    /// ([`env_row_range`]) stays out of the hot loop: an interior extreme
-    /// needs the row mode and the ambient mode pulling in opposite
-    /// directions AND a forcing ceiling above the recorded peak — chatter
-    /// runs chase the same plan flip, so the slow path is cold.
-    fn close(&mut self, runs: &[(u32, u32, f64)], stab_amb: &[f64], lam: &[f64], laa: &[f64], ln_l: f64, ln_a: f64) {
-        let n = self.rows.len();
-        let q = self.q;
-        // The state lives in locals for the loop, as one pass would keep it.
-        let DominatedLayer { t, pk, offs, pkm, pkx, dirty: dirty_out, .. } = self;
-        let (t, pk, offs, pkm, pkx) = (&mut t[..], &mut pk[..], &offs[..], &mut pkm[..], &mut pkx[..]);
-        let mut dirty = *dirty_out;
-        for &(ei, len, amb0r) in runs {
-            let s_amb_e = stab_amb[ei as usize];
-            let lp = lam[len as usize];
-            let k1 = 1.0 - lp;
-            let c = (amb0r - s_amb_e) * q;
-            let base = s_amb_e * k1 + c * (laa[len as usize] - lp);
-            let ambx = amb0r.max(s_amb_e);
-            let ob = &offs[ei as usize * n..(ei as usize + 1) * n];
-            if ambx <= pkm[ei as usize] {
-                for j in 0..n {
-                    t[j] = t[j] * lp + base + ob[j] * k1;
-                }
-                continue;
-            }
-            if dirty {
-                refresh_certificates(pkm, pkx, pk, offs);
-                dirty = false;
-            }
-            if c < 0.0 && pkx[ei as usize] < s_amb_e + c {
-                // Endpoint-only body: peaks can move, extremes not.
-                for j in 0..n {
-                    let tn = t[j] * lp + base + ob[j] * k1;
-                    dirty |= tn > pk[j];
-                    pk[j] = pk[j].max(tn);
-                    t[j] = tn;
-                }
-                continue;
-            }
-            let mut hot = false;
-            for j in 0..n {
-                let ofr = ob[j];
-                let tn = t[j] * lp + base + ofr * k1;
-                let pkn = pk[j].max(tn);
-                let a = (t[j] - s_amb_e - ofr) - c;
-                hot |= ((a > 0.0) != (c > 0.0)) & (a != 0.0) & (c != 0.0) & (ambx + ofr > pkn);
-                dirty |= tn > pk[j];
-                t[j] = tn;
-                pk[j] = pkn;
-            }
-            if hot {
-                // Cold path: some row may peak inside the run. Recover each
-                // row's run-entry state by inverting the affine endpoint
-                // map (λ^len > 0; the ~1 ulp inversion slop only feeds the
-                // peak bound, which tolerates far more than the 1e-9
-                // guarantee).
-                for j in 0..n {
-                    let ofr = ob[j];
-                    let s_r = s_amb_e + ofr;
-                    let tp = (t[j] - base - ofr * k1) / lp;
-                    let a = (tp - s_r) - c;
-                    if a != 0.0 && c != 0.0 && (a > 0.0) != (c > 0.0) && ambx + ofr > pk[j] {
-                        let nf = len as f64;
-                        let (pow_l, pow_a) = ((nf * ln_l).exp(), (nf * ln_a).exp());
-                        let (_, _, hi) = env_row_range(a, c, ln_l, ln_a, pow_l, pow_a, nf);
-                        dirty |= s_r + hi > pk[j];
-                        pk[j] = pk[j].max(s_r + hi);
-                    }
-                }
-            }
-        }
-        *dirty_out = dirty;
-    }
-}
-
-/// Recomputes a layer's two peak certificates (see [`DominatedLayer`]) from
-/// its rows' peaks `pk` and entry-major forcing offsets `offs`.
-fn refresh_certificates(pkm: &mut [f64], pkx: &mut [f64], pk: &[f64], offs: &[f64]) {
-    let n = pk.len();
-    for (e, (pkm, pkx)) in pkm.iter_mut().zip(pkx.iter_mut()).enumerate() {
-        let ob = &offs[e * n..(e + 1) * n];
-        let mut m = f64::INFINITY;
-        let mut x = f64::NEG_INFINITY;
-        for (&p, &o) in pk.iter().zip(ob) {
-            m = m.min(p - o);
-            x = x.max(p - o);
-        }
-        *pkm = m;
-        *pkx = x;
-    }
-}
-
-/// Dominance margin (°C) of the exact decision replay: a row the replay
-/// does not step must provably stay at least this far below its device's
-/// binding (hottest) row over the whole replayed segment, so the maximum
-/// over the rows the replay does step *is* the device maximum every
-/// virtual window. The convex-combination bound the audit uses is exact in
-/// real arithmetic; the margin only has to dominate the ~1e-13 °C
-/// accumulated rounding of the literal recurrences it stands in for.
-const REPLAY_GAP_C: f64 = 1e-9;
 
 /// Floating-point shadowing guard (°C) every contraction certificate keeps
 /// between its traced rectangle and the nearest decision boundary. The
@@ -472,6 +315,9 @@ pub struct CellRunStats {
     /// as virtual windows (binding and literal rows only; a subset of
     /// `fast_forwarded_windows`).
     pub replayed_windows: u64,
+    /// Constant-plan runs the exact decision replay logged over its
+    /// `replayed_windows` (each closed per dominated row in closed form).
+    pub replay_runs: u64,
     /// Windows an envelope burst decided and swept one at a time, every row
     /// literally, outside its closed-form jumps and its decision replay (a
     /// subset of `fast_forwarded_windows`).
@@ -500,6 +346,7 @@ impl PartialEq for CellRunStats {
             && self.fast_forwarded_windows == other.fast_forwarded_windows
             && self.envelope_cycles == other.envelope_cycles
             && self.replayed_windows == other.replayed_windows
+            && self.replay_runs == other.replay_runs
             && self.burst_stepped_windows == other.burst_stepped_windows
             && self.envelope_fallbacks == other.envelope_fallbacks
     }
@@ -1753,7 +1600,7 @@ fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState) -> Option<EnvBand>
 /// so the discrete extremes sit at the endpoints or at the two integers
 /// bracketing it; `f(0)` is `a + b` directly (never through `0 · ln λ`),
 /// so a fully-relaxed row cannot produce NaN.
-fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, pow_a: f64, nf: f64) -> (f64, f64, f64) {
+pub(super) fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, pow_a: f64, nf: f64) -> (f64, f64, f64) {
     let f0 = a + b;
     let fe = if nf <= 0.0 { f0 } else { a * pow_l + b * pow_a };
     let (mut lo, mut hi) = if f0 <= fe { (f0, fe) } else { (fe, f0) };
@@ -1772,75 +1619,6 @@ fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, pow_a: f64, n
         }
     }
     (fe, lo, hi)
-}
-
-/// A row's part in one exact decision replay segment ([`replay_roles`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowRole {
-    /// The hottest row of its device kind at the segment start, iterated
-    /// as a scalar with the literal recurrence.
-    Binding,
-    /// A bitwise twin of its binding row (equal state, forcings and band):
-    /// it stays bitwise equal, so the binding scalar stands in for it.
-    Twin,
-    /// A row the dominance certificate cannot clear, stepped with the
-    /// literal recurrence every virtual window; each decision reads the
-    /// maximum over it and the binding row of its kind.
-    Literal,
-    /// Provably stays at least [`REPLAY_GAP_C`] below its binding row for
-    /// the whole segment, so no decision reads it; closed per plan run at
-    /// the segment close.
-    Dominated,
-}
-
-/// Assigns every row its [`RowRole`] for a replay segment. `binding` holds
-/// the binding rows `(buffer, dram)` (`usize::MAX` for an absent buffer
-/// layer) and `kinds` the device kind of each layer (rows are
-/// `position × depth + layer`). Per row, `audit` holds the forcing half of
-/// the dominance certificate: whether every plan entry forces the row at
-/// least [`REPLAY_GAP_C`] below its same-layer binding row, whether its
-/// forcings equal the binding row's bit for bit, and its highest forcing
-/// offset over the entries. A same-layer row is dominated when its forcing
-/// gap holds and it also starts that far below; a row on another layer of
-/// the same kind when its highest reachable temperature — its start or the
-/// ambient's highest value `amb.1` plus its highest offset — stays that far
-/// below the binding row's lowest, its start or `amb.0` plus the binding
-/// row's lowest offset `lo_off(binding)`. Every other row is literal.
-fn replay_roles(
-    kinds: &[DeviceLayerKind],
-    binding: (usize, usize),
-    rows_t: &[f64],
-    band: &EnvBand,
-    audit: &[(bool, bool, f64)],
-    amb: (f64, f64),
-    lo_off: impl Fn(usize) -> f64,
-) -> Vec<RowRole> {
-    let depth = kinds.len();
-    (0..rows_t.len())
-        .map(|r| {
-            let b = match kinds[r % depth] {
-                DeviceLayerKind::Buffer => binding.0,
-                DeviceLayerKind::Dram => binding.1,
-            };
-            let (gap_ok, twin_ok, hi_off) = audit[r];
-            if r == b {
-                return RowRole::Binding;
-            }
-            if twin_ok && rows_t[r] == rows_t[b] && band.lo[r] == band.lo[b] && band.hi[r] == band.hi[b] {
-                return RowRole::Twin;
-            }
-            let dominated = if r % depth == b % depth {
-                gap_ok && rows_t[r] - rows_t[b] <= -REPLAY_GAP_C
-            } else {
-                rows_t[r].max(amb.1 + hi_off) <= rows_t[b].min(amb.0 + lo_off(b)) - REPLAY_GAP_C
-            };
-            if dominated {
-                RowRole::Dominated
-            } else {
-                RowRole::Literal
-            }
-        })
-        .collect()
 }
 
 /// Flushes the burst's accumulators, syncs the scene and finalizes the
@@ -1978,12 +1756,11 @@ fn envelope_burst(
     // only the O(rows) start-state gaps. `(entry_count, b_buf, b_dram)`
     // keys the cache; per row it stores (same-layer forcing gap holds,
     // forcings bitwise-equal to binding, max forcing over entries).
-    let mut replay_audit_key = (usize::MAX, usize::MAX, usize::MAX);
+    let mut replay_audit_key = (usize::MAX, (usize::MAX, usize::MAX));
     let mut replay_audit: Vec<(bool, bool, f64)> = Vec::new();
     // The per-layer and ambient λ-power ladders of the replay close, built
     // at the burst's first replay segment (they depend only on the lane).
-    let mut lam_tab: Vec<f64> = Vec::new();
-    let mut laa_tab: Vec<f64> = Vec::new();
+    let mut powers: Option<replay::Powers> = None;
 
     loop {
         // B: the window's pre-step — the envelope tier requires
@@ -2131,30 +1908,16 @@ fn envelope_burst(
         if violation || (run < next_attempt && !chatter_probe) {
             continue;
         }
-        // Exact decision replay: sliding-mode chatter defeats the frozen
-        // probe (the run resets on every plan flip, and an orbit whose
-        // duty ratio slips never repeats an exact plan period), so a
+        // Exact decision replay ([`replay`]): sliding-mode chatter defeats
+        // the frozen probe (the run resets on every plan flip, and an orbit
+        // whose duty ratio slips never repeats an exact plan period), so a
         // policy whose decisions are keyed by the device maxima
         // ([`DecisionRule::key`]) is advanced by re-evaluating every
-        // decision instead of certifying it away. The literal rows carry
-        // the bits every decision reads — the shared ambient, the binding
-        // (hottest) row of each device kind as two scalars, and every row
-        // the dominance certificate cannot clear (say, a near-twin on
-        // another channel), each iterated with exactly the literal
-        // recurrence. The certificate proves every remaining row stays
-        // strictly below its binding row for the whole segment: each row
-        // is a convex combination of its start temperature and its
-        // per-window forcings, so a margin on the start gap and on every
-        // per-entry forcing gap bounds the entire trajectory without
-        // tracing it. Accounting collapses to plan-occupancy closed forms
-        // (per-entry window counts times the cached per-window amounts),
-        // and the dominated rows are reconstructed at segment close from
-        // the run log: within one plan run the ambient is a single
-        // exponential, so each row follows the exact two-exponential
-        // response `t = S_r + a·λ_l^k + c·λ_a^k` and a run costs O(1) per
-        // row — endpoint from the λ-power ladders, in-run extremes via
-        // [`env_row_range`] only when the two modes pull in opposite
-        // directions.
+        // decision instead of certifying it away. The burst sets a segment
+        // up — the key table, the binding rows, the dominance certificate
+        // and the completion-safe cap — and books what the stage hands
+        // back: plan-occupancy accounting (per-entry window counts times
+        // the cached per-window amounts), the clocks and the re-prime.
         let now = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
         if run < next_attempt {
             // A first key the rule refuses (a PID integral on the move)
@@ -2185,54 +1948,20 @@ fn envelope_burst(
                     *ke = i;
                 }
             }
-            // Binding (hottest) rows per device kind.
-            let mut b_buf = usize::MAX;
-            let mut b_dram = usize::MAX;
-            for r in 0..rows {
-                match kinds[r % depth] {
-                    DeviceLayerKind::Buffer => {
-                        if b_buf == usize::MAX || rows_t[r] > rows_t[b_buf] {
-                            b_buf = r;
-                        }
-                    }
-                    DeviceLayerKind::Dram => {
-                        if b_dram == usize::MAX || rows_t[r] > rows_t[b_dram] {
-                            b_dram = r;
-                        }
-                    }
-                }
-            }
-            if b_dram == usize::MAX || !rows_t.iter().all(|t| t.is_finite()) {
+            let binding = replay::binding_rows(&kinds, &rows_t);
+            if binding.1 == usize::MAX || !rows_t.iter().all(|t| t.is_finite()) {
                 chatter_next = u64::MAX;
                 continue;
             }
-            let off = |e: &EnvPlanEntry, r: usize| -> f64 {
-                if identity_split {
-                    e.stab_a[r] + e.stab_b[r]
-                } else {
-                    e.stab_a[r]
-                }
-            };
-            // Forcing-gap half of the dominance certificate, reused across
-            // consecutive segments (it depends only on the cached entries
-            // and the binding rows, never on the segment's start state).
-            if replay_audit_key != (nent, b_buf, b_dram) {
+            let mut forcings = [Forcing { a: &[], b: &[] }; REPLAY_KEYS];
+            for (f, e) in forcings.iter_mut().zip(&entries) {
+                *f = Forcing { a: &e.stab_a, b: &e.stab_b };
+            }
+            let forcings = &forcings[..nent];
+            if replay_audit_key != (nent, binding) {
                 replay_audit.clear();
-                for r in 0..rows {
-                    let b = match kinds[r % depth] {
-                        DeviceLayerKind::Buffer => b_buf,
-                        DeviceLayerKind::Dram => b_dram,
-                    };
-                    let same_layer = b != usize::MAX && r % depth == b % depth;
-                    let gap_ok = same_layer && entries.iter().all(|e| off(e, r) - off(e, b) <= -REPLAY_GAP_C);
-                    let twin_ok = same_layer
-                        && entries
-                            .iter()
-                            .all(|e| e.stab_a[r] == e.stab_a[b] && (!identity_split || e.stab_b[r] == e.stab_b[b]));
-                    let hi_off = entries.iter().map(|e| off(e, r)).fold(f64::NEG_INFINITY, f64::max);
-                    replay_audit.push((gap_ok, twin_ok, hi_off));
-                }
-                replay_audit_key = (nent, b_buf, b_dram);
+                replay_audit.extend(replay::forcing_audit(&kinds, binding, rows, forcings, identity_split));
+                replay_audit_key = (nent, binding);
             }
             // Segment ambient range for the cross-layer dominance bound:
             // the ambient is itself a convex combination of its start
@@ -2245,9 +1974,10 @@ fn envelope_burst(
             let amb_min = stab_amb.iter().fold(amb0, |m, &s| m.min(s));
             let amb_max = stab_amb.iter().fold(amb0, |m, &s| m.max(s));
             // Start-state half of the certificate, and each row's role.
-            let lo_off = |b: usize| entries.iter().map(|e| off(e, b)).fold(f64::INFINITY, f64::min);
+            let lo_off = |b: usize| forcings.iter().map(|f| f.off(b, identity_split)).fold(f64::INFINITY, f64::min);
+            let band_rows = (&band.lo[..], &band.hi[..]);
             let roles =
-                replay_roles(&kinds, (b_buf, b_dram), &rows_t, &band, &replay_audit, (amb_min, amb_max), lo_off);
+                replay::replay_roles(&kinds, binding, &rows_t, band_rows, &replay_audit, (amb_min, amb_max), lo_off);
             // Completion-safe cap: strictly fewer windows than the
             // earliest possible job-copy completion at the fastest cached
             // retire rate, so the bulk retires at segment close land
@@ -2276,9 +2006,7 @@ fn envelope_burst(
                 chatter_next = env_windows.saturating_add(ENV_JUMP_MIN);
                 continue;
             }
-            // Per-layer and ambient λ-power ladders closing the logged
-            // runs (every logged run is shorter than [`REPLAY_POWERS`]).
-            // The close pass needs the mode-splitting coefficient
+            // The close needs the mode-splitting coefficient
             // `c = α_l·A·λ_a/(λ_a − λ_l)`; a degenerate lane whose layer
             // shares the ambient decay rate has no two-exponential split,
             // so the replay refuses it once and for all.
@@ -2288,173 +2016,73 @@ fn envelope_burst(
                 chatter_next = u64::MAX;
                 continue;
             }
-            if laa_tab.is_empty() {
-                let ladder =
-                    |lambda: f64| (0..REPLAY_POWERS).scan(1.0, move |p, _| Some(std::mem::replace(p, *p * lambda)));
-                lam_tab = lane.layer_alphas.iter().flat_map(|&al| ladder(1.0 - al)).collect();
-                laa_tab = ladder(lambda_amb).collect();
-            }
-            // Binding-scalar constants: everything a virtual window reads.
-            let a_dram = lane.layer_alphas[b_dram % depth];
-            let sa_dram: Vec<f64> = entries.iter().map(|e| e.stab_a[b_dram]).collect();
-            let sb_dram: Vec<f64> = entries.iter().map(|e| e.stab_b[b_dram]).collect();
-            let (a_buf, sa_buf, sb_buf) = if b_buf != usize::MAX {
-                (
-                    lane.layer_alphas[b_buf % depth],
-                    entries.iter().map(|e| e.stab_a[b_buf]).collect::<Vec<f64>>(),
-                    entries.iter().map(|e| e.stab_b[b_buf]).collect::<Vec<f64>>(),
-                )
-            } else {
-                (0.0, Vec::new(), Vec::new())
-            };
-            // Literal rows: the same recurrence per row, with its forcings
-            // laid out entry-major so a virtual window reads one slice.
-            let lit_rows: Vec<usize> = (0..rows).filter(|&r| roles[r] == RowRole::Literal).collect();
-            let nl = lit_rows.len();
-            let mut lit_t: Vec<f64> = lit_rows.iter().map(|&r| rows_t[r]).collect();
-            let mut lit_peak: Vec<f64> = vec![f64::NEG_INFINITY; nl];
-            let lit_alpha: Vec<f64> = lit_rows.iter().map(|&r| lane.layer_alphas[r % depth]).collect();
-            let lit_buf: Vec<bool> = lit_rows.iter().map(|&r| kinds[r % depth] == DeviceLayerKind::Buffer).collect();
-            let lit_lo: Vec<f64> = lit_rows.iter().map(|&r| band.lo[r]).collect();
-            let lit_hi: Vec<f64> = lit_rows.iter().map(|&r| band.hi[r]).collect();
-            let lit_sa: Vec<f64> = entries.iter().flat_map(|e| lit_rows.iter().map(|&r| e.stab_a[r])).collect();
-            let lit_sb: Vec<f64> = entries.iter().flat_map(|e| lit_rows.iter().map(|&r| e.stab_b[r])).collect();
+            let powers = powers.get_or_insert_with(|| replay::Powers::new(&lane.layer_alphas, ambient_alpha));
             st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
-            // The run log: (entry, in-replay length, ambient at run entry)
-            // per maximal constant-plan span — everything the close pass
-            // needs to replay a dominated row run by run in closed form.
-            // The dominated rows are closed over every [`REPLAY_LOG_CHUNK`]
-            // logged runs, so the log stays bounded however long the
-            // segment runs; each layer's close state carries across chunks.
-            let mut runs_log: Vec<(u32, u32, f64)> = Vec::with_capacity(REPLAY_LOG_CHUNK);
-            // Built at the first close: `rows_t` and `peaks` hold the
-            // segment's start state until the final write-back.
-            let mut dominated: Option<Vec<DominatedLayer>> = None;
-            let close_runs = |dominated: &mut Option<Vec<DominatedLayer>>, runs_log: &mut Vec<(u32, u32, f64)>| {
-                let layers = dominated.get_or_insert_with(|| {
-                    (0..depth)
-                        .filter_map(|l| {
-                            let rl: Vec<usize> =
-                                (l..rows).step_by(depth).filter(|&r| roles[r] == RowRole::Dominated).collect();
-                            if rl.is_empty() {
-                                return None;
-                            }
-                            let q = lane.layer_alphas[l] * lambda_amb / (lambda_amb - (1.0 - lane.layer_alphas[l]));
-                            let offs = entries.iter().flat_map(|e| rl.iter().map(|&r| off(e, r))).collect();
-                            Some(DominatedLayer::new(l, rl, &rows_t, &peaks, offs, q, nent))
-                        })
-                        .collect()
-                });
-                for layer in layers.iter_mut() {
-                    let lt = &lam_tab[layer.layer * REPLAY_POWERS..(layer.layer + 1) * REPLAY_POWERS];
-                    layer.close(runs_log, &stab_amb, lt, &laa_tab, ln_l[layer.layer], ln_a);
-                }
-                runs_log.clear();
+            let seg = replay::Segment {
+                kinds: &kinds,
+                alphas: &lane.layer_alphas,
+                ln_l: &ln_l,
+                ambient_alpha,
+                ln_a,
+                identity_split,
+                has_buffer,
+                forcings,
+                stab_amb: &stab_amb,
+                key_entry: &key_entry,
+                binding,
+                roles: &roles,
+                band: band_rows,
+                powers,
+                step_s: step,
+                dtm_s: dt,
+                max_s: max,
+                w_cap,
+                window0: env_windows,
+                audit: None,
             };
-            let mut counts: Vec<u64> = vec![0; nent];
-            let mut counts_oh: Vec<u64> = vec![0; nent];
-            let mut amb_l = amb0;
-            let mut time_l = st.time_s;
-            let mut t_dram = rows_t[b_dram];
-            let mut t_buf = if has_buffer { rows_t[b_buf] } else { f64::NAN };
-            // The maxima each decision reads: over the binding and literal
-            // rows of each kind (the dominated rows stay below the binding
-            // row, and `f64::max` is order-independent, so these carry the
-            // bits of the literal fold over every row).
-            let mut obs = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
-            let mut peak_dram = f64::NEG_INFINITY;
-            let mut peak_buf = f64::NEG_INFINITY;
-            let mut w: u64 = 0;
-            let mut cur_l = cur;
-            let mut run_l = run;
-            let mut run_len: usize = 0;
-            let mut flipped = false;
-            let mut amb_sum = 0.0;
-            let mut finished = false;
-            let mut viol = false;
-            let mut amb_run0 = amb0;
-            // The maxima of the last two decisions, oldest first: the keys
-            // chain from the burst's last literal decision, and the
-            // re-prime replays the last two virtual ones.
-            let mut seen = [(st.observation.max_amb_c, st.observation.max_dram_c); 2];
-            // The replay loop: per virtual window, the literal decision
-            // (from the observed maxima), the literal ambient step, the
-            // literal binding- and literal-row sweeps with their band
-            // audit, and the per-entry occupancy counts. A frozen run
-            // reaching [`REPLAY_RUN_EXIT`] hands back to the closed-form
-            // probe — a monotone approach is O(1) there, O(windows) here.
-            loop {
-                if run_l >= REPLAY_RUN_EXIT as u64 || w >= w_cap {
-                    break;
+            let start = replay::Start {
+                amb_c: amb0,
+                time_s: st.time_s,
+                next_dtm_s: st.next_dtm_s,
+                obs: now,
+                seen: [(st.observation.max_amb_c, st.observation.max_dram_c); 2],
+                cur,
+                run,
+            };
+            // One instantiation per keyed rule kind, each with the rule's
+            // own key code, so the per-window loop never matches on it.
+            let end = match rule {
+                DecisionRule::Ladder { levels, .. } => {
+                    // Debug builds hold a sample of the replayed keys to the
+                    // rule's own prediction and to the key table.
+                    let audit = |key: u8, (amb, dram): (f64, f64), ei: usize| {
+                        let plan = rule.plan_of_key(key);
+                        assert_eq!(
+                            plan,
+                            rule.next(amb, dram).map(|s| s.plan),
+                            "replayed key {key} mispredicts the decision at ({amb}, {dram})"
+                        );
+                        assert_eq!(plan.as_ref(), Some(&entries[ei].plan), "replayed key {key} indexes another plan");
+                    };
+                    let seg = replay::Segment { audit: Some(&audit), ..seg };
+                    replay::replay_segment(&seg, start, &mut rows_t, &mut peaks, |_, now| {
+                        Some(rule::ladder_key(levels, now))
+                    })
                 }
-                let Some(key) = rule.key(seen[1].0, seen[1].1, obs.0, obs.1) else {
-                    break;
-                };
-                let ei = key_entry.get(key as usize).copied().unwrap_or(usize::MAX);
-                if ei == usize::MAX {
-                    break;
+                DecisionRule::Pid { amb, dram, limits, dt_s: Some(dt_s), .. } => {
+                    replay::replay_segment(&seg, start, &mut rows_t, &mut peaks, |prev, now| {
+                        rule::pid_key(amb, dram, limits, dt_s, prev, now)
+                    })
                 }
-                seen = [seen[1], obs];
-                if ei != cur_l {
-                    if run_len > 0 {
-                        runs_log.push((cur_l as u32, run_len as u32, amb_run0));
-                        if runs_log.len() == REPLAY_LOG_CHUNK {
-                            close_runs(&mut dominated, &mut runs_log);
-                        }
-                    }
-                    amb_run0 = amb_l;
-                    run_len = 1;
-                    run_l = 0;
-                    flipped = true;
-                    cur_l = ei;
-                    counts_oh[ei] += 1;
-                } else {
-                    run_len += 1;
-                    run_l += 1;
-                    counts[ei] += 1;
-                }
-                amb_l += (stab_amb[cur_l] - amb_l) * ambient_alpha;
-                let s = if identity_split { (amb_l + sa_dram[cur_l]) + sb_dram[cur_l] } else { amb_l + sa_dram[cur_l] };
-                t_dram += (s - t_dram) * a_dram;
-                peak_dram = peak_dram.max(t_dram);
-                let mut in_band = band.lo[b_dram] <= t_dram && t_dram <= band.hi[b_dram];
-                if has_buffer {
-                    let s =
-                        if identity_split { (amb_l + sa_buf[cur_l]) + sb_buf[cur_l] } else { amb_l + sa_buf[cur_l] };
-                    t_buf += (s - t_buf) * a_buf;
-                    peak_buf = peak_buf.max(t_buf);
-                    in_band &= band.lo[b_buf] <= t_buf && t_buf <= band.hi[b_buf];
-                }
-                obs = (t_buf, t_dram);
-                if nl > 0 {
-                    let (sa, sb) = (&lit_sa[cur_l * nl..(cur_l + 1) * nl], &lit_sb[cur_l * nl..(cur_l + 1) * nl]);
-                    for i in 0..nl {
-                        let s = if identity_split { (amb_l + sa[i]) + sb[i] } else { amb_l + sa[i] };
-                        let t = &mut lit_t[i];
-                        *t += (s - *t) * lit_alpha[i];
-                        lit_peak[i] = lit_peak[i].max(*t);
-                        if lit_buf[i] {
-                            obs.0 = obs.0.max(*t);
-                        } else {
-                            obs.1 = obs.1.max(*t);
-                        }
-                        in_band &= lit_lo[i] <= *t && *t <= lit_hi[i];
-                    }
-                }
-                amb_sum += amb_l;
-                time_l += step;
-                w += 1;
-                viol = !in_band;
-                finished = time_l >= max;
-                if viol || finished {
-                    break;
-                }
-            }
+                _ => unreachable!("only ladders and PID rules with an interval key decisions"),
+            };
+            st.stats.replay_runs += end.runs;
+            let w = end.windows;
             if w == 0 {
                 // Nothing replayed: a long frozen run belongs to the
                 // closed-form probe; an unseen key needs one literal
                 // window to materialize its entry.
-                if run_l >= REPLAY_RUN_EXIT as u64 {
+                if end.run >= REPLAY_RUN_EXIT as u64 {
                     next_attempt = run;
                     chatter_next = env_windows.saturating_add(2 * ENV_JUMP_MIN);
                 } else {
@@ -2462,55 +2090,18 @@ fn envelope_burst(
                 }
                 continue;
             }
-            if run_len > 0 {
-                runs_log.push((cur_l as u32, run_len as u32, amb_run0));
-            }
-            // Close the segment: exact binding, twin and literal-row
-            // write-back, then each dominated row replayed run by run in
-            // closed form over the runs still in the log
-            // ([`DominatedLayer::close`]). The close also audits every
-            // reconstructed row against the band.
-            close_runs(&mut dominated, &mut runs_log);
-            for layer in dominated.iter().flatten() {
-                for (j, &r) in layer.rows.iter().enumerate() {
-                    rows_t[r] = layer.t[j];
-                    peaks[r] = layer.pk[j];
-                }
-            }
-            // Each literal row keeps its own peak; the cell maxima fold in
-            // every peak the segment reached.
-            for ((&r, &t), &pk) in lit_rows.iter().zip(&lit_t).zip(&lit_peak) {
-                rows_t[r] = t;
-                peaks[r] = peaks[r].max(pk);
-                match kinds[r % depth] {
-                    DeviceLayerKind::Dram => st.max_dram = st.max_dram.max(pk),
-                    DeviceLayerKind::Buffer => st.max_amb = st.max_amb.max(pk),
-                }
-            }
-            for r in 0..rows {
-                if matches!(roles[r], RowRole::Binding | RowRole::Twin) {
-                    (rows_t[r], peaks[r]) = match kinds[r % depth] {
-                        DeviceLayerKind::Dram => (t_dram, peaks[r].max(peak_dram)),
-                        DeviceLayerKind::Buffer => (t_buf, peaks[r].max(peak_buf)),
-                    };
-                }
-                viol |= !(band.lo[r] <= rows_t[r] && rows_t[r] <= band.hi[r]);
-            }
-            cur_max_dram = obs.1;
-            cur_max_buf = if has_buffer { obs.0 } else { f64::NEG_INFINITY };
-            st.max_dram = st.max_dram.max(peak_dram);
+            (cur_max_buf, cur_max_dram) = (if has_buffer { end.obs.0 } else { f64::NEG_INFINITY }, end.obs.1);
+            st.max_dram = st.max_dram.max(end.peak.1);
             if has_buffer {
-                st.max_amb = st.max_amb.max(peak_buf);
+                st.max_amb = st.max_amb.max(end.peak.0);
             }
-            st.scene.set_ambient_c(amb_l);
-            st.ambient_sum += amb_sum;
+            st.scene.set_ambient_c(end.amb_c);
+            st.ambient_sum += end.amb_sum;
             st.ambient_samples += w;
-            for _ in 0..w {
-                st.time_s += step;
-                st.next_dtm_s += dt;
-            }
+            st.time_s = end.time_s;
+            st.next_dtm_s = end.next_dtm_s;
             for (i, e) in entries.iter_mut().enumerate() {
-                let (c, coh) = (counts[i], counts_oh[i]);
+                let (c, coh) = (end.counts[i], end.counts_oh[i]);
                 if c + coh == 0 {
                     continue;
                 }
@@ -2541,12 +2132,11 @@ fn envelope_burst(
             env_windows += w;
             st.stats.replayed_windows += w;
             jumps += 1;
-            cur = cur_l;
-            run = run_l;
-            let _replanned = reprime(st, &seen[2 - w.min(2) as usize..], dt);
+            (cur, run) = (end.cur, end.run);
+            let _replanned = reprime(st, &end.seen[2 - w.min(2) as usize..], dt);
             debug_assert_eq!(_replanned.as_ref(), Some(&entries[cur].plan), "re-prime left the replayed plan");
-            st.plan_streak = if flipped {
-                run_l.min(u64::from(u32::MAX)) as u32
+            st.plan_streak = if end.flipped {
+                run.min(u64::from(u32::MAX)) as u32
             } else {
                 st.plan_streak.saturating_add(w.min(u64::from(u32::MAX)) as u32)
             };
@@ -2555,18 +2145,18 @@ fn envelope_burst(
             // frozen tail is handed straight to the closed-form probe,
             // anything else re-enters the replay after one literal window.
             arm = ENV_JUMP_MIN;
-            if run_l >= REPLAY_RUN_EXIT as u64 {
+            if run >= REPLAY_RUN_EXIT as u64 {
                 next_attempt = run;
                 chatter_next = env_windows.saturating_add(2 * ENV_JUMP_MIN);
             } else {
                 next_attempt = run.max(ENV_JUMP_MIN);
                 chatter_next = env_windows;
             }
-            if finished || st.batch.is_complete() || st.time_s >= max {
+            if end.finished || st.batch.is_complete() || st.time_s >= max {
                 let pseudo = band.pseudo_cycles(jumps, env_windows);
                 return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
             }
-            violation = viol;
+            violation = end.violated;
             continue;
         }
         let e = &entries[cur];
@@ -3197,53 +2787,5 @@ mod tests {
         let mut groups = vec![vec![0, 1, 2]];
         split_groups(&mut groups, 16, 3);
         assert_eq!(groups.len(), 3);
-    }
-
-    #[test]
-    fn replay_row_roles_split_binding_twin_literal_and_dominated_rows() {
-        use DeviceLayerKind::{Buffer, Dram};
-        use RowRole::{Binding, Dominated, Literal, Twin};
-        // FBDIMM-like: four positions of (buffer, DRAM), rows `2·pos + l`.
-        // Audit per row: (forcing gap holds, forcings equal the binding
-        // row's, highest forcing offset); the offsets only matter across
-        // layers, so they are zero here.
-        let kinds = [Buffer, Dram];
-        // (buffer, DRAM) per position: the binding rows; a bitwise twin and
-        // a clear gap; a near-twin whose forcing gap fails and a start gap
-        // under the margin; twin forcings and state but a band of its own,
-        // and a clear gap.
-        let positions = [(108.0, 90.0), (108.0, 89.0), (107.957, 90.0 - 1e-10), (108.0, 80.0)];
-        let rows_t: Vec<f64> = positions.iter().flat_map(|&(buf, dram)| [buf, dram]).collect();
-        let audit = [
-            (false, true, 0.0),
-            (false, true, 0.0),
-            (false, true, 0.0),
-            (true, false, 0.0),
-            (false, false, 0.0),
-            (true, false, 0.0),
-            (false, true, 0.0),
-            (true, false, 0.0),
-        ];
-        let mut band = EnvBand { lo: vec![50.0; 8], hi: vec![120.0; 8], period: None };
-        band.hi[6] = 121.0;
-        let roles = replay_roles(&kinds, (0, 1), &rows_t, &band, &audit, (40.0, 45.0), |_| 0.0);
-        assert_eq!(roles, [Binding, Binding, Twin, Dominated, Literal, Literal, Literal, Dominated]);
-
-        // A DRAM row on another layer than its binding row is dominated
-        // only if its highest reachable temperature (its start, or the
-        // highest ambient plus its highest forcing offset) stays a margin
-        // below the binding row's lowest (its start, or the lowest ambient
-        // plus the binding row's lowest offset: 40 + 40 = 80 here).
-        let kinds = [Buffer, Dram, Dram];
-        let band = EnvBand { lo: vec![50.0; 3], hi: vec![120.0; 3], period: None };
-        let lo_off = |b: usize| {
-            assert_eq!(b, 1, "the cross-layer bound reads the binding row's offsets");
-            40.0
-        };
-        for (hi_off, want) in [(10.0, Dominated), (40.0, Literal)] {
-            let audit = [(false, true, 0.0), (false, true, 0.0), (false, false, hi_off)];
-            let roles = replay_roles(&kinds, (0, 1), &[100.0, 90.0, 70.0], &band, &audit, (40.0, 45.0), lo_off);
-            assert_eq!(roles, [Binding, Binding, want], "highest offset {hi_off}");
-        }
     }
 }

@@ -7,6 +7,7 @@ pub mod energy;
 pub mod engine;
 pub mod memspot;
 pub mod modes;
+mod replay;
 
 pub use batch::{BatchCell, BatchOptions, BatchedSimEngine, CellRunStats};
 pub use characterize::{CharPoint, CharStore, CharStoreKey, CharacterizationTable, ModeKey};
