@@ -86,6 +86,10 @@
 //! `/proc/thread-self/schedstat`, so a gate that fails because the thread
 //! waited for a core shows as such. No gate reads them.
 //!
+//! At the end the bench prints and records its own peak resident set size
+//! (`peak_rss_mb`, the `VmHWM` line of `/proc/self/status`), so the
+//! artifact shows what the whole run held at once. No gate reads it.
+//!
 //! The batch size is a few times the `Smoke` scale: large enough that the
 //! parallelizable window loops dominate the (partly serialized, shared)
 //! level-1 characterizations, which keeps the speedup measurement stable on
@@ -210,6 +214,17 @@ fn with_thread_ms<R>(f: impl FnOnce() -> R) -> (R, f64, f64) {
     let out = f();
     let (cpu1, wait1) = thread_sched_ns();
     (out, cpu1.saturating_sub(cpu0) as f64 / 1e6, wait1.saturating_sub(wait0) as f64 / 1e6)
+}
+
+/// Peak resident set size of this process so far, MiB: the `VmHWM` line
+/// of `/proc/self/status`, NaN where it is missing or unreadable.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.split_whitespace().next()?.parse().ok()
+        })
+        .map_or(f64::NAN, |kib: f64| kib / 1024.0)
 }
 
 fn main() {
@@ -664,6 +679,8 @@ fn main() {
          replay CPU ~{replay_cpu_ms:.3} ms; {} windows replayed, {} stepped one at a time in bursts",
         env.replayed_windows, env.burst_stepped_windows
     );
+    let peak_rss_mb = peak_rss_mb();
+    println!("peak resident set: {peak_rss_mb:.1} MiB (VmHWM)");
 
     let stats = [
         BenchStats {
@@ -772,6 +789,7 @@ fn main() {
         ("chatter_columns_burst_stepped_before", CHATTER_BURST_STEPPED_BEFORE as f64),
         ("chatter_columns_max_rel_err", chatter_max_rel_err),
         ("host_nproc", lane_workers as f64),
+        ("peak_rss_mb", peak_rss_mb),
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
         // Per-phase split of the default-options grid, so a regression in
         // the envelope tier is attributable from the artifact alone.

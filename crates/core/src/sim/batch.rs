@@ -365,7 +365,9 @@ pub struct BatchCell {
     /// The DTM policy deciding each interval.
     pub policy: Box<dyn DtmPolicy>,
     /// Level-1 characterization table for `mix` (backed by a shared
-    /// [`CharStore`] when built via [`BatchCell::new`]).
+    /// [`CharStore`] when built via [`BatchCell::new`]). Over a warm store
+    /// it builds no level-1 simulator: one is built only if the cell runs a
+    /// closed loop.
     pub table: CharacterizationTable,
 }
 

@@ -33,12 +33,15 @@
 //!   aliasing — and a format-version mismatch discards the file wholesale
 //!   rather than risking stale semantics. Floats round-trip bit-exactly: a
 //!   reloaded point is indistinguishable from a computed one.
-//! * [`CharacterizationTable`] is the per-run view: it owns the `MulticoreSim`
-//!   that computes missing points, keeps a lock-free local cache of
-//!   `Arc<CharPoint>` handles for the modes it has already resolved, and
-//!   falls through to the shared store on local misses. Lookups return
-//!   `Arc<CharPoint>` — a cache hit never deep-clones the point's inner
-//!   vectors. This is the analogue of the paper's `Wi × D` trace set.
+//! * [`CharacterizationTable`] is the per-run view: it keeps a lock-free
+//!   local cache of `Arc<CharPoint>` handles for the modes it has already
+//!   resolved and falls through to the shared store on local misses. Only
+//!   a store miss that is neither derived nor idle runs a closed loop: the
+//!   table builds its `MulticoreSim` (whose shared-cache arrays are 0.75 MiB
+//!   per simulated L2) on that first run and keeps it for its later ones,
+//!   so a table over a warm store allocates no simulator at all. Lookups
+//!   return `Arc<CharPoint>` — a cache hit never deep-clones the point's
+//!   inner vectors. This is the analogue of the paper's `Wi × D` trace set.
 //!   [`CharacterizationTable::points`] resolves a whole batch of modes at
 //!   once. A table runs its closed loops on the calling thread unless
 //!   [`CharacterizationTable::with_rotation_threads`] gives it more: the
@@ -383,13 +386,21 @@ impl CharStore {
 
 /// Per-run view of one workload mix's characterization across running modes.
 ///
-/// The table owns the `MulticoreSim` that computes missing points and a
-/// lock-free local cache of the modes it has already resolved; local misses
-/// fall through to the shared [`CharStore`]. Lookups hand out
+/// The table keeps a lock-free local cache of the modes it has already
+/// resolved; local misses fall through to the shared [`CharStore`]. It
+/// builds the `MulticoreSim` that computes missing points on its first
+/// closed loop and reuses it for the rest, so a table whose points all
+/// come from the store, are derived or are idle never builds one. Its
+/// configs are still validated when it is made. Lookups hand out
 /// `Arc<CharPoint>` handles, never deep clones.
 #[derive(Debug)]
 pub struct CharacterizationTable {
-    sim: MulticoreSim,
+    cpu: CpuConfig,
+    mem: FbdimmConfig,
+    /// The simulator that runs this table's closed loops, built by the
+    /// first one and kept for the later ones; `None` while every point has
+    /// come from the store, was derived or is idle.
+    sim: Option<MulticoreSim>,
     mix_id: String,
     apps: Vec<AppBehavior>,
     budget: u64,
@@ -415,6 +426,11 @@ impl CharacterizationTable {
     /// external [`CharStore`]. `mix_id` identifies the application mix in
     /// the store key, so every table created for the same mix against the
     /// same store shares one set of design points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either configuration is invalid, although the simulator
+    /// they configure is built only by the table's first closed loop.
     pub fn with_store(
         cpu: CpuConfig,
         mem: FbdimmConfig,
@@ -423,11 +439,15 @@ impl CharacterizationTable {
         budget: u64,
         store: Arc<CharStore>,
     ) -> Self {
+        cpu.validate().expect("invalid CPU configuration");
+        mem.validate().expect("invalid FBDIMM configuration");
         let hw_fingerprint = hardware_fingerprint(&cpu, &mem);
         let mix_id = mix_id.into();
         store.check_mix_identity(&mix_id, &apps);
         CharacterizationTable {
-            sim: MulticoreSim::new(cpu, mem),
+            cpu,
+            mem,
+            sim: None,
             mix_id,
             apps,
             budget,
@@ -482,14 +502,10 @@ impl CharacterizationTable {
         }
         let store_key = self.store_key(key);
         let sibling = self.sibling_key(mode);
-        let store = Arc::clone(&self.store);
-        let sim = &mut self.sim;
-        let apps = &self.apps;
-        let budget = self.budget;
+        let Self { cpu, mem, sim, apps, budget, store, .. } = self;
         let point = store.get_or_compute(store_key, || {
-            let mem = *sim.memory_config();
-            derive_capped(&store, sibling.as_ref(), &mem, mode)
-                .unwrap_or_else(|| compute_point(sim, apps, budget, mode))
+            derive_capped(store, sibling.as_ref(), mem, mode)
+                .unwrap_or_else(|| compute_point(sim, cpu, mem, apps, *budget, mode))
         });
         self.local.insert(key, Arc::clone(&point));
         point
@@ -537,11 +553,7 @@ impl CharacterizationTable {
             }
             return;
         }
-        let cpu = self.sim.cpu_config().clone();
-        let mem = *self.sim.memory_config();
-        let apps = &self.apps;
-        let budget = self.budget;
-        let store = &self.store;
+        let Self { cpu, mem, apps, budget, store, .. } = &*self;
         // A few threads per core, timesliced by the OS: design points
         // differ widely in cost (a gated point is several rotation runs),
         // and on small shared hosts letting many points progress
@@ -554,7 +566,6 @@ impl CharacterizationTable {
         let resolved: Vec<Vec<(ModeKey, Arc<CharPoint>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let cpu = cpu.clone();
                     let (jobs, cursor) = (&jobs, &cursor);
                     scope.spawn(move || {
                         let mut done = Vec::new();
@@ -563,10 +574,8 @@ impl CharacterizationTable {
                             let j = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some((mode, store_key, sibling)) = jobs.get(j) else { break };
                             let point = store.get_or_compute(store_key.clone(), || {
-                                derive_capped(store, sibling.as_ref(), &mem, mode).unwrap_or_else(|| {
-                                    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), mem));
-                                    compute_point(sim, apps, budget, mode)
-                                })
+                                derive_capped(store, sibling.as_ref(), mem, mode)
+                                    .unwrap_or_else(|| compute_point(&mut sim, cpu, mem, apps, *budget, mode))
                             });
                             done.push((ModeKey::from_mode(mode), point));
                         }
@@ -593,8 +602,8 @@ impl CharacterizationTable {
             mix_id: self.mix_id.clone(),
             mode: key,
             budget: self.budget,
-            channels: self.sim.memory_config().logical_channels,
-            dimms_per_channel: self.sim.memory_config().dimms_per_channel,
+            channels: self.mem.logical_channels,
+            dimms_per_channel: self.mem.dimms_per_channel,
             hw_fingerprint: self.hw_fingerprint,
         }
     }
@@ -627,18 +636,27 @@ fn derive_capped(
     Some(CharPoint { mode: *mode, ..CharPoint::clone(&sibling) })
 }
 
-/// Computes one design point on `sim`.
-fn compute_point(sim: &mut MulticoreSim, apps: &[AppBehavior], budget: u64, mode: &RunningMode) -> CharPoint {
-    if mode.makes_progress() {
-        let active = mode.active_cores.min(apps.len()).min(sim.cpu_config().cores);
-        if active < apps.len() {
-            rotation_averaged_point(sim, apps, budget, mode)
-        } else {
-            let m = sim.run(apps, mode, budget);
-            CharPoint::from_measurement(&m, sim.last_run_peak_activations())
-        }
+/// Computes one design point. A mode that makes progress runs its closed
+/// loops on `sim`, which is built from `cpu` and `mem` on first use and kept
+/// for the next point; an idle mode needs no simulator.
+fn compute_point(
+    sim: &mut Option<MulticoreSim>,
+    cpu: &CpuConfig,
+    mem: &FbdimmConfig,
+    apps: &[AppBehavior],
+    budget: u64,
+    mode: &RunningMode,
+) -> CharPoint {
+    if !mode.makes_progress() {
+        return CharPoint::idle(*mode, cpu.cores, mem);
+    }
+    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), *mem));
+    let active = mode.active_cores.min(apps.len()).min(cpu.cores);
+    if active < apps.len() {
+        rotation_averaged_point(sim, apps, budget, mode)
     } else {
-        CharPoint::idle(*mode, sim.cpu_config().cores, sim.memory_config())
+        let m = sim.run(apps, mode, budget);
+        CharPoint::from_measurement(&m, sim.last_run_peak_activations())
     }
 }
 
@@ -780,6 +798,7 @@ mod tests {
         assert_eq!(p.instr_rate_total, 0.0);
         assert_eq!(p.total_gbps(), 0.0);
         assert_eq!(p.dimm_traffic.len(), 8);
+        assert!(t.sim.is_none(), "an idle point builds no simulator");
     }
 
     #[test]
@@ -1072,17 +1091,84 @@ mod tests {
         std::env::temp_dir().join(unique)
     }
 
-    fn disk_table(path: &std::path::Path) -> (Arc<CharStore>, CharacterizationTable) {
-        let store = Arc::new(CharStore::with_disk_cache(path).expect("open disk cache"));
-        let table = CharacterizationTable::with_store(
+    fn w1_table(store: &Arc<CharStore>) -> CharacterizationTable {
+        CharacterizationTable::with_store(
             CpuConfig::paper_quad_core(),
             FbdimmConfig::ddr2_667_paper(),
             "W1",
             mixes::w1().apps,
             15_000,
-            Arc::clone(&store),
-        );
+            Arc::clone(store),
+        )
+    }
+
+    fn disk_table(path: &std::path::Path) -> (Arc<CharStore>, CharacterizationTable) {
+        let store = Arc::new(CharStore::with_disk_cache(path).expect("open disk cache"));
+        let table = w1_table(&store);
         (store, table)
+    }
+
+    /// One mode of each way a point resolves: simulated, rotation-averaged,
+    /// capped and binding, capped and derived, idle.
+    fn every_kind_of_mode() -> [RunningMode; 5] {
+        let cpu = CpuConfig::paper_quad_core();
+        let full = RunningMode::full_speed(&cpu);
+        let off = RunningMode { active_cores: 0, op: cpu.dvfs.bottom(), bandwidth_cap: Some(0.0) };
+        [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(6.4), full.with_bandwidth_cap_gbps(19.2), off]
+    }
+
+    #[test]
+    fn tables_over_a_warm_store_build_no_simulator() {
+        let modes = every_kind_of_mode();
+        let memory = Arc::new(CharStore::new());
+        let computed = w1_table(&memory).points(&modes);
+        let path = temp_cache_path("warm");
+        w1_table(&Arc::new(CharStore::with_disk_cache(&path).expect("open disk cache"))).points(&modes);
+        let reopened = Arc::new(CharStore::with_disk_cache(&path).expect("reopen disk cache"));
+        for store in [&memory, &reopened] {
+            let (mut one_by_one, mut batched) = (w1_table(store), w1_table(store));
+            let singles: Vec<_> = modes.iter().map(|mode| one_by_one.point(mode)).collect();
+            for (got, want) in [singles, batched.points(&modes)].iter().flat_map(|got| got.iter().zip(&computed)) {
+                assert_eq!(**got, **want);
+            }
+            assert!(one_by_one.sim.is_none(), "point() over a warm store built a simulator");
+            assert!(batched.sim.is_none(), "points() over a warm store built a simulator");
+        }
+        assert_eq!(reopened.misses(), 0, "the reopened disk cache holds every mode");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CPU configuration")]
+    fn an_invalid_cpu_config_panics_when_the_table_is_made() {
+        let cpu = CpuConfig { cores: 0, ..CpuConfig::paper_quad_core() };
+        CharacterizationTable::new(cpu, FbdimmConfig::ddr2_667_paper(), mixes::w1().apps, 15_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid FBDIMM configuration")]
+    fn an_invalid_memory_config_panics_when_the_table_is_made() {
+        let mem = FbdimmConfig { logical_channels: 0, ..FbdimmConfig::ddr2_667_paper() };
+        CharacterizationTable::new(CpuConfig::paper_quad_core(), mem, mixes::w1().apps, 15_000);
+    }
+
+    #[test]
+    fn a_computing_table_builds_one_simulator_and_reuses_it() {
+        let modes = every_kind_of_mode();
+        let mut t = table();
+        for mode in &modes {
+            let point = t.point(mode);
+            assert!(t.sim.is_some(), "the first computed point leaves the table its simulator");
+            assert_eq!(*point, *table().point(mode), "{mode:?}: a reused simulator changed the point");
+        }
+        assert_eq!(t.store().derived(), 1);
+        // The next closed loop runs on the simulator the table holds: one
+        // of a smaller L2, put in its place, changes the point.
+        let mut small = CpuConfig::paper_quad_core();
+        small.l2.capacity_bytes /= 4;
+        t.sim = Some(MulticoreSim::new(small, FbdimmConfig::ddr2_667_paper()));
+        let low = modes[0].with_op(CpuConfig::paper_quad_core().dvfs.bottom());
+        assert_ne!(*t.point(&low), *table().point(&low), "the table built a new simulator instead of reusing its own");
     }
 
     #[test]

@@ -182,9 +182,11 @@ fn instance_base_line(i: usize) -> u64 {
 pub struct MulticoreSim {
     cpu: CpuConfig,
     mem_cfg: FbdimmConfig,
-    /// Persistent shared-cache instances the closed loop runs against. Kept
-    /// across runs so a warm start writes into already-touched memory
-    /// rather than a fresh multi-megabyte allocation per run.
+    /// Persistent shared-cache instances the closed loop runs against
+    /// (0.75 MiB per paper-sized L2). Kept across runs once built, so a
+    /// warm start writes into already-touched memory rather than a fresh
+    /// allocation per run. A level-1 characterization table builds its
+    /// simulator, and so these, only when it computes a point.
     scratch_caches: Vec<SetAssocCache>,
     /// The most row activations any throttle window granted in the last
     /// run (0 after an idle run); see [`Self::last_run_peak_activations`].
