@@ -382,41 +382,65 @@ pub fn fig4_10(scale: Scale, store: &Arc<CharStore>) -> Table {
     )
 }
 
+/// The DTM intervals Figure 4.11 compares, milliseconds; the 10 ms column
+/// is the reference.
+const FIG4_11_INTERVALS_MS: [f64; 4] = [1.0, 10.0, 20.0, 100.0];
+
+/// Figure 4.11's configuration of one cooling and interval: the scale's
+/// configuration with only the DTM interval changed, so the simulation
+/// window stays at the scale's 10 ms.
+fn fig4_11_config(scale: Scale, cooling: CoolingConfig, interval_ms: f64) -> MemSpotConfig {
+    let mut cfg = scale.memspot_config(cooling);
+    cfg.dtm_interval_s = interval_ms / 1000.0;
+    cfg
+}
+
+/// One (cooling, interval) grid of Figure 4.11: each of `mixes` under
+/// every threshold policy, mix-major, over `runner`.
+fn fig4_11_grid(
+    runner: SweepRunner,
+    scale: Scale,
+    cooling: CoolingConfig,
+    interval_ms: f64,
+    mixes: &[WorkloadMix],
+) -> Vec<MatrixRun> {
+    let scenarios: Vec<SweepScenario> =
+        mixes.iter().map(|mix| SweepScenario::isolated(cooling, mix.clone(), PolicySpec::threshold_set())).collect();
+    runner.run(&scenarios, |c| fig4_11_config(scale, c, interval_ms)).runs
+}
+
 /// Figure 4.11: average normalized running time for different DTM intervals.
-/// Its 32 simulators (4 intervals × 2 coolings × 4 policies) all read their
-/// level-1 points from `store`: the interval, the cooling and the policy
-/// change none of them.
+/// Each (cooling, interval) pair runs as one [`SweepRunner`] grid of every
+/// mix under the four threshold policies, all over `store`: the interval,
+/// the cooling and the policy change no level-1 point.
 pub fn fig4_11(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let intervals_ms = [1.0, 10.0, 20.0, 100.0];
     let mut t = Table::new(
         "fig4_11",
         "Normalized average running time for different DTM intervals (vs the 10 ms interval)",
         &["cooling", "policy", "interval ms", "normalized avg time"],
     );
+    let policies = PolicySpec::threshold_set().len();
+    let mixes = scale.ch4_mixes();
     for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
-        for spec in PolicySpec::threshold_set() {
-            let cpu = CpuConfig::paper_quad_core();
-            // Collect per-interval average running time over the mixes.
-            let mut per_interval = Vec::new();
-            for &interval in &intervals_ms {
-                let mut cfg = scale.memspot_config(cooling);
-                cfg.dtm_interval_s = interval / 1000.0;
-                let limits = cfg.limits;
-                let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
-                let times: Vec<f64> = scale
-                    .ch4_mixes()
-                    .iter()
-                    .map(|mix| {
-                        let mut policy = spec.build(&cpu, limits);
-                        spot.run(mix, policy.as_mut()).running_time_s
-                    })
-                    .collect();
-                per_interval.push(mean(&times));
-            }
+        let grids: Vec<Vec<MatrixRun>> = FIG4_11_INTERVALS_MS
+            .iter()
+            .map(|&interval| {
+                fig4_11_grid(SweepRunner::new().with_char_store(Arc::clone(store)), scale, cooling, interval, &mixes)
+            })
+            .collect();
+        for p in 0..policies {
+            // Per-interval average running time over the mixes, in mix order.
+            let per_interval: Vec<f64> = grids
+                .iter()
+                .map(|runs| {
+                    let times: Vec<f64> =
+                        runs.iter().skip(p).step_by(policies).map(|r| r.result.running_time_s).collect();
+                    mean(&times)
+                })
+                .collect();
             let reference = per_interval[1].max(1e-9); // 10 ms column
-            for (i, &interval) in intervals_ms.iter().enumerate() {
-                let name = spec.build(&cpu, ThermalLimits::paper_fbdimm()).name();
-                t.push_row([cooling.label(), name, f1(interval), f3(per_interval[i] / reference)]);
+            for (avg, &interval) in per_interval.iter().zip(&FIG4_11_INTERVALS_MS) {
+                t.push_row([cooling.label(), grids[0][p].policy.clone(), f1(interval), f3(avg / reference)]);
             }
         }
     }
@@ -552,6 +576,43 @@ mod tests {
                 let mut policy = spec.build(&cpu, scenario.limits.unwrap_or(cfg.limits));
                 let want = spot.run(&scenario.mix, policy.as_mut());
                 assert_eq!(got.result, want, "{}/{}/{} diverged", got.cooling, got.workload, got.policy);
+            }
+        }
+    }
+
+    #[test]
+    fn fig4_11_grids_reproduce_the_per_cell_engine_bit_for_bit() {
+        // Every interval column of Figure 4.11 at Smoke scale, for the mix
+        // and cooling where the policies engage: the literal grid carries the
+        // exact bits of a fresh per-cell `MemSpot` run, and the figure's own
+        // grid keeps every running time (all the table reads) bit for bit.
+        // The envelope may take the 1 and 10 ms columns, whose step equals
+        // the interval; the 20 and 100 ms columns step several 10 ms
+        // windows per decision.
+        use memtherm::sim::batch::BatchOptions;
+        let scale = Scale::Smoke;
+        let cpu = CpuConfig::paper_quad_core();
+        let cooling = CoolingConfig::aohs_1_5();
+        let store = Arc::new(CharStore::new());
+        let runner = || SweepRunner::with_threads(2).with_char_store(Arc::clone(&store));
+        let mix = mixes::w1();
+        let specs = PolicySpec::threshold_set();
+        for interval in FIG4_11_INTERVALS_MS {
+            let grid = |runner: SweepRunner| fig4_11_grid(runner, scale, cooling, interval, std::slice::from_ref(&mix));
+            let literal = grid(runner().with_batch_options(BatchOptions::literal()));
+            let figure = grid(runner());
+            let cfg = fig4_11_config(scale, cooling, interval);
+            let per_cell = crate::sweep::parallel_map(2, &specs, |spec| {
+                let mut spot =
+                    MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(&store));
+                spot.run(&mix, spec.build(&cpu, cfg.limits).as_mut())
+            });
+            assert_eq!(per_cell.len(), literal.len());
+            for ((want, lit), fig) in per_cell.iter().zip(&literal).zip(&figure) {
+                let cell = format!("{interval} ms/{}/{}", lit.workload, lit.policy);
+                assert_eq!(&lit.result, want, "{cell}: literal grid diverged");
+                assert_eq!(fig.result.running_time_s.to_bits(), want.running_time_s.to_bits(), "{cell}");
+                assert_eq!(fig.result.completed, want.completed, "{cell}");
             }
         }
     }

@@ -6,18 +6,22 @@ use memtherm::sim::escape_json;
 
 /// How much work an experiment run performs.
 ///
-/// The paper's full batch sizes (fifty copies of every application, full
-/// SPEC instruction counts) take hours per figure; the smaller scales shrink
+/// [`Scale::Paper`] runs the paper's full batch sizes (fifty copies of every
+/// application, full SPEC instruction counts); the smaller scales shrink
 /// the batch uniformly, which preserves normalized (relative) results — the
-/// quantities every figure reports — while keeping wall-clock time
-/// reasonable.
+/// quantities every figure reports. On a shared 2-core Xeon host one
+/// `paper all` invocation (all 27 ids over one level-1 store) took 3.4–4.7 s
+/// at Quick and 17–26 s at Paper, as the host's speed varied; Figure 4.11
+/// is the longest id at both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Smallest runs, used by the [`bench_case`] benches and CI.
     Smoke,
-    /// Default for the `paper` binary: minutes per figure.
+    /// Default for the `paper` binary: about a second per figure at most
+    /// (Figure 4.11 took 1.1–1.3 s on the 2-core host).
     Quick,
-    /// The paper's batch sizes: hours per figure.
+    /// The paper's batch sizes: seconds per figure (Figure 4.11 took
+    /// 8–12.5 s on the 2-core host, every other id under 2 s).
     Paper,
 }
 
@@ -198,13 +202,25 @@ pub fn bench_case<T>(label: &str, iters: usize, mut f: impl FnMut() -> T) -> Ben
     BenchStats { label: label.to_string(), mean_ms: mean, min_ms: min, iters }
 }
 
-/// Absolute path of a bench-output file at the **workspace root**. Cargo
-/// runs bench executables with their cwd set to the *package* root
-/// (`crates/bench`), while examples run from the caller's cwd — anchoring on
-/// the compile-time manifest dir makes every binary agree on one location,
-/// which is where CI picks the artifact up.
+/// Path of a bench-output file at the **workspace root**: the nearest
+/// directory holding a `Cargo.lock`, searched upward from the run-time
+/// `CARGO_MANIFEST_DIR` (set by `cargo bench` and `cargo run`; the package
+/// root `crates/bench` for benches, the workspace root for the root
+/// package's examples) or, when that is unset, the current directory. It
+/// is resolved at run time, so a copy of the repository that reuses
+/// another checkout's build writes into its own tree.
 pub fn bench_output_path(file_name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file_name)
+    let start = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map(std::path::PathBuf::from)
+        .or_else(|| std::env::current_dir().ok())
+        .unwrap_or_default();
+    workspace_root(&start).join(file_name)
+}
+
+/// The nearest ancestor of `start` (itself included) that holds a
+/// `Cargo.lock`, or `start` when none does.
+fn workspace_root(start: &std::path::Path) -> std::path::PathBuf {
+    start.ancestors().find(|dir| dir.join("Cargo.lock").is_file()).unwrap_or(start).to_path_buf()
 }
 
 /// Writes benchmark results as machine-readable JSON (the `BENCH_sweep.json`
@@ -311,6 +327,27 @@ mod tests {
         assert_eq!(stats.iters, 3);
         assert!(stats.mean_ms >= stats.min_ms);
         assert!(stats.min_ms >= 0.0);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_ancestor_with_a_lockfile() {
+        let base = std::env::temp_dir().join(format!("workspace_root_test_{}", std::process::id()));
+        let bench = base.join("ws/crates/bench");
+        let nested = base.join("ws/perfbench/src");
+        std::fs::create_dir_all(&bench).unwrap();
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::write(base.join("ws/Cargo.lock"), "").unwrap();
+        std::fs::write(base.join("ws/perfbench/Cargo.lock"), "").unwrap();
+        // A package directory walks up to the workspace root; a directory
+        // holding the lockfile is its own root; the nearest lockfile wins.
+        assert_eq!(workspace_root(&bench), base.join("ws"));
+        assert_eq!(workspace_root(&base.join("ws")), base.join("ws"));
+        assert_eq!(workspace_root(&nested), base.join("ws/perfbench"));
+        // A directory under no lockfile is its own root.
+        if !base.ancestors().any(|dir| dir.join("Cargo.lock").is_file()) {
+            assert_eq!(workspace_root(&base), base);
+        }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! mode, budget, geometry), *not* by cooling or policy — every grid cell is
 //! fully independent: [`SweepRunner`] therefore parallelizes at **cell**
 //! granularity (one {cooling, model, mix, policy} run per unit of work).
-//! Workers claim contiguous *chunks* of cells through a shared atomic
-//! cursor, so grids far larger than the core count load-balance without a
-//! scheduler thread (`std::thread::scope`; the container has no external
-//! thread-pool crate). Claims are *deficit-aware* (guided
-//! self-scheduling): each claim takes an even share of half the remaining
-//! queue, so early claims are wide and the tail drains in ever-smaller
-//! steps — a slow cell near the end strands at most one worker for one
-//! cell, not a whole fixed-size chunk. One shared store per sweep means W1@AOHS and W1@FDHS
+//! The grid is cut into contiguous *chunks* of cells, and workers claim
+//! chunks through a shared atomic cursor, so grids far larger than the
+//! core count load-balance without a scheduler thread
+//! (`std::thread::scope`; the build has no external thread-pool crate).
+//! Chunks are *deficit-aware* (guided self-scheduling): each takes an even
+//! share of half the cells left after it, so early chunks are wide and the
+//! tail drains in ever-smaller steps — a slow cell near the end strands at
+//! most one worker for one cell, not a whole wide chunk. One shared store per sweep means W1@AOHS and W1@FDHS
 //! characterize each design point exactly once per process, whichever worker
 //! gets there first; racing workers block on the in-flight computation
 //! instead of duplicating it.
@@ -26,19 +26,15 @@
 //! store's hit/miss counters so callers can see both the load balance and
 //! how much level-1 work the sharing saved.
 //!
-//! Within each claimed chunk the runner picks an execution tier
-//! ([`SweepExecution`]): the per-cell [`MemSpot`] engine, or (the default)
-//! the batched lockstep engine
-//! ([`BatchedSimEngine`]) which
-//! steps the whole chunk's scenes through shared lane matrices —
-//! optionally fanning the lanes across worker threads
-//! ([`SweepExecution::lane_parallel`]) — and fast-forwards cells
-//! analytically through the contraction-certified envelope, which replays
-//! frozen plans and threshold-policy orbits
-//! ([`SweepOutcome::envelope_cycles`] counts its pseudo-cycles). Per-cell
-//! trajectories are independent of lane
-//! composition, so the grid results remain deterministic for any thread
-//! or chunk configuration.
+//! Each claimed chunk runs as one batch of the lockstep engine
+//! ([`BatchedSimEngine`]), which steps the chunk's scenes through shared
+//! lane matrices and fast-forwards cells analytically through the
+//! contraction-certified envelope, which replays frozen plans and
+//! threshold-policy orbits ([`SweepOutcome::envelope_cycles`] counts its
+//! pseudo-cycles). Under [`BatchOptions::literal`] every cell carries the
+//! bits of a per-cell [`MemSpot::run`]. Per-cell trajectories are
+//! independent of lane composition, so the grid results remain
+//! deterministic for any thread or chunk configuration.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -122,50 +118,6 @@ impl SweepScenario {
     }
 }
 
-/// How the runner executes the grid's cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepExecution {
-    /// One [`MemSpot`] run per cell — the reference per-cell engine. Cells
-    /// fan across the runner's thread pool in claimed chunks.
-    PerCell,
-    /// Cells run through the
-    /// [`BatchedSimEngine`]: scenes
-    /// step in lockstep over shared lane matrices and the envelope
-    /// fast-forwards the cells it can take (per
-    /// [`SweepRunner::with_batch_options`]).
-    Batched {
-        /// Lane-level worker threads inside the batched engine. With `1`
-        /// the runner claims chunks of cells across its own thread pool and
-        /// each chunk is batched single-threaded (the legacy dispatch);
-        /// with `> 1` the whole grid becomes one batch whose lockstep
-        /// lanes — column-chunked if the grid degenerates to one lane —
-        /// fan across this many workers
-        /// ([`BatchedSimEngine::run_with_workers`](memtherm::sim::batch::BatchedSimEngine::run_with_workers)).
-        /// Either way the results are bit-identical.
-        lane_workers: usize,
-    },
-}
-
-impl Default for SweepExecution {
-    fn default() -> Self {
-        SweepExecution::batched()
-    }
-}
-
-impl SweepExecution {
-    /// The default batched tier: chunked dispatch across the runner's
-    /// thread pool, each chunk batched on its worker's thread.
-    pub fn batched() -> Self {
-        SweepExecution::Batched { lane_workers: 1 }
-    }
-
-    /// The lane-parallel batched tier: the whole grid in one batch, its
-    /// lanes fanned across `workers` threads.
-    pub fn lane_parallel(workers: usize) -> Self {
-        SweepExecution::Batched { lane_workers: workers.max(1) }
-    }
-}
-
 /// Outcome of a sweep: the per-cell results in grid order plus timing and
 /// characterization-sharing statistics.
 #[derive(Debug, Clone)]
@@ -174,9 +126,12 @@ pub struct SweepOutcome {
     pub runs: Vec<MatrixRun>,
     /// Wall-clock duration of the whole sweep, seconds.
     pub wall_clock_s: f64,
-    /// Number of worker threads used.
+    /// Number of worker threads used; each runs whole chunks of cells as
+    /// batches on its own thread.
     pub threads: usize,
-    /// Per-cell wall-clock times, seconds, aligned with `runs`.
+    /// Per-cell wall-clock times, seconds, aligned with `runs`. Lockstep
+    /// stepping interleaves the cells of a chunk, so each cell reports its
+    /// chunk's wall-clock time divided by the chunk's cell count.
     pub cell_wall_clock_s: Vec<f64>,
     /// Level-1 lookups served from the shared `CharStore`.
     pub char_store_hits: u64,
@@ -185,7 +140,7 @@ pub struct SweepOutcome {
     /// Windows the envelope fast-forward carried outside the lane (its
     /// jumps, decision replay and burst windows), summed over all cells
     /// ([`CellRunStats::fast_forwarded_windows`]; always 0 under
-    /// [`SweepExecution::PerCell`]).
+    /// [`BatchOptions::literal`]).
     pub fast_forwarded_windows: u64,
     /// Number of cells that engaged the fast-forward at least once.
     pub fast_forwarded_cells: usize,
@@ -210,8 +165,8 @@ pub struct SweepOutcome {
     pub burst_stepped_windows: u64,
     /// Windows advanced literally (stepped, not replayed analytically),
     /// summed over all cells. `stepped_windows + fast_forwarded_windows` is
-    /// the exact simulated window count — conserved across every execution
-    /// tier.
+    /// the exact simulated window count, the same with the envelope on or
+    /// off.
     pub stepped_windows: u64,
     /// Wall-clock nanoseconds the cells spent in the orbit tracker that
     /// arms the envelope, summed over all cells (sampled, extrapolated).
@@ -233,7 +188,6 @@ pub struct SweepRunner {
     /// [`CharStore::with_disk_cache`]-backed store to persist level-1 work
     /// across processes.
     store: Option<Arc<CharStore>>,
-    execution: SweepExecution,
     batch_options: BatchOptions,
 }
 
@@ -248,12 +202,7 @@ impl SweepRunner {
     /// A runner using all available cores.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        SweepRunner {
-            threads,
-            store: None,
-            execution: SweepExecution::default(),
-            batch_options: BatchOptions::default(),
-        }
+        SweepRunner { threads, store: None, batch_options: BatchOptions::default() }
     }
 
     /// A runner with an explicit worker count (1 = sequential; used as the
@@ -262,15 +211,7 @@ impl SweepRunner {
         SweepRunner { threads: threads.max(1), ..Self::new() }
     }
 
-    /// Selects how chunks of cells are executed (default:
-    /// [`SweepExecution::Batched`]).
-    pub fn with_execution(mut self, execution: SweepExecution) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Sets the batched engine's options (the fast-forward switch); ignored
-    /// under [`SweepExecution::PerCell`]. Pass
+    /// Sets the batched engine's options (the fast-forward switch). Pass
     /// [`BatchOptions::literal`] for results bit-identical to the per-cell
     /// engine.
     pub fn with_batch_options(mut self, options: BatchOptions) -> Self {
@@ -290,11 +231,6 @@ impl SweepRunner {
     /// The number of worker threads this runner uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The execution tier this runner uses inside each chunk.
-    pub fn execution(&self) -> SweepExecution {
-        self.execution
     }
 
     /// Runs every cell of the grid and returns the per-cell results in
@@ -345,89 +281,27 @@ impl SweepRunner {
             .iter()
             .flat_map(|scenario| scenario.specs.iter().map(move |spec| SweepCell { scenario, spec }))
             .collect();
-        // Small grids claim one cell at a time — cell runtimes vary by tens
-        // of percent across policies/mixes, and a multi-cell claim at the
-        // tail strands one worker with two heavy cells. Grids ≫ cores
-        // amortize cursor traffic with multi-cell claims while still leaving
-        // ≥ ~8 claims per worker for load balancing.
-        let timed: Vec<(MatrixRun, f64, CellRunStats)> = match self.execution {
-            SweepExecution::PerCell => {
-                // The cap keeps even the widest (first) guided claims at
-                // ≥ ~8 claims per worker; small grids degenerate to
-                // one-cell claims — see the chunk-size comment at the top
-                // of the module.
-                let chunk = (cells.len() / (self.threads * 8)).max(1);
-                parallel_map_chunked(self.threads, chunk, &cells, |cell| {
-                    let cell_start = Instant::now();
-                    let run = run_cell(cell, &cpu, mem, &make_config, &store);
-                    (run, cell_start.elapsed().as_secs_f64(), CellRunStats::default())
-                })
-            }
-            SweepExecution::Batched { lane_workers } if lane_workers > 1 => {
-                // Lane-parallel dispatch: the whole grid becomes one batch
-                // and the batched engine itself fans the lockstep lanes
-                // (column-chunked when the grid collapses into one lane)
-                // across `lane_workers` threads. One batch maximizes lane
-                // width — the wider the lane, the longer the vectorized RC
-                // row sweeps.
-                let power = FbdimmPowerModel::paper_defaults();
-                let cpu_power = PaperCpuPower::new();
-                let grid_start = Instant::now();
-                let runs = run_chunk_batched(
-                    &cells,
-                    &cpu,
-                    mem,
-                    &power,
-                    &cpu_power,
-                    &make_config,
-                    &store,
-                    &self.batch_options,
-                    lane_workers,
-                );
-                // Lockstep stepping interleaves every cell, so per-cell
-                // wall-clock is reported as the grid average.
-                let secs = grid_start.elapsed().as_secs_f64() / cells.len().max(1) as f64;
-                runs.into_iter().map(|(run, stats)| (run, secs, stats)).collect()
-            }
-            SweepExecution::Batched { .. } => {
-                // Cells are deterministic regardless of lane composition, so
-                // the chunk boundaries only shape performance, not results.
-                // Wide chunks are what the lockstep lanes feed on (the inner
-                // RC loop runs over a chunk's cells), so the guided
-                // partition starts with the widest chunks the old fixed
-                // split would have produced (~2 claims per worker) and lets
-                // later chunks shrink with the remaining queue — the tail
-                // then drains cell-by-cell instead of idling workers behind
-                // one slow multi-cell chunk.
-                let power = FbdimmPowerModel::paper_defaults();
-                let cpu_power = PaperCpuPower::new();
-                let chunks: Vec<&[SweepCell]> = guided_partition(&cells, self.threads);
-                let per_chunk = parallel_map(self.threads, &chunks, |batch| {
-                    let chunk_start = Instant::now();
-                    let runs = run_chunk_batched(
-                        batch,
-                        &cpu,
-                        mem,
-                        &power,
-                        &cpu_power,
-                        &make_config,
-                        &store,
-                        &self.batch_options,
-                        1,
-                    );
-                    // Lockstep stepping interleaves the chunk's cells, so
-                    // per-cell wall-clock is reported as the chunk average.
-                    let secs = chunk_start.elapsed().as_secs_f64() / batch.len().max(1) as f64;
-                    (runs, secs)
-                });
-                per_chunk
-                    .into_iter()
-                    .flat_map(|(runs, secs)| runs.into_iter().map(move |(run, stats)| (run, secs, stats)))
-                    .collect()
-            }
-        };
-        let mut runs = Vec::with_capacity(timed.len());
-        let mut cell_wall_clock_s = Vec::with_capacity(timed.len());
+        // Cells are deterministic regardless of lane composition, so the
+        // chunk boundaries only shape performance, not results. Wide chunks
+        // are what the lockstep lanes feed on (the inner RC loop runs over a
+        // chunk's cells), so the guided partition starts with chunks of half
+        // an even share of the grid per worker and lets later chunks shrink
+        // with the remaining queue: the tail then drains cell by cell
+        // instead of idling workers behind one slow multi-cell chunk.
+        let power = FbdimmPowerModel::paper_defaults();
+        let cpu_power = PaperCpuPower::new();
+        let chunks: Vec<&[SweepCell]> = guided_partition(&cells, self.threads);
+        let per_chunk = parallel_map(self.threads, &chunks, |batch| {
+            let chunk_start = Instant::now();
+            let runs =
+                run_chunk_batched(batch, &cpu, mem, &power, &cpu_power, &make_config, &store, &self.batch_options);
+            // Lockstep stepping interleaves the chunk's cells, so per-cell
+            // wall-clock is reported as the chunk average.
+            let secs = chunk_start.elapsed().as_secs_f64() / batch.len().max(1) as f64;
+            (runs, secs)
+        });
+        let mut runs = Vec::with_capacity(cells.len());
+        let mut cell_wall_clock_s = Vec::with_capacity(cells.len());
         let mut fast_forwarded_windows = 0u64;
         let mut fast_forwarded_cells = 0usize;
         let mut envelope_cycles = 0u64;
@@ -438,7 +312,9 @@ impl SweepRunner {
         let mut detector_ns = 0u64;
         let mut verify_ns = 0u64;
         let mut replay_ns = 0u64;
-        for (run, secs, stats) in timed {
+        for (run, secs, stats) in
+            per_chunk.into_iter().flat_map(|(runs, secs)| runs.into_iter().map(move |(run, stats)| (run, secs, stats)))
+        {
             runs.push(run);
             cell_wall_clock_s.push(secs);
             fast_forwarded_windows += stats.fast_forwarded_windows;
@@ -475,53 +351,12 @@ impl SweepRunner {
 }
 
 /// Order-preserving parallel map over a slice: `threads` scoped workers
-/// claim items through a shared atomic index and the results are reassembled
-/// in input order. The building block of [`SweepRunner`], also used directly
-/// by experiment drivers whose unit of work is not a `MemSpot` grid cell
-/// (e.g. the Chapter 5 platform runs).
+/// claim items one at a time through a shared atomic index and the results
+/// are reassembled in input order. The building block of [`SweepRunner`],
+/// also used directly by experiment drivers whose unit of work is not a
+/// `MemSpot` grid cell (e.g. the Chapter 5 platform runs).
 pub fn parallel_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_chunked(threads, 1, items, f)
-}
-
-/// Deficit-aware (guided self-scheduling) claim size: an even share of
-/// half the remaining queue, capped at `max_chunk` and never below one
-/// item. Early claims are wide — amortizing cursor traffic and feeding
-/// wide lockstep lanes — and shrink as the queue drains, so the tail of a
-/// sweep is parcelled out item-by-item instead of stranding one worker
-/// behind a fixed-size chunk whose last cell happens to be slow.
-fn guided_claim(remaining: usize, workers: usize, max_chunk: usize) -> usize {
-    remaining.div_ceil(2 * workers.max(1)).min(max_chunk).max(1)
-}
-
-/// Splits `items` into the contiguous non-increasing chunk sequence the
-/// guided claim would produce: the first chunks are as wide as the old
-/// fixed partition (≈ 2 claims per worker) and later chunks shrink toward
-/// single items as the remaining queue drains.
-fn guided_partition<T>(items: &[T], workers: usize) -> Vec<&[T]> {
-    let mut chunks = Vec::new();
-    let mut rest = items;
-    while !rest.is_empty() {
-        let take = guided_claim(rest.len(), workers, rest.len());
-        let (head, tail) = rest.split_at(take);
-        chunks.push(head);
-        rest = tail;
-    }
-    chunks
-}
-
-/// [`parallel_map`] with a chunked work queue: each cursor claim takes the
-/// deficit-aware `guided_claim` size, with `chunk` as the per-claim
-/// ceiling. For grids far larger than the core count the wide early claims
-/// amortize the (already cheap) cursor traffic and keep cache locality,
-/// while the shrinking tail claims keep every worker busy to the end.
-pub fn parallel_map_chunked<T: Sync, R: Send>(
-    threads: usize,
-    chunk: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
     let workers = threads.max(1).min(items.len().max(1));
-    let max_chunk = chunk.max(1);
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -537,27 +372,9 @@ pub fn parallel_map_chunked<T: Sync, R: Send>(
             handles.push(scope.spawn(move || {
                 let mut done: Vec<(usize, R)> = Vec::new();
                 loop {
-                    // The claim size depends on how much queue is left, so
-                    // the cursor advances by compare-exchange instead of a
-                    // blind fetch-add: a raced claim just re-reads the
-                    // cursor and re-sizes against the new remainder.
-                    let mut start = next.load(Ordering::Relaxed);
-                    let take = loop {
-                        if start >= items.len() {
-                            break 0;
-                        }
-                        let take = guided_claim(items.len() - start, workers, max_chunk);
-                        match next.compare_exchange_weak(start, start + take, Ordering::Relaxed, Ordering::Relaxed) {
-                            Ok(_) => break take,
-                            Err(cursor) => start = cursor,
-                        }
-                    };
-                    if take == 0 {
-                        break;
-                    }
-                    for (idx, item) in items.iter().enumerate().skip(start).take(take) {
-                        done.push((idx, f(item)));
-                    }
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(idx) else { break };
+                    done.push((idx, f(item)));
                 }
                 done
             }));
@@ -570,6 +387,29 @@ pub fn parallel_map_chunked<T: Sync, R: Send>(
     });
 
     slots.into_iter().map(|s| s.expect("every item processed")).collect()
+}
+
+/// Deficit-aware (guided self-scheduling) chunk size: an even share of
+/// half the remaining queue, never below one item. Early chunks are wide,
+/// feeding wide lockstep lanes, and shrink as the queue drains, so the
+/// tail of a sweep is parcelled out item by item instead of stranding one
+/// worker behind a wide chunk whose last cell happens to be slow.
+fn guided_claim(remaining: usize, workers: usize) -> usize {
+    remaining.div_ceil(2 * workers.max(1)).max(1)
+}
+
+/// Splits `items` into the contiguous, non-increasing sequence of guided
+/// chunks: the first holds about `1 / (2 · workers)` of the items, and
+/// later chunks shrink toward single items as the remaining queue drains.
+fn guided_partition<T>(items: &[T], workers: usize) -> Vec<&[T]> {
+    let mut chunks = Vec::new();
+    let mut rest = items;
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_at(guided_claim(rest.len(), workers));
+        chunks.push(head);
+        rest = tail;
+    }
+    chunks
 }
 
 impl Default for SweepRunner {
@@ -599,28 +439,11 @@ fn scenario_config(
     cfg
 }
 
-fn run_cell(
-    cell: &SweepCell,
-    cpu: &CpuConfig,
-    mem: FbdimmConfig,
-    make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
-    store: &Arc<CharStore>,
-) -> MatrixRun {
-    let scenario = cell.scenario;
-    let cfg = scenario_config(scenario, make_config);
-    let limits = cfg.limits;
-    let mut spot = MemSpot::with_store(cpu.clone(), mem, cfg, Arc::clone(store));
-    let mut policy = cell.spec.build(cpu, limits);
-    let result = spot.run(&scenario.mix, policy.as_mut());
-    MatrixRun { cooling: scenario.cooling.label(), workload: scenario.mix.id.clone(), policy: policy.name(), result }
-}
-
-/// Runs one claimed chunk of cells through a single [`BatchedSimEngine`]:
-/// the chunk's scenes are grouped into lockstep lanes and the envelope
-/// fast-forwards the cells it can take (per `options`). With
-/// `lane_workers > 1` the engine fans the lanes across that many threads;
-/// results are bit-identical either way. Results come back in chunk order,
-/// one per cell, each with its execution counters.
+/// Runs one claimed chunk of cells through a single [`BatchedSimEngine`]
+/// on the calling thread: the chunk's scenes are grouped into lockstep
+/// lanes and the envelope fast-forwards the cells it can take (per
+/// `options`). Results come back in chunk order, one per cell, each with
+/// its execution counters.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk_batched(
     chunk: &[SweepCell],
@@ -631,7 +454,6 @@ fn run_chunk_batched(
     make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
     store: &Arc<CharStore>,
     options: &BatchOptions,
-    lane_workers: usize,
 ) -> Vec<(MatrixRun, CellRunStats)> {
     let mut batch = Vec::with_capacity(chunk.len());
     let mut labels = Vec::with_capacity(chunk.len());
@@ -644,7 +466,7 @@ fn run_chunk_batched(
     }
     let engine = BatchedSimEngine::new(cpu, &mem, power, cpu_power);
     engine
-        .run_with_workers(batch, options, lane_workers)
+        .run(batch, options)
         .into_iter()
         .zip(labels)
         .map(|((result, stats), (cooling, workload, policy))| (MatrixRun { cooling, workload, policy, result }, stats))
@@ -712,70 +534,52 @@ mod tests {
     fn batched_execution_matches_the_per_cell_engine_bit_for_bit() {
         // With fast-forward off the batched tier is purely a memory-layout
         // transformation; every simulated quantity must carry identical
-        // bits to the per-cell engine, for any chunking.
+        // bits to a fresh per-cell `MemSpot` run, for any chunking.
         let make = |cooling: CoolingConfig| Scale::Smoke.memspot_config(cooling);
-        let per_cell = SweepRunner::with_threads(2).with_execution(SweepExecution::PerCell).run(&grid(), make);
         let literal = SweepRunner::with_threads(3).with_batch_options(BatchOptions::literal()).run(&grid(), make);
-        assert_eq!(per_cell.fast_forwarded_windows, 0);
-        assert_eq!(per_cell.fast_forwarded_cells, 0);
         assert_eq!(literal.fast_forwarded_windows, 0);
-        for (x, y) in per_cell.runs.iter().zip(literal.runs.iter()) {
-            assert_eq!(x.result, y.result, "{}/{}/{} diverged", x.cooling, x.workload, x.policy);
+        assert_eq!(literal.fast_forwarded_cells, 0);
+        let cpu = CpuConfig::paper_quad_core();
+        let store = Arc::new(CharStore::new());
+        let cells = grid().into_iter().flat_map(|s| s.specs.clone().into_iter().map(move |spec| (s.clone(), spec)));
+        let mut compared = 0;
+        for ((scenario, spec), got) in cells.zip(&literal.runs) {
+            let cfg = make(scenario.cooling);
+            let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(&store));
+            let want = spot.run(&scenario.mix, spec.build(&cpu, cfg.limits).as_mut());
+            assert_eq!(got.result, want, "{}/{}/{} diverged", got.cooling, got.workload, got.policy);
+            compared += 1;
         }
+        assert_eq!(compared, literal.runs.len());
     }
 
     #[test]
-    fn lane_parallel_execution_matches_single_thread_batched_bit_for_bit() {
-        // Lanes are independent, so fanning them across workers (including
-        // column-chunking when the grid degenerates to one lane) must not
-        // change a single bit of any cell's result.
-        let make = |cooling: CoolingConfig| Scale::Smoke.memspot_config(cooling);
-        let single = SweepRunner::with_threads(1).with_batch_options(BatchOptions::literal()).run(&grid(), make);
-        for workers in [2, 4] {
-            let parallel = SweepRunner::with_threads(1)
-                .with_execution(SweepExecution::lane_parallel(workers))
-                .with_batch_options(BatchOptions::literal())
-                .run(&grid(), make);
-            assert_eq!(single.runs.len(), parallel.runs.len());
-            for (x, y) in single.runs.iter().zip(parallel.runs.iter()) {
-                assert_eq!(
-                    x.result, y.result,
-                    "{}/{}/{} diverged under {workers} lane workers",
-                    x.cooling, x.workload, x.policy
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_map_matches_sequential_map_for_any_chunk_size() {
+    fn parallel_map_matches_sequential_map_for_any_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for chunk in [0, 1, 2, 5, 36, 37, 1000] {
-            let got = parallel_map_chunked(4, chunk, &items, |x| x * x);
-            assert_eq!(got, expected, "chunk {chunk}");
+        for threads in [0, 1, 2, 5, 8] {
+            let got = parallel_map(threads, &items, |x| x * x);
+            assert_eq!(got, expected, "{threads} threads");
         }
+        assert!(parallel_map(4, &[] as &[u64], |x| x * x).is_empty());
     }
 
     #[test]
     fn guided_claims_shrink_as_the_queue_drains() {
-        // An even share of half the remaining queue, capped and floored.
-        assert_eq!(guided_claim(100, 4, usize::MAX), 13);
-        assert_eq!(guided_claim(100, 4, 5), 5);
-        assert_eq!(guided_claim(7, 4, usize::MAX), 1);
-        assert_eq!(guided_claim(1, 4, 1000), 1);
-        assert_eq!(guided_claim(1000, 1, usize::MAX), 500);
+        // An even share of half the remaining queue, floored at one item.
+        assert_eq!(guided_claim(100, 4), 13);
+        assert_eq!(guided_claim(7, 4), 1);
+        assert_eq!(guided_claim(1, 4), 1);
+        assert_eq!(guided_claim(1000, 1), 500);
         // Degenerate worker counts never divide by zero or claim nothing.
-        assert_eq!(guided_claim(10, 0, usize::MAX), 5);
-        // Claims are non-increasing as the queue drains, for any cap.
-        for max_chunk in [1, 3, 16, usize::MAX] {
-            let mut previous = usize::MAX;
-            for remaining in (1..=64).rev() {
-                let claim = guided_claim(remaining, 3, max_chunk);
-                assert!(claim >= 1 && claim <= remaining.min(max_chunk));
-                assert!(claim <= previous, "claim grew from {previous} to {claim} at {remaining} remaining");
-                previous = claim;
-            }
+        assert_eq!(guided_claim(10, 0), 5);
+        // Claims are non-increasing as the queue drains.
+        let mut previous = usize::MAX;
+        for remaining in (1..=64).rev() {
+            let claim = guided_claim(remaining, 3);
+            assert!(claim >= 1 && claim <= remaining);
+            assert!(claim <= previous, "claim grew from {previous} to {claim} at {remaining} remaining");
+            previous = claim;
         }
     }
 
@@ -790,8 +594,7 @@ mod tests {
             for pair in chunks.windows(2) {
                 assert!(pair[0].len() >= pair[1].len(), "chunk sizes must not grow toward the tail");
             }
-            // The first chunk matches the old fixed split's width (an even
-            // share of the grid across ~2 claims per worker).
+            // The first chunk holds an even share of half the grid per worker.
             assert_eq!(chunks[0].len(), n.div_ceil(8).max(1));
             // The tail drains in single items.
             assert_eq!(chunks.last().unwrap().len(), 1);
@@ -831,9 +634,6 @@ mod tests {
     fn runner_defaults_to_available_parallelism() {
         assert!(SweepRunner::new().threads() >= 1);
         assert_eq!(SweepRunner::with_threads(0).threads(), 1);
-        assert_eq!(SweepRunner::new().execution(), SweepExecution::Batched { lane_workers: 1 });
-        assert_eq!(SweepExecution::lane_parallel(0), SweepExecution::Batched { lane_workers: 1 });
-        assert_eq!(SweepExecution::lane_parallel(4), SweepExecution::Batched { lane_workers: 4 });
         assert_eq!(SweepScenario::isolated(CoolingConfig::aohs_1_5(), mixes::w1(), vec![PolicySpec::Ts]).cells(), 1);
     }
 }

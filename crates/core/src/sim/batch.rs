@@ -1,5 +1,5 @@
-//! Batched execution of many level-2 runs: lockstep lanes, lane-parallel
-//! stepping, and the contraction-certified envelope fast-forward.
+//! Batched execution of many level-2 runs: lockstep lanes, optionally
+//! stepped in parallel, and the contraction-certified envelope fast-forward.
 //!
 //! The sweep stack is a three-tier execution ladder. Each tier reproduces
 //! the one below it under a stated guarantee — bit-for-bit for the layout
@@ -8,11 +8,13 @@
 //! 1. **Per-cell (literal)** — [`SimEngine`]
 //!    advances one (mix, policy, cooling) cell at a time; the reference
 //!    semantics everything else is measured against.
-//! 2. **Batched lockstep, optionally lane-parallel** —
-//!    [`BatchedSimEngine::run`] groups cells into lanes and steps each lane
-//!    over a shared matrix; [`BatchedSimEngine::run_with_workers`] fans the
-//!    lanes across OS threads, column-chunking dominant lanes so every
-//!    worker has work. Both are *bit-identical* to tier 1: a pure
+//! 2. **Batched lockstep** — [`BatchedSimEngine::run`] groups cells into
+//!    lanes and steps each lane over a shared matrix on the calling thread;
+//!    the sweep harness runs every grid this way, one batch per claimed
+//!    chunk of cells. [`BatchedSimEngine::run_with_workers`] instead fans
+//!    one batch's lanes across OS threads, column-chunking dominant lanes
+//!    so every worker has work (the sweep harness does not use it; the
+//!    sweep bench times it against `run`). Both are *bit-identical* to tier 1: a pure
 //!    memory-layout transformation, and lanes are independent while
 //!    chunking only reorders independent per-cell operations. The
 //!    per-window DTM/accounting pass runs post-step bookkeeping, decisions

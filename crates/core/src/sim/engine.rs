@@ -8,11 +8,11 @@
 //!    tool for a single run or when a policy needs bespoke instrumentation.
 //! 2. **Batched lockstep** ([`crate::sim::batch`]): many independent cells
 //!    share one row-major temperature matrix and advance in lockstep lanes,
-//!    turning the per-window RC update into contiguous row sweeps, and
-//!    `BatchedSimEngine::run_with_workers` fans the lanes across OS threads
-//!    (dominant lanes split column-wise so every worker has work). Lanes
-//!    never interact, so this is bit-identical to tier 1; the sweep harness
-//!    uses it by default.
+//!    turning the per-window RC update into contiguous row sweeps. Lanes
+//!    never interact, so this is bit-identical to tier 1. The sweep harness
+//!    runs every grid this way, one batch per claimed chunk of cells on its
+//!    worker's thread; `BatchedSimEngine::run_with_workers` can also fan one
+//!    batch's lanes across OS threads, equally bit-identical.
 //! 3. **Contraction-certified envelope** (opt-in on the batched tier):
 //!    frozen plans and the plan-changing orbits of threshold policies —
 //!    exact limit cycles, slipping orbits, sliding-mode chatter — are

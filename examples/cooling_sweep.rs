@@ -1,18 +1,16 @@
 //! Parallel scenario sweep over the paper's cooling configurations.
 //!
 //! Builds a 16-cell grid — {AOHS_1.5, FDHS_1.0} × {W1, W6} × {No-limit,
-//! DTM-TS, DTM-ACG, DTM-CDVFS} — and runs it through the `SweepRunner`
-//! three ways: per-cell stepping on one worker (the reference execution
-//! tier), batched lockstep + analytic fast-forward on one worker (the
-//! default tier — same results within 1e-9, printed with its speedup, how
-//! many windows were fast-forwarded and how many pseudo-cycles the
-//! envelope tier replayed), the same batch with its lockstep lanes
-//! fanned across all cores (`SweepExecution::lane_parallel`,
-//! bit-identical to the single-thread batched pass), and batched fanned
-//! across all cores at cell granularity. Each pass uses its own shared `CharStore`, so
+//! DTM-TS, DTM-ACG, DTM-CDVFS} — and runs it three ways: per-cell
+//! `MemSpot::run` on one thread (the reference execution, a fresh
+//! `MemSpot` per cell), the `SweepRunner`'s batched lockstep + analytic
+//! fast-forward on one worker (same results within 1e-9, printed with its
+//! speedup, how many windows were fast-forwarded and how many
+//! pseudo-cycles the envelope tier replayed), and the runner's batched
+//! chunks fanned across all cores. Each pass uses its own shared `CharStore`, so
 //! the printed wall-clock comparisons are fair while still showing the
 //! level-1 dedup (the same mix under two cooling configs characterizes
-//! once). A third pass then runs against a *disk-backed* store
+//! once). A further pass then runs against a *disk-backed* store
 //! (`target/cooling_sweep_char_cache.jsonl`): the first execution of the
 //! example populates the file, and every rerun loads it and reports
 //! **0 level-1 misses** — the whole sweep skips the closed-loop
@@ -31,11 +29,13 @@
 //! Run with: `cargo run --release --example cooling_sweep`
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
 
 use dram_thermal::prelude::*;
 use experiments::ch4::PolicySpec;
 use experiments::harness::{bench_output_path, write_bench_json, BenchStats};
-use experiments::sweep::{SweepExecution, SweepRunner, SweepScenario};
+use experiments::sweep::{SweepRunner, SweepScenario};
 
 fn grid() -> Vec<SweepScenario> {
     let specs =
@@ -65,14 +65,27 @@ fn main() {
     let cells: usize = scenarios.iter().map(SweepScenario::cells).sum();
     println!("scenario grid: {} scenarios, {} cells", scenarios.len(), cells);
 
-    // Reference tier: every cell stepped individually through the per-cell
-    // engine. The batched pass below must reproduce it within 1e-9 while
-    // running the same grid faster on the same single worker.
-    let per_cell = SweepRunner::with_threads(1).with_execution(SweepExecution::PerCell).run(&scenarios, sweep_config);
-    println!("per-cell   (1 worker):      {:.2} s wall-clock", per_cell.wall_clock_s);
+    // Reference: every cell stepped individually by its own `MemSpot` over
+    // one shared store. The batched pass below must reproduce it within
+    // 1e-9 while running the same grid faster on the same single worker.
+    let cpu = CpuConfig::paper_quad_core();
+    let per_cell_store = Arc::new(CharStore::new());
+    let per_cell_start = Instant::now();
+    let per_cell: Vec<MemSpotResult> = scenarios
+        .iter()
+        .flat_map(|scenario| scenario.specs.iter().map(move |spec| (scenario, spec)))
+        .map(|(scenario, spec)| {
+            let cfg = sweep_config(scenario.cooling);
+            let mut spot =
+                MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(&per_cell_store));
+            spot.run(&scenario.mix, spec.build(&cpu, cfg.limits).as_mut())
+        })
+        .collect();
+    let per_cell_s = per_cell_start.elapsed().as_secs_f64();
+    println!("per-cell   (1 thread):      {per_cell_s:.2} s wall-clock");
 
     let sequential = SweepRunner::with_threads(1).run(&scenarios, sweep_config);
-    let batched_speedup = per_cell.wall_clock_s / sequential.wall_clock_s.max(1e-9);
+    let batched_speedup = per_cell_s / sequential.wall_clock_s.max(1e-9);
     println!(
         "batched+FF (1 worker):      {:.2} s wall-clock  ({:.2}x vs per-cell, {} windows fast-forwarded \
          across {} cells, {} envelope pseudo-cycles)",
@@ -82,20 +95,9 @@ fn main() {
         sequential.fast_forwarded_cells,
         sequential.envelope_cycles
     );
-
-    // Lane-parallel tier: the same single batch, its lockstep lanes fanned
-    // across every core (bit-identical to the batched pass above).
-    let lane_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let lane = SweepRunner::with_threads(1)
-        .with_execution(SweepExecution::lane_parallel(lane_workers))
-        .run(&scenarios, sweep_config);
-    let lane_speedup = sequential.wall_clock_s / lane.wall_clock_s.max(1e-9);
-    println!(
-        "lane-parallel ({lane_workers} workers):   {:.2} s wall-clock  ({lane_speedup:.2}x vs single-thread batched)",
-        lane.wall_clock_s
-    );
-    for (a, b) in sequential.runs.iter().zip(lane.runs.iter()) {
-        assert_eq!(a.result, b.result, "lane-parallel stepping must be bit-identical to the batched pass");
+    for (reference, run) in per_cell.iter().zip(&sequential.runs) {
+        let rel = (run.result.running_time_s - reference.running_time_s).abs() / reference.running_time_s;
+        assert!(rel <= 1e-9, "{}/{}/{}: batched running time off by {rel:.2e}", run.cooling, run.workload, run.policy);
     }
 
     let runner = SweepRunner::new();
@@ -118,7 +120,7 @@ fn main() {
     let cache_path = bench_output_path("target/cooling_sweep_char_cache.jsonl");
     let disk = match CharStore::with_disk_cache(&cache_path) {
         Ok(store) => {
-            let store = std::sync::Arc::new(store);
+            let store = Arc::new(store);
             let outcome = SweepRunner::new().with_char_store(store).run(&scenarios, sweep_config);
             println!(
                 "disk-backed ({}): {:.2} s wall-clock, {} hits / {} misses{}",
@@ -142,20 +144,14 @@ fn main() {
     let stats = [
         BenchStats {
             label: "cooling_sweep/percell_1_worker".to_string(),
-            mean_ms: per_cell.wall_clock_s * 1e3,
-            min_ms: per_cell.wall_clock_s * 1e3,
+            mean_ms: per_cell_s * 1e3,
+            min_ms: per_cell_s * 1e3,
             iters: 1,
         },
         BenchStats {
             label: "cooling_sweep/sequential_1_worker".to_string(),
             mean_ms: sequential.wall_clock_s * 1e3,
             min_ms: sequential.wall_clock_s * 1e3,
-            iters: 1,
-        },
-        BenchStats {
-            label: format!("cooling_sweep/lane_parallel_{lane_workers}_workers"),
-            mean_ms: lane.wall_clock_s * 1e3,
-            min_ms: lane.wall_clock_s * 1e3,
             iters: 1,
         },
         BenchStats {
@@ -179,10 +175,7 @@ fn main() {
         ("fast_forwarded_windows", sequential.fast_forwarded_windows as f64),
         ("fast_forwarded_cells", sequential.fast_forwarded_cells as f64),
         ("envelope_cycles", sequential.envelope_cycles as f64),
-        ("lane_workers", lane_workers as f64),
-        ("host_nproc", lane_workers as f64),
-        ("lane_parallel_wall_ms", lane.wall_clock_s * 1e3),
-        ("lane_parallel_vs_batched_speedup", lane_speedup),
+        ("host_nproc", std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
         ("char_store_hits", parallel.char_store_hits as f64),
         ("char_store_misses", parallel.char_store_misses as f64),
         ("disk_pass_char_store_misses", disk_misses),
