@@ -11,9 +11,10 @@
 //!
 //! A `batched` case then reruns the same grid on ONE thread against a
 //! pre-warmed shared `CharStore`: a loop of per-cell `MemSpot::run`s (a
-//! fresh `MemSpot` per cell) against the runner's literal batched lockstep
-//! chunks, alternating pass by pass, and gates the batched engine's
-//! best-of-3 speedup at 1.2x (`batched_vs_sequential_speedup`).
+//! fresh `MemSpot` per cell, each run a one-cell literal batch) against the
+//! runner's literal batched lockstep chunks, alternating pass by pass, and
+//! gates the shared lanes' best-of-3 speedup at 1.2x
+//! (`batched_vs_sequential_speedup`).
 //!
 //! A `lane_parallel` case runs the warm grid's cells as ONE literal batch,
 //! `BatchedSimEngine::run` on one thread against `run_with_workers` fanning
@@ -296,14 +297,15 @@ fn main() {
         parallel.char_store_hits, parallel.char_store_misses
     );
 
-    // Batched-engine case: the literal batched lockstep engine against a
-    // loop of per-cell `MemSpot::run`s, both on ONE thread and both against
-    // the same pre-warmed shared `CharStore`, so the comparison isolates
-    // exactly the window-loop work the batched engine restructures (level-1
-    // characterization is identical either way and excluded). The two sides
-    // alternate pass by pass, so host drift lands on both. The bit-identical
-    // cases (batched, lane-parallel) run with the envelope tier off; the
-    // `relay` and `paper_cadence` cases below own it.
+    // Batched-engine case: the grid's cells sharing literal lockstep lanes
+    // against a loop of per-cell `MemSpot::run`s (each a one-cell literal
+    // batch, so one lane per cell), both on ONE thread and both against the
+    // same pre-warmed shared `CharStore`, so the comparison isolates exactly
+    // what sharing lanes saves in the window loop (level-1 characterization
+    // is identical either way and excluded). The two sides alternate pass
+    // by pass, so host drift lands on both. The bit-identical cases
+    // (batched, lane-parallel) run with the envelope tier off; the `relay`
+    // and `paper_cadence` cases below own it.
     let cpu = CpuConfig::paper_quad_core();
     let mem = FbdimmConfig::ddr2_667_paper();
     let fb_power = FbdimmPowerModel::paper_defaults();

@@ -212,8 +212,8 @@ impl SweepRunner {
     }
 
     /// Sets the batched engine's options (the fast-forward switch). Pass
-    /// [`BatchOptions::literal`] for results bit-identical to the per-cell
-    /// engine.
+    /// [`BatchOptions::literal`] for results bit-identical to each cell run
+    /// alone ([`MemSpot::run`]).
     pub fn with_batch_options(mut self, options: BatchOptions) -> Self {
         self.batch_options = options;
         self

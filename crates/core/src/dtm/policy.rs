@@ -110,6 +110,39 @@ pub trait DtmPolicy: std::fmt::Debug + Send {
     }
 }
 
+/// A borrowed policy is a policy: the engine can run a caller's policy in
+/// place (`MemSpot::run` hands the batched engine `Box::new(policy)`), and
+/// the caller finds it in the state the run left it in.
+impl<P: DtmPolicy + ?Sized> DtmPolicy for &mut P {
+    fn decide(&mut self, observation: &ThermalObservation, dt_s: f64) -> ActuationPlan {
+        (**self).decide(observation, dt_s)
+    }
+
+    fn decide_temps(&mut self, amb_temp_c: f64, dram_temp_c: f64, dt_s: f64) -> RunningMode {
+        (**self).decide_temps(amb_temp_c, dram_temp_c, dt_s)
+    }
+
+    fn scheme(&self) -> DtmScheme {
+        (**self).scheme()
+    }
+
+    fn uses_pid(&self) -> bool {
+        (**self).uses_pid()
+    }
+
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn reset(&mut self) {
+        (**self).reset()
+    }
+
+    fn decision_rule(&self) -> DecisionRule<'_> {
+        (**self).decision_rule()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,10 +42,12 @@
 //!   workload mixes under every running mode using the `cpu-model` and
 //!   `fbdimm-sim` substrates; level 2 ("MEMSpot") replays those
 //!   characterizations in 10 ms windows over thousands of simulated seconds.
-//!   The window loop lives in [`SimEngine`](crate::sim::engine::SimEngine),
-//!   which steps the thermal scene from per-position power (with
-//!   precomputed RC step coefficients — no per-window `exp()`) and feeds
-//!   each DTM policy the full observation; `MemSpot` is the facade, backed
+//!   The window loop is the
+//!   [`BatchedSimEngine`](crate::sim::batch::BatchedSimEngine)'s lockstep
+//!   lanes, which step the thermal scenes of many cells from per-position
+//!   power (with precomputed RC step coefficients — no per-window `exp()`)
+//!   and feed each DTM policy the full observation; `MemSpot` is the
+//!   facade for one run (a one-cell batch), backed
 //!   by a thread-safe [`CharStore`](crate::sim::characterize::CharStore)
 //!   that shares level-1 design points across runs, policies and — when
 //!   injected into several simulators — whole sweep grids.
@@ -103,7 +105,6 @@ pub mod prelude {
     pub use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};
     pub use crate::sim::batch::{BatchCell, BatchOptions, BatchedSimEngine, CellRunStats};
     pub use crate::sim::characterize::{CharPoint, CharStore, CharStoreKey, CharacterizationTable, ModeKey};
-    pub use crate::sim::engine::SimEngine;
     pub use crate::sim::memspot::{MemSpot, MemSpotConfig, MemSpotResult, PositionPeak, TempSample};
     pub use crate::sim::modes::{scheme_mode, ThermalRunningLevel};
     pub use crate::thermal::integrated::IntegratedThermalModel;

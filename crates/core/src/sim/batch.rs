@@ -1,26 +1,24 @@
-//! Batched execution of many level-2 runs: lockstep lanes, optionally
-//! stepped in parallel, and the contraction-certified envelope fast-forward.
+//! The level-2 window loop: lockstep lanes of cells, optionally stepped in
+//! parallel, and the contraction-certified envelope fast-forward.
 //!
-//! The sweep stack is a three-tier execution ladder. Each tier reproduces
-//! the one below it under a stated guarantee — bit-for-bit for the layout
-//! tier, a pinned relative tolerance for the analytic one:
+//! Every level-2 run goes through this engine — a single
+//! [`MemSpot::run`](crate::sim::memspot::MemSpot::run) is a one-cell
+//! literal batch, a sweep grid is a batch per claimed chunk of cells — on
+//! one of two tiers:
 //!
-//! 1. **Per-cell (literal)** — [`SimEngine`]
-//!    advances one (mix, policy, cooling) cell at a time; the reference
-//!    semantics everything else is measured against.
-//! 2. **Batched lockstep** — [`BatchedSimEngine::run`] groups cells into
-//!    lanes and steps each lane over a shared matrix on the calling thread;
-//!    the sweep harness runs every grid this way, one batch per claimed
-//!    chunk of cells. [`BatchedSimEngine::run_with_workers`] instead fans
-//!    one batch's lanes across OS threads, column-chunking dominant lanes
-//!    so every worker has work (the sweep harness does not use it; the
-//!    sweep bench times it against `run`). Both are *bit-identical* to tier 1: a pure
-//!    memory-layout transformation, and lanes are independent while
-//!    chunking only reorders independent per-cell operations. The
-//!    per-window DTM/accounting pass runs post-step bookkeeping, decisions
-//!    and deferred column removals as separate column-disjoint phases, so a
-//!    chunked lane's decision pass parallelizes exactly like its RC sweep.
-//! 3. **Contraction-certified envelope** — plan-changing orbits (limit
+//! 1. **Literal lockstep** — [`BatchedSimEngine::run`] groups cells into
+//!    lanes and steps each lane over a shared matrix on the calling thread.
+//!    [`BatchedSimEngine::run_with_workers`] instead fans one batch's lanes
+//!    across OS threads, column-chunking dominant lanes so every worker has
+//!    work (the sweep harness does not use it; the sweep bench times it
+//!    against `run`). A cell's bits do not depend on the lane it shares or
+//!    on the thread that steps it: lanes are a pure memory-layout
+//!    transformation, and chunking only reorders independent per-cell
+//!    operations. The per-window DTM/accounting pass runs post-step
+//!    bookkeeping, decisions and deferred column removals as separate
+//!    column-disjoint phases, so a chunked lane's decision pass
+//!    parallelizes exactly like its RC sweep.
+//! 2. **Contraction-certified envelope** — plan-changing orbits (limit
 //!    cycles, slipping orbits whose duty ratio is irrational at the paper's
 //!    10 ms cadence, sliding-mode threshold chatter, the DTM-TS shutdown
 //!    relay), long monotone approaches to a distant fixed point and plans
@@ -38,9 +36,9 @@
 //!    drift audit against the band falls the cell back to literal stepping
 //!    the moment confinement fails. Cells the envelope cannot take
 //!    (field-observing policies, traced cells and cells whose step differs
-//!    from the DTM interval) step literally in tier 2.
+//!    from the DTM interval) step literally in tier 1.
 //!
-//! [`BatchOptions::literal`] switches the envelope off, leaving tier 2.
+//! [`BatchOptions::literal`] switches the envelope off, leaving tier 1.
 //!
 //! A design-space sweep runs hundreds of cells whose window loops are
 //! completely independent yet structurally identical. The
@@ -50,32 +48,36 @@
 //! shared cell-major temperature/peak matrix (row = `position × depth +
 //! layer`, column = cell). The per-window RC update then becomes a tight
 //! inner loop over the cells of a row — contiguous, branch-free and
-//! auto-vectorizable — instead of a pointer-chasing scene walk per cell.
-//! Non-identity stacks (rank pairs, 3D stacks) keep their per-lane Ψ
-//! superposition matrices cached per cell column, rewritten only on plan
-//! change, so the lockstep sweep never re-derives the stack coupling per
-//! window.
+//! auto-vectorizable — instead of a pointer-chasing scene walk per cell. A
+//! lane of one member walks its column instead, with the same operations
+//! in the same order. Non-identity stacks (rank pairs, 3D stacks) keep
+//! their per-lane Ψ superposition matrices cached per cell column,
+//! rewritten only on plan change, so the lockstep sweep never re-derives
+//! the stack coupling per window.
 //!
-//! Everything that is *per-cell logic* (DTM decisions, actuation plans,
-//! window-power rebuilds, batch progress, energy accounting) stays exactly
-//! the per-cell code path, executed cell-by-cell in the same order as
-//! [`SimEngine::run`], so every cell's trajectory is **bit-identical** to a
-//! per-cell run: the lane only restructures the memory layout of the RC
-//! arithmetic, not its operations or their order. Cells that finish (batch
-//! complete or safety stop) drop out of the hot lane by a column
-//! swap-remove, which moves no arithmetic and therefore cannot perturb the
-//! remaining cells.
+//! The RC sweep performs, per element, exactly the float operations of
+//! [`DimmThermalScene::step`] in its order, so a lane column carries the
+//! bits of a scene stepped on its own (the
+//! `lane_sweeps_step_every_column_like_the_scene` unit test holds every
+//! stack kind to it). Everything that is *per-cell logic* (DTM decisions,
+//! actuation plans, window-power rebuilds, batch progress, energy
+//! accounting) runs cell by cell in one fixed order per window, so a
+//! cell's trajectory is the same in any batch: the lane only restructures
+//! the memory layout of the RC arithmetic, not its operations or their
+//! order. Cells that finish (batch complete or safety stop) drop out of the
+//! hot lane by a column swap-remove, which moves no arithmetic and
+//! therefore cannot perturb the remaining cells.
 //!
-//! Two further layout moves keep the per-window overhead below the
-//! per-cell engine's. Window powers are constant between plan changes, so
-//! each lane keeps its members' per-position powers in a
-//! `positions × cells` matrix rewritten per column on plan change — the RC
-//! sweep reads power rows contiguously instead of chasing each cell's
-//! window struct. And policies whose decision rule does not read the field
-//! ([`DecisionRule::reads_field`]) are observed straight
-//! from the sweep's running per-cell maxima (`f64::max` over a fixed node
-//! set is order-independent, so the bits match a full scene fold) instead
-//! of re-synthesizing the per-position field at every DTM interval.
+//! Two further layout moves keep the per-window overhead low. Window
+//! powers are constant between plan changes, so each lane keeps its
+//! members' per-position powers in a `positions × cells` matrix rewritten
+//! per column on plan change — the RC sweep reads power rows contiguously
+//! instead of chasing each cell's window struct. And policies whose
+//! decision rule does not read the field ([`DecisionRule::reads_field`])
+//! are observed straight from the sweep's running per-cell maxima
+//! (`f64::max` over a fixed node set is order-independent, so the bits
+//! match a full scene fold) instead of re-synthesizing the per-position
+//! field at every DTM interval.
 //!
 //! # Contraction-certified envelope fast-forward
 //!
@@ -206,8 +208,8 @@ use crate::dtm::rule::{self, DecisionRule};
 use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};
 use crate::sim::characterize::{CharPoint, CharStore, CharacterizationTable, ModeKey};
 use crate::sim::energy::EnergyAccumulator;
-use crate::sim::engine::{assemble_result, RunTotals, SimEngine, WindowPower};
-use crate::sim::memspot::{MemSpotConfig, MemSpotResult, TempSample};
+use crate::sim::engine::{mode_label_from_key, SimEngine, WindowPower};
+use crate::sim::memspot::{MemSpotConfig, MemSpotResult, PositionPeak, TempSample};
 use crate::sim::replay::{self, Forcing, REPLAY_KEYS, REPLAY_RUN_EXIT};
 use crate::thermal::params::{DeviceLayerKind, StackTopology};
 use crate::thermal::rc::ThermalNode;
@@ -274,8 +276,9 @@ const ENV_FROZEN_STREAK: u32 = 64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOptions {
     /// Enables the contraction-certified envelope fast-forward. When
-    /// `false` the batched engine is purely a memory-layout transformation
-    /// and every result is bit-identical to [`SimEngine::run`]. Even when
+    /// `false` every cell steps literally and its result carries the bits
+    /// of the same cell run alone
+    /// ([`MemSpot::run`](crate::sim::memspot::MemSpot::run)). Even when
     /// `true` the envelope skips every cell it cannot take: traced cells,
     /// policies whose decision rule neither keys decisions nor certifies
     /// the cell's starting observation (field-reading rules), and cells
@@ -291,7 +294,8 @@ impl Default for BatchOptions {
 
 impl BatchOptions {
     /// Literal batched execution: lockstep lanes, no fast-forward. Every
-    /// cell's result carries identical bits to a per-cell run.
+    /// cell's result carries the bits of the same cell run alone
+    /// ([`MemSpot::run`](crate::sim::memspot::MemSpot::run)).
     pub fn literal() -> Self {
         BatchOptions { fast_forward: false }
     }
@@ -359,13 +363,15 @@ impl Eq for CellRunStats {}
 /// One sweep cell: a run configuration, a workload mix, a policy and the
 /// mix's level-1 characterization table.
 #[derive(Debug)]
-pub struct BatchCell {
+pub struct BatchCell<'p> {
     /// The run configuration (cooling, stack, cadences, …).
     pub config: MemSpotConfig,
     /// The workload mix to run.
     pub mix: WorkloadMix,
-    /// The DTM policy deciding each interval.
-    pub policy: Box<dyn DtmPolicy>,
+    /// The DTM policy deciding each interval: owned, or a caller's policy
+    /// borrowed for the run (`Box::new(&mut policy)`), which the run leaves
+    /// in its final state.
+    pub policy: Box<dyn DtmPolicy + 'p>,
     /// Level-1 characterization table for `mix` (backed by a shared
     /// [`CharStore`] when built via [`BatchCell::new`]). Over a warm store
     /// it builds no level-1 simulator: one is built only if the cell runs a
@@ -373,7 +379,7 @@ pub struct BatchCell {
     pub table: CharacterizationTable,
 }
 
-impl BatchCell {
+impl<'p> BatchCell<'p> {
     /// Builds a cell whose characterization table shares `store`, so level-1
     /// results are computed once per distinct (mix, mode, budget, geometry)
     /// across the whole batch.
@@ -382,7 +388,7 @@ impl BatchCell {
         mem: &FbdimmConfig,
         config: MemSpotConfig,
         mix: WorkloadMix,
-        policy: Box<dyn DtmPolicy>,
+        policy: Box<dyn DtmPolicy + 'p>,
         store: Arc<CharStore>,
     ) -> Self {
         let table = CharacterizationTable::with_store(
@@ -428,13 +434,13 @@ impl<'a> BatchedSimEngine<'a> {
 
     /// Runs every cell to completion on the calling thread and returns one
     /// `(result, stats)` pair per cell, in input order. With
-    /// [`BatchOptions::literal`] each result is bit-identical to
-    /// [`SimEngine::run`] on the same cell.
+    /// [`BatchOptions::literal`] each result is bit-identical to the same
+    /// cell run alone ([`MemSpot::run`](crate::sim::memspot::MemSpot::run)).
     ///
     /// # Panics
     ///
     /// Panics if any cell's configuration fails [`MemSpotConfig::validate`].
-    pub fn run(&self, cells: Vec<BatchCell>, options: &BatchOptions) -> Vec<(MemSpotResult, CellRunStats)> {
+    pub fn run(&self, cells: Vec<BatchCell<'_>>, options: &BatchOptions) -> Vec<(MemSpotResult, CellRunStats)> {
         self.run_with_workers(cells, options, 1)
     }
 
@@ -453,7 +459,7 @@ impl<'a> BatchedSimEngine<'a> {
     /// Panics if any cell's configuration fails [`MemSpotConfig::validate`].
     pub fn run_with_workers(
         &self,
-        cells: Vec<BatchCell>,
+        cells: Vec<BatchCell<'_>>,
         options: &BatchOptions,
         workers: usize,
     ) -> Vec<(MemSpotResult, CellRunStats)> {
@@ -463,7 +469,7 @@ impl<'a> BatchedSimEngine<'a> {
             .iter()
             .map(|config| SimEngine::new(self.cpu, self.mem, self.power, self.cpu_power, config))
             .collect();
-        let states: Vec<CellState> =
+        let states: Vec<CellState<'_>> =
             cells.into_iter().zip(engines.iter()).map(|(cell, engine)| CellState::new(cell, engine, options)).collect();
         let total = states.len();
         let mut groups = lane_groups(&states);
@@ -481,7 +487,7 @@ impl<'a> BatchedSimEngine<'a> {
             // stepping them to completion. Every lane index is claimed by
             // exactly one worker, so the per-lane mutexes are uncontended —
             // they only move ownership into and back out of the pool.
-            let tasks: Vec<std::sync::Mutex<LaneWork>> = works.into_iter().map(std::sync::Mutex::new).collect();
+            let tasks: Vec<std::sync::Mutex<LaneWork<'_>>> = works.into_iter().map(std::sync::Mutex::new).collect();
             let cursor = std::sync::atomic::AtomicUsize::new(0);
             let engines_ref = &engines;
             std::thread::scope(|scope| {
@@ -512,17 +518,17 @@ impl<'a> BatchedSimEngine<'a> {
 /// (locally indexed `0..n`), their result slots, and the mapping back to
 /// the batch's global cell order.
 #[derive(Debug)]
-struct LaneWork {
+struct LaneWork<'p> {
     /// `globals[local]` is the batch-order index of local cell `local`
     /// (used to pick its engine and to scatter its result).
     globals: Vec<usize>,
     lane: Lane,
-    states: Vec<CellState>,
+    states: Vec<CellState<'p>>,
     results: Vec<Option<(MemSpotResult, CellRunStats)>>,
 }
 
 /// Steps one lane to completion (the whole single-lane execution loop).
-fn run_lane_work(work: &mut LaneWork, engines: &[SimEngine<'_>]) {
+fn run_lane_work(work: &mut LaneWork<'_>, engines: &[SimEngine<'_>]) {
     let LaneWork { globals, lane, states, results } = work;
     lane_pre(lane, globals, engines, states, results);
     while !lane.members.is_empty() {
@@ -531,13 +537,13 @@ fn run_lane_work(work: &mut LaneWork, engines: &[SimEngine<'_>]) {
     }
 }
 
-/// The full mutable state of one in-flight cell — a field-for-field mirror
-/// of the locals of [`SimEngine::run`], plus the batched-tier bookkeeping
-/// (plan streak, execution stats, scratch buffers).
+/// The full mutable state of one in-flight cell: the window loop's
+/// accumulators and current plan, plus the envelope's bookkeeping (plan
+/// streak, execution stats, scratch buffers).
 #[derive(Debug)]
-struct CellState {
+struct CellState<'p> {
     mix: WorkloadMix,
-    policy: Box<dyn DtmPolicy>,
+    policy: Box<dyn DtmPolicy + 'p>,
     table: CharacterizationTable,
     batch: BatchJob,
     scene: DimmThermalScene,
@@ -601,8 +607,8 @@ struct CellState {
     col_scratch: Vec<f64>,
 }
 
-impl CellState {
-    fn new(cell: BatchCell, engine: &SimEngine<'_>, options: &BatchOptions) -> Self {
+impl<'p> CellState<'p> {
+    fn new(cell: BatchCell<'p>, engine: &SimEngine<'_>, options: &BatchOptions) -> Self {
         let BatchCell { config, mix, mut policy, mut table } = cell;
         let batch = BatchJob::new(mix.clone(), config.copies_per_app, engine.cpu.cores, config.instruction_scale);
         let scene = engine.make_scene();
@@ -781,7 +787,7 @@ impl Lane {
 /// Groups cell indices into lockstep-compatible lanes: cells share a lane
 /// iff their scenes share a device stack, a step length (bitwise) and an
 /// ambient time constant (bitwise).
-fn lane_groups(states: &[CellState]) -> Vec<Vec<usize>> {
+fn lane_groups(states: &[CellState<'_>]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, st) in states.iter().enumerate() {
         let step_bits = st.step_s.to_bits();
@@ -820,12 +826,12 @@ fn split_groups(groups: &mut Vec<Vec<usize>>, workers: usize, total_cells: usize
 /// Packages each group into an independently steppable [`LaneWork`]: the
 /// group's states move out of the batch-order vector, the lane is built
 /// over the local order, and `globals` remembers the way back.
-fn lane_works(states: Vec<CellState>, groups: Vec<Vec<usize>>) -> Vec<LaneWork> {
-    let mut slots: Vec<Option<CellState>> = states.into_iter().map(Some).collect();
+fn lane_works(states: Vec<CellState<'_>>, groups: Vec<Vec<usize>>) -> Vec<LaneWork<'_>> {
+    let mut slots: Vec<Option<CellState<'_>>> = states.into_iter().map(Some).collect();
     groups
         .into_iter()
         .map(|globals| {
-            let states: Vec<CellState> =
+            let states: Vec<CellState<'_>> =
                 globals.iter().map(|&g| slots[g].take().expect("each cell belongs to exactly one lane")).collect();
             let members: Vec<usize> = (0..states.len()).collect();
             let lane = build_lane(&states, members);
@@ -837,7 +843,7 @@ fn lane_works(states: Vec<CellState>, groups: Vec<Vec<usize>>) -> Vec<LaneWork> 
 
 /// Builds one lane over `members` (indices into `states`) and seeds its
 /// matrices from the cells' freshly built scenes.
-fn build_lane(states: &[CellState], members: Vec<usize>) -> Lane {
+fn build_lane(states: &[CellState<'_>], members: Vec<usize>) -> Lane {
     let rep = &states[members[0]];
     let depth = rep.scene.depth();
     let positions = rep.scene.len();
@@ -911,8 +917,7 @@ fn build_lane(states: &[CellState], members: Vec<usize>) -> Lane {
 /// The per-cell pre-step for lane member `j`: loop condition (finalizing a
 /// finished cell), DTM decision (+ fast-forward engagement), batch
 /// progress, and the cell's ambient step (the first thing
-/// [`DimmThermalScene::step`] does) — each operation in exactly the order
-/// of [`SimEngine::run`]. Returns `true` if the member stayed in the lane,
+/// [`DimmThermalScene::step`] does), in this fixed order. Returns `true` if the member stayed in the lane,
 /// `false` if it departed (finalized or fast-forwarded out). The caller
 /// defers the column removals to the end of the pass
 /// ([`apply_departures`]), which is what makes every operation in here
@@ -923,7 +928,7 @@ fn member_pre(
     j: usize,
     globals: &[usize],
     engines: &[SimEngine<'_>],
-    states: &mut [CellState],
+    states: &mut [CellState<'_>],
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) -> bool {
     let cell = lane.members[j];
@@ -1055,10 +1060,9 @@ fn member_pre(
     true
 }
 
-/// The per-cell post-step bookkeeping for lane member `j`, mirroring the
-/// tail of the per-cell window loop (energy, maxima, residency, throttle
-/// accounting, trace, clock).
-fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_>], states: &mut [CellState]) {
+/// The per-cell post-step bookkeeping for lane member `j`: the tail of the
+/// window (energy, maxima, residency, throttle accounting, trace, clock).
+fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_>], states: &mut [CellState<'_>]) {
     let cell = lane.members[j];
     let cfg = engines[globals[cell]].config;
     let st = &mut states[cell];
@@ -1107,7 +1111,7 @@ fn lane_pre(
     lane: &mut Lane,
     globals: &[usize],
     engines: &[SimEngine<'_>],
-    states: &mut [CellState],
+    states: &mut [CellState<'_>],
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
     let mut departed = Vec::new();
@@ -1125,14 +1129,14 @@ fn lane_pre(
 /// is a loop of column-disjoint member operations with no intervening
 /// column swaps, which is what lets [`BatchedSimEngine::run_with_workers`]'s
 /// column chunks of a split lane run their decision passes concurrently.
-/// The per-cell operation order of [`SimEngine::run`] is preserved exactly
-/// (cell `i`'s window-`k` tail always precedes its window-`k+1` head; cells
-/// are mutually independent, so their interleaving is free to differ).
+/// Each cell's own operation order is fixed (cell `i`'s window-`k` tail
+/// always precedes its window-`k+1` head; cells are mutually independent,
+/// so their interleaving is free to differ).
 fn lane_post_pre(
     lane: &mut Lane,
     globals: &[usize],
     engines: &[SimEngine<'_>],
-    states: &mut [CellState],
+    states: &mut [CellState<'_>],
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
     for j in 0..lane.members.len() {
@@ -1145,8 +1149,8 @@ fn lane_post_pre(
 /// sweeps over all cells at once (the vectorized hot loop this tier exists
 /// for). On identity-split stacks the per-element stable temperature is
 /// computed inline as `ambient + w_buffer·ψ_l0 + w_dram·ψ_l1`, the exact
-/// float-op sequence of `DimmThermalScene::step`, so the bits match the
-/// per-cell engine; other stacks read `ambient + sup` from the cached
+/// float-op sequence of `DimmThermalScene::step`, so the bits match a scene
+/// stepped on its own; other stacks read `ambient + sup` from the cached
 /// superposition matrix ([`Lane::sup`], rewritten only on plan changes) —
 /// the same float-op sequence as the reordered non-identity branch of
 /// `DimmThermalScene::step`, and the same `t += (s − t)·α` row sweep as the
@@ -1154,67 +1158,124 @@ fn lane_post_pre(
 /// per-device-kind running maximum of the freshly stepped temperatures —
 /// `f64::max` over a fixed set is order-independent, so the per-cell
 /// values carry bits identical to a post-step scene fold.
-fn lane_rc(lane: &mut Lane, states: &[CellState]) {
-    {
-        let Lane {
-            members,
-            stride,
-            depth,
-            temps,
-            peaks,
-            sup,
-            amb,
-            wamb,
-            wdram,
-            identity_split,
-            layer_alphas,
-            max_buffer,
-            max_dram,
-            ..
-        } = lane;
-        let (stride, depth) = (*stride, *depth);
-        let n = members.len();
-        if n > 0 {
-            let topology = states[members[0]].scene.topology();
-            let layers = topology.layers();
-            max_buffer[..n].fill(f64::NEG_INFINITY);
-            max_dram[..n].fill(f64::NEG_INFINITY);
-            for pos in 0..temps.len() / (depth * stride) {
-                let wa = &wamb[pos * stride..pos * stride + n];
-                let wd = &wdram[pos * stride..pos * stride + n];
-                for l in 0..depth {
-                    let alpha = layer_alphas[l];
-                    let row = (pos * depth + l) * stride;
-                    let t_row = &mut temps[row..row + n];
-                    let p_row = &mut peaks[row..row + n];
-                    let m_row = match layers[l].kind {
-                        DeviceLayerKind::Buffer => &mut max_buffer[..n],
-                        DeviceLayerKind::Dram => &mut max_dram[..n],
-                    };
-                    if *identity_split {
-                        let psi = topology.psi_row(l);
-                        let (psi_b, psi_d) = (psi[0], psi[1]);
-                        for i in 0..n {
-                            let s = amb[i] + wa[i] * psi_b + wd[i] * psi_d;
-                            let t = &mut t_row[i];
-                            *t += (s - *t) * alpha;
-                            p_row[i] = p_row[i].max(*t);
-                            m_row[i] = m_row[i].max(*t);
-                        }
-                    } else {
-                        let s_row = &sup[row..row + n];
-                        for i in 0..n {
-                            let s = amb[i] + s_row[i];
-                            let t = &mut t_row[i];
-                            *t += (s - *t) * alpha;
-                            p_row[i] = p_row[i].max(*t);
-                            m_row[i] = m_row[i].max(*t);
-                        }
-                    }
+///
+/// A lane of one member (a `MemSpot::run`, or the last cell left in a
+/// lane) walks its column instead ([`column_rc`]): the same operations on
+/// the same elements in the same order, without the per-row slicing and
+/// vector-loop set-up that only pay off across several cells. On the
+/// 16-row FBDIMM scene, the row sweep cost about 2.5× the column walk per
+/// cell-window at one member, and the column walk about 2.5× the row sweep
+/// at forty.
+fn lane_rc(lane: &mut Lane, states: &[CellState<'_>]) {
+    let n = lane.members.len();
+    if n == 0 {
+        return;
+    }
+    let topology = states[lane.members[0]].scene.topology();
+    if n == 1 {
+        column_rc(lane, topology);
+        return;
+    }
+    let Lane {
+        stride,
+        depth,
+        temps,
+        peaks,
+        sup,
+        amb,
+        wamb,
+        wdram,
+        identity_split,
+        layer_alphas,
+        max_buffer,
+        max_dram,
+        ..
+    } = lane;
+    let (stride, depth) = (*stride, *depth);
+    let layers = topology.layers();
+    let amb = &amb[..n];
+    max_buffer[..n].fill(f64::NEG_INFINITY);
+    max_dram[..n].fill(f64::NEG_INFINITY);
+    for pos in 0..temps.len() / (depth * stride) {
+        let wa = &wamb[pos * stride..pos * stride + n];
+        let wd = &wdram[pos * stride..pos * stride + n];
+        for l in 0..depth {
+            let alpha = layer_alphas[l];
+            let row = (pos * depth + l) * stride;
+            let t_row = &mut temps[row..row + n];
+            let p_row = &mut peaks[row..row + n];
+            let m_row = match layers[l].kind {
+                DeviceLayerKind::Buffer => &mut max_buffer[..n],
+                DeviceLayerKind::Dram => &mut max_dram[..n],
+            };
+            if *identity_split {
+                let psi = topology.psi_row(l);
+                let (psi_b, psi_d) = (psi[0], psi[1]);
+                for i in 0..n {
+                    let s = amb[i] + wa[i] * psi_b + wd[i] * psi_d;
+                    let t = &mut t_row[i];
+                    *t += (s - *t) * alpha;
+                    p_row[i] = p_row[i].max(*t);
+                    m_row[i] = m_row[i].max(*t);
+                }
+            } else {
+                let s_row = &sup[row..row + n];
+                for i in 0..n {
+                    let s = amb[i] + s_row[i];
+                    let t = &mut t_row[i];
+                    *t += (s - *t) * alpha;
+                    p_row[i] = p_row[i].max(*t);
+                    m_row[i] = m_row[i].max(*t);
                 }
             }
         }
     }
+}
+
+/// [`lane_rc`] for a lane's only member, column 0: the row sweep's
+/// per-element operations, row by row in the same order, with the member's
+/// ambient and running maxima held in registers.
+fn column_rc(lane: &mut Lane, topology: &StackTopology) {
+    let Lane {
+        stride,
+        depth,
+        temps,
+        peaks,
+        sup,
+        amb,
+        wamb,
+        wdram,
+        identity_split,
+        layer_alphas,
+        max_buffer,
+        max_dram,
+        ..
+    } = lane;
+    let (stride, depth) = (*stride, *depth);
+    let layers = topology.layers();
+    let ambient = amb[0];
+    let (mut max_b, mut max_d) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for pos in 0..temps.len() / (depth * stride) {
+        let (w_a, w_d) = (wamb[pos * stride], wdram[pos * stride]);
+        for (l, (layer, &alpha)) in layers.iter().zip(layer_alphas.iter()).enumerate() {
+            let k = (pos * depth + l) * stride;
+            let s = if *identity_split {
+                let psi = topology.psi_row(l);
+                ambient + w_a * psi[0] + w_d * psi[1]
+            } else {
+                ambient + sup[k]
+            };
+            let t = &mut temps[k];
+            *t += (s - *t) * alpha;
+            peaks[k] = peaks[k].max(*t);
+            match layer.kind {
+                DeviceLayerKind::Buffer => max_b = max_b.max(*t),
+                DeviceLayerKind::Dram => max_d = max_d.max(*t),
+            }
+        }
+    }
+    max_buffer[0] = max_b;
+    max_dram[0] = max_d;
 }
 
 /// One literal decision. Debug builds check the policy's decision rule
@@ -1250,7 +1311,7 @@ fn decide_checked(policy: &mut dyn DtmPolicy, observation: &ThermalObservation, 
 /// latch, whose certificates hold the state still, the calls are no-ops.
 /// The last replayed maxima stay in `st.observation`, where the next keyed
 /// decision reads them as the previous maxima. Returns the last plan.
-fn reprime(st: &mut CellState, skipped: &[(f64, f64)], dt_s: f64) -> Option<ActuationPlan> {
+fn reprime(st: &mut CellState<'_>, skipped: &[(f64, f64)], dt_s: f64) -> Option<ActuationPlan> {
     let mut plan = None;
     for &(amb, dram) in skipped {
         st.observation.max_amb_c = amb;
@@ -1294,7 +1355,7 @@ enum EnvTrigger {
 // The negated comparison is load-bearing: `!(x <= eps)` refuses on NaN
 // where `x > eps` would accept it.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool) {
+fn cycle_track(lane: &Lane, j: usize, st: &mut CellState<'_>, changed: bool) {
     let streak = st.plan_streak as usize;
     let history = &mut st.orbit_history;
     // A plan frozen for the full history depth cannot take part in any
@@ -1368,7 +1429,7 @@ fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool) {
 /// recur in ambient and plans at every lag and re-arm the trigger forever,
 /// and only the doubling keeps a hopeless cell's engagement cost amortized
 /// to nothing over a long run.
-fn env_back_off(st: &mut CellState) {
+fn env_back_off(st: &mut CellState<'_>) {
     st.env_backoff = ENV_RETRY_BACKOFF << st.env_fails.min(ENV_BACKOFF_DOUBLINGS);
     st.env_fails = st.env_fails.saturating_add(1);
 }
@@ -1437,7 +1498,7 @@ struct EnvPlanEntry {
 /// bits the literal window loop would have computed. (The scene is only
 /// consulted for geometry by [`SimEngine::window_power`], never for
 /// temperatures, so the burst's stale scene temperatures cannot leak in.)
-fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPlan, depth: usize) -> EnvPlanEntry {
+fn env_build_entry(st: &mut CellState<'_>, engine: &SimEngine<'_>, plan: ActuationPlan, depth: usize) -> EnvPlanEntry {
     let cfg = engine.config;
     let cores = engine.cpu.cores;
     let mode = plan.mode;
@@ -1531,7 +1592,7 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
 /// certifies every frozen jump over its own traced range, so the band is
 /// only an audit backstop, never a bound on the replay error. Refuses a
 /// non-finite span.
-fn env_band_slipping(lane: &Lane, j: usize, st: &CellState, period: usize) -> Option<EnvBand> {
+fn env_band_slipping(lane: &Lane, j: usize, st: &CellState<'_>, period: usize) -> Option<EnvBand> {
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
     }
@@ -1571,7 +1632,7 @@ fn env_band_slipping(lane: &Lane, j: usize, st: &CellState, period: usize) -> Op
 /// *not* gated by the tolerance — every segment jump carries its own
 /// [`DecisionRule::region`] certificate over the exact traversed
 /// range, and the audit catches real escapes.
-fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState) -> Option<EnvBand> {
+fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState<'_>) -> Option<EnvBand> {
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
     }
@@ -1629,7 +1690,7 @@ pub(super) fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, po
 /// departed cell.
 #[allow(clippy::too_many_arguments)]
 fn env_finish(
-    st: &mut CellState,
+    st: &mut CellState<'_>,
     engine: &SimEngine<'_>,
     entries: &[EnvPlanEntry],
     rows_t: &[f64],
@@ -1683,7 +1744,7 @@ fn env_finish(
 fn envelope_burst(
     lane: &mut Lane,
     j: usize,
-    st: &mut CellState,
+    st: &mut CellState<'_>,
     engine: &SimEngine<'_>,
     band: EnvBand,
 ) -> Option<(MemSpotResult, CellRunStats)> {
@@ -2508,26 +2569,55 @@ fn envelope_burst(
     }
 }
 
-/// Folds a finished cell's accumulators into its result through the same
-/// [`assemble_result`] path as the per-cell engine. The caller must have
-/// synchronized the cell's scene (temperatures and peaks) beforehand.
-fn finalize(st: &mut CellState, engine: &SimEngine<'_>) -> (MemSpotResult, CellRunStats) {
-    let totals = RunTotals {
+/// Folds a finished cell's accumulators and its scene's peak field into
+/// its result. The caller must have synchronized the cell's scene
+/// (temperatures and peaks) beforehand. Mode labels are derived from the
+/// quantized mode key once per distinct mode; distinct keys that render
+/// identically (sub-0.1-unit differences) merge by summing their residency.
+fn finalize(st: &mut CellState<'_>, engine: &SimEngine<'_>) -> (MemSpotResult, CellRunStats) {
+    let energy = &st.energy;
+    let elapsed = energy.elapsed_s().max(1e-9);
+    let mut mode_residency: BTreeMap<String, f64> = BTreeMap::new();
+    for (key, secs) in std::mem::take(&mut st.residency) {
+        *mode_residency.entry(mode_label_from_key(&key)).or_insert(0.0) += secs / elapsed;
+    }
+    let scene = &st.scene;
+    let position_peaks = scene
+        .position_peaks()
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| PositionPeak {
+            channel: p.channel,
+            dimm: p.dimm,
+            max_amb_c: p.amb_c,
+            max_dram_c: p.dram_c,
+            hottest_layer: p.hottest_layer,
+            layers_c: scene.layer_peaks_of(i).to_vec(),
+        })
+        .collect();
+    let result = MemSpotResult {
+        workload: st.mix.id.clone(),
+        stack: engine.config.stack.label(),
+        policy: st.policy.name(),
+        scheme: st.policy.scheme(),
         completed: st.batch.is_complete(),
-        time_s: st.time_s,
+        running_time_s: st.time_s,
         total_instructions: st.total_instructions,
-        total_bytes: st.total_bytes,
-        total_misses: st.total_misses,
-        migrated_bytes: st.migrated_bytes,
-        max_amb: st.max_amb,
-        max_dram: st.max_dram,
-        ambient_sum: st.ambient_sum,
-        ambient_samples: st.ambient_samples,
-        residency: std::mem::take(&mut st.residency),
-        trace: std::mem::take(&mut st.trace),
-        channel_throttle_s: std::mem::take(&mut st.channel_throttle_s),
+        total_memory_bytes: st.total_bytes,
+        total_l2_misses: st.total_misses,
+        memory_energy_j: energy.memory_joules(),
+        cpu_energy_j: energy.cpu_joules(),
+        avg_memory_power_w: energy.avg_memory_watts(),
+        avg_cpu_power_w: energy.avg_cpu_watts(),
+        avg_ambient_c: if st.ambient_samples == 0 { 0.0 } else { st.ambient_sum / st.ambient_samples as f64 },
+        max_amb_c: st.max_amb,
+        max_dram_c: st.max_dram,
+        mode_residency,
+        temp_trace: std::mem::take(&mut st.trace),
+        position_peaks,
+        channel_throttle_residency: st.channel_throttle_s.iter().map(|&s| s / elapsed).collect(),
+        migrated_traffic_bytes: st.migrated_bytes,
     };
-    let result = assemble_result(&st.mix, engine.config, st.policy.as_ref(), &st.scene, &st.energy, totals);
     (result, st.stats)
 }
 
@@ -2550,30 +2640,28 @@ mod tests {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn reference(
-        cpu: &CpuConfig,
-        mem: &FbdimmConfig,
-        power: &FbdimmPowerModel,
-        cpu_power: &PaperCpuPower,
-        config: &MemSpotConfig,
-        mix: &WorkloadMix,
-        policy: &mut dyn DtmPolicy,
-        store: Arc<CharStore>,
-    ) -> MemSpotResult {
-        let mut table = CharacterizationTable::with_store(
-            cpu.clone(),
-            *mem,
-            mix.id.clone(),
-            mix.apps.clone(),
-            config.characterization_budget,
-            store,
-        );
-        SimEngine::new(cpu, mem, power, cpu_power, config).run(&mut table, mix, policy)
+    /// FNV-1a over each result's `Debug` rendering, one line per result, as
+    /// `tests/sweep_golden.rs` digests its grid: two result lists digest
+    /// equally iff they are bit-identical.
+    fn digest(results: &[(MemSpotResult, CellRunStats)]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for (result, _) in results {
+            for byte in format!("{result:?}\n").bytes() {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
     }
+
+    /// The three cells below as the per-cell window loop ran them, each on
+    /// its own, before `MemSpot::run` became a one-cell literal batch.
+    const GOLDEN_THREE_CELLS: u64 = 0x2412_629c_05f3_f504;
 
     #[test]
     fn literal_batched_results_are_bit_identical_to_the_per_cell_engine() {
+        // An isolated FBDIMM cell, an integrated one and a rank pair under a
+        // different cooling: two lanes, one of them shared.
         let (cpu, mem, power, cpu_power) = hardware();
         let store = Arc::new(CharStore::new());
         let limits = ThermalLimits::paper_fbdimm();
@@ -2594,16 +2682,9 @@ mod tests {
             .collect();
         let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
         let batched = engine.run(cells, &BatchOptions::literal());
-
-        let expectations: [Box<dyn DtmPolicy>; 3] = [
-            Box::new(NoLimit::new(&cpu)),
-            Box::new(DtmTs::new(cpu.clone(), limits)),
-            Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, limits)),
-        ];
-        for ((config, mut policy), (got, stats)) in configs.iter().zip(expectations).zip(&batched) {
-            let want =
-                reference(&cpu, &mem, &power, &cpu_power, config, &mixes::w1(), policy.as_mut(), Arc::clone(&store));
-            assert_eq!(*got, want, "batched run diverged from the per-cell engine");
+        let got = digest(&batched);
+        assert_eq!(got, GOLDEN_THREE_CELLS, "batched digest {got:#018x} diverged from the per-cell golden");
+        for (_, stats) in &batched {
             assert_eq!(stats.fast_forwarded_windows, 0, "literal mode must never fast-forward");
             assert!(stats.stepped_windows > 0);
         }
@@ -2687,7 +2768,7 @@ mod tests {
         let sim_engines: Vec<SimEngine<'_>> =
             configs.iter().map(|c| SimEngine::new(&cpu, &mem, &power, &cpu_power, c)).collect();
         let opts = BatchOptions::default();
-        let states: Vec<CellState> =
+        let states: Vec<CellState<'_>> =
             cells.into_iter().zip(sim_engines.iter()).map(|(cell, e)| CellState::new(cell, e, &opts)).collect();
         let groups = lane_groups(&states);
         // aohs FBDIMM pair share a lane; fdhs and the rank pair each get
@@ -2770,6 +2851,94 @@ mod tests {
         // The interior-extremum branch must be exercised, not just the
         // endpoint shortcut.
         assert!(interior > 1_000, "only {interior} samples peaked inside the horizon");
+    }
+
+    #[test]
+    fn lane_sweeps_step_every_column_like_the_scene() {
+        // The scene's own `step` is the reference for the bits a lane
+        // produces: a one-member lane (the column walk) and a three-member
+        // lane (the row sweep), every column fed the scene's inputs, over a
+        // few hundred windows whose power plan changes every 37 windows.
+        // Temperatures, peaks, per-kind maxima and observations must agree
+        // bit for bit with a scene stepped on its own.
+        let (cpu, mem, power, cpu_power) = hardware();
+        let store = Arc::new(CharStore::new());
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        for stack in [StackKind::Fbdimm, StackKind::RankPair, StackKind::stacked4()] {
+            // A 2 s step: each layer moves a large fraction of the way to its
+            // stable temperature per window, so a one-ulp change in how the
+            // stable temperature is summed reaches the stepped bits.
+            let mut config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5()).with_stack(stack).with_integrated(None);
+            config.window_s = 2.0;
+            config.dtm_interval_s = 2.0;
+            let engine = SimEngine::new(&cpu, &mem, &power, &cpu_power, &config);
+            let idle = engine.idle_powers();
+            let plan_powers = |plan: usize| -> Vec<FbdimmPowerBreakdown> {
+                idle.iter()
+                    .enumerate()
+                    .map(|(i, p)| FbdimmPowerBreakdown {
+                        amb_watts: p.amb_watts + 0.7 * ((i + plan) % 5) as f64,
+                        dram_watts: p.dram_watts + 0.3 * ((i * plan) % 3) as f64,
+                    })
+                    .collect()
+            };
+            for width in [1, 3] {
+                let states: Vec<CellState<'_>> = (0..width)
+                    .map(|_| {
+                        let policy = Box::new(NoLimit::new(&cpu));
+                        let cell = BatchCell::new(&cpu, &mem, config, mixes::w1(), policy, Arc::clone(&store));
+                        CellState::new(cell, &engine, &BatchOptions::literal())
+                    })
+                    .collect();
+                let mut work = lane_works(states, vec![(0..width).collect()]).pop().expect("one lane");
+                let mut scene = engine.make_scene();
+                let mut observation = scene.observe();
+                let mut lane_observation = scene.observe();
+                let step_s = config.window_s;
+                let (mut powers, mut v_ipc) = (plan_powers(0), 0.0);
+                for window in 0..300 {
+                    if window % 37 == 0 {
+                        let plan = window / 37;
+                        powers = plan_powers(plan);
+                        v_ipc = 0.8 * plan as f64;
+                        for j in 0..width {
+                            work.lane.write_power_column(j, &powers, scene.topology());
+                        }
+                    }
+                    for j in 0..width {
+                        work.lane.amb[j] = work.states[j].scene.step_ambient(v_ipc, work.lane.ambient_alpha);
+                    }
+                    lane_rc(&mut work.lane, &work.states);
+                    scene.step(&powers, v_ipc, step_s);
+                    let (max_amb, max_dram) = scene.max_temps_c();
+                    scene.observe_into(&mut observation);
+                    let lane = &work.lane;
+                    for j in 0..width {
+                        let label = format!("{} width {width} column {j} window {window}", config.stack.label());
+                        for r in 0..lane.rows {
+                            assert!(
+                                same(lane.temps[r * lane.stride + j], scene.layer_temps_flat()[r]),
+                                "{label}: row {r}"
+                            );
+                            assert!(
+                                same(lane.peaks[r * lane.stride + j], scene.layer_peaks_flat()[r]),
+                                "{label}: peak {r}"
+                            );
+                        }
+                        assert!(same(lane.max_dram[j], max_dram), "{label}: DRAM maximum");
+                        if lane.has_buffer {
+                            assert!(same(lane.max_buffer[j], max_amb), "{label}: buffer maximum");
+                        } else {
+                            assert!(max_amb.is_nan(), "{label}: a bufferless stack has no buffer maximum");
+                        }
+                        let st = &work.states[j];
+                        assert!(same(st.scene.ambient_c(), scene.ambient_c()), "{label}: ambient");
+                        st.scene.observe_lane_into(&lane.temps, lane.stride, j, &mut lane_observation);
+                        assert_eq!(format!("{lane_observation:?}"), format!("{observation:?}"), "{label}: observation");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! MEMSpot: the second-level power/thermal simulator (Section 4.3.1).
 //!
 //! MEMSpot replays a workload mix as a batch job over thousands of simulated
-//! seconds in small windows (10 ms by default). The window loop itself lives
-//! in [`SimEngine`]: every window it looks up
+//! seconds in small windows (10 ms by default). Every window it looks up
 //! the level-1 characterization of the current running mode, advances batch
 //! progress, converts the per-DIMM memory traffic to per-position DRAM/AMB
 //! power (Eqs. 3.1–3.2), steps the stack-resolved
@@ -15,19 +14,16 @@
 //! whole per-position, per-layer temperature field and chooses the running
 //! mode for the next interval.
 //!
-//! [`MemSpot`] is the public facade: it owns the hardware models, backs its
-//! level-1 characterizations with a [`CharStore`] — private by default,
-//! injectable via [`MemSpot::with_store`] so a whole sweep shares one — and
-//! delegates each run to the engine.
-//!
-//! `MemSpot` is also the entry to the slowest of three execution tiers:
-//! per-cell stepping here, lockstep batching of many cells in
-//! [`BatchedSimEngine`](crate::sim::batch::BatchedSimEngine) (bit-identical,
-//! faster), and the batched tier's opt-in envelope fast-forward (within
-//! 1e-9, fastest). Use `MemSpot` for one run; hand a whole grid of cells to
-//! the batched engine.
+//! [`MemSpot`] is the public facade for one run at a time: it owns the
+//! hardware models, backs its level-1 characterizations with a
+//! [`CharStore`] — private by default, injectable via
+//! [`MemSpot::with_store`] so a whole sweep shares one — and runs each mix
+//! as a one-cell literal batch on [`BatchedSimEngine`], the one window
+//! loop. A grid of cells handed to the batched engine at once steps in
+//! shared lanes (each cell with the bits it has alone) and may take the
+//! envelope fast-forward (within 1e-9).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cpu_model::{CpuConfig, PaperCpuPower};
@@ -36,8 +32,8 @@ use workloads::WorkloadMix;
 
 use crate::dtm::policy::{DtmPolicy, DtmScheme};
 use crate::power::fbdimm::FbdimmPowerModel;
-use crate::sim::characterize::{CharStore, CharacterizationTable};
-use crate::sim::engine::SimEngine;
+use crate::sim::batch::{BatchCell, BatchOptions, BatchedSimEngine};
+use crate::sim::characterize::CharStore;
 use crate::thermal::params::{CoolingConfig, StackKind, ThermalLimits};
 use crate::thermal::scene::f64_eq_nan;
 
@@ -390,9 +386,6 @@ pub struct MemSpot {
     config: MemSpotConfig,
     /// Shared home of level-1 design points (private unless injected).
     store: Arc<CharStore>,
-    /// Per-mix table views over the store, kept across policy runs so their
-    /// local caches stay warm (keyed by mix identifier).
-    tables: HashMap<String, CharacterizationTable>,
 }
 
 impl MemSpot {
@@ -422,15 +415,7 @@ impl MemSpot {
     /// Panics if [`MemSpotConfig::validate`] rejects the configuration.
     pub fn with_store(cpu: CpuConfig, mem: FbdimmConfig, config: MemSpotConfig, store: Arc<CharStore>) -> Self {
         config.validate().unwrap_or_else(|e| panic!("invalid MemSpotConfig: {e}"));
-        MemSpot {
-            cpu,
-            mem,
-            power: FbdimmPowerModel::paper_defaults(),
-            cpu_power: PaperCpuPower::new(),
-            config,
-            store,
-            tables: HashMap::new(),
-        }
+        MemSpot { cpu, mem, power: FbdimmPowerModel::paper_defaults(), cpu_power: PaperCpuPower::new(), config, store }
     }
 
     /// The MEMSpot configuration.
@@ -449,26 +434,19 @@ impl MemSpot {
     }
 
     /// Runs one workload mix under one DTM policy to batch completion (or
-    /// the safety stop) and returns the aggregate result.
+    /// the safety stop) and returns the aggregate result, leaving `policy`
+    /// in the state the run's last decision left it in.
     ///
-    /// Level-1 characterizations are cached in the backing [`CharStore`] and
-    /// shared across policy runs of the same mix (and, with
-    /// [`MemSpot::with_store`], across simulators), which is why this method
-    /// takes `&mut self`.
+    /// The run is a one-cell literal batch on the
+    /// [`BatchedSimEngine`]: every run, single or in a grid, goes through
+    /// the same window loop. Level-1 characterizations come from the backing
+    /// [`CharStore`], shared across runs (and, with [`MemSpot::with_store`],
+    /// across simulators).
     pub fn run(&mut self, mix: &WorkloadMix, policy: &mut dyn DtmPolicy) -> MemSpotResult {
-        let mut table = self.tables.remove(&mix.id).unwrap_or_else(|| {
-            CharacterizationTable::with_store(
-                self.cpu.clone(),
-                self.mem,
-                mix.id.clone(),
-                mix.apps.clone(),
-                self.config.characterization_budget,
-                Arc::clone(&self.store),
-            )
-        });
-        let engine = SimEngine::new(&self.cpu, &self.mem, &self.power, &self.cpu_power, &self.config);
-        let result = engine.run(&mut table, mix, policy);
-        self.tables.insert(mix.id.clone(), table);
+        let store = Arc::clone(&self.store);
+        let cell = BatchCell::new(&self.cpu, &self.mem, self.config, mix.clone(), Box::new(policy), store);
+        let engine = BatchedSimEngine::new(&self.cpu, &self.mem, &self.power, &self.cpu_power);
+        let (result, _) = engine.run(vec![cell], &BatchOptions::literal()).pop().expect("one cell in, one result out");
         result
     }
 }

@@ -4,7 +4,7 @@ pub mod batch;
 pub mod characterize;
 pub(crate) mod diskcache;
 pub mod energy;
-pub mod engine;
+pub(crate) mod engine;
 pub mod memspot;
 pub mod modes;
 mod replay;
@@ -13,6 +13,5 @@ pub use batch::{BatchCell, BatchOptions, BatchedSimEngine, CellRunStats};
 pub use characterize::{CharPoint, CharStore, CharStoreKey, CharacterizationTable, ModeKey};
 pub use diskcache::escape_json;
 pub use energy::EnergyAccumulator;
-pub use engine::SimEngine;
 pub use memspot::{MemSpot, MemSpotConfig, MemSpotResult, PositionPeak, TempSample};
 pub use modes::{scheme_mode, ThermalRunningLevel};

@@ -33,9 +33,10 @@
 //! bit-identically) optionally extended with per-channel service fractions
 //! (DTM-CBW) and per-position traffic-steering weights (DTM-MIG page
 //! migration), which the engine folds back into per-position heat and
-//! per-channel throttle residency. The `SimEngine` window loop drives the
-//! scene inside `MemSpot` allocation-free (precomputed per-layer RC step
-//! coefficients, reused observation buffer), and the `experiments` crate's
+//! per-channel throttle residency. One window loop, the lockstep lanes of
+//! the `BatchedSimEngine`, drives the scenes allocation-free (precomputed
+//! per-layer RC step coefficients, reused observation buffers); a single
+//! `MemSpot::run` is a one-cell batch, and the `experiments` crate's
 //! `SweepRunner` fans grids of {cooling × stack × workload × policy} cells
 //! across cores through a chunked work queue, deduplicating the expensive
 //! level-1 characterizations in a shared, thread-safe `CharStore` whose

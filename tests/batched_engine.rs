@@ -1,8 +1,10 @@
 //! Golden regression suite for the batched execution tier
-//! (`memtherm::sim::batch`): the literal lockstep path must be
-//! bit-identical to the per-cell engine for any batch composition, and the
-//! envelope fast-forward must stay within 1e-9 of literal stepping for
-//! every reported quantity.
+//! (`memtherm::sim::batch`): a cell's literal lockstep result must not
+//! depend on the batch it runs in — every cell of any batch composition is
+//! bit-identical to the same cell run alone (`MemSpot::run`, a one-cell
+//! batch, itself pinned by the digests of `tests/memspot_golden.rs` and
+//! `tests/sweep_golden.rs`) — and the envelope fast-forward must stay
+//! within 1e-9 of literal stepping for every reported quantity.
 //!
 //! The bit-identity tests double as a CI guard: they assert the
 //! fast-forward path never engages while literal results are being pinned
@@ -52,7 +54,8 @@ fn policy_for(kind: u64, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmP
     }
 }
 
-/// Runs the same cells through the per-cell engine, one at a time.
+/// Runs the same cells one at a time, each through `MemSpot::run` (a
+/// one-cell batch).
 fn run_per_cell(
     cpu: &CpuConfig,
     mem: FbdimmConfig,
@@ -119,7 +122,7 @@ fn literal_batched_is_bit_identical_to_the_per_cell_engine_across_random_batches
         assert!(stats.stepped_windows > 0, "cell {i} never stepped");
         assert_eq!(
             result, expected,
-            "cell {i} ({}/{}) diverged from the per-cell engine",
+            "cell {i} ({}/{}) diverged from the same cell run alone",
             result.workload, result.policy
         );
     }

@@ -5,7 +5,7 @@
 //! back into one map and one file; column-split decision pass,
 //! deficit-aware scheduler) and pin the
 //! bit-exact results of a Smoke-scale grid across every execution variant:
-//! a fresh per-cell `MemSpot::run` per cell, and the runner's literal
+//! a fresh `MemSpot::run` per cell (a one-cell batch), and the runner's literal
 //! batched chunks, each on several worker counts. (The batched engine's
 //! lane-parallel stepping is pinned against its single-thread stepping by
 //! `tests/batched_engine.rs`.) Any refactor of the store, the scheduler or
@@ -27,7 +27,7 @@ use experiments::sweep::{parallel_map, SweepRunner, SweepScenario};
 use memtherm::prelude::*;
 
 /// Digest of the grid under literal (no fast-forward) execution — identical
-/// for the per-cell engine and every batched configuration.
+/// for a loop of `MemSpot::run`s and every batched configuration.
 const GOLDEN_LITERAL: u64 = 0x074b_3d8e_3c14_cded;
 
 fn grid() -> Vec<SweepScenario> {
