@@ -29,7 +29,10 @@
 //! cores active and under a 4 GB/s cap. Both platforms also report the
 //! per-run warm-start time, [`MulticoreSim::warm_start`] alone on a reused
 //! simulator (median µs), beside the same measurement of the closed-form
-//! fill the per-interval templates replaced.
+//! fill the per-interval templates replaced, and the simulator's footprint,
+//! the KiB of its simulated L2s' tag and recency arrays
+//! ([`MulticoreSim::scratch_bytes`]; a level-1 store holds one simulator per
+//! closed loop that ran at once).
 //!
 //! The closed loop's own cost is `ns_per_demand_access`: one thread runs 64
 //! characterizations at the 40k budget — the quad core on
@@ -125,8 +128,9 @@ fn ch5_table() -> CharacterizationTable {
     )
 }
 
-/// Median time in µs of one W1 warm start on `cpu`, on a reused simulator.
-fn warm_start_us(cpu: CpuConfig, mem: FbdimmConfig) -> f64 {
+/// Median time in µs of one W1 warm start on `cpu`, on a reused simulator,
+/// and that simulator's footprint in KiB.
+fn warm_start_us(cpu: CpuConfig, mem: FbdimmConfig) -> (f64, f64) {
     let apps = workloads::mixes::w1().apps;
     let refs: Vec<&workloads::AppBehavior> = apps.iter().collect();
     let mut sim = MulticoreSim::new(cpu, mem);
@@ -138,7 +142,7 @@ fn warm_start_us(cpu: CpuConfig, mem: FbdimmConfig) -> f64 {
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    (samples[samples.len() / 2], sim.scratch_bytes() as f64 / 1024.0)
 }
 
 /// Seconds per pass of the single-thread closed-loop case (see the module
@@ -248,8 +252,9 @@ fn main() {
         (ladder_computed, ladder_derived) = (store.misses() - store.derived(), store.derived());
     }
 
-    let warm_start =
+    let [(quad_warm_us, quad_kib), (xeon_warm_us, xeon_kib)] =
         [warm_start_us(cpu.clone(), FbdimmConfig::ddr2_667_paper()), warm_start_us(xeon, FbdimmConfig::server(4))];
+    let warm_start = [quad_warm_us, xeon_warm_us];
 
     let closed_loop_s = closed_loop_passes();
 
@@ -293,6 +298,7 @@ fn main() {
         "level1/closed_loop      {:>10.1} ns/demand access (best of {CLOSED_LOOP_PASSES}, one thread)",
         ns_per_access
     );
+    println!("level1/sim_scratch      {quad_kib:>10.0} KiB/simulator quad, {xeon_kib:.0} KiB/simulator Xeon");
 
     let to_stats = |label: &str, samples: &[f64]| BenchStats {
         label: label.to_string(),
@@ -327,6 +333,8 @@ fn main() {
         ("ch5_warm_start_us_per_run", warm_start[1]),
         ("closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[0]),
         ("ch5_closed_form_warm_start_us_ref", CLOSED_FORM_WARM_START_US_REF[1]),
+        ("sim_scratch_kib", quad_kib),
+        ("ch5_sim_scratch_kib", xeon_kib),
         ("ns_per_demand_access", ns_per_access),
         ("host_nproc", threads as f64),
     ];

@@ -17,10 +17,19 @@
 //! needs it first; the tables are the same as when each figure runs alone.
 //! After each experiment, stderr reports its wall time and how many level-1
 //! points it computed (closed loops run), how many it derived from a stored
-//! uncapped sibling whose run never reached the cap, and how many it reused
-//! from the store. With `--json` the same numbers go to
-//! `<dir>/level1.jsonl`, one object per experiment:
-//! `{"id", "wall_s", "level1_computed", "level1_derived", "level1_reused"}`.
+//! uncapped sibling whose run never reached the cap, how many it reused
+//! from the store, and how many level-1 simulators the store built for it
+//! (the store lends one to each closed loop, so this is at most the closed
+//! loops that ran at once per CPU configuration, and 0 once earlier
+//! experiments left enough idle):
+//!
+//! ```text
+//! [fig4_3] finished in 0.4 s; level-1: 51 computed, 16 derived, 312 reused, 2 simulators
+//! ```
+//!
+//! With `--json` the same numbers go to `<dir>/level1.jsonl`, one object per
+//! experiment: `{"id", "wall_s", "level1_computed", "level1_derived",
+//! "level1_reused", "level1_simulators"}`.
 //!
 //! Exit status: 0 on success, 1 when an experiment fails or a JSON file
 //! cannot be written, 2 on a malformed command line (an unknown scale or
@@ -94,24 +103,30 @@ fn main() {
     for id in ids {
         let started = std::time::Instant::now();
         let (hits_before, misses_before, derived_before) = (store.hits(), store.misses(), store.derived());
+        let simulators_before = store.simulators_built();
         let table = run_experiment_in(&id, scale, &store).unwrap_or_else(|e| fail(&e));
         let wall_s = started.elapsed().as_secs_f64();
         let derived = store.derived() - derived_before;
         let (computed, reused) = (store.misses() - misses_before - derived, store.hits() - hits_before);
+        let simulators = store.simulators_built() - simulators_before;
         println!("{table}");
-        eprintln!("[{id}] finished in {wall_s:.1} s; level-1: {computed} computed, {derived} derived, {reused} reused");
+        eprintln!(
+            "[{id}] finished in {wall_s:.1} s; level-1: {computed} computed, {derived} derived, {reused} reused, \
+             {simulators} simulators"
+        );
         if let Some(dir) = &json_dir {
             write_or_fail(&format!("{dir}/{id}.json"), &table.to_json());
             level1_lines.push(format!(
                 concat!(
                     "{{\"id\": \"{}\", \"wall_s\": {}, \"level1_computed\": {}, \"level1_derived\": {}, ",
-                    "\"level1_reused\": {}}}\n"
+                    "\"level1_reused\": {}, \"level1_simulators\": {}}}\n"
                 ),
                 escape_json(&id),
                 wall_s,
                 computed,
                 derived,
-                reused
+                reused,
+                simulators
             ));
             write_or_fail(&format!("{dir}/level1.jsonl"), &level1_lines.concat());
         }

@@ -68,14 +68,14 @@ fn each_figure_reports_its_level1_work_on_stderr_and_in_level1_jsonl() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let line = stderr(&out).lines().find(|l| l.contains("level-1:")).map(str::to_owned);
     let line = line.unwrap_or_else(|| panic!("no level-1 line on stderr: {}", stderr(&out)));
-    assert!(line.starts_with("[fig4_2]") && line.contains(" computed, ") && line.ends_with(" reused"), "{line}");
+    assert!(line.starts_with("[fig4_2]") && line.contains(" computed, ") && line.ends_with(" simulators"), "{line}");
 
     let jsonl = std::fs::read_to_string(dir.join("level1.jsonl")).expect("level1.jsonl written");
     let records: Vec<&str> = jsonl.lines().collect();
     assert_eq!(records.len(), 1, "one object per figure: {jsonl}");
     let record = records[0];
     assert!(record.starts_with("{\"id\": \"fig4_2\", \"wall_s\": "), "{record}");
-    for field in ["\"level1_computed\": ", "\"level1_derived\": ", "\"level1_reused\": "] {
+    for field in ["\"level1_computed\": ", "\"level1_derived\": ", "\"level1_reused\": ", "\"level1_simulators\": "] {
         assert!(record.contains(field), "{field} missing: {record}");
     }
     let computed = record.split("\"level1_computed\": ").nth(1).and_then(|r| r.split(',').next()).unwrap();
@@ -83,6 +83,12 @@ fn each_figure_reports_its_level1_work_on_stderr_and_in_level1_jsonl() {
     let derived = record.split("\"level1_derived\": ").nth(1).and_then(|r| r.split(',').next()).unwrap();
     assert!(
         line.contains(&format!("level-1: {computed} computed, {derived} derived, ")),
+        "stderr and JSON disagree: {line} vs {record}"
+    );
+    let simulators = record.split("\"level1_simulators\": ").nth(1).and_then(|r| r.split('}').next()).unwrap();
+    assert!(simulators.parse::<u64>().unwrap() > 0, "a cold run builds a simulator: {record}");
+    assert!(
+        line.ends_with(&format!(" reused, {simulators} simulators")),
         "stderr and JSON disagree: {line} vs {record}"
     );
 }

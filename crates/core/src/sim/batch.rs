@@ -373,9 +373,8 @@ pub struct BatchCell<'p> {
     /// in its final state.
     pub policy: Box<dyn DtmPolicy + 'p>,
     /// Level-1 characterization table for `mix` (backed by a shared
-    /// [`CharStore`] when built via [`BatchCell::new`]). Over a warm store
-    /// it builds no level-1 simulator: one is built only if the cell runs a
-    /// closed loop.
+    /// [`CharStore`] when built via [`BatchCell::new`]). It holds no level-1
+    /// simulator: a closed loop the cell runs borrows one from the store.
     pub table: CharacterizationTable,
 }
 

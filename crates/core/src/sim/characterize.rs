@@ -35,11 +35,7 @@
 //!   reloaded point is indistinguishable from a computed one.
 //! * [`CharacterizationTable`] is the per-run view: it keeps a lock-free
 //!   local cache of `Arc<CharPoint>` handles for the modes it has already
-//!   resolved and falls through to the shared store on local misses. Only
-//!   a store miss that is neither derived nor idle runs a closed loop: the
-//!   table builds its `MulticoreSim` (whose shared-cache arrays are 0.75 MiB
-//!   per simulated L2) on that first run and keeps it for its later ones,
-//!   so a table over a warm store allocates no simulator at all. Lookups
+//!   resolved and falls through to the shared store on local misses. Lookups
 //!   return `Arc<CharPoint>` — a cache hit never deep-clones the point's
 //!   inner vectors. This is the analogue of the paper's `Wi × D` trace set.
 //!   [`CharacterizationTable::points`] resolves a whole batch of modes at
@@ -50,6 +46,18 @@
 //!   threads, a batch fans its distinct missing design points across them
 //!   — closed-loop runs are independent and deterministic, so the
 //!   parallelism changes wall-clock only, never a result.
+//! * **Lent simulators.** Only a store miss that is neither derived nor idle
+//!   runs a closed loop, and it borrows the `MulticoreSim` it runs on from
+//!   the store: an idle one of the table's CPU configuration, retargeted at
+//!   the table's memory configuration, or a new one when every simulator of
+//!   that CPU is busy. It returns the simulator when the
+//!   point is done; every rotation of a gated point runs on the one it
+//!   borrowed. So a store holds one simulator (its shared-cache arrays are
+//!   576 KiB per paper quad-core L2) per closed loop that ever ran at once,
+//!   not one per table, and a table over a warm store borrows none. Lending
+//!   is exact: a run warm-starts every cache set and builds its memory
+//!   system afresh, so no result depends on which simulator ran it.
+//!   [`CharStore::simulators_built`] counts the simulators a store built.
 //! * **Derived capped points.** A bandwidth cap delays a request only when
 //!   its 10 µs throttle window has already granted the cap's per-window
 //!   activation limit, and every point records the most activations any of
@@ -250,6 +258,9 @@ fn hardware_fingerprint(cpu: &CpuConfig, mem: &FbdimmConfig) -> u64 {
 /// grids and simulators, and the `paper` command shares one across all the
 /// figures it runs.
 ///
+/// The store also lends the level-1 simulators that compute its points
+/// (see the module docs), so closed loops over one store share them.
+///
 /// The key names a mix only by its id. Debug builds therefore record a
 /// fingerprint of each id's application list and panic when one store sees
 /// the same id with a different list, which would otherwise silently share
@@ -260,6 +271,7 @@ pub struct CharStore {
     hits: AtomicU64,
     misses: AtomicU64,
     derived: AtomicU64,
+    simulators: SimulatorPool,
     /// Optional disk backing: pre-loaded at construction, appended on miss.
     disk: Option<DiskCache>,
     /// Fingerprint of the application list seen under each mix id.
@@ -373,6 +385,31 @@ impl CharStore {
         self.derived.load(Ordering::Relaxed)
     }
 
+    /// Number of level-1 simulators this store has built to lend to its
+    /// closed loops: at most the number of closed loops of one CPU
+    /// configuration that ever ran at once, summed over CPU configurations.
+    pub fn simulators_built(&self) -> u64 {
+        self.simulators.built.load(Ordering::Relaxed)
+    }
+
+    /// Runs `run` on a simulator of `cpu` and `mem` lent from the store's
+    /// idle ones, building one only when every simulator of `cpu` is busy,
+    /// and takes it back afterwards.
+    fn with_simulator<R>(&self, cpu: &CpuConfig, mem: &FbdimmConfig, run: impl FnOnce(&mut MulticoreSim) -> R) -> R {
+        let idle = {
+            let mut idle = self.simulators.idle.lock().expect("simulator pool lock poisoned");
+            idle.iter().rposition(|sim| sim.cpu_config() == cpu).map(|i| idle.swap_remove(i))
+        };
+        let mut sim = idle.unwrap_or_else(|| {
+            self.simulators.built.fetch_add(1, Ordering::Relaxed);
+            MulticoreSim::new(cpu.clone(), *mem)
+        });
+        sim.set_memory_config(*mem);
+        let result = run(&mut sim);
+        self.simulators.idle.lock().expect("simulator pool lock poisoned").push(sim);
+        result
+    }
+
     /// Number of design points stored.
     pub fn len(&self) -> usize {
         self.cells.lock().expect("CharStore lock poisoned").values().filter(|c| c.get().is_some()).count()
@@ -384,23 +421,32 @@ impl CharStore {
     }
 }
 
+/// The idle level-1 simulators a [`CharStore`] lends, and how many it has
+/// built. Its `Debug` prints the counts, not the simulated caches.
+#[derive(Default)]
+struct SimulatorPool {
+    idle: Mutex<Vec<MulticoreSim>>,
+    built: AtomicU64,
+}
+
+impl std::fmt::Debug for SimulatorPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let idle = self.idle.lock().map_or(0, |idle| idle.len());
+        f.debug_struct("SimulatorPool").field("idle", &idle).field("built", &self.built).finish()
+    }
+}
+
 /// Per-run view of one workload mix's characterization across running modes.
 ///
 /// The table keeps a lock-free local cache of the modes it has already
-/// resolved; local misses fall through to the shared [`CharStore`]. It
-/// builds the `MulticoreSim` that computes missing points on its first
-/// closed loop and reuses it for the rest, so a table whose points all
-/// come from the store, are derived or are idle never builds one. Its
-/// configs are still validated when it is made. Lookups hand out
-/// `Arc<CharPoint>` handles, never deep clones.
+/// resolved; local misses fall through to the shared [`CharStore`], whose
+/// simulators compute the missing points (see the module docs). Its configs
+/// are validated when it is made. Lookups hand out `Arc<CharPoint>`
+/// handles, never deep clones.
 #[derive(Debug)]
 pub struct CharacterizationTable {
     cpu: CpuConfig,
     mem: FbdimmConfig,
-    /// The simulator that runs this table's closed loops, built by the
-    /// first one and kept for the later ones; `None` while every point has
-    /// come from the store, was derived or is idle.
-    sim: Option<MulticoreSim>,
     mix_id: String,
     apps: Vec<AppBehavior>,
     budget: u64,
@@ -429,8 +475,7 @@ impl CharacterizationTable {
     ///
     /// # Panics
     ///
-    /// Panics if either configuration is invalid, although the simulator
-    /// they configure is built only by the table's first closed loop.
+    /// Panics if either configuration is invalid.
     pub fn with_store(
         cpu: CpuConfig,
         mem: FbdimmConfig,
@@ -447,7 +492,6 @@ impl CharacterizationTable {
         CharacterizationTable {
             cpu,
             mem,
-            sim: None,
             mix_id,
             apps,
             budget,
@@ -502,10 +546,10 @@ impl CharacterizationTable {
         }
         let store_key = self.store_key(key);
         let sibling = self.sibling_key(mode);
-        let Self { cpu, mem, sim, apps, budget, store, .. } = self;
+        let Self { cpu, mem, apps, budget, store, .. } = &*self;
         let point = store.get_or_compute(store_key, || {
             derive_capped(store, sibling.as_ref(), mem, mode)
-                .unwrap_or_else(|| compute_point(sim, cpu, mem, apps, *budget, mode))
+                .unwrap_or_else(|| compute_point(store, cpu, mem, apps, *budget, mode))
         });
         self.local.insert(key, Arc::clone(&point));
         point
@@ -559,8 +603,9 @@ impl CharacterizationTable {
         // and on small shared hosts letting many points progress
         // concurrently rebalances around stalls better than a static
         // assignment of points to workers. The worker count is capped so a
-        // large mode lattice cannot spawn hundreds of threads (and
-        // simulators) at once; surplus points queue behind a shared cursor.
+        // large mode lattice cannot spawn hundreds of threads (and borrow as
+        // many simulators) at once; surplus points queue behind a shared
+        // cursor.
         let workers = jobs.len().min(self.threads.saturating_mul(4));
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         let resolved: Vec<Vec<(ModeKey, Arc<CharPoint>)>> = std::thread::scope(|scope| {
@@ -569,13 +614,12 @@ impl CharacterizationTable {
                     let (jobs, cursor) = (&jobs, &cursor);
                     scope.spawn(move || {
                         let mut done = Vec::new();
-                        let mut sim: Option<MulticoreSim> = None;
                         loop {
                             let j = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some((mode, store_key, sibling)) = jobs.get(j) else { break };
                             let point = store.get_or_compute(store_key.clone(), || {
                                 derive_capped(store, sibling.as_ref(), mem, mode)
-                                    .unwrap_or_else(|| compute_point(&mut sim, cpu, mem, apps, *budget, mode))
+                                    .unwrap_or_else(|| compute_point(store, cpu, mem, apps, *budget, mode))
                             });
                             done.push((ModeKey::from_mode(mode), point));
                         }
@@ -637,10 +681,10 @@ fn derive_capped(
 }
 
 /// Computes one design point. A mode that makes progress runs its closed
-/// loops on `sim`, which is built from `cpu` and `mem` on first use and kept
-/// for the next point; an idle mode needs no simulator.
+/// loops on a simulator of `cpu` and `mem` borrowed from `store`; an idle
+/// mode needs none.
 fn compute_point(
-    sim: &mut Option<MulticoreSim>,
+    store: &CharStore,
     cpu: &CpuConfig,
     mem: &FbdimmConfig,
     apps: &[AppBehavior],
@@ -650,14 +694,15 @@ fn compute_point(
     if !mode.makes_progress() {
         return CharPoint::idle(*mode, cpu.cores, mem);
     }
-    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), *mem));
     let active = mode.active_cores.min(apps.len()).min(cpu.cores);
-    if active < apps.len() {
-        rotation_averaged_point(sim, apps, budget, mode)
-    } else {
-        let m = sim.run(apps, mode, budget);
-        CharPoint::from_measurement(&m, sim.last_run_peak_activations())
-    }
+    store.with_simulator(cpu, mem, |sim| {
+        if active < apps.len() {
+            rotation_averaged_point(sim, apps, budget, mode)
+        } else {
+            let m = sim.run(apps, mode, budget);
+            CharPoint::from_measurement(&m, sim.last_run_peak_activations())
+        }
+    })
 }
 
 /// Characterizes a core-gated mode as the average over all cyclic rotations
@@ -798,7 +843,7 @@ mod tests {
         assert_eq!(p.instr_rate_total, 0.0);
         assert_eq!(p.total_gbps(), 0.0);
         assert_eq!(p.dimm_traffic.len(), 8);
-        assert!(t.sim.is_none(), "an idle point builds no simulator");
+        assert_eq!(t.store().simulators_built(), 0, "an idle point borrows no simulator");
     }
 
     #[test]
@@ -1002,12 +1047,17 @@ mod tests {
         let modes = [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(6.4)];
         let mut sequential = table();
         let expected: Vec<_> = modes.iter().map(|m| sequential.point(m)).collect();
+        assert_eq!(sequential.store().simulators_built(), 1, "one thread borrows one simulator for every point");
         let mut batched = table().with_rotation_threads(4);
         let got = batched.points(&modes);
         for (a, b) in expected.iter().zip(got.iter()) {
             assert_eq!(**a, **b, "parallel batch resolution must be bit-identical");
         }
         assert_eq!(batched.len(), 3);
+        // The uncapped wave runs its two closed loops at once at most, and
+        // the capped wave's one loop borrows an idle simulator.
+        let built = batched.store().simulators_built();
+        assert!((1..=2).contains(&built), "{built} simulators for at most two concurrent closed loops");
         // A second batch over the same modes is served from the local cache.
         let again = batched.points(&modes);
         for (a, b) in got.iter().zip(again.iter()) {
@@ -1126,14 +1176,15 @@ mod tests {
         w1_table(&Arc::new(CharStore::with_disk_cache(&path).expect("open disk cache"))).points(&modes);
         let reopened = Arc::new(CharStore::with_disk_cache(&path).expect("reopen disk cache"));
         for store in [&memory, &reopened] {
+            let built = store.simulators_built();
             let (mut one_by_one, mut batched) = (w1_table(store), w1_table(store));
             let singles: Vec<_> = modes.iter().map(|mode| one_by_one.point(mode)).collect();
             for (got, want) in [singles, batched.points(&modes)].iter().flat_map(|got| got.iter().zip(&computed)) {
                 assert_eq!(**got, **want);
             }
-            assert!(one_by_one.sim.is_none(), "point() over a warm store built a simulator");
-            assert!(batched.sim.is_none(), "points() over a warm store built a simulator");
+            assert_eq!(store.simulators_built(), built, "tables over a warm store built a simulator");
         }
+        assert_eq!(reopened.simulators_built(), 0, "a store loaded from disk builds no simulator");
         assert_eq!(reopened.misses(), 0, "the reopened disk cache holds every mode");
         let _ = std::fs::remove_file(&path);
     }
@@ -1157,18 +1208,99 @@ mod tests {
         let modes = every_kind_of_mode();
         let mut t = table();
         for mode in &modes {
-            let point = t.point(mode);
-            assert!(t.sim.is_some(), "the first computed point leaves the table its simulator");
-            assert_eq!(*point, *table().point(mode), "{mode:?}: a reused simulator changed the point");
+            assert_eq!(*t.point(mode), *table().point(mode), "{mode:?}: a lent simulator changed the point");
         }
         assert_eq!(t.store().derived(), 1);
-        // The next closed loop runs on the simulator the table holds: one
-        // of a smaller L2, put in its place, changes the point.
-        let mut small = CpuConfig::paper_quad_core();
-        small.l2.capacity_bytes /= 4;
-        t.sim = Some(MulticoreSim::new(small, FbdimmConfig::ddr2_667_paper()));
-        let low = modes[0].with_op(CpuConfig::paper_quad_core().dvfs.bottom());
-        assert_ne!(*t.point(&low), *table().point(&low), "the table built a new simulator instead of reusing its own");
+        assert_eq!(t.store().simulators_built(), 1, "the five kinds of mode ran on one simulator");
+        // Another table over the store borrows the same simulator back.
+        let store = Arc::clone(t.store());
+        let mut w8 = CharacterizationTable::with_store(
+            CpuConfig::paper_quad_core(),
+            FbdimmConfig::ddr2_667_paper(),
+            "W8",
+            mixes::w8().apps,
+            15_000,
+            Arc::clone(&store),
+        );
+        let full = RunningMode::full_speed(&CpuConfig::paper_quad_core());
+        let fresh = CharacterizationTable::new(
+            CpuConfig::paper_quad_core(),
+            FbdimmConfig::ddr2_667_paper(),
+            mixes::w8().apps,
+            15_000,
+        )
+        .point(&full);
+        assert_eq!(*w8.point(&full), *fresh);
+        assert_eq!(store.simulators_built(), 1, "a second table built a simulator instead of borrowing one");
+        let debug = format!("{store:?}");
+        assert!(debug.contains("SimulatorPool { idle: 1, built: 1 }"), "{debug}");
+        assert!(debug.len() < 64 * 1024, "the store's Debug prints the simulated caches ({} bytes)", debug.len());
+    }
+
+    #[test]
+    fn a_grid_on_two_threads_builds_at_most_two_simulators_per_cpu_config() {
+        // 16 cells per CPU configuration (8 mixes x 2 modes, one table per
+        // cell) on two workers over one store, one grid per configuration.
+        let store = Arc::new(CharStore::new());
+        let platforms = [
+            (CpuConfig::paper_quad_core(), FbdimmConfig::ddr2_667_paper()),
+            (CpuConfig::xeon_5160_dual_socket(), FbdimmConfig::server(4)),
+        ];
+        for (cpu, mem) in platforms {
+            let full = RunningMode::full_speed(&cpu);
+            let cells: Vec<(workloads::WorkloadMix, RunningMode)> = mixes::all_ch4_mixes()[..8]
+                .iter()
+                .flat_map(|mix| [full, full.with_op(cpu.dvfs.bottom())].map(|mode| (mix.clone(), mode)))
+                .collect();
+            let built = store.simulators_built();
+            let cursor = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        while let Some((mix, mode)) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let mut table = CharacterizationTable::with_store(
+                                cpu.clone(),
+                                mem,
+                                mix.id.clone(),
+                                mix.apps.clone(),
+                                5_000,
+                                Arc::clone(&store),
+                            );
+                            table.point(mode);
+                        }
+                    });
+                }
+            });
+            let built = store.simulators_built() - built;
+            assert!((1..=2).contains(&built), "{} cells on 2 threads built {built} simulators", cells.len());
+        }
+        assert_eq!(store.misses(), 32);
+    }
+
+    #[test]
+    fn a_simulator_lent_across_memory_configs_gives_the_points_of_fresh_ones() {
+        let cpu = CpuConfig::xeon_5160_dual_socket();
+        let full = RunningMode::full_speed(&cpu);
+        let modes = [full, full.with_active_cores(2), full.with_bandwidth_cap_gbps(4.0)];
+        let server = |dimms, store: &Arc<CharStore>| {
+            CharacterizationTable::with_store(
+                cpu.clone(),
+                FbdimmConfig::server(dimms),
+                "W1",
+                mixes::w1().apps,
+                15_000,
+                Arc::clone(store),
+            )
+        };
+        let store = Arc::new(CharStore::new());
+        for dimms in [2, 4] {
+            let lent = server(dimms, &store).points(&modes);
+            let fresh = server(dimms, &Arc::new(CharStore::new())).points(&modes);
+            for ((got, want), mode) in lent.iter().zip(&fresh).zip(&modes) {
+                assert_eq!(**got, **want, "server({dimms}) at {mode:?}");
+            }
+        }
+        assert_eq!(store.simulators_built(), 1, "server(4) borrowed the simulator server(2) returned");
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! statistics.
 //!
 //! The cache is touched on every demand access of the closed-loop level-1
-//! simulation, so its storage is two flat `sets × ways` arrays, a tag word
-//! (tag plus valid and dirty bits) and a 32-bit LRU stamp per way, with set
-//! lookup by power-of-two masking (a division fallback for odd set counts).
-//! Every run also starts from a warm-start prefill of tens of thousands of
-//! lines, which [`SetAssocCache::warm_fill_round_robin`] writes directly from
-//! one template per interval of sets instead of simulating it.
+//! simulation, so its storage is a flat `sets × ways` array of tag words
+//! (tag plus valid and dirty bits) and one 64-bit recency word per set, the
+//! set's ways in LRU order as 4-bit indices, with set lookup by power-of-two
+//! masking (a division fallback for odd set counts). There is no access
+//! clock, so nothing limits how many accesses a cache may see; the recency
+//! word limits a cache to 16 ways. Every run also starts from a warm-start
+//! prefill of tens of thousands of lines, which
+//! [`SetAssocCache::warm_fill_round_robin`] writes directly from one template
+//! per interval of sets instead of simulating it.
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,11 +39,18 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error message if any dimension is zero or the capacity is
+    /// Returns an error message if any dimension is zero, the associativity
+    /// exceeds 16 (the ways a set's recency word holds), or the capacity is
     /// not an exact multiple of `associativity * line_bytes`.
     pub fn validate(&self) -> Result<(), String> {
         if self.capacity_bytes == 0 || self.line_bytes == 0 || self.associativity == 0 {
             return Err("cache dimensions must be positive".into());
+        }
+        if self.associativity > MAX_WAYS {
+            return Err(format!(
+                "associativity {} exceeds the {MAX_WAYS} ways a recency word holds",
+                self.associativity
+            ));
         }
         if !self.capacity_bytes.is_multiple_of(self.line_bytes * self.associativity as u64) {
             return Err("capacity must be a multiple of associativity x line size".into());
@@ -97,32 +107,57 @@ const VALID: u64 = 0b01;
 const DIRTY: u64 = 0b10;
 /// Tag words hold the tag above the two flag bits.
 const FLAG_BITS: u32 = 2;
+/// The most ways a set may have: its recency word holds one 4-bit way index
+/// per way.
+const MAX_WAYS: usize = 16;
+/// A 1 in every nibble of a recency word.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The recency word of a set no access has touched: way `i` at position `i`,
+/// so invalid ways fill lowest index first and the untouched ways stay at
+/// the LRU end in index order.
+fn identity_order(assoc: usize) -> u64 {
+    (0..assoc as u64).fold(0, |order, way| order | way << (4 * way))
+}
+
+/// Moves `way` to the front (the most recent position) of recency word
+/// `order`: the nibbles more recent than it shift up by one, the older ones
+/// stay. The zero-nibble test finds `way`'s position; its lowest set bit is
+/// exact, and `way` occurs once among the set's positions, below any unused
+/// (zero) high nibble.
+#[inline]
+fn move_to_front(order: u64, way: usize) -> u64 {
+    let x = order ^ (way as u64 * NIBBLE_ONES);
+    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    let shift = zero.trailing_zeros() & !3;
+    let newer = order & ((1 << shift) - 1);
+    let older = order & (u64::MAX << shift << 4);
+    older | newer << 4 | way as u64
+}
 
 /// A set-associative, write-back, allocate-on-miss cache with LRU
 /// replacement, addressed by 64-byte line address.
 ///
-/// Storage is two contiguous `sets × ways` arrays in structure-of-arrays
-/// layout (set `s` occupies index range `s*assoc .. (s+1)*assoc` of each):
+/// Storage is two contiguous arrays:
 ///
-/// * `tags` holds one word per way, `tag << 2 | DIRTY | VALID`, so the hit
-///   scan is one masked compare per way over one cache-line-sized run and
-///   an empty way is the all-zero word;
-/// * `lru` holds one `u32` last-use stamp per way, the value of the
-///   access clock at that way's last touch (larger = more recent).
+/// * `tags` holds one word per way, `tag << 2 | DIRTY | VALID`, in
+///   `sets × ways` layout (set `s` occupies `s*assoc .. (s+1)*assoc`), so
+///   the hit scan is one masked compare per way over one cache-line-sized
+///   run and an empty way is the all-zero word;
+/// * `order` holds one recency word per set: nibble `i` is the index of the
+///   way at recency position `i`, most recent first, so the LRU way is
+///   nibble `assoc - 1`. A hit or fill moves its way to the front.
 ///
-/// The stamps are 32-bit, so the clock may count at most `u32::MAX`
-/// accesses between resets; [`Self::access`] asserts it. A level-1 run
-/// starts from a reset-and-filled cache, so its clock is the warm-start
-/// prefill plus at most two accesses (demand and prefetch) per budgeted
-/// demand access. A power-of-two set count resolves the set index with a
-/// mask instead of a division.
+/// Invalid ways fill first, lowest index first; a set with none evicts its
+/// LRU way. The cache keeps no access clock. A power-of-two set count
+/// resolves the set index with a mask instead of a division.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Flat `sets × associativity` tag words (tag plus valid/dirty bits).
     tags: Vec<u64>,
-    /// Last-use clock stamps, same layout.
-    lru: Vec<u32>,
+    /// One recency word per set: way indices as nibbles, most recent first.
+    order: Vec<u64>,
     /// Number of sets (`tags.len() / cfg.associativity`).
     sets: usize,
     /// `sets - 1` when the set count is a power of two, else 0.
@@ -130,7 +165,6 @@ pub struct SetAssocCache {
     /// `log2(sets)` when the set count is a power of two, else 0.
     set_shift: u32,
     stats: CacheStats,
-    clock: u32,
 }
 
 impl SetAssocCache {
@@ -148,13 +182,17 @@ impl SetAssocCache {
         SetAssocCache {
             cfg,
             tags: vec![0; entries],
-            lru: vec![0; entries],
+            order: vec![identity_order(cfg.associativity); sets],
             sets,
             set_mask,
             set_shift,
             stats: CacheStats::default(),
-            clock: 0,
         }
+    }
+
+    /// Bytes of the tag and recency arrays.
+    pub fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.tags.as_slice()) + std::mem::size_of_val(self.order.as_slice())
     }
 
     /// The cache geometry.
@@ -197,11 +235,9 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the access clock would pass `u32::MAX` (see the type docs),
-    /// or if a cache of one or two sets is given a line address of 2^62 or
-    /// more.
+    /// Panics if a cache of one or two sets is given a line address of 2^62
+    /// or more.
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        self.clock = self.clock.checked_add(1).expect("cache clock exceeds the 32-bit LRU stamps");
         self.stats.accesses += 1;
         let (set_idx, tag) = self.index_and_tag(line);
         let word = Self::tag_word(tag);
@@ -216,7 +252,7 @@ impl SetAssocCache {
         for (w, &t) in set_tags.iter().enumerate() {
             if t & !DIRTY == word {
                 set_tags[w] |= dirty;
-                self.lru[base + w] = self.clock;
+                self.order[set_idx] = move_to_front(self.order[set_idx], w);
                 return AccessOutcome::Hit;
             }
             if t & VALID == 0 && invalid.is_none() {
@@ -226,19 +262,8 @@ impl SetAssocCache {
 
         // Miss: fill into the first invalid way or evict the LRU way.
         self.stats.misses += 1;
-        let victim = match invalid {
-            Some(w) => w,
-            None => {
-                let set_lru = &self.lru[base..base + assoc];
-                let mut best = 0;
-                for w in 1..assoc {
-                    if set_lru[w] < set_lru[best] {
-                        best = w;
-                    }
-                }
-                best
-            }
-        };
+        let order = self.order[set_idx];
+        let victim = invalid.unwrap_or((order >> (4 * (assoc - 1)) & 0xF) as usize);
         let old = set_tags[victim];
         let writeback = if old & (VALID | DIRTY) == VALID | DIRTY {
             self.stats.writebacks += 1;
@@ -247,7 +272,7 @@ impl SetAssocCache {
             None
         };
         set_tags[victim] = word | dirty;
-        self.lru[base + victim] = self.clock;
+        self.order[set_idx] = move_to_front(order, victim);
         AccessOutcome::Miss { writeback }
     }
 
@@ -255,15 +280,14 @@ impl SetAssocCache {
     /// program's copy finishes and its footprint is recycled).
     pub fn flush(&mut self) {
         self.tags.fill(0);
-        self.lru.fill(0);
+        self.order.fill(identity_order(self.cfg.associativity));
     }
 
-    /// Resets the cache to its just-constructed state: empty contents, zero
-    /// statistics, zero clock.
+    /// Resets the cache to its just-constructed state: empty contents and
+    /// zero statistics.
     pub fn reset(&mut self) {
         self.flush();
         self.stats = CacheStats::default();
-        self.clock = 0;
     }
 
     /// Number of valid lines currently resident.
@@ -292,20 +316,16 @@ impl SetAssocCache {
     /// rest. So the cuts `hot_j % sets` split the sets into at most
     /// `entries + 1` intervals whose sets all see the same arrival pattern:
     /// the same survivors in the same ways, each with the constant tag
-    /// `(base_j >> log2(sets)) + r` and an LRU stamp affine in the set index,
-    /// `a + b·s`, where `b` counts the entries still arriving in round `r`.
-    /// One template per interval is built from the survivors, then written
-    /// set by set.
+    /// `(base_j >> log2(sets)) + r`, and the same recency order: a set's
+    /// arrivals come in round order, then entry order, whatever the set.
+    /// One template per interval (a tag word per way and one recency word)
+    /// is built from the survivors, then written set by set.
     ///
-    /// The whole cache state (contents, clock, statistics) is defined by
-    /// this call, so no prior reset is needed. Falls back to reset plus the
-    /// literal loop for geometries the templates do not cover
+    /// The whole cache state (contents, recency order, statistics) is
+    /// defined by this call, so no prior reset is needed. Falls back to reset
+    /// plus the literal loop for geometries the templates do not cover
     /// (non-power-of-two set counts, bases that are not set-aligned, or
     /// overlapping ranges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prefill is longer than `u32::MAX` accesses.
     pub fn warm_fill_round_robin(&mut self, entries: &[(u64, u64)]) {
         let sets = self.sets as u64;
         let assoc = self.cfg.associativity;
@@ -328,15 +348,14 @@ impl SetAssocCache {
         }
 
         let total: u64 = entries.iter().map(|&(_, hot)| hot).sum();
-        let total = u32::try_from(total).expect("warm-start prefill exceeds the 32-bit LRU stamps");
         let mut cuts: Vec<u64> = entries.iter().map(|&(_, hot)| hot % sets).chain([0, sets]).collect();
         cuts.sort_unstable();
         cuts.dedup();
         // Arrivals per entry in the current interval, and its template: per
-        // way the tag word and the stamp `a + b·s`. A way no arrival reaches
-        // stays empty (all zero).
+        // way the tag word and the (1-based) index of the arrival that left
+        // it, 0 for a way no arrival reaches, which stays empty (all zero).
         let mut rounds = vec![0u64; entries.len()];
-        let (mut words, mut a, mut b) = (vec![0u64; assoc], vec![0u32; assoc], vec![0u32; assoc]);
+        let (mut words, mut arrival) = (vec![0u64; assoc], vec![0u64; assoc]);
         for span in cuts.windows(2) {
             let (lo, hi) = (span[0], span[1]);
             for (k, &(_, hot)) in rounds.iter_mut().zip(entries) {
@@ -348,43 +367,31 @@ impl SetAssocCache {
             let arrivals: u64 = rounds.iter().sum();
             let overwritten = arrivals.saturating_sub(assoc as u64);
             words.fill(0);
-            a.fill(0);
-            b.fill(0);
+            arrival.fill(0);
             let mut m = arrivals;
             let mut r = rounds.iter().copied().max().unwrap_or(0);
             while m > overwritten {
                 r -= 1;
-                // Clock of the round-r arrival of entry j in set s: one, plus
-                // every access at an earlier offset (`min(hot_k, r·sets + s)`
-                // per entry: affine in s for the entries still arriving in
-                // round r, `hot_k` for the rest), plus the entries before j
-                // arriving at the same offset. It never exceeds `total`.
-                let active = rounds.iter().filter(|&&k| r < k).count() as u64;
-                let done: u64 = entries.iter().zip(&rounds).filter(|&(_, &k)| r >= k).map(|(&(_, hot), _)| hot).sum();
-                let mut before = active;
-                for (&(base, _), _) in entries.iter().zip(&rounds).rev().filter(|&(_, &k)| r < k) {
-                    before -= 1;
+                for &(base, _) in entries.iter().zip(&rounds).rev().filter(|&(_, &k)| r < k).map(|(e, _)| e) {
                     if m > overwritten {
                         let way = ((m - 1) % assoc as u64) as usize;
                         words[way] = Self::tag_word((base >> self.set_shift) + r);
-                        a[way] = (1 + active * r * sets + done + before) as u32;
-                        b[way] = active as u32;
+                        arrival[way] = m;
                     }
                     m -= 1;
                 }
             }
-            let rows = lo as usize * assoc..hi as usize * assoc;
-            let tag_rows = self.tags[rows.clone()].chunks_exact_mut(assoc);
-            let lru_rows = self.lru[rows].chunks_exact_mut(assoc);
-            for ((tags, lru), s) in tag_rows.zip(lru_rows).zip(lo as u32..) {
-                tags.copy_from_slice(&words);
-                for (stamp, (&a, &b)) in lru.iter_mut().zip(a.iter().zip(&b)) {
-                    *stamp = a + b * s;
-                }
-            }
+            // Most recent arrival first; the stable sort keeps unreached
+            // ways at the LRU end in index order, as a reset cache has them.
+            let mut ways: Vec<usize> = (0..assoc).collect();
+            ways.sort_by_key(|&way| std::cmp::Reverse(arrival[way]));
+            let order = ways.iter().rev().fold(0, |order, &way| order << 4 | way as u64);
+            self.tags[lo as usize * assoc..hi as usize * assoc]
+                .chunks_exact_mut(assoc)
+                .for_each(|tags| tags.copy_from_slice(&words));
+            self.order[lo as usize..hi as usize].fill(order);
         }
-        self.clock = total;
-        self.stats = CacheStats { accesses: u64::from(total), misses: u64::from(total), writebacks: 0 };
+        self.stats = CacheStats { accesses: total, misses: total, writebacks: 0 };
     }
 }
 
@@ -409,6 +416,100 @@ mod tests {
     fn invalid_geometry_is_rejected() {
         assert!(CacheConfig { capacity_bytes: 0, associativity: 8, line_bytes: 64 }.validate().is_err());
         assert!(CacheConfig { capacity_bytes: 1000, associativity: 8, line_bytes: 64 }.validate().is_err());
+    }
+
+    #[test]
+    fn more_ways_than_a_recency_word_holds_are_rejected() {
+        let ways = |associativity| CacheConfig { capacity_bytes: 64 * 64, associativity, line_bytes: 64 };
+        assert!(ways(MAX_WAYS).validate().is_ok());
+        let err = ways(MAX_WAYS + 1).validate().unwrap_err();
+        assert!(err.contains("exceeds the 16 ways"), "{err}");
+    }
+
+    /// Reference LRU kept with clock stamps: a last-use stamp per way,
+    /// invalid ways filled lowest index first, else the way with the
+    /// smallest stamp evicted.
+    struct StampLru {
+        sets: u64,
+        assoc: usize,
+        /// Per way: the tag and dirty bit of a valid line.
+        lines: Vec<Option<(u64, bool)>>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        fn new(cfg: CacheConfig) -> Self {
+            let (sets, assoc) = (cfg.sets(), cfg.associativity);
+            StampLru {
+                sets: sets as u64,
+                assoc,
+                lines: vec![None; sets * assoc],
+                stamps: vec![0; sets * assoc],
+                clock: 0,
+            }
+        }
+
+        fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+            self.clock += 1;
+            let (set, tag) = ((line % self.sets) as usize, line / self.sets);
+            let ways = set * self.assoc..(set + 1) * self.assoc;
+            if let Some(w) = ways.clone().find(|&w| self.lines[w].is_some_and(|(t, _)| t == tag)) {
+                self.lines[w] = Some((tag, self.lines[w].is_some_and(|(_, d)| d) || is_write));
+                self.stamps[w] = self.clock;
+                return AccessOutcome::Hit;
+            }
+            let victim = ways
+                .clone()
+                .find(|&w| self.lines[w].is_none())
+                .unwrap_or_else(|| ways.min_by_key(|&w| self.stamps[w]).expect("a set has at least one way"));
+            let writeback = match self.lines[victim] {
+                Some((old, true)) => Some(old * self.sets + set as u64),
+                _ => None,
+            };
+            self.lines[victim] = Some((tag, is_write));
+            self.stamps[victim] = self.clock;
+            AccessOutcome::Miss { writeback }
+        }
+
+        fn flush(&mut self) {
+            self.lines.fill(None);
+            self.stamps.fill(0);
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.lines.iter().filter(|l| l.is_some()).count()
+        }
+    }
+
+    #[test]
+    fn recency_words_evict_exactly_like_stamp_lru() {
+        // 1- to 16-way caches of power-of-two and odd set counts, seeded
+        // random reads and writes over about twice the capacity (hits, clean
+        // and dirty evictions) and the odd flush.
+        let mut rng = SmallRng::seed_from_u64(0x1E0C_4A5E);
+        for assoc in 1..=MAX_WAYS {
+            for sets in [1u64, 3, 8, 64] {
+                let cfg =
+                    CacheConfig { capacity_bytes: sets * assoc as u64 * 64, associativity: assoc, line_bytes: 64 };
+                let (mut cache, mut reference) = (SetAssocCache::new(cfg), StampLru::new(cfg));
+                let span = 2 * sets * assoc as u64 + 1;
+                for step in 0..3_000 {
+                    if rng.gen_range(0..500u64) == 0 {
+                        cache.flush();
+                        reference.flush();
+                    }
+                    let (line, is_write) = (rng.gen_range(0..span), rng.gen_bool(0.3));
+                    let (got, want) = (cache.access(line, is_write), reference.access(line, is_write));
+                    assert_eq!(got, want, "{assoc}-way, {sets} sets, step {step}: line {line}");
+                    assert_eq!(
+                        cache.resident_lines(),
+                        reference.resident_lines(),
+                        "{assoc}-way, {sets} sets, step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -616,14 +717,6 @@ mod tests {
         let mut looped = SetAssocCache::new(cfg);
         loop_warm_fill(&mut looped, &entries);
         assert_eq!(direct, looped);
-    }
-
-    #[test]
-    #[should_panic(expected = "32-bit LRU stamps")]
-    fn access_past_the_stamp_range_panics() {
-        let mut c = small_cache();
-        c.clock = u32::MAX;
-        c.access(1, false);
     }
 
     #[test]

@@ -183,10 +183,12 @@ pub struct MulticoreSim {
     cpu: CpuConfig,
     mem_cfg: FbdimmConfig,
     /// Persistent shared-cache instances the closed loop runs against
-    /// (0.75 MiB per paper-sized L2). Kept across runs once built, so a
-    /// warm start writes into already-touched memory rather than a fresh
-    /// allocation per run. A level-1 characterization table builds its
-    /// simulator, and so these, only when it computes a point.
+    /// (576 KiB for the paper quad core's 8-way L2, 544 KiB for each 16-way
+    /// Xeon 5160 L2; see [`Self::scratch_bytes`]). Kept across runs once
+    /// built, so a warm start writes into already-touched memory rather than
+    /// a fresh allocation per run. They depend on the CPU configuration
+    /// alone, so a level-1 store lends its simulators to closed loops of the
+    /// same CPU whatever their memory configuration.
     scratch_caches: Vec<SetAssocCache>,
     /// The most row activations any throttle window granted in the last
     /// run (0 after an idle run); see [`Self::last_run_peak_activations`].
@@ -214,6 +216,24 @@ impl MulticoreSim {
     /// The memory configuration.
     pub fn memory_config(&self) -> &FbdimmConfig {
         &self.mem_cfg
+    }
+
+    /// Retargets the simulator at another memory configuration. Every run
+    /// builds its memory system afresh and warm-starts the caches, so the
+    /// next run is exactly that of a simulator built with `mem_cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem_cfg` is invalid.
+    pub fn set_memory_config(&mut self, mem_cfg: FbdimmConfig) {
+        mem_cfg.validate().expect("invalid FBDIMM configuration");
+        self.mem_cfg = mem_cfg;
+    }
+
+    /// Bytes of the simulated shared caches' tag and recency arrays, the
+    /// bulk of the simulator's memory.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch_caches.iter().map(SetAssocCache::storage_bytes).sum()
     }
 
     /// The most row activations any 10 µs throttle window granted in the
@@ -487,6 +507,25 @@ mod tests {
         let b = s.run(&mixes::w3().apps, &mode, 10_000);
         assert_eq!(a.elapsed_ps, b.elapsed_ps);
         assert_eq!(a.cores, b.cores);
+    }
+
+    #[test]
+    fn scratch_caches_hold_a_tag_word_per_way_and_a_recency_word_per_set() {
+        assert_eq!(sim().scratch_bytes(), 576 * 1024, "8-way 4 MiB L2: 512 KiB of tags, 64 KiB of recency words");
+        let xeon = MulticoreSim::new(CpuConfig::xeon_5160_dual_socket(), FbdimmConfig::server(4));
+        assert_eq!(xeon.scratch_bytes(), 2 * 544 * 1024, "two 16-way 4 MiB L2s");
+    }
+
+    #[test]
+    fn a_retargeted_simulator_runs_like_a_fresh_one() {
+        let cpu = CpuConfig::xeon_5160_dual_socket();
+        let mode = RunningMode::full_speed(&cpu);
+        let mut lent = MulticoreSim::new(cpu.clone(), FbdimmConfig::server(2));
+        lent.run(&mixes::w1().apps, &mode, 10_000);
+        lent.set_memory_config(FbdimmConfig::server(4));
+        let mut fresh = MulticoreSim::new(cpu, FbdimmConfig::server(4));
+        assert_eq!(lent.run(&mixes::w2().apps, &mode, 10_000), fresh.run(&mixes::w2().apps, &mode, 10_000));
+        assert_eq!(lent.last_run_peak_activations(), fresh.last_run_peak_activations());
     }
 
     #[test]
