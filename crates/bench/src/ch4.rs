@@ -322,30 +322,22 @@ pub fn fig4_4(scale: Scale, store: &Arc<CharStore>) -> Table {
 
 /// Figures 4.5–4.8: AMB temperature traces of W1 under AOHS_1.5 for DTM-TS,
 /// DTM-BW, DTM-ACG and DTM-CDVFS (sampled every 10 s of the first 1000 s).
+/// The four traced cells run as one [`SweepRunner`] grid over `store`;
+/// traced cells never take the envelope, so each steps literally, with the
+/// bits of the cell run alone.
 pub fn fig4_5_8(scale: Scale, store: &Arc<CharStore>) -> Table {
-    let cooling = CoolingConfig::aohs_1_5();
-    let mut cfg = scale.memspot_config(cooling);
-    cfg.record_temp_trace = true;
-    let cpu = CpuConfig::paper_quad_core();
-    let mix = mixes::w1();
-
     let mut t = Table::new(
         "fig4_5_8",
         "AMB temperature of W1 under AOHS_1.5 (first 1000 s, 10 s samples)",
         &["scheme", "time s", "AMB degC", "active cores", "freq GHz"],
     );
-    // The four runs fan out across cores, each building its policy over its
-    // own MemSpot on the shared store; rows follow the fixed scheme order.
-    let names = ["DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"];
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let results = crate::sweep::parallel_map(threads, &PolicySpec::threshold_set(), |spec| {
-        let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(store));
-        spot.run(&mix, spec.build(&cpu, cfg.limits).as_mut())
-    });
-    for (name, r) in names.into_iter().zip(results) {
-        for sample in r.temp_trace.iter().filter(|s| s.time_s <= 1000.0).step_by(10) {
+    let scenarios = [SweepScenario::isolated(CoolingConfig::aohs_1_5(), mixes::w1(), PolicySpec::threshold_set())];
+    let traced = |cooling| MemSpotConfig { record_temp_trace: true, ..scale.memspot_config(cooling) };
+    let runs = SweepRunner::new().with_char_store(Arc::clone(store)).run(&scenarios, traced).runs;
+    for r in &runs {
+        for sample in r.result.temp_trace.iter().filter(|s| s.time_s <= 1000.0).step_by(10) {
             t.push_row([
-                name.to_string(),
+                r.policy.clone(),
                 f1(sample.time_s),
                 f1(sample.amb_c),
                 sample.active_cores.to_string(),

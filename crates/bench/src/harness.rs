@@ -31,7 +31,7 @@ impl Scale {
         match s.to_ascii_lowercase().as_str() {
             "smoke" => Some(Scale::Smoke),
             "quick" => Some(Scale::Quick),
-            "paper" | "full" => Some(Scale::Paper),
+            "paper" => Some(Scale::Paper),
             _ => None,
         }
     }
@@ -294,6 +294,7 @@ mod tests {
         assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("bogus"), None);
+        assert_eq!(Scale::parse("full"), None);
         assert!(Scale::Smoke.ch4_mixes().len() < Scale::Quick.ch4_mixes().len());
         assert!(Scale::Paper.memspot_config(CoolingConfig::aohs_1_5()).copies_per_app == 50);
         assert!(Scale::Smoke.platform_runs_per_app() <= Scale::Paper.platform_runs_per_app());

@@ -534,23 +534,30 @@ mod tests {
     fn batched_execution_matches_the_per_cell_engine_bit_for_bit() {
         // With fast-forward off the batched tier is purely a memory-layout
         // transformation; every simulated quantity must carry identical
-        // bits to a fresh per-cell `MemSpot` run, for any chunking.
-        let make = |cooling: CoolingConfig| Scale::Smoke.memspot_config(cooling);
-        let literal = SweepRunner::with_threads(3).with_batch_options(BatchOptions::literal()).run(&grid(), make);
-        assert_eq!(literal.fast_forwarded_windows, 0);
-        assert_eq!(literal.fast_forwarded_cells, 0);
+        // bits to a fresh per-cell `MemSpot` run, for any chunking. Traced
+        // cells (Figures 4.5-4.8) never take the envelope, so they must do
+        // the same under the default options.
+        let plain: fn(CoolingConfig) -> MemSpotConfig = |cooling| Scale::Smoke.memspot_config(cooling);
+        let traced: fn(CoolingConfig) -> MemSpotConfig =
+            |cooling| MemSpotConfig { record_temp_trace: true, ..Scale::Smoke.memspot_config(cooling) };
         let cpu = CpuConfig::paper_quad_core();
-        let store = Arc::new(CharStore::new());
-        let cells = grid().into_iter().flat_map(|s| s.specs.clone().into_iter().map(move |spec| (s.clone(), spec)));
-        let mut compared = 0;
-        for ((scenario, spec), got) in cells.zip(&literal.runs) {
-            let cfg = make(scenario.cooling);
-            let mut spot = MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(&store));
-            let want = spot.run(&scenario.mix, spec.build(&cpu, cfg.limits).as_mut());
-            assert_eq!(got.result, want, "{}/{}/{} diverged", got.cooling, got.workload, got.policy);
-            compared += 1;
+        for (make, options) in [(plain, BatchOptions::literal()), (traced, BatchOptions::default())] {
+            let literal = SweepRunner::with_threads(3).with_batch_options(options).run(&grid(), make);
+            assert_eq!(literal.fast_forwarded_windows, 0);
+            assert_eq!(literal.fast_forwarded_cells, 0);
+            let store = Arc::new(CharStore::new());
+            let cells = grid().into_iter().flat_map(|s| s.specs.clone().into_iter().map(move |spec| (s.clone(), spec)));
+            let mut compared = 0;
+            for ((scenario, spec), got) in cells.zip(&literal.runs) {
+                let cfg = make(scenario.cooling);
+                let mut spot =
+                    MemSpot::with_store(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg, Arc::clone(&store));
+                let want = spot.run(&scenario.mix, spec.build(&cpu, cfg.limits).as_mut());
+                assert_eq!(got.result, want, "{}/{}/{} diverged", got.cooling, got.workload, got.policy);
+                compared += 1;
+            }
+            assert_eq!(compared, literal.runs.len());
         }
-        assert_eq!(compared, literal.runs.len());
     }
 
     #[test]

@@ -147,6 +147,31 @@
 //!   maps — decisions exact, windows and completion boundaries conserved
 //!   bit for bit, scalars within 1e-9.
 //!
+//! # Burst stages
+//!
+//! A burst runs over one private state (`Burst`): the cell's lane column
+//! and device maxima, one cached entry per plan it meets (window power,
+//! per-row forcings, per-window accounting), the schedules of its analytic
+//! attempts and the counters its exit books. Its loop is its stages:
+//!
+//! 1. a **literal window**: the decision, the ambient step, the private RC
+//!    sweep with its band audit, and the window's booking;
+//! 2. once the plan has held for the probe's run length, a **frozen-jump
+//!    attempt**: licensing (the largest certified horizon, found by one
+//!    bisection with a fixed probe order), then applying (clocks, booking,
+//!    rows in closed form or stepped literally, re-prime);
+//! 3. otherwise, when its schedule comes due, a **replay attempt** for a
+//!    keyed rule (below);
+//! 4. **one exit**, which flushes the per-plan residency and the counters,
+//!    then finishes the cell or, after a band violation, hands it back to
+//!    the lane with its next window decided.
+//!
+//! Windows are booked through one routine (`EnvPlanEntry::book`): a literal
+//! window books one plain or one overheaded (plan-change) window, a jump
+//! `m` plain windows, a replay segment each plan's occupancy counts. A plan
+//! change in the lane and a burst's plan entry derive the plan's power
+//! through one function (`PlanState::derive`).
+//!
 //! # The replay stage
 //!
 //! The exact decision replay is a stage of its own, `sim::replay`: the
@@ -550,18 +575,13 @@ struct CellState<'p> {
     full_shares: Vec<f64>,
     idle: Vec<FbdimmPowerBreakdown>,
     observation: ThermalObservation,
+    /// Scratch for a spatial plan's per-DIMM traffic.
     plan_traffic: Vec<DimmTraffic>,
-    plan_stats: PlanTrafficStats,
     step_s: f64,
     time_s: f64,
     next_dtm_s: f64,
     next_trace_s: f64,
-    plan: ActuationPlan,
-    mode: RunningMode,
-    mode_key: ModeKey,
-    point: Arc<CharPoint>,
-    progressing: bool,
-    window: WindowPower,
+    active: PlanState,
     overhead_s: f64,
     total_instructions: f64,
     total_bytes: f64,
@@ -616,10 +636,9 @@ impl<'p> CellState<'p> {
         let full_shares = full_point.core_share.clone();
         let idle = engine.idle_powers();
         let observation = scene.observe();
-        let mode = full_mode;
-        let mode_key = ModeKey::from_mode(&mode);
-        let progressing = mode.makes_progress() && full_point.instr_rate_total > 0.0;
-        let window = engine.window_power(&scene, &idle, &full_point, &full_point.dimm_traffic, &mode, progressing);
+        let mut plan_traffic = Vec::new();
+        let active =
+            PlanState::derive(engine, &scene, &idle, &mut plan_traffic, ActuationPlan::global(full_mode), full_point);
         let (max_amb, max_dram) = scene.max_temps_c();
         policy.reset();
         let rule = policy.decision_rule();
@@ -635,18 +654,12 @@ impl<'p> CellState<'p> {
             full_shares,
             idle,
             observation,
-            plan_traffic: Vec::new(),
-            plan_stats: PlanTrafficStats::identity(),
+            plan_traffic,
             step_s: config.window_s.min(config.dtm_interval_s),
             time_s: 0.0,
             next_dtm_s: 0.0,
             next_trace_s: 0.0,
-            plan: ActuationPlan::global(full_mode),
-            mode,
-            mode_key,
-            point: full_point,
-            progressing,
-            window,
+            active,
             overhead_s: 0.0,
             total_instructions: 0.0,
             total_bytes: 0.0,
@@ -674,6 +687,52 @@ impl<'p> CellState<'p> {
             table,
             scene,
         }
+    }
+
+    /// The window loop's end: the batch completed or the time limit hit.
+    fn done(&self, cfg: &MemSpotConfig) -> bool {
+        self.batch.is_complete() || self.time_s >= cfg.max_sim_time_s
+    }
+}
+
+/// A cell's actuation plan and what the window loop derives from it: the
+/// plan's running-mode key and level-1 point, whether that mode retires
+/// instructions, the plan's traffic statistics and its window power.
+#[derive(Debug, Clone)]
+struct PlanState {
+    plan: ActuationPlan,
+    mode_key: ModeKey,
+    point: Arc<CharPoint>,
+    progressing: bool,
+    plan_stats: PlanTrafficStats,
+    window: WindowPower,
+}
+
+impl PlanState {
+    /// Derives `plan`'s state over `point`, the level-1 point of its mode:
+    /// the one scalar/spatial branch a plan change in the window loop and
+    /// every envelope plan entry go through. The scene is consulted only
+    /// for geometry; `traffic` is scratch for a spatial plan.
+    fn derive(
+        engine: &SimEngine<'_>,
+        scene: &DimmThermalScene,
+        idle: &[FbdimmPowerBreakdown],
+        traffic: &mut Vec<DimmTraffic>,
+        plan: ActuationPlan,
+        point: Arc<CharPoint>,
+    ) -> Self {
+        let mode = plan.mode;
+        let progressing = mode.makes_progress() && point.instr_rate_total > 0.0;
+        let (plan_stats, window) = if plan.is_scalar() {
+            let window = engine.window_power(scene, idle, &point, &point.dimm_traffic, &mode, progressing);
+            (PlanTrafficStats::identity(), window)
+        } else {
+            let mem = engine.mem;
+            let stats =
+                plan.apply_traffic_into(&point.dimm_traffic, mem.logical_channels, mem.dimms_per_channel, traffic);
+            (stats, engine.window_power(scene, idle, &point, traffic, &mode, progressing))
+        };
+        PlanState { mode_key: ModeKey::from_mode(&mode), plan, point, progressing, plan_stats, window }
     }
 }
 
@@ -879,7 +938,7 @@ fn build_lane(states: &[CellState<'_>], members: Vec<usize>) -> Lane {
                 DeviceLayerKind::Dram => max_dram[c] = max_dram[c].max(t),
             }
         }
-        for (pos, p) in states[cell].window.positions.iter().enumerate() {
+        for (pos, p) in states[cell].active.window.positions.iter().enumerate() {
             wamb[pos * stride + c] = p.amb_watts;
             wdram[pos * stride + c] = p.dram_watts;
             if !identity_split {
@@ -914,11 +973,11 @@ fn build_lane(states: &[CellState<'_>], members: Vec<usize>) -> Lane {
 }
 
 /// The per-cell pre-step for lane member `j`: loop condition (finalizing a
-/// finished cell), DTM decision (+ fast-forward engagement), batch
-/// progress, and the cell's ambient step (the first thing
-/// [`DimmThermalScene::step`] does), in this fixed order. Returns `true` if the member stayed in the lane,
-/// `false` if it departed (finalized or fast-forwarded out). The caller
-/// defers the column removals to the end of the pass
+/// finished cell), DTM decision (or envelope engagement), batch progress,
+/// and the cell's ambient step (the first thing [`DimmThermalScene::step`]
+/// does), in this fixed order. Returns `true` if the member stayed in the
+/// lane, `false` if it departed (finalized, in the lane or by a burst).
+/// The caller defers the column removals to the end of the pass
 /// ([`apply_departures`]), which is what makes every operation in here
 /// column-disjoint (`write_power_column`, `amb[j]`, the maxima reads all
 /// touch only column `j`).
@@ -932,131 +991,116 @@ fn member_pre(
 ) -> bool {
     let cell = lane.members[j];
     let engine = &engines[globals[cell]];
-    let cfg = engine.config;
     let st = &mut states[cell];
-    {
-        if st.batch.is_complete() || st.time_s >= cfg.max_sim_time_s {
-            lane.copy_temp_column(j, &mut st.col_scratch);
-            st.scene.set_layer_temps(&st.col_scratch);
-            lane.copy_peak_column(j, &mut st.col_scratch);
-            st.scene.set_layer_peaks(&st.col_scratch);
-            results[cell] = Some(finalize(st, engine));
-            return false;
-        }
-        st.overhead_s = 0.0;
-        if st.time_s + 1e-12 >= st.next_dtm_s {
-            st.env_backoff = st.env_backoff.saturating_sub(1);
-            // An envelope burst armed by the previous decision engages
-            // here, before this decision; a refused band backs the
-            // triggers off.
-            if let Some(trigger) = st.env_pending.take() {
-                let bt = std::time::Instant::now();
-                let band = match trigger {
-                    EnvTrigger::Slipping(period) => env_band_slipping(lane, j, st, period),
-                    EnvTrigger::Frozen => env_band_frozen(lane, j, st),
-                };
-                st.stats.verify_ns += bt.elapsed().as_nanos() as u64;
-                match band {
-                    Some(band) => {
-                        return match envelope_burst(lane, j, st, engine, band) {
-                            Some(result) => {
-                                results[cell] = Some(result);
-                                false
-                            }
-                            // A band violation already ran this window's
-                            // pre-step inside the burst.
-                            None => true,
-                        };
-                    }
-                    None => env_back_off(st),
-                }
-            }
-            if st.wants_field {
-                st.scene.observe_lane_into(&lane.temps, lane.stride, j, &mut st.observation);
-            } else {
-                // Scalar policies read only the device maxima and the
-                // ambient; the maxima are exactly the lane sweep's running
-                // accumulators for this member (`f64::max` over the same
-                // node set), so the full per-position field synthesis is
-                // skipped. Spatial fields of the observation go stale and
-                // must not be read (`DecisionRule::reads_field`).
-                st.observation.max_amb_c = if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN };
-                st.observation.max_dram_c = lane.max_dram[j];
-                st.observation.ambient_c = st.scene.ambient_c();
-            }
-            let new_plan = decide_checked(st.policy.as_mut(), &st.observation, cfg.dtm_interval_s);
-            let plan_changed = new_plan != st.plan;
-            if plan_changed {
-                st.plan_streak = 0;
-                st.overhead_s = cfg.dtm_overhead_s;
-                if new_plan.mode != st.mode {
-                    st.mode = new_plan.mode;
-                    st.mode_key = ModeKey::from_mode(&st.mode);
-                    st.point = st.table.point(&st.mode);
-                    st.progressing = st.mode.makes_progress() && st.point.instr_rate_total > 0.0;
-                }
-                st.plan = new_plan;
-                if st.plan.is_scalar() {
-                    st.plan_stats = PlanTrafficStats::identity();
-                    st.window = engine.window_power(
-                        &st.scene,
-                        &st.idle,
-                        &st.point,
-                        &st.point.dimm_traffic,
-                        &st.mode,
-                        st.progressing,
-                    );
-                } else {
-                    st.plan_stats = st.plan.apply_traffic_into(
-                        &st.point.dimm_traffic,
-                        engine.mem.logical_channels,
-                        engine.mem.dimms_per_channel,
-                        &mut st.plan_traffic,
-                    );
-                    st.window =
-                        engine.window_power(&st.scene, &st.idle, &st.point, &st.plan_traffic, &st.mode, st.progressing);
-                }
-                lane.write_power_column(j, &st.window.positions, st.scene.topology());
-            } else {
-                st.plan_streak = st.plan_streak.saturating_add(1);
-                // Frozen-approach envelope trigger: the plan has held long
-                // enough that the temperatures are sliding toward (or sit
-                // at) its fixed point. Arm the envelope burst for the next
-                // decision.
-                if st.env_enabled && st.env_backoff == 0 && st.plan_streak >= ENV_FROZEN_STREAK {
-                    st.env_pending = Some(EnvTrigger::Frozen);
-                }
-            }
-            if st.env_enabled {
-                // The tracker's cost is sampled 1-in-64 and extrapolated: a
-                // per-window clock read would cost more than the tracking.
-                if st.stats.stepped_windows.is_multiple_of(64) {
-                    let dt0 = std::time::Instant::now();
-                    cycle_track(lane, j, st, plan_changed);
-                    st.stats.detector_ns += 64 * dt0.elapsed().as_nanos() as u64;
-                } else {
-                    cycle_track(lane, j, st, plan_changed);
-                }
-            }
-            st.next_dtm_s += cfg.dtm_interval_s;
-        }
-        let effective_s = (st.step_s - st.overhead_s).max(0.0);
-        if st.progressing {
-            let instr = st.point.instr_rate_total * st.plan_stats.service_scale * effective_s;
-            st.total_instructions += instr;
-            st.total_bytes += st.point.total_gbps() * st.plan_stats.service_scale * 1e9 * effective_s;
-            st.total_misses += st.point.l2_misses_per_instr * instr;
-            st.migrated_bytes += st.plan_stats.migrated_gbps * 1e9 * effective_s;
-            for core in 0..engine.cpu.cores {
-                let share = st.full_shares.get(core).copied().unwrap_or(0.0);
-                if share > 0.0 {
-                    st.batch.retire(core, (instr * share) as u64);
-                }
-            }
-        }
-        lane.amb[j] = st.scene.step_ambient(st.window.v_ipc, lane.ambient_alpha);
+    if st.done(engine.config) {
+        lane.copy_temp_column(j, &mut st.col_scratch);
+        st.scene.set_layer_temps(&st.col_scratch);
+        lane.copy_peak_column(j, &mut st.col_scratch);
+        st.scene.set_layer_peaks(&st.col_scratch);
+        results[cell] = Some(finalize(st, engine));
+        return false;
     }
+    st.overhead_s = 0.0;
+    if st.time_s + 1e-12 >= st.next_dtm_s {
+        st.env_backoff = st.env_backoff.saturating_sub(1);
+        // An envelope burst armed by the previous decision engages here, in
+        // place of this decision. A burst that hands the cell back has
+        // decided this window, and the accounting below picks it up.
+        match st.env_pending.take().and_then(|trigger| env_band(lane, j, st, trigger)) {
+            Some(band) => {
+                if let Some(result) = envelope_burst(lane, j, st, engine, band) {
+                    results[cell] = Some(result);
+                    return false;
+                }
+            }
+            None => member_decide(lane, j, st, engine),
+        }
+    }
+    let effective_s = (st.step_s - st.overhead_s).max(0.0);
+    let PlanState { point, plan_stats, progressing, window, .. } = &st.active;
+    if *progressing {
+        let instr = point.instr_rate_total * plan_stats.service_scale * effective_s;
+        st.total_instructions += instr;
+        st.total_bytes += point.total_gbps() * plan_stats.service_scale * 1e9 * effective_s;
+        st.total_misses += point.l2_misses_per_instr * instr;
+        st.migrated_bytes += plan_stats.migrated_gbps * 1e9 * effective_s;
+        for core in 0..engine.cpu.cores {
+            let share = st.full_shares.get(core).copied().unwrap_or(0.0);
+            if share > 0.0 {
+                st.batch.retire(core, (instr * share) as u64);
+            }
+        }
+    }
+    lane.amb[j] = st.scene.step_ambient(window.v_ipc, lane.ambient_alpha);
     true
+}
+
+/// The band an armed trigger engages the envelope burst with, or `None`
+/// when the band is refused, which backs the triggers off.
+fn env_band(lane: &Lane, j: usize, st: &mut CellState<'_>, trigger: EnvTrigger) -> Option<EnvBand> {
+    let bt = std::time::Instant::now();
+    let band = match trigger {
+        EnvTrigger::Slipping(period) => env_band_slipping(lane, j, st, period),
+        EnvTrigger::Frozen => env_band_frozen(lane, j, st),
+    };
+    st.stats.verify_ns += bt.elapsed().as_nanos() as u64;
+    if band.is_none() {
+        env_back_off(st);
+    }
+    band
+}
+
+/// Lane member `j`'s literal DTM decision: the observation, the decision, a
+/// plan change's state and power column ([`PlanState::derive`]), the
+/// envelope triggers and the decision clock.
+fn member_decide(lane: &mut Lane, j: usize, st: &mut CellState<'_>, engine: &SimEngine<'_>) {
+    let cfg = engine.config;
+    if st.wants_field {
+        st.scene.observe_lane_into(&lane.temps, lane.stride, j, &mut st.observation);
+    } else {
+        // Scalar policies read only the device maxima and the ambient; the
+        // maxima are exactly the lane sweep's running accumulators for this
+        // member (`f64::max` over the same node set), so the full
+        // per-position field synthesis is skipped. Spatial fields of the
+        // observation go stale and must not be read
+        // (`DecisionRule::reads_field`).
+        st.observation.max_amb_c = if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN };
+        st.observation.max_dram_c = lane.max_dram[j];
+        st.observation.ambient_c = st.scene.ambient_c();
+    }
+    let new_plan = decide_checked(st.policy.as_mut(), &st.observation, cfg.dtm_interval_s);
+    let plan_changed = new_plan != st.active.plan;
+    if plan_changed {
+        st.plan_streak = 0;
+        st.overhead_s = cfg.dtm_overhead_s;
+        let point = if new_plan.mode != st.active.plan.mode {
+            st.table.point(&new_plan.mode)
+        } else {
+            Arc::clone(&st.active.point)
+        };
+        st.active = PlanState::derive(engine, &st.scene, &st.idle, &mut st.plan_traffic, new_plan, point);
+        lane.write_power_column(j, &st.active.window.positions, st.scene.topology());
+    } else {
+        st.plan_streak = st.plan_streak.saturating_add(1);
+        // Frozen-approach envelope trigger: the plan has held long enough
+        // that the temperatures are sliding toward (or sit at) its fixed
+        // point. Arm the envelope burst for the next decision.
+        if st.env_enabled && st.env_backoff == 0 && st.plan_streak >= ENV_FROZEN_STREAK {
+            st.env_pending = Some(EnvTrigger::Frozen);
+        }
+    }
+    if st.env_enabled {
+        // The tracker's cost is sampled 1-in-64 and extrapolated: a
+        // per-window clock read would cost more than the tracking.
+        if st.stats.stepped_windows.is_multiple_of(64) {
+            let dt0 = std::time::Instant::now();
+            cycle_track(lane, j, st, plan_changed);
+            st.stats.detector_ns += 64 * dt0.elapsed().as_nanos() as u64;
+        } else {
+            cycle_track(lane, j, st, plan_changed);
+        }
+    }
+    st.next_dtm_s += cfg.dtm_interval_s;
 }
 
 /// The per-cell post-step bookkeeping for lane member `j`: the tail of the
@@ -1065,16 +1109,16 @@ fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_
     let cell = lane.members[j];
     let cfg = engines[globals[cell]].config;
     let st = &mut states[cell];
-    st.energy.add(st.window.mem_w, st.window.cpu_w, st.step_s);
+    st.energy.add(st.active.window.mem_w, st.active.window.cpu_w, st.step_s);
     let amb_now = if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN };
     let dram_now = lane.max_dram[j];
     st.max_amb = st.max_amb.max(amb_now);
     st.max_dram = st.max_dram.max(dram_now);
     st.ambient_sum += st.scene.ambient_c();
     st.ambient_samples += 1;
-    *st.residency.entry(st.mode_key).or_insert(0.0) += st.step_s;
+    *st.residency.entry(st.active.mode_key).or_insert(0.0) += st.step_s;
     for (channel, throttled_s) in st.channel_throttle_s.iter_mut().enumerate() {
-        if st.plan.throttles_channel(channel) {
+        if st.active.plan.throttles_channel(channel) {
             *throttled_s += st.step_s;
         }
     }
@@ -1084,8 +1128,8 @@ fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_
             amb_c: amb_now,
             dram_c: dram_now,
             ambient_c: st.scene.ambient_c(),
-            active_cores: st.mode.active_cores,
-            freq_ghz: st.mode.op.freq_ghz,
+            active_cores: st.active.plan.mode.active_cores,
+            freq_ghz: st.active.plan.mode.op.freq_ghz,
         });
         st.next_trace_s += cfg.temp_trace_interval_s;
     }
@@ -1384,7 +1428,7 @@ fn cycle_track(lane: &Lane, j: usize, st: &mut CellState<'_>, changed: bool) {
         Vec::with_capacity(lane.rows)
     };
     temps.extend((0..lane.rows).map(|r| lane.temps[r * lane.stride + j]));
-    history.push_back(DecisionSnap { plan: st.plan.clone(), temps, ambient: st.scene.ambient_c() });
+    history.push_back(DecisionSnap { plan: st.active.plan.clone(), temps, ambient: st.scene.ambient_c() });
     if st.env_backoff > 0 {
         return;
     }
@@ -1460,31 +1504,16 @@ impl EnvBand {
 /// per-window cost of a slipping orbit stepped literally.
 #[derive(Debug)]
 struct EnvPlanEntry {
-    plan: ActuationPlan,
-    mode: RunningMode,
-    mode_key: ModeKey,
-    point: Arc<CharPoint>,
-    progressing: bool,
-    window: WindowPower,
-    plan_stats: PlanTrafficStats,
+    state: PlanState,
     /// Per-row stable-temperature terms: the RC stable of row `r` is
     /// `ambient + stab_a[r]` (plus `stab_b[r]` on identity-split stacks),
     /// evaluated in exactly [`lane_rc`]'s float-op order so the private
     /// sweep carries the lane's bits.
     stab_a: Vec<f64>,
     stab_b: Vec<f64>,
-    /// Per-window accounted amounts at the full step and at the overheaded
-    /// (plan-change) step — the literal expressions evaluated once.
-    instr: f64,
-    bytes: f64,
-    misses: f64,
-    migrated: f64,
-    instr_oh: f64,
-    bytes_oh: f64,
-    misses_oh: f64,
-    migrated_oh: f64,
-    retires: Vec<u64>,
-    retires_oh: Vec<u64>,
+    /// What one window accounts at the full step (`[0]`) and at the
+    /// overheaded, plan-change step (`[1]`).
+    amounts: [WindowAmounts; 2],
     throttled: Vec<bool>,
     /// Residency seconds accumulated while this entry's plan was active,
     /// flushed into the cell's residency map when the burst exits (one
@@ -1492,38 +1521,71 @@ struct EnvPlanEntry {
     residency_s: f64,
 }
 
+/// What one window of a plan accounts: [`member_pre`]'s literal
+/// expressions at one step length, evaluated once.
+#[derive(Debug, Default)]
+struct WindowAmounts {
+    instr: f64,
+    bytes: f64,
+    misses: f64,
+    migrated: f64,
+    /// Instructions retired per core.
+    retires: Vec<u64>,
+}
+
+impl EnvPlanEntry {
+    /// Books `plain` windows at the full step and `overheaded` windows at
+    /// the plan-change step of this entry into the cell: instructions,
+    /// bytes, misses, migrated bytes and retires (while the plan makes
+    /// progress), energy, channel throttle time, residency and ambient
+    /// sample counts. A burst window books (1, 0) or (0, 1), a frozen jump
+    /// (m, 0) and a replay segment each entry's occupancy counts. Skipping
+    /// a zero retire changes nothing (`retire(core, 0)` is a no-op).
+    fn book(&mut self, st: &mut CellState<'_>, plain: u64, overheaded: u64) {
+        let windows = plain + overheaded;
+        if windows == 0 {
+            return;
+        }
+        let (pf, of) = (plain as f64, overheaded as f64);
+        let [p, o] = &self.amounts;
+        if self.state.progressing {
+            st.total_instructions += p.instr * pf + o.instr * of;
+            st.total_bytes += p.bytes * pf + o.bytes * of;
+            st.total_misses += p.misses * pf + o.misses * of;
+            st.migrated_bytes += p.migrated * pf + o.migrated * of;
+            for (core, (&rp, &ro)) in p.retires.iter().zip(&o.retires).enumerate() {
+                let n = rp * plain + ro * overheaded;
+                if n > 0 {
+                    st.batch.retire(core, n);
+                }
+            }
+        }
+        let secs = st.step_s * windows as f64;
+        st.energy.add(self.state.window.mem_w, self.state.window.cpu_w, secs);
+        for (throttled_s, &thr) in st.channel_throttle_s.iter_mut().zip(&self.throttled) {
+            if thr {
+                *throttled_s += secs;
+            }
+        }
+        self.residency_s += secs;
+        st.ambient_samples += windows;
+    }
+}
+
 /// Builds the cached per-plan entry through the very code path
-/// [`member_pre`] runs on a plan change, so every cached value carries the
-/// bits the literal window loop would have computed. (The scene is only
-/// consulted for geometry by [`SimEngine::window_power`], never for
+/// [`member_pre`] runs on a plan change ([`PlanState::derive`]), so every
+/// cached value carries the bits the literal window loop would have
+/// computed. (The scene is only consulted for geometry, never for
 /// temperatures, so the burst's stale scene temperatures cannot leak in.)
 fn env_build_entry(st: &mut CellState<'_>, engine: &SimEngine<'_>, plan: ActuationPlan, depth: usize) -> EnvPlanEntry {
-    let cfg = engine.config;
-    let cores = engine.cpu.cores;
-    let mode = plan.mode;
-    let mode_key = ModeKey::from_mode(&mode);
-    let point = st.table.point(&mode);
-    let progressing = mode.makes_progress() && point.instr_rate_total > 0.0;
-    let (plan_stats, window) = if plan.is_scalar() {
-        (
-            PlanTrafficStats::identity(),
-            engine.window_power(&st.scene, &st.idle, &point, &point.dimm_traffic, &mode, progressing),
-        )
-    } else {
-        let stats = plan.apply_traffic_into(
-            &point.dimm_traffic,
-            engine.mem.logical_channels,
-            engine.mem.dimms_per_channel,
-            &mut st.plan_traffic,
-        );
-        (stats, engine.window_power(&st.scene, &st.idle, &point, &st.plan_traffic, &mode, progressing))
-    };
+    let point = st.table.point(&plan.mode);
+    let state = PlanState::derive(engine, &st.scene, &st.idle, &mut st.plan_traffic, plan, point);
     let topology = st.scene.topology();
-    let rows = window.positions.len() * depth;
+    let rows = state.window.positions.len() * depth;
     let mut stab_a = vec![0.0; rows];
     let mut stab_b = vec![0.0; rows];
     if topology.is_identity_split() {
-        for (pos, p) in window.positions.iter().enumerate() {
+        for (pos, p) in state.window.positions.iter().enumerate() {
             for l in 0..depth {
                 let psi = topology.psi_row(l);
                 stab_a[pos * depth + l] = p.amb_watts * psi[0];
@@ -1532,55 +1594,33 @@ fn env_build_entry(st: &mut CellState<'_>, engine: &SimEngine<'_>, plan: Actuati
         }
     } else {
         let mut watts = vec![0.0; depth];
-        for (pos, p) in window.positions.iter().enumerate() {
+        for (pos, p) in state.window.positions.iter().enumerate() {
             topology.split_watts_into(p.amb_watts, p.dram_watts, &mut watts);
             for l in 0..depth {
                 stab_a[pos * depth + l] = topology.psi_superpose(&watts, l);
             }
         }
     }
-    let mut amounts = [(0.0, 0.0, 0.0, 0.0, vec![0u64; cores]), (0.0, 0.0, 0.0, 0.0, vec![0u64; cores])];
-    if progressing {
-        for (slot, overhead) in amounts.iter_mut().zip([0.0, cfg.dtm_overhead_s]) {
+    let amounts = [0.0, engine.config.dtm_overhead_s].map(|overhead| {
+        let mut a = WindowAmounts { retires: vec![0; engine.cpu.cores], ..WindowAmounts::default() };
+        if state.progressing {
+            let (point, plan_stats) = (&state.point, &state.plan_stats);
             let effective_s = (st.step_s - overhead).max(0.0);
-            let instr = point.instr_rate_total * plan_stats.service_scale * effective_s;
-            slot.0 = instr;
-            slot.1 = point.total_gbps() * plan_stats.service_scale * 1e9 * effective_s;
-            slot.2 = point.l2_misses_per_instr * instr;
-            slot.3 = plan_stats.migrated_gbps * 1e9 * effective_s;
-            for (core, amount) in slot.4.iter_mut().enumerate() {
+            a.instr = point.instr_rate_total * plan_stats.service_scale * effective_s;
+            a.bytes = point.total_gbps() * plan_stats.service_scale * 1e9 * effective_s;
+            a.misses = point.l2_misses_per_instr * a.instr;
+            a.migrated = plan_stats.migrated_gbps * 1e9 * effective_s;
+            for (core, amount) in a.retires.iter_mut().enumerate() {
                 let share = st.full_shares.get(core).copied().unwrap_or(0.0);
                 if share > 0.0 {
-                    *amount = (instr * share) as u64;
+                    *amount = (a.instr * share) as u64;
                 }
             }
         }
-    }
-    let [(instr, bytes, misses, migrated, retires), (instr_oh, bytes_oh, misses_oh, migrated_oh, retires_oh)] = amounts;
-    let throttled = (0..st.channel_throttle_s.len()).map(|ch| plan.throttles_channel(ch)).collect();
-    EnvPlanEntry {
-        plan,
-        mode,
-        mode_key,
-        point,
-        progressing,
-        window,
-        plan_stats,
-        stab_a,
-        stab_b,
-        instr,
-        bytes,
-        misses,
-        migrated,
-        instr_oh,
-        bytes_oh,
-        misses_oh,
-        migrated_oh,
-        retires,
-        retires_oh,
-        throttled,
-        residency_s: 0.0,
-    }
+        a
+    });
+    let throttled = (0..st.channel_throttle_s.len()).map(|ch| state.plan.throttles_channel(ch)).collect();
+    EnvPlanEntry { state, stab_a, stab_b, amounts, throttled, residency_s: 0.0 }
 }
 
 /// Slipping-orbit band: the orbit tracker's decision history (plus the
@@ -1635,7 +1675,7 @@ fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState<'_>) -> Option<EnvB
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
     }
-    st.scene.fixed_point_into(&st.window.positions, st.window.v_ipc, &mut st.fp);
+    st.scene.fixed_point_into(&st.active.window.positions, st.active.window.v_ipc, &mut st.fp);
     let rows = lane.rows;
     let mut lo = vec![0.0; rows];
     let mut hi = vec![0.0; rows];
@@ -1685,626 +1725,577 @@ pub(super) fn env_row_range(a: f64, b: f64, ln_l: f64, ln_a: f64, pow_l: f64, po
     (fe, lo, hi)
 }
 
-/// Flushes the burst's accumulators, syncs the scene and finalizes the
-/// departed cell.
-#[allow(clippy::too_many_arguments)]
-fn env_finish(
-    st: &mut CellState<'_>,
-    engine: &SimEngine<'_>,
-    entries: &[EnvPlanEntry],
-    rows_t: &[f64],
-    peaks: &[f64],
-    env_windows: u64,
-    pseudo_cycles: u64,
-    started: std::time::Instant,
-) -> (MemSpotResult, CellRunStats) {
-    st.scene.set_layer_temps(rows_t);
-    st.scene.set_layer_peaks(peaks);
-    for e in entries {
-        if e.residency_s > 0.0 {
-            *st.residency.entry(e.mode_key).or_insert(0.0) += e.residency_s;
-        }
-    }
-    st.stats.fast_forwarded_windows += env_windows;
-    st.stats.envelope_cycles += pseudo_cycles;
-    st.stats.replay_ns += started.elapsed().as_nanos() as u64;
-    finalize(st, engine)
+/// How an envelope burst ends ([`Burst::exit`]).
+#[derive(Debug, Clone, Copy)]
+enum BurstExit {
+    /// The cell ran to completion (or to its time limit) inside the burst.
+    Finished,
+    /// The previous window's sweep left the band: the cell goes back to the
+    /// lane with this window decided, `overheaded` if the decision changed
+    /// the plan.
+    HandBack { overheaded: bool },
 }
 
-/// The envelope replay burst: takes a cell whose trajectory is confined to
-/// `band` out of the lane's lockstep and replays its windows privately —
-/// literal decisions, bit-exact RC, literal per-window accounting — with
-/// two analytic exits: closed-form segment jumps over frozen-plan spans,
-/// and exact decision replay over chattering spans whose plans never hold
-/// still. Every window's sweep is audited against the band; a violation
-/// hands the cell back to the lane (`None`), with the lane column, plan
-/// state and detector bookkeeping restored so literal stepping continues
-/// seamlessly. `Some(result)` means the cell ran to completion inside the
-/// burst.
-///
-/// Relative to literal stepping the burst skips only: the orbit tracker,
-/// plan-flip window-power rebuilds (cached per plan entry), per-window
-/// residency map probes (per-entry accumulator, flushed on exit) and — for
-/// licensed jumps — the skipped windows' decisions, ambient steps and RC
-/// sweeps. Frozen-jump licensing ([`DecisionRule::region`] naming the
-/// frozen plan over the exact traversed temperature rectangle — each row's
-/// two-exponential response to the frozen plan and the relaxing ambient,
-/// extremes included — plus a completion-safe retire cap) and the decision
-/// replay's certificates (bitwise-literal binding- and literal-row
-/// recurrences, per-entry forcing-gap dominance, plan-run-length occupancy
-/// accounting) pin every reported quantity within the envelope tier's 1e-9
-/// relative claim;
-/// window counts, simulated time and job completion windows stay exact
-/// (literal repeated additions and exact integer retires throughout). An already-settled ambient (within
-/// [`AMBIENT_FF_EPS_C`]) degenerates to the frozen single-exponential
-/// form.
+/// A frozen-plan jump the decision rule licensed ([`Burst::license_jump`]).
+#[derive(Debug, Clone, Copy)]
+struct Jump {
+    /// The licensed horizon, windows.
+    n: u64,
+    /// The frozen plan's stable ambient and the ambient's offset from it;
+    /// `None` for a settled (or non-relaxing) ambient, which degenerates
+    /// the rows to the frozen single-exponential form.
+    ambient: Option<(f64, f64)>,
+}
+
+/// The largest horizon in `1..=n_max` a frozen jump may take, or `None`:
+/// probes the run length `n0` (`1 ≤ n0 ≤ n_max`) first, then `n_max`, and
+/// bisects between them; when `n0` itself is refused, probes 1 and bisects
+/// `(1, n0)` — near a decision boundary the licensed horizon is shorter
+/// than the run that scheduled the probe. Licensing is monotone in `n` up
+/// to rounding, and this exact probe sequence keeps the bits where
+/// rounding breaks monotonicity.
+fn licensed_horizon(n0: u64, n_max: u64, mut licensed: impl FnMut(u64) -> bool) -> Option<u64> {
+    let (mut lo, mut hi) = if licensed(n0) {
+        if n0 == n_max || licensed(n_max) {
+            return Some(n_max);
+        }
+        (n0, n_max)
+    } else if n0 > 1 && licensed(1) {
+        (1, n0)
+    } else {
+        return None;
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if licensed(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
+}
+
+/// Completion-safe cap: strictly fewer windows than the earliest possible
+/// job-copy completion when core `c` retires `rate(c)` instructions per
+/// window, so bulk retires land before any completion and `is_complete`
+/// flips exactly where literal stepping puts it.
+fn completion_cap(batch: &BatchJob, cores: usize, rate: impl Fn(usize) -> u64) -> u64 {
+    (0..cores)
+        .filter_map(|core| match rate(core) {
+            0 => None,
+            r => batch.slot(core).map(|s| s.remaining_instructions.div_ceil(r).max(1) - 1),
+        })
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
+/// One envelope burst's private state: the cell's lane column and device
+/// maxima taken out of the lane, the burst's plan entries, the schedules of
+/// its analytic attempts and the counters its exit books. The lane's
+/// geometry is copied in; it is constant for the burst.
+struct Burst {
+    started: std::time::Instant,
+    band: EnvBand,
+    kinds: Vec<DeviceLayerKind>,
+    alphas: Vec<f64>,
+    /// `ln λ` per layer and of the ambient for [`env_row_range`].
+    ln_l: Vec<f64>,
+    ln_a: f64,
+    ambient_alpha: f64,
+    depth: usize,
+    identity_split: bool,
+    has_buffer: bool,
+    /// Whether the policy integrates its observations
+    /// ([`DecisionRule::integrates`]): its jumps keep the literal RC sweep.
+    integrates: bool,
+    /// The column's temperatures and peaks (written back on hand-back,
+    /// synced into the scene on finish).
+    rows_t: Vec<f64>,
+    peaks: Vec<f64>,
+    /// The device maxima `(buffer, DRAM)` the next decision observes; the
+    /// buffer maximum is NaN on a bufferless stack.
+    obs: (f64, f64),
+    entries: Vec<EnvPlanEntry>,
+    /// The entry of the plan in force.
+    cur: usize,
+    /// Per-row closed-form coefficients of the licensed jump (stable,
+    /// λ_r-coefficient, λ_a-coefficient), filled by the licensing pass and
+    /// consumed by the apply pass.
+    jump_s: Vec<f64>,
+    jump_a: Vec<f64>,
+    jump_k: Vec<f64>,
+    /// Windows the burst carried, and its jumps plus replayed segments.
+    windows: u64,
+    jumps: u64,
+    /// Whether the last sweep left the band: the next window hands the cell
+    /// back.
+    violated: bool,
+    /// In-burst frozen-plan run length and the run length at which a
+    /// segment jump is probed next (doubles on a refused probe so hopeless
+    /// cells never pay the license check per window; resets on plan
+    /// change).
+    run: u64,
+    next_attempt: u64,
+    /// Run length at which a fresh frozen run arms its first probe. Starts
+    /// at [`ENV_JUMP_MIN`]; drops to 2 once a probe comes back
+    /// certificate-limited — the signature of sliding-mode chatter, where
+    /// every run ends at the same decision boundary and waiting
+    /// [`ENV_JUMP_MIN`] literal windows per half-cycle forfeits most of it.
+    arm: u64,
+    /// Burst window at which the next replay is attempted; `u64::MAX` for
+    /// unkeyed policies (the latched DTM-TS relay), whose bursts advance by
+    /// literal windows and certified frozen jumps only.
+    chatter_next: u64,
+    /// Dominance-certificate reuse across consecutive replay segments: the
+    /// forcing-gap half of the audit (per row, against the binding rows it
+    /// was derived for) depends only on the cached plan entries, not on the
+    /// segment's start state, so consecutive segments re-use it and re-check
+    /// only the O(rows) start-state gaps. `(entry_count, binding rows)`
+    /// keys the cache; per row it stores (same-layer forcing gap holds,
+    /// forcings bitwise-equal to binding, max forcing over entries).
+    replay_audit_key: (usize, (usize, usize)),
+    replay_audit: Vec<(bool, bool, f64)>,
+    /// The per-layer and ambient λ-power ladders of the replay close, built
+    /// at the burst's first replay segment (they depend only on the lane).
+    powers: Option<replay::Powers>,
+}
+
 // Negated comparisons refuse on NaN throughout.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn envelope_burst(
-    lane: &mut Lane,
-    j: usize,
-    st: &mut CellState<'_>,
-    engine: &SimEngine<'_>,
-    band: EnvBand,
-) -> Option<(MemSpotResult, CellRunStats)> {
-    let started = std::time::Instant::now();
-    let cfg = engine.config;
-    let cores = engine.cpu.cores;
-    let step = st.step_s;
-    let dt = cfg.dtm_interval_s;
-    let max = cfg.max_sim_time_s;
-    let rows = lane.rows;
-    let depth = lane.depth;
-    let identity_split = lane.identity_split;
-    let ambient_alpha = lane.ambient_alpha;
-    let has_buffer = lane.has_buffer;
-    let kinds: Vec<DeviceLayerKind> = st.scene.topology().layers().iter().map(|l| l.kind).collect();
-    // `ln λ` per layer and of the ambient for [`env_row_range`]: constant
-    // for the whole burst.
-    let ln_l: Vec<f64> = lane.layer_alphas.iter().map(|&al| (1.0 - al).ln()).collect();
-    let ln_a = (1.0 - ambient_alpha).ln();
-    let shares_pos: Vec<bool> = (0..cores).map(|c| st.full_shares.get(c).copied().unwrap_or(0.0) > 0.0).collect();
+impl Burst {
+    /// Takes lane member `j` out of the lane, with the entry of its current
+    /// plan.
+    fn new(lane: &Lane, j: usize, st: &mut CellState<'_>, engine: &SimEngine<'_>, band: EnvBand) -> Self {
+        let started = std::time::Instant::now();
+        let rows = lane.rows;
+        let column = |m: &[f64]| (0..rows).map(|r| m[r * lane.stride + j]).collect::<Vec<f64>>();
+        let first = env_build_entry(st, engine, st.active.plan.clone(), lane.depth);
+        let rule = st.policy.decision_rule();
+        Burst {
+            started,
+            band,
+            kinds: st.scene.topology().layers().iter().map(|l| l.kind).collect(),
+            alphas: lane.layer_alphas.clone(),
+            ln_l: lane.layer_alphas.iter().map(|&al| (1.0 - al).ln()).collect(),
+            ln_a: (1.0 - lane.ambient_alpha).ln(),
+            ambient_alpha: lane.ambient_alpha,
+            depth: lane.depth,
+            identity_split: lane.identity_split,
+            has_buffer: lane.has_buffer,
+            integrates: rule.integrates(),
+            rows_t: column(&lane.temps),
+            peaks: column(&lane.peaks),
+            obs: (if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN }, lane.max_dram[j]),
+            entries: vec![first],
+            cur: 0,
+            jump_s: vec![0.0; rows],
+            jump_a: vec![0.0; rows],
+            jump_k: vec![0.0; rows],
+            windows: 0,
+            jumps: 0,
+            violated: false,
+            run: 0,
+            next_attempt: ENV_JUMP_MIN,
+            arm: ENV_JUMP_MIN,
+            chatter_next: if rule.keys() { 2 * ENV_JUMP_MIN } else { u64::MAX },
+            replay_audit_key: (usize::MAX, (usize::MAX, usize::MAX)),
+            replay_audit: Vec::new(),
+            powers: None,
+        }
+    }
 
-    // Private column state (written back on fallback, synced on finalize).
-    let mut rows_t: Vec<f64> = (0..rows).map(|r| lane.temps[r * lane.stride + j]).collect();
-    let mut peaks: Vec<f64> = (0..rows).map(|r| lane.peaks[r * lane.stride + j]).collect();
-    let mut cur_max_buf = lane.max_buffer[j];
-    let mut cur_max_dram = lane.max_dram[j];
+    /// The device maxima `(buffer, DRAM)` over the row values `t`, as a
+    /// decision observes them.
+    fn maxima(&self, t: &[f64]) -> (f64, f64) {
+        let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for (r, &t) in t.iter().enumerate() {
+            match self.kinds[r % self.depth] {
+                DeviceLayerKind::Buffer => buf = buf.max(t),
+                DeviceLayerKind::Dram => dram = dram.max(t),
+            }
+        }
+        (if self.has_buffer { buf } else { f64::NAN }, dram)
+    }
 
-    let first = env_build_entry(st, engine, st.plan.clone(), depth);
-    let mut entries: Vec<EnvPlanEntry> = vec![first];
-    let mut cur: usize = 0;
-
-    // Per-row closed-form coefficients of the licensed segment jump
-    // (stable, λ_r-coefficient, λ_a-coefficient), filled by the licensing
-    // pass and consumed by the apply pass.
-    let mut jump_s: Vec<f64> = vec![0.0; rows];
-    let mut jump_a: Vec<f64> = vec![0.0; rows];
-    let mut jump_k: Vec<f64> = vec![0.0; rows];
-
-    let mut env_windows: u64 = 0;
-    let mut jumps: u64 = 0;
-    let mut violation = false;
-    // In-burst frozen-plan run length and the next run length at which a
-    // segment jump is probed (doubles on a refused probe so hopeless cells
-    // never pay the license check per window; resets on plan change).
-    let mut run: u64 = 0;
-    let mut next_attempt: u64 = ENV_JUMP_MIN;
-    // Run length at which a fresh frozen run arms its first probe. Starts
-    // at [`ENV_JUMP_MIN`]; drops to 2 once a probe comes back
-    // certificate-limited — the signature of sliding-mode chatter, where
-    // every run ends at the same decision boundary and waiting
-    // [`ENV_JUMP_MIN`] literal windows per half-cycle forfeits most of it.
-    let mut arm: u64 = ENV_JUMP_MIN;
-
-    // Exact decision replay: sliding-mode chatter defeats the frozen-run
-    // probe above (`run` resets on every plan flip, and an orbit whose
-    // duty ratio slips never repeats an exact plan period), so when a
-    // probe threshold arrives with the frozen run still short, the burst
-    // replays decisions *exactly* instead of certifying them away: a
-    // policy whose decisions are keyed by the device maxima
-    // ([`DecisionRule::key`]) is re-evaluated per virtual window
-    // from bitwise-literal binding-row, literal-row and ambient
-    // recurrences, while every dominated row is reconstructed at segment
-    // close from the plan-occupancy weights. `chatter_next` schedules the
-    // attempts (in burst windows).
-    // Unkeyed policies (the latched DTM-TS relay) never replay: their
-    // bursts advance by literal windows and certified frozen jumps only.
-    let keyed = st.policy.decision_rule().keys();
-    let integrates = st.policy.decision_rule().integrates();
-    let mut chatter_next: u64 = if keyed { 2 * ENV_JUMP_MIN } else { u64::MAX };
-    // Dominance-certificate reuse across consecutive replay segments: the
-    // forcing-gap half of the audit (per row, against the binding rows it
-    // was derived for) depends only on the cached plan entries, not on the
-    // segment's start state, so consecutive segments re-use it and re-check
-    // only the O(rows) start-state gaps. `(entry_count, b_buf, b_dram)`
-    // keys the cache; per row it stores (same-layer forcing gap holds,
-    // forcings bitwise-equal to binding, max forcing over entries).
-    let mut replay_audit_key = (usize::MAX, (usize::MAX, usize::MAX));
-    let mut replay_audit: Vec<(bool, bool, f64)> = Vec::new();
-    // The per-layer and ambient λ-power ladders of the replay close, built
-    // at the burst's first replay segment (they depend only on the lane).
-    let mut powers: Option<replay::Powers> = None;
-
-    loop {
-        // B: the window's pre-step — the envelope tier requires
-        // `step == dtm_interval` bitwise, so every window is exactly one
-        // DTM decision and the stepped run's decision-due test is always
-        // true here.
-        st.observation.max_amb_c = if has_buffer { cur_max_buf } else { f64::NAN };
-        st.observation.max_dram_c = cur_max_dram;
+    /// A literal burst window. Its decision comes first (the burst requires
+    /// `step == dtm_interval` bitwise, so every window is one DTM decision);
+    /// if the previous sweep left the band the cell is handed back here,
+    /// with the window decided and nothing else done — what [`member_pre`]
+    /// picks up after a literal decision. Otherwise the ambient step, the
+    /// private RC sweep with its band audit ([`lane_rc`]'s float ops on one
+    /// column) and the window's booking. Returns the exit if the window
+    /// ends the burst.
+    fn literal_window(&mut self, st: &mut CellState<'_>, engine: &SimEngine<'_>) -> Option<BurstExit> {
+        let dt = engine.config.dtm_interval_s;
+        (st.observation.max_amb_c, st.observation.max_dram_c) = self.obs;
         st.observation.ambient_c = st.scene.ambient_c();
         let new_plan = decide_checked(st.policy.as_mut(), &st.observation, dt);
-        let overheaded = new_plan != entries[cur].plan;
+        let overheaded = new_plan != self.entries[self.cur].state.plan;
         if overheaded {
             st.plan_streak = 0;
-            run = 0;
-            next_attempt = arm;
-            cur = match entries.iter().position(|e| e.plan == new_plan) {
+            self.run = 0;
+            self.next_attempt = self.arm;
+            self.cur = match self.entries.iter().position(|e| e.state.plan == new_plan) {
                 Some(i) => i,
                 None => {
-                    let e = env_build_entry(st, engine, new_plan, depth);
-                    entries.push(e);
-                    entries.len() - 1
+                    self.entries.push(env_build_entry(st, engine, new_plan, self.depth));
+                    self.entries.len() - 1
                 }
             };
         } else {
             st.plan_streak = st.plan_streak.saturating_add(1);
-            run += 1;
+            self.run += 1;
         }
         st.next_dtm_s += dt;
-        let e = &entries[cur];
-        if e.progressing {
-            let (instr, bytes, misses, migrated, retires) = if overheaded {
-                (e.instr_oh, e.bytes_oh, e.misses_oh, e.migrated_oh, &e.retires_oh)
-            } else {
-                (e.instr, e.bytes, e.misses, e.migrated, &e.retires)
-            };
-            st.total_instructions += instr;
-            st.total_bytes += bytes;
-            st.total_misses += misses;
-            st.migrated_bytes += migrated;
-            for core in 0..cores {
-                if shares_pos[core] {
-                    st.batch.retire(core, retires[core]);
-                }
-            }
+        if self.violated {
+            return Some(BurstExit::HandBack { overheaded });
         }
-        let amb = st.scene.step_ambient(entries[cur].window.v_ipc, ambient_alpha);
-
-        // C: a band violation in the previous window's sweep hands the
-        // cell back to the lane. The invariant at this point: the current
-        // window's pre-step is done, its RC sweep is not — exactly what
-        // returning `true` from [`member_pre`] promises, so the lane's RC
-        // and post-step pick the window up seamlessly.
-        if violation {
-            for r in 0..rows {
-                lane.temps[r * lane.stride + j] = rows_t[r];
-                lane.peaks[r * lane.stride + j] = peaks[r];
-            }
-            lane.amb[j] = amb;
-            let e = &entries[cur];
-            st.plan = e.plan.clone();
-            st.mode = e.mode;
-            st.mode_key = e.mode_key;
-            st.point = Arc::clone(&e.point);
-            st.progressing = e.progressing;
-            st.plan_stats = e.plan_stats;
-            st.window = e.window.clone();
-            st.overhead_s = if overheaded { cfg.dtm_overhead_s } else { 0.0 };
-            lane.write_power_column(j, &st.window.positions, st.scene.topology());
-            // The tracker's history went stale while the burst ran.
-            st.orbit_history.clear();
-            env_back_off(st);
-            for e in &entries {
-                if e.residency_s > 0.0 {
-                    *st.residency.entry(e.mode_key).or_insert(0.0) += e.residency_s;
-                }
-            }
-            st.stats.fast_forwarded_windows += env_windows;
-            st.stats.envelope_cycles += band.pseudo_cycles(jumps, env_windows);
-            st.stats.envelope_fallbacks += 1;
-            st.stats.replay_ns += started.elapsed().as_nanos() as u64;
-            return None;
-        }
-
-        // D: the private RC sweep ([`lane_rc`]'s float ops on one column),
-        // the band audit and the window's post-step bookkeeping.
-        let e = &entries[cur];
-        cur_max_buf = f64::NEG_INFINITY;
-        cur_max_dram = f64::NEG_INFINITY;
+        let e = &self.entries[self.cur];
+        let amb = st.scene.step_ambient(e.state.window.v_ipc, self.ambient_alpha);
+        let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         let mut in_band = true;
         // One position (`depth` consecutive rows) at a time, so a row's
         // layer is its index in the chunk (no per-row modulo or bounds
         // checks in the burst's hottest loop).
-        let layers = lane.layer_alphas.iter().zip(&kinds);
-        for ((((t, p), sa), sb), (lo, hi)) in rows_t
+        let layers = self.alphas.iter().zip(&self.kinds);
+        let depth = self.depth;
+        for ((((t, p), sa), sb), (lo, hi)) in self
+            .rows_t
             .chunks_exact_mut(depth)
-            .zip(peaks.chunks_exact_mut(depth))
+            .zip(self.peaks.chunks_exact_mut(depth))
             .zip(e.stab_a.chunks_exact(depth))
             .zip(e.stab_b.chunks_exact(depth))
-            .zip(band.lo.chunks_exact(depth).zip(band.hi.chunks_exact(depth)))
+            .zip(self.band.lo.chunks_exact(depth).zip(self.band.hi.chunks_exact(depth)))
         {
             for (l, (&alpha, kind)) in layers.clone().enumerate() {
-                let s = if identity_split { (amb + sa[l]) + sb[l] } else { amb + sa[l] };
+                let s = if self.identity_split { (amb + sa[l]) + sb[l] } else { amb + sa[l] };
                 let t = &mut t[l];
                 *t += (s - *t) * alpha;
                 p[l] = p[l].max(*t);
                 match kind {
-                    DeviceLayerKind::Buffer => cur_max_buf = cur_max_buf.max(*t),
-                    DeviceLayerKind::Dram => cur_max_dram = cur_max_dram.max(*t),
+                    DeviceLayerKind::Buffer => buf = buf.max(*t),
+                    DeviceLayerKind::Dram => dram = dram.max(*t),
                 }
                 in_band &= lo[l] <= *t && *t <= hi[l];
             }
         }
-        violation = !in_band;
-        st.energy.add(e.window.mem_w, e.window.cpu_w, step);
-        st.max_amb = st.max_amb.max(if has_buffer { cur_max_buf } else { f64::NAN });
-        st.max_dram = st.max_dram.max(cur_max_dram);
+        self.violated = !in_band;
+        self.obs = (if self.has_buffer { buf } else { f64::NAN }, dram);
+        st.max_amb = st.max_amb.max(self.obs.0);
+        st.max_dram = st.max_dram.max(dram);
         st.ambient_sum += st.scene.ambient_c();
-        st.ambient_samples += 1;
-        for (channel, &thr) in e.throttled.iter().enumerate() {
-            if thr {
-                st.channel_throttle_s[channel] += step;
-            }
-        }
-        entries[cur].residency_s += step;
-        st.time_s += step;
-        env_windows += 1;
+        self.entries[self.cur].book(st, u64::from(!overheaded), u64::from(overheaded));
+        st.time_s += st.step_s;
+        self.windows += 1;
         st.stats.burst_stepped_windows += 1;
+        st.done(engine.config).then_some(BurstExit::Finished)
+    }
 
-        // A: the stepped loop's window-head condition.
-        if st.batch.is_complete() || st.time_s >= max {
-            let pseudo = band.pseudo_cycles(jumps, env_windows);
-            return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
+    /// A replay attempt ([`replay`]): sliding-mode chatter defeats the
+    /// frozen probe (the run resets on every plan flip, and an orbit whose
+    /// duty ratio slips never repeats an exact plan period), so a policy
+    /// whose decisions are keyed by the device maxima
+    /// ([`DecisionRule::key`]) is advanced by re-evaluating every decision
+    /// instead of certifying it away. The burst sets a segment up — the key
+    /// table, the binding rows, the dominance certificate and the
+    /// completion-safe cap — and books what the stage hands back: each
+    /// entry's occupancy counts, the clocks and the re-prime.
+    fn replay(&mut self, st: &mut CellState<'_>, engine: &SimEngine<'_>) {
+        let cfg = engine.config;
+        let rule = st.policy.decision_rule();
+        // A first key the rule refuses (a PID integral on the move) leaves
+        // nothing to replay: retry a few literal windows later, without
+        // paying for the tables below.
+        if rule.key(st.observation.max_amb_c, st.observation.max_dram_c, self.obs.0, self.obs.1).is_none() {
+            self.chatter_next = self.windows.saturating_add(ENV_JUMP_MIN);
+            return;
         }
-
-        // Segment jump: a frozen-plan run long enough to probe is advanced
-        // in closed form when (1) the whole traversed temperature range —
-        // the exact two-exponential response of each row to a frozen plan
-        // and a relaxing ambient — stays inside the band, and (2) the
-        // policy's decision rule certifies the frozen plan over that exact
-        // range ([`DecisionRule::region`]), so each skipped decision
-        // provably re-returns it. The ambient node itself is advanced in
-        // closed form too, so warmup approaches are jumped long before the
-        // ambient settles.
-        let chatter_probe = env_windows >= chatter_next;
-        if violation || (run < next_attempt && !chatter_probe) {
-            continue;
+        let vt = std::time::Instant::now();
+        // Key → entry table over the plans materialized so far; an unseen
+        // key suspends the replay at the window that needs it so the
+        // literal loop can build its entry.
+        let nent = self.entries.len();
+        if nent > REPLAY_KEYS {
+            // A keyed policy materializes at most one plan per key; more
+            // entries than keys means the contract is broken.
+            self.chatter_next = u64::MAX;
+            return;
         }
-        // Exact decision replay ([`replay`]): sliding-mode chatter defeats
-        // the frozen probe (the run resets on every plan flip, and an orbit
-        // whose duty ratio slips never repeats an exact plan period), so a
-        // policy whose decisions are keyed by the device maxima
-        // ([`DecisionRule::key`]) is advanced by re-evaluating every
-        // decision instead of certifying it away. The burst sets a segment
-        // up — the key table, the binding rows, the dominance certificate
-        // and the completion-safe cap — and books what the stage hands
-        // back: plan-occupancy accounting (per-entry window counts times
-        // the cached per-window amounts), the clocks and the re-prime.
-        let now = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
-        if run < next_attempt {
-            // A first key the rule refuses (a PID integral on the move)
-            // leaves nothing to replay: retry a few literal windows later,
-            // without paying for the tables below.
-            let rule = st.policy.decision_rule();
-            if rule.key(st.observation.max_amb_c, st.observation.max_dram_c, now.0, now.1).is_none() {
-                chatter_next = env_windows.saturating_add(ENV_JUMP_MIN);
-                continue;
-            }
-            let vt = std::time::Instant::now();
-            // Key → entry table over the plans materialized so far; an
-            // unseen key suspends the replay at the window that needs it
-            // so the literal loop can build its entry.
-            let nent = entries.len();
-            if nent > REPLAY_KEYS {
-                // A keyed policy materializes at most one plan per key;
-                // more entries than keys means the contract is broken.
-                chatter_next = u64::MAX;
-                continue;
-            }
-            let mut key_entry = [usize::MAX; REPLAY_KEYS];
-            for (k, ke) in key_entry.iter_mut().enumerate() {
-                let Some(p) = rule.plan_of_key(k as u8) else {
-                    break;
-                };
-                if let Some(i) = entries.iter().position(|e| e.plan == p) {
-                    *ke = i;
-                }
-            }
-            let binding = replay::binding_rows(&kinds, &rows_t);
-            if binding.1 == usize::MAX || !rows_t.iter().all(|t| t.is_finite()) {
-                chatter_next = u64::MAX;
-                continue;
-            }
-            let mut forcings = [Forcing { a: &[], b: &[] }; REPLAY_KEYS];
-            for (f, e) in forcings.iter_mut().zip(&entries) {
-                *f = Forcing { a: &e.stab_a, b: &e.stab_b };
-            }
-            let forcings = &forcings[..nent];
-            if replay_audit_key != (nent, binding) {
-                replay_audit.clear();
-                replay_audit.extend(replay::forcing_audit(&kinds, binding, rows, forcings, identity_split));
-                replay_audit_key = (nent, binding);
-            }
-            // Segment ambient range for the cross-layer dominance bound:
-            // the ambient is itself a convex combination of its start
-            // value and the per-entry stable targets.
-            let amb0 = st.scene.ambient_c();
-            let stab_amb: Vec<f64> = {
-                let ap = st.scene.ambient_params();
-                entries.iter().map(|e| ap.stable_ambient_c(e.window.v_ipc)).collect()
+        let mut key_entry = [usize::MAX; REPLAY_KEYS];
+        for (k, ke) in key_entry.iter_mut().enumerate() {
+            let Some(p) = rule.plan_of_key(k as u8) else {
+                break;
             };
-            let amb_min = stab_amb.iter().fold(amb0, |m, &s| m.min(s));
-            let amb_max = stab_amb.iter().fold(amb0, |m, &s| m.max(s));
-            // Start-state half of the certificate, and each row's role.
-            let lo_off = |b: usize| forcings.iter().map(|f| f.off(b, identity_split)).fold(f64::INFINITY, f64::min);
-            let band_rows = (&band.lo[..], &band.hi[..]);
-            let roles =
-                replay::replay_roles(&kinds, binding, &rows_t, band_rows, &replay_audit, (amb_min, amb_max), lo_off);
-            // Completion-safe cap: strictly fewer windows than the
-            // earliest possible job-copy completion at the fastest cached
-            // retire rate, so the bulk retires at segment close land
-            // before any completion and `is_complete` flips exactly where
-            // literal stepping puts it.
-            let mut w_cap = u64::MAX;
-            for (core, &shares) in shares_pos.iter().enumerate().take(cores) {
-                if !shares {
-                    continue;
-                }
-                let rate = entries
-                    .iter()
-                    .filter(|e| e.progressing)
-                    .map(|e| e.retires[core].max(e.retires_oh[core]))
-                    .max()
-                    .unwrap_or(0);
-                if rate == 0 {
-                    continue;
-                }
-                if let Some(s) = st.batch.slot(core) {
-                    w_cap = w_cap.min(s.remaining_instructions.div_ceil(rate).max(1) - 1);
-                }
+            if let Some(i) = self.entries.iter().position(|e| e.state.plan == p) {
+                *ke = i;
             }
-            if w_cap == 0 {
-                st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
-                chatter_next = env_windows.saturating_add(ENV_JUMP_MIN);
-                continue;
-            }
-            // The close needs the mode-splitting coefficient
-            // `c = α_l·A·λ_a/(λ_a − λ_l)`; a degenerate lane whose layer
-            // shares the ambient decay rate has no two-exponential split,
-            // so the replay refuses it once and for all.
-            let lambda_amb = 1.0 - ambient_alpha;
-            if lane.layer_alphas.iter().any(|&al| (lambda_amb - (1.0 - al)).abs() < 1e-9) {
-                st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
-                chatter_next = u64::MAX;
-                continue;
-            }
-            let powers = powers.get_or_insert_with(|| replay::Powers::new(&lane.layer_alphas, ambient_alpha));
+        }
+        let binding = replay::binding_rows(&self.kinds, &self.rows_t);
+        if binding.1 == usize::MAX || !self.rows_t.iter().all(|t| t.is_finite()) {
+            self.chatter_next = u64::MAX;
+            return;
+        }
+        let mut forcings = [Forcing { a: &[], b: &[] }; REPLAY_KEYS];
+        for (f, e) in forcings.iter_mut().zip(&self.entries) {
+            *f = Forcing { a: &e.stab_a, b: &e.stab_b };
+        }
+        let forcings = &forcings[..nent];
+        let identity_split = self.identity_split;
+        if self.replay_audit_key != (nent, binding) {
+            self.replay_audit.clear();
+            let rows = self.rows_t.len();
+            self.replay_audit.extend(replay::forcing_audit(&self.kinds, binding, rows, forcings, identity_split));
+            self.replay_audit_key = (nent, binding);
+        }
+        // Segment ambient range for the cross-layer dominance bound: the
+        // ambient is itself a convex combination of its start value and the
+        // per-entry stable targets.
+        let amb0 = st.scene.ambient_c();
+        let ap = st.scene.ambient_params();
+        let stab_amb: Vec<f64> = self.entries.iter().map(|e| ap.stable_ambient_c(e.state.window.v_ipc)).collect();
+        let amb_min = stab_amb.iter().fold(amb0, |m, &s| m.min(s));
+        let amb_max = stab_amb.iter().fold(amb0, |m, &s| m.max(s));
+        // Start-state half of the certificate, and each row's role.
+        let lo_off = |b: usize| forcings.iter().map(|f| f.off(b, identity_split)).fold(f64::INFINITY, f64::min);
+        let band = (&self.band.lo[..], &self.band.hi[..]);
+        let roles = replay::replay_roles(
+            &self.kinds,
+            binding,
+            &self.rows_t,
+            band,
+            &self.replay_audit,
+            (amb_min, amb_max),
+            lo_off,
+        );
+        let w_cap = completion_cap(&st.batch, engine.cpu.cores, |core| {
+            self.entries.iter().map(|e| e.amounts[0].retires[core].max(e.amounts[1].retires[core])).max().unwrap_or(0)
+        });
+        if w_cap == 0 {
             st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
-            let seg = replay::Segment {
-                kinds: &kinds,
-                alphas: &lane.layer_alphas,
-                ln_l: &ln_l,
-                ambient_alpha,
-                ln_a,
-                identity_split,
-                has_buffer,
-                forcings,
-                stab_amb: &stab_amb,
-                key_entry: &key_entry,
-                binding,
-                roles: &roles,
-                band: band_rows,
-                powers,
-                step_s: step,
-                dtm_s: dt,
-                max_s: max,
-                w_cap,
-                window0: env_windows,
-                audit: None,
-            };
-            let start = replay::Start {
-                amb_c: amb0,
-                time_s: st.time_s,
-                next_dtm_s: st.next_dtm_s,
-                obs: now,
-                seen: [(st.observation.max_amb_c, st.observation.max_dram_c); 2],
-                cur,
-                run,
-            };
-            // One instantiation per keyed rule kind, each with the rule's
-            // own key code, so the per-window loop never matches on it.
-            let end = match rule {
-                DecisionRule::Ladder { levels, .. } => {
-                    // Debug builds hold a sample of the replayed keys to the
-                    // rule's own prediction and to the key table.
-                    let audit = |key: u8, (amb, dram): (f64, f64), ei: usize| {
-                        let plan = rule.plan_of_key(key);
-                        assert_eq!(
-                            plan,
-                            rule.next(amb, dram).map(|s| s.plan),
-                            "replayed key {key} mispredicts the decision at ({amb}, {dram})"
-                        );
-                        assert_eq!(plan.as_ref(), Some(&entries[ei].plan), "replayed key {key} indexes another plan");
-                    };
-                    let seg = replay::Segment { audit: Some(&audit), ..seg };
-                    replay::replay_segment(&seg, start, &mut rows_t, &mut peaks, |_, now| {
-                        Some(rule::ladder_key(levels, now))
-                    })
-                }
-                DecisionRule::Pid { amb, dram, limits, dt_s: Some(dt_s), .. } => {
-                    replay::replay_segment(&seg, start, &mut rows_t, &mut peaks, |prev, now| {
-                        rule::pid_key(amb, dram, limits, dt_s, prev, now)
-                    })
-                }
-                _ => unreachable!("only ladders and PID rules with an interval key decisions"),
-            };
-            st.stats.replay_runs += end.runs;
-            let w = end.windows;
-            if w == 0 {
-                // Nothing replayed: a long frozen run belongs to the
-                // closed-form probe; an unseen key needs one literal
-                // window to materialize its entry.
-                if end.run >= REPLAY_RUN_EXIT as u64 {
-                    next_attempt = run;
-                    chatter_next = env_windows.saturating_add(2 * ENV_JUMP_MIN);
-                } else {
-                    chatter_next = env_windows.saturating_add(1);
-                }
-                continue;
+            self.chatter_next = self.windows.saturating_add(ENV_JUMP_MIN);
+            return;
+        }
+        // The close needs the mode-splitting coefficient
+        // `c = α_l·A·λ_a/(λ_a − λ_l)`; a degenerate lane whose layer shares
+        // the ambient decay rate has no two-exponential split, so the replay
+        // refuses it once and for all.
+        let lambda_amb = 1.0 - self.ambient_alpha;
+        if self.alphas.iter().any(|&al| (lambda_amb - (1.0 - al)).abs() < 1e-9) {
+            st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
+            self.chatter_next = u64::MAX;
+            return;
+        }
+        let powers = self.powers.get_or_insert_with(|| replay::Powers::new(&self.alphas, self.ambient_alpha));
+        st.stats.verify_ns += vt.elapsed().as_nanos() as u64;
+        let seg = replay::Segment {
+            kinds: &self.kinds,
+            alphas: &self.alphas,
+            ln_l: &self.ln_l,
+            ambient_alpha: self.ambient_alpha,
+            ln_a: self.ln_a,
+            identity_split,
+            has_buffer: self.has_buffer,
+            forcings,
+            stab_amb: &stab_amb,
+            key_entry: &key_entry,
+            binding,
+            roles: &roles,
+            band,
+            powers,
+            step_s: st.step_s,
+            dtm_s: cfg.dtm_interval_s,
+            max_s: cfg.max_sim_time_s,
+            w_cap,
+            window0: self.windows,
+            audit: None,
+        };
+        let start = replay::Start {
+            amb_c: amb0,
+            time_s: st.time_s,
+            next_dtm_s: st.next_dtm_s,
+            obs: self.obs,
+            seen: [(st.observation.max_amb_c, st.observation.max_dram_c); 2],
+            cur: self.cur,
+            run: self.run,
+        };
+        // One instantiation per keyed rule kind, each with the rule's own
+        // key code, so the per-window loop never matches on it.
+        let (rows_t, peaks) = (&mut self.rows_t, &mut self.peaks);
+        let end = match rule {
+            DecisionRule::Ladder { levels, .. } => {
+                // Debug builds hold a sample of the replayed keys to the
+                // rule's own prediction and to the key table.
+                let entries = &self.entries;
+                let audit = |key: u8, (amb, dram): (f64, f64), ei: usize| {
+                    let plan = rule.plan_of_key(key);
+                    assert_eq!(
+                        plan,
+                        rule.next(amb, dram).map(|s| s.plan),
+                        "replayed key {key} mispredicts the decision at ({amb}, {dram})"
+                    );
+                    assert_eq!(plan.as_ref(), Some(&entries[ei].state.plan), "replayed key {key} indexes another plan");
+                };
+                let seg = replay::Segment { audit: Some(&audit), ..seg };
+                replay::replay_segment(&seg, start, rows_t, peaks, |_, now| Some(rule::ladder_key(levels, now)))
             }
-            (cur_max_buf, cur_max_dram) = (if has_buffer { end.obs.0 } else { f64::NEG_INFINITY }, end.obs.1);
+            DecisionRule::Pid { amb, dram, limits, dt_s: Some(dt_s), .. } => {
+                replay::replay_segment(&seg, start, rows_t, peaks, |prev, now| {
+                    rule::pid_key(amb, dram, limits, dt_s, prev, now)
+                })
+            }
+            _ => unreachable!("only ladders and PID rules with an interval key decisions"),
+        };
+        st.stats.replay_runs += end.runs;
+        let w = end.windows;
+        if w > 0 {
+            self.obs = (if self.has_buffer { end.obs.0 } else { f64::NAN }, end.obs.1);
             st.max_dram = st.max_dram.max(end.peak.1);
-            if has_buffer {
+            if self.has_buffer {
                 st.max_amb = st.max_amb.max(end.peak.0);
             }
             st.scene.set_ambient_c(end.amb_c);
             st.ambient_sum += end.amb_sum;
-            st.ambient_samples += w;
             st.time_s = end.time_s;
             st.next_dtm_s = end.next_dtm_s;
-            for (i, e) in entries.iter_mut().enumerate() {
-                let (c, coh) = (end.counts[i], end.counts_oh[i]);
-                if c + coh == 0 {
-                    continue;
-                }
-                let (cf, cohf) = (c as f64, coh as f64);
-                let totf = cf + cohf;
-                e.residency_s += step * totf;
-                if e.progressing {
-                    st.total_instructions += e.instr * cf + e.instr_oh * cohf;
-                    st.total_bytes += e.bytes * cf + e.bytes_oh * cohf;
-                    st.total_misses += e.misses * cf + e.misses_oh * cohf;
-                    st.migrated_bytes += e.migrated * cf + e.migrated_oh * cohf;
-                    for (core, &pos) in shares_pos.iter().enumerate() {
-                        if pos {
-                            let n = e.retires[core] * c + e.retires_oh[core] * coh;
-                            if n > 0 {
-                                st.batch.retire(core, n);
-                            }
-                        }
-                    }
-                }
-                st.energy.add(e.window.mem_w, e.window.cpu_w, step * totf);
-                for (channel, &thr) in e.throttled.iter().enumerate() {
-                    if thr {
-                        st.channel_throttle_s[channel] += step * totf;
-                    }
-                }
+            debug_assert!(!end.finished || st.done(cfg), "a finished segment must end the burst");
+            debug_assert_eq!(end.counts.iter().chain(&end.counts_oh).sum::<u64>(), w, "occupancy counts lost a window");
+            for (e, (&c, &coh)) in self.entries.iter_mut().zip(end.counts.iter().zip(&end.counts_oh)) {
+                e.book(st, c, coh);
             }
-            env_windows += w;
+            self.windows += w;
             st.stats.replayed_windows += w;
-            jumps += 1;
-            (cur, run) = (end.cur, end.run);
-            let _replanned = reprime(st, &end.seen[2 - w.min(2) as usize..], dt);
-            debug_assert_eq!(_replanned.as_ref(), Some(&entries[cur].plan), "re-prime left the replayed plan");
+            self.jumps += 1;
+            (self.cur, self.run) = (end.cur, end.run);
+            let _replanned = reprime(st, &end.seen[2 - w.min(2) as usize..], cfg.dtm_interval_s);
+            debug_assert_eq!(
+                _replanned.as_ref(),
+                Some(&self.entries[self.cur].state.plan),
+                "re-prime left the replayed plan"
+            );
             st.plan_streak = if end.flipped {
-                run.min(u64::from(u32::MAX)) as u32
+                self.run.min(u64::from(u32::MAX)) as u32
             } else {
                 st.plan_streak.saturating_add(w.min(u64::from(u32::MAX)) as u32)
             };
             // The replay owns chatter now, so the fast re-arm of
-            // certificate-limited closed-form jumps is rolled back; a long
-            // frozen tail is handed straight to the closed-form probe,
-            // anything else re-enters the replay after one literal window.
-            arm = ENV_JUMP_MIN;
-            if run >= REPLAY_RUN_EXIT as u64 {
-                next_attempt = run;
-                chatter_next = env_windows.saturating_add(2 * ENV_JUMP_MIN);
-            } else {
-                next_attempt = run.max(ENV_JUMP_MIN);
-                chatter_next = env_windows;
-            }
-            if end.finished || st.batch.is_complete() || st.time_s >= max {
-                let pseudo = band.pseudo_cycles(jumps, env_windows);
-                return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
-            }
-            violation = end.violated;
-            continue;
+            // certificate-limited closed-form jumps is rolled back.
+            self.arm = ENV_JUMP_MIN;
+            self.violated = end.violated;
         }
-        let e = &entries[cur];
+        // A long frozen run is handed straight to the closed-form probe.
+        // Otherwise an unseen key needs one literal window to materialize
+        // its entry, and a replayed segment re-enters the replay after one
+        // literal window.
+        if self.run >= REPLAY_RUN_EXIT as u64 {
+            self.next_attempt = self.run;
+            self.chatter_next = self.windows.saturating_add(2 * ENV_JUMP_MIN);
+        } else if w == 0 {
+            self.chatter_next = self.windows.saturating_add(1);
+        } else {
+            self.next_attempt = self.run.max(ENV_JUMP_MIN);
+            self.chatter_next = self.windows;
+        }
+    }
+
+    /// A frozen-jump attempt: a licensed jump is applied; a refused probe
+    /// waits for a run twice as long.
+    fn frozen_jump(&mut self, st: &mut CellState<'_>, engine: &SimEngine<'_>) {
+        match self.license_jump(st, engine.config) {
+            Some(jump) => self.apply_jump(st, engine.config, jump),
+            None => self.next_attempt = self.run.saturating_mul(2),
+        }
+    }
+
+    /// Licenses a closed-form jump of the frozen plan: the largest horizon
+    /// ([`licensed_horizon`]) over which (1) the whole traversed
+    /// temperature range — the exact two-exponential response of each row
+    /// to the frozen plan and the relaxing ambient, extremes included —
+    /// stays inside the band, and (2) the decision rule certifies the
+    /// frozen plan over that exact range ([`DecisionRule::region`]), so
+    /// each skipped decision provably re-returns it. The horizon is not
+    /// bounded by the observed run length (the certificate itself proves
+    /// plan invariance), so a run hugging a threshold from one side is
+    /// jumped to the chatter boundary in one segment, and a monotone
+    /// approach to its completion or wall cap. Fills the per-row jump
+    /// coefficients.
+    fn license_jump(&mut self, st: &CellState<'_>, cfg: &MemSpotConfig) -> Option<Jump> {
+        let e = &self.entries[self.cur];
+        let rule = st.policy.decision_rule();
         // A rectangle certifies the frozen plan only if its starting point
         // does, and the point costs one rule evaluation: refuse cheaply
         // while, say, a PID integral is still moving.
-        if st.policy.decision_rule().region(now.0, now.1, now.0, now.1).as_ref() != Some(&e.plan) {
-            next_attempt = run.saturating_mul(2);
-            continue;
+        let (amb, dram) = self.obs;
+        if rule.region(amb, dram, amb, dram).as_ref() != Some(&e.state.plan) {
+            return None;
         }
-        let stable_ambient = st.scene.ambient_params().stable_ambient_c(e.window.v_ipc);
-        let lambda_a = 1.0 - ambient_alpha;
+        let stable_ambient = st.scene.ambient_params().stable_ambient_c(e.state.window.v_ipc);
+        let lambda_a = 1.0 - self.ambient_alpha;
         let amb_c = st.scene.ambient_c();
-        let mut a0 = amb_c - stable_ambient;
-        // A settled (or non-relaxing) ambient degenerates to the frozen
-        // single-exponential form: zero λ_a-coefficient everywhere.
-        let amb_static = !(lambda_a > 0.0 && lambda_a < 1.0) || a0.abs() <= AMBIENT_FF_EPS_C;
-        if amb_static {
-            a0 = 0.0;
-        }
-        // Completion-safe cap: strictly fewer windows than the earliest
-        // possible job-copy completion, so bulk retires land on the same
-        // windows literal stepping would. The wall-time cap keeps the
-        // licensed range exactly the applied range.
-        let cap: u64 = if e.progressing {
-            (0..cores)
-                .filter(|&c| e.retires[c] > 0)
-                .filter_map(|c| st.batch.slot(c).map(|s| s.remaining_instructions.div_ceil(e.retires[c]).max(1) - 1))
-                .min()
-                .unwrap_or(u64::MAX)
+        let a0 = amb_c - stable_ambient;
+        let ambient = if !(lambda_a > 0.0 && lambda_a < 1.0) || a0.abs() <= AMBIENT_FF_EPS_C {
+            None
         } else {
-            u64::MAX
+            Some((stable_ambient, a0))
         };
-        let time_cap = (((max - st.time_s) / step).ceil().max(1.0)) as u64;
-        let n_max = cap.min(time_cap);
-        let n0 = run.min(n_max);
+        // The wall-time cap keeps the licensed range exactly the applied
+        // range.
+        let time_cap = (((cfg.max_sim_time_s - st.time_s) / st.step_s).ceil().max(1.0)) as u64;
+        let n_max =
+            completion_cap(&st.batch, e.amounts[0].retires.len(), |core| e.amounts[0].retires[core]).min(time_cap);
+        let n0 = self.run.min(n_max);
         if n0 == 0 {
-            next_attempt = run.saturating_mul(2);
-            continue;
+            return None;
         }
         // Horizon-independent row coefficients of the frozen-plan
-        // two-exponential (stable point, λ_r- and λ_a-coefficients),
-        // shared by every trial horizon below.
-        let mut licensed = true;
-        for (r, &t_r) in rows_t.iter().enumerate() {
-            let l = r % depth;
-            let lambda = 1.0 - lane.layer_alphas[l];
-            let off = if identity_split { e.stab_a[r] + e.stab_b[r] } else { e.stab_a[r] };
-            let (s_r, kcoef) = if amb_static {
-                (amb_c + off, 0.0)
-            } else {
-                let gap = lambda_a - lambda;
-                if gap.abs() < 1e-9 {
-                    licensed = false;
-                    break;
-                }
-                (stable_ambient + off, (1.0 - lambda) * a0 * lambda_a / gap)
-            };
-            jump_s[r] = s_r;
-            jump_a[r] = t_r - s_r - kcoef;
-            jump_k[r] = kcoef;
-        }
-        if !licensed {
-            next_attempt = run.saturating_mul(2);
-            continue;
-        }
-        // The exact maxima ranges the trajectory traces over a trial
-        // horizon, with the burst band audited per row; `None` refuses
-        // the horizon outright. The λ-powers are computed once per layer
-        // (rows of layer `l` are `l, l + depth, …`); the per-kind maxima
-        // are order-independent, so the layer-major scan changes no bits.
-        let range_for = |nf: f64| -> Option<(f64, f64, f64, f64)> {
-            let (mut buf_lo, mut buf_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-            let (mut dram_lo, mut dram_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-            let pow_a = (nf * ln_a).exp();
-            for (l, &ln) in ln_l.iter().enumerate() {
-                let pow_l = (nf * ln).exp();
-                for r in (l..rows).step_by(depth) {
-                    let (t_end, lo_f, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, nf);
-                    let (lo_r, hi_r) = (jump_s[r] + lo_f, jump_s[r] + hi_f);
-                    if !(t_end.is_finite() && band.lo[r] <= lo_r && hi_r <= band.hi[r]) {
+        // two-exponential (stable point, λ_r- and λ_a-coefficients), shared
+        // by every trial horizon below.
+        for (r, &t_r) in self.rows_t.iter().enumerate() {
+            let lambda = 1.0 - self.alphas[r % self.depth];
+            let off = if self.identity_split { e.stab_a[r] + e.stab_b[r] } else { e.stab_a[r] };
+            let (s_r, kcoef) = match ambient {
+                None => (amb_c + off, 0.0),
+                Some((stable, a0)) => {
+                    let gap = lambda_a - lambda;
+                    if gap.abs() < 1e-9 {
                         return None;
                     }
-                    match kinds[l] {
+                    (stable + off, (1.0 - lambda) * a0 * lambda_a / gap)
+                }
+            };
+            self.jump_s[r] = s_r;
+            self.jump_a[r] = t_r - s_r - kcoef;
+            self.jump_k[r] = kcoef;
+        }
+        // A horizon is licensed when every row's exact range stays in the
+        // band and the rule's per-axis region certificate over the traced
+        // maxima, widened by the shadowing guard on both sides, names the
+        // frozen plan itself. The device axes trace independent ranges, so
+        // a wide buffer swing does not inflate the DRAM range across a
+        // threshold it never approaches. Naming the plan (not just proving
+        // the decision unchanging over the range) matters: if the
+        // trajectory crossed a boundary during the very window that
+        // scheduled the probe, the whole traced range sits on the far side
+        // and a jump would freeze the stale plan across a flip the literal
+        // path takes immediately. The λ-powers are computed once per layer
+        // (rows of layer `l` are `l, l + depth, …`); the per-kind maxima
+        // are order-independent, so the layer-major scan changes no bits.
+        let (rows, depth, has_buffer) = (self.rows_t.len(), self.depth, self.has_buffer);
+        let licensed = |n: u64| -> bool {
+            let nf = n as f64;
+            let (mut buf_lo, mut buf_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            let (mut dram_lo, mut dram_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            let pow_a = (nf * self.ln_a).exp();
+            for (l, &ln) in self.ln_l.iter().enumerate() {
+                let pow_l = (nf * ln).exp();
+                for r in (l..rows).step_by(depth) {
+                    let (t_end, lo_f, hi_f) =
+                        env_row_range(self.jump_a[r], self.jump_k[r], ln, self.ln_a, pow_l, pow_a, nf);
+                    let (lo_r, hi_r) = (self.jump_s[r] + lo_f, self.jump_s[r] + hi_f);
+                    if !(t_end.is_finite() && self.band.lo[r] <= lo_r && hi_r <= self.band.hi[r]) {
+                        return false;
+                    }
+                    match self.kinds[l] {
                         DeviceLayerKind::Buffer => {
                             buf_lo = buf_lo.max(lo_r);
                             buf_hi = buf_hi.max(hi_r);
@@ -2316,21 +2307,6 @@ fn envelope_burst(
                     }
                 }
             }
-            Some((buf_lo, buf_hi, dram_lo, dram_hi))
-        };
-        // The frozen-plan attestation: the decision rule's per-axis region
-        // certificate, widened by the shadowing guard on both sides, must
-        // name the frozen plan itself. The device axes trace independent
-        // ranges, so a wide buffer swing does not inflate the DRAM range
-        // across a threshold it never approaches. Naming the plan (not
-        // just proving the decision unchanging over the range) matters: if
-        // the trajectory crossed a boundary during the very window that
-        // scheduled the probe, the whole traced range sits on the far side
-        // and a jump would freeze the stale plan across a flip the literal
-        // path takes immediately.
-        let rule = st.policy.decision_rule();
-        let region_at = |rg: &(f64, f64, f64, f64)| -> bool {
-            let (buf_lo, buf_hi, dram_lo, dram_hi) = *rg;
             let dram_span = (dram_hi - dram_lo) + 2.0 * ENV_FP_GUARD_C;
             let amb_span = if has_buffer { (buf_hi - buf_lo) + 2.0 * ENV_FP_GUARD_C } else { 0.0 };
             if !(dram_span.is_finite() && amb_span.is_finite()) {
@@ -2338,234 +2314,225 @@ fn envelope_burst(
             }
             let amb_lo = if has_buffer { buf_lo - ENV_FP_GUARD_C } else { f64::NAN };
             let dram_lo = dram_lo - ENV_FP_GUARD_C;
-            rule.region(amb_lo, dram_lo, amb_lo + amb_span, dram_lo + dram_span).as_ref() == Some(&e.plan)
+            rule.region(amb_lo, dram_lo, amb_lo + amb_span, dram_lo + dram_span).as_ref() == Some(&e.state.plan)
         };
-        // The licensed horizon: attested ranges nest as the horizon
-        // shrinks, so licensing is monotone in n and binary search finds
-        // the largest licensed horizon exactly. The horizon is NOT bounded
-        // by the observed run length — the certificate itself proves plan
-        // invariance over the traced range — so a run hugging a threshold
-        // from one side is jumped to the chatter boundary in one segment,
-        // and a monotone approach is jumped to its completion or wall cap.
-        let mut n = n0;
-        let ok = if match range_for(n0 as f64) {
-            Some(rg) => region_at(&rg),
-            None => false,
-        } {
-            if n0 < n_max {
-                let full = match range_for(n_max as f64) {
-                    Some(rg) => region_at(&rg),
-                    None => false,
-                };
-                if full {
-                    n = n_max;
-                } else {
-                    let (mut lo, mut hi) = (n0, n_max);
-                    while hi - lo > 1 {
-                        let mid = lo + (hi - lo) / 2;
-                        let good = match range_for(mid as f64) {
-                            Some(rg) => region_at(&rg),
-                            None => false,
-                        };
-                        if good {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    n = lo;
-                }
-            }
-            true
-        } else if n0 > 1
-            && match range_for(1.0) {
-                Some(rg) => region_at(&rg),
-                None => false,
-            }
-        {
-            // Near a decision boundary the largest licensed horizon is
-            // shorter than the run that scheduled the probe.
-            let (mut lo, mut hi) = (1u64, n0);
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                let good = match range_for(mid as f64) {
-                    Some(rg) => region_at(&rg),
-                    None => false,
-                };
-                if good {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            n = lo;
-            true
-        } else {
-            false
-        };
-        if !ok {
-            next_attempt = run.saturating_mul(2);
-            continue;
-        }
+        let n = licensed_horizon(n0, n_max, licensed)?;
         // A certificate-limited horizon marks a chattering cell: the plan
         // flips right past the jump, so future runs re-arm fast instead of
         // paying [`ENV_JUMP_MIN`] literal windows per chatter half-cycle.
         if n < n_max {
-            arm = 2;
+            self.arm = 2;
         }
-        // Apply the jump: literal time/decision-clock additions (exact
-        // window counts), `rate × m` accounting, then the temperatures —
-        // in closed form, or stepped literally for a policy that
-        // integrates its observations — and the re-prime.
+        Some(Jump { n, ambient })
+    }
+
+    /// Applies a licensed jump: literal time and decision-clock additions
+    /// (exact window counts), the booking of its `m` plain windows, then
+    /// the temperatures — in closed form ([`Burst::close_rows`]), or
+    /// stepped literally for a policy that integrates its observations
+    /// ([`Burst::step_rows`]) — and the re-prime.
+    fn apply_jump(&mut self, st: &mut CellState<'_>, cfg: &MemSpotConfig, jump: Jump) {
         let mut m: u64 = 0;
-        while m < n && st.time_s < max {
-            st.time_s += step;
-            st.next_dtm_s += dt;
+        while m < jump.n && st.time_s < cfg.max_sim_time_s {
+            st.time_s += st.step_s;
+            st.next_dtm_s += cfg.dtm_interval_s;
             m += 1;
         }
-        if m == 0 {
-            continue;
-        }
-        let mf = m as f64;
-        if e.progressing {
-            st.total_instructions += e.instr * mf;
-            st.total_bytes += e.bytes * mf;
-            st.total_misses += e.misses * mf;
-            st.migrated_bytes += e.migrated * mf;
-            for (core, &pos) in shares_pos.iter().enumerate() {
-                if pos && e.retires[core] > 0 {
-                    st.batch.retire(core, e.retires[core] * m);
+        self.entries[self.cur].book(st, m, 0);
+        let seen = if self.integrates { self.step_rows(st, m) } else { self.close_rows(st, jump, m) };
+        let _replanned = reprime(st, &seen[2 - m.min(2) as usize..], cfg.dtm_interval_s);
+        debug_assert_eq!(
+            _replanned.as_ref(),
+            Some(&self.entries[self.cur].state.plan),
+            "re-prime left the frozen plan"
+        );
+        st.plan_streak = st.plan_streak.saturating_add(m.min(u64::from(u32::MAX)) as u32);
+        self.run += m;
+        self.next_attempt = self.run;
+        self.windows += m;
+        self.jumps += 1;
+    }
+
+    /// A jump's `m` windows stepped literally for a policy that integrates
+    /// its observations: it must keep seeing bit-exact maxima, so the
+    /// windows keep the literal ambient step and RC sweep (the burst
+    /// window's float ops in a lean row loop); only the decisions, the
+    /// accounting and the per-window maxima are skipped. Returns the maxima
+    /// the skipped decisions saw at jump offsets m − 2 and m − 1, oldest
+    /// first (offset 0 is the current maxima), for the re-prime.
+    fn step_rows(&mut self, st: &mut CellState<'_>, m: u64) -> [(f64, f64); 2] {
+        let e = &self.entries[self.cur];
+        let rows = self.rows_t.len();
+        let alpha: Vec<f64> = (0..rows).map(|r| self.alphas[r % self.depth]).collect();
+        let mut high = vec![f64::NEG_INFINITY; rows];
+        let (sa, sb) = (&e.stab_a[..rows], &e.stab_b[..rows]);
+        let mut seen = [self.obs; 2];
+        for k in 1..=m {
+            let amb = st.scene.step_ambient(e.state.window.v_ipc, self.ambient_alpha);
+            st.ambient_sum += st.scene.ambient_c();
+            let rows = self.rows_t.iter_mut().zip(high.iter_mut()).zip(&alpha).enumerate();
+            if self.identity_split {
+                for (r, ((t, h), &a)) in rows {
+                    *t += ((amb + sa[r]) + sb[r] - *t) * a;
+                    *h = h.max(*t);
+                }
+            } else {
+                for (r, ((t, h), &a)) in rows {
+                    *t += (amb + sa[r] - *t) * a;
+                    *h = h.max(*t);
                 }
             }
-        }
-        st.energy.add(e.window.mem_w, e.window.cpu_w, step * mf);
-        for (channel, &thr) in e.throttled.iter().enumerate() {
-            if thr {
-                st.channel_throttle_s[channel] += step * mf;
+            if k + 2 >= m && k < m {
+                seen = [seen[1], self.maxima(&self.rows_t)];
             }
         }
-        st.ambient_samples += m;
-        // The maxima the skipped decisions saw at jump offsets m − 2 and
-        // m − 1, oldest first (offset 0 is the current maxima): the
-        // re-prime replays them.
-        let at_start = (if has_buffer { cur_max_buf } else { f64::NAN }, cur_max_dram);
-        let mut seen = [at_start; 2];
-        if integrates {
-            // A policy that integrates its observations must keep seeing
-            // bit-exact maxima, so its skipped windows keep the literal
-            // ambient step and RC sweep (the burst window's float ops in a
-            // lean row loop); only the decisions, the accounting and the
-            // per-window maxima are skipped.
-            let alpha: Vec<f64> = (0..rows).map(|r| lane.layer_alphas[r % depth]).collect();
-            let mut high = vec![f64::NEG_INFINITY; rows];
-            let (sa, sb) = (&e.stab_a[..rows], &e.stab_b[..rows]);
-            let kind_max = |t: &[f64]| -> (f64, f64) {
-                let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-                for (r, &t) in t.iter().enumerate() {
-                    match kinds[r % depth] {
+        for (p, &h) in self.peaks.iter_mut().zip(&high) {
+            *p = p.max(h);
+        }
+        let (buf, dram) = self.maxima(&high);
+        st.max_amb = st.max_amb.max(buf);
+        st.max_dram = st.max_dram.max(dram);
+        self.obs = self.maxima(&self.rows_t);
+        seen
+    }
+
+    /// A jump's `m` windows in closed form: the ambient's endpoint and
+    /// running sum from the geometric series, each row's endpoint with its
+    /// in-segment extremes folded into peaks and maxima. Returns the maxima
+    /// at jump offsets m − 2 and m − 1, as [`Burst::step_rows`] does.
+    fn close_rows(&mut self, st: &mut CellState<'_>, jump: Jump, m: u64) -> [(f64, f64); 2] {
+        let (rows, depth) = (self.rows_t.len(), self.depth);
+        let maxima_at = |k: u64| -> (f64, f64) {
+            if k == 0 {
+                return self.obs;
+            }
+            let kf = k as f64;
+            let pow_a = (kf * self.ln_a).exp();
+            let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for (l, &ln) in self.ln_l.iter().enumerate() {
+                let pow_l = (kf * ln).exp();
+                for r in (l..rows).step_by(depth) {
+                    let t = self.jump_s[r] + (self.jump_a[r] * pow_l + self.jump_k[r] * pow_a);
+                    match self.kinds[l] {
                         DeviceLayerKind::Buffer => buf = buf.max(t),
                         DeviceLayerKind::Dram => dram = dram.max(t),
                     }
                 }
-                (buf, dram)
-            };
-            for k in 1..=m {
-                let amb = st.scene.step_ambient(e.window.v_ipc, ambient_alpha);
-                st.ambient_sum += st.scene.ambient_c();
-                let rows = rows_t.iter_mut().zip(high.iter_mut()).zip(&alpha).enumerate();
-                if identity_split {
-                    for (r, ((t, h), &a)) in rows {
-                        *t += ((amb + sa[r]) + sb[r] - *t) * a;
-                        *h = h.max(*t);
-                    }
-                } else {
-                    for (r, ((t, h), &a)) in rows {
-                        *t += (amb + sa[r] - *t) * a;
-                        *h = h.max(*t);
-                    }
-                }
-                if k + 2 >= m && k < m {
-                    let (buf, dram) = kind_max(&rows_t);
-                    seen = [seen[1], (if has_buffer { buf } else { f64::NAN }, dram)];
-                }
             }
-            for (p, &h) in peaks.iter_mut().zip(&high) {
-                *p = p.max(h);
-            }
-            let (buf, dram) = kind_max(&high);
-            st.max_amb = st.max_amb.max(if has_buffer { buf } else { f64::NAN });
-            st.max_dram = st.max_dram.max(dram);
-            (cur_max_buf, cur_max_dram) = kind_max(&rows_t);
-        } else {
-            let maxima_at = |k: u64| -> (f64, f64) {
-                if k == 0 {
-                    return at_start;
-                }
-                let kf = k as f64;
-                let pow_a = (kf * ln_a).exp();
-                let (mut buf, mut dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-                for (l, &ln) in ln_l.iter().enumerate() {
-                    let pow_l = (kf * ln).exp();
-                    for r in (l..rows).step_by(depth) {
-                        let t = jump_s[r] + (jump_a[r] * pow_l + jump_k[r] * pow_a);
-                        match kinds[l] {
-                            DeviceLayerKind::Buffer => buf = buf.max(t),
-                            DeviceLayerKind::Dram => dram = dram.max(t),
-                        }
+            (if self.has_buffer { buf } else { f64::NAN }, dram)
+        };
+        let seen = [maxima_at(m.saturating_sub(2)), maxima_at(m - 1)];
+        let mf = m as f64;
+        st.ambient_sum += match jump.ambient {
+            None => st.scene.ambient_c() * mf,
+            Some((stable, a0)) => st.scene.ambient_segment_moments(stable, a0, 1.0 - self.ambient_alpha, mf),
+        };
+        let (mut end_buf, mut end_dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let (mut peak_buf, mut peak_dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let pow_a = (mf * self.ln_a).exp();
+        for (l, &ln) in self.ln_l.iter().enumerate() {
+            let pow_l = (mf * ln).exp();
+            for r in (l..rows).step_by(depth) {
+                let (t_end, _, hi_f) = env_row_range(self.jump_a[r], self.jump_k[r], ln, self.ln_a, pow_l, pow_a, mf);
+                let t = self.jump_s[r] + t_end;
+                let hi = self.jump_s[r] + hi_f;
+                self.rows_t[r] = t;
+                self.peaks[r] = self.peaks[r].max(hi);
+                match self.kinds[l] {
+                    DeviceLayerKind::Buffer => {
+                        end_buf = end_buf.max(t);
+                        peak_buf = peak_buf.max(hi);
                     }
-                }
-                (if has_buffer { buf } else { f64::NAN }, dram)
-            };
-            seen = [maxima_at(m.saturating_sub(2)), maxima_at(m - 1)];
-            // Closed form: the ambient's endpoint and running sum from the
-            // geometric series, each row's endpoint with its in-segment
-            // extremes folded into peaks and maxima.
-            if amb_static {
-                st.ambient_sum += amb_c * mf;
-            } else {
-                st.ambient_sum += st.scene.ambient_segment_moments(stable_ambient, a0, lambda_a, mf);
-            }
-            cur_max_buf = f64::NEG_INFINITY;
-            cur_max_dram = f64::NEG_INFINITY;
-            let mut peak_buf = f64::NEG_INFINITY;
-            let mut peak_dram = f64::NEG_INFINITY;
-            let pow_a = (mf * ln_a).exp();
-            for (l, &ln) in ln_l.iter().enumerate() {
-                let pow_l = (mf * ln).exp();
-                for r in (l..rows).step_by(depth) {
-                    let (t_end, _, hi_f) = env_row_range(jump_a[r], jump_k[r], ln, ln_a, pow_l, pow_a, mf);
-                    let t = jump_s[r] + t_end;
-                    let hi = jump_s[r] + hi_f;
-                    rows_t[r] = t;
-                    peaks[r] = peaks[r].max(hi);
-                    match kinds[l] {
-                        DeviceLayerKind::Buffer => {
-                            cur_max_buf = cur_max_buf.max(t);
-                            peak_buf = peak_buf.max(hi);
-                        }
-                        DeviceLayerKind::Dram => {
-                            cur_max_dram = cur_max_dram.max(t);
-                            peak_dram = peak_dram.max(hi);
-                        }
+                    DeviceLayerKind::Dram => {
+                        end_dram = end_dram.max(t);
+                        peak_dram = peak_dram.max(hi);
                     }
                 }
             }
-            st.max_amb = st.max_amb.max(if has_buffer { peak_buf } else { f64::NAN });
-            st.max_dram = st.max_dram.max(peak_dram);
         }
-        let _replanned = reprime(st, &seen[2 - m.min(2) as usize..], dt);
-        debug_assert_eq!(_replanned.as_ref(), Some(&e.plan), "re-prime left the frozen plan");
-        entries[cur].residency_s += step * mf;
-        st.plan_streak = st.plan_streak.saturating_add(m.min(u64::from(u32::MAX)) as u32);
-        run += m;
-        next_attempt = run;
-        env_windows += m;
-        jumps += 1;
-        if st.batch.is_complete() || st.time_s >= max {
-            let pseudo = band.pseudo_cycles(jumps, env_windows);
-            return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
+        st.max_amb = st.max_amb.max(if self.has_buffer { peak_buf } else { f64::NAN });
+        st.max_dram = st.max_dram.max(peak_dram);
+        self.obs = (if self.has_buffer { end_buf } else { f64::NAN }, end_dram);
+        seen
+    }
+
+    /// The burst's one exit: flushes the per-entry residency and the
+    /// burst's counters into the cell, then either finishes the cell (scene
+    /// synced, result folded) or hands it back to the lane — the lane
+    /// column, the plan state and this window's overhead restored, the
+    /// orbit tracker's stale history dropped and the triggers backed off —
+    /// so literal stepping continues seamlessly from [`member_pre`]'s
+    /// accounting of the decided window.
+    fn exit(
+        mut self,
+        lane: &mut Lane,
+        j: usize,
+        st: &mut CellState<'_>,
+        engine: &SimEngine<'_>,
+        exit: BurstExit,
+    ) -> Option<(MemSpotResult, CellRunStats)> {
+        for e in &self.entries {
+            if e.residency_s > 0.0 {
+                *st.residency.entry(e.state.mode_key).or_insert(0.0) += e.residency_s;
+            }
+        }
+        st.stats.fast_forwarded_windows += self.windows;
+        st.stats.envelope_cycles += self.band.pseudo_cycles(self.jumps, self.windows);
+        st.stats.replay_ns += self.started.elapsed().as_nanos() as u64;
+        match exit {
+            BurstExit::Finished => {
+                st.scene.set_layer_temps(&self.rows_t);
+                st.scene.set_layer_peaks(&self.peaks);
+                Some(finalize(st, engine))
+            }
+            BurstExit::HandBack { overheaded } => {
+                for (r, (&t, &p)) in self.rows_t.iter().zip(&self.peaks).enumerate() {
+                    lane.temps[r * lane.stride + j] = t;
+                    lane.peaks[r * lane.stride + j] = p;
+                }
+                st.active = self.entries.swap_remove(self.cur).state;
+                st.overhead_s = if overheaded { engine.config.dtm_overhead_s } else { 0.0 };
+                lane.write_power_column(j, &st.active.window.positions, st.scene.topology());
+                st.orbit_history.clear();
+                env_back_off(st);
+                st.stats.envelope_fallbacks += 1;
+                None
+            }
         }
     }
+}
+
+/// The envelope burst: takes a cell whose trajectory is confined to `band`
+/// out of the lane and runs the burst stages (module docs, "Burst stages")
+/// until the cell finishes (`Some(result)`) or goes back to the lane
+/// (`None`) with its current window decided.
+fn envelope_burst(
+    lane: &mut Lane,
+    j: usize,
+    st: &mut CellState<'_>,
+    engine: &SimEngine<'_>,
+    band: EnvBand,
+) -> Option<(MemSpotResult, CellRunStats)> {
+    let mut burst = Burst::new(lane, j, st, engine, band);
+    let exit = loop {
+        if let Some(exit) = burst.literal_window(st, engine) {
+            break exit;
+        }
+        if burst.violated {
+            continue;
+        }
+        if burst.run >= burst.next_attempt {
+            burst.frozen_jump(st, engine);
+        } else if burst.windows >= burst.chatter_next {
+            burst.replay(st, engine);
+        } else {
+            continue;
+        }
+        if st.done(engine.config) {
+            break BurstExit::Finished;
+        }
+    };
+    burst.exit(lane, j, st, engine, exit)
 }
 
 /// Folds a finished cell's accumulators and its scene's peak field into
@@ -2850,6 +2817,254 @@ mod tests {
         // The interior-extremum branch must be exercised, not just the
         // endpoint shortcut.
         assert!(interior > 1_000, "only {interior} samples peaked inside the horizon");
+    }
+
+    /// The horizon search as it stood inline in the envelope burst before
+    /// it became [`licensed_horizon`]: the reference for its probe sequence.
+    fn inline_horizon_search(n0: u64, n_max: u64, licensed: &mut dyn FnMut(u64) -> bool) -> Option<u64> {
+        let mut n = n0;
+        let ok = if licensed(n0) {
+            if n0 < n_max {
+                if licensed(n_max) {
+                    n = n_max;
+                } else {
+                    let (mut lo, mut hi) = (n0, n_max);
+                    while hi - lo > 1 {
+                        let mid = lo + (hi - lo) / 2;
+                        if licensed(mid) {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    n = lo;
+                }
+            }
+            true
+        } else if n0 > 1 && licensed(1) {
+            let (mut lo, mut hi) = (1u64, n0);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if licensed(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            n = lo;
+            true
+        } else {
+            false
+        };
+        ok.then_some(n)
+    }
+
+    #[test]
+    fn horizon_search_probes_exactly_like_the_inline_search() {
+        // Seeded predicates: monotone thresholds (licensing as it holds in
+        // real arithmetic), thresholds with rounding-like holes below them
+        // and arbitrary non-monotone sets. The helper must return the same
+        // horizon after the same probes, in the same order.
+        let mut rng = workloads::rng::SmallRng::seed_from_u64(0x0B0_2026);
+        let mut non_monotone_hits = 0;
+        for case in 0..30_000u64 {
+            let n_max = match case % 3 {
+                0 => rng.gen_range(1..4u64),
+                1 => rng.gen_range(1..100u64),
+                _ => rng.gen_range(1..1_000_000u64),
+            };
+            let n0 = rng.gen_range(1..n_max + 1);
+            let threshold = rng.gen_range(0..n_max + 2);
+            let salt = rng.next_u64() | 1;
+            let licensed = |n: u64| -> bool {
+                let hash = (n ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+                match case % 4 {
+                    0 => n <= threshold,
+                    1 => n <= threshold && hash != 0,
+                    2 => hash < 8,
+                    _ => n <= threshold || hash == 0,
+                }
+            };
+            let (mut got_probes, mut want_probes) = (Vec::new(), Vec::new());
+            let got = licensed_horizon(n0, n_max, |n| {
+                got_probes.push(n);
+                licensed(n)
+            });
+            let want = inline_horizon_search(n0, n_max, &mut |n| {
+                want_probes.push(n);
+                licensed(n)
+            });
+            assert_eq!(got, want, "n0 {n0}, n_max {n_max}, case {case}: horizon");
+            assert_eq!(got_probes, want_probes, "n0 {n0}, n_max {n_max}, case {case}: probes");
+            if let Some(n) = got {
+                assert!((1..=n_max).contains(&n));
+                non_monotone_hits += usize::from(case % 4 != 0 && !(1..=n).all(licensed));
+            }
+        }
+        assert!(non_monotone_hits > 1_000, "only {non_monotone_hits} non-monotone licences exercised");
+    }
+
+    /// The three bookings [`EnvPlanEntry::book`] replaced, as they stood
+    /// inline in the envelope burst (ambient sums aside, which each caller
+    /// still adds itself): a burst window, a replay segment's occupancy
+    /// counts and a frozen jump.
+    fn inline_burst_window(st: &mut CellState<'_>, e: &mut EnvPlanEntry, overheaded: bool) {
+        let step = st.step_s;
+        if e.state.progressing {
+            let a = &e.amounts[usize::from(overheaded)];
+            st.total_instructions += a.instr;
+            st.total_bytes += a.bytes;
+            st.total_misses += a.misses;
+            st.migrated_bytes += a.migrated;
+            for core in 0..a.retires.len() {
+                if st.full_shares[core] > 0.0 {
+                    st.batch.retire(core, a.retires[core]);
+                }
+            }
+        }
+        st.energy.add(e.state.window.mem_w, e.state.window.cpu_w, step);
+        st.ambient_samples += 1;
+        for (channel, &thr) in e.throttled.iter().enumerate() {
+            if thr {
+                st.channel_throttle_s[channel] += step;
+            }
+        }
+        e.residency_s += step;
+    }
+
+    fn inline_replay_booking(st: &mut CellState<'_>, e: &mut EnvPlanEntry, c: u64, coh: u64) {
+        let step = st.step_s;
+        let (cf, cohf) = (c as f64, coh as f64);
+        let totf = cf + cohf;
+        let [p, o] = &e.amounts;
+        e.residency_s += step * totf;
+        if e.state.progressing {
+            st.total_instructions += p.instr * cf + o.instr * cohf;
+            st.total_bytes += p.bytes * cf + o.bytes * cohf;
+            st.total_misses += p.misses * cf + o.misses * cohf;
+            st.migrated_bytes += p.migrated * cf + o.migrated * cohf;
+            for core in 0..p.retires.len() {
+                if st.full_shares[core] > 0.0 {
+                    let n = p.retires[core] * c + o.retires[core] * coh;
+                    if n > 0 {
+                        st.batch.retire(core, n);
+                    }
+                }
+            }
+        }
+        st.energy.add(e.state.window.mem_w, e.state.window.cpu_w, step * totf);
+        for (channel, &thr) in e.throttled.iter().enumerate() {
+            if thr {
+                st.channel_throttle_s[channel] += step * totf;
+            }
+        }
+        st.ambient_samples += c + coh;
+    }
+
+    fn inline_jump_booking(st: &mut CellState<'_>, e: &mut EnvPlanEntry, m: u64) {
+        let step = st.step_s;
+        let mf = m as f64;
+        let p = &e.amounts[0];
+        if e.state.progressing {
+            st.total_instructions += p.instr * mf;
+            st.total_bytes += p.bytes * mf;
+            st.total_misses += p.misses * mf;
+            st.migrated_bytes += p.migrated * mf;
+            for core in 0..p.retires.len() {
+                if st.full_shares[core] > 0.0 && p.retires[core] > 0 {
+                    st.batch.retire(core, p.retires[core] * m);
+                }
+            }
+        }
+        st.energy.add(e.state.window.mem_w, e.state.window.cpu_w, step * mf);
+        for (channel, &thr) in e.throttled.iter().enumerate() {
+            if thr {
+                st.channel_throttle_s[channel] += step * mf;
+            }
+        }
+        st.ambient_samples += m;
+        e.residency_s += step * mf;
+    }
+
+    #[test]
+    fn booking_matches_the_three_inline_bookings_bit_for_bit() {
+        // Two identical cells, one booked through the inline expressions and
+        // one through `book`, over a scalar plan and a spatial plan that
+        // throttles a channel and migrates traffic, with (1, 0), (0, 1),
+        // (m, 0) and (c, coh) window counts interleaved. Every accumulator
+        // `book` touches must carry the same bits after every booking.
+        let (cpu, mem, power, cpu_power) = hardware();
+        let store = Arc::new(CharStore::new());
+        let config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
+        let engine = SimEngine::new(&cpu, &mem, &power, &cpu_power, &config);
+        let new_state = || {
+            let cell =
+                BatchCell::new(&cpu, &mem, config, mixes::w1(), Box::new(NoLimit::new(&cpu)), Arc::clone(&store));
+            CellState::new(cell, &engine, &BatchOptions::literal())
+        };
+        let (mut inline, mut booked) = (new_state(), new_state());
+        let full = RunningMode::full_speed(&cpu);
+        let positions = mem.logical_channels * mem.dimms_per_channel;
+        let plans = [
+            ActuationPlan::global(full),
+            ActuationPlan::global(full)
+                .with_channel_service(vec![0.5, 1.0])
+                .with_steering((0..positions).map(|p| 1.0 + p as f64).collect()),
+        ];
+        let depth = inline.scene.depth();
+        let mut inline_entries: Vec<EnvPlanEntry> =
+            plans.iter().map(|p| env_build_entry(&mut inline, &engine, p.clone(), depth)).collect();
+        let mut booked_entries: Vec<EnvPlanEntry> =
+            plans.iter().map(|p| env_build_entry(&mut booked, &engine, p.clone(), depth)).collect();
+        let spatial = &inline_entries[1];
+        assert!(spatial.state.progressing && spatial.amounts[0].migrated > 0.0, "the spatial plan must migrate");
+        assert!(spatial.throttled.contains(&true), "the spatial plan must throttle a channel");
+        assert_ne!(spatial.amounts[0].instr.to_bits(), spatial.amounts[1].instr.to_bits());
+        let snapshot = |st: &CellState<'_>, e: &EnvPlanEntry| {
+            format!(
+                "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {} {:?}",
+                st.total_instructions,
+                st.total_bytes,
+                st.total_misses,
+                st.migrated_bytes,
+                st.energy,
+                st.channel_throttle_s,
+                st.batch,
+                st.ambient_samples,
+                e.residency_s
+            )
+        };
+        for round in 0..40u64 {
+            let i = (round % 2) as usize;
+            let (a, b) = (&mut inline_entries[i], &mut booked_entries[i]);
+            let (plain, overheaded) = match round % 4 {
+                0 => {
+                    inline_burst_window(&mut inline, a, false);
+                    (1, 0)
+                }
+                1 => {
+                    inline_burst_window(&mut inline, a, true);
+                    (0, 1)
+                }
+                2 => {
+                    let m = 1_500 + round;
+                    inline_jump_booking(&mut inline, a, m);
+                    (m, 0)
+                }
+                _ => {
+                    let (c, coh) = (900 + round, 45 + round / 2);
+                    inline_replay_booking(&mut inline, a, c, coh);
+                    (c, coh)
+                }
+            };
+            b.book(&mut booked, plain, overheaded);
+            assert_eq!(
+                snapshot(&booked, b),
+                snapshot(&inline, a),
+                "round {round}: book({plain}, {overheaded}) diverged from the inline booking"
+            );
+        }
+        assert!(inline.batch.status().completed_copies > 0, "no job copy completed: the retires went untested");
     }
 
     #[test]

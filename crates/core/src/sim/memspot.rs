@@ -104,22 +104,6 @@ impl MemSpotConfig {
         }
     }
 
-    /// A reduced-size configuration: ten copies per application and a 1/4
-    /// instruction scale, which keeps the batch long enough (hundreds to a
-    /// couple of thousand simulated seconds) for the steady-state throttling
-    /// behaviour to dominate the initial thermal transient. Relative
-    /// (normalized) results are preserved. A Figure 4.3-size grid (128
-    /// cells) under it took 0.2 s from a cold level-1 store on a shared
-    /// 2-core Xeon host, against 1.3 s under [`MemSpotConfig::paper`].
-    pub fn reduced(cooling: CoolingConfig) -> Self {
-        MemSpotConfig {
-            copies_per_app: 10,
-            instruction_scale: 0.25,
-            characterization_budget: 60_000,
-            ..Self::paper(cooling)
-        }
-    }
-
     /// A tiny configuration for unit tests: batches of a few hundred
     /// simulated seconds, enough for thermal emergencies to appear.
     pub fn tiny(cooling: CoolingConfig) -> Self {
