@@ -64,9 +64,9 @@
 //! envelope speedup at 20x, the analytic replay phase at 25 ms summed
 //! over the grid, `envelope_cycles` > 0, every reported quantity within
 //! the contraction-certified 1e-9 bound, and exact window-count
-//! conservation — and records the per-phase wall-clock split (detector /
-//! verify / replay / literal stepping) so FF regressions are attributable
-//! from the JSON artifact alone.
+//! conservation — and records the per-phase wall-clock split (verify /
+//! replay / literal stepping) so FF regressions are attributable from the
+//! JSON artifact alone.
 //!
 //! A `pid_columns` case runs Figure 4.3's PID columns (DTM-BW, DTM-ACG
 //! and DTM-CDVFS with the PID controllers, both coolings, the Smoke mixes)
@@ -408,7 +408,7 @@ fn main() {
     let relay_env_windows = relay_env.stepped_windows + relay_env.fast_forwarded_windows;
     println!(
         "sweep/relay                                  {} of {} windows fast-forwarded, {} envelope \
-         pseudo-cycles, max rel err {relay_max_rel_err:.2e}",
+         analytic segments, max rel err {relay_max_rel_err:.2e}",
         relay_env.fast_forwarded_windows, relay_env_windows, relay_env.envelope_cycles
     );
 
@@ -434,7 +434,7 @@ fn main() {
     let ts_relay_env_windows = ts_relay_env.stepped_windows + ts_relay_env.fast_forwarded_windows;
     println!(
         "sweep/ts_relay_envelope                      {:>10.3} ms/pass (min {:.3} ms, {ts_relay_speedup:.2}x \
-         best-of-{PASSES} vs literal {:.3} ms, {} of {} windows fast-forwarded, {} envelope pseudo-cycles, \
+         best-of-{PASSES} vs literal {:.3} ms, {} of {} windows fast-forwarded, {} envelope analytic segments, \
          max rel err {ts_relay_max_rel_err:.2e})",
         mean(&ts_relay_env_ms),
         min(&ts_relay_env_ms),
@@ -640,9 +640,9 @@ fn main() {
     // that worst case. Gates: best-of-3 speedup >= 20x, summed analytic
     // replay <= 25 ms, envelope_cycles > 0, every reported scalar within
     // relative 1e-9 of literal, and the simulated window count conserved
-    // exactly. The per-phase wall-clock breakdown (detector / verification
-    // / analytic replay / literal stepping) is recorded from the envelope
-    // run's cell counters.
+    // exactly. The per-phase wall-clock breakdown (verification / analytic
+    // replay / literal stepping) is recorded from the envelope run's cell
+    // counters.
     let nl = PolicySpec::NoLimit;
     let bw = PolicySpec::Bw { pid: false };
     let acg = PolicySpec::Acg { pid: false };
@@ -698,10 +698,9 @@ fn main() {
     // stepped count is the true window count of the grid.
     let env_windows = env.stepped_windows + env.fast_forwarded_windows;
     let lit_windows = lit.stepped_windows + lit.fast_forwarded_windows;
-    let detector_ms = env.detector_ns as f64 / 1e6;
     let verify_ms = env.verify_ns as f64 / 1e6;
     let replay_ms = env.replay_ns as f64 / 1e6;
-    let literal_ms = (min(&paper_env_ms) - detector_ms - verify_ms - replay_ms).max(0.0);
+    let literal_ms = (min(&paper_env_ms) - verify_ms - replay_ms).max(0.0);
     // The replay is timed inside the engine, per burst; its CPU time is
     // estimated from the pass's on-CPU share of its wall time.
     let paper_env_cpu_share = paper_env_cpu_ms / (paper_env_cpu_ms + paper_env_wait_ms).max(1e-9);
@@ -713,15 +712,15 @@ fn main() {
     );
     println!(
         "sweep/paper_cadence_envelope                 {:>10.3} ms/pass (min {:.3} ms, \
-         {paper_cadence_speedup:.2}x best-of-{PASSES} vs literal, {} envelope pseudo-cycles, \
+         {paper_cadence_speedup:.2}x best-of-{PASSES} vs literal, {} envelope analytic segments, \
          max rel err {envelope_max_rel_err:.2e})",
         mean(&paper_env_ms),
         min(&paper_env_ms),
         env.envelope_cycles
     );
     println!(
-        "  phase breakdown: detector {detector_ms:.3} ms, verify {verify_ms:.3} ms, \
-         replay {replay_ms:.3} ms, literal stepping {literal_ms:.3} ms"
+        "  phase breakdown: verify {verify_ms:.3} ms, replay {replay_ms:.3} ms, \
+         literal stepping {literal_ms:.3} ms"
     );
     println!(
         "  fastest envelope pass: CPU {paper_env_cpu_ms:.3} ms, run-queue wait {paper_env_wait_ms:.3} ms; \
@@ -848,7 +847,6 @@ fn main() {
         ("grid_envelope_cycles", parallel.envelope_cycles as f64),
         // Per-phase split of the default-options grid, so a regression in
         // the envelope tier is attributable from the artifact alone.
-        ("grid_detector_ms", parallel.detector_ns as f64 / 1e6),
         ("grid_verify_ms", parallel.verify_ns as f64 / 1e6),
         ("grid_replay_ms", parallel.replay_ns as f64 / 1e6),
         ("lane_workers", lane_workers as f64),
@@ -872,7 +870,6 @@ fn main() {
         ("paper_cadence_envelope_cycles", env.envelope_cycles as f64),
         ("paper_cadence_max_rel_err", envelope_max_rel_err),
         ("paper_cadence_windows", lit_windows as f64),
-        ("paper_cadence_detector_ms", detector_ms),
         ("paper_cadence_verify_ms", verify_ms),
         ("paper_cadence_replay_ms", replay_ms),
         ("paper_cadence_literal_step_ms", literal_ms),
@@ -923,13 +920,13 @@ fn main() {
     };
     let cycles = relay_env.envelope_cycles;
     let (pass, detail) = exact(relay_max_rel_err, relay_env_windows, relay_lit.stepped_windows);
-    gate("relay", pass && cycles > 0, format!("{cycles} pseudo-cycles (> 0), {detail}"));
+    gate("relay", pass && cycles > 0, format!("{cycles} analytic segments (> 0), {detail}"));
     let (cycles, x) = (ts_relay_env.envelope_cycles, ts_relay_speedup);
     let (pass, detail) = exact(ts_relay_max_rel_err, ts_relay_env_windows, ts_relay_lit.stepped_windows);
     gate(
         "ts_relay",
         pass && cycles > 0 && x >= 10.0,
-        format!("{cycles} pseudo-cycles (> 0), {detail}, {x:.2}x over literal (>= 10x)"),
+        format!("{cycles} analytic segments (> 0), {detail}, {x:.2}x over literal (>= 10x)"),
     );
     // At least 40% fewer stepped windows, as a count: 10 · stepped ≤ 6 · literal.
     let (stepped, literal) = (pid_env.stepped_windows, pid_lit.stepped_windows);
@@ -943,13 +940,13 @@ fn main() {
         format!("{detail}, {burst} burst-stepped (<= 10% of {CHATTER_BURST_STEPPED_BEFORE})"),
     );
     let cycles = parallel.envelope_cycles;
-    gate("grid_envelope", cycles > 0, format!("DTM-BW at 10 ms on the default grid: {cycles} pseudo-cycles (> 0)"));
+    gate("grid_envelope", cycles > 0, format!("DTM-BW at 10 ms on the default grid: {cycles} analytic segments (> 0)"));
     let x = paper_cadence_speedup;
     gate("paper_cadence_speedup", x >= 20.0, format!("{x:.2}x over literal at 10 ms (>= 20x)"));
     gate("paper_cadence_replay", at_most(replay_ms, 25.0), format!("analytic replay {replay_ms:.1} ms (<= 25 ms)"));
     let cycles = env.envelope_cycles;
     let (pass, detail) = exact(envelope_max_rel_err, env_windows, lit_windows);
-    gate("paper_cadence_envelope", pass && cycles > 0, format!("{cycles} pseudo-cycles (> 0), {detail}"));
+    gate("paper_cadence_envelope", pass && cycles > 0, format!("{cycles} analytic segments (> 0), {detail}"));
     if !failed.is_empty() {
         eprintln!("FAIL: {} gate(s) failed: {}", failed.len(), failed.join(", "));
         std::process::exit(1);

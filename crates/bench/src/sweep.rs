@@ -31,8 +31,8 @@
 //! lane matrices and fast-forwards cells analytically through the
 //! contraction-certified envelope, which replays frozen plans and
 //! threshold-policy orbits ([`SweepOutcome::envelope_cycles`] counts its
-//! pseudo-cycles). Under [`BatchOptions::literal`] every cell carries the
-//! bits of a per-cell [`MemSpot::run`]. Per-cell trajectories are
+//! analytic segments). Under [`BatchOptions::literal`] every cell carries
+//! the bits of a per-cell [`MemSpot::run`]. Per-cell trajectories are
 //! independent of lane composition, so the grid results remain
 //! deterministic for any thread or chunk configuration.
 
@@ -148,9 +148,9 @@ pub struct SweepOutcome {
     /// the lane through the envelope and count in `envelope_cycles`. Kept
     /// so existing readers of the field keep compiling.
     pub periodic_cycles: u64,
-    /// Pseudo-cycles replayed by the envelope fast-forward (closed-form
-    /// frozen-plan jumps plus band-confined slipping orbits), summed over
-    /// all cells.
+    /// Analytic segments of the envelope fast-forward (closed-form
+    /// frozen-plan jumps plus decision-replay segments), summed over all
+    /// cells ([`CellRunStats::envelope_cycles`]).
     pub envelope_cycles: u64,
     /// Windows the envelope tier's exact decision replay carried, summed
     /// over all cells ([`CellRunStats::replayed_windows`]; part of
@@ -168,8 +168,9 @@ pub struct SweepOutcome {
     /// the exact simulated window count, the same with the envelope on or
     /// off.
     pub stepped_windows: u64,
-    /// Wall-clock nanoseconds the cells spent in the orbit tracker that
-    /// arms the envelope, summed over all cells (sampled, extrapolated).
+    /// Always 0: the envelope's trigger is a decision count with no
+    /// detector to time. Kept because the benchmark's `batch.detector_ms`
+    /// reads it; the next change to the benchmark removes both.
     pub detector_ns: u64,
     /// Wall-clock nanoseconds spent fitting envelope bands and building
     /// their certificates, summed over all cells.
@@ -309,7 +310,6 @@ impl SweepRunner {
         let mut replayed_windows = 0u64;
         let mut replay_runs = 0u64;
         let mut burst_stepped_windows = 0u64;
-        let mut detector_ns = 0u64;
         let mut verify_ns = 0u64;
         let mut replay_ns = 0u64;
         for (run, secs, stats) in
@@ -324,7 +324,6 @@ impl SweepRunner {
             replayed_windows += stats.replayed_windows;
             replay_runs += stats.replay_runs;
             burst_stepped_windows += stats.burst_stepped_windows;
-            detector_ns += stats.detector_ns;
             verify_ns += stats.verify_ns;
             replay_ns += stats.replay_ns;
         }
@@ -343,7 +342,7 @@ impl SweepRunner {
             replay_runs,
             burst_stepped_windows,
             stepped_windows,
-            detector_ns,
+            detector_ns: 0,
             verify_ns,
             replay_ns,
         }

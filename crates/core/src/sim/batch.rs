@@ -94,16 +94,21 @@
 //! decisions (a [`DecisionRule::Ladder`] or a [`DecisionRule::Pid`]) or
 //! certifies the cell's starting observation (the [`DecisionRule::Latch`]
 //! of the DTM-TS relay, whose certificate speaks for its current latch
-//! state). Field-reading rules do neither and stay off the tier. Two
-//! triggers arm the envelope for an eligible cell:
+//! state). Field-reading rules do neither and stay off the tier.
 //!
-//! - the **orbit tracker** fingerprints every decision (plan, ambient and
-//!   layer temperatures) and fires when the recent history repeats its
-//!   plans with some period `k ≤ 16` while the ambient and temperatures
-//!   recur; and
-//! - the **frozen-approach trigger** fires when a plan has held for 64
-//!   decisions, whether the temperatures are still sliding toward the
-//!   plan's fixed point or already sit at it.
+//! One trigger arms the envelope for an eligible cell. It counts the
+//! cell's decisions since the cell started or last backed off, and keeps
+//! the per-row hull of the cell's column at those decisions. Outside a
+//! backoff it fires when either
+//!
+//! - the plan has held for 64 decisions, whether the temperatures are
+//!   still sliding toward the plan's fixed point or already sit at it: the
+//!   burst's band is the directed interval from each row to its fixed
+//!   point; or
+//! - the plan has changed since the count began and 32 decisions have
+//!   passed (a switching cell: chatter, a relay, a slipping orbit): the
+//!   band is the hull plus the current column, widened by half its span
+//!   on each side.
 //!
 //! At the next decision the cell enters a private **burst** loop
 //! (decisions and the RC sweep bit-exact per window, lane overhead gone),
@@ -210,8 +215,11 @@
 //! reconstructed rows against the confinement band, and any violation
 //! falls the cell back to literal stepping at the next decision boundary
 //! with nothing lost — the envelope tier only ever trades wall clock, not
-//! soundness. A refused band or a fallback backs both triggers off,
-//! doubling the wait with every failure.
+//! soundness. A refused band or a fallback backs the trigger off, doubling
+//! the wait with every failure, and restarts its decision count and hull.
+//!
+//! [`CellRunStats::envelope_cycles`] counts each burst's analytic
+//! segments: its frozen jumps and its replay segments.
 //!
 //! # Checked, not trusted
 //!
@@ -220,7 +228,7 @@
 //! decision the engine makes: the rule taken before `decide` must predict
 //! the returned plan and, for a latch, the state it leaves.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cpu_model::{CpuConfig, PaperCpuPower, RunningMode};
@@ -248,19 +256,8 @@ use crate::thermal::scene::{DimmThermalScene, ThermalObservation};
 /// consume the error budget.
 const AMBIENT_FF_EPS_C: f64 = 1e-10;
 
-/// Recurrence radius (°C) of the orbit tracker: a candidate period's layer
-/// temperatures must recur within this many degrees before it arms the
-/// envelope burst ([`cycle_track`]).
-const ORBIT_EPS_C: f64 = 0.05;
-
-/// Longest decision-sequence period the orbit tracker searches for. The
-/// paper's threshold policies oscillate between two adjacent emergency
-/// levels (period 2–4 at the DTM cadence); anything longer is almost
-/// certainly not an orbit worth arming the envelope for.
-const MAX_CYCLE_DECISIONS: usize = 16;
-
 /// After a refused or fallen-back envelope engagement, how many further
-/// decisions the triggers wait before they may arm the burst again; each
+/// decisions the trigger waits before it may arm the burst again; each
 /// further failure doubles the wait ([`env_back_off`]).
 const ENV_RETRY_BACKOFF: u32 = 64;
 
@@ -291,11 +288,18 @@ const ENV_JUMP_MIN: u64 = 16;
 /// give up thousands — exactly the windows whose decisions are fragile.
 const ENV_FP_GUARD_C: f64 = 1e-7;
 
-/// How many consecutive unchanged decisions arm the frozen-approach
-/// envelope trigger: long enough that a plan about to flip again is left to
-/// the orbit tracker, short relative to the tens of thousands of windows a
-/// slow thermal transient spans at the paper's 10 ms cadence.
+/// How many consecutive unchanged decisions arm the envelope with the
+/// frozen-approach band ([`env_band_frozen`]): long enough that a plan
+/// about to flip again arms through [`ENV_SWITCH_STREAK`] instead, short
+/// relative to the tens of thousands of windows a slow thermal transient
+/// spans at the paper's 10 ms cadence.
 const ENV_FROZEN_STREAK: u32 = 64;
+
+/// How many decisions since the cell started or last backed off arm the
+/// envelope with the hull band ([`env_band_hull`]) once the plan has
+/// changed among them: a switching cell (chatter, a relay, a slipping
+/// orbit) has shown the span of its orbit by then.
+const ENV_SWITCH_STREAK: u32 = 32;
 
 /// Options of the batched execution tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,9 +342,9 @@ pub struct CellRunStats {
     /// the same conservation identity as stepped windows:
     /// `stepped + fast_forwarded` equals the literal window count.
     pub fast_forwarded_windows: u64,
-    /// Pseudo-cycles replayed by the envelope tier: closed-form segment
-    /// jumps plus (for slipping orbits) the replayed windows divided by the
-    /// orbit's detected period. Zero whenever the envelope never engaged.
+    /// Analytic segments of the envelope tier's bursts: its closed-form
+    /// frozen-plan jumps plus its decision-replay segments. Zero whenever
+    /// the envelope never engaged or engaged without an analytic segment.
     pub envelope_cycles: u64,
     /// Windows the envelope tier's exact decision replay decided and swept
     /// as virtual windows (binding and literal rows only; a subset of
@@ -357,10 +361,6 @@ pub struct CellRunStats {
     /// its certified band and the cell fell back to literal lane stepping
     /// (with the replayed windows kept — they were themselves literal).
     pub envelope_fallbacks: u64,
-    /// Estimated wall-clock nanoseconds spent in the orbit tracker that
-    /// arms the envelope (sampled 1-in-64 and extrapolated; excluded from
-    /// `==`).
-    pub detector_ns: u64,
     /// Wall-clock nanoseconds spent building envelope bands and
     /// certificates (excluded from `==`).
     pub verify_ns: u64,
@@ -608,12 +608,14 @@ struct CellState<'p> {
     /// bitwise (so every window is exactly one decision and the replayed
     /// decision cadence is structurally identical to the stepped run).
     env_enabled: bool,
-    /// The orbit tracker's recent decisions, newest last (capped at
-    /// `2·MAX_CYCLE_DECISIONS + 1` so any period up to the maximum can be
-    /// checked against one full prior repetition; see [`cycle_track`]).
-    orbit_history: VecDeque<DecisionSnap>,
+    /// Decisions since the cell started or last backed off
+    /// ([`env_arm`]).
+    env_streak: u32,
+    /// Per-row minimum and maximum of the lane column at those decisions.
+    env_lo: Vec<f64>,
+    env_hi: Vec<f64>,
     /// Engage the envelope burst at the next DTM decision.
-    env_pending: Option<EnvTrigger>,
+    env_pending: bool,
     /// Decisions left before the envelope may be armed again after a
     /// refused band or a band violation ([`env_back_off`]).
     env_backoff: u32,
@@ -676,8 +678,10 @@ impl<'p> CellState<'p> {
             wants_field,
             stats: CellRunStats::default(),
             env_enabled,
-            orbit_history: VecDeque::new(),
-            env_pending: None,
+            env_streak: 0,
+            env_lo: Vec::new(),
+            env_hi: Vec::new(),
+            env_pending: false,
             env_backoff: 0,
             env_fails: 0,
             fp: Vec::new(),
@@ -1006,7 +1010,7 @@ fn member_pre(
         // An envelope burst armed by the previous decision engages here, in
         // place of this decision. A burst that hands the cell back has
         // decided this window, and the accounting below picks it up.
-        match st.env_pending.take().and_then(|trigger| env_band(lane, j, st, trigger)) {
+        match std::mem::take(&mut st.env_pending).then(|| env_band(lane, j, st)).flatten() {
             Some(band) => {
                 if let Some(result) = envelope_burst(lane, j, st, engine, band) {
                     results[cell] = Some(result);
@@ -1035,14 +1039,13 @@ fn member_pre(
     true
 }
 
-/// The band an armed trigger engages the envelope burst with, or `None`
-/// when the band is refused, which backs the triggers off.
-fn env_band(lane: &Lane, j: usize, st: &mut CellState<'_>, trigger: EnvTrigger) -> Option<EnvBand> {
+/// The band the armed envelope burst engages with: the frozen-approach band
+/// for a plan held [`ENV_FROZEN_STREAK`] decisions, else the hull band. `None`
+/// when the band is refused, which backs the trigger off.
+fn env_band(lane: &Lane, j: usize, st: &mut CellState<'_>) -> Option<EnvBand> {
     let bt = std::time::Instant::now();
-    let band = match trigger {
-        EnvTrigger::Slipping(period) => env_band_slipping(lane, j, st, period),
-        EnvTrigger::Frozen => env_band_frozen(lane, j, st),
-    };
+    let band =
+        if st.plan_streak >= ENV_FROZEN_STREAK { env_band_frozen(lane, j, st) } else { env_band_hull(lane, j, st) };
     st.stats.verify_ns += bt.elapsed().as_nanos() as u64;
     if band.is_none() {
         env_back_off(st);
@@ -1052,7 +1055,7 @@ fn env_band(lane: &Lane, j: usize, st: &mut CellState<'_>, trigger: EnvTrigger) 
 
 /// Lane member `j`'s literal DTM decision: the observation, the decision, a
 /// plan change's state and power column ([`PlanState::derive`]), the
-/// envelope triggers and the decision clock.
+/// envelope trigger ([`env_arm`]) and the decision clock.
 fn member_decide(lane: &mut Lane, j: usize, st: &mut CellState<'_>, engine: &SimEngine<'_>) {
     let cfg = engine.config;
     if st.wants_field {
@@ -1082,23 +1085,9 @@ fn member_decide(lane: &mut Lane, j: usize, st: &mut CellState<'_>, engine: &Sim
         lane.write_power_column(j, &st.active.window.positions, st.scene.topology());
     } else {
         st.plan_streak = st.plan_streak.saturating_add(1);
-        // Frozen-approach envelope trigger: the plan has held long enough
-        // that the temperatures are sliding toward (or sit at) its fixed
-        // point. Arm the envelope burst for the next decision.
-        if st.env_enabled && st.env_backoff == 0 && st.plan_streak >= ENV_FROZEN_STREAK {
-            st.env_pending = Some(EnvTrigger::Frozen);
-        }
     }
     if st.env_enabled {
-        // The tracker's cost is sampled 1-in-64 and extrapolated: a
-        // per-window clock read would cost more than the tracking.
-        if st.stats.stepped_windows.is_multiple_of(64) {
-            let dt0 = std::time::Instant::now();
-            cycle_track(lane, j, st, plan_changed);
-            st.stats.detector_ns += 64 * dt0.elapsed().as_nanos() as u64;
-        } else {
-            cycle_track(lane, j, st, plan_changed);
-        }
+        env_arm(lane, j, st);
     }
     st.next_dtm_s += cfg.dtm_interval_s;
 }
@@ -1364,138 +1353,47 @@ fn reprime(st: &mut CellState<'_>, skipped: &[(f64, f64)], dt_s: f64) -> Option<
     plan
 }
 
-/// What the orbit tracker remembers about one DTM decision.
-#[derive(Debug)]
-struct DecisionSnap {
-    plan: ActuationPlan,
-    /// The cell's lane temperature column at decision time (pre-window).
-    temps: Vec<f64>,
-    /// The scene ambient at decision time. Candidates demand its recurrence
-    /// within [`AMBIENT_FF_EPS_C`], so a slowly drifting orbit — whose
-    /// layer temperatures recur within [`ORBIT_EPS_C`] over any short
-    /// lag — never arms the burst.
-    ambient: f64,
+/// The envelope trigger, run after every literal decision of an eligible
+/// cell: counts the decision, folds the cell's lane column into the hull
+/// and, outside a backoff, arms the burst for the next decision when the
+/// plan has held [`ENV_FROZEN_STREAK`] decisions, or has changed since the
+/// count began and the count has reached [`ENV_SWITCH_STREAK`].
+fn env_arm(lane: &Lane, j: usize, st: &mut CellState<'_>) {
+    st.env_streak = st.env_streak.saturating_add(1);
+    st.env_lo.resize(lane.rows, f64::INFINITY);
+    st.env_hi.resize(lane.rows, f64::NEG_INFINITY);
+    for (r, (lo, hi)) in st.env_lo.iter_mut().zip(&mut st.env_hi).enumerate() {
+        let t = lane.temps[r * lane.stride + j];
+        *lo = lo.min(t);
+        *hi = hi.max(t);
+    }
+    // The plan changed since the count began iff it has held for fewer
+    // decisions than were counted.
+    let switched = st.plan_streak < st.env_streak;
+    st.env_pending = st.env_backoff == 0
+        && (st.plan_streak >= ENV_FROZEN_STREAK || (switched && st.env_streak >= ENV_SWITCH_STREAK));
 }
 
-/// Why the envelope burst is armed for the next DTM decision. Both triggers
-/// fire mid-decision, where a burst cannot start cleanly, so the burst
-/// engages at the head of the next one.
-#[derive(Debug, Clone, Copy)]
-enum EnvTrigger {
-    /// The orbit tracker found a period-`k` plan recurrence whose ambient
-    /// and temperatures recur ([`cycle_track`]).
-    Slipping(usize),
-    /// The plan has been frozen for [`ENV_FROZEN_STREAK`] decisions.
-    Frozen,
-}
-
-/// Pushes one decision snapshot and, when the recent history shows a
-/// period-`k` plan sequence whose ambient recurs within
-/// [`AMBIENT_FF_EPS_C`] and whose temperatures recur within
-/// [`ORBIT_EPS_C`], arms the envelope burst for the next decision. Runs at
-/// every DTM decision of an envelope-eligible cell (after the decision,
-/// before the window steps).
-// The negated comparison is load-bearing: `!(x <= eps)` refuses on NaN
-// where `x > eps` would accept it.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn cycle_track(lane: &Lane, j: usize, st: &mut CellState<'_>, changed: bool) {
-    let streak = st.plan_streak as usize;
-    let history = &mut st.orbit_history;
-    // A plan frozen for the full history depth cannot take part in any
-    // detectable cycle (a candidate must change the plan inside its two
-    // repetitions), so tracking pauses for settled cells — dropping the
-    // stale history keeps snapshot lags contiguous — until the plan next
-    // changes. Without this gate the scan below is the batched tier's
-    // dominant per-window cost on frozen-plan cells.
-    if !changed && streak >= 2 * MAX_CYCLE_DECISIONS {
-        history.clear();
-        return;
-    }
-    // A backoff disarms the scan. Early in the backoff the tracker idles
-    // without snapshotting (the history is stale and dropped); snapshotting
-    // resumes for the final `2·MAX + 1` decisions so a full history is
-    // ready the moment the scan re-arms.
-    if st.env_backoff as usize > 2 * MAX_CYCLE_DECISIONS {
-        history.clear();
-        return;
-    }
-    // Recycle the oldest snapshot's allocation once the history is full.
-    let mut temps = if history.len() > 2 * MAX_CYCLE_DECISIONS {
-        let mut old = history.pop_front().expect("history is non-empty");
-        old.temps.clear();
-        old.temps
-    } else {
-        Vec::with_capacity(lane.rows)
-    };
-    temps.extend((0..lane.rows).map(|r| lane.temps[r * lane.stride + j]));
-    history.push_back(DecisionSnap { plan: st.active.plan.clone(), temps, ambient: st.scene.ambient_c() });
-    if st.env_backoff > 0 {
-        return;
-    }
-    let h = &st.orbit_history;
-    let n = h.len();
-    for k in 2..=MAX_CYCLE_DECISIONS {
-        if n < 2 * k {
-            break;
-        }
-        // The last 2k decisions must repeat with period k, actually change
-        // the plan at least once (a frozen plan is the frozen-approach
-        // trigger's domain), and land on recurring temperatures. The
-        // change requirement is the O(1) `plan_streak` test — the last
-        // change must fall inside the candidate's two repetitions — and
-        // filters before any plan is compared.
-        if streak >= 2 * k {
-            continue;
-        }
-        // Ambient recurrence comes next — one subtract rules most lags out
-        // (and refuses on NaN) before any plan or temperature vector is
-        // compared.
-        if !((h[n - 1].ambient - h[n - 1 - k].ambient).abs() <= AMBIENT_FF_EPS_C) {
-            continue;
-        }
-        if !(0..k).all(|i| h[n - 1 - i].plan == h[n - 1 - i - k].plan) {
-            continue;
-        }
-        let now = &h[n - 1].temps;
-        let then = &h[n - 1 - k].temps;
-        if !now.iter().zip(then).all(|(a, b)| (a - b).abs() <= ORBIT_EPS_C) {
-            continue;
-        }
-        st.env_pending = Some(EnvTrigger::Slipping(k));
-        return;
-    }
-}
-
-/// Backs the envelope triggers off after a refused or fallen-back
-/// engagement. Each failure doubles the wait (capped by
-/// [`ENV_BACKOFF_DOUBLINGS`]): quasiperiodic orbits pinned at a threshold
-/// recur in ambient and plans at every lag and re-arm the trigger forever,
-/// and only the doubling keeps a hopeless cell's engagement cost amortized
-/// to nothing over a long run.
+/// Backs the envelope trigger off after a refused or fallen-back
+/// engagement and restarts its decision count and hull. Each failure
+/// doubles the wait (capped by [`ENV_BACKOFF_DOUBLINGS`]): a switching cell
+/// re-arms the trigger every [`ENV_SWITCH_STREAK`] decisions forever, and
+/// only the doubling keeps a hopeless cell's engagement cost amortized to
+/// nothing over a long run.
 fn env_back_off(st: &mut CellState<'_>) {
     st.env_backoff = ENV_RETRY_BACKOFF << st.env_fails.min(ENV_BACKOFF_DOUBLINGS);
     st.env_fails = st.env_fails.saturating_add(1);
+    st.env_streak = 0;
+    st.env_lo.clear();
+    st.env_hi.clear();
 }
 
-/// A proven per-row temperature confinement band for the envelope replay,
-/// plus how to convert replayed windows into pseudo-cycles for
-/// [`CellRunStats::envelope_cycles`].
+/// A per-row temperature confinement band: the envelope burst's drift
+/// audit.
 #[derive(Debug)]
 struct EnvBand {
     lo: Vec<f64>,
     hi: Vec<f64>,
-    /// The orbit period the tracker detected at engagement
-    /// ([`EnvTrigger::Slipping`]); `None` for frozen-approach engagements.
-    period: Option<u64>,
-}
-
-impl EnvBand {
-    /// Pseudo-cycles of a burst that made `jumps` closed-form jumps and
-    /// replayed `windows` windows: the jumps plus, for slipping orbits, the
-    /// replayed windows divided by the orbit's period.
-    fn pseudo_cycles(&self, jumps: u64, windows: u64) -> u64 {
-        jumps + self.period.map_or(0, |k| windows / k)
-    }
 }
 
 /// Everything the envelope burst needs per distinct actuation plan, cached
@@ -1623,33 +1521,22 @@ fn env_build_entry(st: &mut CellState<'_>, engine: &SimEngine<'_>, plan: Actuati
     EnvPlanEntry { state, stab_a, stab_b, amounts, throttled, residency_s: 0.0 }
 }
 
-/// Slipping-orbit band: the orbit tracker's decision history (plus the
-/// cell's current temperatures) spans the orbit, and the band — inflated by
-/// half a span per side to absorb the slow slip — becomes the burst's audit
-/// certificate. Width is not gated: a burst decides every window literally
-/// or replays keyed decisions ([`DecisionRule::key`]) exactly, and
-/// certifies every frozen jump over its own traced range, so the band is
-/// only an audit backstop, never a bound on the replay error. Refuses a
+/// Hull band of a switching cell: the per-row hull of its column at the
+/// decisions since it started or last backed off, plus its current column,
+/// spans the orbit, and the band — widened by half a span per side to
+/// absorb a slow slip — becomes the burst's audit certificate. Width is not
+/// gated: a burst decides every window literally or replays keyed decisions
+/// ([`DecisionRule::key`]) exactly, and certifies every frozen jump over its
+/// own traced range, so the band is only an audit backstop, never a bound
+/// on the replay error. Takes the hull, which the back-off or the cell's
+/// finish that ends every engagement would drop anyway. Refuses a
 /// non-finite span.
-fn env_band_slipping(lane: &Lane, j: usize, st: &CellState<'_>, period: usize) -> Option<EnvBand> {
+fn env_band_hull(lane: &Lane, j: usize, st: &mut CellState<'_>) -> Option<EnvBand> {
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
     }
-    let rows = lane.rows;
-    let h = &st.orbit_history;
-    // At least two orbit periods of snapshots, so the band has seen every
-    // phase of the orbit at least twice.
-    if period < 2 || h.len() < 2 * period {
-        return None;
-    }
-    let mut lo = vec![f64::INFINITY; rows];
-    let mut hi = vec![f64::NEG_INFINITY; rows];
-    for snap in h.iter() {
-        for (r, &t) in snap.temps.iter().enumerate() {
-            lo[r] = lo[r].min(t);
-            hi[r] = hi[r].max(t);
-        }
-    }
+    let (mut lo, mut hi) = (std::mem::take(&mut st.env_lo), std::mem::take(&mut st.env_hi));
+    debug_assert_eq!(lo.len(), lane.rows, "the hull band needs the counted decisions' hull");
     for (r, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
         let t = lane.temps[r * lane.stride + j];
         *lo = lo.min(t);
@@ -1661,7 +1548,7 @@ fn env_band_slipping(lane: &Lane, j: usize, st: &CellState<'_>, period: usize) -
         *lo -= margin;
         *hi += margin;
     }
-    Some(EnvBand { lo, hi, period: Some(period as u64) })
+    Some(EnvBand { lo, hi })
 }
 
 /// Frozen-approach band: under a long-frozen plan each row slides
@@ -1690,7 +1577,7 @@ fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState<'_>) -> Option<EnvB
         *lo = a - margin;
         *hi = b + margin;
     }
-    Some(EnvBand { lo, hi, period: None })
+    Some(EnvBand { lo, hi })
 }
 
 /// Exact range of the discrete two-exponential row response
@@ -2158,7 +2045,6 @@ impl Burst {
             st.ambient_sum += end.amb_sum;
             st.time_s = end.time_s;
             st.next_dtm_s = end.next_dtm_s;
-            debug_assert!(!end.finished || st.done(cfg), "a finished segment must end the burst");
             debug_assert_eq!(end.counts.iter().chain(&end.counts_oh).sum::<u64>(), w, "occupancy counts lost a window");
             for (e, (&c, &coh)) in self.entries.iter_mut().zip(end.counts.iter().zip(&end.counts_oh)) {
                 e.book(st, c, coh);
@@ -2459,10 +2345,9 @@ impl Burst {
     /// The burst's one exit: flushes the per-entry residency and the
     /// burst's counters into the cell, then either finishes the cell (scene
     /// synced, result folded) or hands it back to the lane — the lane
-    /// column, the plan state and this window's overhead restored, the
-    /// orbit tracker's stale history dropped and the triggers backed off —
-    /// so literal stepping continues seamlessly from [`member_pre`]'s
-    /// accounting of the decided window.
+    /// column, the plan state and this window's overhead restored and the
+    /// trigger backed off — so literal stepping continues seamlessly from
+    /// [`member_pre`]'s accounting of the decided window.
     fn exit(
         mut self,
         lane: &mut Lane,
@@ -2477,7 +2362,7 @@ impl Burst {
             }
         }
         st.stats.fast_forwarded_windows += self.windows;
-        st.stats.envelope_cycles += self.band.pseudo_cycles(self.jumps, self.windows);
+        st.stats.envelope_cycles += self.jumps;
         st.stats.replay_ns += self.started.elapsed().as_nanos() as u64;
         match exit {
             BurstExit::Finished => {
@@ -2493,7 +2378,6 @@ impl Burst {
                 st.active = self.entries.swap_remove(self.cur).state;
                 st.overhead_s = if overheaded { engine.config.dtm_overhead_s } else { 0.0 };
                 lane.write_power_column(j, &st.active.window.positions, st.scene.topology());
-                st.orbit_history.clear();
                 env_back_off(st);
                 st.stats.envelope_fallbacks += 1;
                 None

@@ -519,8 +519,6 @@ pub(super) struct SegmentEnd {
     pub run: u64,
     /// Whether the plan changed during the segment.
     pub flipped: bool,
-    /// Whether the segment reached the simulated-time limit.
-    pub finished: bool,
     /// Whether a stepped or closed row left the band.
     pub violated: bool,
     /// Highest `(buffer, dram)` temperature a stepped row reached.
@@ -634,7 +632,6 @@ where
     let mut run_len: usize = 0;
     let mut flipped = false;
     let mut amb_sum = 0.0;
-    let mut finished = false;
     let mut viol = false;
     let mut amb_run0 = start.amb_c;
     // The keys chain from the burst's last literal decision, and the
@@ -715,7 +712,7 @@ where
         dtm_l += seg.dtm_s;
         w += 1;
         viol = !in_band;
-        finished = time_l >= seg.max_s;
+        let finished = time_l >= seg.max_s;
         if viol || finished {
             break;
         }
@@ -734,7 +731,6 @@ where
         cur: cur_l,
         run: run_l,
         flipped,
-        finished,
         violated: viol,
         peak: (peak_buf, peak_dram),
     };

@@ -6,7 +6,7 @@
 //! `MemSpot` per cell), the `SweepRunner`'s batched lockstep + analytic
 //! fast-forward on one worker (same results within 1e-9, printed with its
 //! speedup, how many windows were fast-forwarded and how many
-//! pseudo-cycles the envelope tier replayed), and the runner's batched
+//! analytic segments the envelope tier replayed), and the runner's batched
 //! chunks fanned across all cores. Each pass uses its own shared `CharStore`, so
 //! the printed wall-clock comparisons are fair while still showing the
 //! level-1 dedup (the same mix under two cooling configs characterizes
@@ -88,7 +88,7 @@ fn main() {
     let batched_speedup = per_cell_s / sequential.wall_clock_s.max(1e-9);
     println!(
         "batched+FF (1 worker):      {:.2} s wall-clock  ({:.2}x vs per-cell, {} windows fast-forwarded \
-         across {} cells, {} envelope pseudo-cycles)",
+         across {} cells, {} envelope analytic segments)",
         sequential.wall_clock_s,
         batched_speedup,
         sequential.fast_forwarded_windows,

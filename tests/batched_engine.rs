@@ -44,6 +44,21 @@ fn base_config(cooling: CoolingConfig) -> MemSpotConfig {
     }
 }
 
+/// The relay tests' cell: W1 under AOHS_1.5 with one DTM decision per
+/// `dt`-second window.
+fn relay_config(dt: f64) -> MemSpotConfig {
+    let mut cfg = MemSpotConfig {
+        copies_per_app: 32,
+        instruction_scale: 0.6,
+        characterization_budget: 8_000,
+        max_sim_time_s: 4_000.0,
+        ..MemSpotConfig::paper(CoolingConfig::aohs_1_5())
+    };
+    cfg.window_s = dt;
+    cfg.dtm_interval_s = dt;
+    cfg
+}
+
 fn policy_for(kind: u64, cpu: &CpuConfig, limits: ThermalLimits) -> Box<dyn DtmPolicy> {
     match kind % 5 {
         0 => Box::new(NoLimit::new(cpu)),
@@ -335,21 +350,9 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
     let cpu_power = PaperCpuPower::new();
     let store = Arc::new(CharStore::new());
 
-    let relay = |dt: f64| {
-        let mut cfg = MemSpotConfig {
-            copies_per_app: 32,
-            instruction_scale: 0.6,
-            characterization_budget: 8_000,
-            max_sim_time_s: 4_000.0,
-            ..MemSpotConfig::paper(CoolingConfig::aohs_1_5())
-        };
-        cfg.window_s = dt;
-        cfg.dtm_interval_s = dt;
-        cfg
-    };
     let build_cells = || {
-        let acg = relay(5.0);
-        let cdvfs = relay(25.0);
+        let acg = relay_config(5.0);
+        let cdvfs = relay_config(25.0);
         vec![
             BatchCell::new(
                 &cpu,
@@ -390,5 +393,37 @@ fn relay_limit_cycles_fast_forward_through_the_envelope_within_1e9() {
             ff.policy
         );
         assert_within_ff_tolerance(ff, lit, &format!("{}/{}", ff.workload, ff.policy));
+    }
+}
+
+#[test]
+fn the_envelope_trigger_arms_a_switching_cell_at_32_decisions_and_a_frozen_one_at_64() {
+    // One trigger arms the envelope. The 5 s DTM-ACG relay changes its plan
+    // within its first 32 decisions, so it arms at the 32nd and leaves the
+    // lane at the next one; No-limit never changes its plan, so it arms
+    // once the plan has held 64 decisions. Neither falls back, so each
+    // steps exactly the windows before its engagement.
+    let cpu = CpuConfig::paper_quad_core();
+    let mem = FbdimmConfig::ddr2_667_paper();
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
+    let store = Arc::new(CharStore::new());
+    let cfg = relay_config(5.0);
+    let cells = vec![
+        BatchCell::new(
+            &cpu,
+            &mem,
+            cfg,
+            mixes::w1(),
+            Box::new(ThresholdPolicy::new(DtmScheme::Acg, &cpu, cfg.limits)),
+            Arc::clone(&store),
+        ),
+        BatchCell::new(&cpu, &mem, cfg, mixes::w1(), Box::new(NoLimit::new(&cpu)), Arc::clone(&store)),
+    ];
+    let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+    let runs = engine.run(cells, &BatchOptions::default());
+    for ((result, stats), expected) in runs.iter().zip([32, 64]) {
+        assert_eq!(stats.envelope_fallbacks, 0, "{} fell back: {stats:?}", result.policy);
+        assert_eq!(stats.stepped_windows, expected, "{} left the lane elsewhere: {stats:?}", result.policy);
     }
 }

@@ -12,8 +12,11 @@
 //! and took the same path.
 //!
 //! The constants were recorded before the envelope burst was split into
-//! named stages. A refactor of the burst keeps them; a change that means
-//! to move envelope bits re-records them and says so in `CHANGES.md`.
+//! named stages. `GOLDEN_FALLBACK` was re-recorded when one decision-count
+//! trigger replaced the orbit tracker: both of its cells now engage after
+//! 32 decisions with the hull band. A refactor of the burst keeps them; a
+//! change that means to move envelope bits re-records them and says so in
+//! `CHANGES.md`.
 
 use std::sync::Arc;
 
@@ -72,7 +75,7 @@ const GOLDEN_FIG4_3_SMOKE: u64 = 0xe918_b9af_473e_0287;
 const GOLDEN_TS_RELAY: u64 = 0xb70b_97f3_df37_a0c1;
 const GOLDEN_STACKED4: u64 = 0x2e60_c446_ab35_48c6;
 const GOLDEN_PID_REPLAY: u64 = 0x4646_2c4a_a53e_c62d;
-const GOLDEN_FALLBACK: u64 = 0x7c16_4906_2eba_d47b;
+const GOLDEN_FALLBACK: u64 = 0x8aad_caf6_2f01_9059;
 
 #[test]
 fn fig4_3_smoke_grid_keeps_its_envelope_bits() {
@@ -149,8 +152,8 @@ fn a_replaying_pid_cell_keeps_its_envelope_bits() {
 fn a_falling_back_cell_keeps_its_envelope_bits() {
     // The drifting DTM-ACG and refuted DTM-BW cells of
     // `tests/envelope_ff.rs`: an 85 °C inlet drives the orbit out of its
-    // certified band (DTM-BW's during a decision replay), and the burst
-    // hands the cell back to the lane (envelope_fallbacks > 0).
+    // certified band, and the burst hands the cell back to the lane
+    // (envelope_fallbacks > 0).
     let cpu = CpuConfig::paper_quad_core();
     let mut cfg = MemSpotConfig {
         copies_per_app: 8,
